@@ -21,8 +21,9 @@ otherwise; :func:`symmetric_part` produces the flagged symmetric part of a
 learned model, whose quadratic form coincides with that of the original
 operators.
 
-Both integrators apply the Cayley map ``(M - dt/2 A)^{-1} (M + dt/2 A)``
-with a single factorization: :func:`crank_nicolson` for mass-form
+Both integrators apply the Cayley map ``(M - dt/2 A)^{-1} (M + dt/2 A)``:
+one factorization builds this step map, which is then applied once per
+step as a matrix-vector product: :func:`crank_nicolson` for mass-form
 diffusion systems and :func:`implicit_midpoint` for standard-form
 canonical systems, where the same map conserves every quadratic invariant
 of the flow (for linear systems the two schemes coincide).
@@ -30,11 +31,9 @@ of the flow (for linear systems the two schemes coincide).
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as la
 
 from .basis import ReducedBasis
 from .errors import StructureError
@@ -115,16 +114,13 @@ class Trajectory:
     """Time-integration output.
 
     ``states`` has one column per stored time point (the first column is
-    the initial state).  ``step_solves`` counts linear solves per step
-    (always one for the direct-factorization integrators here).  If the
-    state leaves floating-point range, integration stops, remaining
-    columns are NaN, ``diverged`` is set, and ``first_bad_step`` records
-    the 1-based index of the first bad step.
+    the initial state).  If the state leaves floating-point range, every
+    column from the first bad step on is NaN, ``diverged`` is set, and
+    ``first_bad_step`` records the 1-based index of that step.
     """
 
     states: np.ndarray
     times: np.ndarray
-    step_solves: np.ndarray = field(default_factory=lambda: np.array([], dtype=int))
     diverged: bool = False
     first_bad_step: int | None = None
 
@@ -318,33 +314,30 @@ def _cayley_integrate(
     if m.shape != (n, n):
         raise ValueError(f"mass shape {m.shape} does not match state length {n}")
 
-    minus = m - 0.5 * dt * a
-    plus = m + 0.5 * dt * a
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", la.LinAlgWarning)
-        lu = la.lu_factor(minus)
+    # One LU factorization builds the step map; each step is one matvec.
+    # NumPy's LAPACK forms the map: SciPy's threaded multi-column solve
+    # runs in a second BLAS thread pool and stalls next to NumPy's.
+    # Non-finite values propagate, so overflow is located after the loop.
+    with np.errstate(all="ignore"):
+        try:
+            phi = np.linalg.solve(m - 0.5 * dt * a, m + 0.5 * dt * a)
+        except np.linalg.LinAlgError:  # exactly singular: no step is defined
+            phi = np.full((n, n), np.nan)
+        rows = np.empty((n_times, n))
+        rows[0] = x0
+        for k in range(1, n_times):
+            np.dot(phi, rows[k - 1], out=rows[k])
 
-    states = np.full((n, n_times), np.nan)
-    states[:, 0] = x0
-    step_solves = np.ones(max(n_times - 1, 0), dtype=int)
-    diverged = False
-    first_bad = None
-    x = x0.copy()
-    for k in range(1, n_times):
-        x = la.lu_solve(lu, plus @ x)
-        if not np.all(np.isfinite(x)):
-            diverged = True
-            first_bad = k
-            step_solves[k - 1:] = 0
-            step_solves[k - 1] = 1
-            break
-        states[:, k] = x
+    states = np.ascontiguousarray(rows.T)
+    finite = np.all(np.isfinite(rows), axis=1)
+    first_bad = None if finite.all() else int(np.argmin(finite))
+    if first_bad is not None:
+        states[:, first_bad:] = np.nan
     times = t0 + dt * np.arange(n_times)
     return Trajectory(
         states=states,
         times=times,
-        step_solves=step_solves,
-        diverged=diverged,
+        diverged=first_bad is not None,
         first_bad_step=first_bad,
     )
 
@@ -359,10 +352,11 @@ def crank_nicolson(
 ) -> Trajectory:
     """Trapezoidal (Crank-Nicolson) integration of ``M qdot = A q``.
 
-    Steps ``(M - dt/2 A) q_{k+1} = (M + dt/2 A) q_k`` with one LU
-    factorization reused across all steps; second-order accurate and, for
-    dissipative ``A``, non-expansive in the ``M`` norm.  ``mass=None``
-    means the identity.
+    Steps ``(M - dt/2 A) q_{k+1} = (M + dt/2 A) q_k``: one LU factorization
+    builds the step map ``(M - dt/2 A)^{-1} (M + dt/2 A)``, which is then
+    applied once per step; second-order accurate and, for dissipative
+    ``A``, non-expansive in the ``M`` norm.  ``mass=None`` means the
+    identity.
     """
     return _cayley_integrate(a, q0, dt, n_times, mass, t0)
 

@@ -12,8 +12,11 @@ from topinf import (
     assemble_hamiltonian_operator,
     assemble_operator,
     block_operator,
+    build_heat_model,
     canonical_j,
     crank_nicolson,
+    heat_initial_state,
+    heat_operator,
     implicit_midpoint,
     intrusive_project,
     project_matrix,
@@ -237,6 +240,16 @@ def test_symmetric_part_preserves_quadratic_energy():
 # integrators
 
 
+def _assert_matches_stepwise_solve(a, m, q0, dt, n_times):
+    traj = crank_nicolson(a, q0, dt, n_times, mass=m, t0=0.25)
+    np.testing.assert_array_equal(traj.states[:, 0], q0)
+    x = q0.copy()
+    for k in range(1, n_times):
+        x = np.linalg.solve(m - 0.5 * dt * a, (m + 0.5 * dt * a) @ x)
+        np.testing.assert_allclose(traj.states[:, k], x, atol=1e-12)
+    return traj
+
+
 def test_crank_nicolson_matches_stepwise_solve():
     rng = np.random.default_rng(711)
     n, dt, n_times = 5, 0.05, 8
@@ -245,14 +258,17 @@ def test_crank_nicolson_matches_stepwise_solve():
     m = rng.standard_normal((n, n))
     m = m @ m.T + n * np.eye(n)
     q0 = rng.standard_normal(n)
-    traj = crank_nicolson(a, q0, dt, n_times, mass=m, t0=0.25)
-    np.testing.assert_array_equal(traj.states[:, 0], q0)
-    x = q0.copy()
-    for k in range(1, n_times):
-        x = np.linalg.solve(m - 0.5 * dt * a, (m + 0.5 * dt * a) @ x)
-        np.testing.assert_allclose(traj.states[:, k], x, atol=1e-12)
+    traj = _assert_matches_stepwise_solve(a, m, q0, dt, n_times)
     np.testing.assert_allclose(traj.times, 0.25 + dt * np.arange(n_times), atol=1e-15)
-    np.testing.assert_array_equal(traj.step_solves, np.ones(n_times - 1, dtype=int))
+    assert not traj.diverged and traj.first_bad_step is None
+
+
+def test_crank_nicolson_matches_stepwise_solve_on_stiff_fem():
+    # Mass-form P1 heat operator; dt times its largest generalized eigenvalue is ~77.
+    model = build_heat_model(51)
+    a = heat_operator(model, np.array([1.0, 0.5, 2.0]))
+    q0 = heat_initial_state(model) + 0.1 * np.sin(7.0 * model.nodes)
+    traj = _assert_matches_stepwise_solve(a, model.mass, q0, 0.05, 41)
     assert not traj.diverged and traj.first_bad_step is None
 
 
@@ -322,14 +338,20 @@ def test_divergence_is_detected_and_recorded():
     assert traj.diverged and traj.first_bad_step == 1
     np.testing.assert_array_equal(traj.states[:, 0], [1.0])
     assert np.all(np.isnan(traj.states[:, 1:]))
-    np.testing.assert_array_equal(traj.step_solves, [1, 0, 0, 0])
     assert len(traj.times) == 5
+
+
+def test_overflow_is_recorded_as_divergence():
+    # The Cayley factor is -51/49, so the state leaves float range at step 73.
+    traj = crank_nicolson(np.array([[100.0 / 0.1]]), np.array([1e307]), 0.1, 100)
+    assert traj.diverged and traj.first_bad_step == 73
+    assert np.all(np.isfinite(traj.states[:, :73]))
+    assert np.all(np.isnan(traj.states[:, 73:]))
 
 
 def test_single_point_trajectory():
     traj = implicit_midpoint(np.eye(2), np.array([1.0, 2.0]), 0.1, 1)
     assert traj.states.shape == (2, 1)
-    assert traj.step_solves.shape == (0,)
     np.testing.assert_array_equal(traj.states[:, 0], [1.0, 2.0])
 
 
