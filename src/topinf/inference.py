@@ -238,9 +238,9 @@ def assemble_normal_system(data: InferenceData) -> tuple[np.ndarray, np.ndarray]
     if data.xs is not None:
         raise ValueError("left factors are only supported by the symmetric solver")
     nus, ys, zs = data.nus, data.ys, data.zs
-    gram = np.einsum("xs,ias,jas,ys->xijy", nus, ys, ys, nus)
+    gram = np.einsum("xs,ias,jas,ys->xijy", nus, ys, ys, nus, optimize=True)
     bhat = tensors.cvec(tensors.rvec(gram, 0, 1), 1, 2)
-    cross = np.einsum("ias,jas,xs->ijx", zs, ys, nus)
+    cross = np.einsum("ias,jas,xs->ijx", zs, ys, nus, optimize=True)
     chat = tensors.cvec(cross, 1, 2)
     return bhat, chat
 
@@ -349,15 +349,21 @@ def infer_symmetric(
     xs = data.left_factors()
     ys, zs, nus = data.ys, data.zs, data.nus
 
-    xtx = np.einsum("kis,kjs->ijs", xs, xs)
-    yyt = np.einsum("iks,jks->ijs", ys, ys)
+    xtx = np.einsum("kis,kjs->ijs", xs, xs, optimize=True)
+    yyt = np.einsum("iks,jks->ijs", ys, ys, optimize=True)
     nnt = np.einsum("xs,ys->xys", nus, nus)
-    big = np.einsum("xys,ijs,kls->xyijkl", nnt, xtx, yyt)
-    big = big + big.transpose(0, 1, 4, 5, 2, 3)  # Kronecker-sum symmetrization
-    # rows group (x, i, k) and columns group (y, j, l), row-major within groups
-    bhat = big.transpose(0, 2, 4, 1, 3, 5).reshape(unknowns, unknowns)
+    # Kronecker-sum symmetrization: the (xtx, yyt) and (yyt, xtx) pairings,
+    # stacked along the sample axis, make one contraction; rows group
+    # (x, i, k) and columns group (y, j, l), row-major within groups
+    bhat = np.einsum(
+        "xys,ijs,kls->xikyjl",
+        np.concatenate([nnt, nnt], axis=2),
+        np.concatenate([xtx, yyt], axis=2),
+        np.concatenate([yyt, xtx], axis=2),
+        optimize=True,
+    ).reshape(unknowns, unknowns)
 
-    cross = np.einsum("kis,kas,jas,xs->ijx", xs, zs, ys, nus)
+    cross = np.einsum("kis,kas,jas,xs->ijx", xs, zs, ys, nus, optimize=True)
     cross = cross + sign * cross.transpose(1, 0, 2)
     chat = cross.ravel(order="F")
 
@@ -379,8 +385,8 @@ def infer_symmetric(
 def _predictions(tensor: np.ndarray, data: InferenceData) -> np.ndarray:
     ops = np.einsum("ijx,xs->ijs", tensor, data.nus)
     if data.xs is None:
-        return np.einsum("ijs,jas->ias", ops, data.ys)
-    return np.einsum("mis,ijs,jas->mas", data.xs, ops, data.ys)
+        return np.einsum("ijs,jas->ias", ops, data.ys, optimize=True)
+    return np.einsum("mis,ijs,jas->mas", data.xs, ops, data.ys, optimize=True)
 
 
 def objective(tensor: np.ndarray, data: InferenceData) -> float:
@@ -407,5 +413,7 @@ def objective_gradient(tensor: np.ndarray, data: InferenceData) -> np.ndarray:
         )
     diff = _predictions(tensor, data) - data.zs
     if data.xs is None:
-        return np.einsum("ias,jas,xs->ijx", diff, data.ys, data.nus)
-    return np.einsum("mis,mas,jas,xs->ijx", data.xs, diff, data.ys, data.nus)
+        return np.einsum("ias,jas,xs->ijx", diff, data.ys, data.nus, optimize=True)
+    return np.einsum(
+        "mis,mas,jas,xs->ijx", data.xs, diff, data.ys, data.nus, optimize=True
+    )

@@ -266,6 +266,11 @@ def _save_manifest(outdir: Path, manifest: dict) -> None:
 
 def _record_stage(cfg: ExperimentConfig, outdir: Path, name: str, seconds: float,
                   updates: dict | None = None) -> None:
+    """Record a finished stage; ``updates`` replaces the fields the stage owns.
+
+    Replacing, not merging, keeps a rerun from inheriting entries (a cleared
+    divergence, an ``r`` no longer swept) that only an earlier run produced.
+    """
     manifest = _load_manifest(outdir)
     manifest["package_version"] = __version__
     manifest["config"] = {
@@ -273,14 +278,7 @@ def _record_stage(cfg: ExperimentConfig, outdir: Path, name: str, seconds: float
         for k, v in dataclasses.asdict(cfg).items()
     }
     manifest["stages"][name] = seconds
-    for key, value in (updates or {}).items():
-        if isinstance(value, dict):
-            manifest.setdefault(key, {}).update(value)
-        elif isinstance(value, list):
-            manifest.setdefault(key, [])
-            manifest[key].extend(v for v in value if v not in manifest[key])
-        else:
-            manifest[key] = value
+    manifest.update(updates or {})
     _save_manifest(outdir, manifest)
 
 

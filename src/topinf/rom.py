@@ -158,7 +158,7 @@ def intrusive_project(tensor: np.ndarray, basis: ReducedBasis) -> RomModel:
         raise ValueError(
             f"tensor slices {tensor.shape[:2]} do not conform to basis rows {u.shape[0]}"
         )
-    reduced = np.einsum("ia,ijx,jb->abx", u, tensor, u)
+    reduced = np.einsum("ia,ijx,jb->abx", u, tensor, u, optimize=True)
     structure = "symmetric" if _slices_symmetric(reduced) else "generic"
     return RomModel(kind="generic", tensor=reduced, structure=structure)
 

@@ -33,7 +33,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as la
 
 __all__ = [
     "WaveModel",
@@ -185,7 +184,8 @@ def wave_stiffness(model: WaveModel, mu: np.ndarray) -> np.ndarray:
     ``Mw pdot = -K(mu) q``.  Computed with a solve, no explicit inverse.
     """
     mv = wave_mass_v(model, mu)
-    x = la.solve(mv, model.s_div, assume_a="pos")
+    # NumPy's solve: SciPy's runs in a second BLAS thread pool that stalls NumPy's.
+    x = np.linalg.solve(mv, model.s_div)
     return model.s_div.T @ x
 
 
@@ -226,7 +226,7 @@ def wave_rhs(model: WaveModel, mu: np.ndarray, y: np.ndarray) -> np.ndarray:
         raise ValueError(f"state must have length {2 * n}, got {y.shape[0]}")
     q, pvar = y[:n], y[n:]
     mv = wave_mass_v(model, mu)
-    sigma = la.solve(mv, model.s_div @ q, assume_a="pos")
+    sigma = np.linalg.solve(mv, model.s_div @ q)
     pdot = -(model.s_div.T @ sigma) / np.diag(model.mass_w)
     return np.concatenate([pvar, pdot])
 
@@ -244,7 +244,7 @@ def wave_hamiltonian(model: WaveModel, mu: np.ndarray, states: np.ndarray) -> np
     q, pvar = states[:n], states[n:]
     mv = wave_mass_v(model, mu)
     w = model.s_div @ q
-    z = la.solve(mv, w, assume_a="pos")
+    z = np.linalg.solve(mv, w)
     kinetic = 0.5 * np.sum(pvar * (model.mass_w @ pvar), axis=0)
     potential = 0.5 * np.sum(w * z, axis=0)
     h = kinetic + potential

@@ -111,20 +111,21 @@ def test_objective_validates_tensor_shape():
 
 def test_normal_system_matches_kronecker_oracle():
     rng = np.random.default_rng(605)
-    data, _ = random_data(rng, r=3, p=2, nt=5, ns=6, noise=0.7)
-    bhat, chat = assemble_normal_system(data)
-    r, p = data.r, data.p
-    b_oracle = np.zeros((r * p, r * p))
-    c_oracle = np.zeros((r, r * p))
-    for s in range(data.n_samples):
-        nu = data.nus[:, s]
-        y = data.ys[:, :, s]
-        z = data.zs[:, :, s]
-        b_oracle += np.kron(np.outer(nu, nu), y @ y.T)
-        c_oracle += np.kron(nu[None, :], z @ y.T)
-    assert rel_err(bhat, b_oracle) < 1e-12
-    assert rel_err(chat, c_oracle) < 1e-12
-    np.testing.assert_allclose(bhat, bhat.T, atol=1e-12 * np.max(np.abs(bhat)))
+    # the second, study-sized case takes the contraction order the study takes
+    for r, p, nt, ns in ((3, 2, 5, 6), (10, 3, 251, 8)):
+        data, _ = random_data(rng, r=r, p=p, nt=nt, ns=ns, noise=0.7)
+        bhat, chat = assemble_normal_system(data)
+        b_oracle = np.zeros((r * p, r * p))
+        c_oracle = np.zeros((r, r * p))
+        for s in range(data.n_samples):
+            nu = data.nus[:, s]
+            y = data.ys[:, :, s]
+            z = data.zs[:, :, s]
+            b_oracle += np.kron(np.outer(nu, nu), y @ y.T)
+            c_oracle += np.kron(nu[None, :], z @ y.T)
+        assert rel_err(bhat, b_oracle) < 1e-12
+        assert rel_err(chat, c_oracle) < 1e-12
+        np.testing.assert_allclose(bhat, bhat.T, atol=1e-12 * np.max(np.abs(bhat)))
 
 
 def test_lstsq_system_matches_kronecker_oracle():
@@ -249,20 +250,22 @@ def test_solutions_match_direct_solve_of_oracle_system():
 def test_symmetric_solution_is_a_constrained_minimum():
     # on data a symmetric model cannot fit exactly: the projected gradient
     # vanishes and random symmetric perturbations do not lower the objective
+    # (the second, study-sized case takes the contraction order the study takes)
     rng = np.random.default_rng(615)
-    data, _ = random_data(rng, r=3, p=2, nt=6, ns=6, noise=1.0)
-    result = infer_symmetric(data)
-    grad = objective_gradient(result.tensor, data)
-    projected = 0.5 * (grad + grad.transpose(1, 0, 2))
-    scale = np.sqrt(np.sum(objective_gradient(0 * result.tensor, data) ** 2))
-    assert np.sqrt(np.sum(projected**2)) < 1e-9 * scale
-    assert result.stationarity < 1e-9 * scale
-    value = objective(result.tensor, data)
-    for _ in range(10):
-        bump = rng.standard_normal(result.tensor.shape)
-        bump = 0.5 * (bump + bump.transpose(1, 0, 2))
-        bump *= 1e-3 / np.sqrt(np.sum(bump**2))
-        assert objective(result.tensor + bump, data) >= value - 1e-12 * value
+    for r, p, nt, ns in ((3, 2, 6, 6), (8, 3, 251, 8)):
+        data, _ = random_data(rng, r=r, p=p, nt=nt, ns=ns, noise=1.0)
+        result = infer_symmetric(data)
+        grad = objective_gradient(result.tensor, data)
+        projected = 0.5 * (grad + grad.transpose(1, 0, 2))
+        scale = np.sqrt(np.sum(objective_gradient(0 * result.tensor, data) ** 2))
+        assert np.sqrt(np.sum(projected**2)) < 1e-9 * scale
+        assert result.stationarity < 1e-9 * scale
+        value = objective(result.tensor, data)
+        for _ in range(10):
+            bump = rng.standard_normal(result.tensor.shape)
+            bump = 0.5 * (bump + bump.transpose(1, 0, 2))
+            bump *= 1e-3 / np.sqrt(np.sum(bump**2))
+            assert objective(result.tensor + bump, data) >= value - 1e-12 * value
 
 
 def test_constraint_costs_objective_value():

@@ -19,6 +19,7 @@ from topinf import (
     make_rng,
     parallel_map,
     run_pipeline,
+    save_tensor,
     thread_count,
 )
 from topinf.pipeline import STAGES
@@ -289,21 +290,29 @@ def test_stagewise_run_matches_one_shot(tmp_path, monkeypatch):
 # divergence handling
 
 
+def _poison_normal_r2(cfg, source, outdir):
+    """Copy a finished run without ROM outputs and poison its r=2 normal fit.
+
+    Train sample 0 then gets an exactly singular time step: (T nu) = (2/dt) I
+    turns the implicit step matrix to zero.  Returns the original tensor.
+    """
+    shutil.copytree(source, outdir)
+    shutil.rmtree(outdir / "rom")
+    shutil.rmtree(outdir / "report")
+    path = outdir / "operators" / "tensor_normal_r2.tpoi"
+    original = load_tensor(path)
+    params = load_matrix(outdir / "params_train.tpoi")
+    tensor = np.zeros((2, 2, 3))
+    tensor[:, :, 0] = (2.0 / cfg.dt) / params[0, 0] * np.eye(2)
+    save_tensor(path, tensor)
+    return original
+
+
 def test_diverged_rom_runs_are_recorded_and_skipped(heat_run, tmp_path, monkeypatch):
     monkeypatch.delenv("TPOI_THREADS", raising=False)
     cfg, source, _ = heat_run
     outdir = tmp_path / "run"
-    shutil.copytree(source, outdir)
-    shutil.rmtree(outdir / "rom")
-    shutil.rmtree(outdir / "report")
-    # poison the r=2 fit so the time step is exactly singular for train
-    # sample 0: (T nu) = (2/dt) I turns the implicit step matrix to zero
-    params = load_matrix(outdir / "params_train.tpoi")
-    tensor = np.zeros((2, 2, 3))
-    tensor[:, :, 0] = (2.0 / cfg.dt) / params[0, 0] * np.eye(2)
-    from topinf import save_tensor
-
-    save_tensor(outdir / "operators" / "tensor_normal_r2.tpoi", tensor)
+    _poison_normal_r2(cfg, source, outdir)
     from topinf.pipeline import evaluate, simulate_rom
 
     simulate_rom(cfg, outdir)
@@ -317,3 +326,27 @@ def test_diverged_rom_runs_are_recorded_and_skipped(heat_run, tmp_path, monkeypa
     summary = (outdir / "report" / "summary.txt").read_text()
     assert "diverged reduced runs: 1" in summary
     assert "normal_r2/train_000 at step 1" in summary
+
+
+def test_rerun_stages_replace_their_manifest_fields(heat_run, tmp_path, monkeypatch):
+    monkeypatch.delenv("TPOI_THREADS", raising=False)
+    cfg, source, _ = heat_run
+    outdir = tmp_path / "run"
+    original = _poison_normal_r2(cfg, source, outdir)
+    from topinf.pipeline import evaluate, simulate_rom
+
+    simulate_rom(cfg, outdir)
+    evaluate(cfg, outdir)
+    # a clean rerun clears the divergence instead of inheriting it
+    save_tensor(outdir / "operators" / "tensor_normal_r2.tpoi", original)
+    simulate_rom(cfg, outdir)
+    evaluate(cfg, outdir)
+    manifest = json.loads((outdir / "manifest.json").read_text())
+    assert manifest["divergences"] == []
+    assert (outdir / "rom" / "normal_r2" / "train_000.tpoi").exists()
+    assert "diverged reduced runs: 0" in (outdir / "report" / "summary.txt").read_text()
+    # an evaluation over fewer r keeps no error keys of the dropped r
+    evaluate(dataclasses.replace(cfg, reduced_dims=(2,)), outdir)
+    manifest = json.loads((outdir / "manifest.json").read_text())
+    assert "normal_r2_train" in manifest["errors"]
+    assert not any("_r3_" in key for key in manifest["errors"])

@@ -66,13 +66,19 @@ def test_project_matrix_oracle():
 
 def test_intrusive_project_matches_slice_loop():
     rng = np.random.default_rng(702)
-    tensor = rng.standard_normal((8, 8, 3))
-    basis = orthonormal_basis(rng, 8, 4)
-    model = intrusive_project(tensor, basis)
-    for x in range(3):
-        expected = basis.u.T @ tensor[:, :, x] @ basis.u
-        np.testing.assert_allclose(model.tensor[:, :, x], expected, atol=1e-13)
-    assert model.kind == "generic" and model.structure == "generic"
+    # (tensor, r, detected structure); the study-sized case matters because
+    # the einsum contraction order is chosen from the operand sizes
+    cases = [
+        (rng.standard_normal((8, 8, 3)), 4, "generic"),
+        (-build_heat_model(120).stiffness, 12, "symmetric"),
+    ]
+    for tensor, r, structure in cases:
+        basis = orthonormal_basis(rng, tensor.shape[0], r)
+        model = intrusive_project(tensor, basis)
+        for x in range(tensor.shape[2]):
+            expected = basis.u.T @ tensor[:, :, x] @ basis.u
+            np.testing.assert_allclose(model.tensor[:, :, x], expected, atol=1e-13)
+        assert model.kind == "generic" and model.structure == structure
 
 
 def test_intrusive_project_detects_symmetry():
