@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as la
 
 from .linalg import cholesky_upper, thin_svd
 
@@ -168,7 +167,8 @@ def _weighted_left_vectors(
         lead = np.argmax(np.abs(u_r[:, col]))
         if u_r[lead, col] < 0.0:
             u_r[:, col] = -u_r[:, col]
-    basis = la.solve_triangular(chol, u_r, lower=False)
+    # NumPy's solve: SciPy's runs in a second BLAS thread pool that stalls NumPy's.
+    basis = np.linalg.solve(chol, u_r)
     return basis, svals
 
 

@@ -14,9 +14,11 @@ solvers are provided:
 * :func:`infer_lstsq` solves the equivalent tall least-squares problem
   row-block by row-block via the SVD (minimum-norm on rank deficiency);
 * :func:`infer_symmetric` imposes the constraint ``(T nu)^T = +/- (T nu)``
-  exactly, via the stationarity system of the constrained problem built
-  from Kronecker products; use it with symmetric left factors (identity)
-  or with the canonical symplectic matrix for Hamiltonian systems.
+  exactly by fitting each slice in an orthonormal basis of the
+  (skew-)symmetric matrices: ``p*r*(r+1)/2`` unknowns (``p*r*(r-1)/2`` when
+  skew) and a symmetric positive definite system solved by Cholesky; use
+  it with symmetric left factors (identity) or with the canonical
+  symplectic matrix for Hamiltonian systems.
 
 The two unconstrained solvers minimize the same objective; their system
 matrices satisfy ``D^T D = B`` exactly, so they agree to solver precision
@@ -52,7 +54,8 @@ __all__ = [
 #: Relative singular-value cutoff for the uniqueness rank checks.
 UNIQUENESS_RANK_RTOL = 1e-10
 
-#: Default cap on the number of unknowns ``r*r*p`` in the symmetric solver.
+#: Default cap on the unknowns ``p*r*(r+1)/2`` (``p*r*(r-1)/2`` when skew) of
+#: the symmetric solver; its dense system takes ``8 * unknowns**2`` bytes.
 SYMMETRIC_UNKNOWN_CAP = 20_000
 
 
@@ -328,48 +331,76 @@ def infer_symmetric(
 ) -> InferredTensor:
     """Structure-constrained fit: every slice of ``T`` is (skew-)symmetric.
 
-    Solves the stationarity system of the constrained least squares
+    Solves the constrained least squares
 
         minimize L(T)  subject to  T[:, :, x].T == sign * T[:, :, x],
 
-    with ``sign = -1`` for ``skew=True`` and ``+1`` otherwise.  The system
-    couples all entries of ``T`` through Kronecker products of the
-    per-sample Grams, so its size is ``(r*r*p)^2``; a resource guard
-    refuses problems with more than ``max_unknowns`` unknowns.  The output
-    is symmetrized (or skew-symmetrized) exactly after the solve.
+    with ``sign = -1`` for ``skew=True`` and ``+1`` otherwise, in the
+    coordinates of the constraint: each slice is expanded in the orthonormal
+    basis ``E_ab = w_ab (e_a e_b^T + sign e_b e_a^T)`` of the
+    (skew-)symmetric matrices, ``a <= b`` (``a < b`` when skew), with
+    ``w_ab = 1/sqrt(2)`` off the diagonal and ``w_aa = 1/2`` (so
+    ``E_aa = e_a e_a^T``).  That leaves ``p*r*(r+1)/2`` unknowns
+    (``p*r*(r-1)/2`` when skew).  With ``G_s = X_s^T X_s`` and
+    ``H_s = Y_s Y_s^T``, the normal matrix entry for the pairs ``(a, b)``
+    and ``(c, d)`` of slices ``x`` and ``y`` is
+
+        sum_s nu_xs nu_ys w_ab w_cd [G_ac H_bd + H_ac G_bd
+                                     + sign (G_ad H_bc + H_ad G_bc)],
+
+    the restriction of the full Kronecker stationarity system to the
+    constraint subspace; it is symmetric positive definite whenever the
+    constrained minimizer is unique and is solved by Cholesky.  A resource
+    guard refuses problems with more than ``max_unknowns`` unknowns.  The
+    solution is written back with exact (skew-)symmetry.
     """
     r, p = data.r, data.p
-    unknowns = r * r * p
+    sign = -1.0 if skew else 1.0
+    a, b = np.triu_indices(r, 1 if skew else 0)
+    w = np.where(a == b, 0.5, np.sqrt(0.5))
+    unknowns = a.size * p
     if unknowns > max_unknowns:
         raise ResourceLimitError(
-            f"symmetric inference needs {unknowns} unknowns "
-            f"(dense system {unknowns}x{unknowns}); cap is {max_unknowns}"
+            f"symmetric inference needs {unknowns} unknowns (dense system "
+            f"{unknowns * unknowns * 8 / 2**20:.1f} MiB); cap is {max_unknowns}"
         )
-    sign = -1.0 if skew else 1.0
     xs = data.left_factors()
     ys, zs, nus = data.ys, data.zs, data.nus
 
     xtx = np.einsum("kis,kjs->ijs", xs, xs, optimize=True)
     yyt = np.einsum("iks,jks->ijs", ys, ys, optimize=True)
-    nnt = np.einsum("xs,ys->xys", nus, nus)
-    # Kronecker-sum symmetrization: the (xtx, yyt) and (yyt, xtx) pairings,
-    # stacked along the sample axis, make one contraction; rows group
-    # (x, i, k) and columns group (y, j, l), row-major within groups
-    bhat = np.einsum(
-        "xys,ijs,kls->xikyjl",
-        np.concatenate([nnt, nnt], axis=2),
-        np.concatenate([xtx, yyt], axis=2),
-        np.concatenate([yyt, xtx], axis=2),
-        optimize=True,
-    ).reshape(unknowns, unknowns)
+    # q[(x, ac), (y, bd)] = sum_s nu_xs nu_ys (G_s[a, c] H_s[b, d] + H_s[a, c]
+    # G_s[b, d]) over upper-triangle pairs (G and H are symmetric): one GEMM,
+    # with the (G, H) and (H, G) pairings stacked along the sample axis
+    iu, ju = np.triu_indices(r)
+    tri = np.empty((r, r), dtype=np.intp)
+    tri[iu, ju] = tri[ju, iu] = np.arange(iu.size)
+    gu, hu = xtx[iu, ju], yyt[iu, ju]
+    nu2 = np.concatenate([nus, nus], axis=1)[:, None, :]
+    left = (nu2 * np.concatenate([gu, hu], axis=1)).reshape(p * iu.size, -1)
+    right = (nu2 * np.concatenate([hu, gu], axis=1)).reshape(p * iu.size, -1)
+    q = (left @ right.T).reshape(p, iu.size, p, iu.size)
+    xi = np.arange(p)[:, None, None, None]
+    yi = np.arange(p)[None, None, :, None]
+
+    def gather(c: np.ndarray, d: np.ndarray) -> np.ndarray:
+        # entry (x, pair i, y, pair j) is q[x, tri[a_i, c_j], y, tri[b_i, d_j]]
+        return q[xi, tri[a[:, None], c[None, :]][None, :, None, :],
+                 yi, tri[b[:, None], d[None, :]][None, :, None, :]]
+
+    bhat = gather(a, b)
+    bhat += sign * gather(b, a)
+    bhat *= (w[:, None] * w[None, :])[None, :, None, :]
+    bhat = bhat.reshape(unknowns, unknowns)
 
     cross = np.einsum("kis,kas,jas,xs->ijx", xs, zs, ys, nus, optimize=True)
-    cross = cross + sign * cross.transpose(1, 0, 2)
-    chat = cross.ravel(order="F")
+    chat = (w[:, None] * (cross[a, b] + sign * cross[b, a])).T.ravel()
 
-    sol, cond = solve_sym(bhat, chat)
-    tensor = sol.reshape((r, r, p), order="F")
-    tensor = 0.5 * (tensor + sign * tensor.transpose(1, 0, 2))
+    # r == 1 with skew=True leaves no unknowns: the only admissible tensor is 0
+    theta, cond = solve_sym(bhat, chat) if unknowns else (chat, 1.0)
+    half = np.zeros((r, r, p))
+    half[a, b] = w[:, None] * theta.reshape(p, a.size).T
+    tensor = half + sign * half.transpose(1, 0, 2)
     structure = "skew" if skew else "symmetric"
     resid, stat = _diagnostics(tensor, data, structure)
     return InferredTensor(

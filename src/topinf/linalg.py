@@ -6,24 +6,29 @@ the rest of the package relies on:
 * :func:`cholesky_upper` -- upper-triangular factor with a relative pivot
   tolerance, raising :class:`~topinf.errors.NotPositiveDefiniteError` with
   the offending pivot index;
-* :func:`solve_sym` -- symmetric solve with symmetric diagonal
-  equilibration, one step of iterative refinement, and a condition
-  estimate, raising :class:`~topinf.errors.SingularMatrixError` with a rank
-  estimate when the matrix is singular to working precision;
+* :func:`solve_sym` -- symmetric positive definite solve by Cholesky with
+  symmetric diagonal equilibration, one step of iterative refinement, and
+  a condition estimate, raising :class:`~topinf.errors.SingularMatrixError`
+  with a rank estimate when the matrix is singular to working precision
+  and :class:`~topinf.errors.NotPositiveDefiniteError` when it is
+  indefinite;
 * :func:`lstsq_min_norm` -- SVD-based minimum-norm least squares with a
   fixed relative singular-value cutoff;
 * :func:`thin_svd` -- economy-size SVD.
 
 Equilibration and refinement are exact algebraic reformulations; they do
 not change the solution being computed, only its floating-point accuracy.
+
+Every O(n^3) factorization runs in NumPy.  NumPy and SciPy link separate
+BLAS builds with separate thread pools, and a threaded SciPy factorization
+next to NumPy products stalls the latter; SciPy's LAPACK is called only
+for the O(n^2) Cholesky follow-ups (condition estimate, triangular solves)
+and, on the failure path, to locate the breakdown pivot.
 """
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
-import scipy.linalg as la
 from scipy.linalg import lapack
 
 from .errors import NotPositiveDefiniteError, SingularMatrixError
@@ -53,6 +58,29 @@ def _require_symmetric(a: np.ndarray, name: str, rtol: float = 1e-8) -> None:
         raise ValueError(f"{name} is not symmetric to relative tolerance {rtol}")
 
 
+def _upper_factor(m: np.ndarray) -> np.ndarray | None:
+    """Upper Cholesky factor of ``m`` from NumPy, or None on breakdown."""
+    try:
+        return np.linalg.cholesky(m).T
+    except np.linalg.LinAlgError:
+        return None
+
+
+def _breakdown_pivot(m: np.ndarray) -> int:
+    """0-based index of the pivot at which LAPACK's Cholesky of ``m`` fails.
+
+    Failure path only.  Should SciPy's factorization get through where
+    NumPy's broke down (the two BLAS builds round differently), the
+    smallest pivot of its factor is reported.
+    """
+    c, info = lapack.dpotrf(m, lower=0, overwrite_a=0)
+    if info > 0:
+        return int(info - 1)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of dpotrf")
+    return int(np.argmin(np.abs(np.diag(c))))
+
+
 def cholesky_upper(m: np.ndarray, pivot_rtol: float = CHOLESKY_PIVOT_RTOL) -> np.ndarray:
     """Upper-triangular ``R`` with ``R.T @ R == m`` for symmetric ``m``.
 
@@ -73,15 +101,13 @@ def cholesky_upper(m: np.ndarray, pivot_rtol: float = CHOLESKY_PIVOT_RTOL) -> np
     m = np.asarray(m, dtype=float)
     _require_square(m, "m")
     _require_symmetric(m, "m")
-    c, info = lapack.dpotrf(m, lower=0, overwrite_a=0)
-    if info > 0:
+    r = _upper_factor(m)
+    if r is None:
+        pivot = _breakdown_pivot(m)
         raise NotPositiveDefiniteError(
-            f"matrix is not positive definite (pivot {info - 1} failed)",
-            pivot_index=int(info - 1),
+            f"matrix is not positive definite (pivot {pivot} failed)",
+            pivot_index=pivot,
         )
-    if info < 0:
-        raise ValueError(f"illegal value in argument {-info} of dpotrf")
-    r = np.triu(c)
     pivots = np.diag(r) ** 2
     floor = pivot_rtol * float(np.max(np.diag(m)))
     bad = np.nonzero(pivots <= floor)[0]
@@ -94,12 +120,20 @@ def cholesky_upper(m: np.ndarray, pivot_rtol: float = CHOLESKY_PIVOT_RTOL) -> np
     return r
 
 
-def _rank_estimate(a: np.ndarray, rtol: float = 1e-12) -> int:
-    eigvals = np.abs(la.eigvalsh(a))
+def _singular(eigvals: np.ndarray, rcond: float, rtol: float = 1e-12) -> SingularMatrixError:
+    """The error for a matrix singular to working precision.
+
+    ``eigvals`` are the matrix's eigenvalues; the rank estimate counts those
+    above ``rtol`` times the largest in magnitude.
+    """
+    eigvals = np.abs(eigvals)
     top = float(np.max(eigvals)) if eigvals.size else 0.0
-    if top == 0.0:
-        return 0
-    return int(np.count_nonzero(eigvals > rtol * top))
+    rank = 0 if top == 0.0 else int(np.count_nonzero(eigvals > rtol * top))
+    return SingularMatrixError(
+        f"matrix is singular to working precision (rcond={float(rcond):.3e})",
+        rank_estimate=rank,
+        cond_estimate=float("inf") if rcond <= 0.0 else 1.0 / float(rcond),
+    )
 
 
 def solve_sym(
@@ -107,19 +141,26 @@ def solve_sym(
     c: np.ndarray,
     rcond_floor: float = SOLVE_RCOND_FLOOR,
 ) -> tuple[np.ndarray, float]:
-    """Solve ``b @ x = c`` for symmetric ``b``; return ``(x, cond_estimate)``.
+    """Solve ``b @ x = c`` for symmetric positive definite ``b``.
 
-    The system is symmetrically equilibrated by the square roots of its
-    row infinity-norms, factorized once, and the solution is polished with
-    a single iterative-refinement step.  The reported condition number is
-    a reciprocal 1-norm LAPACK estimate of the equilibrated matrix.
+    Returns ``(x, cond_estimate)``.  The system is symmetrically
+    equilibrated by the square roots of its row infinity-norms, factorized
+    once by Cholesky, and the solution is polished with a single
+    iterative-refinement step.  The reported condition number is a
+    reciprocal 1-norm LAPACK estimate of the equilibrated matrix.
 
     Raises
     ------
     SingularMatrixError
         If the equilibrated matrix has an estimated reciprocal condition
-        number at or below ``rcond_floor``.  The exception carries a rank
-        estimate obtained from the eigenvalues of the equilibrated matrix.
+        number at or below ``rcond_floor``, or is positive semidefinite to
+        within that margin so that the factorization breaks down.  The
+        exception carries a rank estimate obtained from the eigenvalues of
+        the equilibrated matrix.
+    NotPositiveDefiniteError
+        If the equilibrated matrix has an eigenvalue below
+        ``-rcond_floor`` times its largest one; the exception carries the
+        index of the pivot at which the factorization broke down.
     """
     b = np.asarray(b, dtype=float)
     c = np.asarray(c, dtype=float)
@@ -135,26 +176,28 @@ def solve_sym(
     row_max = np.max(np.abs(b), axis=1)
     scale = np.sqrt(np.where(row_max > 0.0, row_max, 1.0))
     bs = b / np.outer(scale, scale)
-    cs = (c.T / scale).T
+    cs = c.reshape(b.shape[0], -1) / scale[:, None]
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", la.LinAlgWarning)
-        lu, piv = la.lu_factor(bs)
-    anorm = float(np.max(np.abs(bs).sum(axis=0))) if bs.size else 0.0
-    rcond, info = lapack.dgecon(lu, anorm, norm="1")
+    factor = _upper_factor(bs)
+    if factor is None:
+        eigvals = np.linalg.eigvalsh(bs)
+        if eigvals[0] < -rcond_floor * abs(eigvals[-1]):
+            pivot = _breakdown_pivot(bs)
+            raise NotPositiveDefiniteError(
+                f"matrix is indefinite (Cholesky pivot {pivot} failed)",
+                pivot_index=pivot,
+            )
+        raise _singular(eigvals, 0.0)
+    anorm = float(np.max(np.abs(bs).sum(axis=0)))
+    rcond, info = lapack.dpocon(factor, anorm)
     if info != 0:
-        raise ValueError(f"illegal value in argument {-info} of dgecon")
+        raise ValueError(f"illegal value in argument {-info} of dpocon")
     if not np.isfinite(rcond) or rcond <= rcond_floor:
-        cond = float("inf") if rcond <= 0.0 else 1.0 / float(rcond)
-        raise SingularMatrixError(
-            f"matrix is singular to working precision (rcond={float(rcond):.3e})",
-            rank_estimate=_rank_estimate(bs),
-            cond_estimate=cond,
-        )
+        raise _singular(np.linalg.eigvalsh(bs), rcond)
 
-    y = la.lu_solve((lu, piv), cs)
-    y += la.lu_solve((lu, piv), cs - bs @ y)
-    x = (y.T / scale).T
+    y, _ = lapack.dpotrs(factor, cs)
+    y += lapack.dpotrs(factor, cs - bs @ y)[0]
+    x = (y / scale[:, None]).reshape(c.shape)
     return x, 1.0 / float(rcond)
 
 

@@ -193,24 +193,30 @@ def _heat_intrusive(model, b: ReducedBasis) -> RomModel:
     return intrusive_project(-model.stiffness, b)
 
 
-def _wave_intrusive_a1(model, b: ReducedBasis, mu: np.ndarray) -> np.ndarray:
-    """Per-sample projected position block ``Uw^T K(mu) Uw``."""
-    return project_matrix(wave_stiffness(model, mu), b.u_half)
+def _stiffness_by_split(model, params: dict[str, np.ndarray]) -> dict[str, list[np.ndarray]]:
+    """Full-order ``K(mu)`` of every sample, formed once per stage.
+
+    ``K(mu)`` does not depend on the basis size, so each stage forms it once
+    per sample and projects it for every r; the lists live only as long as
+    the stage.
+    """
+    return {split: [wave_stiffness(model, mu) for mu in values.T]
+            for split, values in params.items()}
 
 
-def _wave_affine_reference(model, b: ReducedBasis, params: np.ndarray) -> np.ndarray:
+def _wave_affine_reference(b: ReducedBasis, params: np.ndarray, stiffness) -> np.ndarray:
     """Least-squares affine-in-``mu^2`` fit of the projected position blocks.
 
     This is the intrusive reference for the learned position tensor; when
     the full-order operator is exactly affine in ``mu^2`` (one subdomain)
-    the fit reproduces it exactly.
+    the fit reproduces it exactly.  ``stiffness[s]`` is ``K`` at sample s.
     """
     r = b.r
     ns = params.shape[1]
     theta = (params**2).T  # (Ns, p)
     targets = np.empty((ns, r * r))
     for s in range(ns):
-        targets[s] = _wave_intrusive_a1(model, b, params[:, s]).ravel()
+        targets[s] = project_matrix(stiffness[s], b.u_half).ravel()
     coeffs, _, _ = lstsq_min_norm(theta, targets)
     return np.moveaxis(coeffs.reshape(params.shape[0], r, r), 0, 2)
 
@@ -358,7 +364,7 @@ def build_basis(cfg: ExperimentConfig, outdir) -> None:
 # stage 3: operator inference
 
 
-def _reduced_and_derivatives(cfg, model, b, params, snapshots):
+def _reduced_and_derivatives(cfg, model, b, params, snapshots, mass_forms):
     reduced = project_snapshots(b, snapshots)
     if cfg.derivative == "finite_difference":
         derivs = [estimate_time_derivative(red, cfg.dt) for red in reduced]
@@ -370,7 +376,7 @@ def _reduced_and_derivatives(cfg, model, b, params, snapshots):
         ]
     else:
         derivs = [
-            exact_reduced_derivative(b, wave_mass_form_operator(model, params[:, s]), reduced[s])
+            exact_reduced_derivative(b, mass_forms[s], reduced[s])
             for s in range(len(reduced))
         ]
     return reduced, derivs
@@ -399,10 +405,14 @@ def infer(cfg: ExperimentConfig, outdir) -> None:
     diagnostics: dict[str, dict] = {}
     recovery: dict[str, float] = {}
     agreement: dict[str, float] = {}
+    mass_forms: list[np.ndarray] = []
+    if cfg.problem == "wave1d" and cfg.derivative == "exact":
+        # [[0, Mw], [-K(mu), 0]] per sample, formed once for every r
+        mass_forms = [wave_mass_form_operator(model, mu) for mu in params.T]
 
     for r in cfg.reduced_dims:
         b = basis_full.truncate(r)
-        reduced, derivs = _reduced_and_derivatives(cfg, model, b, params, snapshots)
+        reduced, derivs = _reduced_and_derivatives(cfg, model, b, params, snapshots, mass_forms)
         fits: dict[str, np.ndarray] = {}
 
         if cfg.problem == "heat1d":
@@ -452,7 +462,8 @@ def infer(cfg: ExperimentConfig, outdir) -> None:
                     "stationarity": a2_fit.stationarity,
                 }
             if cfg.derivative == "exact":
-                reference = _wave_affine_reference(model, b, params)
+                n = model.n_w
+                reference = _wave_affine_reference(b, params, [-op[n:, :n] for op in mass_forms])
                 for method, tensor in fits.items():
                     recovery[f"{method}_r{r}"] = _rel_dist(tensor, reference)
 
@@ -473,28 +484,29 @@ def _rom_labels(cfg: ExperimentConfig) -> list[str]:
     return list(cfg.methods) + [INTRUSIVE]
 
 
-def _rom_operator_builder(cfg, model, b, outdir, label: str, r: int):
-    """Per-(label, r) factory mapping a parameter vector to the reduced generator.
+def _rom_operator_builder(cfg, model, b, outdir, label: str, r: int, params, stiffness):
+    """Per-(label, r) factory mapping ``(split, sample index)`` to the reduced generator.
 
-    Stored operators are loaded once here, outside the parameter sweep.
+    Stored operators are loaded once here, outside the parameter sweep;
+    ``params`` and (wave only) ``stiffness`` are keyed by split.
     """
     if cfg.problem == "heat1d":
         if label == INTRUSIVE:
             tensor = _heat_intrusive(model, b).tensor
         else:
             tensor = load_tensor(outdir / "operators" / f"tensor_{label}_r{r}.tpoi")
-        return lambda mu: mode3_product(tensor, heat_features(mu))
+        return lambda split, i: mode3_product(tensor, heat_features(params[split][:, i]))
     if label == INTRUSIVE:
-        def build(mu: np.ndarray) -> np.ndarray:
+        def build(split: str, i: int) -> np.ndarray:
             op = np.zeros((2 * r, 2 * r))
             op[:r, r:] = np.eye(r)
-            op[r:, :r] = -_wave_intrusive_a1(model, b, mu)
+            op[r:, :r] = -project_matrix(stiffness[split][i], b.u_half)
             return op
 
         return build
     t1 = load_tensor(outdir / "operators" / f"t1_{label}_r{r}.tpoi")
     a2 = load_matrix(outdir / "operators" / f"a2_{label}_r{r}.tpoi")
-    return lambda mu: block_operator(t1, a2, mu)
+    return lambda split, i: block_operator(t1, a2, params[split][:, i])
 
 
 def simulate_rom(cfg: ExperimentConfig, outdir) -> None:
@@ -509,6 +521,8 @@ def simulate_rom(cfg: ExperimentConfig, outdir) -> None:
         x0 = heat_initial_state(model)
     else:
         x0 = wave_initial_state(model)
+    params = {split: _load_params(outdir, split) for split, _ in _splits(cfg)}
+    stiffness = _stiffness_by_split(model, params) if cfg.problem == "wave1d" else None
 
     divergences: list[str] = []
     for r in cfg.reduced_dims:
@@ -517,12 +531,12 @@ def simulate_rom(cfg: ExperimentConfig, outdir) -> None:
         for label in _rom_labels(cfg):
             target = _rom_dir(outdir, label, r)
             target.mkdir(parents=True, exist_ok=True)
-            operator_at = _rom_operator_builder(cfg, model, b, outdir, label, r)
+            operator_at = _rom_operator_builder(cfg, model, b, outdir, label, r,
+                                                params, stiffness)
             for split, count in _splits(cfg):
-                params = _load_params(outdir, split)
 
-                def _run(i: int, params=params, operator_at=operator_at) -> Trajectory:
-                    op = operator_at(params[:, i])
+                def _run(i: int, split=split, operator_at=operator_at) -> Trajectory:
+                    op = operator_at(split, i)
                     if cfg.problem == "heat1d":
                         return crank_nicolson(op, red0, cfg.dt, cfg.n_times, t0=cfg.t0)
                     return implicit_midpoint(op, red0, cfg.dt, cfg.n_times, t0=cfg.t0)
@@ -543,8 +557,8 @@ def simulate_rom(cfg: ExperimentConfig, outdir) -> None:
 # stage 5: evaluation
 
 
-def _drift_model_builder(cfg, model, b, outdir, label: str, r: int):
-    """Per-(label, r) factory mapping a parameter to (energy model, contraction).
+def _drift_model_builder(cfg, model, b, outdir, label: str, r: int, params, stiffness):
+    """Per-(label, r) factory mapping ``(split, sample index)`` to (energy model, contraction).
 
     Each reduced run is scored against its own quadratic energy: the
     intrusive model evaluates its per-sample position block directly (with
@@ -554,8 +568,8 @@ def _drift_model_builder(cfg, model, b, outdir, label: str, r: int):
     defines the same quadratic form.
     """
     if label == INTRUSIVE:
-        def build(mu: np.ndarray) -> tuple[RomModel, np.ndarray]:
-            a1 = _wave_intrusive_a1(model, b, mu)
+        def build(split: str, i: int) -> tuple[RomModel, np.ndarray]:
+            a1 = project_matrix(stiffness[split][i], b.u_half)
             energy_model = RomModel(
                 kind="block_hamiltonian",
                 t1=a1[:, :, None],
@@ -575,7 +589,7 @@ def _drift_model_builder(cfg, model, b, outdir, label: str, r: int):
         )
     else:
         learned = symmetric_part(learned)
-    return lambda mu: (learned, mu)
+    return lambda split, i: (learned, params[split][:, i])
 
 
 def evaluate(cfg: ExperimentConfig, outdir) -> None:
@@ -597,6 +611,7 @@ def evaluate(cfg: ExperimentConfig, outdir) -> None:
     params: dict[str, np.ndarray] = {
         split: _load_params(outdir, split) for split, _ in _splits(cfg)
     }
+    stiffness = _stiffness_by_split(model, params) if cfg.problem == "wave1d" else None
 
     error_rows: list[list] = []
     error_map: dict[str, float] = {}
@@ -622,7 +637,7 @@ def evaluate(cfg: ExperimentConfig, outdir) -> None:
         for label in _rom_labels(cfg):
             drift_peak = 0.0
             drift_at = (
-                _drift_model_builder(cfg, model, b, outdir, label, r)
+                _drift_model_builder(cfg, model, b, outdir, label, r, params, stiffness)
                 if cfg.problem == "wave1d"
                 else None
             )
@@ -641,7 +656,7 @@ def evaluate(cfg: ExperimentConfig, outdir) -> None:
                         n = model.n_w
                         refs.append(fom[split][i][:n])
                         cands.append(lifted[:n])
-                        dmodel, nu = drift_at(params[split][:, i])
+                        dmodel, nu = drift_at(split, i)
                         drift = hamiltonian_drift(dmodel, nu, red)
                         h0 = abs(reduced_hamiltonian(dmodel, nu, red[:, 0]))
                         rel = float(np.max(drift))
@@ -659,7 +674,7 @@ def evaluate(cfg: ExperimentConfig, outdir) -> None:
                 drift_max[f"{label}_r{r}"] = drift_peak
 
         if cfg.problem == "wave1d":
-            _write_drift_series(cfg, model, b, outdir, report_dir, params, r)
+            _write_drift_series(cfg, model, b, outdir, report_dir, params, stiffness, r)
 
     _write_csv(
         report_dir / "errors.csv",
@@ -674,10 +689,9 @@ def evaluate(cfg: ExperimentConfig, outdir) -> None:
     )
 
 
-def _write_drift_series(cfg, model, b, outdir, report_dir, params, r: int) -> None:
+def _write_drift_series(cfg, model, b, outdir, report_dir, params, stiffness, r: int) -> None:
     """One showcase drift series per model at the first held-out sample."""
     split = "test" if cfg.n_test > 0 else "train"
-    mu = params[split][:, 0]
     labels = _rom_labels(cfg)
     columns: dict[str, np.ndarray] = {}
     times = None
@@ -686,7 +700,8 @@ def _write_drift_series(cfg, model, b, outdir, report_dir, params, r: int) -> No
         if not path.exists():
             continue
         red = load_matrix(path)
-        dmodel, nu = _drift_model_builder(cfg, model, b, outdir, label, r)(mu)
+        dmodel, nu = _drift_model_builder(cfg, model, b, outdir, label, r, params,
+                                          stiffness)(split, 0)
         columns[label] = hamiltonian_drift(dmodel, nu, red)
         if times is None:
             times = cfg.t0 + cfg.dt * np.arange(red.shape[1])

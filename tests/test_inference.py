@@ -243,6 +243,49 @@ def test_solutions_match_direct_solve_of_oracle_system():
     assert rel_err(infer_lstsq(data).tensor, expected) < 1e-9
 
 
+def kronecker_stationarity_solution(data, sign):
+    """Solve the full ``(r*r*p)^2`` constrained stationarity system directly.
+
+    The (skew-)symmetrized gradient condition reads, for every slice x,
+    ``sum_s nu_xs sum_y nu_ys (G_s T_y H_s + H_s T_y G_s) = C_x + sign C_x^T``
+    with ``G_s = X_s^T X_s``, ``H_s = Y_s Y_s^T`` and
+    ``C_x = sum_s nu_xs X_s^T Z_s Y_s^T``.  With column-major ``vec``,
+    ``vec(G T H) = (H kron G) vec(T)``.
+    """
+    r, p = data.r, data.p
+    xs = data.left_factors()
+    b = np.zeros((r * r * p, r * r * p))
+    c = np.zeros((r, r, p))
+    for s in range(data.n_samples):
+        nu = data.nus[:, s]
+        g = xs[:, :, s].T @ xs[:, :, s]
+        h = data.ys[:, :, s] @ data.ys[:, :, s].T
+        b += np.kron(np.outer(nu, nu), np.kron(h, g) + np.kron(g, h))
+        c += (xs[:, :, s].T @ data.zs[:, :, s] @ data.ys[:, :, s].T)[:, :, None] * nu
+    c = c + sign * c.transpose(1, 0, 2)
+    rhs = np.concatenate([c[:, :, x].ravel(order="F") for x in range(p)])
+    t = np.linalg.solve(b, rhs)
+    return np.stack([t[x * r * r:(x + 1) * r * r].reshape(r, r, order="F")
+                     for x in range(p)], axis=2)
+
+
+@pytest.mark.parametrize(
+    "r, p, nt, ns, skew, canonical",
+    [
+        (3, 2, 6, 6, False, False),
+        (4, 2, 6, 6, True, False),
+        (4, 2, 6, 5, False, True),
+        (8, 3, 251, 8, False, False),  # study-sized
+    ],
+)
+def test_symmetric_solver_matches_kronecker_stationarity_oracle(r, p, nt, ns, skew, canonical):
+    rng = np.random.default_rng(625)
+    xs = np.repeat(canonical_j(r // 2)[:, :, None], ns, axis=2) if canonical else None
+    data, _ = random_data(rng, r=r, p=p, nt=nt, ns=ns, xs=xs, noise=1.0)
+    expected = kronecker_stationarity_solution(data, -1.0 if skew else 1.0)
+    assert rel_err(infer_symmetric(data, skew=skew).tensor, expected) < 1e-9
+
+
 # ----------------------------------------------------------------------
 # constrained solution properties
 
@@ -280,7 +323,17 @@ def test_symmetric_solver_resource_cap():
     rng = np.random.default_rng(617)
     data, _ = random_data(rng, r=2, p=2)
     with pytest.raises(ResourceLimitError):
-        infer_symmetric(data, max_unknowns=7)  # needs 2 * 2 * 2 = 8
+        infer_symmetric(data, max_unknowns=5)  # needs p * r * (r + 1) / 2 = 6
+    infer_symmetric(data, max_unknowns=6)
+
+
+def test_skew_solver_at_one_mode_returns_zero_tensor():
+    # a 1 x 1 skew slice is zero: the fit has no unknowns and must not solve
+    rng = np.random.default_rng(624)
+    data, _ = random_data(rng, r=1, p=2, noise=1.0)
+    result = infer_symmetric(data, skew=True)
+    np.testing.assert_array_equal(result.tensor, np.zeros((1, 1, 2)))
+    assert result.residual == objective(result.tensor, data)
 
 
 # ----------------------------------------------------------------------

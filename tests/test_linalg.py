@@ -114,6 +114,12 @@ def test_solve_sym_raises_on_singular_with_rank_estimate():
     assert exc.value.cond_estimate > 1e12
 
 
+def test_solve_sym_rejects_indefinite_with_pivot_index():
+    with pytest.raises(NotPositiveDefiniteError) as exc:
+        solve_sym(np.diag([1.0, -1.0]), np.ones(2))
+    assert exc.value.pivot_index == 1
+
+
 def test_solve_sym_validates_arguments():
     with pytest.raises(ValueError):
         solve_sym(np.zeros((2, 3)), np.zeros(2))

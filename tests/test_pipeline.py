@@ -255,6 +255,28 @@ def test_wave_single_subdomain_exact_recovery(tmp_path):
         assert manifest["recovery"][f"{method}_r{r}"] < 1e-8
 
 
+def test_wave_stages_form_each_stiffness_once_per_sample(tmp_path, monkeypatch):
+    # K(mu) does not depend on r: each stage forms it once per sample and
+    # projects it for every basis size
+    from topinf import pipeline, wave
+
+    cfg = dataclasses.replace(small_wave_config(), derivative="exact", reduced_dims=(2, 3))
+    calls = []
+    original = wave.wave_stiffness
+
+    def counting(model, mu):
+        calls.append(1)
+        return original(model, mu)
+
+    monkeypatch.setattr(wave, "wave_stiffness", counting)
+    monkeypatch.setattr(pipeline, "wave_stiffness", counting)
+    samples = cfg.n_train + cfg.n_test
+    for (name, stage), expected in zip(STAGES, (samples, 0, cfg.n_train, samples, samples)):
+        calls.clear()
+        stage(cfg, tmp_path)
+        assert len(calls) == expected, name
+
+
 # ----------------------------------------------------------------------
 # determinism and stage decomposition
 
