@@ -90,7 +90,7 @@ def main():
     params = load_matrix(root / "harsh" / "params_train.tpoi")
     r = max(harsh.reduced_dims)
     basis = ReducedBasis(u=u[:, :r], weight=model.mass, kind="pod")
-    reference = intrusive_project(-model.stiffness, basis).tensor
+    reference = intrusive_project(-model.stiffness, basis)
     learned = load_tensor(root / "harsh" / "operators" / f"tensor_lstsq_r{r}.tpoi")
     print(f"  largest eigenvalue of the symmetric part of the reduced operator")
     print(f"  across the training parameters, at r = {r}:")

@@ -36,7 +36,6 @@ from .tensors import (
     rmat,
     rvec,
     swap_axes,
-    sym_kron_sum,
 )
 from .linalg import cholesky_upper, lstsq_min_norm, solve_sym, thin_svd
 from .heat import (
@@ -87,8 +86,6 @@ from .rom import (
     RomModel,
     Trajectory,
     assemble_block_hamiltonian,
-    assemble_hamiltonian_operator,
-    assemble_operator,
     block_operator,
     crank_nicolson,
     implicit_midpoint,
@@ -111,11 +108,9 @@ from .pipeline import (
     evaluate,
     infer,
     make_rng,
-    parallel_map,
     run_pipeline,
     simulate_fom,
     simulate_rom,
-    thread_count,
 )
 
 __all__ = [
@@ -138,7 +133,6 @@ __all__ = [
     "outer",
     "double_contract",
     "frobenius",
-    "sym_kron_sum",
     # numerical kernels
     "cholesky_upper",
     "solve_sym",
@@ -188,8 +182,6 @@ __all__ = [
     "Trajectory",
     "project_matrix",
     "intrusive_project",
-    "assemble_operator",
-    "assemble_hamiltonian_operator",
     "assemble_block_hamiltonian",
     "block_operator",
     "reduced_hamiltonian",
@@ -219,6 +211,4 @@ __all__ = [
     "simulate_rom",
     "evaluate",
     "make_rng",
-    "parallel_map",
-    "thread_count",
 ]

@@ -4,10 +4,9 @@ Given reduced snapshots ``Y_s`` (r x Nt), their time derivatives ``Z_s``,
 and per-sample feature vectors ``nu_s`` (p entries), the inference problem
 is the least squares fit of an order-3 operator tensor ``T`` (r x r x p):
 
-    minimize  L(T) = 1/2 sum_s || Z_s - X_s (T nu_s) Y_s ||_F^2,
+    minimize  L(T) = 1/2 sum_s || Z_s - (T nu_s) Y_s ||_F^2.
 
-where the optional left factors ``X_s`` default to the identity.  Three
-solvers are provided:
+Three solvers are provided:
 
 * :func:`infer_normal` assembles the dense normal-equations system for the
   partially vectorized unknown and solves it symmetrically;
@@ -16,9 +15,8 @@ solvers are provided:
 * :func:`infer_symmetric` imposes the constraint ``(T nu)^T = +/- (T nu)``
   exactly by fitting each slice in an orthonormal basis of the
   (skew-)symmetric matrices: ``p*r*(r+1)/2`` unknowns (``p*r*(r-1)/2`` when
-  skew) and a symmetric positive definite system solved by Cholesky; use
-  it with symmetric left factors (identity) or with the canonical
-  symplectic matrix for Hamiltonian systems.
+  skew) and a symmetric positive definite system solved by Cholesky.  The
+  pipeline fits each block of the canonical Hamiltonian form with it.
 
 The two unconstrained solvers minimize the same objective; their system
 matrices satisfy ``D^T D = B`` exactly, so they agree to solver precision
@@ -69,23 +67,18 @@ class InferenceData:
         Feature vectors, one column per training sample.
     ys : ndarray, shape (r, Nt, Ns)
         Reduced state trajectories stacked along the last axis.
-    zs : ndarray, shape (m, Nt, Ns)
-        Time-derivative trajectories; ``m == r`` unless left factors with
-        ``m`` rows are supplied.
-    xs : ndarray or None, shape (m, r, Ns)
-        Optional per-sample left factors (identity when omitted).
+    zs : ndarray, shape (r, Nt, Ns)
+        Time-derivative trajectories, same shape as ``ys``.
     """
 
     nus: np.ndarray
     ys: np.ndarray
     zs: np.ndarray
-    xs: np.ndarray | None = None
 
     def __post_init__(self):
         nus = np.asarray(self.nus, dtype=float)
         ys = np.asarray(self.ys, dtype=float)
         zs = np.asarray(self.zs, dtype=float)
-        xs = None if self.xs is None else np.asarray(self.xs, dtype=float)
         if nus.ndim != 2:
             raise ValueError(f"nus must be (p, Ns), got ndim={nus.ndim}")
         if ys.ndim != 3 or zs.ndim != 3:
@@ -100,29 +93,16 @@ class InferenceData:
             raise ValueError(
                 f"time counts disagree: ys has {ys.shape[1]}, zs has {zs.shape[1]}"
             )
-        if xs is None:
-            if zs.shape[0] != ys.shape[0]:
-                raise ValueError(
-                    "without left factors, zs must have the same state dimension as ys"
-                )
-        else:
-            if xs.ndim != 3 or xs.shape[2] != ns:
-                raise ValueError("xs must be (m, r, Ns)")
-            if xs.shape[1] != ys.shape[0]:
-                raise ValueError(
-                    f"left factors act on dimension {xs.shape[1]}, states have {ys.shape[0]}"
-                )
-            if xs.shape[0] != zs.shape[0]:
-                raise ValueError(
-                    f"left factors produce dimension {xs.shape[0]}, zs has {zs.shape[0]}"
-                )
-        for name, arr in (("nus", nus), ("ys", ys), ("zs", zs), ("xs", xs)):
-            if arr is not None and not np.all(np.isfinite(arr)):
+        if zs.shape[0] != ys.shape[0]:
+            raise ValueError(
+                f"state dimensions disagree: ys has {ys.shape[0]}, zs has {zs.shape[0]}"
+            )
+        for name, arr in (("nus", nus), ("ys", ys), ("zs", zs)):
+            if not np.all(np.isfinite(arr)):
                 raise ValueError(f"non-finite entries in {name}")
         object.__setattr__(self, "nus", nus)
         object.__setattr__(self, "ys", ys)
         object.__setattr__(self, "zs", zs)
-        object.__setattr__(self, "xs", xs)
 
     @property
     def r(self) -> int:
@@ -139,13 +119,6 @@ class InferenceData:
     @property
     def n_times(self) -> int:
         return self.ys.shape[1]
-
-    def left_factors(self) -> np.ndarray:
-        """The ``(m, r, Ns)`` left-factor stack, materializing identities."""
-        if self.xs is not None:
-            return self.xs
-        eye = np.eye(self.r)
-        return np.repeat(eye[:, :, None], self.n_samples, axis=2)
 
 
 @dataclass(frozen=True)
@@ -235,11 +208,8 @@ def assemble_normal_system(data: InferenceData) -> tuple[np.ndarray, np.ndarray]
 
     ``B`` is ``(r*p, r*p)`` symmetric positive semidefinite and ``C`` is
     ``(r, r*p)``; the merged unknown ``cvec(T, 1, 2)`` solves
-    ``cvec(T, 1, 2) @ B = C``.  Left factors are not supported here (the
-    unconstrained routes fit the plain operator).
+    ``cvec(T, 1, 2) @ B = C``.
     """
-    if data.xs is not None:
-        raise ValueError("left factors are only supported by the symmetric solver")
     nus, ys, zs = data.nus, data.ys, data.zs
     gram = np.einsum("xs,ias,jas,ys->xijy", nus, ys, ys, nus, optimize=True)
     bhat = tensors.cvec(tensors.rvec(gram, 0, 1), 1, 2)
@@ -255,8 +225,6 @@ def assemble_lstsq_system(data: InferenceData) -> tuple[np.ndarray, np.ndarray]:
     merged unknown solves ``D @ row_i ~= R[i]``.  Satisfies
     ``D.T @ D == B`` from :func:`assemble_normal_system` exactly.
     """
-    if data.xs is not None:
-        raise ValueError("left factors are only supported by the symmetric solver")
     k = np.einsum("ias,xs->iaxs", data.ys, data.nus)
     d = tensors.cvec(tensors.cvec(k, 0, 2), 1, 2).T
     rstack = tensors.cvec(data.zs, 1, 2)
@@ -341,12 +309,12 @@ def infer_symmetric(
     (skew-)symmetric matrices, ``a <= b`` (``a < b`` when skew), with
     ``w_ab = 1/sqrt(2)`` off the diagonal and ``w_aa = 1/2`` (so
     ``E_aa = e_a e_a^T``).  That leaves ``p*r*(r+1)/2`` unknowns
-    (``p*r*(r-1)/2`` when skew).  With ``G_s = X_s^T X_s`` and
-    ``H_s = Y_s Y_s^T``, the normal matrix entry for the pairs ``(a, b)``
-    and ``(c, d)`` of slices ``x`` and ``y`` is
+    (``p*r*(r-1)/2`` when skew).  With ``H_s = Y_s Y_s^T`` and the
+    identity ``I``, the normal matrix entry for the pairs ``(a, b)`` and
+    ``(c, d)`` of slices ``x`` and ``y`` is
 
-        sum_s nu_xs nu_ys w_ab w_cd [G_ac H_bd + H_ac G_bd
-                                     + sign (G_ad H_bc + H_ad G_bc)],
+        sum_s nu_xs nu_ys w_ab w_cd [I_ac H_bd + H_ac I_bd
+                                     + sign (I_ad H_bc + H_ad I_bc)],
 
     the restriction of the full Kronecker stationarity system to the
     constraint subspace; it is symmetric positive definite whenever the
@@ -364,18 +332,17 @@ def infer_symmetric(
             f"symmetric inference needs {unknowns} unknowns (dense system "
             f"{unknowns * unknowns * 8 / 2**20:.1f} MiB); cap is {max_unknowns}"
         )
-    xs = data.left_factors()
     ys, zs, nus = data.ys, data.zs, data.nus
 
-    xtx = np.einsum("kis,kjs->ijs", xs, xs, optimize=True)
     yyt = np.einsum("iks,jks->ijs", ys, ys, optimize=True)
-    # q[(x, ac), (y, bd)] = sum_s nu_xs nu_ys (G_s[a, c] H_s[b, d] + H_s[a, c]
-    # G_s[b, d]) over upper-triangle pairs (G and H are symmetric): one GEMM,
-    # with the (G, H) and (H, G) pairings stacked along the sample axis
+    # q[(x, ac), (y, bd)] = sum_s nu_xs nu_ys (I[a, c] H_s[b, d] + H_s[a, c]
+    # I[b, d]) over upper-triangle pairs (H is symmetric): one GEMM, with the
+    # (I, H) and (H, I) pairings stacked along the sample axis
     iu, ju = np.triu_indices(r)
     tri = np.empty((r, r), dtype=np.intp)
     tri[iu, ju] = tri[ju, iu] = np.arange(iu.size)
-    gu, hu = xtx[iu, ju], yyt[iu, ju]
+    hu = yyt[iu, ju]
+    gu = np.broadcast_to((iu == ju)[:, None], hu.shape)
     nu2 = np.concatenate([nus, nus], axis=1)[:, None, :]
     left = (nu2 * np.concatenate([gu, hu], axis=1)).reshape(p * iu.size, -1)
     right = (nu2 * np.concatenate([hu, gu], axis=1)).reshape(p * iu.size, -1)
@@ -393,7 +360,7 @@ def infer_symmetric(
     bhat *= (w[:, None] * w[None, :])[None, :, None, :]
     bhat = bhat.reshape(unknowns, unknowns)
 
-    cross = np.einsum("kis,kas,jas,xs->ijx", xs, zs, ys, nus, optimize=True)
+    cross = np.einsum("ias,jas,xs->ijx", zs, ys, nus, optimize=True)
     chat = (w[:, None] * (cross[a, b] + sign * cross[b, a])).T.ravel()
 
     # r == 1 with skew=True leaves no unknowns: the only admissible tensor is 0
@@ -415,13 +382,11 @@ def infer_symmetric(
 
 def _predictions(tensor: np.ndarray, data: InferenceData) -> np.ndarray:
     ops = np.einsum("ijx,xs->ijs", tensor, data.nus)
-    if data.xs is None:
-        return np.einsum("ijs,jas->ias", ops, data.ys, optimize=True)
-    return np.einsum("mis,ijs,jas->mas", data.xs, ops, data.ys, optimize=True)
+    return np.einsum("ijs,jas->ias", ops, data.ys, optimize=True)
 
 
 def objective(tensor: np.ndarray, data: InferenceData) -> float:
-    """Objective value ``1/2 sum_s ||Z_s - X_s (T nu_s) Y_s||_F^2``."""
+    """Objective value ``1/2 sum_s ||Z_s - (T nu_s) Y_s||_F^2``."""
     tensor = np.asarray(tensor, dtype=float)
     if tensor.shape != (data.r, data.r, data.p):
         raise ValueError(
@@ -434,8 +399,8 @@ def objective(tensor: np.ndarray, data: InferenceData) -> float:
 def objective_gradient(tensor: np.ndarray, data: InferenceData) -> np.ndarray:
     """Gradient of :func:`objective` with respect to the tensor entries.
 
-    Equals ``sum_s X_s^T [X_s (T nu_s) Y_s - Z_s] Y_s^T (x) nu_s`` where
-    ``(x)`` appends the feature axis.
+    Equals ``sum_s [(T nu_s) Y_s - Z_s] Y_s^T (x) nu_s`` where ``(x)``
+    appends the feature axis.
     """
     tensor = np.asarray(tensor, dtype=float)
     if tensor.shape != (data.r, data.r, data.p):
@@ -443,8 +408,4 @@ def objective_gradient(tensor: np.ndarray, data: InferenceData) -> np.ndarray:
             f"tensor must have shape {(data.r, data.r, data.p)}, got {tensor.shape}"
         )
     diff = _predictions(tensor, data) - data.zs
-    if data.xs is None:
-        return np.einsum("ias,jas,xs->ijx", diff, data.ys, data.nus, optimize=True)
-    return np.einsum(
-        "mis,mas,jas,xs->ijx", data.xs, diff, data.ys, data.nus, optimize=True
-    )
+    return np.einsum("ias,jas,xs->ijx", diff, data.ys, data.nus, optimize=True)

@@ -19,19 +19,16 @@ Randomness: all sampling derives from the configured seed through the
 Philox 4x64 counter-based generator, keyed by ``(seed, stream)`` with
 stream 0 for training parameters and stream 1 for test parameters.
 
-Parameter sweeps run through a thread map whose width is capped by the
-``TPOI_THREADS`` environment variable (unset/empty means sequential,
-``0`` means one thread per CPU); results are collected in input order, so
-the artifacts do not depend on the thread count.
+Parameter sweeps are plain sequential loops; BLAS keeps its own threads.
+A reduced run that diverges is recorded in the manifest as a structured
+record ``{label, r, split, index, step}`` and left out of the error pools.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -59,7 +56,6 @@ from .linalg import lstsq_min_norm
 from .metrics import hamiltonian_drift, projection_error, relative_l2
 from .rom import (
     RomModel,
-    Trajectory,
     block_operator,
     crank_nicolson,
     implicit_midpoint,
@@ -86,8 +82,6 @@ __all__ = [
     "infer",
     "simulate_rom",
     "evaluate",
-    "thread_count",
-    "parallel_map",
     "make_rng",
     "STAGES",
 ]
@@ -99,42 +93,13 @@ _TEST_STREAM = 1
 
 
 # ----------------------------------------------------------------------
-# deterministic randomness and parallel sweeps
+# deterministic randomness
 
 
 def make_rng(seed: int, stream: int) -> np.random.Generator:
     """Philox 4x64 generator keyed by ``(seed, stream)``."""
     key = np.array([seed, stream], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
-
-
-def thread_count() -> int:
-    """Width of the parallel parameter map, from ``TPOI_THREADS``.
-
-    Unset or empty means 1 (sequential); ``0`` means one thread per CPU.
-    """
-    raw = os.environ.get("TPOI_THREADS", "").strip()
-    if not raw:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"TPOI_THREADS must be an integer, got {raw!r}") from exc
-    if value < 0:
-        raise ValueError(f"TPOI_THREADS must be non-negative, got {value}")
-    if value == 0:
-        return os.cpu_count() or 1
-    return value
-
-
-def parallel_map(fn, items) -> list:
-    """Map preserving input order, threaded when :func:`thread_count` > 1."""
-    items = list(items)
-    width = min(thread_count(), len(items)) if items else 0
-    if width <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=width) as pool:
-        return list(pool.map(fn, items))
 
 
 # ----------------------------------------------------------------------
@@ -188,7 +153,7 @@ def _load_basis(cfg: ExperimentConfig, outdir: Path, model) -> ReducedBasis:
     return ReducedBasis(u=u, weight=model.mass, kind="pod", singular_values=svals)
 
 
-def _heat_intrusive(model, b: ReducedBasis) -> RomModel:
+def _heat_intrusive(model, b: ReducedBasis) -> np.ndarray:
     """Galerkin projection of the (negated, dissipative) stiffness tensor."""
     return intrusive_project(-model.stiffness, b)
 
@@ -309,20 +274,16 @@ def simulate_fom(cfg: ExperimentConfig, outdir) -> None:
     for split, count in _splits(cfg):
         params = _draw_parameters(cfg, count, _TRAIN_STREAM if split == "train" else _TEST_STREAM)
         save_matrix(outdir / f"params_{split}.tpoi", params)
-
-        def _run(i: int, params=params) -> Trajectory:
-            mu = params[:, i]
+        for i, mu in enumerate(params.T):
             if cfg.problem == "heat1d":
-                return crank_nicolson(
+                traj = crank_nicolson(
                     heat_operator(model, mu), x0, cfg.dt, cfg.n_times, mass=model.mass,
                     t0=cfg.t0,
                 )
-            return implicit_midpoint(
-                wave_full_operator(model, mu), x0, cfg.dt, cfg.n_times, t0=cfg.t0
-            )
-
-        trajectories = parallel_map(_run, range(count))
-        for i, traj in enumerate(trajectories):
+            else:
+                traj = implicit_midpoint(
+                    wave_full_operator(model, mu), x0, cfg.dt, cfg.n_times, t0=cfg.t0
+                )
             if traj.diverged:
                 raise NumericError(
                     f"full-order run {split}/{i} diverged at step {traj.first_bad_step}"
@@ -369,7 +330,7 @@ def _reduced_and_derivatives(cfg, model, b, params, snapshots, mass_forms):
     if cfg.derivative == "finite_difference":
         derivs = [estimate_time_derivative(red, cfg.dt) for red in reduced]
     elif cfg.problem == "heat1d":
-        tensor = _heat_intrusive(model, b).tensor
+        tensor = _heat_intrusive(model, b)
         derivs = [
             mode3_product(tensor, heat_features(params[:, s])) @ reduced[s]
             for s in range(len(reduced))
@@ -432,7 +393,7 @@ def infer(cfg: ExperimentConfig, outdir) -> None:
                     "stationarity": result.stationarity,
                 }
             if cfg.derivative == "exact":
-                reference = _heat_intrusive(model, b).tensor
+                reference = _heat_intrusive(model, b)
                 for method, tensor in fits.items():
                     recovery[f"{method}_r{r}"] = _rel_dist(tensor, reference)
         else:
@@ -492,7 +453,7 @@ def _rom_operator_builder(cfg, model, b, outdir, label: str, r: int, params, sti
     """
     if cfg.problem == "heat1d":
         if label == INTRUSIVE:
-            tensor = _heat_intrusive(model, b).tensor
+            tensor = _heat_intrusive(model, b)
         else:
             tensor = load_tensor(outdir / "operators" / f"tensor_{label}_r{r}.tpoi")
         return lambda split, i: mode3_product(tensor, heat_features(params[split][:, i]))
@@ -524,7 +485,7 @@ def simulate_rom(cfg: ExperimentConfig, outdir) -> None:
     params = {split: _load_params(outdir, split) for split, _ in _splits(cfg)}
     stiffness = _stiffness_by_split(model, params) if cfg.problem == "wave1d" else None
 
-    divergences: list[str] = []
+    divergences: list[dict] = []
     for r in cfg.reduced_dims:
         b = basis_full.truncate(r)
         red0 = b.project(x0)
@@ -534,18 +495,15 @@ def simulate_rom(cfg: ExperimentConfig, outdir) -> None:
             operator_at = _rom_operator_builder(cfg, model, b, outdir, label, r,
                                                 params, stiffness)
             for split, count in _splits(cfg):
-
-                def _run(i: int, split=split, operator_at=operator_at) -> Trajectory:
+                for i in range(count):
                     op = operator_at(split, i)
                     if cfg.problem == "heat1d":
-                        return crank_nicolson(op, red0, cfg.dt, cfg.n_times, t0=cfg.t0)
-                    return implicit_midpoint(op, red0, cfg.dt, cfg.n_times, t0=cfg.t0)
-
-                for i, traj in enumerate(parallel_map(_run, range(count))):
+                        traj = crank_nicolson(op, red0, cfg.dt, cfg.n_times, t0=cfg.t0)
+                    else:
+                        traj = implicit_midpoint(op, red0, cfg.dt, cfg.n_times, t0=cfg.t0)
                     if traj.diverged:
-                        divergences.append(
-                            f"{label}_r{r}/{split}_{i:03d} at step {traj.first_bad_step}"
-                        )
+                        divergences.append({"label": label, "r": r, "split": split,
+                                            "index": i, "step": traj.first_bad_step})
                         continue
                     save_matrix(target / f"{split}_{i:03d}.tpoi", traj.states)
 
@@ -571,7 +529,6 @@ def _drift_model_builder(cfg, model, b, outdir, label: str, r: int, params, stif
         def build(split: str, i: int) -> tuple[RomModel, np.ndarray]:
             a1 = project_matrix(stiffness[split][i], b.u_half)
             energy_model = RomModel(
-                kind="block_hamiltonian",
                 t1=a1[:, :, None],
                 a2=np.eye(r),
                 t1_structure="symmetric",
@@ -582,7 +539,7 @@ def _drift_model_builder(cfg, model, b, outdir, label: str, r: int, params, stif
         return build
     t1 = load_tensor(outdir / "operators" / f"t1_{label}_r{r}.tpoi")
     a2 = load_matrix(outdir / "operators" / f"a2_{label}_r{r}.tpoi")
-    learned = RomModel(kind="block_hamiltonian", t1=t1, a2=a2)
+    learned = RomModel(t1=t1, a2=a2)
     if label == "symmetric":
         learned = dataclasses.replace(
             learned, t1_structure="symmetric", a2_structure="symmetric"
@@ -603,7 +560,8 @@ def evaluate(cfg: ExperimentConfig, outdir) -> None:
     model = _build_model(cfg)
     basis_full = _load_basis(cfg, outdir, model)
     manifest = _load_manifest(outdir)
-    divergences = set(d.split(" at step")[0] for d in manifest.get("divergences", []))
+    diverged = {(d["label"], d["r"], d["split"], d["index"])
+                for d in manifest.get("divergences", [])}
 
     fom: dict[str, list[np.ndarray]] = {
         split: _load_fom(cfg, outdir, split) for split, _ in _splits(cfg)
@@ -645,7 +603,7 @@ def evaluate(cfg: ExperimentConfig, outdir) -> None:
                 refs: list[np.ndarray] = []
                 cands: list[np.ndarray] = []
                 for i in range(count):
-                    if f"{label}_r{r}/{split}_{i:03d}" in divergences:
+                    if (label, r, split, i) in diverged:
                         continue
                     red = load_matrix(_rom_dir(outdir, label, r) / f"{split}_{i:03d}.tpoi")
                     lifted = b.lift(red)
@@ -752,7 +710,8 @@ def _write_summary(cfg, report_dir, manifest, error_rows, drift_max) -> None:
     lines.append("")
     lines.append(f"diverged reduced runs: {len(divs)}")
     for d in divs:
-        lines.append(f"  {d}")
+        run = f"{d['label']}_r{d['r']}/{d['split']}_{d['index']:03d}"
+        lines.append(f"  {run} at step {d['step']}")
     (report_dir / "summary.txt").write_text("\n".join(lines) + "\n")
 
 

@@ -37,7 +37,6 @@ __all__ = [
     "outer",
     "double_contract",
     "frobenius",
-    "sym_kron_sum",
 ]
 
 
@@ -159,14 +158,3 @@ def frobenius(a: np.ndarray, b: np.ndarray) -> float:
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
     return float(np.tensordot(a, b, axes=a.ndim))
-
-
-def sym_kron_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Symmetric Kronecker sum ``kron(a, b) + kron(b, a)`` of square matrices."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[0] != a.shape[1] or b.shape[0] != b.shape[1]:
-        raise ValueError("both operands must be square matrices")
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return np.kron(a, b) + np.kron(b, a)

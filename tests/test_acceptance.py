@@ -197,7 +197,7 @@ def test_criterion_3_exact_derivative_recovery():
             zs=np.stack(derivs, axis=2),
         )
         learned = infer_symmetric(data).tensor
-        reference = intrusive_project(-model.stiffness, b).tensor
+        reference = intrusive_project(-model.stiffness, b)
         worst = max(worst, frob_dist(learned, reference))
     elapsed = time.perf_counter() - started
     report(

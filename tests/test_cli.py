@@ -35,8 +35,7 @@ def test_parser_knows_all_subcommands():
         parser.parse_args(["infer", "--config", "x.cfg", "--method", "ridge"])
 
 
-def test_pipeline_command_runs_and_reports(tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv("TPOI_THREADS", raising=False)
+def test_pipeline_command_runs_and_reports(tmp_path, capsys):
     cfg_path = write_config(tmp_path)
     outdir = tmp_path / "artifacts"
     code = main(["pipeline", "--config", str(cfg_path), "--out", str(outdir)])
@@ -47,8 +46,7 @@ def test_pipeline_command_runs_and_reports(tmp_path, capsys, monkeypatch):
     assert (outdir / "report" / "errors.csv").is_file()
 
 
-def test_overrides_reach_the_config_copy(tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv("TPOI_THREADS", raising=False)
+def test_overrides_reach_the_config_copy(tmp_path, capsys):
     cfg_path = write_config(tmp_path)
     outdir = tmp_path / "custom"
     code = main([
@@ -66,8 +64,7 @@ def test_overrides_reach_the_config_copy(tmp_path, capsys, monkeypatch):
     assert (outdir / "operators" / "tensor_lstsq_r2.tpoi").exists()
 
 
-def test_stages_run_separately(tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv("TPOI_THREADS", raising=False)
+def test_stages_run_separately(tmp_path, capsys):
     cfg_path = write_config(tmp_path)
     outdir = tmp_path / "staged"
     common = ["--config", str(cfg_path), "--out", str(outdir)]
@@ -104,8 +101,7 @@ def test_nondividing_dt_fails_cleanly(tmp_path, capsys):
     assert "does not divide" in captured.err
 
 
-def test_stage_with_missing_inputs_fails_cleanly(tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv("TPOI_THREADS", raising=False)
+def test_stage_with_missing_inputs_fails_cleanly(tmp_path, capsys):
     cfg_path = write_config(tmp_path)
     code = main(["infer", "--config", str(cfg_path), "--out", str(tmp_path / "empty")])
     captured = capsys.readouterr()
@@ -113,8 +109,7 @@ def test_stage_with_missing_inputs_fails_cleanly(tmp_path, capsys, monkeypatch):
     assert captured.err.startswith("topinf: error:")
 
 
-def test_seed_override_changes_sampled_parameters(tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv("TPOI_THREADS", raising=False)
+def test_seed_override_changes_sampled_parameters(tmp_path, capsys):
     cfg_path = write_config(tmp_path)
     for seed, name in ((1, "a"), (2, "b")):
         assert main(["simulate-fom", "--config", str(cfg_path),

@@ -15,7 +15,6 @@ from topinf import (
     ResourceLimitError,
     assemble_lstsq_system,
     assemble_normal_system,
-    canonical_j,
     infer_lstsq,
     infer_normal,
     infer_symmetric,
@@ -32,30 +31,28 @@ def rel_err(actual, expected):
     return float(np.max(np.abs(actual - expected))) / scale
 
 
-def random_data(rng, r=3, p=2, nt=6, ns=5, xs=None, tensor=None, noise=0.0):
+def random_data(rng, r=3, p=2, nt=6, ns=5, tensor=None, noise=0.0):
     """Training data whose derivatives come from a planted tensor plus noise."""
     nus = rng.standard_normal((p, ns))
     ys = rng.standard_normal((r, nt, ns))
     if tensor is None:
         tensor = rng.standard_normal((r, r, p))
-    zs = np.empty((xs.shape[0] if xs is not None else r, nt, ns))
+    zs = np.empty((r, nt, ns))
     for s in range(ns):
         op = sum(tensor[:, :, x] * nus[x, s] for x in range(p))
-        pred = op @ ys[:, :, s]
-        zs[:, :, s] = (xs[:, :, s] @ pred) if xs is not None else pred
+        zs[:, :, s] = op @ ys[:, :, s]
     if noise:
         zs = zs + noise * rng.standard_normal(zs.shape)
-    return InferenceData(nus=nus, ys=ys, zs=zs, xs=xs), tensor
+    return InferenceData(nus=nus, ys=ys, zs=zs), tensor
 
 
 def brute_objective(tensor, data):
     total = 0.0
-    xs = data.left_factors()
     for s in range(data.n_samples):
         op = np.zeros((data.r, data.r))
         for x in range(data.p):
             op += tensor[:, :, x] * data.nus[x, s]
-        diff = xs[:, :, s] @ op @ data.ys[:, :, s] - data.zs[:, :, s]
+        diff = op @ data.ys[:, :, s] - data.zs[:, :, s]
         total += 0.5 * np.sum(diff**2)
     return total
 
@@ -73,27 +70,17 @@ def test_objective_matches_per_sample_loop():
         assert abs(objective(t, data) - expected) <= 1e-12 * max(1.0, expected)
 
 
-def test_objective_matches_loop_with_left_factors():
-    rng = np.random.default_rng(602)
-    xs = rng.standard_normal((4, 3, 5))
-    data, _ = random_data(rng, r=3, ns=5, xs=xs, noise=0.5)
-    t = rng.standard_normal((3, 3, 2))
-    expected = brute_objective(t, data)
-    assert abs(objective(t, data) - expected) <= 1e-12 * max(1.0, expected)
-
-
 def test_gradient_matches_finite_differences():
     rng = np.random.default_rng(603)
-    for xs in (None, rng.standard_normal((2, 2, 4))):
-        data, _ = random_data(rng, r=2, p=2, nt=4, ns=4, xs=xs, noise=1.0)
-        t = rng.standard_normal((2, 2, 2))
-        grad = objective_gradient(t, data)
-        eps = 1e-6
-        for idx in np.ndindex(2, 2, 2):
-            bump = np.zeros_like(t)
-            bump[idx] = eps
-            fd = (objective(t + bump, data) - objective(t - bump, data)) / (2.0 * eps)
-            assert abs(grad[idx] - fd) < 1e-6 * max(1.0, abs(fd))
+    data, _ = random_data(rng, r=2, p=2, nt=4, ns=4, noise=1.0)
+    t = rng.standard_normal((2, 2, 2))
+    grad = objective_gradient(t, data)
+    eps = 1e-6
+    for idx in np.ndindex(2, 2, 2):
+        bump = np.zeros_like(t)
+        bump[idx] = eps
+        fd = (objective(t + bump, data) - objective(t - bump, data)) / (2.0 * eps)
+        assert abs(grad[idx] - fd) < 1e-6 * max(1.0, abs(fd))
 
 
 def test_objective_validates_tensor_shape():
@@ -156,20 +143,6 @@ def test_gram_of_tall_system_equals_normal_matrix():
         assert rel_err(d.T @ d, bhat) < 1e-12
 
 
-def test_assembly_rejects_left_factors():
-    rng = np.random.default_rng(608)
-    xs = rng.standard_normal((3, 3, 5))
-    data, _ = random_data(rng, r=3, ns=5, xs=xs)
-    with pytest.raises(ValueError):
-        assemble_normal_system(data)
-    with pytest.raises(ValueError):
-        assemble_lstsq_system(data)
-    with pytest.raises(ValueError):
-        infer_normal(data)
-    with pytest.raises(ValueError):
-        infer_lstsq(data)
-
-
 # ----------------------------------------------------------------------
 # planted-truth recovery
 
@@ -209,19 +182,6 @@ def test_skew_solver_recovers_planted_skew_tensor():
     np.testing.assert_array_equal(result.tensor, -result.tensor.transpose(1, 0, 2))
 
 
-def test_symmetric_solver_with_canonical_left_factor():
-    # canonical route: Z = J (T nu) Y with symmetric T and X = J per sample
-    rng = np.random.default_rng(612)
-    r, ns = 4, 5
-    j = canonical_j(r // 2)
-    xs = np.repeat(j[:, :, None], ns, axis=2)
-    base = rng.standard_normal((r, r, 2))
-    truth = 0.5 * (base + base.transpose(1, 0, 2))
-    data, _ = random_data(rng, r=r, p=2, nt=6, ns=ns, xs=xs, tensor=truth)
-    result = infer_symmetric(data)
-    assert rel_err(result.tensor, truth) < 1e-10
-
-
 def test_unconstrained_methods_agree_on_noisy_data():
     rng = np.random.default_rng(613)
     for _ in range(5):
@@ -247,21 +207,19 @@ def kronecker_stationarity_solution(data, sign):
     """Solve the full ``(r*r*p)^2`` constrained stationarity system directly.
 
     The (skew-)symmetrized gradient condition reads, for every slice x,
-    ``sum_s nu_xs sum_y nu_ys (G_s T_y H_s + H_s T_y G_s) = C_x + sign C_x^T``
-    with ``G_s = X_s^T X_s``, ``H_s = Y_s Y_s^T`` and
-    ``C_x = sum_s nu_xs X_s^T Z_s Y_s^T``.  With column-major ``vec``,
-    ``vec(G T H) = (H kron G) vec(T)``.
+    ``sum_s nu_xs sum_y nu_ys (T_y H_s + H_s T_y) = C_x + sign C_x^T``
+    with ``H_s = Y_s Y_s^T`` and ``C_x = sum_s nu_xs Z_s Y_s^T``.  With
+    column-major ``vec``, ``vec(A T B) = (B^T kron A) vec(T)``.
     """
     r, p = data.r, data.p
-    xs = data.left_factors()
+    eye = np.eye(r)
     b = np.zeros((r * r * p, r * r * p))
     c = np.zeros((r, r, p))
     for s in range(data.n_samples):
         nu = data.nus[:, s]
-        g = xs[:, :, s].T @ xs[:, :, s]
         h = data.ys[:, :, s] @ data.ys[:, :, s].T
-        b += np.kron(np.outer(nu, nu), np.kron(h, g) + np.kron(g, h))
-        c += (xs[:, :, s].T @ data.zs[:, :, s] @ data.ys[:, :, s].T)[:, :, None] * nu
+        b += np.kron(np.outer(nu, nu), np.kron(h, eye) + np.kron(eye, h))
+        c += (data.zs[:, :, s] @ data.ys[:, :, s].T)[:, :, None] * nu
     c = c + sign * c.transpose(1, 0, 2)
     rhs = np.concatenate([c[:, :, x].ravel(order="F") for x in range(p)])
     t = np.linalg.solve(b, rhs)
@@ -270,18 +228,16 @@ def kronecker_stationarity_solution(data, sign):
 
 
 @pytest.mark.parametrize(
-    "r, p, nt, ns, skew, canonical",
+    "r, p, nt, ns, skew",
     [
-        (3, 2, 6, 6, False, False),
-        (4, 2, 6, 6, True, False),
-        (4, 2, 6, 5, False, True),
-        (8, 3, 251, 8, False, False),  # study-sized
+        (3, 2, 6, 6, False),
+        (4, 2, 6, 6, True),
+        (8, 3, 251, 8, False),  # study-sized
     ],
 )
-def test_symmetric_solver_matches_kronecker_stationarity_oracle(r, p, nt, ns, skew, canonical):
+def test_symmetric_solver_matches_kronecker_stationarity_oracle(r, p, nt, ns, skew):
     rng = np.random.default_rng(625)
-    xs = np.repeat(canonical_j(r // 2)[:, :, None], ns, axis=2) if canonical else None
-    data, _ = random_data(rng, r=r, p=p, nt=nt, ns=ns, xs=xs, noise=1.0)
+    data, _ = random_data(rng, r=r, p=p, nt=nt, ns=ns, noise=1.0)
     expected = kronecker_stationarity_solution(data, -1.0 if skew else 1.0)
     assert rel_err(infer_symmetric(data, skew=skew).tensor, expected) < 1e-9
 
@@ -418,24 +374,3 @@ def test_inference_data_validation():
         InferenceData(**{**good, "zs": np.zeros((2, 5, 4))})  # state mismatch
     with pytest.raises(ValueError):
         InferenceData(**{**good, "nus": np.full((2, 4), np.nan)})
-
-
-def test_left_factor_validation_and_materialization():
-    rng = np.random.default_rng(622)
-    nus = rng.standard_normal((2, 4))
-    ys = rng.standard_normal((3, 5, 4))
-    xs = rng.standard_normal((6, 3, 4))
-    zs = rng.standard_normal((6, 5, 4))
-    data = InferenceData(nus=nus, ys=ys, zs=zs, xs=xs)
-    np.testing.assert_array_equal(data.left_factors(), xs)
-    plain = InferenceData(nus=nus, ys=ys, zs=rng.standard_normal((3, 5, 4)))
-    eyes = plain.left_factors()
-    assert eyes.shape == (3, 3, 4)
-    for s in range(4):
-        np.testing.assert_array_equal(eyes[:, :, s], np.eye(3))
-    with pytest.raises(ValueError):
-        InferenceData(nus=nus, ys=ys, zs=zs, xs=rng.standard_normal((6, 2, 4)))
-    with pytest.raises(ValueError):
-        InferenceData(nus=nus, ys=ys, zs=zs, xs=rng.standard_normal((5, 3, 4)))
-    with pytest.raises(ValueError):
-        InferenceData(nus=nus, ys=ys, zs=zs, xs=rng.standard_normal((6, 3, 3)))

@@ -125,12 +125,15 @@ def test_projection_error_blockwise_for_canonical_bases():
 
 def test_hamiltonian_drift_matches_manual_energies():
     rng = np.random.default_rng(807)
-    base = rng.standard_normal((4, 4, 2))
-    sym = base + base.transpose(1, 0, 2)
+    base = rng.standard_normal((2, 2, 2))
+    t1 = base + base.transpose(1, 0, 2)
+    a2 = rng.standard_normal((2, 2))
+    a2 = a2 + a2.T
     nu = rng.standard_normal(2)
-    model = RomModel(kind="generic", tensor=sym, structure="symmetric")
+    model = RomModel(t1=t1, a2=a2, t1_structure="symmetric", a2_structure="symmetric")
     states = rng.standard_normal((4, 6))
-    op = sym[:, :, 0] * nu[0] + sym[:, :, 1] * nu[1]
+    pos = t1[:, :, 0] * nu[0] ** 2 + t1[:, :, 1] * nu[1] ** 2
+    op = np.block([[pos, np.zeros((2, 2))], [np.zeros((2, 2)), a2]])
     h = 0.5 * np.array([states[:, k] @ op @ states[:, k] for k in range(6)])
     expected = np.abs(h - h[0])
     np.testing.assert_allclose(hamiltonian_drift(model, nu, states), expected, atol=1e-12)

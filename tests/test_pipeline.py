@@ -2,9 +2,7 @@
 
 import dataclasses
 import json
-import os
 import shutil
-import time
 
 import numpy as np
 import pytest
@@ -17,10 +15,8 @@ from topinf import (
     load_matrix,
     load_tensor,
     make_rng,
-    parallel_map,
     run_pipeline,
     save_tensor,
-    thread_count,
 )
 from topinf.pipeline import STAGES
 
@@ -62,32 +58,20 @@ def artifact_bytes(outdir, skip=("manifest.json",)):
 
 @pytest.fixture(scope="module")
 def heat_run(tmp_path_factory):
-    saved = os.environ.pop("TPOI_THREADS", None)
-    try:
-        outdir = tmp_path_factory.mktemp("heat_small")
-        cfg = small_heat_config()
-        manifest = run_pipeline(cfg, outdir)
-        return cfg, outdir, manifest
-    finally:
-        if saved is not None:
-            os.environ["TPOI_THREADS"] = saved
+    outdir = tmp_path_factory.mktemp("heat_small")
+    cfg = small_heat_config()
+    return cfg, outdir, run_pipeline(cfg, outdir)
 
 
 @pytest.fixture(scope="module")
 def wave_run(tmp_path_factory):
-    saved = os.environ.pop("TPOI_THREADS", None)
-    try:
-        outdir = tmp_path_factory.mktemp("wave_small")
-        cfg = small_wave_config()
-        manifest = run_pipeline(cfg, outdir)
-        return cfg, outdir, manifest
-    finally:
-        if saved is not None:
-            os.environ["TPOI_THREADS"] = saved
+    outdir = tmp_path_factory.mktemp("wave_small")
+    cfg = small_wave_config()
+    return cfg, outdir, run_pipeline(cfg, outdir)
 
 
 # ----------------------------------------------------------------------
-# deterministic randomness and the thread map
+# deterministic randomness
 
 
 def test_make_rng_is_keyed_by_seed_and_stream():
@@ -97,36 +81,6 @@ def test_make_rng_is_keyed_by_seed_and_stream():
     assert not np.allclose(a, make_rng(5, 1).standard_normal(8))
     assert not np.allclose(a, make_rng(6, 0).standard_normal(8))
     assert type(make_rng(0, 0).bit_generator).__name__ == "Philox"
-
-
-def test_thread_count_policy(monkeypatch):
-    monkeypatch.delenv("TPOI_THREADS", raising=False)
-    assert thread_count() == 1
-    monkeypatch.setenv("TPOI_THREADS", "")
-    assert thread_count() == 1
-    monkeypatch.setenv("TPOI_THREADS", " 3 ")
-    assert thread_count() == 3
-    monkeypatch.setenv("TPOI_THREADS", "0")
-    assert thread_count() == (os.cpu_count() or 1)
-    monkeypatch.setenv("TPOI_THREADS", "-1")
-    with pytest.raises(ValueError):
-        thread_count()
-    monkeypatch.setenv("TPOI_THREADS", "many")
-    with pytest.raises(ValueError):
-        thread_count()
-
-
-def test_parallel_map_preserves_input_order(monkeypatch):
-    monkeypatch.setenv("TPOI_THREADS", "4")
-
-    def slow_square(i):
-        time.sleep(0.002 * (7 - i))  # later items finish first
-        return i * i
-
-    assert parallel_map(slow_square, range(8)) == [i * i for i in range(8)]
-    assert parallel_map(slow_square, []) == []
-    monkeypatch.delenv("TPOI_THREADS")
-    assert parallel_map(lambda i: -i, range(4)) == [0, -1, -2, -3]
 
 
 # ----------------------------------------------------------------------
@@ -208,7 +162,7 @@ def test_heat_exact_derivative_recovery(tmp_path):
     u_full = load_matrix(tmp_path / "basis" / "u.tpoi")
     for r in cfg.reduced_dims:
         basis = ReducedBasis(u=u_full[:, :r], weight=model.mass, kind="pod")
-        reference = intrusive_project(-model.stiffness, basis).tensor
+        reference = intrusive_project(-model.stiffness, basis)
         learned = load_tensor(tmp_path / "operators" / f"tensor_normal_r{r}.tpoi")
         dist = np.sqrt(np.sum((learned - reference) ** 2) / np.sum(reference**2))
         assert dist < 1e-8
@@ -281,8 +235,7 @@ def test_wave_stages_form_each_stiffness_once_per_sample(tmp_path, monkeypatch):
 # determinism and stage decomposition
 
 
-def test_reruns_are_byte_identical(tmp_path, monkeypatch):
-    monkeypatch.delenv("TPOI_THREADS", raising=False)
+def test_reruns_are_byte_identical(tmp_path):
     cfg = small_heat_config()
     run_pipeline(cfg, tmp_path / "one")
     run_pipeline(cfg, tmp_path / "two")
@@ -290,14 +243,9 @@ def test_reruns_are_byte_identical(tmp_path, monkeypatch):
     second = artifact_bytes(tmp_path / "two")
     assert first.keys() == second.keys()
     assert all(first[k] == second[k] for k in first)
-    monkeypatch.setenv("TPOI_THREADS", "2")
-    run_pipeline(cfg, tmp_path / "threaded")
-    threaded = artifact_bytes(tmp_path / "threaded")
-    assert threaded == first
 
 
-def test_stagewise_run_matches_one_shot(tmp_path, monkeypatch):
-    monkeypatch.delenv("TPOI_THREADS", raising=False)
+def test_stagewise_run_matches_one_shot(tmp_path):
     cfg = small_wave_config()
     run_pipeline(cfg, tmp_path / "oneshot")
     staged = tmp_path / "staged"
@@ -330,8 +278,7 @@ def _poison_normal_r2(cfg, source, outdir):
     return original
 
 
-def test_diverged_rom_runs_are_recorded_and_skipped(heat_run, tmp_path, monkeypatch):
-    monkeypatch.delenv("TPOI_THREADS", raising=False)
+def test_diverged_rom_runs_are_recorded_and_skipped(heat_run, tmp_path):
     cfg, source, _ = heat_run
     outdir = tmp_path / "run"
     _poison_normal_r2(cfg, source, outdir)
@@ -340,7 +287,9 @@ def test_diverged_rom_runs_are_recorded_and_skipped(heat_run, tmp_path, monkeypa
     simulate_rom(cfg, outdir)
     evaluate(cfg, outdir)
     manifest = json.loads((outdir / "manifest.json").read_text())
-    assert manifest["divergences"] == ["normal_r2/train_000 at step 1"]
+    assert manifest["divergences"] == [
+        {"label": "normal", "r": 2, "split": "train", "index": 0, "step": 1}
+    ]
     assert not (outdir / "rom" / "normal_r2" / "train_000.tpoi").exists()
     assert (outdir / "rom" / "normal_r2" / "train_001.tpoi").exists()
     # evaluation pools the surviving samples and the summary reports the event
@@ -350,8 +299,7 @@ def test_diverged_rom_runs_are_recorded_and_skipped(heat_run, tmp_path, monkeypa
     assert "normal_r2/train_000 at step 1" in summary
 
 
-def test_rerun_stages_replace_their_manifest_fields(heat_run, tmp_path, monkeypatch):
-    monkeypatch.delenv("TPOI_THREADS", raising=False)
+def test_rerun_stages_replace_their_manifest_fields(heat_run, tmp_path):
     cfg, source, _ = heat_run
     outdir = tmp_path / "run"
     original = _poison_normal_r2(cfg, source, outdir)

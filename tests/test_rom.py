@@ -9,11 +9,8 @@ from topinf import (
     RomModel,
     StructureError,
     assemble_block_hamiltonian,
-    assemble_hamiltonian_operator,
-    assemble_operator,
     block_operator,
     build_heat_model,
-    canonical_j,
     crank_nicolson,
     heat_initial_state,
     heat_operator,
@@ -37,20 +34,13 @@ def orthonormal_basis(rng, n, r):
 def test_model_validation():
     t = np.zeros((3, 3, 2))
     a2 = np.zeros((3, 3))
-    assert RomModel(kind="generic", tensor=t).r == 3
-    assert RomModel(kind="block_hamiltonian", t1=t, a2=a2).r == 3
+    assert RomModel(t1=t, a2=a2).r == 3
     with pytest.raises(ValueError):
-        RomModel(kind="generic")
+        RomModel(t1=np.zeros((3, 3)), a2=a2)
     with pytest.raises(ValueError):
-        RomModel(kind="generic", tensor=np.zeros((3, 3)))
+        RomModel(t1=np.zeros((3, 2, 2)), a2=a2)
     with pytest.raises(ValueError):
-        RomModel(kind="block_hamiltonian", t1=t)
-    with pytest.raises(ValueError):
-        RomModel(kind="block_hamiltonian", t1=np.zeros((3, 2, 2)), a2=a2)
-    with pytest.raises(ValueError):
-        RomModel(kind="block_hamiltonian", t1=t, a2=np.zeros((2, 2)))
-    with pytest.raises(ValueError):
-        RomModel(kind="banana", tensor=t)
+        RomModel(t1=t, a2=np.zeros((2, 2)))
 
 
 def test_project_matrix_oracle():
@@ -66,63 +56,21 @@ def test_project_matrix_oracle():
 
 def test_intrusive_project_matches_slice_loop():
     rng = np.random.default_rng(702)
-    # (tensor, r, detected structure); the study-sized case matters because
-    # the einsum contraction order is chosen from the operand sizes
-    cases = [
-        (rng.standard_normal((8, 8, 3)), 4, "generic"),
-        (-build_heat_model(120).stiffness, 12, "symmetric"),
-    ]
-    for tensor, r, structure in cases:
+    # the study-sized case matters because the einsum contraction order is
+    # chosen from the operand sizes
+    for tensor, r in ((rng.standard_normal((8, 8, 3)), 4),
+                      (-build_heat_model(120).stiffness, 12)):
         basis = orthonormal_basis(rng, tensor.shape[0], r)
-        model = intrusive_project(tensor, basis)
+        reduced = intrusive_project(tensor, basis)
+        assert reduced.shape == (r, r, tensor.shape[2])
         for x in range(tensor.shape[2]):
             expected = basis.u.T @ tensor[:, :, x] @ basis.u
-            np.testing.assert_allclose(model.tensor[:, :, x], expected, atol=1e-13)
-        assert model.kind == "generic" and model.structure == structure
-
-
-def test_intrusive_project_detects_symmetry():
-    rng = np.random.default_rng(703)
-    base = rng.standard_normal((8, 8, 2))
-    tensor = base + base.transpose(1, 0, 2)
+            np.testing.assert_allclose(reduced[:, :, x], expected, atol=1e-13)
     basis = orthonormal_basis(rng, 8, 4)
-    assert intrusive_project(tensor, basis).structure == "symmetric"
     with pytest.raises(ValueError):
-        intrusive_project(tensor[:, :, 0], basis)
+        intrusive_project(np.zeros((8, 8)), basis)
     with pytest.raises(ValueError):
         intrusive_project(np.zeros((7, 7, 2)), basis)
-
-
-def test_assemble_operator_contracts_features():
-    rng = np.random.default_rng(704)
-    tensor = rng.standard_normal((4, 4, 3))
-    nu = rng.standard_normal(3)
-    model = RomModel(kind="generic", tensor=tensor)
-    expected = sum(tensor[:, :, x] * nu[x] for x in range(3))
-    np.testing.assert_allclose(assemble_operator(model, nu), expected, atol=1e-14)
-    block = RomModel(kind="block_hamiltonian", t1=tensor, a2=np.eye(4))
-    with pytest.raises(ValueError):
-        assemble_operator(block, nu)
-
-
-def test_hamiltonian_assembly_gates_structure():
-    rng = np.random.default_rng(705)
-    base = rng.standard_normal((4, 4, 2))
-    sym = base + base.transpose(1, 0, 2)
-    nu = rng.standard_normal(2)
-    model = RomModel(kind="generic", tensor=sym, structure="symmetric")
-    expected = canonical_j(2) @ sum(sym[:, :, x] * nu[x] for x in range(2))
-    np.testing.assert_allclose(
-        assemble_hamiltonian_operator(model, nu), expected, atol=1e-14
-    )
-    with pytest.raises(StructureError):
-        assemble_hamiltonian_operator(RomModel(kind="generic", tensor=sym), nu)
-    odd = RomModel(kind="generic", tensor=np.zeros((3, 3, 2)), structure="symmetric")
-    with pytest.raises(ValueError):
-        assemble_hamiltonian_operator(odd, nu)
-    block = RomModel(kind="block_hamiltonian", t1=sym, a2=np.eye(4))
-    with pytest.raises(ValueError):
-        assemble_hamiltonian_operator(block, nu)
 
 
 def test_block_operator_layout_and_squaring():
@@ -144,28 +92,14 @@ def test_block_hamiltonian_assembly_gates_both_flags():
     t1 = base + base.transpose(1, 0, 2)
     a2 = np.eye(3)
     mu = np.array([1.1, 0.9])
-    good = RomModel(
-        kind="block_hamiltonian",
-        t1=t1,
-        a2=a2,
-        t1_structure="symmetric",
-        a2_structure="symmetric",
-    )
+    good = RomModel(t1=t1, a2=a2, t1_structure="symmetric", a2_structure="symmetric")
     np.testing.assert_allclose(
         assemble_block_hamiltonian(good, mu), block_operator(t1, a2, mu), atol=1e-14
     )
     for flags in (("generic", "symmetric"), ("symmetric", "generic")):
-        bad = RomModel(
-            kind="block_hamiltonian",
-            t1=t1,
-            a2=a2,
-            t1_structure=flags[0],
-            a2_structure=flags[1],
-        )
+        bad = RomModel(t1=t1, a2=a2, t1_structure=flags[0], a2_structure=flags[1])
         with pytest.raises(StructureError):
             assemble_block_hamiltonian(bad, mu)
-    with pytest.raises(ValueError):
-        assemble_block_hamiltonian(RomModel(kind="generic", tensor=t1), mu)
 
 
 # ----------------------------------------------------------------------
@@ -179,13 +113,7 @@ def test_reduced_hamiltonian_block_oracle():
     sym = rng.standard_normal((3, 3))
     a2 = sym + sym.T
     mu = np.array([1.3, 0.8])
-    model = RomModel(
-        kind="block_hamiltonian",
-        t1=t1,
-        a2=a2,
-        t1_structure="symmetric",
-        a2_structure="symmetric",
-    )
+    model = RomModel(t1=t1, a2=a2, t1_structure="symmetric", a2_structure="symmetric")
     states = rng.standard_normal((6, 5))
     pos = t1[:, :, 0] * mu[0] ** 2 + t1[:, :, 1] * mu[1] ** 2
     expected = np.array(
@@ -201,45 +129,29 @@ def test_reduced_hamiltonian_block_oracle():
     assert abs(single - expected[0]) < 1e-13
     with pytest.raises(ValueError):
         reduced_hamiltonian(model, mu, states[:5])
-
-
-def test_reduced_hamiltonian_generic_oracle_and_gates():
-    rng = np.random.default_rng(709)
-    base = rng.standard_normal((4, 4, 2))
-    sym = base + base.transpose(1, 0, 2)
-    nu = rng.standard_normal(2)
-    model = RomModel(kind="generic", tensor=sym, structure="symmetric")
-    states = rng.standard_normal((4, 3))
-    op = sum(sym[:, :, x] * nu[x] for x in range(2))
-    expected = 0.5 * np.array([states[:, k] @ op @ states[:, k] for k in range(3)])
-    np.testing.assert_allclose(reduced_hamiltonian(model, nu, states), expected, atol=1e-13)
-    with pytest.raises(StructureError):
-        reduced_hamiltonian(RomModel(kind="generic", tensor=sym), nu, states)
-    flagless_block = RomModel(kind="block_hamiltonian", t1=sym, a2=np.eye(4))
-    with pytest.raises(StructureError):
-        reduced_hamiltonian(flagless_block, nu, states[:4])
-    with pytest.raises(ValueError):
-        reduced_hamiltonian(model, nu, states[:3])
+    for flags in (("generic", "symmetric"), ("symmetric", "generic")):
+        flagless = RomModel(t1=t1, a2=a2, t1_structure=flags[0], a2_structure=flags[1])
+        with pytest.raises(StructureError):
+            reduced_hamiltonian(flagless, mu, states)
 
 
 def test_symmetric_part_preserves_quadratic_energy():
+    # unconstrained wave fits are scored through their symmetric part: its
+    # energy must equal the quadratic form of the raw learned blocks
     rng = np.random.default_rng(710)
-    tensor = rng.standard_normal((4, 4, 2))
-    nu = rng.standard_normal(2)
-    states = rng.standard_normal((4, 6))
-    learned = RomModel(kind="generic", tensor=tensor)
-    sym = symmetric_part(learned)
-    assert sym.structure == "symmetric"
-    op = sum(tensor[:, :, x] * nu[x] for x in range(2))
-    raw_energy = 0.5 * np.sum(states * (op @ states), axis=0)
-    np.testing.assert_allclose(
-        reduced_hamiltonian(sym, nu, states), raw_energy, atol=1e-13
-    )
     t1 = rng.standard_normal((3, 3, 2))
     a2 = rng.standard_normal((3, 3))
-    block = symmetric_part(RomModel(kind="block_hamiltonian", t1=t1, a2=a2))
+    mu = np.array([1.3, 0.8])
+    states = rng.standard_normal((6, 5))
+    block = symmetric_part(RomModel(t1=t1, a2=a2))
     assert block.t1_structure == "symmetric" and block.a2_structure == "symmetric"
     np.testing.assert_allclose(block.a2, 0.5 * (a2 + a2.T), atol=1e-15)
+    pos = t1[:, :, 0] * mu[0] ** 2 + t1[:, :, 1] * mu[1] ** 2
+    q, p = states[:3], states[3:]
+    raw_energy = 0.5 * np.sum(q * (pos @ q), axis=0) + 0.5 * np.sum(p * (a2 @ p), axis=0)
+    np.testing.assert_allclose(
+        reduced_hamiltonian(block, mu, states), raw_energy, atol=1e-13
+    )
 
 
 # ----------------------------------------------------------------------

@@ -20,7 +20,6 @@ from topinf import (
     rmat,
     rvec,
     swap_axes,
-    sym_kron_sum,
 )
 
 N_INSTANCES = 100
@@ -196,18 +195,6 @@ def test_frobenius_matches_plain_sum():
         assert abs(frobenius(a, b) - expected) <= REL_TOL * max(1.0, abs(expected))
 
 
-def test_sym_kron_sum_matches_block_oracle():
-    rng = np.random.default_rng(113)
-    for _ in range(N_INSTANCES):
-        n = int(rng.integers(1, 5))
-        a = rng.standard_normal((n, n))
-        b = rng.standard_normal((n, n))
-        # independent Kronecker product through the outer-product route
-        kron_ab = rvec(rvec(outer(a, b), 1, 3), 0, 2)
-        kron_ba = rvec(rvec(outer(b, a), 1, 3), 0, 2)
-        assert rel_err(sym_kron_sum(a, b), kron_ab + kron_ba) < REL_TOL
-
-
 # ----------------------------------------------------------------------
 # inner-product and contraction identities
 
@@ -332,12 +319,3 @@ def test_double_contract_validation():
 def test_frobenius_validation():
     with pytest.raises(ValueError):
         frobenius(np.zeros((2, 3)), np.zeros((3, 2)))
-
-
-def test_sym_kron_sum_validation():
-    with pytest.raises(ValueError):
-        sym_kron_sum(np.zeros((2, 3)), np.zeros((2, 2)))
-    with pytest.raises(ValueError):
-        sym_kron_sum(np.zeros((2, 2)), np.zeros((3, 3)))
-    with pytest.raises(ValueError):
-        sym_kron_sum(np.zeros(4), np.zeros(4))
