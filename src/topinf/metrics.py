@@ -8,6 +8,11 @@ pooled over parameter samples:
 with ``||Q||_M^2 = trace(Q^T M Q)``.  The projection error uses the
 mass-orthogonal reconstruction ``U U^T M Q`` in place of the reduced
 trajectory and lower-bounds any Galerkin ROM error in the same norm.
+
+:func:`relative_l2` and :func:`projection_error` are the full-order
+reference forms: the pipeline computes the same numbers in reduced
+coordinates (see :func:`topinf.pipeline.evaluate`), and the tests check
+it against these.
 """
 
 from __future__ import annotations

@@ -21,7 +21,8 @@ stream 0 for training parameters and stream 1 for test parameters.
 
 Parameter sweeps are plain sequential loops; BLAS keeps its own threads.
 A reduced run that diverges is recorded in the manifest as a structured
-record ``{label, r, split, index, step}`` and left out of the error pools.
+record ``{label, r, split, index, step}``, keeps no states file, and is
+left out of the error pools.
 """
 
 from __future__ import annotations
@@ -53,7 +54,8 @@ from .heat import (
 )
 from .inference import InferenceData, infer_lstsq, infer_normal, infer_symmetric
 from .linalg import lstsq_min_norm
-from .metrics import hamiltonian_drift, projection_error, relative_l2
+# relative_l2 and projection_error are unused here; benchmarks/tracing.py wraps them here
+from .metrics import hamiltonian_drift, projection_error, relative_l2, weighted_norm_sq
 from .rom import (
     RomModel,
     block_operator,
@@ -501,11 +503,13 @@ def simulate_rom(cfg: ExperimentConfig, outdir) -> None:
                         traj = crank_nicolson(op, red0, cfg.dt, cfg.n_times, t0=cfg.t0)
                     else:
                         traj = implicit_midpoint(op, red0, cfg.dt, cfg.n_times, t0=cfg.t0)
+                    path = target / f"{split}_{i:03d}.tpoi"
                     if traj.diverged:
                         divergences.append({"label": label, "r": r, "split": split,
                                             "index": i, "step": traj.first_bad_step})
+                        path.unlink(missing_ok=True)  # no earlier run's states remain
                         continue
-                    save_matrix(target / f"{split}_{i:03d}.tpoi", traj.states)
+                    save_matrix(path, traj.states)
 
     _record_stage(cfg, outdir, "simulate_rom", time.perf_counter() - started,
                   updates={"divergences": divergences})
@@ -515,7 +519,7 @@ def simulate_rom(cfg: ExperimentConfig, outdir) -> None:
 # stage 5: evaluation
 
 
-def _drift_model_builder(cfg, model, b, outdir, label: str, r: int, params, stiffness):
+def _drift_model_builder(u_half: np.ndarray, outdir, label: str, r: int, params, stiffness):
     """Per-(label, r) factory mapping ``(split, sample index)`` to (energy model, contraction).
 
     Each reduced run is scored against its own quadratic energy: the
@@ -523,11 +527,11 @@ def _drift_model_builder(cfg, model, b, outdir, label: str, r: int, params, stif
     a unit contraction weight, since the block already contains the
     parameter), the symmetry-constrained fit carries exact flags, and
     unconstrained fits are scored through their symmetric part, which
-    defines the same quadratic form.
+    defines the same quadratic form.  ``u_half`` is the size-r position basis.
     """
     if label == INTRUSIVE:
         def build(split: str, i: int) -> tuple[RomModel, np.ndarray]:
-            a1 = project_matrix(stiffness[split][i], b.u_half)
+            a1 = project_matrix(stiffness[split][i], u_half)
             energy_model = RomModel(
                 t1=a1[:, :, None],
                 a2=np.eye(r),
@@ -549,8 +553,35 @@ def _drift_model_builder(cfg, model, b, outdir, label: str, r: int, params, stif
     return lambda split, i: (learned, params[split][:, i])
 
 
+def _scored_run(states: np.ndarray, u: np.ndarray, mass: np.ndarray):
+    """``(C, ||Q - U C||_M^2, ||Q||_M^2)`` of a full-order run's scored block ``Q``.
+
+    ``Q`` is the leading ``U.shape[0]`` rows of ``states``; ``C = U^T M Q``.  The
+    residual is lifted once and measured directly: ``||Q||_M^2 - ||C||^2`` cancels.
+    """
+    q = states[: u.shape[0]]
+    mq = mass @ q
+    c = u.T @ mq
+    return c, weighted_norm_sq(q - u @ c, mass), float(np.sum(q * mq))
+
+
 def evaluate(cfg: ExperimentConfig, outdir) -> None:
-    """Compute error tables, energy-drift series, and the text summary."""
+    """Compute error tables, energy-drift series, and the text summary.
+
+    Errors are scored in reduced coordinates.  The basis is mass-orthonormal
+    (``U^T M U = I``) and nested (``U_r`` is the leading r columns of ``U``),
+    so with ``C = U^T M Q`` taken once per full-order trajectory at the
+    largest r, the error of a reduced run ``y`` of size r splits exactly:
+
+        ||Q - U_r y||_M^2 = ||Q - U C||_M^2 + ||C[r:]||^2 + ||C[:r] - y||^2.
+
+    The first two terms are the projection residual at size r, shared by
+    every model; the last needs no lift and no mass product.  Heat scores
+    the whole state with ``(u, mass)``, wave the position block with
+    ``(u_half, mass_w)``.  Errors pool the runs that did not diverge; the
+    drift series of each r is that of sample 0 of the held-out split (the
+    training split without one).
+    """
     cfg = cfg.validate()
     outdir = Path(outdir)
     report_dir = outdir / "report"
@@ -562,14 +593,15 @@ def evaluate(cfg: ExperimentConfig, outdir) -> None:
     manifest = _load_manifest(outdir)
     diverged = {(d["label"], d["r"], d["split"], d["index"])
                 for d in manifest.get("divergences", [])}
+    params = {split: _load_params(outdir, split) for split, _ in _splits(cfg)}
+    wave = cfg.problem == "wave1d"
+    stiffness = _stiffness_by_split(model, params) if wave else None
+    u, mass = (basis_full.u_half, model.mass_w) if wave else (basis_full.u, model.mass)
 
-    fom: dict[str, list[np.ndarray]] = {
-        split: _load_fom(cfg, outdir, split) for split, _ in _splits(cfg)
-    }
-    params: dict[str, np.ndarray] = {
-        split: _load_params(outdir, split) for split, _ in _splits(cfg)
-    }
-    stiffness = _stiffness_by_split(model, params) if cfg.problem == "wave1d" else None
+    runs = {split: [_scored_run(load_matrix(_fom_path(outdir, split, i)), u, mass)
+                    for i in range(count)]
+            for split, count in _splits(cfg)}
+    showcase = "test" if cfg.n_test > 0 else "train"
 
     error_rows: list[list] = []
     error_map: dict[str, float] = {}
@@ -577,43 +609,28 @@ def evaluate(cfg: ExperimentConfig, outdir) -> None:
     drift_max: dict[str, float] = {}
 
     for r in cfg.reduced_dims:
-        b = basis_full.truncate(r)
-        proj: dict[str, float] = {}
-        for split, _ in _splits(cfg):
-            if cfg.problem == "heat1d":
-                proj[split] = projection_error(fom[split], b)
-            else:
-                # wave errors are scored on the position block only
-                n = model.n_w
-                positions = [states[:n] for states in fom[split]]
-                recons = [
-                    b.u_half @ (b.u_half.T @ (model.mass_w @ q)) for q in positions
-                ]
-                proj[split] = relative_l2(positions, recons, model.mass_w)
-            projection_map[f"r{r}_{split}"] = proj[split]
+        residual = {split: [tail + float(np.sum(c[r:] ** 2)) for c, tail, _ in scored]
+                    for split, scored in runs.items()}
+        proj = {split: float(np.sqrt(sum(residual[split]) / sum(norm for *_, norm in scored)))
+                for split, scored in runs.items()}
+        for split, value in proj.items():
+            projection_map[f"r{r}_{split}"] = value
 
+        drift_series: dict[str, np.ndarray] = {}
         for label in _rom_labels(cfg):
             drift_peak = 0.0
-            drift_at = (
-                _drift_model_builder(cfg, model, b, outdir, label, r, params, stiffness)
-                if cfg.problem == "wave1d"
-                else None
-            )
+            if wave:
+                drift_at = _drift_model_builder(u[:, :r], outdir, label, r, params, stiffness)
             for split, count in _splits(cfg):
-                refs: list[np.ndarray] = []
-                cands: list[np.ndarray] = []
+                num = den = 0.0
                 for i in range(count):
                     if (label, r, split, i) in diverged:
                         continue
                     red = load_matrix(_rom_dir(outdir, label, r) / f"{split}_{i:03d}.tpoi")
-                    lifted = b.lift(red)
-                    if cfg.problem == "heat1d":
-                        refs.append(fom[split][i])
-                        cands.append(lifted)
-                    else:
-                        n = model.n_w
-                        refs.append(fom[split][i][:n])
-                        cands.append(lifted[:n])
+                    c, _, norm = runs[split][i]
+                    num += residual[split][i] + float(np.sum((c[:r] - red[:r]) ** 2))
+                    den += norm
+                    if wave:
                         dmodel, nu = drift_at(split, i)
                         drift = hamiltonian_drift(dmodel, nu, red)
                         h0 = abs(reduced_hamiltonian(dmodel, nu, red[:, 0]))
@@ -621,18 +638,19 @@ def evaluate(cfg: ExperimentConfig, outdir) -> None:
                         if h0 > 0.0:
                             rel /= h0
                         drift_peak = max(drift_peak, rel)
-                if not refs:
-                    value = float("inf")
-                else:
-                    mass = model.mass if cfg.problem == "heat1d" else model.mass_w
-                    value = relative_l2(refs, cands, mass)
+                        if split == showcase and i == 0:
+                            drift_series[label] = drift
+                value = float(np.sqrt(num / den)) if den > 0.0 else float("inf")
                 error_rows.append([split, r, label, value, proj[split]])
                 error_map[f"{label}_r{r}_{split}"] = value
-            if cfg.problem == "wave1d":
+            if wave:
                 drift_max[f"{label}_r{r}"] = drift_peak
 
-        if cfg.problem == "wave1d":
-            _write_drift_series(cfg, model, b, outdir, report_dir, params, stiffness, r)
+        if drift_series:
+            times = cfg.t0 + cfg.dt * np.arange(cfg.n_times)
+            rows = [[float(t)] + [float(d[k]) for d in drift_series.values()]
+                    for k, t in enumerate(times)]
+            _write_csv(report_dir / f"drift_r{r}.csv", ["time", *drift_series], rows)
 
     _write_csv(
         report_dir / "errors.csv",
@@ -645,32 +663,6 @@ def evaluate(cfg: ExperimentConfig, outdir) -> None:
         cfg, outdir, "evaluate", time.perf_counter() - started,
         updates={"errors": error_map, "projection": projection_map, "drift_max": drift_max},
     )
-
-
-def _write_drift_series(cfg, model, b, outdir, report_dir, params, stiffness, r: int) -> None:
-    """One showcase drift series per model at the first held-out sample."""
-    split = "test" if cfg.n_test > 0 else "train"
-    labels = _rom_labels(cfg)
-    columns: dict[str, np.ndarray] = {}
-    times = None
-    for label in labels:
-        path = _rom_dir(outdir, label, r) / f"{split}_000.tpoi"
-        if not path.exists():
-            continue
-        red = load_matrix(path)
-        dmodel, nu = _drift_model_builder(cfg, model, b, outdir, label, r, params,
-                                          stiffness)(split, 0)
-        columns[label] = hamiltonian_drift(dmodel, nu, red)
-        if times is None:
-            times = cfg.t0 + cfg.dt * np.arange(red.shape[1])
-    if times is None:
-        return
-    header = ["time"] + list(columns.keys())
-    rows = [
-        [float(times[k])] + [float(columns[label][k]) for label in columns]
-        for k in range(len(times))
-    ]
-    _write_csv(report_dir / f"drift_r{r}.csv", header, rows)
 
 
 def _write_summary(cfg, report_dir, manifest, error_rows, drift_max) -> None:

@@ -10,15 +10,18 @@ import pytest
 from topinf import (
     ReducedBasis,
     build_heat_model,
+    build_wave_model,
     default_config,
     intrusive_project,
     load_matrix,
     load_tensor,
     make_rng,
+    projection_error,
+    relative_l2,
     run_pipeline,
     save_tensor,
 )
-from topinf.pipeline import STAGES
+from topinf.pipeline import STAGES, evaluate, simulate_rom
 
 
 def small_heat_config():
@@ -54,6 +57,39 @@ def artifact_bytes(outdir, skip=("manifest.json",)):
         if path.is_file() and path.name not in skip:
             out[str(path.relative_to(outdir))] = path.read_bytes()
     return out
+
+
+def assert_scores_match_full_order_oracle(cfg, outdir, manifest):
+    """Recompute the manifest's errors and projection errors at full order.
+
+    The oracle lifts each stored reduced run and measures it with
+    ``relative_l2``; wave runs are scored on the position block through a
+    ``"pod"`` basis of ``u_half`` and ``mass_w``.  Diverged runs are left
+    out of the error pools, as in the pipeline.
+    """
+    if cfg.problem == "heat1d":
+        mass = build_heat_model(cfg.n_elements, cfg.breakpoints).mass
+        u_full = load_matrix(outdir / "basis" / "u.tpoi")
+    else:
+        mass = build_wave_model(cfg.n_elements, cfg.breakpoints).mass_w
+        u_full = load_matrix(outdir / "basis" / "u_half.tpoi")
+    n = u_full.shape[0]
+    diverged = {(d["label"], d["r"], d["split"], d["index"]) for d in manifest["divergences"]}
+    for r in cfg.reduced_dims:
+        basis = ReducedBasis(u=u_full[:, :r], weight=mass, kind="pod")
+        for split, count in (("train", cfg.n_train), ("test", cfg.n_test)):
+            fom = [load_matrix(outdir / "fom" / f"{split}_{i:03d}.tpoi")[:n]
+                   for i in range(count)]
+            assert manifest["projection"][f"r{r}_{split}"] == pytest.approx(
+                projection_error(fom, basis), rel=1e-10)
+            for label in list(cfg.methods) + ["intrusive"]:
+                kept = [i for i in range(count) if (label, r, split, i) not in diverged]
+                rom = outdir / "rom" / f"{label}_r{r}"
+                lifted = [basis.lift(load_matrix(rom / f"{split}_{i:03d}.tpoi")[:r])
+                          for i in kept]
+                oracle = relative_l2([fom[i] for i in kept], lifted, mass)
+                assert manifest["errors"][f"{label}_r{r}_{split}"] == pytest.approx(
+                    oracle, rel=1e-10)
 
 
 @pytest.fixture(scope="module")
@@ -149,6 +185,12 @@ def test_heat_error_table(heat_run):
         assert float(err) >= float(proj) - 1e-12
     summary = (outdir / "report" / "summary.txt").read_text()
     assert "relative L2 errors" in summary and "diverged reduced runs: 0" in summary
+
+
+@pytest.mark.parametrize("run", ["heat_run", "wave_run"])
+def test_scores_match_full_order_oracle(run, request):
+    cfg, outdir, manifest = request.getfixturevalue(run)
+    assert_scores_match_full_order_oracle(cfg, outdir, manifest)
 
 
 def test_heat_exact_derivative_recovery(tmp_path):
@@ -260,14 +302,16 @@ def test_stagewise_run_matches_one_shot(tmp_path):
 # divergence handling
 
 
-def _poison_normal_r2(cfg, source, outdir):
-    """Copy a finished run without ROM outputs and poison its r=2 normal fit.
+def _poison_normal_r2(cfg, source, outdir, keep_rom=False):
+    """Copy a finished run and poison its r=2 normal fit.
 
-    Train sample 0 then gets an exactly singular time step: (T nu) = (2/dt) I
-    turns the implicit step matrix to zero.  Returns the original tensor.
+    The copy keeps the ROM outputs only with ``keep_rom``.  Train sample 0
+    then gets an exactly singular time step: (T nu) = (2/dt) I turns the
+    implicit step matrix to zero.  Returns the original tensor.
     """
     shutil.copytree(source, outdir)
-    shutil.rmtree(outdir / "rom")
+    if not keep_rom:
+        shutil.rmtree(outdir / "rom")
     shutil.rmtree(outdir / "report")
     path = outdir / "operators" / "tensor_normal_r2.tpoi"
     original = load_tensor(path)
@@ -282,8 +326,6 @@ def test_diverged_rom_runs_are_recorded_and_skipped(heat_run, tmp_path):
     cfg, source, _ = heat_run
     outdir = tmp_path / "run"
     _poison_normal_r2(cfg, source, outdir)
-    from topinf.pipeline import evaluate, simulate_rom
-
     simulate_rom(cfg, outdir)
     evaluate(cfg, outdir)
     manifest = json.loads((outdir / "manifest.json").read_text())
@@ -294,6 +336,7 @@ def test_diverged_rom_runs_are_recorded_and_skipped(heat_run, tmp_path):
     assert (outdir / "rom" / "normal_r2" / "train_001.tpoi").exists()
     # evaluation pools the surviving samples and the summary reports the event
     assert np.isfinite(manifest["errors"]["normal_r2_train"])
+    assert_scores_match_full_order_oracle(cfg, outdir, manifest)
     summary = (outdir / "report" / "summary.txt").read_text()
     assert "diverged reduced runs: 1" in summary
     assert "normal_r2/train_000 at step 1" in summary
@@ -303,8 +346,6 @@ def test_rerun_stages_replace_their_manifest_fields(heat_run, tmp_path):
     cfg, source, _ = heat_run
     outdir = tmp_path / "run"
     original = _poison_normal_r2(cfg, source, outdir)
-    from topinf.pipeline import evaluate, simulate_rom
-
     simulate_rom(cfg, outdir)
     evaluate(cfg, outdir)
     # a clean rerun clears the divergence instead of inheriting it
@@ -320,3 +361,19 @@ def test_rerun_stages_replace_their_manifest_fields(heat_run, tmp_path):
     manifest = json.loads((outdir / "manifest.json").read_text())
     assert "normal_r2_train" in manifest["errors"]
     assert not any("_r3_" in key for key in manifest["errors"])
+
+
+def test_diverged_rerun_removes_the_earlier_run_states(heat_run, tmp_path):
+    # a run that diverges on a rerun leaves no states of the earlier,
+    # converged run behind, so rom/ agrees with the manifest's divergences
+    cfg, source, _ = heat_run
+    outdir = tmp_path / "run"
+    _poison_normal_r2(cfg, source, outdir, keep_rom=True)
+    assert (outdir / "rom" / "normal_r2" / "train_000.tpoi").exists()
+    simulate_rom(cfg, outdir)
+    manifest = json.loads((outdir / "manifest.json").read_text())
+    assert [(d["label"], d["r"], d["split"], d["index"]) for d in manifest["divergences"]] == [
+        ("normal", 2, "train", 0)
+    ]
+    assert not (outdir / "rom" / "normal_r2" / "train_000.tpoi").exists()
+    assert (outdir / "rom" / "normal_r2" / "train_001.tpoi").exists()
