@@ -89,6 +89,7 @@ from .rom import (
     block_operator,
     crank_nicolson,
     implicit_midpoint,
+    cayley_sweep,
     intrusive_project,
     project_matrix,
     reduced_hamiltonian,
@@ -188,6 +189,7 @@ __all__ = [
     "symmetric_part",
     "crank_nicolson",
     "implicit_midpoint",
+    "cayley_sweep",
     # metrics
     "weighted_norm_sq",
     "relative_l2",

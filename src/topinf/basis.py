@@ -153,8 +153,15 @@ def _weighted_left_vectors(
         raise ValueError(
             f"snapshots have dimension {pooled.shape[0]}, mass is {mass.shape[0]}"
         )
+    if not np.all(np.isfinite(pooled)):
+        raise ValueError("non-finite entries in the snapshot stack")
     weighted = chol @ pooled
-    u_tilde, svals, _ = thin_svd(weighted)
+    # The QR factorization W^T = Q F gives W = F^T Q^T: the left singular
+    # vectors and singular values of W are those of the small factor F^T,
+    # and the right singular vectors (one entry per snapshot) are never
+    # formed.  The Gram matrix W W^T would square the condition number that
+    # the rank cut reads.
+    u_tilde, svals, _ = thin_svd(np.linalg.qr(weighted.T, mode="r").T)
     numerical_rank = int(np.count_nonzero(svals > POD_RANK_RTOL * svals[0])) if svals.size else 0
     if r > numerical_rank:
         raise ValueError(

@@ -19,16 +19,18 @@ Randomness: all sampling derives from the configured seed through the
 Philox 4x64 counter-based generator, keyed by ``(seed, stream)`` with
 stream 0 for training parameters and stream 1 for test parameters.
 
-Parameter sweeps are plain sequential loops; BLAS keeps its own threads.
-A reduced run that diverges is recorded in the manifest as a structured
-record ``{label, r, split, index, step}``, keeps no states file, and is
-left out of the error pools.
+Full-order parameter sweeps are plain sequential loops; the reduced sweep
+of each (label, r) is one stacked integration over every sample of both
+splits.  BLAS keeps its own threads.  A reduced run that diverges is
+recorded in the manifest as a structured record ``{label, r, split,
+index, step}``, keeps no states file, and is left out of the error pools.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import shutil
 import time
 from pathlib import Path
 
@@ -59,6 +61,7 @@ from .metrics import hamiltonian_drift, projection_error, relative_l2, weighted_
 from .rom import (
     RomModel,
     block_operator,
+    cayley_sweep,
     crank_nicolson,
     implicit_midpoint,
     intrusive_project,
@@ -447,33 +450,36 @@ def _rom_labels(cfg: ExperimentConfig) -> list[str]:
     return list(cfg.methods) + [INTRUSIVE]
 
 
-def _rom_operator_builder(cfg, model, b, outdir, label: str, r: int, params, stiffness):
-    """Per-(label, r) factory mapping ``(split, sample index)`` to the reduced generator.
+def _rom_operators(cfg, model, b, outdir, label: str, r: int, params, stiffness) -> np.ndarray:
+    """The reduced generators of one (label, r) at every sample, stacked ``(S, n, n)``.
 
-    Stored operators are loaded once here, outside the parameter sweep;
-    ``params`` and (wave only) ``stiffness`` are keyed by split.
+    ``params`` holds the samples of both splits as columns; ``stiffness``
+    (wave only) is the matching ``(S, N, N)`` stack of ``K(mu)``.
     """
     if cfg.problem == "heat1d":
         if label == INTRUSIVE:
             tensor = _heat_intrusive(model, b)
         else:
             tensor = load_tensor(outdir / "operators" / f"tensor_{label}_r{r}.tpoi")
-        return lambda split, i: mode3_product(tensor, heat_features(params[split][:, i]))
+        # the contraction of mode3_product, one generator per sample
+        return np.einsum("ijx,xs->sij", tensor, heat_features(params))
     if label == INTRUSIVE:
-        def build(split: str, i: int) -> np.ndarray:
-            op = np.zeros((2 * r, 2 * r))
-            op[:r, r:] = np.eye(r)
-            op[r:, :r] = -project_matrix(stiffness[split][i], b.u_half)
-            return op
-
-        return build
+        ops = np.zeros((params.shape[1], 2 * r, 2 * r))
+        ops[:, :r, r:] = np.eye(r)
+        ops[:, r:, :r] = -project_matrix(stiffness, b.u_half)
+        return ops
     t1 = load_tensor(outdir / "operators" / f"t1_{label}_r{r}.tpoi")
     a2 = load_matrix(outdir / "operators" / f"a2_{label}_r{r}.tpoi")
-    return lambda split, i: block_operator(t1, a2, params[split][:, i])
+    return block_operator(t1, a2, params)
 
 
 def simulate_rom(cfg: ExperimentConfig, outdir) -> None:
-    """Integrate every reduced model for every parameter sample."""
+    """Integrate every reduced model for every parameter sample.
+
+    Each (label, r) integrates the generators of all samples of both splits
+    as one stack (:func:`~topinf.rom.cayley_sweep`).  Directories of a
+    (label, r) no longer swept are removed.
+    """
     cfg = cfg.validate()
     outdir = Path(outdir)
     started = time.perf_counter()
@@ -484,32 +490,34 @@ def simulate_rom(cfg: ExperimentConfig, outdir) -> None:
         x0 = heat_initial_state(model)
     else:
         x0 = wave_initial_state(model)
-    params = {split: _load_params(outdir, split) for split, _ in _splits(cfg)}
-    stiffness = _stiffness_by_split(model, params) if cfg.problem == "wave1d" else None
+    samples = [(split, i) for split, count in _splits(cfg) for i in range(count)]
+    params = np.hstack([_load_params(outdir, split) for split, _ in _splits(cfg)])
+    stiffness = None
+    if cfg.problem == "wave1d":
+        stiffness = np.stack([wave_stiffness(model, mu) for mu in params.T])
 
     divergences: list[dict] = []
+    swept: set[Path] = set()
     for r in cfg.reduced_dims:
         b = basis_full.truncate(r)
         red0 = b.project(x0)
         for label in _rom_labels(cfg):
             target = _rom_dir(outdir, label, r)
             target.mkdir(parents=True, exist_ok=True)
-            operator_at = _rom_operator_builder(cfg, model, b, outdir, label, r,
-                                                params, stiffness)
-            for split, count in _splits(cfg):
-                for i in range(count):
-                    op = operator_at(split, i)
-                    if cfg.problem == "heat1d":
-                        traj = crank_nicolson(op, red0, cfg.dt, cfg.n_times, t0=cfg.t0)
-                    else:
-                        traj = implicit_midpoint(op, red0, cfg.dt, cfg.n_times, t0=cfg.t0)
-                    path = target / f"{split}_{i:03d}.tpoi"
-                    if traj.diverged:
-                        divergences.append({"label": label, "r": r, "split": split,
-                                            "index": i, "step": traj.first_bad_step})
-                        path.unlink(missing_ok=True)  # no earlier run's states remain
-                        continue
-                    save_matrix(path, traj.states)
+            swept.add(target)
+            ops = _rom_operators(cfg, model, b, outdir, label, r, params, stiffness)
+            runs = cayley_sweep(ops, red0, cfg.dt, cfg.n_times, t0=cfg.t0)
+            for (split, i), traj in zip(samples, runs):
+                path = target / f"{split}_{i:03d}.tpoi"
+                if traj.diverged:
+                    divergences.append({"label": label, "r": r, "split": split,
+                                        "index": i, "step": traj.first_bad_step})
+                    path.unlink(missing_ok=True)  # no earlier run's states remain
+                    continue
+                save_matrix(path, traj.states)
+    for stale in (outdir / "rom").glob("*_r*"):
+        if stale.is_dir() and stale not in swept:
+            shutil.rmtree(stale)
 
     _record_stage(cfg, outdir, "simulate_rom", time.perf_counter() - started,
                   updates={"divergences": divergences})
@@ -580,7 +588,8 @@ def evaluate(cfg: ExperimentConfig, outdir) -> None:
     the whole state with ``(u, mass)``, wave the position block with
     ``(u_half, mass_w)``.  Errors pool the runs that did not diverge; the
     drift series of each r is that of sample 0 of the held-out split (the
-    training split without one).
+    training split without one); drift series of an r no longer evaluated
+    are removed.
     """
     cfg = cfg.validate()
     outdir = Path(outdir)
@@ -607,6 +616,7 @@ def evaluate(cfg: ExperimentConfig, outdir) -> None:
     error_map: dict[str, float] = {}
     projection_map: dict[str, float] = {}
     drift_max: dict[str, float] = {}
+    written: set[Path] = set()
 
     for r in cfg.reduced_dims:
         residual = {split: [tail + float(np.sum(c[r:] ** 2)) for c, tail, _ in scored]
@@ -650,7 +660,12 @@ def evaluate(cfg: ExperimentConfig, outdir) -> None:
             times = cfg.t0 + cfg.dt * np.arange(cfg.n_times)
             rows = [[float(t)] + [float(d[k]) for d in drift_series.values()]
                     for k, t in enumerate(times)]
-            _write_csv(report_dir / f"drift_r{r}.csv", ["time", *drift_series], rows)
+            path = report_dir / f"drift_r{r}.csv"
+            _write_csv(path, ["time", *drift_series], rows)
+            written.add(path)
+    for stale in report_dir.glob("drift_r*.csv"):
+        if stale not in written:
+            stale.unlink()
 
     _write_csv(
         report_dir / "errors.csv",

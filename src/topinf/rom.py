@@ -17,12 +17,16 @@ blocks and raise :class:`~topinf.errors.StructureError` otherwise;
 :func:`symmetric_part` produces the flagged symmetric part of a learned
 model, whose quadratic form coincides with that of the original blocks.
 
-Both integrators apply the Cayley map ``(M - dt/2 A)^{-1} (M + dt/2 A)``:
+The integrators apply the Cayley map ``(M - dt/2 A)^{-1} (M + dt/2 A)``:
 one factorization builds this step map, which is then applied once per
 step as a matrix-vector product: :func:`crank_nicolson` for mass-form
 diffusion systems and :func:`implicit_midpoint` for standard-form
 canonical systems, where the same map conserves every quadratic invariant
 of the flow (for linear systems the two schemes coincide).
+:func:`cayley_sweep` runs the same map over a stack of operators, one per
+parameter sample: one batched solve builds every step map and one stacked
+product per step advances every sample, with the per-sample results of the
+single-operator entry points, bit for bit.
 """
 
 from __future__ import annotations
@@ -46,6 +50,7 @@ __all__ = [
     "symmetric_part",
     "crank_nicolson",
     "implicit_midpoint",
+    "cayley_sweep",
 ]
 
 
@@ -98,10 +103,13 @@ class Trajectory:
 
 
 def project_matrix(a: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Galerkin projection ``U^T A U`` of a mass-form operator matrix."""
+    """Galerkin projection ``U^T A U`` of a mass-form operator matrix.
+
+    A stack ``a`` of shape ``(S, N, N)`` is projected slice by slice.
+    """
     a = np.asarray(a, dtype=float)
     u = np.asarray(u, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] != u.shape[0]:
+    if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2] or a.shape[-1] != u.shape[0]:
         raise ValueError(f"operator {a.shape} and basis {u.shape} do not conform")
     return u.T @ (a @ u)
 
@@ -125,15 +133,19 @@ def intrusive_project(tensor: np.ndarray, basis: ReducedBasis) -> np.ndarray:
 
 
 def block_operator(t1: np.ndarray, a2: np.ndarray, mu: np.ndarray) -> np.ndarray:
-    """Block generator ``[[0, A2], [-(T1 mu^2), 0]]`` without structure gating."""
+    """Block generator ``[[0, A2], [-(T1 mu^2), 0]]`` without structure gating.
+
+    ``mu`` is one parameter vector ``(p,)``, or one per column ``(p, S)``
+    for the stack ``(S, 2r, 2r)`` of the generators at every sample.
+    """
     t1 = np.asarray(t1, dtype=float)
     a2 = np.asarray(a2, dtype=float)
     mu = np.asarray(mu, dtype=float)
-    pos = mode3_product(t1, mu**2)
-    r = pos.shape[0]
-    out = np.zeros((2 * r, 2 * r))
-    out[:r, r:] = a2
-    out[r:, :r] = -pos
+    pos = np.einsum("ijx,x...->...ij", t1, mu**2)  # mode3_product, per column
+    r = pos.shape[-1]
+    out = np.zeros(pos.shape[:-2] + (2 * r, 2 * r))
+    out[..., :r, r:] = a2
+    out[..., r:, :r] = -pos
     return out
 
 
@@ -206,12 +218,13 @@ def _cayley_integrate(
     n_times: int,
     mass: np.ndarray | None,
     t0: float,
-) -> Trajectory:
+) -> list[Trajectory]:
+    """Cayley-map trajectories of an operator stack ``a`` (S, n, n) from ``x0``."""
     a = np.asarray(a, dtype=float)
     x0 = np.asarray(x0, dtype=float)
     n = x0.shape[0]
-    if a.shape != (n, n):
-        raise ValueError(f"operator shape {a.shape} does not match state length {n}")
+    if a.ndim != 3 or a.shape[1:] != (n, n):
+        raise ValueError(f"operator stack {a.shape} does not match state length {n}")
     if not (dt > 0.0):
         raise ValueError(f"dt must be positive, got {dt}")
     if n_times < 1:
@@ -222,32 +235,66 @@ def _cayley_integrate(
     if m.shape != (n, n):
         raise ValueError(f"mass shape {m.shape} does not match state length {n}")
 
-    # One LU factorization builds the step map; each step is one matvec.
-    # NumPy's LAPACK forms the map: SciPy's threaded multi-column solve
-    # runs in a second BLAS thread pool and stalls next to NumPy's.
+    # One batched LU solve builds every step map; each step is one stacked
+    # matvec.  NumPy's LAPACK forms the maps: SciPy's threaded multi-column
+    # solve runs in a second BLAS thread pool and stalls next to NumPy's.
     # Non-finite values propagate, so overflow is located after the loop.
+    count = a.shape[0]
     with np.errstate(all="ignore"):
-        try:
-            phi = np.linalg.solve(m - 0.5 * dt * a, m + 0.5 * dt * a)
-        except np.linalg.LinAlgError:  # exactly singular: no step is defined
-            phi = np.full((n, n), np.nan)
-        rows = np.empty((n_times, n))
+        half = 0.5 * dt * a
+        phi = _step_maps(m - half, m + half)
+        rows = np.empty((n_times, count, n))
         rows[0] = x0
-        for k in range(1, n_times):
-            np.dot(phi, rows[k - 1], out=rows[k])
+        if count == 1:  # a one-slice stacked product costs ~1 us more per step
+            phi1, rows1 = phi[0], rows[:, 0]
+            for k in range(1, n_times):
+                np.dot(phi1, rows1[k - 1], out=rows1[k])
+        else:
+            for k in range(1, n_times):
+                np.matmul(phi, rows[k - 1, :, :, None], out=rows[k, :, :, None])
 
-    states = np.ascontiguousarray(rows.T)
-    finite = np.all(np.isfinite(rows), axis=1)
-    first_bad = None if finite.all() else int(np.argmin(finite))
-    if first_bad is not None:
-        states[:, first_bad:] = np.nan
+    finite = np.all(np.isfinite(rows), axis=2)
     times = t0 + dt * np.arange(n_times)
-    return Trajectory(
-        states=states,
-        times=times,
-        diverged=first_bad is not None,
-        first_bad_step=first_bad,
-    )
+    out = []
+    for s in range(count):
+        states = np.ascontiguousarray(rows[:, s].T)
+        first_bad = None if finite[:, s].all() else int(np.argmin(finite[:, s]))
+        if first_bad is not None:
+            states[:, first_bad:] = np.nan
+        out.append(Trajectory(states=states, times=times,
+                              diverged=first_bad is not None, first_bad_step=first_bad))
+    return out
+
+
+def _step_maps(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """``lhs^{-1} rhs`` slice by slice; NaN where a slice is exactly singular."""
+    try:
+        return np.linalg.solve(lhs, rhs)
+    except np.linalg.LinAlgError:  # one singular slice fails the whole batch
+        phi = np.full(lhs.shape, np.nan)
+        for s in range(lhs.shape[0]):
+            try:
+                phi[s] = np.linalg.solve(lhs[s], rhs[s])
+            except np.linalg.LinAlgError:
+                pass
+        return phi
+
+
+def cayley_sweep(
+    ops: np.ndarray,
+    x0: np.ndarray,
+    dt: float,
+    n_times: int,
+    t0: float = 0.0,
+) -> list[Trajectory]:
+    """Cayley-map integration of ``ydot = A_s y`` for every slice of ``ops`` (S, n, n).
+
+    Returns one :class:`Trajectory` per slice, bit-identical to
+    ``implicit_midpoint(ops[s], x0, dt, n_times, t0)``.  Divergence is
+    detected per sample: an exactly singular ``I - dt/2 A_s`` diverges at
+    step 1 without touching the other samples.
+    """
+    return _cayley_integrate(ops, x0, dt, n_times, None, t0)
 
 
 def crank_nicolson(
@@ -266,7 +313,7 @@ def crank_nicolson(
     ``A``, non-expansive in the ``M`` norm.  ``mass=None`` means the
     identity.
     """
-    return _cayley_integrate(a, q0, dt, n_times, mass, t0)
+    return _cayley_integrate(np.asarray(a, dtype=float)[None], q0, dt, n_times, mass, t0)[0]
 
 
 def implicit_midpoint(
@@ -283,4 +330,4 @@ def implicit_midpoint(
     every quadratic invariant of the flow, in particular the energy
     ``1/2 y^T S y`` of a canonical system ``A = J S`` with symmetric ``S``.
     """
-    return _cayley_integrate(a, y0, dt, n_times, None, t0)
+    return _cayley_integrate(np.asarray(a, dtype=float)[None], y0, dt, n_times, None, t0)[0]

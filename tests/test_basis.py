@@ -12,8 +12,10 @@ import pytest
 from topinf import (
     build_heat_model,
     canonical_j,
+    crank_nicolson,
     estimate_time_derivative,
     exact_reduced_derivative,
+    heat_initial_state,
     heat_operator,
     projection_error,
     project_snapshots,
@@ -106,6 +108,38 @@ def test_pod_input_validation():
         weighted_pod([rng.standard_normal((4, 3))], np.eye(5), 1)  # wrong mass
     with pytest.raises(ValueError):
         weighted_pod([rng.standard_normal((4, 3))], np.eye(4), 0)
+
+
+def test_pod_matches_full_svd_oracle_on_a_study_stack():
+    # the basis comes from the SVD of a QR factor of the weighted stack; on a
+    # heat1d training stack of study size (202 x 5,020) it must match the
+    # basis taken from the full SVD of the weighted stack itself
+    model = build_heat_model(201)
+    x0 = heat_initial_state(model)
+    rng = np.random.default_rng(509)
+    snaps = [crank_nicolson(heat_operator(model, np.exp(rng.uniform(np.log(0.1), 0.0, 3))),
+                            x0, 0.008, 251, mass=model.mass).states for _ in range(20)]
+    r = 10
+    basis = weighted_pod(snaps, model.mass, r)
+
+    chol = cholesky_upper(model.mass)
+    u_tilde, svals, _ = np.linalg.svd(chol @ np.hstack(snaps), full_matrices=False)
+    u_r = u_tilde[:, :r] * np.sign(u_tilde[np.argmax(np.abs(u_tilde[:, :r]), axis=0),
+                                           np.arange(r)])
+    oracle = np.linalg.solve(chol, u_r)
+    np.testing.assert_allclose(basis.singular_values, svals, rtol=0,
+                               atol=1e-12 * svals[0])
+    np.testing.assert_allclose(basis.singular_values[:r], svals[:r], rtol=1e-12)
+    np.testing.assert_allclose(basis.u, oracle, rtol=0, atol=1e-10 * np.max(np.abs(oracle)))
+
+
+def test_pod_rejects_non_finite_snapshots():
+    rng = np.random.default_rng(510)
+    for bad in (np.nan, np.inf):
+        snaps = make_snapshots(rng, 6)
+        snaps[1][2, 3] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            weighted_pod(snaps, np.eye(6), 2)
 
 
 def test_block_basis_structure_and_equivariance():

@@ -133,6 +133,27 @@ def test_solve_sym_validates_arguments():
         solve_sym(np.eye(2), np.array([np.inf, 0.0]))
 
 
+def test_symmetry_check_scans_every_strip():
+    # the check runs in row strips of the upper triangle; a system larger
+    # than one strip, with a partial last strip, must still be rejected for
+    # one asymmetric entry far off the diagonal in the last strip's rows or
+    # columns, and accepted when that entry is within the tolerance
+    rng = np.random.default_rng(207)
+    n = 203
+    b = random_spd(rng, n, cond=10.0)
+    scale = np.max(np.abs(b))
+    for row, col in ((n - 1, 0), (0, n - 1), (n - 2, 1)):
+        bad = b.copy()
+        bad[row, col] += 1e-6 * scale
+        with pytest.raises(ValueError, match="not symmetric"):
+            solve_sym(bad, np.ones(n))
+        with pytest.raises(ValueError, match="not symmetric"):
+            cholesky_upper(bad)
+        near = b.copy()
+        near[row, col] += 1e-10 * scale
+        solve_sym(near, np.ones(n))
+
+
 # ----------------------------------------------------------------------
 # least squares
 

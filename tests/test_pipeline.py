@@ -377,3 +377,21 @@ def test_diverged_rerun_removes_the_earlier_run_states(heat_run, tmp_path):
     ]
     assert not (outdir / "rom" / "normal_r2" / "train_000.tpoi").exists()
     assert (outdir / "rom" / "normal_r2" / "train_001.tpoi").exists()
+
+
+def test_rerun_over_fewer_r_removes_the_dropped_r_artifacts(tmp_path):
+    # rom/ and report/ hold only the (label, r) of the last sweep, in
+    # agreement with manifest.json
+    cfg = dataclasses.replace(small_wave_config(), reduced_dims=(2, 3))
+    run_pipeline(cfg, tmp_path)
+    assert (tmp_path / "report" / "drift_r3.csv").exists()
+    assert (tmp_path / "rom" / "intrusive_r3").is_dir()
+    fewer = dataclasses.replace(cfg, reduced_dims=(2,))
+    simulate_rom(fewer, tmp_path)
+    evaluate(fewer, tmp_path)
+    labels = list(cfg.methods) + ["intrusive"]
+    assert sorted(p.name for p in (tmp_path / "rom").iterdir()) == sorted(
+        f"{label}_r2" for label in labels)
+    assert sorted(p.name for p in (tmp_path / "report").glob("drift_r*.csv")) == ["drift_r2.csv"]
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert sorted(manifest["drift_max"]) == sorted(f"{label}_r2" for label in labels)

@@ -11,14 +11,17 @@ from topinf import (
     assemble_block_hamiltonian,
     block_operator,
     build_heat_model,
+    cayley_sweep,
     crank_nicolson,
     heat_initial_state,
     heat_operator,
     implicit_midpoint,
     intrusive_project,
+    mode3_product,
     project_matrix,
     reduced_hamiltonian,
     symmetric_part,
+    weighted_pod,
 )
 
 
@@ -290,3 +293,86 @@ def test_integrator_validation():
         crank_nicolson(a, y0 * np.inf, 0.1, 5)
     with pytest.raises(ValueError):
         crank_nicolson(a, y0, 0.1, 5, mass=np.eye(3))
+
+
+# ----------------------------------------------------------------------
+# stacked sweeps
+
+
+def _assert_sweep_matches_single_runs(ops, x0, dt, n_times, single):
+    runs = cayley_sweep(ops, x0, dt, n_times, t0=0.5)
+    assert len(runs) == len(ops)
+    for op, run in zip(ops, runs):
+        ref = single(op, x0, dt, n_times, t0=0.5)
+        np.testing.assert_array_equal(run.states, ref.states)
+        np.testing.assert_array_equal(run.times, ref.times)
+        assert (run.diverged, run.first_bad_step) == (ref.diverged, ref.first_bad_step)
+    return runs
+
+
+def test_sweep_matches_single_runs_on_a_heat_stack():
+    # Galerkin heat generators at 25 conductivity samples, contracted at once
+    model = build_heat_model(60)
+    x0 = heat_initial_state(model)
+    rng = np.random.default_rng(716)
+    snaps = [crank_nicolson(heat_operator(model, mu), x0, 0.02, 30, mass=model.mass).states
+             for mu in rng.uniform(0.1, 1.0, (4, 3))]
+    basis = weighted_pod(snaps, model.mass, 6)
+    tensor = intrusive_project(-model.stiffness, basis)
+    features = rng.uniform(0.1, 1.0, (3, 25))
+    ops = np.einsum("ijx,xs->sij", tensor, features)
+    for s in range(features.shape[1]):
+        np.testing.assert_array_equal(ops[s], mode3_product(tensor, features[:, s]))
+    runs = _assert_sweep_matches_single_runs(ops, basis.project(x0), 0.008, 251,
+                                             crank_nicolson)
+    assert not any(run.diverged for run in runs)
+
+
+def test_sweep_matches_single_runs_on_a_wave_block_stack():
+    rng = np.random.default_rng(717)
+    r = 5
+    g = rng.standard_normal((3, r, r))
+    t1 = np.moveaxis(g @ g.transpose(0, 2, 1) + np.eye(r), 0, 2)  # SPD slices
+    a2 = np.eye(r) + 0.1 * np.diag(rng.standard_normal(r))
+    mus = rng.uniform(0.8, 2.4, (3, 13))
+    ops = block_operator(t1, a2, mus)
+    assert ops.shape == (13, 2 * r, 2 * r)
+    for s in range(mus.shape[1]):
+        np.testing.assert_array_equal(ops[s], block_operator(t1, a2, mus[:, s]))
+    y0 = rng.standard_normal(2 * r)
+    _assert_sweep_matches_single_runs(ops, y0, np.pi / 100.0, 401, implicit_midpoint)
+    # a one-slice stack takes the single-operator stepping
+    _assert_sweep_matches_single_runs(ops[:1], y0, np.pi / 100.0, 401, implicit_midpoint)
+
+
+def test_sweep_isolates_singular_and_overflowing_samples():
+    dt = 0.1
+    x0 = np.array([1e307, 1e306])
+    rot = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    ops = np.stack([
+        -np.eye(2),                     # finite
+        (2.0 / dt) * np.eye(2),         # I - dt/2 A exactly singular
+        rot,                            # finite (norm-preserving)
+        (100.0 / dt) * np.eye(2),       # Cayley factor -51/49: overflows
+        -0.5 * np.eye(2) + 0.3 * rot,   # finite
+    ])
+    runs = _assert_sweep_matches_single_runs(ops, x0, dt, 100, implicit_midpoint)
+    singular, overflow = runs[1], runs[3]
+    assert singular.diverged and singular.first_bad_step == 1
+    np.testing.assert_array_equal(singular.states[:, 0], x0)
+    assert np.all(np.isnan(singular.states[:, 1:]))
+    assert overflow.diverged and overflow.first_bad_step == 73
+    assert np.all(np.isfinite(overflow.states[:, :73]))
+    assert np.all(np.isnan(overflow.states[:, 73:]))
+    for s in (0, 2, 4):
+        assert not runs[s].diverged and np.all(np.isfinite(runs[s].states))
+
+
+def test_sweep_validation():
+    y0 = np.ones(2)
+    with pytest.raises(ValueError):
+        cayley_sweep(np.eye(2), y0, 0.1, 5)  # a matrix, not a stack
+    with pytest.raises(ValueError):
+        cayley_sweep(np.zeros((3, 3, 3)), y0, 0.1, 5)
+    with pytest.raises(ValueError):
+        cayley_sweep(np.full((2, 2, 2), np.nan), y0, 0.1, 5)
