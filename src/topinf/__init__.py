@@ -37,13 +37,21 @@ from .tensors import (
     rvec,
     swap_axes,
 )
-from .linalg import cholesky_upper, lstsq_min_norm, solve_sym, thin_svd
+from .linalg import (
+    TridiagonalFactor,
+    cholesky_upper,
+    factor_tridiagonals,
+    lstsq_min_norm,
+    solve_sym,
+    thin_svd,
+)
 from .heat import (
     HeatModel,
     build_heat_model,
     heat_features,
     heat_initial_state,
     heat_operator,
+    heat_sweep,
     sample_conductivities,
 )
 from .wave import (
@@ -60,6 +68,7 @@ from .wave import (
     wave_operator_a1,
     wave_rhs,
     wave_stiffness,
+    wave_sweep,
 )
 from .basis import (
     ReducedBasis,
@@ -139,10 +148,13 @@ __all__ = [
     "solve_sym",
     "lstsq_min_norm",
     "thin_svd",
+    "TridiagonalFactor",
+    "factor_tridiagonals",
     # benchmark models
     "HeatModel",
     "build_heat_model",
     "heat_operator",
+    "heat_sweep",
     "heat_initial_state",
     "heat_features",
     "sample_conductivities",
@@ -152,6 +164,7 @@ __all__ = [
     "wave_stiffness",
     "wave_operator_a1",
     "wave_full_operator",
+    "wave_sweep",
     "wave_mass_form_operator",
     "wave_rhs",
     "wave_hamiltonian",

@@ -19,11 +19,15 @@ class NotPositiveDefiniteError(NumericError):
     ----------
     pivot_index : int
         0-based index of the first offending pivot.
+    sample : int or None
+        For a stack of matrices factored at once, the 0-based index of the
+        matrix that broke down; None for a single matrix.
     """
 
-    def __init__(self, message: str, pivot_index: int):
+    def __init__(self, message: str, pivot_index: int, sample: int | None = None):
         super().__init__(message)
         self.pivot_index = pivot_index
+        self.sample = sample
 
 
 class SingularMatrixError(NumericError):

@@ -14,7 +14,12 @@ the rest of the package relies on:
   indefinite;
 * :func:`lstsq_min_norm` -- SVD-based minimum-norm least squares with a
   fixed relative singular-value cutoff;
-* :func:`thin_svd` -- economy-size SVD.
+* :func:`thin_svd` -- economy-size SVD;
+* :func:`factor_tridiagonals` -- one ``LDL^T`` factorization of a stack of
+  symmetric positive definite tridiagonals, raising
+  :class:`~topinf.errors.NotPositiveDefiniteError` with the sample and
+  pivot index of a breakdown; its :meth:`TridiagonalFactor.solve` solves
+  every sample's system with one LAPACK call.
 
 Equilibration and refinement are exact algebraic reformulations; they do
 not change the solution being computed, only its floating-point accuracy.
@@ -23,17 +28,27 @@ Every O(n^3) factorization runs in NumPy.  NumPy and SciPy link separate
 BLAS builds with separate thread pools, and a threaded SciPy factorization
 next to NumPy products stalls the latter; SciPy's LAPACK is called only
 for the O(n^2) Cholesky follow-ups (condition estimate, triangular solves)
-and, on the failure path, to locate the breakdown pivot.
+and, on the failure path, to locate the breakdown pivot.  The O(n)
+tridiagonal routines (``dpttrf``/``dpttrs``) call no BLAS at all.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import lapack
 
 from .errors import NotPositiveDefiniteError, SingularMatrixError
 
-__all__ = ["cholesky_upper", "solve_sym", "lstsq_min_norm", "thin_svd"]
+__all__ = [
+    "cholesky_upper",
+    "solve_sym",
+    "lstsq_min_norm",
+    "thin_svd",
+    "TridiagonalFactor",
+    "factor_tridiagonals",
+]
 
 #: Relative pivot tolerance for Cholesky (pivot^2 vs. largest diagonal entry).
 CHOLESKY_PIVOT_RTOL = 1e-13
@@ -245,3 +260,76 @@ def thin_svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if not np.all(np.isfinite(a)):
         raise ValueError("non-finite entries in the matrix")
     return np.linalg.svd(a, full_matrices=False)
+
+
+@dataclass(frozen=True)
+class TridiagonalFactor:
+    """``LDL^T`` factor of ``S`` SPD tridiagonals of order ``n``, laid end to end.
+
+    The matrices form one tridiagonal of order ``S * n`` whose couplings
+    across the seams between samples are zero, so one LAPACK call factors
+    or solves all of them.  ``d`` holds the pivots of ``D`` and ``e`` the
+    subdiagonal of the unit bidiagonal ``L``, as ``dpttrf`` returns them.
+    Built by :func:`factor_tridiagonals`.
+    """
+
+    d: np.ndarray
+    e: np.ndarray
+    samples: int
+    n: int
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """Overwrite ``b`` with the solution of every sample's system; return it.
+
+        ``b`` is a C-contiguous float64 array of shape ``(..., S, n)``: entry
+        ``[..., s, :]`` is a right-hand side of sample ``s``, and the leading
+        axes index independent right-hand sides.  A non-finite entry of one
+        sample turns the next sample's solution to NaN (``0 * inf`` at the
+        seam); callers that need per-sample isolation re-solve that case.
+        """
+        if b.shape[-2:] != (self.samples, self.n):
+            raise ValueError(
+                f"right-hand side {b.shape} does not end in ({self.samples}, {self.n})"
+            )
+        if b.dtype != np.float64 or not b.flags.c_contiguous:
+            raise ValueError("right-hand side must be a C-contiguous float64 array")
+        # rows of the C-ordered (k, S*n) view are the Fortran columns dpttrs
+        # solves in place
+        x, info = lapack.dpttrs(self.d, self.e, b.reshape(-1, self.samples * self.n).T,
+                                overwrite_b=1)
+        if info != 0:
+            raise ValueError(f"illegal value in argument {-info} of dpttrs")
+        if not np.may_share_memory(x, b):
+            b[...] = x.T.reshape(b.shape)
+        return b
+
+
+def factor_tridiagonals(diag: np.ndarray, off: np.ndarray) -> TridiagonalFactor:
+    """Factor the SPD tridiagonals with diagonals ``diag`` (S, n) and off-diagonals ``off`` (S, n-1).
+
+    Raises
+    ------
+    NotPositiveDefiniteError
+        If a matrix is not positive definite; the exception carries the
+        0-based ``sample`` and the 0-based ``pivot_index`` within it.
+    """
+    diag = np.asarray(diag, dtype=float)
+    off = np.asarray(off, dtype=float)
+    if diag.ndim != 2 or diag.shape[1] < 1 or off.shape != (diag.shape[0], diag.shape[1] - 1):
+        raise ValueError(f"diagonals {diag.shape} and off-diagonals {off.shape} do not conform")
+    if not (np.all(np.isfinite(diag)) and np.all(np.isfinite(off))):
+        raise ValueError("non-finite entries in the tridiagonals")
+    samples, n = diag.shape
+    seams = np.zeros((samples, n))
+    seams[:, :-1] = off  # zero coupling between consecutive samples
+    d, e, info = lapack.dpttrf(diag.ravel(), seams.ravel()[:-1])
+    if info > 0:
+        sample, pivot = divmod(int(info) - 1, n)
+        raise NotPositiveDefiniteError(
+            f"tridiagonal {sample} is not positive definite (pivot {pivot} failed)",
+            pivot_index=pivot,
+            sample=sample,
+        )
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of dpttrf")
+    return TridiagonalFactor(d=d, e=e, samples=samples, n=n)

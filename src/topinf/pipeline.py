@@ -19,9 +19,12 @@ Randomness: all sampling derives from the configured seed through the
 Philox 4x64 counter-based generator, keyed by ``(seed, stream)`` with
 stream 0 for training parameters and stream 1 for test parameters.
 
-Full-order parameter sweeps are plain sequential loops; the reduced sweep
-of each (label, r) is one stacked integration over every sample of both
-splits.  BLAS keeps its own threads.  A reduced run that diverges is
+The full-order sweep of each split is one stacked tridiagonal integration
+over its samples (:func:`~topinf.heat.heat_sweep`,
+:func:`~topinf.wave.wave_sweep`); the reduced sweep of each (label, r) is
+one stacked integration over every sample of both splits.  BLAS keeps its
+own threads.  Each stage removes the per-sample files of an earlier, larger
+run that it did not write.  A reduced run that diverges is
 recorded in the manifest as a structured record ``{label, r, split,
 index, step}``, keeps no states file, and is left out of the error pools.
 """
@@ -36,6 +39,10 @@ from pathlib import Path
 
 import numpy as np
 
+# Not every imported name is used here: benchmarks/tracing.py wraps layers at
+# their names in this module, and the full-order sweeps no longer call
+# heat_operator, wave_full_operator, crank_nicolson or implicit_midpoint, nor
+# evaluate relative_l2 or projection_error.
 from . import __version__
 from .basis import (
     ReducedBasis,
@@ -52,11 +59,11 @@ from .heat import (
     heat_features,
     heat_initial_state,
     heat_operator,
+    heat_sweep,
     sample_conductivities,
 )
 from .inference import InferenceData, infer_lstsq, infer_normal, infer_symmetric
 from .linalg import lstsq_min_norm
-# relative_l2 and projection_error are unused here; benchmarks/tracing.py wraps them here
 from .metrics import hamiltonian_drift, projection_error, relative_l2, weighted_norm_sq
 from .rom import (
     RomModel,
@@ -78,6 +85,7 @@ from .wave import (
     wave_initial_state,
     wave_mass_form_operator,
     wave_stiffness,
+    wave_sweep,
 )
 
 __all__ = [
@@ -191,6 +199,20 @@ def _wave_affine_reference(b: ReducedBasis, params: np.ndarray, stiffness) -> np
     return np.moveaxis(coeffs.reshape(params.shape[0], r, r), 0, 2)
 
 
+def _prune(directory: Path, pattern: str, keep: set[Path]) -> None:
+    """Remove the files and directories matching ``pattern`` that are not in ``keep``.
+
+    A rerun over fewer samples or sizes thereby leaves no artifact of the
+    earlier run that the manifest does not describe.
+    """
+    for path in directory.glob(pattern):
+        if path not in keep:
+            if path.is_dir():
+                shutil.rmtree(path)
+            else:
+                path.unlink()
+
+
 def _rel_dist(a: np.ndarray, ref: np.ndarray) -> float:
     scale = float(np.sqrt(np.sum(ref**2)))
     if scale == 0.0:
@@ -263,7 +285,12 @@ def _record_stage(cfg: ExperimentConfig, outdir: Path, name: str, seconds: float
 
 
 def simulate_fom(cfg: ExperimentConfig, outdir) -> None:
-    """Sample parameters and integrate the full-order model for each."""
+    """Sample parameters and integrate the full-order model for each.
+
+    Each split is one stacked sweep over its samples.  Parameter and
+    trajectory files of samples or splits outside the current counts are
+    removed.
+    """
     cfg = cfg.validate()
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -272,28 +299,26 @@ def simulate_fom(cfg: ExperimentConfig, outdir) -> None:
 
     model = _build_model(cfg)
     if cfg.problem == "heat1d":
-        x0 = heat_initial_state(model)
+        x0, sweep = heat_initial_state(model), heat_sweep
     else:
-        x0 = wave_initial_state(model)
+        x0, sweep = wave_initial_state(model), wave_sweep
 
+    written: set[Path] = set()
     for split, count in _splits(cfg):
         params = _draw_parameters(cfg, count, _TRAIN_STREAM if split == "train" else _TEST_STREAM)
-        save_matrix(outdir / f"params_{split}.tpoi", params)
-        for i, mu in enumerate(params.T):
-            if cfg.problem == "heat1d":
-                traj = crank_nicolson(
-                    heat_operator(model, mu), x0, cfg.dt, cfg.n_times, mass=model.mass,
-                    t0=cfg.t0,
-                )
-            else:
-                traj = implicit_midpoint(
-                    wave_full_operator(model, mu), x0, cfg.dt, cfg.n_times, t0=cfg.t0
-                )
+        path = outdir / f"params_{split}.tpoi"
+        save_matrix(path, params)
+        written.add(path)
+        for i, traj in enumerate(sweep(model, params, x0, cfg.dt, cfg.n_times, t0=cfg.t0)):
             if traj.diverged:
                 raise NumericError(
                     f"full-order run {split}/{i} diverged at step {traj.first_bad_step}"
                 )
-            save_matrix(_fom_path(outdir, split, i), traj.states)
+            path = _fom_path(outdir, split, i)
+            save_matrix(path, traj.states)
+            written.add(path)
+    _prune(outdir, "params_*.tpoi", written)
+    _prune(outdir / "fom", "*.tpoi", written)
 
     _record_stage(cfg, outdir, "simulate_fom", time.perf_counter() - started)
 
@@ -478,7 +503,8 @@ def simulate_rom(cfg: ExperimentConfig, outdir) -> None:
 
     Each (label, r) integrates the generators of all samples of both splits
     as one stack (:func:`~topinf.rom.cayley_sweep`).  Directories of a
-    (label, r) no longer swept are removed.
+    (label, r) no longer swept, and the states files of samples outside the
+    current counts or of runs that diverged, are removed.
     """
     cfg = cfg.validate()
     outdir = Path(outdir)
@@ -507,17 +533,17 @@ def simulate_rom(cfg: ExperimentConfig, outdir) -> None:
             swept.add(target)
             ops = _rom_operators(cfg, model, b, outdir, label, r, params, stiffness)
             runs = cayley_sweep(ops, red0, cfg.dt, cfg.n_times, t0=cfg.t0)
+            written: set[Path] = set()
             for (split, i), traj in zip(samples, runs):
-                path = target / f"{split}_{i:03d}.tpoi"
                 if traj.diverged:
                     divergences.append({"label": label, "r": r, "split": split,
                                         "index": i, "step": traj.first_bad_step})
-                    path.unlink(missing_ok=True)  # no earlier run's states remain
                     continue
+                path = target / f"{split}_{i:03d}.tpoi"
                 save_matrix(path, traj.states)
-    for stale in (outdir / "rom").glob("*_r*"):
-        if stale.is_dir() and stale not in swept:
-            shutil.rmtree(stale)
+                written.add(path)
+            _prune(target, "*.tpoi", written)
+    _prune(outdir / "rom", "*_r*", swept)
 
     _record_stage(cfg, outdir, "simulate_rom", time.perf_counter() - started,
                   updates={"divergences": divergences})
@@ -663,9 +689,7 @@ def evaluate(cfg: ExperimentConfig, outdir) -> None:
             path = report_dir / f"drift_r{r}.csv"
             _write_csv(path, ["time", *drift_series], rows)
             written.add(path)
-    for stale in report_dir.glob("drift_r*.csv"):
-        if stale not in written:
-            stale.unlink()
+    _prune(report_dir, "drift_r*.csv", written)
 
     _write_csv(
         report_dir / "errors.csv",

@@ -27,6 +27,10 @@ of the flow (for linear systems the two schemes coincide).
 parameter sample: one batched solve builds every step map and one stacked
 product per step advances every sample, with the per-sample results of the
 single-operator entry points, bit for bit.
+:func:`tridiagonal_sweep` is the full-order counterpart, for steps that
+solve one symmetric positive definite tridiagonal system per sample: the
+systems of all samples are factored once, end to end, and one solve per
+step advances every sample (``heat_sweep``, ``wave_sweep``).
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ import numpy as np
 
 from .basis import ReducedBasis
 from .errors import StructureError
+from .linalg import factor_tridiagonals
 from .tensors import mode3_product
 
 __all__ = [
@@ -51,6 +56,7 @@ __all__ = [
     "crank_nicolson",
     "implicit_midpoint",
     "cayley_sweep",
+    "tridiagonal_sweep",
 ]
 
 
@@ -253,10 +259,18 @@ def _cayley_integrate(
             for k in range(1, n_times):
                 np.matmul(phi, rows[k - 1, :, :, None], out=rows[k, :, :, None])
 
+    return _trajectories(rows, dt, t0)
+
+
+def _trajectories(rows: np.ndarray, dt: float, t0: float) -> list[Trajectory]:
+    """One :class:`Trajectory` per sample of the stepped states ``rows`` (n_times, S, n).
+
+    A sample's states are NaN from its first non-finite step on.
+    """
     finite = np.all(np.isfinite(rows), axis=2)
-    times = t0 + dt * np.arange(n_times)
+    times = t0 + dt * np.arange(rows.shape[0])
     out = []
-    for s in range(count):
+    for s in range(rows.shape[1]):
         states = np.ascontiguousarray(rows[:, s].T)
         first_bad = None if finite[:, s].all() else int(np.argmin(finite[:, s]))
         if first_bad is not None:
@@ -295,6 +309,71 @@ def cayley_sweep(
     step 1 without touching the other samples.
     """
     return _cayley_integrate(ops, x0, dt, n_times, None, t0)
+
+
+def tridiagonal_sweep(
+    step,
+    diag: np.ndarray,
+    off: np.ndarray,
+    x0: np.ndarray,
+    dt: float,
+    n_times: int,
+    t0: float = 0.0,
+    per_sample: tuple[np.ndarray, ...] = (),
+) -> list[Trajectory]:
+    """Integrate S samples whose implicit step solves one SPD tridiagonal each.
+
+    ``diag`` (S, n) and ``off`` (S, n-1) are the samples' step matrices,
+    factored once as one stacked tridiagonal
+    (:func:`~topinf.linalg.factor_tridiagonals`).  ``step(solve, x, out,
+    *rows)`` writes into ``out`` the states that follow the states ``x``
+    (both ``(S, m)``, one row per sample); ``solve(b)`` overwrites ``b``
+    (S, n) with the solution of every sample's system, and ``rows`` are the
+    arrays of ``per_sample``, each with one leading entry per sample.
+
+    Returns one :class:`Trajectory` per sample, starting from ``x0``, with
+    the states of that sample swept alone, bit for bit.  A non-finite value
+    crosses the zero seams of the stacked solve (``0 * inf = NaN``), so a
+    sweep in which any sample diverges is integrated again sample by
+    sample: only the samples that diverge are marked, each at its own first
+    non-finite step.
+
+    Raises
+    ------
+    NotPositiveDefiniteError
+        If a step matrix is not positive definite; ``sample`` names it.
+    """
+    x0 = np.asarray(x0, dtype=float)
+    diag, off = np.asarray(diag, dtype=float), np.asarray(off, dtype=float)
+    if x0.ndim != 1 or not np.all(np.isfinite(x0)):
+        raise ValueError("initial state must be a finite vector")
+    if not (dt > 0.0):
+        raise ValueError(f"dt must be positive, got {dt}")
+    if n_times < 1:
+        raise ValueError(f"n_times must be positive, got {n_times}")
+    if any(len(a) != diag.shape[0] for a in per_sample):
+        raise ValueError("every per-sample array needs one entry per sample")
+
+    runs = _trajectories(_tridiagonal_rows(step, diag, off, x0, n_times, per_sample), dt, t0)
+    if any(run.diverged for run in runs):
+        rows = np.concatenate([
+            _tridiagonal_rows(step, diag[s:s + 1], off[s:s + 1], x0, n_times,
+                              tuple(a[s:s + 1] for a in per_sample))
+            for s in range(diag.shape[0])
+        ], axis=1)
+        runs = _trajectories(rows, dt, t0)
+    return runs
+
+
+def _tridiagonal_rows(step, diag, off, x0, n_times, per_sample) -> np.ndarray:
+    """The stepped states (n_times, S, m) of :func:`tridiagonal_sweep`."""
+    solve = factor_tridiagonals(diag, off).solve
+    rows = np.empty((n_times, diag.shape[0], x0.shape[0]))
+    rows[0] = x0
+    with np.errstate(all="ignore"):  # overflow is located by the caller
+        for k in range(1, n_times):
+            step(solve, rows[k - 1], rows[k], *per_sample)
+    return rows
 
 
 def crank_nicolson(

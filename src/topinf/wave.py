@@ -26,6 +26,12 @@ At the reduced level the parametric dependence is approximated as affine
 in the elementwise square of the speeds, hence the feature map
 ``(mu_1^2, ..., mu_p^2, 1)`` with the constant slot accounting for the
 identity block of ``A(mu)``.
+
+``Mv(mu)`` is tridiagonal and ``S`` upper bidiagonal, and ``Mw = h I``.
+:func:`wave_stiffness` therefore solves with a tridiagonal factor of
+``Mv(mu)``, and :func:`wave_sweep` steps a whole parameter sweep with the
+implicit midpoint rule in a Schur form whose only solve is one stacked
+tridiagonal system on the flux space.
 """
 
 from __future__ import annotations
@@ -34,6 +40,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .linalg import factor_tridiagonals
+from .rom import Trajectory, tridiagonal_sweep
+
 __all__ = [
     "WaveModel",
     "build_wave_model",
@@ -41,6 +50,7 @@ __all__ = [
     "wave_stiffness",
     "wave_operator_a1",
     "wave_full_operator",
+    "wave_sweep",
     "wave_mass_form_operator",
     "wave_rhs",
     "wave_hamiltonian",
@@ -177,16 +187,34 @@ def wave_mass_v(model: WaveModel, mu: np.ndarray) -> np.ndarray:
     return np.einsum("ijk,k->ij", model.mass_v_slices, mu ** (-2.0))
 
 
+def _mass_v_bands(model: WaveModel, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal and off-diagonal of ``sum_k w_k slice_k`` for weights ``(p,)`` or ``(p, S)``.
+
+    Summed slice by slice, so each sample's bands do not depend on S (a
+    matrix product rounds differently for different S).
+    """
+    weights = weights[..., None]
+    return (sum(w * d for w, d in zip(weights, np.diagonal(model.mass_v_slices))),
+            sum(w * e for w, e in zip(weights, np.diagonal(model.mass_v_slices, 1))))
+
+
 def wave_stiffness(model: WaveModel, mu: np.ndarray) -> np.ndarray:
     """Stiffness-like matrix ``K(mu) = S^T Mv(mu)^{-1} S`` (symmetric PSD).
 
     This is the mass-carried form of the position block:
-    ``Mw pdot = -K(mu) q``.  Computed with a solve, no explicit inverse.
+    ``Mw pdot = -K(mu) q``.  ``Mv(mu)`` is factored as a tridiagonal, its
+    solve takes the columns of ``S``, and ``S^T`` is applied as the
+    bidiagonal it is; no explicit inverse.
     """
-    mv = wave_mass_v(model, mu)
-    # NumPy's solve: SciPy's runs in a second BLAS thread pool that stalls NumPy's.
-    x = np.linalg.solve(mv, model.s_div)
-    return model.s_div.T @ x
+    diag, off = _mass_v_bands(model, _check_speeds(model, mu) ** (-2.0))
+    # row a of the (N, 1, Nv) right-hand side is column a of S, so row a of
+    # x is Mv^{-1} S e_a, and row a of kt is S^T Mv^{-1} S e_a = K e_a
+    x = factor_tridiagonals(diag[None], off[None]).solve(
+        np.ascontiguousarray(model.s_div.T)[:, None, :])[:, 0]
+    kt = np.zeros((model.n_w, model.n_w))
+    kt[:, :-1] = np.diagonal(model.s_div) * x
+    kt[:, 1:] += np.diagonal(model.s_div, 1) * x
+    return np.ascontiguousarray(kt.T)
 
 
 def wave_operator_a1(model: WaveModel, mu: np.ndarray) -> np.ndarray:
@@ -202,6 +230,63 @@ def wave_full_operator(model: WaveModel, mu: np.ndarray) -> np.ndarray:
     top = np.hstack([np.zeros((n, n)), np.eye(n)])
     bottom = np.hstack([-a1, np.zeros((n, n))])
     return np.vstack([top, bottom])
+
+
+def wave_sweep(
+    model: WaveModel,
+    params: np.ndarray,
+    y0: np.ndarray,
+    dt: float,
+    n_times: int,
+    t0: float = 0.0,
+) -> list[Trajectory]:
+    """Implicit-midpoint trajectories of ``ydot = J A(mu) y`` for every column of ``params`` (p, S).
+
+    With ``v = q + dt/2 p`` and ``c = dt^2 / (4 h)``, the midpoint
+    ``z = (q + q+) / 2`` solves ``(I + dt^2/4 A1(mu)) z = v``; through the
+    Schur complement on the flux space,
+
+        (Mv(mu) + c S S^T) sigma = S v,    z = v - c S^T sigma,
+        q+ = 2 z - q,                      p+ = (4 / dt) (z - q) - p.
+
+    The S tridiagonal systems are factored once, end to end, and one
+    tridiagonal solve per step advances every sample
+    (:func:`~topinf.rom.tridiagonal_sweep`).  The states agree with
+    ``implicit_midpoint(wave_full_operator(model, mu), y0, dt, n_times)``
+    to rounding, and the energy :func:`wave_hamiltonian` is conserved.
+    """
+    params = np.asarray(params, dtype=float)
+    if params.ndim != 2:
+        raise ValueError(f"expected one speed vector per column, got shape {params.shape}")
+    for mu in params.T:
+        _check_speeds(model, mu)
+    y0 = np.asarray(y0, dtype=float)
+    n = model.n_w
+    if y0.shape != (2 * n,):
+        raise ValueError(f"initial state must have length {2 * n}, got {y0.shape}")
+
+    c = dt * dt / (4.0 * model.h)
+    s0, s1 = np.diagonal(model.s_div), np.diagonal(model.s_div, 1)
+    # S S^T: diagonal s0^2 + s1^2, off-diagonal S[i, i+1] S[i+1, i+1]
+    diag, off = _mass_v_bands(model, params ** (-2.0))
+    diag = diag + c * (s0**2 + s1**2)
+    off = off + c * (s1[:-1] * s0[1:])
+    cs0, cs1 = c * s0, c * s1
+
+    def step(solve, y, out):
+        q, p = y[:, :n], y[:, n:]
+        z = q + (0.5 * dt) * p  # v, turned into z in place
+        sigma = s0 * z[:, :-1]
+        sigma += s1 * z[:, 1:]
+        solve(sigma)
+        z[:, :-1] -= cs0 * sigma  # z = v - c S^T sigma
+        z[:, 1:] -= cs1 * sigma
+        dz = np.subtract(z, q, out=out[:, n:])
+        np.add(z, dz, out=out[:, :n])  # q+ = 2 z - q
+        dz *= 4.0 / dt
+        dz -= p  # p+ = (4/dt) (z - q) - p
+
+    return tridiagonal_sweep(step, diag, off, y0, dt, n_times, t0)
 
 
 def wave_mass_form_operator(model: WaveModel, mu: np.ndarray) -> np.ndarray:

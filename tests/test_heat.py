@@ -12,9 +12,11 @@ import scipy.linalg as la
 
 from topinf import (
     build_heat_model,
+    crank_nicolson,
     heat_features,
     heat_initial_state,
     heat_operator,
+    heat_sweep,
     sample_conductivities,
 )
 
@@ -190,3 +192,42 @@ def test_sampler_validation():
         sample_conductivities(rng, 5, 3, lo=1.0, hi=0.5)
     with pytest.raises(ValueError):
         sample_conductivities(rng, 5, 3, lo=-1.0, hi=0.5)
+
+
+# ----------------------------------------------------------------------
+# the stacked full-order sweep
+
+
+@pytest.mark.parametrize("n_elements", [201, 400])
+def test_sweep_matches_dense_crank_nicolson_at_study_size(n_elements):
+    # the default heat1d horizon: dt = 0.008 over [0, 2]
+    model = build_heat_model(n_elements)
+    params = sample_conductivities(np.random.default_rng(911), 4, 3, 0.1, 1.0)
+    q0 = heat_initial_state(model)
+    runs = heat_sweep(model, params, q0, 0.008, 251, t0=0.25)
+    assert len(runs) == params.shape[1]
+    for s, (mu, run) in enumerate(zip(params.T, runs)):
+        ref = crank_nicolson(heat_operator(model, mu), q0, 0.008, 251, mass=model.mass, t0=0.25)
+        assert not run.diverged
+        np.testing.assert_array_equal(run.times, ref.times)
+        err = np.linalg.norm(run.states - ref.states) / np.linalg.norm(ref.states)
+        assert err <= 1e-10
+        # one sample swept alone gives the same states, bit for bit
+        alone = heat_sweep(model, params[:, s:s + 1], q0, 0.008, 251, t0=0.25)[0]
+        np.testing.assert_array_equal(run.states, alone.states)
+
+
+def test_sweep_validation():
+    model = build_heat_model(10)
+    q0 = heat_initial_state(model)
+    params = np.full((3, 2), 0.5)
+    with pytest.raises(ValueError):
+        heat_sweep(model, params[:, 0], q0, 0.01, 5)  # a vector, not one per column
+    with pytest.raises(ValueError):
+        heat_sweep(model, params[:2], q0, 0.01, 5)
+    with pytest.raises(ValueError):
+        heat_sweep(model, -params, q0, 0.01, 5)
+    with pytest.raises(ValueError):
+        heat_sweep(model, params, q0[:-1], 0.01, 5)
+    with pytest.raises(ValueError):
+        heat_sweep(model, params, q0, 0.0, 5)

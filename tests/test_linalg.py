@@ -8,6 +8,7 @@ from topinf import (
     NotPositiveDefiniteError,
     SingularMatrixError,
     cholesky_upper,
+    factor_tridiagonals,
     lstsq_min_norm,
     solve_sym,
     thin_svd,
@@ -215,3 +216,69 @@ def test_thin_svd_validates_arguments():
         thin_svd(np.zeros(3))
     with pytest.raises(ValueError):
         thin_svd(np.array([[np.inf, 0.0]]))
+
+
+# ----------------------------------------------------------------------
+# stacked tridiagonals
+
+
+def random_tridiagonals(rng, samples, n):
+    """Diagonally dominant (hence SPD) tridiagonal bands and their dense matrices."""
+    off = rng.uniform(-1.0, 1.0, (samples, n - 1))
+    diag = 2.0 + rng.uniform(0.0, 1.0, (samples, n))
+    dense = np.array([np.diag(d) + np.diag(e, 1) + np.diag(e, -1) for d, e in zip(diag, off)])
+    return diag, off, dense
+
+
+def test_tridiagonal_factor_solves_every_sample_in_place():
+    rng = np.random.default_rng(901)
+    diag, off, dense = random_tridiagonals(rng, 4, 7)
+    factor = factor_tridiagonals(diag, off)
+    b = rng.standard_normal((4, 7))
+    expected = np.array([np.linalg.solve(a, rhs) for a, rhs in zip(dense, b)])
+    out = factor.solve(b)
+    assert out is b
+    np.testing.assert_allclose(b, expected, rtol=1e-13, atol=1e-14)
+    # leading axes are independent right-hand sides
+    many = rng.standard_normal((3, 4, 7))
+    expected = np.einsum("sij,ksj->ksi", np.linalg.inv(dense), many)
+    np.testing.assert_allclose(factor.solve(many.copy()), expected, rtol=1e-12, atol=1e-14)
+    # a one-sample factor matches the dense solve of its matrix columns
+    single = factor_tridiagonals(diag[:1], off[:1])
+    cols = rng.standard_normal((7, 5))
+    x = single.solve(np.ascontiguousarray(cols.T)[:, None, :])[:, 0].T
+    np.testing.assert_allclose(x, np.linalg.solve(dense[0], cols), rtol=1e-13, atol=1e-14)
+
+
+def test_tridiagonal_factor_names_the_sample_and_pivot_of_a_breakdown():
+    rng = np.random.default_rng(902)
+    diag, off, _ = random_tridiagonals(rng, 4, 6)
+    diag[2, 3] = -1.0
+    with pytest.raises(NotPositiveDefiniteError) as exc:
+        factor_tridiagonals(diag, off)
+    assert (exc.value.sample, exc.value.pivot_index) == (2, 3)
+    # the first pivot of a sample: no fill from the previous sample's last row
+    diag[2, 3] = 2.5
+    diag[1, 0] = 0.0
+    with pytest.raises(NotPositiveDefiniteError) as exc:
+        factor_tridiagonals(diag, off)
+    assert (exc.value.sample, exc.value.pivot_index) == (1, 0)
+
+
+def test_tridiagonal_factor_validates_arguments():
+    diag, off = np.full((2, 3), 2.0), np.full((2, 2), -1.0)
+    with pytest.raises(ValueError):
+        factor_tridiagonals(diag[0], off[0])  # not a stack
+    with pytest.raises(ValueError):
+        factor_tridiagonals(diag, off[:, :1])
+    with pytest.raises(ValueError):
+        factor_tridiagonals(np.full((2, 0), 1.0), np.zeros((2, 0)))
+    with pytest.raises(ValueError):
+        factor_tridiagonals(diag, off * np.nan)
+    factor = factor_tridiagonals(diag, off)
+    with pytest.raises(ValueError):
+        factor.solve(np.ones((3, 2)))
+    with pytest.raises(ValueError):
+        factor.solve(np.ones((3, 2)).T)  # right shape, not C-contiguous
+    with pytest.raises(ValueError):
+        factor.solve(np.ones((2, 3), dtype=np.float32))

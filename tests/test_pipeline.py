@@ -253,7 +253,7 @@ def test_wave_single_subdomain_exact_recovery(tmp_path):
 
 def test_wave_stages_form_each_stiffness_once_per_sample(tmp_path, monkeypatch):
     # K(mu) does not depend on r: each stage forms it once per sample and
-    # projects it for every basis size
+    # projects it for every basis size; the full-order sweep forms none
     from topinf import pipeline, wave
 
     cfg = dataclasses.replace(small_wave_config(), derivative="exact", reduced_dims=(2, 3))
@@ -267,7 +267,7 @@ def test_wave_stages_form_each_stiffness_once_per_sample(tmp_path, monkeypatch):
     monkeypatch.setattr(wave, "wave_stiffness", counting)
     monkeypatch.setattr(pipeline, "wave_stiffness", counting)
     samples = cfg.n_train + cfg.n_test
-    for (name, stage), expected in zip(STAGES, (samples, 0, cfg.n_train, samples, samples)):
+    for (name, stage), expected in zip(STAGES, (0, 0, cfg.n_train, samples, samples)):
         calls.clear()
         stage(cfg, tmp_path)
         assert len(calls) == expected, name
@@ -395,3 +395,20 @@ def test_rerun_over_fewer_r_removes_the_dropped_r_artifacts(tmp_path):
     assert sorted(p.name for p in (tmp_path / "report").glob("drift_r*.csv")) == ["drift_r2.csv"]
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert sorted(manifest["drift_max"]) == sorted(f"{label}_r2" for label in labels)
+
+
+def test_rerun_with_fewer_samples_removes_the_surplus_files(tmp_path):
+    # fom/ and rom/ hold only the samples of the last run's counts, in
+    # agreement with manifest.json
+    cfg = small_heat_config()
+    run_pipeline(cfg, tmp_path)
+    assert (tmp_path / "fom" / "train_004.tpoi").exists()
+    fewer = dataclasses.replace(cfg, n_train=3, n_test=0)
+    run_pipeline(fewer, tmp_path)
+    expected = [f"train_{i:03d}.tpoi" for i in range(3)]
+    assert sorted(p.name for p in (tmp_path / "fom").iterdir()) == expected
+    assert sorted(p.name for p in tmp_path.glob("params_*.tpoi")) == ["params_train.tpoi"]
+    for rom in (tmp_path / "rom").iterdir():
+        assert sorted(p.name for p in rom.iterdir()) == expected, rom.name
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["config"]["n_train"] == 3

@@ -5,6 +5,7 @@ import pytest
 import scipy.linalg as la
 
 from topinf import (
+    NotPositiveDefiniteError,
     ReducedBasis,
     RomModel,
     StructureError,
@@ -23,6 +24,7 @@ from topinf import (
     symmetric_part,
     weighted_pod,
 )
+from topinf.rom import tridiagonal_sweep
 
 
 def orthonormal_basis(rng, n, r):
@@ -376,3 +378,69 @@ def test_sweep_validation():
         cayley_sweep(np.zeros((3, 3, 3)), y0, 0.1, 5)
     with pytest.raises(ValueError):
         cayley_sweep(np.full((2, 2, 2), np.nan), y0, 0.1, 5)
+
+
+# ----------------------------------------------------------------------
+# the stacked tridiagonal sweep core
+
+
+def _tridiagonal_step(solve, x, out, r_diag, r_off):
+    """``out = L^{-1} R x`` with the per-sample tridiagonal ``R`` bands."""
+    np.multiply(r_diag, x, out=out)
+    out[:, :-1] += r_off * x[:, 1:]
+    out[:, 1:] += r_off * x[:, :-1]
+    solve(out)
+
+
+def _tridiagonal_samples(n, growth):
+    """Step matrices ``L = tridiag(-1, 4, -1)`` and ``R = tridiag(0.5, g, 0.5)`` per sample."""
+    count = len(growth)
+    diag, off = np.full((count, n), 4.0), np.full((count, n - 1), -1.0)
+    r_diag = np.array([np.full(n, g) for g in growth])
+    return diag, off, (r_diag, np.full((count, n - 1), 0.5))
+
+
+def test_tridiagonal_sweep_isolates_an_overflowing_sample():
+    # sample 1 grows about 500-fold per step and overflows; in the stacked
+    # solve its inf reaches the other samples through the zero seams
+    # (0 * inf = NaN), so the sweep re-integrates sample by sample
+    n, dt, n_times = 6, 0.1, 160
+    x0 = np.linspace(1.0, 2.0, n)
+    diag, off, per_sample = _tridiagonal_samples(n, (2.0, 2500.0, 1.0, 3.0))
+    runs = tridiagonal_sweep(_tridiagonal_step, diag, off, x0, dt, n_times, 0.5, per_sample)
+    for s, run in enumerate(runs):
+        alone = tridiagonal_sweep(_tridiagonal_step, diag[s:s + 1], off[s:s + 1], x0, dt,
+                                  n_times, 0.5, tuple(a[s:s + 1] for a in per_sample))[0]
+        np.testing.assert_array_equal(run.states, alone.states)
+        np.testing.assert_array_equal(run.times, 0.5 + dt * np.arange(n_times))
+        assert (run.diverged, run.first_bad_step) == (alone.diverged, alone.first_bad_step)
+    overflow = runs[1]
+    assert overflow.diverged and 1 < overflow.first_bad_step < n_times
+    assert np.all(np.isfinite(overflow.states[:, :overflow.first_bad_step]))
+    assert np.all(np.isnan(overflow.states[:, overflow.first_bad_step:]))
+    for s in (0, 2, 3):
+        assert not runs[s].diverged and np.all(np.isfinite(runs[s].states))
+
+
+def test_tridiagonal_sweep_names_an_indefinite_sample():
+    diag, off, per_sample = _tridiagonal_samples(5, (1.0, 1.0, 1.0))
+    diag[2, 3] = -4.0
+    with pytest.raises(NotPositiveDefiniteError) as exc:
+        tridiagonal_sweep(_tridiagonal_step, diag, off, np.ones(5), 0.1, 4,
+                          per_sample=per_sample)
+    assert (exc.value.sample, exc.value.pivot_index) == (2, 3)
+
+
+def test_tridiagonal_sweep_validation():
+    diag, off, per_sample = _tridiagonal_samples(3, (1.0, 2.0))
+    x0 = np.ones(3)
+    for bad in (
+        dict(x0=x0 * np.inf),
+        dict(x0=np.ones((3, 1))),
+        dict(dt=0.0),
+        dict(n_times=0),
+        dict(per_sample=tuple(a[:1] for a in per_sample)),
+    ):
+        args = dict(x0=x0, dt=0.1, n_times=5, per_sample=per_sample) | bad
+        with pytest.raises(ValueError):
+            tridiagonal_sweep(_tridiagonal_step, diag, off, **args)

@@ -13,6 +13,7 @@ import scipy.linalg as la
 from topinf import (
     build_wave_model,
     canonical_j,
+    implicit_midpoint,
     sample_wave_speeds,
     wave_features,
     wave_full_operator,
@@ -23,6 +24,7 @@ from topinf import (
     wave_operator_a1,
     wave_rhs,
     wave_stiffness,
+    wave_sweep,
 )
 
 DOMAIN = 2.0 * np.pi
@@ -240,3 +242,53 @@ def test_canonical_j_properties():
     np.testing.assert_array_equal(j @ j, -np.eye(6))
     with pytest.raises(ValueError):
         canonical_j(0)
+
+
+# ----------------------------------------------------------------------
+# tridiagonal stiffness and the stacked full-order sweep
+
+
+def test_stiffness_matches_dense_solve_at_study_size():
+    model = build_wave_model(200)
+    for mu in sample_wave_speeds(np.random.default_rng(921), 3, 4).T:
+        expected = model.s_div.T @ np.linalg.solve(wave_mass_v(model, mu), model.s_div)
+        k = wave_stiffness(model, mu)
+        assert k.flags.c_contiguous
+        np.testing.assert_allclose(k, expected, rtol=0, atol=1e-13 * np.max(np.abs(expected)))
+
+
+def test_sweep_matches_dense_midpoint_and_conserves_energy():
+    # the default wave1d horizon: dt = pi/100 over [0, 4 pi]
+    model = build_wave_model(200)
+    params = sample_wave_speeds(np.random.default_rng(922), 3, 4)
+    y0 = wave_initial_state(model)
+    dt, n_times = np.pi / 100.0, 401
+    runs = wave_sweep(model, params, y0, dt, n_times, t0=0.5)
+    assert len(runs) == params.shape[1]
+    for s, (mu, run) in enumerate(zip(params.T, runs)):
+        ref = implicit_midpoint(wave_full_operator(model, mu), y0, dt, n_times, t0=0.5)
+        assert not run.diverged
+        np.testing.assert_array_equal(run.times, ref.times)
+        err = np.linalg.norm(run.states - ref.states) / np.linalg.norm(ref.states)
+        assert err <= 1e-10
+        energy = wave_hamiltonian(model, mu, run.states)
+        assert np.max(np.abs(energy - energy[0])) <= 1e-12 * abs(energy[0])
+        # one sample swept alone gives the same states, bit for bit
+        alone = wave_sweep(model, params[:, s:s + 1], y0, dt, n_times, t0=0.5)[0]
+        np.testing.assert_array_equal(run.states, alone.states)
+
+
+def test_sweep_validation():
+    model = build_wave_model(8)
+    y0 = wave_initial_state(model)
+    params = np.full((4, 2), 1.5)
+    with pytest.raises(ValueError):
+        wave_sweep(model, params[:, 0], y0, 0.1, 5)  # a vector, not one per column
+    with pytest.raises(ValueError):
+        wave_sweep(model, params[:3], y0, 0.1, 5)
+    with pytest.raises(ValueError):
+        wave_sweep(model, -params, y0, 0.1, 5)
+    with pytest.raises(ValueError):
+        wave_sweep(model, params, y0[:-1], 0.1, 5)
+    with pytest.raises(ValueError):
+        wave_sweep(model, params, y0, -0.1, 5)
