@@ -66,6 +66,7 @@ from .wave import (
     wave_mass_form_operator,
     wave_mass_v,
     wave_operator_a1,
+    wave_projected_stiffness,
     wave_rhs,
     wave_stiffness,
     wave_sweep,
@@ -162,6 +163,7 @@ __all__ = [
     "build_wave_model",
     "wave_mass_v",
     "wave_stiffness",
+    "wave_projected_stiffness",
     "wave_operator_a1",
     "wave_full_operator",
     "wave_sweep",

@@ -22,17 +22,21 @@ stream 0 for training parameters and stream 1 for test parameters.
 The full-order sweep of each split is one stacked tridiagonal integration
 over its samples (:func:`~topinf.heat.heat_sweep`,
 :func:`~topinf.wave.wave_sweep`); the reduced sweep of each (label, r) is
-one stacked integration over every sample of both splits.  BLAS keeps its
-own threads.  Each stage removes the per-sample files of an earlier, larger
-run that it did not write.  A reduced run that diverges is
-recorded in the manifest as a structured record ``{label, r, split,
-index, step}``, keeps no states file, and is left out of the error pools.
+one stacked integration over every sample of both splits.  The basis is
+nested, so each stage forms its Galerkin quantities (heat's projected
+tensor, wave's projected stiffness blocks) once with the largest basis
+and slices them per r.  BLAS keeps its own threads.  Each stage removes
+the per-sample files of an earlier, larger run that it did not write.  A
+reduced run that diverges is recorded in the manifest as a structured
+record ``{label, r, split, index, step}``, keeps no states file, and is
+left out of the error pools.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import os
 import shutil
 import time
 from pathlib import Path
@@ -40,9 +44,10 @@ from pathlib import Path
 import numpy as np
 
 # Not every imported name is used here: benchmarks/tracing.py wraps layers at
-# their names in this module, and the full-order sweeps no longer call
-# heat_operator, wave_full_operator, crank_nicolson or implicit_midpoint, nor
-# evaluate relative_l2 or projection_error.
+# their names in this module.  Imported for it only: heat_operator,
+# wave_full_operator, crank_nicolson, implicit_midpoint, relative_l2,
+# projection_error, mode3_product, exact_reduced_derivative, project_matrix,
+# wave_mass_form_operator and wave_stiffness.
 from . import __version__
 from .basis import (
     ReducedBasis,
@@ -52,7 +57,7 @@ from .basis import (
     psd_cotangent_lift,
     weighted_pod,
 )
-from .config import ExperimentConfig
+from .config import ExperimentConfig, format_config
 from .errors import NumericError
 from .heat import (
     build_heat_model,
@@ -84,6 +89,7 @@ from .wave import (
     wave_full_operator,
     wave_initial_state,
     wave_mass_form_operator,
+    wave_projected_stiffness,
     wave_stiffness,
     wave_sweep,
 )
@@ -166,37 +172,26 @@ def _load_basis(cfg: ExperimentConfig, outdir: Path, model) -> ReducedBasis:
     return ReducedBasis(u=u, weight=model.mass, kind="pod", singular_values=svals)
 
 
-def _heat_intrusive(model, b: ReducedBasis) -> np.ndarray:
-    """Galerkin projection of the (negated, dissipative) stiffness tensor."""
-    return intrusive_project(-model.stiffness, b)
+def _intrusive(cfg: ExperimentConfig, model, basis_full: ReducedBasis, params) -> np.ndarray:
+    """Galerkin quantities of the largest basis; those of size r are their leading blocks.
 
-
-def _stiffness_by_split(model, params: dict[str, np.ndarray]) -> dict[str, list[np.ndarray]]:
-    """Full-order ``K(mu)`` of every sample, formed once per stage.
-
-    ``K(mu)`` does not depend on the basis size, so each stage forms it once
-    per sample and projects it for every r; the lists live only as long as
-    the stage.
+    Heat: the ``(r, r, p)`` projection of the (negated, dissipative)
+    stiffness tensor.  Wave: the ``(S, r, r)`` position blocks
+    ``Uw^T K(mu) Uw`` at every column of ``params``.  The basis is nested,
+    so each stage forms these once and slices ``[:r, :r]`` per size.
     """
-    return {split: [wave_stiffness(model, mu) for mu in values.T]
-            for split, values in params.items()}
+    if cfg.problem == "heat1d":
+        return intrusive_project(-model.stiffness, basis_full)
+    return wave_projected_stiffness(model, params, basis_full.u_half)
 
 
-def _wave_affine_reference(b: ReducedBasis, params: np.ndarray, stiffness) -> np.ndarray:
-    """Least-squares affine-in-``mu^2`` fit of the projected position blocks.
+def _leading(y: np.ndarray, r: int, r_max: int, wave: bool) -> np.ndarray:
+    """Rows of the size-r reduced coordinates among those of the largest basis.
 
-    This is the intrusive reference for the learned position tensor; when
-    the full-order operator is exactly affine in ``mu^2`` (one subdomain)
-    the fit reproduces it exactly.  ``stiffness[s]`` is ``K`` at sample s.
+    Rows ``[:r]``, and for wave's block basis also the momentum rows
+    ``[r_max:r_max + r]``.
     """
-    r = b.r
-    ns = params.shape[1]
-    theta = (params**2).T  # (Ns, p)
-    targets = np.empty((ns, r * r))
-    for s in range(ns):
-        targets[s] = project_matrix(stiffness[s], b.u_half).ravel()
-    coeffs, _, _ = lstsq_min_norm(theta, targets)
-    return np.moveaxis(coeffs.reshape(params.shape[0], r, r), 0, 2)
+    return np.concatenate([y[:r], y[r_max:r_max + r]]) if wave else y[:r]
 
 
 def _prune(directory: Path, pattern: str, keep: set[Path]) -> None:
@@ -259,7 +254,15 @@ def _load_manifest(outdir: Path) -> dict:
 
 
 def _save_manifest(outdir: Path, manifest: dict) -> None:
-    _manifest_path(outdir).write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    """Write a temporary sibling, then rename it into place; a failed write keeps the old."""
+    path = _manifest_path(outdir)
+    temporary = path.with_name(path.name + ".tmp")
+    try:
+        temporary.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+        os.replace(temporary, path)
+    except BaseException:
+        temporary.unlink(missing_ok=True)
+        raise
 
 
 def _record_stage(cfg: ExperimentConfig, outdir: Path, name: str, seconds: float,
@@ -355,24 +358,6 @@ def build_basis(cfg: ExperimentConfig, outdir) -> None:
 # stage 3: operator inference
 
 
-def _reduced_and_derivatives(cfg, model, b, params, snapshots, mass_forms):
-    reduced = project_snapshots(b, snapshots)
-    if cfg.derivative == "finite_difference":
-        derivs = [estimate_time_derivative(red, cfg.dt) for red in reduced]
-    elif cfg.problem == "heat1d":
-        tensor = _heat_intrusive(model, b)
-        derivs = [
-            mode3_product(tensor, heat_features(params[:, s])) @ reduced[s]
-            for s in range(len(reduced))
-        ]
-    else:
-        derivs = [
-            exact_reduced_derivative(b, mass_forms[s], reduced[s])
-            for s in range(len(reduced))
-        ]
-    return reduced, derivs
-
-
 def _fit(method: str, data: InferenceData):
     if method == "normal":
         return infer_normal(data)
@@ -382,7 +367,13 @@ def _fit(method: str, data: InferenceData):
 
 
 def infer(cfg: ExperimentConfig, outdir) -> None:
-    """Fit reduced operators for every requested size and method."""
+    """Fit reduced operators for every requested size and method.
+
+    The training snapshots are projected, and finite differences taken,
+    once with the largest basis; each size r keeps the leading rows.  Exact
+    derivatives and the recovery reference come from the intrusive
+    operators, formed once and sliced per r.
+    """
     cfg = cfg.validate()
     outdir = Path(outdir)
     (outdir / "operators").mkdir(parents=True, exist_ok=True)
@@ -390,73 +381,63 @@ def infer(cfg: ExperimentConfig, outdir) -> None:
 
     model = _build_model(cfg)
     params = _load_params(outdir, "train")
-    snapshots = _load_fom(cfg, outdir, "train")
     basis_full = _load_basis(cfg, outdir, model)
+    reduced = project_snapshots(basis_full, _load_fom(cfg, outdir, "train"))
+    ys_full = np.stack(reduced, axis=2)
+    wave = cfg.problem == "wave1d"
+    r_max = basis_full.r
+    exact = cfg.derivative == "exact"
+    if exact:
+        intrusive = _intrusive(cfg, model, basis_full, params)
+        if wave:
+            # least-squares affine-in-mu^2 fit of the position blocks: the
+            # reference for the learned position tensor, exact when K(mu) is
+            # affine in mu^2 (one subdomain); column by column, so nested
+            coeffs, _, _ = lstsq_min_norm((params**2).T, intrusive.reshape(params.shape[1], -1))
+            reference = np.moveaxis(coeffs.reshape(params.shape[0], r_max, r_max), 0, 2)
+            generators = intrusive
+        else:
+            reference = intrusive
+            generators = np.einsum("ijx,xs->sij", intrusive, heat_features(params))
+    else:
+        derivs_full = np.stack([estimate_time_derivative(red, cfg.dt) for red in reduced], axis=2)
 
     diagnostics: dict[str, dict] = {}
     recovery: dict[str, float] = {}
     agreement: dict[str, float] = {}
-    mass_forms: list[np.ndarray] = []
-    if cfg.problem == "wave1d" and cfg.derivative == "exact":
-        # [[0, Mw], [-K(mu), 0]] per sample, formed once for every r
-        mass_forms = [wave_mass_form_operator(model, mu) for mu in params.T]
-
     for r in cfg.reduced_dims:
-        b = basis_full.truncate(r)
-        reduced, derivs = _reduced_and_derivatives(cfg, model, b, params, snapshots, mass_forms)
+        ys = _leading(ys_full, r, r_max, wave)
+        if exact:
+            # Galerkin dynamics: heat (T nu) y; wave qdot = p, pdot = -(Uw^T K(mu) Uw) q
+            zs = np.einsum("sij,jts->its", generators[:, :r, :r], ys[:r], optimize=True)
+            if wave:
+                zs = np.concatenate([ys[r:], -zs])
+        else:
+            zs = _leading(derivs_full, r, r_max, wave)
+        if wave:  # T1 from -pdot = (T1 mu^2) q, A2 from qdot = A2 p
+            problems = (("t1", InferenceData(nus=params**2, ys=ys[:r], zs=-zs[r:])),
+                        ("a2", InferenceData(nus=np.ones((1, params.shape[1])),
+                                             ys=ys[r:], zs=zs[:r])))
+        else:
+            problems = (("tensor", InferenceData(nus=heat_features(params), ys=ys, zs=zs)),)
         fits: dict[str, np.ndarray] = {}
-
-        if cfg.problem == "heat1d":
-            features = np.column_stack([heat_features(params[:, s]) for s in range(params.shape[1])])
-            data = InferenceData(
-                nus=features,
-                ys=np.stack(reduced, axis=2),
-                zs=np.stack(derivs, axis=2),
-            )
-            for method in cfg.methods:
+        for method in cfg.methods:
+            for name, data in problems:
                 result = _fit(method, data)
-                save_tensor(outdir / "operators" / f"tensor_{method}_r{r}.tpoi", result.tensor)
-                fits[method] = result.tensor
-                diagnostics[f"{method}_r{r}"] = {
+                path = outdir / "operators" / f"{name}_{method}_r{r}.tpoi"
+                if name == "a2":
+                    save_matrix(path, result.tensor[:, :, 0])
+                else:
+                    save_tensor(path, result.tensor)
+                    fits[method] = result.tensor
+                diagnostics[f"{method}_r{r}" + (f"_{name}" if wave else "")] = {
                     "cond": result.cond,
                     "residual": result.residual,
                     "stationarity": result.stationarity,
                 }
-            if cfg.derivative == "exact":
-                reference = _heat_intrusive(model, b)
-                for method, tensor in fits.items():
-                    recovery[f"{method}_r{r}"] = _rel_dist(tensor, reference)
-        else:
-            qs = np.stack([red[:r] for red in reduced], axis=2)
-            ps = np.stack([red[r:] for red in reduced], axis=2)
-            qdots = np.stack([d[:r] for d in derivs], axis=2)
-            pdots = np.stack([d[r:] for d in derivs], axis=2)
-            t1_data = InferenceData(nus=params**2, ys=qs, zs=-pdots)
-            a2_data = InferenceData(
-                nus=np.ones((1, params.shape[1])), ys=ps, zs=qdots
-            )
-            for method in cfg.methods:
-                t1_fit = _fit(method, t1_data)
-                a2_fit = _fit(method, a2_data)
-                save_tensor(outdir / "operators" / f"t1_{method}_r{r}.tpoi", t1_fit.tensor)
-                save_matrix(outdir / "operators" / f"a2_{method}_r{r}.tpoi",
-                            a2_fit.tensor[:, :, 0])
-                fits[method] = t1_fit.tensor
-                diagnostics[f"{method}_r{r}_t1"] = {
-                    "cond": t1_fit.cond,
-                    "residual": t1_fit.residual,
-                    "stationarity": t1_fit.stationarity,
-                }
-                diagnostics[f"{method}_r{r}_a2"] = {
-                    "cond": a2_fit.cond,
-                    "residual": a2_fit.residual,
-                    "stationarity": a2_fit.stationarity,
-                }
-            if cfg.derivative == "exact":
-                n = model.n_w
-                reference = _wave_affine_reference(b, params, [-op[n:, :n] for op in mass_forms])
-                for method, tensor in fits.items():
-                    recovery[f"{method}_r{r}"] = _rel_dist(tensor, reference)
+        if exact:
+            for method, tensor in fits.items():
+                recovery[f"{method}_r{r}"] = _rel_dist(tensor, reference[:r, :r])
 
         if "normal" in fits and "lstsq" in fits:
             agreement[f"r{r}"] = _rel_dist(fits["normal"], fits["lstsq"])
@@ -475,15 +456,15 @@ def _rom_labels(cfg: ExperimentConfig) -> list[str]:
     return list(cfg.methods) + [INTRUSIVE]
 
 
-def _rom_operators(cfg, model, b, outdir, label: str, r: int, params, stiffness) -> np.ndarray:
+def _rom_operators(cfg, outdir, label: str, r: int, params, intrusive) -> np.ndarray:
     """The reduced generators of one (label, r) at every sample, stacked ``(S, n, n)``.
 
-    ``params`` holds the samples of both splits as columns; ``stiffness``
-    (wave only) is the matching ``(S, N, N)`` stack of ``K(mu)``.
+    ``params`` holds the samples of both splits as columns; ``intrusive``
+    is the stage's :func:`_intrusive` result for them.
     """
     if cfg.problem == "heat1d":
         if label == INTRUSIVE:
-            tensor = _heat_intrusive(model, b)
+            tensor = intrusive[:r, :r]
         else:
             tensor = load_tensor(outdir / "operators" / f"tensor_{label}_r{r}.tpoi")
         # the contraction of mode3_product, one generator per sample
@@ -491,7 +472,7 @@ def _rom_operators(cfg, model, b, outdir, label: str, r: int, params, stiffness)
     if label == INTRUSIVE:
         ops = np.zeros((params.shape[1], 2 * r, 2 * r))
         ops[:, :r, r:] = np.eye(r)
-        ops[:, r:, :r] = -project_matrix(stiffness, b.u_half)
+        ops[:, r:, :r] = -intrusive[:, :r, :r]
         return ops
     t1 = load_tensor(outdir / "operators" / f"t1_{label}_r{r}.tpoi")
     a2 = load_matrix(outdir / "operators" / f"a2_{label}_r{r}.tpoi")
@@ -518,20 +499,18 @@ def simulate_rom(cfg: ExperimentConfig, outdir) -> None:
         x0 = wave_initial_state(model)
     samples = [(split, i) for split, count in _splits(cfg) for i in range(count)]
     params = np.hstack([_load_params(outdir, split) for split, _ in _splits(cfg)])
-    stiffness = None
-    if cfg.problem == "wave1d":
-        stiffness = np.stack([wave_stiffness(model, mu) for mu in params.T])
+    intrusive = _intrusive(cfg, model, basis_full, params)
+    red0_full = basis_full.project(x0)
 
     divergences: list[dict] = []
     swept: set[Path] = set()
     for r in cfg.reduced_dims:
-        b = basis_full.truncate(r)
-        red0 = b.project(x0)
+        red0 = _leading(red0_full, r, basis_full.r, cfg.problem == "wave1d")
         for label in _rom_labels(cfg):
             target = _rom_dir(outdir, label, r)
             target.mkdir(parents=True, exist_ok=True)
             swept.add(target)
-            ops = _rom_operators(cfg, model, b, outdir, label, r, params, stiffness)
+            ops = _rom_operators(cfg, outdir, label, r, params, intrusive)
             runs = cayley_sweep(ops, red0, cfg.dt, cfg.n_times, t0=cfg.t0)
             written: set[Path] = set()
             for (split, i), traj in zip(samples, runs):
@@ -553,21 +532,21 @@ def simulate_rom(cfg: ExperimentConfig, outdir) -> None:
 # stage 5: evaluation
 
 
-def _drift_model_builder(u_half: np.ndarray, outdir, label: str, r: int, params, stiffness):
+def _drift_model_builder(outdir, label: str, r: int, params, intrusive):
     """Per-(label, r) factory mapping ``(split, sample index)`` to (energy model, contraction).
 
     Each reduced run is scored against its own quadratic energy: the
-    intrusive model evaluates its per-sample position block directly (with
-    a unit contraction weight, since the block already contains the
-    parameter), the symmetry-constrained fit carries exact flags, and
-    unconstrained fits are scored through their symmetric part, which
-    defines the same quadratic form.  ``u_half`` is the size-r position basis.
+    intrusive model evaluates its per-sample position block
+    ``intrusive[split][i, :r, :r]`` directly (with a unit contraction
+    weight, since the block already contains the parameter), the
+    symmetry-constrained fit carries exact flags, and unconstrained fits
+    are scored through their symmetric part, which defines the same
+    quadratic form.
     """
     if label == INTRUSIVE:
         def build(split: str, i: int) -> tuple[RomModel, np.ndarray]:
-            a1 = project_matrix(stiffness[split][i], u_half)
             energy_model = RomModel(
-                t1=a1[:, :, None],
+                t1=intrusive[split][i, :r, :r, None],
                 a2=np.eye(r),
                 t1_structure="symmetric",
                 a2_structure="symmetric",
@@ -630,7 +609,8 @@ def evaluate(cfg: ExperimentConfig, outdir) -> None:
                 for d in manifest.get("divergences", [])}
     params = {split: _load_params(outdir, split) for split, _ in _splits(cfg)}
     wave = cfg.problem == "wave1d"
-    stiffness = _stiffness_by_split(model, params) if wave else None
+    intrusive = ({split: _intrusive(cfg, model, basis_full, values)
+                  for split, values in params.items()} if wave else None)
     u, mass = (basis_full.u_half, model.mass_w) if wave else (basis_full.u, model.mass)
 
     runs = {split: [_scored_run(load_matrix(_fom_path(outdir, split, i)), u, mass)
@@ -656,7 +636,7 @@ def evaluate(cfg: ExperimentConfig, outdir) -> None:
         for label in _rom_labels(cfg):
             drift_peak = 0.0
             if wave:
-                drift_at = _drift_model_builder(u[:, :r], outdir, label, r, params, stiffness)
+                drift_at = _drift_model_builder(outdir, label, r, params, intrusive)
             for split, count in _splits(cfg):
                 num = den = 0.0
                 for i in range(count):
@@ -705,8 +685,6 @@ def evaluate(cfg: ExperimentConfig, outdir) -> None:
 
 
 def _write_summary(cfg, report_dir, manifest, error_rows, drift_max) -> None:
-    from .config import format_config
-
     lines: list[str] = []
     lines.append("experiment summary")
     lines.append("==================")
@@ -760,8 +738,6 @@ STAGES = (
 
 def run_pipeline(cfg: ExperimentConfig, outdir=None) -> dict:
     """Run all five stages in order; returns the final manifest dict."""
-    from .config import format_config
-
     cfg = cfg.validate()
     outdir = Path(outdir if outdir is not None else cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)

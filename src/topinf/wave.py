@@ -28,8 +28,10 @@ in the elementwise square of the speeds, hence the feature map
 identity block of ``A(mu)``.
 
 ``Mv(mu)`` is tridiagonal and ``S`` upper bidiagonal, and ``Mw = h I``.
-:func:`wave_stiffness` therefore solves with a tridiagonal factor of
-``Mv(mu)``, and :func:`wave_sweep` steps a whole parameter sweep with the
+:func:`wave_projected_stiffness` therefore forms the Galerkin blocks
+``(S U)^T Mv(mu)^{-1} (S U)`` of a whole parameter sweep through one
+stacked tridiagonal factor (:func:`wave_stiffness` is its identity-basis
+case), and :func:`wave_sweep` steps a whole parameter sweep with the
 implicit midpoint rule in a Schur form whose only solve is one stacked
 tridiagonal system on the flux space.
 """
@@ -48,6 +50,7 @@ __all__ = [
     "build_wave_model",
     "wave_mass_v",
     "wave_stiffness",
+    "wave_projected_stiffness",
     "wave_operator_a1",
     "wave_full_operator",
     "wave_sweep",
@@ -198,23 +201,41 @@ def _mass_v_bands(model: WaveModel, weights: np.ndarray) -> tuple[np.ndarray, np
             sum(w * e for w, e in zip(weights, np.diagonal(model.mass_v_slices, 1))))
 
 
+def wave_projected_stiffness(model: WaveModel, params: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Galerkin blocks ``U^T K(mu) U`` for every column of ``params`` (p, S), stacked ``(S, r, r)``.
+
+    ``U^T K(mu) U = (S U)^T Mv(mu)^{-1} (S U)``: the ``Mv(mu)`` of every
+    sample are factored as one stacked tridiagonal, one solve takes the r
+    columns of ``S U`` for all of them, and each block is symmetrized.  For
+    a nested basis the blocks of its leading columns are the leading blocks.
+    """
+    params = np.asarray(params, dtype=float)
+    if params.ndim != 2:
+        raise ValueError(f"expected one speed vector per column, got shape {params.shape}")
+    for mu in params.T:
+        _check_speeds(model, mu)
+    u = np.asarray(u, dtype=float)
+    if u.ndim != 2 or u.shape[0] != model.n_w:
+        raise ValueError(f"basis {u.shape} does not have {model.n_w} rows")
+    # S is upper bidiagonal: (S U)[i] = S[i, i] U[i] + S[i, i+1] U[i+1]
+    su = np.diagonal(model.s_div)[:, None] * u[:-1] + np.diagonal(model.s_div, 1)[:, None] * u[1:]
+    diag, off = _mass_v_bands(model, params ** (-2.0))
+    # entry [a, s] of the (r, S, Nv) right-hand side is column a of S U
+    x = factor_tridiagonals(diag, off).solve(
+        np.repeat(su.T[:, None, :], params.shape[1], axis=1))
+    blocks = np.swapaxes(x, 0, 1) @ su
+    return 0.5 * (blocks + np.swapaxes(blocks, 1, 2))
+
+
 def wave_stiffness(model: WaveModel, mu: np.ndarray) -> np.ndarray:
     """Stiffness-like matrix ``K(mu) = S^T Mv(mu)^{-1} S`` (symmetric PSD).
 
-    This is the mass-carried form of the position block:
-    ``Mw pdot = -K(mu) q``.  ``Mv(mu)`` is factored as a tridiagonal, its
-    solve takes the columns of ``S``, and ``S^T`` is applied as the
-    bidiagonal it is; no explicit inverse.
+    This is the mass-carried form of the position block,
+    ``Mw pdot = -K(mu) q``: :func:`wave_projected_stiffness` with the
+    identity basis.
     """
-    diag, off = _mass_v_bands(model, _check_speeds(model, mu) ** (-2.0))
-    # row a of the (N, 1, Nv) right-hand side is column a of S, so row a of
-    # x is Mv^{-1} S e_a, and row a of kt is S^T Mv^{-1} S e_a = K e_a
-    x = factor_tridiagonals(diag[None], off[None]).solve(
-        np.ascontiguousarray(model.s_div.T)[:, None, :])[:, 0]
-    kt = np.zeros((model.n_w, model.n_w))
-    kt[:, :-1] = np.diagonal(model.s_div) * x
-    kt[:, 1:] += np.diagonal(model.s_div, 1) * x
-    return np.ascontiguousarray(kt.T)
+    mu = _check_speeds(model, mu)
+    return wave_projected_stiffness(model, mu[:, None], np.eye(model.n_w))[0]
 
 
 def wave_operator_a1(model: WaveModel, mu: np.ndarray) -> np.ndarray:

@@ -1,8 +1,12 @@
 """End-to-end pipeline: artifacts, manifests, determinism, divergence handling."""
 
 import dataclasses
+import errno
+import importlib.util
 import json
 import shutil
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +25,7 @@ from topinf import (
     run_pipeline,
     save_tensor,
 )
+from topinf import pipeline, wave
 from topinf.pipeline import STAGES, evaluate, simulate_rom
 
 
@@ -251,26 +256,31 @@ def test_wave_single_subdomain_exact_recovery(tmp_path):
         assert manifest["recovery"][f"{method}_r{r}"] < 1e-8
 
 
-def test_wave_stages_form_each_stiffness_once_per_sample(tmp_path, monkeypatch):
-    # K(mu) does not depend on r: each stage forms it once per sample and
-    # projects it for every basis size; the full-order sweep forms none
-    from topinf import pipeline, wave
+@pytest.mark.parametrize("problem", ["heat1d", "wave1d"])
+def test_stages_form_galerkin_quantities_once(problem, tmp_path, monkeypatch):
+    # the basis is nested: each stage forms its Galerkin quantities once with
+    # the largest basis and slices them per r; evaluate forms the wave blocks
+    # once per split, and no stage forms a full-order K(mu)
+    base = small_heat_config() if problem == "heat1d" else small_wave_config()
+    cfg = dataclasses.replace(base, derivative="exact", reduced_dims=(2, 3))
+    calls = {"galerkin": 0, "wave_stiffness": 0}
 
-    cfg = dataclasses.replace(small_wave_config(), derivative="exact", reduced_dims=(2, 3))
-    calls = []
-    original = wave.wave_stiffness
+    def counting(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
 
-    def counting(model, mu):
-        calls.append(1)
-        return original(model, mu)
-
-    monkeypatch.setattr(wave, "wave_stiffness", counting)
-    monkeypatch.setattr(pipeline, "wave_stiffness", counting)
-    samples = cfg.n_train + cfg.n_test
-    for (name, stage), expected in zip(STAGES, (0, 0, cfg.n_train, samples, samples)):
-        calls.clear()
+    for name in ("intrusive_project", "wave_projected_stiffness"):
+        monkeypatch.setattr(pipeline, name, counting("galerkin", getattr(pipeline, name)))
+    stiffness = counting("wave_stiffness", wave.wave_stiffness)
+    monkeypatch.setattr(wave, "wave_stiffness", stiffness)
+    monkeypatch.setattr(pipeline, "wave_stiffness", stiffness)
+    per_split = 0 if problem == "heat1d" else len(pipeline._splits(cfg))
+    for (name, stage), expected in zip(STAGES, (0, 0, 1, 1, per_split)):
+        calls.update(galerkin=0, wave_stiffness=0)
         stage(cfg, tmp_path)
-        assert len(calls) == expected, name
+        assert calls == {"galerkin": expected, "wave_stiffness": 0}, name
 
 
 # ----------------------------------------------------------------------
@@ -412,3 +422,57 @@ def test_rerun_with_fewer_samples_removes_the_surplus_files(tmp_path):
         assert sorted(p.name for p in rom.iterdir()) == expected, rom.name
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["config"]["n_train"] == 3
+
+
+# ----------------------------------------------------------------------
+# manifest writes and the benchmark tracer's contract
+
+
+def test_failed_manifest_write_keeps_the_previous_manifest(heat_run, tmp_path, monkeypatch):
+    cfg, source, _ = heat_run
+    outdir = tmp_path / "run"
+    shutil.copytree(source, outdir)
+    before = (outdir / "manifest.json").read_text()
+    real_open = Path.open
+
+    class HalfWriter:
+        # writes half of what it is given, then fails like a full disk
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            self.fh.write(data[: len(data) // 2])
+            self.fh.flush()
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+    def failing_open(self, mode="r", *args, **kwargs):
+        fh = real_open(self, mode, *args, **kwargs)
+        return HalfWriter(fh) if "w" in mode else fh
+
+    monkeypatch.setattr(Path, "open", failing_open)
+    with pytest.raises(OSError):
+        pipeline._record_stage(cfg, outdir, "evaluate", 1.0, updates={"errors": {}})
+    monkeypatch.undo()
+    assert (outdir / "manifest.json").read_text() == before
+    assert json.loads(before)["errors"]
+    assert sorted(p.name for p in outdir.glob("manifest*")) == ["manifest.json"]
+
+
+def test_benchmark_tracer_finds_every_layer_it_wraps(monkeypatch):
+    # benchmarks/tracing.py replaces layers at the module attributes where
+    # callers look them up; a name missing there breaks traced runs
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("benchmark_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracing)
+    spec.loader.exec_module(tracing)
+    attributes = tracing.wrapped_attributes()
+    assert (pipeline, "wave_stiffness") in attributes
+    for owner, attr in attributes:
+        assert attr in vars(owner), f"{getattr(owner, '__name__', owner)}.{attr}"

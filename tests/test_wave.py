@@ -12,6 +12,7 @@ import scipy.linalg as la
 
 from topinf import (
     build_wave_model,
+    project_matrix,
     canonical_j,
     implicit_midpoint,
     sample_wave_speeds,
@@ -22,6 +23,7 @@ from topinf import (
     wave_mass_form_operator,
     wave_mass_v,
     wave_operator_a1,
+    wave_projected_stiffness,
     wave_rhs,
     wave_stiffness,
     wave_sweep,
@@ -255,6 +257,31 @@ def test_stiffness_matches_dense_solve_at_study_size():
         k = wave_stiffness(model, mu)
         assert k.flags.c_contiguous
         np.testing.assert_allclose(k, expected, rtol=0, atol=1e-13 * np.max(np.abs(expected)))
+
+
+def test_projected_stiffness_matches_projected_dense_stiffness_at_study_size():
+    model = build_wave_model(200)
+    params = sample_wave_speeds(np.random.default_rng(923), 13, 4)
+    q, _ = np.linalg.qr(np.random.default_rng(924).standard_normal((model.n_w, 10)))
+    u = q / np.sqrt(model.h)  # Mw-orthonormal
+    np.testing.assert_allclose(u.T @ model.mass_w @ u, np.eye(10), atol=1e-13)
+    blocks = wave_projected_stiffness(model, params, u)
+    assert blocks.shape == (13, 10, 10)
+    for s, mu in enumerate(params.T):
+        expected = project_matrix(wave_stiffness(model, mu), u)
+        np.testing.assert_allclose(blocks[s], expected, rtol=0,
+                                   atol=1e-12 * np.max(np.abs(expected)))
+    np.testing.assert_array_equal(blocks, blocks.transpose(0, 2, 1))
+    # a nested basis: the blocks of the leading columns are the leading blocks
+    leading = wave_projected_stiffness(model, params, u[:, :6])
+    np.testing.assert_allclose(blocks[:, :6, :6], leading, rtol=0,
+                               atol=1e-13 * np.max(np.abs(leading)))
+    with pytest.raises(ValueError):
+        wave_projected_stiffness(model, params[:, 0], u)  # one (p,) vector
+    bad = params.copy()
+    bad[2, 5] = 0.0
+    with pytest.raises(ValueError):
+        wave_projected_stiffness(model, bad, u)
 
 
 def test_sweep_matches_dense_midpoint_and_conserves_energy():
