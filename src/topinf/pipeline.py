@@ -25,11 +25,14 @@ over its samples (:func:`~topinf.heat.heat_sweep`,
 one stacked integration over every sample of both splits.  The basis is
 nested, so each stage forms its Galerkin quantities (heat's projected
 tensor, wave's projected stiffness blocks) once with the largest basis
-and slices them per r.  BLAS keeps its own threads.  Each stage removes
-the per-sample files of an earlier, larger run that it did not write.  A
-reduced run that diverges is recorded in the manifest as a structured
-record ``{label, r, split, index, step}``, keeps no states file, and is
-left out of the error pools.
+and slices them per r.  One path, :func:`_rom_operators`, turns every
+reduced model into per-sample generators ``A``; ``infer``'s exact
+derivatives, ``simulate_rom``'s sweeps and ``evaluate``'s wave energies
+``E = J^T A`` derive from it.  BLAS keeps its own threads.  Each stage
+removes the per-sample files of an earlier, larger run that it did not
+write.  A reduced run that diverges is recorded in the manifest as a
+structured record ``{label, r, split, index, step}``, keeps no states
+file, and is left out of the error pools.
 """
 
 from __future__ import annotations
@@ -46,7 +49,8 @@ import numpy as np
 # Not every imported name is used here: benchmarks/tracing.py wraps layers at
 # their names in this module.  Imported for it only: heat_operator,
 # wave_full_operator, crank_nicolson, implicit_midpoint, relative_l2,
-# projection_error, mode3_product, exact_reduced_derivative, project_matrix,
+# projection_error, hamiltonian_drift, reduced_hamiltonian, symmetric_part,
+# mode3_product, exact_reduced_derivative, project_matrix,
 # wave_mass_form_operator and wave_stiffness.
 from . import __version__
 from .basis import (
@@ -71,7 +75,6 @@ from .inference import InferenceData, infer_lstsq, infer_normal, infer_symmetric
 from .linalg import lstsq_min_norm
 from .metrics import hamiltonian_drift, projection_error, relative_l2, weighted_norm_sq
 from .rom import (
-    RomModel,
     block_operator,
     cayley_sweep,
     crank_nicolson,
@@ -183,6 +186,28 @@ def _intrusive(cfg: ExperimentConfig, model, basis_full: ReducedBasis, params) -
     if cfg.problem == "heat1d":
         return intrusive_project(-model.stiffness, basis_full)
     return wave_projected_stiffness(model, params, basis_full.u_half)
+
+
+def _rom_operators(cfg, outdir, label: str, r: int, params, intrusive) -> np.ndarray:
+    """The reduced generators of one (label, r) at every sample, stacked ``(S, n, n)``.
+
+    Heat ``T nu``; wave ``[[0, A2], [-(T1 mu^2), 0]]``, intrusive ``A2 = I``.
+    ``params`` holds the samples as columns; ``intrusive`` is
+    :func:`_intrusive`'s result for them.
+    """
+    if cfg.problem == "heat1d":
+        tensor = (intrusive[:r, :r] if label == INTRUSIVE
+                  else load_tensor(outdir / "operators" / f"tensor_{label}_r{r}.tpoi"))
+        # the contraction of mode3_product, one generator per sample
+        return np.einsum("ijx,xs->sij", tensor, heat_features(params))
+    if label == INTRUSIVE:
+        ops = np.zeros((params.shape[1], 2 * r, 2 * r))
+        ops[:, :r, r:] = np.eye(r)
+        ops[:, r:, :r] = -intrusive[:, :r, :r]
+        return ops
+    t1 = load_tensor(outdir / "operators" / f"t1_{label}_r{r}.tpoi")
+    a2 = load_matrix(outdir / "operators" / f"a2_{label}_r{r}.tpoi")
+    return block_operator(t1, a2, params)
 
 
 def _leading(y: np.ndarray, r: int, r_max: int, wave: bool) -> np.ndarray:
@@ -371,8 +396,8 @@ def infer(cfg: ExperimentConfig, outdir) -> None:
 
     The training snapshots are projected, and finite differences taken,
     once with the largest basis; each size r keeps the leading rows.  Exact
-    derivatives and the recovery reference come from the intrusive
-    operators, formed once and sliced per r.
+    derivatives apply the intrusive generators to the snapshots; they and
+    the recovery reference use the intrusive operators, formed once.
     """
     cfg = cfg.validate()
     outdir = Path(outdir)
@@ -388,17 +413,13 @@ def infer(cfg: ExperimentConfig, outdir) -> None:
     r_max = basis_full.r
     exact = cfg.derivative == "exact"
     if exact:
-        intrusive = _intrusive(cfg, model, basis_full, params)
+        intrusive = reference = _intrusive(cfg, model, basis_full, params)
         if wave:
             # least-squares affine-in-mu^2 fit of the position blocks: the
             # reference for the learned position tensor, exact when K(mu) is
             # affine in mu^2 (one subdomain); column by column, so nested
             coeffs, _, _ = lstsq_min_norm((params**2).T, intrusive.reshape(params.shape[1], -1))
             reference = np.moveaxis(coeffs.reshape(params.shape[0], r_max, r_max), 0, 2)
-            generators = intrusive
-        else:
-            reference = intrusive
-            generators = np.einsum("ijx,xs->sij", intrusive, heat_features(params))
     else:
         derivs_full = np.stack([estimate_time_derivative(red, cfg.dt) for red in reduced], axis=2)
 
@@ -407,11 +428,9 @@ def infer(cfg: ExperimentConfig, outdir) -> None:
     agreement: dict[str, float] = {}
     for r in cfg.reduced_dims:
         ys = _leading(ys_full, r, r_max, wave)
-        if exact:
-            # Galerkin dynamics: heat (T nu) y; wave qdot = p, pdot = -(Uw^T K(mu) Uw) q
-            zs = np.einsum("sij,jts->its", generators[:, :r, :r], ys[:r], optimize=True)
-            if wave:
-                zs = np.concatenate([ys[r:], -zs])
+        if exact:  # Galerkin dynamics: heat (T nu) y; wave qdot = p, pdot = -(Uw^T K Uw) q
+            ops = _rom_operators(cfg, outdir, INTRUSIVE, r, params, intrusive)
+            zs = np.einsum("sij,jts->its", ops, ys, optimize=True)
         else:
             zs = _leading(derivs_full, r, r_max, wave)
         if wave:  # T1 from -pdot = (T1 mu^2) q, A2 from qdot = A2 p
@@ -454,29 +473,6 @@ def infer(cfg: ExperimentConfig, outdir) -> None:
 
 def _rom_labels(cfg: ExperimentConfig) -> list[str]:
     return list(cfg.methods) + [INTRUSIVE]
-
-
-def _rom_operators(cfg, outdir, label: str, r: int, params, intrusive) -> np.ndarray:
-    """The reduced generators of one (label, r) at every sample, stacked ``(S, n, n)``.
-
-    ``params`` holds the samples of both splits as columns; ``intrusive``
-    is the stage's :func:`_intrusive` result for them.
-    """
-    if cfg.problem == "heat1d":
-        if label == INTRUSIVE:
-            tensor = intrusive[:r, :r]
-        else:
-            tensor = load_tensor(outdir / "operators" / f"tensor_{label}_r{r}.tpoi")
-        # the contraction of mode3_product, one generator per sample
-        return np.einsum("ijx,xs->sij", tensor, heat_features(params))
-    if label == INTRUSIVE:
-        ops = np.zeros((params.shape[1], 2 * r, 2 * r))
-        ops[:, :r, r:] = np.eye(r)
-        ops[:, r:, :r] = -intrusive[:, :r, :r]
-        return ops
-    t1 = load_tensor(outdir / "operators" / f"t1_{label}_r{r}.tpoi")
-    a2 = load_matrix(outdir / "operators" / f"a2_{label}_r{r}.tpoi")
-    return block_operator(t1, a2, params)
 
 
 def simulate_rom(cfg: ExperimentConfig, outdir) -> None:
@@ -532,38 +528,15 @@ def simulate_rom(cfg: ExperimentConfig, outdir) -> None:
 # stage 5: evaluation
 
 
-def _drift_model_builder(outdir, label: str, r: int, params, intrusive):
-    """Per-(label, r) factory mapping ``(split, sample index)`` to (energy model, contraction).
+def _energies(ops: np.ndarray) -> np.ndarray:
+    """Energy matrices ``sym(J^T A) = blockdiag(sym(T1 mu^2), sym(A2))`` of generators ``A = J E``.
 
-    Each reduced run is scored against its own quadratic energy: the
-    intrusive model evaluates its per-sample position block
-    ``intrusive[split][i, :r, :r]`` directly (with a unit contraction
-    weight, since the block already contains the parameter), the
-    symmetry-constrained fit carries exact flags, and unconstrained fits
-    are scored through their symmetric part, which defines the same
-    quadratic form.
+    A quadratic form sees only the symmetric part of its matrix, so an
+    unconstrained fit keeps the energy of its own blocks.
     """
-    if label == INTRUSIVE:
-        def build(split: str, i: int) -> tuple[RomModel, np.ndarray]:
-            energy_model = RomModel(
-                t1=intrusive[split][i, :r, :r, None],
-                a2=np.eye(r),
-                t1_structure="symmetric",
-                a2_structure="symmetric",
-            )
-            return energy_model, np.ones(1)
-
-        return build
-    t1 = load_tensor(outdir / "operators" / f"t1_{label}_r{r}.tpoi")
-    a2 = load_matrix(outdir / "operators" / f"a2_{label}_r{r}.tpoi")
-    learned = RomModel(t1=t1, a2=a2)
-    if label == "symmetric":
-        learned = dataclasses.replace(
-            learned, t1_structure="symmetric", a2_structure="symmetric"
-        )
-    else:
-        learned = symmetric_part(learned)
-    return lambda split, i: (learned, params[split][:, i])
+    r = ops.shape[-1] // 2
+    e = np.concatenate([-ops[:, r:], ops[:, :r]], axis=1)
+    return 0.5 * (e + e.transpose(0, 2, 1))
 
 
 def _scored_run(states: np.ndarray, u: np.ndarray, mass: np.ndarray):
@@ -591,7 +564,11 @@ def evaluate(cfg: ExperimentConfig, outdir) -> None:
     The first two terms are the projection residual at size r, shared by
     every model; the last needs no lift and no mass product.  Heat scores
     the whole state with ``(u, mass)``, wave the position block with
-    ``(u_half, mass_w)``.  Errors pool the runs that did not diverge; the
+    ``(u_half, mass_w)``.  Errors pool the runs that did not diverge.  A
+    wave run's energy is ``h = 1/2 y . (E_s y)`` with ``E_s`` from the
+    sample's generator (:func:`_energies`); ``energy`` records per
+    (label, r, split) the smallest eigenvalue of ``E_s`` and the number of
+    indefinite samples, which are still scored.  The
     drift series of each r is that of sample 0 of the held-out split (the
     training split without one); drift series of an r no longer evaluated
     are removed.
@@ -607,10 +584,11 @@ def evaluate(cfg: ExperimentConfig, outdir) -> None:
     manifest = _load_manifest(outdir)
     diverged = {(d["label"], d["r"], d["split"], d["index"])
                 for d in manifest.get("divergences", [])}
-    params = {split: _load_params(outdir, split) for split, _ in _splits(cfg)}
     wave = cfg.problem == "wave1d"
-    intrusive = ({split: _intrusive(cfg, model, basis_full, values)
-                  for split, values in params.items()} if wave else None)
+    if wave:
+        params = np.hstack([_load_params(outdir, split) for split, _ in _splits(cfg)])
+        intrusive = _intrusive(cfg, model, basis_full, params)
+        first = {"train": 0, "test": cfg.n_train}  # each split's first column of params
     u, mass = (basis_full.u_half, model.mass_w) if wave else (basis_full.u, model.mass)
 
     runs = {split: [_scored_run(load_matrix(_fom_path(outdir, split, i)), u, mass)
@@ -622,6 +600,7 @@ def evaluate(cfg: ExperimentConfig, outdir) -> None:
     error_map: dict[str, float] = {}
     projection_map: dict[str, float] = {}
     drift_max: dict[str, float] = {}
+    energy: dict[str, dict] = {}
     written: set[Path] = set()
 
     for r in cfg.reduced_dims:
@@ -634,9 +613,10 @@ def evaluate(cfg: ExperimentConfig, outdir) -> None:
 
         drift_series: dict[str, np.ndarray] = {}
         for label in _rom_labels(cfg):
-            drift_peak = 0.0
             if wave:
-                drift_at = _drift_model_builder(outdir, label, r, params, intrusive)
+                energies = _energies(_rom_operators(cfg, outdir, label, r, params, intrusive))
+                lowest = np.linalg.eigvalsh(energies)[:, 0]
+                drift_peak = 0.0
             for split, count in _splits(cfg):
                 num = den = 0.0
                 for i in range(count):
@@ -647,18 +627,18 @@ def evaluate(cfg: ExperimentConfig, outdir) -> None:
                     num += residual[split][i] + float(np.sum((c[:r] - red[:r]) ** 2))
                     den += norm
                     if wave:
-                        dmodel, nu = drift_at(split, i)
-                        drift = hamiltonian_drift(dmodel, nu, red)
-                        h0 = abs(reduced_hamiltonian(dmodel, nu, red[:, 0]))
-                        rel = float(np.max(drift))
-                        if h0 > 0.0:
-                            rel /= h0
-                        drift_peak = max(drift_peak, rel)
+                        h = 0.5 * np.sum(red * (energies[first[split] + i] @ red), axis=0)
+                        drift = np.abs(h - h[0])
+                        drift_peak = max(drift_peak, float(np.max(drift)) / (abs(h[0]) or 1.0))
                         if split == showcase and i == 0:
                             drift_series[label] = drift
                 value = float(np.sqrt(num / den)) if den > 0.0 else float("inf")
                 error_rows.append([split, r, label, value, proj[split]])
                 error_map[f"{label}_r{r}_{split}"] = value
+                if wave:
+                    low = lowest[first[split]:first[split] + count]
+                    energy[f"{label}_r{r}_{split}"] = {"min_eig": float(low.min()),
+                                                       "indefinite": int(np.sum(low < 0.0))}
             if wave:
                 drift_max[f"{label}_r{r}"] = drift_peak
 
@@ -676,15 +656,16 @@ def evaluate(cfg: ExperimentConfig, outdir) -> None:
         ["split", "r", "method", "relative_l2", "projection_error"],
         error_rows,
     )
-    _write_summary(cfg, report_dir, manifest, error_rows, drift_max)
+    _write_summary(cfg, report_dir, manifest, error_rows, drift_max, energy)
 
     _record_stage(
         cfg, outdir, "evaluate", time.perf_counter() - started,
-        updates={"errors": error_map, "projection": projection_map, "drift_max": drift_max},
+        updates={"errors": error_map, "projection": projection_map, "drift_max": drift_max,
+                 "energy": energy},
     )
 
 
-def _write_summary(cfg, report_dir, manifest, error_rows, drift_max) -> None:
+def _write_summary(cfg, report_dir, manifest, error_rows, drift_max, energy) -> None:
     lines: list[str] = []
     lines.append("experiment summary")
     lines.append("==================")
@@ -699,9 +680,14 @@ def _write_summary(cfg, report_dir, manifest, error_rows, drift_max) -> None:
         lines.append("  " + ",".join(_fmt(v) for v in row))
     if drift_max:
         lines.append("")
-        lines.append("max relative energy drift over all samples:")
+        lines.append("max relative energy drift over all samples; per split, the")
+        lines.append("smallest energy eigenvalue (number of indefinite samples):")
         for key in sorted(drift_max):
-            lines.append(f"  {key}: {_fmt(drift_max[key])}")
+            splits = [(split, energy[f"{key}_{split}"]) for split, _ in _splits(cfg)]
+            spectra = ", ".join(f"{split} {_fmt(e['min_eig'])} ({e['indefinite']})"
+                                for split, e in splits)
+            flag = "  INDEFINITE" if any(e["indefinite"] for _, e in splits) else ""
+            lines.append(f"  {key}: {_fmt(drift_max[key])}; {spectra}{flag}")
         lines.append("  (unconstrained fits are scored with the symmetric part")
         lines.append("   of their learned operators, which defines the same")
         lines.append("   quadratic energy)")

@@ -16,6 +16,9 @@ Energy-aware operations (:func:`assemble_block_hamiltonian`,
 blocks and raise :class:`~topinf.errors.StructureError` otherwise;
 :func:`symmetric_part` produces the flagged symmetric part of a learned
 model, whose quadratic form coincides with that of the original blocks.
+:class:`RomModel` and :func:`reduced_hamiltonian` are the reference forms:
+the pipeline reads each sample's energy ``E = J^T A`` off the stacked
+generators (:func:`block_operator`), and the tests check it against them.
 
 The integrators apply the Cayley map ``(M - dt/2 A)^{-1} (M + dt/2 A)``:
 one factorization builds this step map, which is then applied once per

@@ -13,17 +13,21 @@ import pytest
 
 from topinf import (
     ReducedBasis,
+    RomModel,
     build_heat_model,
     build_wave_model,
     default_config,
+    hamiltonian_drift,
     intrusive_project,
     load_matrix,
     load_tensor,
     make_rng,
     projection_error,
+    reduced_hamiltonian,
     relative_l2,
     run_pipeline,
     save_tensor,
+    symmetric_part,
 )
 from topinf import pipeline, wave
 from topinf.pipeline import STAGES, evaluate, simulate_rom
@@ -95,6 +99,56 @@ def assert_scores_match_full_order_oracle(cfg, outdir, manifest):
                 oracle = relative_l2([fom[i] for i in kept], lifted, mass)
                 assert manifest["errors"][f"{label}_r{r}_{split}"] == pytest.approx(
                     oracle, rel=1e-10)
+
+
+def assert_drift_matches_energy_oracle(cfg, outdir, manifest):
+    """Recompute every ``drift_max`` and ``energy`` entry through the reference energy.
+
+    Learned models go through ``hamiltonian_drift`` on the ``symmetric_part``
+    of their stored blocks (the symmetric fit as stored, flagged symmetric);
+    the intrusive model is ``RomModel(t1=U^T K(mu) U, a2=I)`` with ``nu = 1``.
+    The energy matrix of a sample is ``blockdiag(T1 mu^2, A2)`` of the same
+    model.  Diverged runs are left out of the drift, as in the pipeline.
+    """
+    model = build_wave_model(cfg.n_elements, cfg.breakpoints)
+    half = load_matrix(outdir / "basis" / "u_half.tpoi")
+    diverged = {(d["label"], d["r"], d["split"], d["index"]) for d in manifest["divergences"]}
+    for r in cfg.reduced_dims:
+        for label in list(cfg.methods) + ["intrusive"]:
+            if label != "intrusive":
+                ops = outdir / "operators"
+                learned = RomModel(t1=load_tensor(ops / f"t1_{label}_r{r}.tpoi"),
+                                   a2=load_matrix(ops / f"a2_{label}_r{r}.tpoi"))
+                learned = (dataclasses.replace(learned, t1_structure="symmetric",
+                                               a2_structure="symmetric")
+                           if label == "symmetric" else symmetric_part(learned))
+            peak = 0.0
+            for split, count in (("train", cfg.n_train), ("test", cfg.n_test)):
+                params = load_matrix(outdir / f"params_{split}.tpoi")
+                blocks = wave.wave_projected_stiffness(model, params, half[:, :r])
+                lowest = []
+                for i in range(count):
+                    if label == "intrusive":
+                        energy_model = RomModel(t1=blocks[i][:, :, None], a2=np.eye(r),
+                                                t1_structure="symmetric",
+                                                a2_structure="symmetric")
+                        nu = np.ones(1)
+                    else:
+                        energy_model, nu = learned, params[:, i]
+                    position = np.einsum("ijx,x->ij", energy_model.t1, nu**2)
+                    lowest.append(min(np.linalg.eigvalsh(position)[0],
+                                      np.linalg.eigvalsh(energy_model.a2)[0]))
+                    if (label, r, split, i) in diverged:
+                        continue
+                    states = load_matrix(outdir / "rom" / f"{label}_r{r}" / f"{split}_{i:03d}.tpoi")
+                    drift = hamiltonian_drift(energy_model, nu, states)
+                    h0 = abs(reduced_hamiltonian(energy_model, nu, states[:, 0]))
+                    peak = max(peak, float(np.max(drift)) / (h0 or 1.0))
+                entry = manifest["energy"][f"{label}_r{r}_{split}"]
+                assert entry["min_eig"] == pytest.approx(min(lowest), rel=1e-9, abs=1e-12)
+                assert entry["indefinite"] == sum(low < 0.0 for low in lowest)
+            assert manifest["drift_max"][f"{label}_r{r}"] == pytest.approx(
+                peak, rel=1e-9, abs=1e-12)
 
 
 @pytest.fixture(scope="module")
@@ -174,6 +228,7 @@ def test_heat_manifest_contents(heat_run):
                 err = manifest["errors"][f"{label}_r{r}_{split}"]
                 assert 0.0 < err < 1.0
     assert manifest["divergences"] == []
+    assert manifest["energy"] == {}  # wave only
 
 
 def test_heat_error_table(heat_run):
@@ -246,6 +301,29 @@ def test_wave_artifact_layout_and_drift(wave_run):
     assert first[0] == cfg.t0 and all(v == 0.0 for v in first[1:])
 
 
+def test_wave_drift_and_energy_match_the_reference_energy(wave_run):
+    assert_drift_matches_energy_oracle(*wave_run)
+
+
+def test_indefinite_learned_energy_is_reported(tmp_path):
+    # at seed 4 the finite-difference symmetric fit at r=10 has an indefinite
+    # position energy at one test sample; it is reported, labelled and scored
+    cfg = dataclasses.replace(default_config("wave1d"), seed=4)
+    manifest = run_pipeline(cfg, tmp_path)
+    energy = manifest["energy"]
+    assert energy["symmetric_r10_test"]["indefinite"] == 1
+    assert energy["symmetric_r10_test"]["min_eig"] < -4.0
+    assert energy["symmetric_r10_train"]["indefinite"] == 0
+    for r in cfg.reduced_dims:
+        for split in ("train", "test"):
+            assert energy[f"intrusive_r{r}_{split}"]["indefinite"] == 0
+            assert energy[f"intrusive_r{r}_{split}"]["min_eig"] > 0.0
+    assert np.isfinite(manifest["errors"]["symmetric_r10_test"])
+    lines = (tmp_path / "report" / "summary.txt").read_text().splitlines()
+    flagged = [line.split(":")[0].strip() for line in lines if line.endswith("INDEFINITE")]
+    assert "symmetric_r10" in flagged and "intrusive_r10" not in flagged
+
+
 def test_wave_single_subdomain_exact_recovery(tmp_path):
     # with one subdomain the projected operator is exactly affine in mu^2,
     # so exact-derivative inference reproduces the intrusive reference
@@ -260,7 +338,7 @@ def test_wave_single_subdomain_exact_recovery(tmp_path):
 def test_stages_form_galerkin_quantities_once(problem, tmp_path, monkeypatch):
     # the basis is nested: each stage forms its Galerkin quantities once with
     # the largest basis and slices them per r; evaluate forms the wave blocks
-    # once per split, and no stage forms a full-order K(mu)
+    # once for both splits, and no stage forms a full-order K(mu)
     base = small_heat_config() if problem == "heat1d" else small_wave_config()
     cfg = dataclasses.replace(base, derivative="exact", reduced_dims=(2, 3))
     calls = {"galerkin": 0, "wave_stiffness": 0}
@@ -276,8 +354,7 @@ def test_stages_form_galerkin_quantities_once(problem, tmp_path, monkeypatch):
     stiffness = counting("wave_stiffness", wave.wave_stiffness)
     monkeypatch.setattr(wave, "wave_stiffness", stiffness)
     monkeypatch.setattr(pipeline, "wave_stiffness", stiffness)
-    per_split = 0 if problem == "heat1d" else len(pipeline._splits(cfg))
-    for (name, stage), expected in zip(STAGES, (0, 0, 1, 1, per_split)):
+    for (name, stage), expected in zip(STAGES, (0, 0, 1, 1, int(problem == "wave1d"))):
         calls.update(galerkin=0, wave_stiffness=0)
         stage(cfg, tmp_path)
         assert calls == {"galerkin": expected, "wave_stiffness": 0}, name
