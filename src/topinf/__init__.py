@@ -59,7 +59,6 @@ from .wave import (
     build_wave_model,
     canonical_j,
     sample_wave_speeds,
-    wave_features,
     wave_full_operator,
     wave_hamiltonian,
     wave_initial_state,
@@ -171,7 +170,6 @@ __all__ = [
     "wave_rhs",
     "wave_hamiltonian",
     "wave_initial_state",
-    "wave_features",
     "sample_wave_speeds",
     "canonical_j",
     # bases and data

@@ -7,18 +7,20 @@ by ``p - 1`` interior breakpoints, which yields the affine parametric form
 
     M qdot = A(mu) q,     A(mu) = -sum_k mu_k * K_k,
 
-where ``M`` is the interior mass matrix and ``K_k`` is the stiffness
-contribution of subdomain ``k``.  The model stores the positive
-semidefinite slices ``K_k`` stacked as an order-3 tensor; the minus sign
-is applied by :func:`heat_operator`.  Elements straddling a breakpoint are
+where ``M`` is the interior mass matrix and ``K_k`` is the positive
+semidefinite stiffness contribution of subdomain ``k``; the minus sign is
+applied by :func:`heat_operator`.  Elements straddling a breakpoint are
 assigned to the subdomain containing their midpoint.
 
 The feature map for this problem is the identity: the reduced parametric
 operator is affine in ``mu`` itself.
 
-``M`` and every ``K_k`` are tridiagonal, so :func:`heat_sweep` steps a
-whole parameter sweep with Crank-Nicolson through one stacked
-tridiagonal factorization instead of dense step maps.
+``M`` and every ``K_k`` are tridiagonal, and the model stores their bands
+from one vectorized assembly (:func:`p1_assembly`, which also gives the
+wave model its flux mass slices); the dense ``M`` and the stacked
+``(N, N, p)`` tensor of the ``K_k`` are built on access.
+:func:`heat_sweep` steps a whole parameter sweep with Crank-Nicolson
+through one stacked tridiagonal factorization of the bands.
 """
 
 from __future__ import annotations
@@ -32,6 +34,9 @@ from .tensors import mode3_product
 
 __all__ = [
     "HeatModel",
+    "p1_assembly",
+    "weighted_bands",
+    "dense_slices",
     "build_heat_model",
     "heat_operator",
     "heat_sweep",
@@ -49,49 +54,15 @@ DEFAULT_BREAKPOINTS = (2.0 * np.pi / 3.0, 4.0 * np.pi / 3.0)
 DEFAULT_RANGE = (0.01, 1.0)
 
 
-@dataclass(frozen=True)
-class HeatModel:
-    """Assembled FEM operators for the heat problem.
+def p1_assembly(n_elements: int, breakpoints: tuple[float, ...]) -> tuple:
+    """Per-subdomain P1 mass and stiffness bands on the interior nodes of a uniform mesh.
 
-    Attributes
-    ----------
-    n_elements : int
-        Number of uniform elements; there are ``n_elements - 1`` interior
-        degrees of freedom.
-    breakpoints : tuple of float
-        Interior subdomain boundaries, strictly increasing in ``(0, 2*pi)``.
-    h : float
-        Element width.
-    nodes : ndarray, shape (n_elements - 1,)
-        Coordinates of the interior nodes.
-    mass : ndarray, shape (N, N)
-        Interior mass matrix (tridiagonal, symmetric positive definite).
-    stiffness : ndarray, shape (N, N, p)
-        Per-subdomain stiffness slices; each slice is symmetric positive
-        semidefinite and the slices sum to the full stiffness matrix.
+    Returns ``(breakpoints, h, mass, stiffness)``: the checked breakpoints,
+    the element width, and for each matrix the pair ``(diag, off)`` of
+    shapes ``(p, N)`` and ``(p, N - 1)``, ``N = n_elements - 1``, whose row
+    ``k`` holds the bands of subdomain ``k``'s slice.  The local matrices
+    are ``(h/6) [[2, 1], [1, 2]]`` and ``(1/h) [[1, -1], [-1, 1]]``.
     """
-
-    n_elements: int
-    breakpoints: tuple[float, ...]
-    h: float
-    nodes: np.ndarray
-    mass: np.ndarray
-    stiffness: np.ndarray
-
-    @property
-    def n_dof(self) -> int:
-        return self.n_elements - 1
-
-    @property
-    def n_subdomains(self) -> int:
-        return len(self.breakpoints) + 1
-
-
-def build_heat_model(
-    n_elements: int = 200,
-    breakpoints: tuple[float, ...] = DEFAULT_BREAKPOINTS,
-) -> HeatModel:
-    """Assemble mass and per-subdomain stiffness on a uniform mesh."""
     if n_elements < 2:
         raise ValueError(f"need at least 2 elements, got {n_elements}")
     breakpoints = tuple(float(b) for b in breakpoints)
@@ -101,36 +72,103 @@ def build_heat_model(
         raise ValueError("breakpoints must be strictly increasing")
 
     h = DOMAIN_LENGTH / n_elements
-    all_nodes = np.linspace(0.0, DOMAIN_LENGTH, n_elements + 1)
-    n = n_elements - 1
-    p = len(breakpoints) + 1
-    mass = np.zeros((n, n))
-    stiffness = np.zeros((n, n, p))
-    local_mass = (h / 6.0) * np.array([[2.0, 1.0], [1.0, 2.0]])
-    local_stiff = (1.0 / h) * np.array([[1.0, -1.0], [-1.0, 1.0]])
-    bp = np.asarray(breakpoints)
+    edges = np.linspace(0.0, DOMAIN_LENGTH, n_elements + 1)
+    owner = np.searchsorted(np.asarray(breakpoints), 0.5 * (edges[:-1] + edges[1:]))
+    member = (owner == np.arange(len(breakpoints) + 1)[:, None]).astype(float)
+    # interior node i is shared by elements i and i + 1; the edge (i, i + 1)
+    # lies in element i + 1 only
+    touching, spanning = member[:, :-1] + member[:, 1:], member[:, 1:-1]
+    mass = ((h / 6.0 * 2.0) * touching, (h / 6.0) * spanning)
+    stiffness = ((1.0 / h) * touching, np.where(spanning > 0.0, -1.0 / h, 0.0))
+    return breakpoints, h, mass, stiffness
 
-    for e in range(n_elements):
-        midpoint = 0.5 * (all_nodes[e] + all_nodes[e + 1])
-        k = int(np.searchsorted(bp, midpoint))
-        for a in (0, 1):
-            i = e + a - 1  # interior index of local node a
-            if not (0 <= i < n):
-                continue
-            for b in (0, 1):
-                j = e + b - 1
-                if not (0 <= j < n):
-                    continue
-                mass[i, j] += local_mass[a, b]
-                stiffness[i, j, k] += local_stiff[a, b]
 
+def weighted_bands(weights: np.ndarray, diag: np.ndarray, off: np.ndarray) -> tuple:
+    """Bands ``(diag, off)`` of ``sum_k w_k slice_k`` for weights ``(p,)`` or ``(p, S)``.
+
+    The slices have bands ``diag`` (p, N) and ``off`` (p, N - 1); with S
+    samples the result is ``(S, N)`` and ``(S, N - 1)``.  Summed slice by
+    slice, so each sample's bands do not depend on S (a matrix product
+    rounds differently for different S).
+    """
+    weights = np.asarray(weights, dtype=float)[..., None]
+    return (sum(w * d for w, d in zip(weights, diag)),
+            sum(w * e for w, e in zip(weights, off)))
+
+
+def dense_slices(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """Dense ``(N, N, p)`` symmetric tridiagonals with bands ``diag`` (p, N), ``off`` (p, N - 1)."""
+    n = diag.shape[1]
+    out = np.zeros((n, n, diag.shape[0]))
+    i = np.arange(n)
+    out[i, i] = diag.T
+    out[i[:-1], i[1:]] = out[i[1:], i[:-1]] = off.T
+    return out
+
+
+@dataclass(frozen=True)
+class HeatModel:
+    """FEM operators of the heat problem, stored as tridiagonal bands.
+
+    Attributes
+    ----------
+    n_elements : int
+        Number of uniform elements; there are ``N = n_elements - 1``
+        interior degrees of freedom.
+    breakpoints : tuple of float
+        Interior subdomain boundaries, strictly increasing in ``(0, 2*pi)``.
+    h : float
+        Element width.
+    nodes : ndarray, shape (N,)
+        Coordinates of the interior nodes.
+    mass_diag, mass_off : ndarray, shapes (N,) and (N - 1,)
+        Bands of the interior mass matrix.
+    stiffness_diag, stiffness_off : ndarray, shapes (p, N) and (p, N - 1)
+        Bands of the per-subdomain stiffness slices.
+
+    The dense :attr:`mass` and :attr:`stiffness` are built on access.
+    """
+
+    n_elements: int
+    breakpoints: tuple[float, ...]
+    h: float
+    nodes: np.ndarray
+    mass_diag: np.ndarray
+    mass_off: np.ndarray
+    stiffness_diag: np.ndarray
+    stiffness_off: np.ndarray
+
+    @property
+    def n_dof(self) -> int:
+        return self.n_elements - 1
+
+    @property
+    def n_subdomains(self) -> int:
+        return len(self.breakpoints) + 1
+
+    @property
+    def mass(self) -> np.ndarray:
+        """Interior mass matrix ``(N, N)`` (symmetric positive definite)."""
+        return dense_slices(self.mass_diag[None], self.mass_off[None])[:, :, 0]
+
+    @property
+    def stiffness(self) -> np.ndarray:
+        """Per-subdomain stiffness slices ``(N, N, p)``; each is symmetric
+        positive semidefinite and they sum to the full stiffness matrix."""
+        return dense_slices(self.stiffness_diag, self.stiffness_off)
+
+
+def build_heat_model(
+    n_elements: int = 200,
+    breakpoints: tuple[float, ...] = DEFAULT_BREAKPOINTS,
+) -> HeatModel:
+    """Assemble mass and per-subdomain stiffness bands on a uniform mesh."""
+    breakpoints, h, mass, stiffness = p1_assembly(n_elements, breakpoints)
     return HeatModel(
-        n_elements=n_elements,
-        breakpoints=breakpoints,
-        h=h,
-        nodes=all_nodes[1:-1].copy(),
-        mass=mass,
-        stiffness=stiffness,
+        n_elements=n_elements, breakpoints=breakpoints, h=h,
+        nodes=np.linspace(0.0, DOMAIN_LENGTH, n_elements + 1)[1:-1].copy(),
+        mass_diag=mass[0].sum(axis=0), mass_off=mass[1].sum(axis=0),
+        stiffness_diag=stiffness[0], stiffness_off=stiffness[1],
     )
 
 
@@ -176,12 +214,9 @@ def heat_sweep(
     if q0.shape != (model.n_dof,):
         raise ValueError(f"initial state must have length {model.n_dof}, got {q0.shape}")
 
-    # dt/2 K(mu) bands of every sample, (S, n) and (S, n - 1), summed slice by
-    # slice: a matrix product rounds differently for different S
-    half = 0.5 * dt * params
-    k_diag = sum(w[:, None] * d for w, d in zip(half, np.diagonal(model.stiffness)))
-    k_off = sum(w[:, None] * e for w, e in zip(half, np.diagonal(model.stiffness, 1)))
-    m_diag, m_off = np.diagonal(model.mass), np.diagonal(model.mass, 1)
+    # dt/2 K(mu) bands of every sample, (S, n) and (S, n - 1)
+    k_diag, k_off = weighted_bands(0.5 * dt * params, model.stiffness_diag, model.stiffness_off)
+    m_diag, m_off = model.mass_diag, model.mass_off
 
     # (M - dt/2 K) bands; each sample's off-diagonal ends in a zero coupling,
     # so the product runs over the flattened stack as one tridiagonal

@@ -29,7 +29,9 @@ BLAS builds with separate thread pools, and a threaded SciPy factorization
 next to NumPy products stalls the latter; SciPy's LAPACK is called only
 for the O(n^2) Cholesky follow-ups (condition estimate, triangular solves)
 and, on the failure path, to locate the breakdown pivot.  The O(n)
-tridiagonal routines (``dpttrf``/``dpttrs``) call no BLAS at all.
+tridiagonal routines (``dpttrf``/``dpttrs``) call no BLAS at all.  SciPy
+is imported where its LAPACK is first called, so importing the package
+and building a model do not load it.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .errors import NotPositiveDefiniteError, SingularMatrixError
 
@@ -100,6 +101,7 @@ def _breakdown_pivot(m: np.ndarray) -> int:
     NumPy's broke down (the two BLAS builds round differently), the
     smallest pivot of its factor is reported.
     """
+    from scipy.linalg import lapack
     c, info = lapack.dpotrf(m, lower=0, overwrite_a=0)
     if info > 0:
         return int(info - 1)
@@ -215,6 +217,7 @@ def solve_sym(
                 pivot_index=pivot,
             )
         raise _singular(eigvals, 0.0)
+    from scipy.linalg import lapack
     anorm = float(np.max(np.abs(bs).sum(axis=0)))
     rcond, info = lapack.dpocon(factor, anorm)
     if info != 0:
@@ -293,6 +296,7 @@ class TridiagonalFactor:
             )
         if b.dtype != np.float64 or not b.flags.c_contiguous:
             raise ValueError("right-hand side must be a C-contiguous float64 array")
+        from scipy.linalg import lapack
         # rows of the C-ordered (k, S*n) view are the Fortran columns dpttrs
         # solves in place
         x, info = lapack.dpttrs(self.d, self.e, b.reshape(-1, self.samples * self.n).T,
@@ -319,6 +323,7 @@ def factor_tridiagonals(diag: np.ndarray, off: np.ndarray) -> TridiagonalFactor:
         raise ValueError(f"diagonals {diag.shape} and off-diagonals {off.shape} do not conform")
     if not (np.all(np.isfinite(diag)) and np.all(np.isfinite(off))):
         raise ValueError("non-finite entries in the tridiagonals")
+    from scipy.linalg import lapack
     samples, n = diag.shape
     seams = np.zeros((samples, n))
     seams[:, :-1] = off  # zero coupling between consecutive samples

@@ -567,8 +567,9 @@ def evaluate(cfg: ExperimentConfig, outdir) -> None:
     ``(u_half, mass_w)``.  Errors pool the runs that did not diverge.  A
     wave run's energy is ``h = 1/2 y . (E_s y)`` with ``E_s`` from the
     sample's generator (:func:`_energies`); ``energy`` records per
-    (label, r, split) the smallest eigenvalue of ``E_s`` and the number of
-    indefinite samples, which are still scored.  The
+    (label, r, split) the smallest eigenvalue of each block of ``E_s``,
+    position and momentum, and the number of samples at which either block
+    is indefinite, which are still scored.  The
     drift series of each r is that of sample 0 of the held-out split (the
     training split without one); drift series of an r no longer evaluated
     are removed.
@@ -589,7 +590,7 @@ def evaluate(cfg: ExperimentConfig, outdir) -> None:
         params = np.hstack([_load_params(outdir, split) for split, _ in _splits(cfg)])
         intrusive = _intrusive(cfg, model, basis_full, params)
         first = {"train": 0, "test": cfg.n_train}  # each split's first column of params
-    u, mass = (basis_full.u_half, model.mass_w) if wave else (basis_full.u, model.mass)
+    u, mass = (basis_full.u_half if wave else basis_full.u), basis_full.weight
 
     runs = {split: [_scored_run(load_matrix(_fom_path(outdir, split, i)), u, mass)
                     for i in range(count)]
@@ -615,7 +616,8 @@ def evaluate(cfg: ExperimentConfig, outdir) -> None:
         for label in _rom_labels(cfg):
             if wave:
                 energies = _energies(_rom_operators(cfg, outdir, label, r, params, intrusive))
-                lowest = np.linalg.eigvalsh(energies)[:, 0]
+                position = np.linalg.eigvalsh(energies[:, :r, :r])[:, 0]
+                momentum = np.linalg.eigvalsh(energies[:, r:, r:])[:, 0]
                 drift_peak = 0.0
             for split, count in _splits(cfg):
                 num = den = 0.0
@@ -636,9 +638,11 @@ def evaluate(cfg: ExperimentConfig, outdir) -> None:
                 error_rows.append([split, r, label, value, proj[split]])
                 error_map[f"{label}_r{r}_{split}"] = value
                 if wave:
-                    low = lowest[first[split]:first[split] + count]
-                    energy[f"{label}_r{r}_{split}"] = {"min_eig": float(low.min()),
-                                                       "indefinite": int(np.sum(low < 0.0))}
+                    pos, mom = (low[first[split]:first[split] + count]
+                                for low in (position, momentum))
+                    energy[f"{label}_r{r}_{split}"] = {
+                        "position_min_eig": float(pos.min()), "momentum_min_eig": float(mom.min()),
+                        "indefinite": int(np.sum((pos < 0.0) | (mom < 0.0)))}
             if wave:
                 drift_max[f"{label}_r{r}"] = drift_peak
 
@@ -680,11 +684,12 @@ def _write_summary(cfg, report_dir, manifest, error_rows, drift_max, energy) -> 
         lines.append("  " + ",".join(_fmt(v) for v in row))
     if drift_max:
         lines.append("")
-        lines.append("max relative energy drift over all samples; per split, the")
-        lines.append("smallest energy eigenvalue (number of indefinite samples):")
+        lines.append("max relative energy drift over all samples; per split, the smallest")
+        lines.append("position/momentum energy eigenvalues (number of indefinite samples):")
         for key in sorted(drift_max):
             splits = [(split, energy[f"{key}_{split}"]) for split, _ in _splits(cfg)]
-            spectra = ", ".join(f"{split} {_fmt(e['min_eig'])} ({e['indefinite']})"
+            spectra = ", ".join(f"{split} {_fmt(e['position_min_eig'])}/"
+                                f"{_fmt(e['momentum_min_eig'])} ({e['indefinite']})"
                                 for split, e in splits)
             flag = "  INDEFINITE" if any(e["indefinite"] for _, e in splits) else ""
             lines.append(f"  {key}: {_fmt(drift_max[key])}; {spectra}{flag}")

@@ -22,13 +22,16 @@ The discrete energy
 is conserved by the continuous dynamics.  ``A1(mu)`` is self-adjoint in
 the ``Mw`` inner product, i.e. ``Mw A1(mu)`` is symmetric.
 
-At the reduced level the parametric dependence is approximated as affine
-in the elementwise square of the speeds, hence the feature map
-``(mu_1^2, ..., mu_p^2, 1)`` with the constant slot accounting for the
+At the reduced level the position block is fitted as affine in the
+squared speeds, ``T1(mu) = sum_k mu_k^2 T1_k``, and the momentum block
+``A2`` as one parameter-independent matrix, the reduced counterpart of the
 identity block of ``A(mu)``.
 
-``Mv(mu)`` is tridiagonal and ``S`` upper bidiagonal, and ``Mw = h I``.
-:func:`wave_projected_stiffness` therefore forms the Galerkin blocks
+The flux space is heat's interior-node P1 space, so the ``Vk`` are the heat
+model's mass slices (:func:`~topinf.heat.p1_assembly`).  The model stores
+their tridiagonal bands; ``Mw = h I``, the constant upper bidiagonal
+``S = (+1, -1)`` and the dense ``Vk`` are built on access.
+:func:`wave_projected_stiffness` forms the Galerkin blocks
 ``(S U)^T Mv(mu)^{-1} (S U)`` of a whole parameter sweep through one
 stacked tridiagonal factor (:func:`wave_stiffness` is its identity-basis
 case), and :func:`wave_sweep` steps a whole parameter sweep with the
@@ -42,6 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .heat import DOMAIN_LENGTH, dense_slices, p1_assembly, weighted_bands
 from .linalg import factor_tridiagonals
 from .rom import Trajectory, tridiagonal_sweep
 
@@ -58,12 +62,9 @@ __all__ = [
     "wave_rhs",
     "wave_hamiltonian",
     "wave_initial_state",
-    "wave_features",
     "sample_wave_speeds",
     "canonical_j",
 ]
-
-DOMAIN_LENGTH = 2.0 * np.pi
 
 #: Default interior breakpoints (four equal subdomains).
 DEFAULT_BREAKPOINTS = (np.pi / 2.0, np.pi, 3.0 * np.pi / 2.0)
@@ -78,33 +79,29 @@ _GAUSS_WEIGHTS = np.array([5.0 / 9.0, 8.0 / 9.0, 5.0 / 9.0])
 
 @dataclass(frozen=True)
 class WaveModel:
-    """Assembled mixed-FEM operators for the wave problem.
+    """Mixed-FEM operators of the wave problem, stored as tridiagonal bands.
 
     Attributes
     ----------
     n_elements : int
-        Number of uniform elements; ``q`` has one dof per element and the
-        flux space has ``n_elements - 1`` interior-node dofs.
+        Number of uniform elements: ``q`` has ``Nw = n_elements`` dofs (one
+        per element), the flux space ``Nv = n_elements - 1`` (interior nodes).
     breakpoints : tuple of float
         Interior subdomain boundaries.
     h : float
         Element width.
-    mass_w : ndarray, shape (Nw, Nw)
-        Diagonal element mass matrix (``h`` on the diagonal).
-    s_div : ndarray, shape (Nv, Nw)
-        Divergence pairing; column ``e`` has ``+1`` at the row of the right
-        node of element ``e`` and ``-1`` at the row of its left node
-        (boundary nodes excluded).
-    mass_v_slices : ndarray, shape (Nv, Nv, p)
-        Per-subdomain flux mass slices; ``Mv(mu) = sum_k mu_k^{-2} slice_k``.
+    mass_v_diag, mass_v_off : ndarray, shapes (p, Nv) and (p, Nv - 1)
+        Bands of the per-subdomain flux mass slices.
+
+    The dense :attr:`mass_w`, :attr:`s_div` and :attr:`mass_v_slices` are
+    built on access.
     """
 
     n_elements: int
     breakpoints: tuple[float, ...]
     h: float
-    mass_w: np.ndarray
-    s_div: np.ndarray
-    mass_v_slices: np.ndarray
+    mass_v_diag: np.ndarray
+    mass_v_off: np.ndarray
 
     @property
     def n_w(self) -> int:
@@ -118,59 +115,31 @@ class WaveModel:
     def n_subdomains(self) -> int:
         return len(self.breakpoints) + 1
 
+    @property
+    def mass_w(self) -> np.ndarray:
+        """Diagonal element mass matrix ``(Nw, Nw)``, ``h`` on the diagonal."""
+        return self.h * np.eye(self.n_w)
+
+    @property
+    def s_div(self) -> np.ndarray:
+        """Divergence pairing ``(Nv, Nw)``: column ``e`` has ``+1`` at the row of the
+        right node of element ``e``, ``-1`` at that of its left node (if interior)."""
+        return np.eye(self.n_v, self.n_w) - np.eye(self.n_v, self.n_w, 1)
+
+    @property
+    def mass_v_slices(self) -> np.ndarray:
+        """Per-subdomain flux mass slices ``(Nv, Nv, p)``; ``Mv(mu) = sum_k mu_k^{-2} slice_k``."""
+        return dense_slices(self.mass_v_diag, self.mass_v_off)
+
 
 def build_wave_model(
     n_elements: int = 200,
     breakpoints: tuple[float, ...] = DEFAULT_BREAKPOINTS,
 ) -> WaveModel:
-    """Assemble the mixed-space operators on a uniform mesh."""
-    if n_elements < 2:
-        raise ValueError(f"need at least 2 elements, got {n_elements}")
-    breakpoints = tuple(float(b) for b in breakpoints)
-    if any(not (0.0 < b < DOMAIN_LENGTH) for b in breakpoints):
-        raise ValueError(f"breakpoints must lie inside (0, {DOMAIN_LENGTH})")
-    if any(b2 <= b1 for b1, b2 in zip(breakpoints, breakpoints[1:])):
-        raise ValueError("breakpoints must be strictly increasing")
-
-    h = DOMAIN_LENGTH / n_elements
-    all_nodes = np.linspace(0.0, DOMAIN_LENGTH, n_elements + 1)
-    n_w = n_elements
-    n_v = n_elements - 1
-    p = len(breakpoints) + 1
-    bp = np.asarray(breakpoints)
-
-    mass_w = h * np.eye(n_w)
-
-    # (indicator of element e, derivative of hat at node nd): +1 when the
-    # element ends at the node, -1 when it starts there.
-    s_div = np.zeros((n_v, n_w))
-    for nd in range(1, n_elements):
-        s_div[nd - 1, nd - 1] = 1.0
-        s_div[nd - 1, nd] = -1.0
-
-    mass_v_slices = np.zeros((n_v, n_v, p))
-    local_mass = (h / 6.0) * np.array([[2.0, 1.0], [1.0, 2.0]])
-    for e in range(n_elements):
-        midpoint = 0.5 * (all_nodes[e] + all_nodes[e + 1])
-        k = int(np.searchsorted(bp, midpoint))
-        for a in (0, 1):
-            i = e + a - 1
-            if not (0 <= i < n_v):
-                continue
-            for b in (0, 1):
-                j = e + b - 1
-                if not (0 <= j < n_v):
-                    continue
-                mass_v_slices[i, j, k] += local_mass[a, b]
-
-    return WaveModel(
-        n_elements=n_elements,
-        breakpoints=breakpoints,
-        h=h,
-        mass_w=mass_w,
-        s_div=s_div,
-        mass_v_slices=mass_v_slices,
-    )
+    """Assemble the flux mass bands of the mixed spaces on a uniform mesh."""
+    breakpoints, h, (diag, off), _ = p1_assembly(n_elements, breakpoints)
+    return WaveModel(n_elements=n_elements, breakpoints=breakpoints, h=h,
+                     mass_v_diag=diag, mass_v_off=off)
 
 
 def _check_speeds(model: WaveModel, mu: np.ndarray) -> np.ndarray:
@@ -190,17 +159,6 @@ def wave_mass_v(model: WaveModel, mu: np.ndarray) -> np.ndarray:
     return np.einsum("ijk,k->ij", model.mass_v_slices, mu ** (-2.0))
 
 
-def _mass_v_bands(model: WaveModel, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonal and off-diagonal of ``sum_k w_k slice_k`` for weights ``(p,)`` or ``(p, S)``.
-
-    Summed slice by slice, so each sample's bands do not depend on S (a
-    matrix product rounds differently for different S).
-    """
-    weights = weights[..., None]
-    return (sum(w * d for w, d in zip(weights, np.diagonal(model.mass_v_slices))),
-            sum(w * e for w, e in zip(weights, np.diagonal(model.mass_v_slices, 1))))
-
-
 def wave_projected_stiffness(model: WaveModel, params: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Galerkin blocks ``U^T K(mu) U`` for every column of ``params`` (p, S), stacked ``(S, r, r)``.
 
@@ -217,9 +175,8 @@ def wave_projected_stiffness(model: WaveModel, params: np.ndarray, u: np.ndarray
     u = np.asarray(u, dtype=float)
     if u.ndim != 2 or u.shape[0] != model.n_w:
         raise ValueError(f"basis {u.shape} does not have {model.n_w} rows")
-    # S is upper bidiagonal: (S U)[i] = S[i, i] U[i] + S[i, i+1] U[i+1]
-    su = np.diagonal(model.s_div)[:, None] * u[:-1] + np.diagonal(model.s_div, 1)[:, None] * u[1:]
-    diag, off = _mass_v_bands(model, params ** (-2.0))
+    su = u[:-1] - u[1:]  # S U
+    diag, off = weighted_bands(params ** (-2.0), model.mass_v_diag, model.mass_v_off)
     # entry [a, s] of the (r, S, Nv) right-hand side is column a of S U
     x = factor_tridiagonals(diag, off).solve(
         np.repeat(su.T[:, None, :], params.shape[1], axis=1))
@@ -241,7 +198,7 @@ def wave_stiffness(model: WaveModel, mu: np.ndarray) -> np.ndarray:
 def wave_operator_a1(model: WaveModel, mu: np.ndarray) -> np.ndarray:
     """Position-block operator ``A1(mu) = Mw^{-1} S^T Mv(mu)^{-1} S``."""
     k = wave_stiffness(model, mu)
-    return k / np.diag(model.mass_w)[:, None]
+    return k / model.h
 
 
 def wave_full_operator(model: WaveModel, mu: np.ndarray) -> np.ndarray:
@@ -287,21 +244,19 @@ def wave_sweep(
         raise ValueError(f"initial state must have length {2 * n}, got {y0.shape}")
 
     c = dt * dt / (4.0 * model.h)
-    s0, s1 = np.diagonal(model.s_div), np.diagonal(model.s_div, 1)
-    # S S^T: diagonal s0^2 + s1^2, off-diagonal S[i, i+1] S[i+1, i+1]
-    diag, off = _mass_v_bands(model, params ** (-2.0))
-    diag = diag + c * (s0**2 + s1**2)
-    off = off + c * (s1[:-1] * s0[1:])
-    cs0, cs1 = c * s0, c * s1
+    # Mv(mu) + c S S^T, with S S^T = tridiag(-1, 2, -1)
+    diag, off = weighted_bands(params ** (-2.0), model.mass_v_diag, model.mass_v_off)
+    diag = diag + 2.0 * c
+    off = off - c
 
     def step(solve, y, out):
         q, p = y[:, :n], y[:, n:]
         z = q + (0.5 * dt) * p  # v, turned into z in place
-        sigma = s0 * z[:, :-1]
-        sigma += s1 * z[:, 1:]
+        sigma = z[:, :-1] - z[:, 1:]  # S v
         solve(sigma)
-        z[:, :-1] -= cs0 * sigma  # z = v - c S^T sigma
-        z[:, 1:] -= cs1 * sigma
+        sigma *= c
+        z[:, :-1] -= sigma  # z = v - c S^T sigma
+        z[:, 1:] += sigma
         dz = np.subtract(z, q, out=out[:, n:])
         np.add(z, dz, out=out[:, :n])  # q+ = 2 z - q
         dz *= 4.0 / dt
@@ -333,7 +288,7 @@ def wave_rhs(model: WaveModel, mu: np.ndarray, y: np.ndarray) -> np.ndarray:
     q, pvar = y[:n], y[n:]
     mv = wave_mass_v(model, mu)
     sigma = np.linalg.solve(mv, model.s_div @ q)
-    pdot = -(model.s_div.T @ sigma) / np.diag(model.mass_w)
+    pdot = -(model.s_div.T @ sigma) / model.h
     return np.concatenate([pvar, pdot])
 
 
@@ -373,12 +328,6 @@ def wave_initial_state(model: WaveModel) -> np.ndarray:
     integrals = half * (values @ _GAUSS_WEIGHTS)
     q0 = integrals / model.h
     return np.concatenate([q0, np.zeros(model.n_w)])
-
-
-def wave_features(mu: np.ndarray) -> np.ndarray:
-    """Feature vector ``(mu_1^2, ..., mu_p^2, 1)`` for the reduced model."""
-    mu = np.asarray(mu, dtype=float)
-    return np.concatenate([mu**2, [1.0]])
 
 
 def sample_wave_speeds(

@@ -1,5 +1,9 @@
 """Dense linear-algebra wrappers: factorizations, solves, failure contracts."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg as la
@@ -13,6 +17,7 @@ from topinf import (
     solve_sym,
     thin_svd,
 )
+import topinf
 
 
 def random_spd(rng, n, cond=10.0):
@@ -282,3 +287,17 @@ def test_tridiagonal_factor_validates_arguments():
         factor.solve(np.ones((3, 2)).T)  # right shape, not C-contiguous
     with pytest.raises(ValueError):
         factor.solve(np.ones((2, 3), dtype=np.float32))
+
+
+# ----------------------------------------------------------------------
+# imports
+
+
+def test_importing_and_building_models_does_not_load_scipy():
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import topinf; "
+            "topinf.build_heat_model(201); topinf.build_wave_model(200); "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    src = str(Path(topinf.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True,
+                          timeout=120, check=True)
+    assert done.stdout.strip() == "[]"

@@ -108,7 +108,8 @@ def assert_drift_matches_energy_oracle(cfg, outdir, manifest):
     of their stored blocks (the symmetric fit as stored, flagged symmetric);
     the intrusive model is ``RomModel(t1=U^T K(mu) U, a2=I)`` with ``nu = 1``.
     The energy matrix of a sample is ``blockdiag(T1 mu^2, A2)`` of the same
-    model.  Diverged runs are left out of the drift, as in the pipeline.
+    model; each block's smallest eigenvalue is checked.  Diverged runs are
+    left out of the drift, as in the pipeline.
     """
     model = build_wave_model(cfg.n_elements, cfg.breakpoints)
     half = load_matrix(outdir / "basis" / "u_half.tpoi")
@@ -126,7 +127,7 @@ def assert_drift_matches_energy_oracle(cfg, outdir, manifest):
             for split, count in (("train", cfg.n_train), ("test", cfg.n_test)):
                 params = load_matrix(outdir / f"params_{split}.tpoi")
                 blocks = wave.wave_projected_stiffness(model, params, half[:, :r])
-                lowest = []
+                lowest = []  # (position, momentum) per sample
                 for i in range(count):
                     if label == "intrusive":
                         energy_model = RomModel(t1=blocks[i][:, :, None], a2=np.eye(r),
@@ -136,8 +137,8 @@ def assert_drift_matches_energy_oracle(cfg, outdir, manifest):
                     else:
                         energy_model, nu = learned, params[:, i]
                     position = np.einsum("ijx,x->ij", energy_model.t1, nu**2)
-                    lowest.append(min(np.linalg.eigvalsh(position)[0],
-                                      np.linalg.eigvalsh(energy_model.a2)[0]))
+                    lowest.append((np.linalg.eigvalsh(position)[0],
+                                   np.linalg.eigvalsh(energy_model.a2)[0]))
                     if (label, r, split, i) in diverged:
                         continue
                     states = load_matrix(outdir / "rom" / f"{label}_r{r}" / f"{split}_{i:03d}.tpoi")
@@ -145,8 +146,10 @@ def assert_drift_matches_energy_oracle(cfg, outdir, manifest):
                     h0 = abs(reduced_hamiltonian(energy_model, nu, states[:, 0]))
                     peak = max(peak, float(np.max(drift)) / (h0 or 1.0))
                 entry = manifest["energy"][f"{label}_r{r}_{split}"]
-                assert entry["min_eig"] == pytest.approx(min(lowest), rel=1e-9, abs=1e-12)
-                assert entry["indefinite"] == sum(low < 0.0 for low in lowest)
+                pos, mom = np.min(lowest, axis=0)
+                assert entry["position_min_eig"] == pytest.approx(pos, rel=1e-9, abs=1e-12)
+                assert entry["momentum_min_eig"] == pytest.approx(mom, rel=1e-9, abs=1e-12)
+                assert entry["indefinite"] == sum(min(low) < 0.0 for low in lowest)
             assert manifest["drift_max"][f"{label}_r{r}"] == pytest.approx(
                 peak, rel=1e-9, abs=1e-12)
 
@@ -312,12 +315,22 @@ def test_indefinite_learned_energy_is_reported(tmp_path):
     manifest = run_pipeline(cfg, tmp_path)
     energy = manifest["energy"]
     assert energy["symmetric_r10_test"]["indefinite"] == 1
-    assert energy["symmetric_r10_test"]["min_eig"] < -4.0
+    assert energy["symmetric_r10_test"]["position_min_eig"] < -4.0
+    assert energy["symmetric_r10_test"]["momentum_min_eig"] > 0.0
     assert energy["symmetric_r10_train"]["indefinite"] == 0
+    # the intrusive momentum block is the identity; its position blocks are the
+    # Galerkin blocks U^T K(mu) U, whose spectrum the momentum block must not hide
+    model = build_wave_model(cfg.n_elements, cfg.breakpoints)
+    half = load_matrix(tmp_path / "basis" / "u_half.tpoi")
     for r in cfg.reduced_dims:
         for split in ("train", "test"):
-            assert energy[f"intrusive_r{r}_{split}"]["indefinite"] == 0
-            assert energy[f"intrusive_r{r}_{split}"]["min_eig"] > 0.0
+            entry = energy[f"intrusive_r{r}_{split}"]
+            blocks = wave.wave_projected_stiffness(
+                model, load_matrix(tmp_path / f"params_{split}.tpoi"), half[:, :r])
+            assert entry["indefinite"] == 0
+            assert entry["momentum_min_eig"] == 1.0
+            assert entry["position_min_eig"] == pytest.approx(
+                np.linalg.eigvalsh(blocks)[:, 0].min(), rel=1e-9)
     assert np.isfinite(manifest["errors"]["symmetric_r10_test"])
     lines = (tmp_path / "report" / "summary.txt").read_text().splitlines()
     flagged = [line.split(":")[0].strip() for line in lines if line.endswith("INDEFINITE")]

@@ -16,7 +16,6 @@ from topinf import (
     canonical_j,
     implicit_midpoint,
     sample_wave_speeds,
-    wave_features,
     wave_full_operator,
     wave_hamiltonian,
     wave_initial_state,
@@ -199,11 +198,6 @@ def test_initial_state_is_elementwise_average():
             y0[:n_elements], exact_averages(n_elements, model.h), atol=tol
         )
         np.testing.assert_array_equal(y0[n_elements:], np.zeros(n_elements))
-
-
-def test_features_square_speeds_and_append_one():
-    mu = np.array([0.8, 1.5, 2.0])
-    np.testing.assert_allclose(wave_features(mu), [0.64, 2.25, 4.0, 1.0])
 
 
 def test_speed_sampler_bounds_and_reproducibility():
