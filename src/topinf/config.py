@@ -15,8 +15,9 @@ entire experiment.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -168,19 +169,13 @@ def default_config(problem: str) -> ExperimentConfig:
     raise ValueError(f"problem must be one of {PROBLEMS}, got {problem!r}")
 
 
-_INT_KEYS = {"n_elements", "n_train", "n_test", "seed"}
-_FLOAT_KEYS = {"param_lo", "param_hi", "t0", "tf", "dt"}
-_STR_KEYS = {"problem", "sampling", "derivative", "output_dir"}
-_FLOAT_LIST_KEYS = {"breakpoints"}
-_INT_LIST_KEYS = {"reduced_dims"}
-_STR_LIST_KEYS = {"methods"}
-ALL_KEYS = (
-    _INT_KEYS | _FLOAT_KEYS | _STR_KEYS | _FLOAT_LIST_KEYS | _INT_LIST_KEYS | _STR_LIST_KEYS
-)
-
-
 def parse_config(text: str) -> ExperimentConfig:
-    """Parse the flat key-value format; unknown keys raise ``ValueError``."""
+    """Parse the flat key-value format; unknown keys raise ``ValueError``.
+
+    Each value is read as its :class:`ExperimentConfig` field's annotated
+    type; a tuple field's items as the tuple's item type.
+    """
+    hints = get_type_hints(ExperimentConfig)
     pairs: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -190,7 +185,7 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ValueError(f"line {lineno}: expected 'key = value', got {line!r}")
         key, value = stripped.split("=", 1)
         key = key.strip()
-        if key not in ALL_KEYS:
+        if key not in hints:
             raise ValueError(f"line {lineno}: unknown key {key!r}")
         if key in pairs:
             raise ValueError(f"line {lineno}: duplicate key {key!r}")
@@ -202,19 +197,12 @@ def parse_config(text: str) -> ExperimentConfig:
 
     updates: dict = {}
     for key, value in pairs.items():
+        hint = hints[key]
         try:
-            if key in _INT_KEYS:
-                updates[key] = int(value)
-            elif key in _FLOAT_KEYS:
-                updates[key] = float(value)
-            elif key in _STR_KEYS:
-                updates[key] = value
-            elif key in _FLOAT_LIST_KEYS:
-                updates[key] = tuple(float(v) for v in _split_list(value))
-            elif key in _INT_LIST_KEYS:
-                updates[key] = tuple(int(v) for v in _split_list(value))
-            elif key in _STR_LIST_KEYS:
-                updates[key] = tuple(_split_list(value))
+            if get_origin(hint) is tuple:
+                updates[key] = tuple(get_args(hint)[0](v) for v in _split_list(value))
+            else:
+                updates[key] = hint(value)
         except ValueError as exc:
             raise ValueError(f"key {key!r}: cannot parse {value!r}") from exc
     return replace(cfg, **updates).validate()
@@ -225,27 +213,15 @@ def _split_list(value: str) -> list[str]:
     return [v for v in items if v]
 
 
+def _format_value(value) -> str:
+    # floats by repr, so that they round-trip exactly; tuples comma-separated
+    items = value if isinstance(value, tuple) else (value,)
+    return ", ".join(repr(v) if isinstance(v, float) else str(v) for v in items)
+
+
 def format_config(cfg: ExperimentConfig) -> str:
     """Render a configuration in the flat format (round-trips exactly)."""
-    lines = [
-        f"problem = {cfg.problem}",
-        f"n_elements = {cfg.n_elements}",
-        "breakpoints = " + ", ".join(repr(b) for b in cfg.breakpoints),
-        f"param_lo = {cfg.param_lo!r}",
-        f"param_hi = {cfg.param_hi!r}",
-        f"sampling = {cfg.sampling}",
-        f"t0 = {cfg.t0!r}",
-        f"tf = {cfg.tf!r}",
-        f"dt = {cfg.dt!r}",
-        f"n_train = {cfg.n_train}",
-        f"n_test = {cfg.n_test}",
-        "reduced_dims = " + ", ".join(str(r) for r in cfg.reduced_dims),
-        "methods = " + ", ".join(cfg.methods),
-        f"derivative = {cfg.derivative}",
-        f"seed = {cfg.seed}",
-        f"output_dir = {cfg.output_dir}",
-    ]
-    return "\n".join(lines) + "\n"
+    return "".join(f"{f.name} = {_format_value(getattr(cfg, f.name))}\n" for f in fields(cfg))
 
 
 def load_config_file(path) -> ExperimentConfig:

@@ -15,8 +15,11 @@ Three solvers are provided:
 * :func:`infer_symmetric` imposes the constraint ``(T nu)^T = +/- (T nu)``
   exactly by fitting each slice in an orthonormal basis of the
   (skew-)symmetric matrices: ``p*r*(r+1)/2`` unknowns (``p*r*(r-1)/2`` when
-  skew) and a symmetric positive definite system solved by Cholesky.  The
-  pipeline fits each block of the canonical Hamiltonian form with it.
+  skew).  Its system is :func:`infer_normal`'s normal equations restricted
+  to that subspace, read off the same ``(B, C)``; it is sparse (only basis
+  pairs sharing an index couple) but stored dense, symmetric positive
+  definite, and solved by Cholesky.  The pipeline fits each block of the
+  canonical Hamiltonian form with it.
 
 The two unconstrained solvers minimize the same objective; their system
 matrices satisfy ``D^T D = B`` exactly, so they agree to solver precision
@@ -53,7 +56,9 @@ __all__ = [
 UNIQUENESS_RANK_RTOL = 1e-10
 
 #: Default cap on the unknowns ``p*r*(r+1)/2`` (``p*r*(r-1)/2`` when skew) of
-#: the symmetric solver; its dense system takes ``8 * unknowns**2`` bytes.
+#: the symmetric solver; its dense system takes ``8 * unknowns**2`` bytes and
+#: a fit peaks at about four times that (the solver's scaled copy, factor and
+#: condition-estimate temporary).
 SYMMETRIC_UNKNOWN_CAP = 20_000
 
 
@@ -309,18 +314,23 @@ def infer_symmetric(
     (skew-)symmetric matrices, ``a <= b`` (``a < b`` when skew), with
     ``w_ab = 1/sqrt(2)`` off the diagonal and ``w_aa = 1/2`` (so
     ``E_aa = e_a e_a^T``).  That leaves ``p*r*(r+1)/2`` unknowns
-    (``p*r*(r-1)/2`` when skew).  With ``H_s = Y_s Y_s^T`` and the
-    identity ``I``, the normal matrix entry for the pairs ``(a, b)`` and
-    ``(c, d)`` of slices ``x`` and ``y`` is
+    (``p*r*(r-1)/2`` when skew).  The system is the unconstrained normal
+    equations ``(B, C)`` of :func:`assemble_normal_system` restricted to the
+    constraint subspace.  With ``G[x, i, y, j] = sum_s nu_xs nu_ys H_s[i, j]``
+    read from ``B`` (``H_s = Y_s Y_s^T``), the entry for the pairs
+    ``(a, b)`` and ``(c, d)`` of slices ``x`` and ``y`` is
+    ``sum_s nu_xs nu_ys tr(E_ab^T E_cd H_s)``, that is
 
-        sum_s nu_xs nu_ys w_ab w_cd [I_ac H_bd + H_ac I_bd
-                                     + sign (I_ad H_bc + H_ad I_bc)],
+        w_ab w_cd [d_ac G[x, b, y, d] + d_bd G[x, a, y, c]
+                   + sign (d_ad G[x, b, y, c] + d_bc G[x, a, y, d])],
 
-    the restriction of the full Kronecker stationarity system to the
-    constraint subspace; it is symmetric positive definite whenever the
-    constrained minimizer is unique and is solved by Cholesky.  A resource
-    guard refuses problems with more than ``max_unknowns`` unknowns.  The
-    solution is written back with exact (skew-)symmetry.
+    with ``d`` the Kronecker delta: zero unless the two pairs share an
+    index, so it is filled by four index-matched scatters of ``G``.  The
+    right-hand side is ``w_ab (C_x[a, b] + sign C_x[b, a])``.  The system
+    is symmetric positive definite whenever the constrained minimizer is
+    unique and is solved by Cholesky.  A resource guard refuses problems
+    with more than ``max_unknowns`` unknowns.  The solution is written back
+    with exact (skew-)symmetry.
     """
     r, p = data.r, data.p
     sign = -1.0 if skew else 1.0
@@ -332,36 +342,21 @@ def infer_symmetric(
             f"symmetric inference needs {unknowns} unknowns (dense system "
             f"{unknowns * unknowns * 8 / 2**20:.1f} MiB); cap is {max_unknowns}"
         )
-    ys, zs, nus = data.ys, data.zs, data.nus
+    # B is G of the docstring as gram[x, i, y, j]; C holds C_x[i, j] at cross[i, x, j]
+    bfull, cfull = assemble_normal_system(data)
+    gram = bfull.reshape(p, r, p, r)
+    cross = cfull.reshape(r, p, r)
 
-    yyt = np.einsum("iks,jks->ijs", ys, ys, optimize=True)
-    # q[(x, ac), (y, bd)] = sum_s nu_xs nu_ys (I[a, c] H_s[b, d] + H_s[a, c]
-    # I[b, d]) over upper-triangle pairs (H is symmetric): one GEMM, with the
-    # (I, H) and (H, I) pairings stacked along the sample axis
-    iu, ju = np.triu_indices(r)
-    tri = np.empty((r, r), dtype=np.intp)
-    tri[iu, ju] = tri[ju, iu] = np.arange(iu.size)
-    hu = yyt[iu, ju]
-    gu = np.broadcast_to((iu == ju)[:, None], hu.shape)
-    nu2 = np.concatenate([nus, nus], axis=1)[:, None, :]
-    left = (nu2 * np.concatenate([gu, hu], axis=1)).reshape(p * iu.size, -1)
-    right = (nu2 * np.concatenate([hu, gu], axis=1)).reshape(p * iu.size, -1)
-    q = (left @ right.T).reshape(p, iu.size, p, iu.size)
-    xi = np.arange(p)[:, None, None, None]
-    yi = np.arange(p)[None, None, :, None]
-
-    def gather(c: np.ndarray, d: np.ndarray) -> np.ndarray:
-        # entry (x, pair i, y, pair j) is q[x, tri[a_i, c_j], y, tri[b_i, d_j]]
-        return q[xi, tri[a[:, None], c[None, :]][None, :, None, :],
-                 yi, tri[b[:, None], d[None, :]][None, :, None, :]]
-
-    bhat = gather(a, b)
-    bhat += sign * gather(b, a)
-    bhat *= (w[:, None] * w[None, :])[None, :, None, :]
+    # E_k is w_k times the sum of the unit matrices e_a e_b^T and sign e_b e_a^T;
+    # e_u e_v^T and e_s e_t^T couple through delta_us gram[., v, ., t]
+    bhat = np.zeros((p, a.size, p, a.size))
+    ww = w[:, None] * w[None, :]
+    for ku, kv, ks in ((a, b, 1.0), (b, a, sign)):
+        for lu, lv, ls in ((a, b, 1.0), (b, a, sign)):
+            k, l = np.nonzero(ku[:, None] == lu[None, :])
+            bhat[:, k, :, l] += (ks * ls) * ww[k, l, None, None] * gram[:, kv[k], :, lv[l]]
     bhat = bhat.reshape(unknowns, unknowns)
-
-    cross = np.einsum("ias,jas,xs->ijx", zs, ys, nus, optimize=True)
-    chat = (w[:, None] * (cross[a, b] + sign * cross[b, a])).T.ravel()
+    chat = (w[:, None] * (cross[a, :, b] + sign * cross[b, :, a])).T.ravel()
 
     # r == 1 with skew=True leaves no unknowns: the only admissible tensor is 0
     theta, cond = solve_sym(bhat, chat) if unknowns else (chat, 1.0)

@@ -166,13 +166,21 @@ def _load_fom(cfg: ExperimentConfig, outdir: Path, split: str) -> list[np.ndarra
 
 
 def _load_basis(cfg: ExperimentConfig, outdir: Path, model) -> ReducedBasis:
+    """The stored basis; refuses one with fewer modes than ``max(cfg.reduced_dims)``."""
     u = load_matrix(outdir / "basis" / "u.tpoi")
     svals = load_matrix(outdir / "basis" / "svals.tpoi").ravel()
     if cfg.problem == "wave1d":
         half = load_matrix(outdir / "basis" / "u_half.tpoi")
-        return ReducedBasis(u=u, weight=model.mass_w, kind="psd", u_half=half,
-                            singular_values=svals)
-    return ReducedBasis(u=u, weight=model.mass, kind="pod", singular_values=svals)
+        basis = ReducedBasis(u=u, weight=model.mass_w, kind="psd", u_half=half,
+                             singular_values=svals)
+    else:
+        basis = ReducedBasis(u=u, weight=model.mass, kind="pod", singular_values=svals)
+    if basis.r < max(cfg.reduced_dims):
+        raise ValueError(
+            f"stored basis has {basis.r} modes but reduced_dims asks for "
+            f"r = {max(cfg.reduced_dims)}; rerun build-basis"
+        )
+    return basis
 
 
 def _intrusive(cfg: ExperimentConfig, model, basis_full: ReducedBasis, params) -> np.ndarray:

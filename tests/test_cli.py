@@ -109,6 +109,21 @@ def test_stage_with_missing_inputs_fails_cleanly(tmp_path, capsys):
     assert captured.err.startswith("topinf: error:")
 
 
+def test_infer_past_the_stored_basis_fails_cleanly(tmp_path, capsys):
+    cfg_path = write_config(tmp_path)
+    outdir = tmp_path / "short"
+    common = ["--config", str(cfg_path), "--out", str(outdir)]
+    for command in ("simulate-fom", "build-basis"):
+        assert main([command] + common) == 0
+    capsys.readouterr()
+    code = main(["infer"] + common + ["--r", "2", "--r", "6"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("topinf: error:")
+    assert "3 modes" in captured.err and "r = 6" in captured.err
+    assert not (outdir / "operators" / "tensor_normal_r6.tpoi").exists()
+
+
 def test_seed_override_changes_sampled_parameters(tmp_path, capsys):
     cfg_path = write_config(tmp_path)
     for seed, name in ((1, "a"), (2, "b")):

@@ -374,3 +374,90 @@ def test_inference_data_validation():
         InferenceData(**{**good, "zs": np.zeros((2, 5, 4))})  # state mismatch
     with pytest.raises(ValueError):
         InferenceData(**{**good, "nus": np.full((2, 4), np.nan)})
+
+
+# ----------------------------------------------------------------------
+# symmetric system: restriction of the normal equations
+
+
+def capture_symmetric_system(monkeypatch, data, skew):
+    """The ``(b, c)`` that :func:`infer_symmetric` hands to ``solve_sym``."""
+    from topinf import inference
+
+    seen = {}
+    solve = inference.solve_sym
+
+    def spy(b, c):
+        seen["b"], seen["c"] = b, c
+        return solve(b, c)
+
+    monkeypatch.setattr(inference, "solve_sym", spy)
+    infer_symmetric(data, skew=skew)
+    return seen["b"], seen["c"]
+
+
+def slice_basis(r, p, skew):
+    """``P``: column ``(x, k)`` is ``vec_F`` of ``w_k (e_a e_b^T + sign e_b e_a^T)`` in slice x."""
+    sign = -1.0 if skew else 1.0
+    a, b = np.triu_indices(r, 1 if skew else 0)
+    m = a.size
+    basis = np.zeros((r * r * p, m * p))
+    for x in range(p):
+        for k in range(m):
+            e = np.zeros((r, r))
+            e[a[k], b[k]] += 1.0
+            e[b[k], a[k]] += sign
+            e *= 0.5 if a[k] == b[k] else np.sqrt(0.5)
+            basis[x * r * r:(x + 1) * r * r, x * m + k] = e.ravel(order="F")
+    return basis
+
+
+@pytest.mark.parametrize("r, p, skew", [(3, 2, False), (4, 2, True), (5, 1, False), (2, 3, True)])
+def test_symmetric_system_is_the_kronecker_system_restricted_to_slices(monkeypatch, r, p, skew):
+    rng = np.random.default_rng(626)
+    data, _ = random_data(rng, r=r, p=p, nt=7, ns=6, noise=1.0)
+    b, c = capture_symmetric_system(monkeypatch, data, skew)
+    eye = np.eye(r)
+    k_full = np.zeros((r * r * p, r * r * p))
+    c_full = np.zeros((r, r, p))
+    for s in range(data.n_samples):
+        nu = data.nus[:, s]
+        h = data.ys[:, :, s] @ data.ys[:, :, s].T
+        k_full += np.kron(np.outer(nu, nu), np.kron(h, eye) + np.kron(eye, h))
+        c_full += (data.zs[:, :, s] @ data.ys[:, :, s].T)[:, :, None] * nu
+    basis = slice_basis(r, p, skew)
+    vec_c = np.concatenate([c_full[:, :, x].ravel(order="F") for x in range(p)])
+    assert rel_err(b, 0.5 * basis.T @ k_full @ basis) < 1e-14
+    assert rel_err(c, basis.T @ vec_c) < 1e-14
+
+
+@pytest.mark.parametrize("skew", [False, True])
+def test_symmetric_system_couples_only_pairs_that_share_an_index(monkeypatch, skew):
+    rng = np.random.default_rng(627)
+    r, p = 6, 2
+    data, _ = random_data(rng, r=r, p=p, nt=7, ns=6, noise=1.0)
+    b, _ = capture_symmetric_system(monkeypatch, data, skew)
+    a, bb = np.triu_indices(r, 1 if skew else 0)
+    share = ((a[:, None] == a[None, :]) | (a[:, None] == bb[None, :])
+             | (bb[:, None] == a[None, :]) | (bb[:, None] == bb[None, :]))
+    block = np.broadcast_to(share[None, :, None, :], (p, a.size, p, a.size))
+    system = b.reshape(p, a.size, p, a.size)
+    assert np.all(system[~block] == 0.0)
+    assert np.all(system[block] != 0.0)
+
+
+def test_symmetric_fit_peak_memory_stays_near_its_system():
+    import tracemalloc
+
+    rng = np.random.default_rng(628)
+    r, p = 30, 3
+    infer_symmetric(random_data(rng, r=2, p=1)[0])  # imports SciPy's LAPACK outside the trace
+    data, _ = random_data(rng, r=r, p=p, nt=251, ns=8, noise=1.0)
+    system_bytes = 8 * (p * r * (r + 1) // 2) ** 2
+    tracemalloc.start()
+    try:
+        infer_symmetric(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.5 * system_bytes

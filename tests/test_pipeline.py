@@ -514,6 +514,18 @@ def test_rerun_with_fewer_samples_removes_the_surplus_files(tmp_path):
     assert manifest["config"]["n_train"] == 3
 
 
+@pytest.mark.parametrize("stage", [pipeline.infer, simulate_rom, evaluate])
+def test_stages_refuse_a_basis_smaller_than_the_requested_sizes(stage, tmp_path):
+    # a basis of 3 modes must not answer for r = 6 under the name *_r6
+    cfg = small_heat_config()
+    pipeline.simulate_fom(cfg, tmp_path)
+    pipeline.build_basis(cfg, tmp_path)
+    larger = dataclasses.replace(cfg, reduced_dims=(2, 6))
+    with pytest.raises(ValueError, match=r"3 modes.*r = 6.*rerun build-basis"):
+        stage(larger, tmp_path)
+    assert not list(tmp_path.rglob("*_r6*"))
+
+
 # ----------------------------------------------------------------------
 # manifest writes and the benchmark tracer's contract
 
