@@ -21,6 +21,8 @@ from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
+from . import heat, wave
+
 __all__ = ["ExperimentConfig", "default_config", "parse_config", "format_config",
            "load_config_file"]
 
@@ -127,14 +129,17 @@ class ExperimentConfig:
 
 
 def default_config(problem: str) -> ExperimentConfig:
-    """Built-in defaults for each problem."""
+    """Built-in defaults for each problem.
+
+    Breakpoints and sampling ranges are the problem modules' ``DEFAULT_*``.
+    """
     if problem == "heat1d":
         return ExperimentConfig(
             problem="heat1d",
             n_elements=201,
-            breakpoints=(2.0 * np.pi / 3.0, 4.0 * np.pi / 3.0),
-            param_lo=0.1,
-            param_hi=1.0,
+            breakpoints=heat.DEFAULT_BREAKPOINTS,
+            param_lo=heat.DEFAULT_RANGE[0],
+            param_hi=heat.DEFAULT_RANGE[1],
             sampling="log_uniform",
             t0=0.0,
             tf=2.0,
@@ -151,9 +156,9 @@ def default_config(problem: str) -> ExperimentConfig:
         return ExperimentConfig(
             problem="wave1d",
             n_elements=200,
-            breakpoints=(np.pi / 2.0, np.pi, 3.0 * np.pi / 2.0),
-            param_lo=0.8,
-            param_hi=2.4,
+            breakpoints=wave.DEFAULT_BREAKPOINTS,
+            param_lo=wave.DEFAULT_RANGE[0],
+            param_hi=wave.DEFAULT_RANGE[1],
             sampling="uniform",
             t0=0.0,
             tf=4.0 * np.pi,

@@ -51,7 +51,7 @@ DOMAIN_LENGTH = 2.0 * np.pi
 DEFAULT_BREAKPOINTS = (2.0 * np.pi / 3.0, 4.0 * np.pi / 3.0)
 
 #: Default conductivity sampling range (log-uniform).
-DEFAULT_RANGE = (0.01, 1.0)
+DEFAULT_RANGE = (0.1, 1.0)
 
 
 def p1_assembly(n_elements: int, breakpoints: tuple[float, ...]) -> tuple:

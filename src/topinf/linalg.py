@@ -66,12 +66,20 @@ def _require_square(a: np.ndarray, name: str) -> None:
         raise ValueError(f"{name} must be a square matrix, got shape {a.shape}")
 
 
-#: Rows per strip of the symmetry check.
+#: Rows per strip of the symmetry check and of the row reductions of ``|a|``.
 _SYMMETRY_BLOCK = 64
 
 
+def _abs_rows(a: np.ndarray, reduce) -> np.ndarray:
+    """``reduce(np.abs(a), axis=1)`` read a strip of rows at a time, with no full-size ``|a|``."""
+    out = np.empty(a.shape[0])
+    for i in range(0, a.shape[0], _SYMMETRY_BLOCK):
+        out[i:i + _SYMMETRY_BLOCK] = reduce(np.abs(a[i:i + _SYMMETRY_BLOCK]), axis=1)
+    return out
+
+
 def _require_symmetric(a: np.ndarray, name: str, rtol: float = 1e-8) -> None:
-    scale = np.max(np.abs(a)) if a.size else 0.0
+    scale = np.max(_abs_rows(a, np.max)) if a.size else 0.0
     if scale == 0.0:
         return
     # max |a - a^T| over strips a[i:j, i:] of the upper triangle: every pair
@@ -110,16 +118,15 @@ def _breakdown_pivot(m: np.ndarray) -> int:
     return int(np.argmin(np.abs(np.diag(c))))
 
 
-def cholesky_upper(m: np.ndarray, pivot_rtol: float = CHOLESKY_PIVOT_RTOL) -> np.ndarray:
+def cholesky_upper(m: np.ndarray) -> np.ndarray:
     """Upper-triangular ``R`` with ``R.T @ R == m`` for symmetric ``m``.
 
     Parameters
     ----------
     m : ndarray, shape (n, n)
-        Symmetric positive definite matrix.
-    pivot_rtol : float
-        A factorization is rejected when any squared pivot falls at or
-        below ``pivot_rtol`` times the largest diagonal entry of ``m``.
+        Symmetric positive definite matrix.  A factorization is rejected
+        when any squared pivot falls at or below
+        :data:`CHOLESKY_PIVOT_RTOL` times the largest diagonal entry.
 
     Raises
     ------
@@ -138,7 +145,7 @@ def cholesky_upper(m: np.ndarray, pivot_rtol: float = CHOLESKY_PIVOT_RTOL) -> np
             pivot_index=pivot,
         )
     pivots = np.diag(r) ** 2
-    floor = pivot_rtol * float(np.max(np.diag(m)))
+    floor = CHOLESKY_PIVOT_RTOL * float(np.max(np.diag(m)))
     bad = np.nonzero(pivots <= floor)[0]
     if bad.size:
         raise NotPositiveDefiniteError(
@@ -165,11 +172,7 @@ def _singular(eigvals: np.ndarray, rcond: float, rtol: float = 1e-12) -> Singula
     )
 
 
-def solve_sym(
-    b: np.ndarray,
-    c: np.ndarray,
-    rcond_floor: float = SOLVE_RCOND_FLOOR,
-) -> tuple[np.ndarray, float]:
+def solve_sym(b: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, float]:
     """Solve ``b @ x = c`` for symmetric positive definite ``b``.
 
     Returns ``(x, cond_estimate)``.  The system is symmetrically
@@ -182,14 +185,15 @@ def solve_sym(
     ------
     SingularMatrixError
         If the equilibrated matrix has an estimated reciprocal condition
-        number at or below ``rcond_floor``, or is positive semidefinite to
-        within that margin so that the factorization breaks down.  The
+        number at or below :data:`SOLVE_RCOND_FLOOR`, or is positive
+        semidefinite to within that margin so that the factorization
+        breaks down.  The
         exception carries a rank estimate obtained from the eigenvalues of
         the equilibrated matrix.
     NotPositiveDefiniteError
         If the equilibrated matrix has an eigenvalue below
-        ``-rcond_floor`` times its largest one; the exception carries the
-        index of the pivot at which the factorization broke down.
+        ``-SOLVE_RCOND_FLOOR`` times its largest one; the exception carries
+        the index of the pivot at which the factorization broke down.
     """
     b = np.asarray(b, dtype=float)
     c = np.asarray(c, dtype=float)
@@ -202,15 +206,16 @@ def solve_sym(
     if not np.all(np.isfinite(b)) or not np.all(np.isfinite(c)):
         raise ValueError("non-finite entries in the linear system")
 
-    row_max = np.max(np.abs(b), axis=1)
+    row_max = _abs_rows(b, np.max)
     scale = np.sqrt(np.where(row_max > 0.0, row_max, 1.0))
+    # one division: dividing rows, then columns, in place rounds differently
     bs = b / np.outer(scale, scale)
     cs = c.reshape(b.shape[0], -1) / scale[:, None]
 
     factor = _upper_factor(bs)
     if factor is None:
         eigvals = np.linalg.eigvalsh(bs)
-        if eigvals[0] < -rcond_floor * abs(eigvals[-1]):
+        if eigvals[0] < -SOLVE_RCOND_FLOOR * abs(eigvals[-1]):
             pivot = _breakdown_pivot(bs)
             raise NotPositiveDefiniteError(
                 f"matrix is indefinite (Cholesky pivot {pivot} failed)",
@@ -218,11 +223,12 @@ def solve_sym(
             )
         raise _singular(eigvals, 0.0)
     from scipy.linalg import lapack
-    anorm = float(np.max(np.abs(bs).sum(axis=0)))
+    # bs is symmetric, so its 1-norm is its largest absolute row sum
+    anorm = float(np.max(_abs_rows(bs, np.sum)))
     rcond, info = lapack.dpocon(factor, anorm)
     if info != 0:
         raise ValueError(f"illegal value in argument {-info} of dpocon")
-    if not np.isfinite(rcond) or rcond <= rcond_floor:
+    if not np.isfinite(rcond) or rcond <= SOLVE_RCOND_FLOOR:
         raise _singular(np.linalg.eigvalsh(bs), rcond)
 
     y, _ = lapack.dpotrs(factor, cs)
@@ -231,15 +237,11 @@ def solve_sym(
     return x, 1.0 / float(rcond)
 
 
-def lstsq_min_norm(
-    a: np.ndarray,
-    b: np.ndarray,
-    rcond: float = LSTSQ_RCOND,
-) -> tuple[np.ndarray, int, np.ndarray]:
+def lstsq_min_norm(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, int, np.ndarray]:
     """Minimum-norm least-squares solution of ``a @ x ~= b``.
 
-    SVD-based; singular values at or below ``rcond`` times the largest are
-    treated as zero.  Returns ``(x, rank, singular_values)``.
+    SVD-based; singular values at or below :data:`LSTSQ_RCOND` times the
+    largest are treated as zero.  Returns ``(x, rank, singular_values)``.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -251,7 +253,7 @@ def lstsq_min_norm(
         )
     if not np.all(np.isfinite(a)) or not np.all(np.isfinite(b)):
         raise ValueError("non-finite entries in the least-squares system")
-    x, _, rank, sv = np.linalg.lstsq(a, b, rcond=rcond)
+    x, _, rank, sv = np.linalg.lstsq(a, b, rcond=LSTSQ_RCOND)
     return x, int(rank), sv
 
 

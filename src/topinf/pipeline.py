@@ -168,7 +168,7 @@ def _load_fom(cfg: ExperimentConfig, outdir: Path, split: str) -> list[np.ndarra
 def _load_basis(cfg: ExperimentConfig, outdir: Path, model) -> ReducedBasis:
     """The stored basis; refuses one with fewer modes than ``max(cfg.reduced_dims)``."""
     u = load_matrix(outdir / "basis" / "u.tpoi")
-    svals = load_matrix(outdir / "basis" / "svals.tpoi").ravel()
+    svals = load_tensor(outdir / "basis" / "svals.tpoi")
     if cfg.problem == "wave1d":
         half = load_matrix(outdir / "basis" / "u_half.tpoi")
         basis = ReducedBasis(u=u, weight=model.mass_w, kind="psd", u_half=half,
@@ -382,7 +382,7 @@ def build_basis(cfg: ExperimentConfig, outdir) -> None:
         )
         save_matrix(outdir / "basis" / "u_half.tpoi", b.u_half)
     save_matrix(outdir / "basis" / "u.tpoi", b.u)
-    save_matrix(outdir / "basis" / "svals.tpoi", b.singular_values[None, :])
+    save_tensor(outdir / "basis" / "svals.tpoi", b.singular_values)
 
     _record_stage(cfg, outdir, "build_basis", time.perf_counter() - started)
 

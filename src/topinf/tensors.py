@@ -19,8 +19,8 @@ merged indices runs fastest:
 Composing the two merge styles with ``swap_axes`` satisfies
 ``rvec(swap_axes(t, i, j), i, j) == cvec(t, i, j)``.
 
-The canonical memory layout for persisted tensors is first-index-fastest
-(Fortran order); see :mod:`topinf.storage`.
+Persisted tensors are stored row-major (C order), like matrices; see
+:mod:`topinf.storage`.
 """
 
 from __future__ import annotations

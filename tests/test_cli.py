@@ -1,5 +1,7 @@
 """Command-line interface: argument handling, overrides, exit codes."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -122,6 +124,25 @@ def test_infer_past_the_stored_basis_fails_cleanly(tmp_path, capsys):
     assert captured.err.startswith("topinf: error:")
     assert "3 modes" in captured.err and "r = 6" in captured.err
     assert not (outdir / "operators" / "tensor_normal_r6.tpoi").exists()
+
+
+def test_infer_on_a_version_one_basis_fails_cleanly(tmp_path, capsys):
+    cfg_path = write_config(tmp_path)
+    outdir = tmp_path / "old"
+    common = ["--config", str(cfg_path), "--out", str(outdir)]
+    for command in ("simulate-fom", "build-basis"):
+        assert main([command] + common) == 0
+    capsys.readouterr()
+    path = outdir / "basis" / "u.tpoi"
+    u = load_matrix(path)
+    # the same basis in the former matrix record: rows and cols after the version
+    path.write_bytes(struct.pack("<4sIQQ", b"TPOI", 1, *u.shape) + u.tobytes())
+    code = main(["infer"] + common)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("topinf: error:")
+    assert "version" in captured.err
+    assert not (outdir / "operators" / "tensor_normal_r2.tpoi").exists()
 
 
 def test_seed_override_changes_sampled_parameters(tmp_path, capsys):

@@ -139,6 +139,25 @@ def test_solve_sym_validates_arguments():
         solve_sym(np.eye(2), np.array([np.inf, 0.0]))
 
 
+def test_solve_sym_peak_memory_stays_near_its_system():
+    import tracemalloc
+
+    rng = np.random.default_rng(131)
+    n = 600
+    g = rng.standard_normal((n, n))
+    b = g @ g.T / n + np.eye(n)
+    c = rng.standard_normal(n)
+    solve_sym(np.eye(3), np.ones(3))  # imports SciPy's LAPACK outside the trace
+    tracemalloc.start()
+    try:
+        solve_sym(b, c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the equilibrated copy and its factor; no full-size |b| next to them
+    assert peak <= 2.5 * b.nbytes
+
+
 def test_symmetry_check_scans_every_strip():
     # the check runs in row strips of the upper triangle; a system larger
     # than one strip, with a partial last strip, must still be rejected for

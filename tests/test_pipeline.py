@@ -197,8 +197,8 @@ def test_heat_artifact_layout(heat_run):
             assert states.shape == (cfg.n_elements - 1, cfg.n_times)
     u = load_matrix(outdir / "basis" / "u.tpoi")
     assert u.shape == (cfg.n_elements - 1, max(cfg.reduced_dims))
-    svals = load_matrix(outdir / "basis" / "svals.tpoi")
-    assert svals.shape[0] == 1 and svals.shape[1] >= max(cfg.reduced_dims)
+    svals = load_tensor(outdir / "basis" / "svals.tpoi")
+    assert svals.ndim == 1 and svals.shape[0] >= max(cfg.reduced_dims)
     for r in cfg.reduced_dims:
         for method in cfg.methods:
             tensor = load_tensor(outdir / "operators" / f"tensor_{method}_r{r}.tpoi")

@@ -19,19 +19,21 @@ def test_matrix_byte_layout(tmp_path):
     a = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
     path = save_matrix(tmp_path / "a.tpoi", a)
     raw = path.read_bytes()
-    expected = struct.pack("<4sIQQ", b"TPOI", 1, 2, 3)
+    expected = struct.pack("<4sIQQQ", b"TPOI", 2, 2, 2, 3)  # a matrix is a 2-axis record
     expected += struct.pack("<6d", 1.0, 2.0, 3.0, 4.0, 5.0, 6.0)  # row-major
     assert raw == expected
+    assert path.read_bytes() == save_tensor(tmp_path / "t.tpoi", a).read_bytes()
 
 
 def test_tensor_byte_layout(tmp_path):
     t = np.arange(12, dtype=float).reshape(2, 3, 2)
     path = save_tensor(tmp_path / "t.tpoi", t)
     raw = path.read_bytes()
-    expected = struct.pack("<4sIQQQQ", b"TPOI", 1, 3, 2, 3, 2)
-    expected += struct.pack("<12d", *t.ravel(order="F"))  # first index fastest
+    expected = struct.pack("<4sIQQQQ", b"TPOI", 2, 3, 2, 3, 2)
+    expected += struct.pack("<12d", *range(12))  # row-major: last index fastest
     assert raw == expected
-    assert MAGIC == b"TPOI" and VERSION == 1
+    assert MAGIC == b"TPOI" and VERSION == 2
+    assert load_tensor(path).flags.c_contiguous
 
 
 def test_round_trips(tmp_path):
@@ -160,10 +162,26 @@ def test_nonfinite_payload_rejected(tmp_path):
 
 
 def test_loaders_validate_across_formats(tmp_path):
-    # a tensor file is not a valid matrix file and vice versa
-    tensor_path = save_tensor(tmp_path / "t.tpoi", np.ones((2, 2, 2)))
-    with pytest.raises(StorageFormatError):
-        load_matrix(tensor_path)  # ndim=3 read as huge row count
-    wide = save_matrix(tmp_path / "m.tpoi", np.ones((2, 7)))
-    with pytest.raises(StorageFormatError):
-        load_tensor(wide)  # rows=2 parses as ndim=2 but dims/payload disagree
+    # load_matrix refuses a record of any other axis count
+    for shape in ((2, 2, 2), (4,)):
+        path = save_tensor(tmp_path / "t.tpoi", np.ones(shape))
+        with pytest.raises(StorageFormatError) as exc:
+            load_matrix(path)
+        assert exc.value.reason == "header"
+    # and either reader reads the other writer's two-axis record as written
+    out = load_matrix(save_tensor(tmp_path / "t.tpoi", np.array([[7.0]])))
+    assert out.shape == (1, 1)
+    np.testing.assert_array_equal(out, [[7.0]])
+    out = load_tensor(save_matrix(tmp_path / "m.tpoi", np.array([[1.0, 2.0, 3.0]])))
+    assert out.shape == (1, 3)
+    np.testing.assert_array_equal(out, [[1.0, 2.0, 3.0]])
+
+
+def test_version_one_matrix_record_refused(tmp_path):
+    # the former matrix record: no axis count, rows and cols after the version
+    path = tmp_path / "old.tpoi"
+    path.write_bytes(struct.pack("<4sIQQ", b"TPOI", 1, 2, 3) + struct.pack("<6d", *range(6)))
+    for load in (load_matrix, load_tensor):
+        with pytest.raises(StorageFormatError) as exc:
+            load(path)
+        assert exc.value.reason == "version"
