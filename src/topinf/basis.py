@@ -20,7 +20,7 @@ or from applying the projected generator to the reduced snapshots exactly
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -42,6 +42,10 @@ POD_RANK_RTOL = 1e-12
 @dataclass(frozen=True)
 class ReducedBasis:
     """A mass-orthonormal reduced basis.
+
+    One ``(N, r)`` POD block (:attr:`block`) acts on each of the
+    :attr:`blocks` state blocks: the whole state for kind ``"pod"``, the
+    position and the momentum for kind ``"psd"`` (the cotangent lift).
 
     Attributes
     ----------
@@ -68,66 +72,64 @@ class ReducedBasis:
     singular_values: np.ndarray = field(default_factory=lambda: np.array([]))
 
     @property
+    def block(self) -> np.ndarray:
+        """The ``(N, r)`` POD block that acts on each state block."""
+        return self.u_half if self.kind == "psd" else self.u
+
+    @property
+    def blocks(self) -> int:
+        """Number of state blocks: 2 (``q``, ``p``) for kind ``"psd"``, else 1."""
+        return 2 if self.kind == "psd" else 1
+
+    @property
     def r(self) -> int:
         """Number of modes (per block for kind ``"psd"``)."""
-        if self.kind == "psd":
-            return self.u_half.shape[1]
-        return self.u.shape[1]
+        return self.block.shape[1]
+
+    def _blockwise(self, array: np.ndarray, rows: int, what: str) -> np.ndarray:
+        """``array`` as a ``(blocks, rows, -1)`` view; its leading dimension is blocks * rows."""
+        array = np.asarray(array, dtype=float)
+        if array.shape[0] != self.blocks * rows:
+            raise ValueError(f"{what} must have leading dimension {self.blocks * rows}")
+        return array.reshape(self.blocks, rows, array[0].size)
 
     def project(self, states: np.ndarray) -> np.ndarray:
-        """Reduced coordinates ``U^T M states`` (blockwise for ``"psd"``)."""
-        states = np.asarray(states, dtype=float)
-        if self.kind == "psd":
-            n = self.u_half.shape[0]
-            if states.shape[0] != 2 * n:
-                raise ValueError(f"states must have leading dimension {2 * n}")
-            wq = self.u_half.T @ (self.weight @ states[:n])
-            wp = self.u_half.T @ (self.weight @ states[n:])
-            return np.concatenate([wq, wp], axis=0)
-        if states.shape[0] != self.u.shape[0]:
-            raise ValueError(f"states must have leading dimension {self.u.shape[0]}")
-        return self.u.T @ (self.weight @ states)
+        """Reduced coordinates ``U^T M states``, one block product per state block."""
+        n = self.block.shape[0]
+        reduced = self.block.T @ (self.weight @ self._blockwise(states, n, "states"))
+        return reduced.reshape((self.blocks * self.r,) + np.shape(states)[1:])
 
     def lift(self, reduced: np.ndarray) -> np.ndarray:
-        """Full-order reconstruction ``U reduced``."""
-        reduced = np.asarray(reduced, dtype=float)
-        if self.kind == "psd":
-            r = self.u_half.shape[1]
-            if reduced.shape[0] != 2 * r:
-                raise ValueError(f"reduced state must have leading dimension {2 * r}")
-            return np.concatenate(
-                [self.u_half @ reduced[:r], self.u_half @ reduced[r:]], axis=0
-            )
-        if reduced.shape[0] != self.u.shape[1]:
-            raise ValueError(f"reduced state must have leading dimension {self.u.shape[1]}")
-        return self.u @ reduced
+        """Full-order reconstruction ``U reduced``, one block product per state block."""
+        states = self.block @ self._blockwise(reduced, self.r, "reduced state")
+        return states.reshape((self.blocks * self.block.shape[0],) + np.shape(reduced)[1:])
+
+    def leading(self, reduced: np.ndarray, r: int) -> np.ndarray:
+        """Coordinates, among ``reduced``, of the leading ``r`` modes of each block.
+
+        The basis is nested, so ``leading(project(x), r)`` is
+        ``truncate(r).project(x)`` up to rounding.
+        """
+        if not (1 <= r <= self.r):
+            raise ValueError(f"r must be in [1, {self.r}], got {r}")
+        view = self._blockwise(reduced, self.r, "reduced state")[:, :r]
+        return view.reshape((self.blocks * r,) + np.shape(reduced)[1:])
 
     def truncate(self, r: int) -> "ReducedBasis":
         """Sub-basis of the leading ``r`` modes (bases are nested)."""
         if not (1 <= r <= self.r):
             raise ValueError(f"r must be in [1, {self.r}], got {r}")
-        if self.kind == "psd":
-            half = self.u_half[:, :r]
-            return ReducedBasis(
-                u=_blockdiag(half, half),
-                weight=self.weight,
-                kind="psd",
-                u_half=half,
-                singular_values=self.singular_values,
-            )
-        return ReducedBasis(
-            u=self.u[:, :r],
-            weight=self.weight,
-            kind="pod",
-            singular_values=self.singular_values,
-        )
+        pod = replace(self, u=self.block[:, :r], kind="pod", u_half=None)
+        return _cotangent_lift(pod) if self.kind == "psd" else pod
 
 
-def _blockdiag(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    out = np.zeros((a.shape[0] + b.shape[0], a.shape[1] + b.shape[1]))
-    out[: a.shape[0], : a.shape[1]] = a
-    out[a.shape[0]:, a.shape[1]:] = b
-    return out
+def _cotangent_lift(pod: ReducedBasis) -> ReducedBasis:
+    """The psd basis ``blockdiag(U, U)`` of the POD basis ``U``."""
+    n, r = pod.u.shape
+    u = np.zeros((2 * n, 2 * r))
+    u[:n, :r] = pod.u
+    u[n:, r:] = pod.u
+    return replace(pod, u=u, kind="psd", u_half=pod.u)
 
 
 def _state_list(snapshots) -> list[np.ndarray]:
@@ -202,21 +204,12 @@ def weighted_pod(snapshots, mass: np.ndarray, r: int) -> ReducedBasis:
 def psd_cotangent_lift(q_snapshots, p_snapshots, mass: np.ndarray, r: int) -> ReducedBasis:
     """Block-diagonal symplectic basis from pooled position/momentum data.
 
-    One weighted POD basis ``Uw`` of rank ``r`` is fit to the pooled columns
-    of all position and momentum snapshot sets; the returned basis is
-    ``blockdiag(Uw, Uw)`` with ``u_half = Uw``.
+    The :func:`weighted_pod` basis ``Uw`` of rank ``r`` of the pooled
+    position and momentum snapshot sets, acting on each state block: the
+    returned basis is ``blockdiag(Uw, Uw)`` with ``u_half = Uw``.
     """
-    if r < 1:
-        raise ValueError(f"r must be positive, got {r}")
-    stacks = _state_list(q_snapshots) + _state_list(p_snapshots)
-    half, svals = _weighted_left_vectors(stacks, mass, r)
-    return ReducedBasis(
-        u=_blockdiag(half, half),
-        weight=np.asarray(mass, dtype=float),
-        kind="psd",
-        u_half=half,
-        singular_values=svals,
-    )
+    pooled = _state_list(q_snapshots) + _state_list(p_snapshots)
+    return _cotangent_lift(weighted_pod(pooled, mass, r))
 
 
 def project_snapshots(basis: ReducedBasis, snapshots) -> list[np.ndarray]:

@@ -7,6 +7,9 @@ can react programmatically instead of parsing messages.
 
 from __future__ import annotations
 
+__all__ = ["NumericError", "NotPositiveDefiniteError", "SingularMatrixError",
+           "NonUniqueSolutionError", "ResourceLimitError", "StructureError", "StorageFormatError"]
+
 
 class NumericError(RuntimeError):
     """A numerical routine could not complete reliably."""

@@ -71,8 +71,8 @@ def projection_error(snapshots, basis: ReducedBasis) -> float:
     """Pooled relative error of the mass-orthogonal projection onto the basis.
 
     Computes ``relative_l2`` between each snapshot set and its
-    reconstruction ``U (U^T M) Q``; the weight is the basis weight (applied
-    per block for kind ``"psd"``).
+    reconstruction ``U (U^T M) Q``; the weight is the basis weight, applied
+    to each state block.
     """
     stacks = _as_list(snapshots)
     num = 0.0
@@ -87,12 +87,8 @@ def projection_error(snapshots, basis: ReducedBasis) -> float:
 
 
 def _basis_norm_sq(states: np.ndarray, basis: ReducedBasis) -> float:
-    if basis.kind == "psd":
-        n = basis.u_half.shape[0]
-        return weighted_norm_sq(states[:n], basis.weight) + weighted_norm_sq(
-            states[n:], basis.weight
-        )
-    return weighted_norm_sq(states, basis.weight)
+    blocks = states.reshape(basis.blocks, basis.weight.shape[0], -1)
+    return sum(weighted_norm_sq(block, basis.weight) for block in blocks)
 
 
 def hamiltonian_drift(model: rom.RomModel, nu: np.ndarray, trajectory) -> np.ndarray:

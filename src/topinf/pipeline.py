@@ -15,6 +15,11 @@ with shortest round-trip float formatting.  Reruns with the same
 configuration and seed produce byte-identical numeric artifacts
 (``manifest.json`` records wall-clock timings and is exempt).
 
+Provenance: ``simulate_fom`` records in ``manifest.json`` (``full_order``)
+the configuration fields that fix the parameters and trajectories; the
+later stages refuse to run when the record is missing or differs from
+their configuration.
+
 Randomness: all sampling derives from the configured seed through the
 Philox 4x64 counter-based generator, keyed by ``(seed, stream)`` with
 stream 0 for training parameters and stream 1 for test parameters.
@@ -113,6 +118,10 @@ INTRUSIVE = "intrusive"
 _TRAIN_STREAM = 0
 _TEST_STREAM = 1
 
+#: The configuration fields that fix the sampled parameters and full-order trajectories.
+_FULL_ORDER_FIELDS = ("problem", "n_elements", "breakpoints", "param_lo", "param_hi",
+                      "sampling", "t0", "tf", "dt", "n_train", "n_test", "seed")
+
 
 # ----------------------------------------------------------------------
 # deterministic randomness
@@ -193,7 +202,7 @@ def _intrusive(cfg: ExperimentConfig, model, basis_full: ReducedBasis, params) -
     """
     if cfg.problem == "heat1d":
         return intrusive_project(-model.stiffness, basis_full)
-    return wave_projected_stiffness(model, params, basis_full.u_half)
+    return wave_projected_stiffness(model, params, basis_full.block)
 
 
 def _rom_operators(cfg, outdir, label: str, r: int, params, intrusive) -> np.ndarray:
@@ -216,15 +225,6 @@ def _rom_operators(cfg, outdir, label: str, r: int, params, intrusive) -> np.nda
     t1 = load_tensor(outdir / "operators" / f"t1_{label}_r{r}.tpoi")
     a2 = load_matrix(outdir / "operators" / f"a2_{label}_r{r}.tpoi")
     return block_operator(t1, a2, params)
-
-
-def _leading(y: np.ndarray, r: int, r_max: int, wave: bool) -> np.ndarray:
-    """Rows of the size-r reduced coordinates among those of the largest basis.
-
-    Rows ``[:r]``, and for wave's block basis also the momentum rows
-    ``[r_max:r_max + r]``.
-    """
-    return np.concatenate([y[:r], y[r_max:r_max + r]]) if wave else y[:r]
 
 
 def _prune(directory: Path, pattern: str, keep: set[Path]) -> None:
@@ -298,6 +298,28 @@ def _save_manifest(outdir: Path, manifest: dict) -> None:
         raise
 
 
+def _config_record(cfg: ExperimentConfig) -> dict:
+    """The configuration as JSON values."""
+    return {k: list(v) if isinstance(v, tuple) else v for k, v in dataclasses.asdict(cfg).items()}
+
+
+def _full_order_record(cfg: ExperimentConfig) -> dict:
+    record = _config_record(cfg)
+    return {k: record[k] for k in _FULL_ORDER_FIELDS}
+
+
+def _require_full_order(cfg: ExperimentConfig, outdir: Path) -> None:
+    """Refuse full-order artifacts that ``simulate_fom`` wrote for another configuration."""
+    stored = _load_manifest(outdir).get("full_order")
+    if stored is None:
+        raise ValueError(f"{outdir} records no full-order configuration; rerun simulate-fom")
+    changed = [f"{k} {stored.get(k)!r} (configured {v!r})"
+               for k, v in _full_order_record(cfg).items() if stored.get(k) != v]
+    if changed:
+        raise ValueError("the full-order data were simulated with " + ", ".join(changed)
+                         + "; rerun simulate-fom")
+
+
 def _record_stage(cfg: ExperimentConfig, outdir: Path, name: str, seconds: float,
                   updates: dict | None = None) -> None:
     """Record a finished stage; ``updates`` replaces the fields the stage owns.
@@ -307,10 +329,7 @@ def _record_stage(cfg: ExperimentConfig, outdir: Path, name: str, seconds: float
     """
     manifest = _load_manifest(outdir)
     manifest["package_version"] = __version__
-    manifest["config"] = {
-        k: list(v) if isinstance(v, tuple) else v
-        for k, v in dataclasses.asdict(cfg).items()
-    }
+    manifest["config"] = _config_record(cfg)
     manifest["stages"][name] = seconds
     manifest.update(updates or {})
     _save_manifest(outdir, manifest)
@@ -356,7 +375,8 @@ def simulate_fom(cfg: ExperimentConfig, outdir) -> None:
     _prune(outdir, "params_*.tpoi", written)
     _prune(outdir / "fom", "*.tpoi", written)
 
-    _record_stage(cfg, outdir, "simulate_fom", time.perf_counter() - started)
+    _record_stage(cfg, outdir, "simulate_fom", time.perf_counter() - started,
+                  updates={"full_order": _full_order_record(cfg)})
 
 
 # ----------------------------------------------------------------------
@@ -367,6 +387,7 @@ def build_basis(cfg: ExperimentConfig, outdir) -> None:
     """Build the reduced basis of the largest requested size from training data."""
     cfg = cfg.validate()
     outdir = Path(outdir)
+    _require_full_order(cfg, outdir)
     (outdir / "basis").mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
 
@@ -409,6 +430,7 @@ def infer(cfg: ExperimentConfig, outdir) -> None:
     """
     cfg = cfg.validate()
     outdir = Path(outdir)
+    _require_full_order(cfg, outdir)
     (outdir / "operators").mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
 
@@ -418,7 +440,6 @@ def infer(cfg: ExperimentConfig, outdir) -> None:
     reduced = project_snapshots(basis_full, _load_fom(cfg, outdir, "train"))
     ys_full = np.stack(reduced, axis=2)
     wave = cfg.problem == "wave1d"
-    r_max = basis_full.r
     exact = cfg.derivative == "exact"
     if exact:
         intrusive = reference = _intrusive(cfg, model, basis_full, params)
@@ -427,7 +448,7 @@ def infer(cfg: ExperimentConfig, outdir) -> None:
             # reference for the learned position tensor, exact when K(mu) is
             # affine in mu^2 (one subdomain); column by column, so nested
             coeffs, _, _ = lstsq_min_norm((params**2).T, intrusive.reshape(params.shape[1], -1))
-            reference = np.moveaxis(coeffs.reshape(params.shape[0], r_max, r_max), 0, 2)
+            reference = np.moveaxis(coeffs.reshape(params.shape[0], *intrusive.shape[1:]), 0, 2)
     else:
         derivs_full = np.stack([estimate_time_derivative(red, cfg.dt) for red in reduced], axis=2)
 
@@ -435,12 +456,12 @@ def infer(cfg: ExperimentConfig, outdir) -> None:
     recovery: dict[str, float] = {}
     agreement: dict[str, float] = {}
     for r in cfg.reduced_dims:
-        ys = _leading(ys_full, r, r_max, wave)
+        ys = basis_full.leading(ys_full, r)
         if exact:  # Galerkin dynamics: heat (T nu) y; wave qdot = p, pdot = -(Uw^T K Uw) q
             ops = _rom_operators(cfg, outdir, INTRUSIVE, r, params, intrusive)
             zs = np.einsum("sij,jts->its", ops, ys, optimize=True)
         else:
-            zs = _leading(derivs_full, r, r_max, wave)
+            zs = basis_full.leading(derivs_full, r)
         if wave:  # T1 from -pdot = (T1 mu^2) q, A2 from qdot = A2 p
             problems = (("t1", InferenceData(nus=params**2, ys=ys[:r], zs=-zs[r:])),
                         ("a2", InferenceData(nus=np.ones((1, params.shape[1])),
@@ -493,6 +514,7 @@ def simulate_rom(cfg: ExperimentConfig, outdir) -> None:
     """
     cfg = cfg.validate()
     outdir = Path(outdir)
+    _require_full_order(cfg, outdir)
     started = time.perf_counter()
 
     model = _build_model(cfg)
@@ -509,7 +531,7 @@ def simulate_rom(cfg: ExperimentConfig, outdir) -> None:
     divergences: list[dict] = []
     swept: set[Path] = set()
     for r in cfg.reduced_dims:
-        red0 = _leading(red0_full, r, basis_full.r, cfg.problem == "wave1d")
+        red0 = basis_full.leading(red0_full, r)
         for label in _rom_labels(cfg):
             target = _rom_dir(outdir, label, r)
             target.mkdir(parents=True, exist_ok=True)
@@ -570,9 +592,9 @@ def evaluate(cfg: ExperimentConfig, outdir) -> None:
         ||Q - U_r y||_M^2 = ||Q - U C||_M^2 + ||C[r:]||^2 + ||C[:r] - y||^2.
 
     The first two terms are the projection residual at size r, shared by
-    every model; the last needs no lift and no mass product.  Heat scores
-    the whole state with ``(u, mass)``, wave the position block with
-    ``(u_half, mass_w)``.  Errors pool the runs that did not diverge.  A
+    every model; the last needs no lift and no mass product.  The basis
+    block and weight score the leading state block: heat's whole state,
+    wave's position.  Errors pool the runs that did not diverge.  A
     wave run's energy is ``h = 1/2 y . (E_s y)`` with ``E_s`` from the
     sample's generator (:func:`_energies`); ``energy`` records per
     (label, r, split) the smallest eigenvalue of each block of ``E_s``,
@@ -584,6 +606,7 @@ def evaluate(cfg: ExperimentConfig, outdir) -> None:
     """
     cfg = cfg.validate()
     outdir = Path(outdir)
+    _require_full_order(cfg, outdir)
     report_dir = outdir / "report"
     report_dir.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
@@ -598,7 +621,7 @@ def evaluate(cfg: ExperimentConfig, outdir) -> None:
         params = np.hstack([_load_params(outdir, split) for split, _ in _splits(cfg)])
         intrusive = _intrusive(cfg, model, basis_full, params)
         first = {"train": 0, "test": cfg.n_train}  # each split's first column of params
-    u, mass = (basis_full.u_half if wave else basis_full.u), basis_full.weight
+    u, mass = basis_full.block, basis_full.weight
 
     runs = {split: [_scored_run(load_matrix(_fom_path(outdir, split, i)), u, mass)
                     for i in range(count)]

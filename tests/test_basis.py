@@ -180,10 +180,21 @@ def test_project_and_lift_round_trip_in_span():
     coeffs = rng.standard_normal((5, 4))
     states = basis.lift(coeffs)
     np.testing.assert_allclose(basis.project(states), coeffs, atol=1e-12)
+    # the nested basis: the leading r coordinates are rows [:r] exactly, and
+    # the truncated basis' projection to rounding (numpy may take a dot, not a
+    # gemv, for a 1-D state or r = 1)
+    for x in (rng.standard_normal(12), rng.standard_normal((12, 6))):
+        y = basis.project(x)
+        for r in (1, 3, 5):
+            np.testing.assert_array_equal(basis.leading(y, r), y[:r])
+            np.testing.assert_allclose(basis.leading(y, r), basis.truncate(r).project(x),
+                                       rtol=1e-13, atol=1e-13)
     with pytest.raises(ValueError):
         basis.project(rng.standard_normal((11, 2)))
     with pytest.raises(ValueError):
         basis.lift(rng.standard_normal((4, 2)))
+    with pytest.raises(ValueError):
+        basis.leading(rng.standard_normal((4, 2)), 2)
 
 
 def test_block_project_and_lift_round_trip_in_span():
@@ -196,10 +207,20 @@ def test_block_project_and_lift_round_trip_in_span():
     states = basis.lift(coeffs)
     assert states.shape == (18, 3)
     np.testing.assert_allclose(basis.project(states), coeffs, atol=1e-12)
+    # the leading r coordinates of each block: exactly those rows, and the
+    # truncated basis' projection to rounding
+    for x in (rng.standard_normal(18), rng.standard_normal((18, 5))):
+        y = basis.project(x)
+        for r in (1, 2, 4):
+            np.testing.assert_array_equal(basis.leading(y, r), np.concatenate([y[:r], y[4:4 + r]]))
+            np.testing.assert_allclose(basis.leading(y, r), basis.truncate(r).project(x),
+                                       rtol=1e-13, atol=1e-13)
     with pytest.raises(ValueError):
         basis.project(rng.standard_normal((9, 2)))
     with pytest.raises(ValueError):
         basis.lift(rng.standard_normal((4, 2)))
+    with pytest.raises(ValueError):
+        basis.leading(rng.standard_normal((4, 2)), 2)
 
 
 def test_project_snapshots_accepts_state_carrying_objects():

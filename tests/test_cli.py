@@ -154,3 +154,11 @@ def test_seed_override_changes_sampled_parameters(tmp_path, capsys):
     pa = load_matrix(tmp_path / "a" / "params_train.tpoi")
     pb = load_matrix(tmp_path / "b" / "params_train.tpoi")
     assert not np.allclose(pa, pb)
+    # later stages refuse the seed-1 data under seed 2
+    code = main(["build-basis", "--config", str(cfg_path), "--out", str(tmp_path / "a"),
+                 "--seed", "2"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("topinf: error:")
+    assert "seed 1 (configured 2)" in captured.err and "rerun simulate-fom" in captured.err
+    assert not (tmp_path / "a" / "basis").exists()

@@ -526,6 +526,30 @@ def test_stages_refuse_a_basis_smaller_than_the_requested_sizes(stage, tmp_path)
     assert not list(tmp_path.rglob("*_r6*"))
 
 
+@pytest.mark.parametrize("change", [{"seed": 4}, {"breakpoints": (2.0, 4.0)}, {"dt": 0.025},
+                                    None], ids=["seed", "breakpoints", "dt", "missing"])
+def test_stages_refuse_full_order_data_of_another_configuration(change, heat_run, tmp_path):
+    # the later stages must not pool trajectories that simulate_fom wrote for
+    # another seed, subdomain layout or time step, nor data that record none
+    cfg, source, _ = heat_run
+    outdir = tmp_path / "run"
+    shutil.copytree(source, outdir)
+    if change is None:
+        manifest = json.loads((outdir / "manifest.json").read_text())
+        manifest.pop("full_order", None)
+        (outdir / "manifest.json").write_text(json.dumps(manifest))
+        other, match = cfg, "records no full-order configuration; rerun simulate-fom"
+    else:
+        other = dataclasses.replace(cfg, **change)
+        (name,) = change
+        match = rf"simulated with {name} .*\(configured .*\); rerun simulate-fom"
+    before = artifact_bytes(outdir, skip=())
+    for _, stage in STAGES[1:]:
+        with pytest.raises(ValueError, match=match):
+            stage(other, outdir)
+    assert artifact_bytes(outdir, skip=()) == before
+
+
 # ----------------------------------------------------------------------
 # manifest writes and the benchmark tracer's contract
 
