@@ -108,7 +108,12 @@ class ReducedBasis:
         """Coordinates, among ``reduced``, of the leading ``r`` modes of each block.
 
         The basis is nested, so ``leading(project(x), r)`` is
-        ``truncate(r).project(x)`` up to rounding.
+        ``truncate(r).project(x)``, but only to rounding: for a 1-D state
+        or ``r = 1`` NumPy forms the two products with different kernels,
+        and they can differ in the last bit.  ``simulate_rom`` starts each
+        reduced run of size r from ``leading``, so a run started from
+        ``truncate(r).project(x0)`` reproduces it to rounding, not bit for
+        bit.
         """
         if not (1 <= r <= self.r):
             raise ValueError(f"r must be in [1, {self.r}], got {r}")
@@ -116,7 +121,12 @@ class ReducedBasis:
         return view.reshape((self.blocks * r,) + np.shape(reduced)[1:])
 
     def truncate(self, r: int) -> "ReducedBasis":
-        """Sub-basis of the leading ``r`` modes (bases are nested)."""
+        """Sub-basis of the leading ``r`` modes (bases are nested).
+
+        ``truncate(r).project(x)`` matches ``leading(project(x), r)`` only to
+        rounding: the two can differ in the last bit for a 1-D state or
+        ``r = 1`` (see :meth:`leading`).
+        """
         if not (1 <= r <= self.r):
             raise ValueError(f"r must be in [1, {self.r}], got {r}")
         pod = replace(self, u=self.block[:, :r], kind="pod", u_half=None)

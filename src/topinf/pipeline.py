@@ -16,9 +16,11 @@ configuration and seed produce byte-identical numeric artifacts
 (``manifest.json`` records wall-clock timings and is exempt).
 
 Provenance: ``simulate_fom`` records in ``manifest.json`` (``full_order``)
-the configuration fields that fix the parameters and trajectories; the
-later stages refuse to run when the record is missing or differs from
-their configuration.
+the configuration fields that fix the parameters and trajectories, and
+``infer`` records the methods it fitted and the derivative data it used
+(``operators``); the later stages refuse to run when a record they rely
+on is missing or differs from their configuration (a configured method
+that was never inferred counts as a difference).
 
 Randomness: all sampling derives from the configured seed through the
 Philox 4x64 counter-based generator, keyed by ``(seed, stream)`` with
@@ -118,9 +120,16 @@ INTRUSIVE = "intrusive"
 _TRAIN_STREAM = 0
 _TEST_STREAM = 1
 
-#: The configuration fields that fix the sampled parameters and full-order trajectories.
-_FULL_ORDER_FIELDS = ("problem", "n_elements", "breakpoints", "param_lo", "param_hi",
-                      "sampling", "t0", "tf", "dt", "n_train", "n_test", "seed")
+#: The provenance records in ``manifest.json``: for each, the configuration
+#: fields that fix its artifacts, their name, how they were made, and the
+#: stage that writes them.
+_RECORDS = {
+    "full_order": (("problem", "n_elements", "breakpoints", "param_lo", "param_hi",
+                    "sampling", "t0", "tf", "dt", "n_train", "n_test", "seed"),
+                   "full-order", "the full-order data were simulated", "simulate-fom"),
+    "operators": (("methods", "derivative"),
+                  "operator", "the operators were inferred", "infer"),
+}
 
 
 # ----------------------------------------------------------------------
@@ -303,21 +312,29 @@ def _config_record(cfg: ExperimentConfig) -> dict:
     return {k: list(v) if isinstance(v, tuple) else v for k, v in dataclasses.asdict(cfg).items()}
 
 
-def _full_order_record(cfg: ExperimentConfig) -> dict:
+def _record(cfg: ExperimentConfig, key: str) -> dict:
+    """The provenance record ``key`` of :data:`_RECORDS` for this configuration."""
     record = _config_record(cfg)
-    return {k: record[k] for k in _FULL_ORDER_FIELDS}
+    return {k: record[k] for k in _RECORDS[key][0]}
 
 
-def _require_full_order(cfg: ExperimentConfig, outdir: Path) -> None:
-    """Refuse full-order artifacts that ``simulate_fom`` wrote for another configuration."""
-    stored = _load_manifest(outdir).get("full_order")
+def _require_record(cfg: ExperimentConfig, outdir: Path, key: str) -> None:
+    """Refuse artifacts that an earlier stage recorded, as ``key``, for another configuration.
+
+    Each recorded field must equal the configured one, except ``methods``:
+    a stage may use any of the methods that were inferred.
+    """
+    _, name, made, stage = _RECORDS[key]
+    stored = _load_manifest(outdir).get(key)
     if stored is None:
-        raise ValueError(f"{outdir} records no full-order configuration; rerun simulate-fom")
-    changed = [f"{k} {stored.get(k)!r} (configured {v!r})"
-               for k, v in _full_order_record(cfg).items() if stored.get(k) != v]
+        raise ValueError(f"{outdir} records no {name} configuration; rerun {stage}")
+    changed = []
+    for k, v in _record(cfg, key).items():
+        matches = set(v) <= set(stored.get(k, ())) if k == "methods" else stored.get(k) == v
+        if not matches:
+            changed.append(f"{k} {stored.get(k)!r} (configured {v!r})")
     if changed:
-        raise ValueError("the full-order data were simulated with " + ", ".join(changed)
-                         + "; rerun simulate-fom")
+        raise ValueError(f"{made} with " + ", ".join(changed) + f"; rerun {stage}")
 
 
 def _record_stage(cfg: ExperimentConfig, outdir: Path, name: str, seconds: float,
@@ -376,7 +393,7 @@ def simulate_fom(cfg: ExperimentConfig, outdir) -> None:
     _prune(outdir / "fom", "*.tpoi", written)
 
     _record_stage(cfg, outdir, "simulate_fom", time.perf_counter() - started,
-                  updates={"full_order": _full_order_record(cfg)})
+                  updates={"full_order": _record(cfg, "full_order")})
 
 
 # ----------------------------------------------------------------------
@@ -387,7 +404,7 @@ def build_basis(cfg: ExperimentConfig, outdir) -> None:
     """Build the reduced basis of the largest requested size from training data."""
     cfg = cfg.validate()
     outdir = Path(outdir)
-    _require_full_order(cfg, outdir)
+    _require_record(cfg, outdir, "full_order")
     (outdir / "basis").mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
 
@@ -430,7 +447,7 @@ def infer(cfg: ExperimentConfig, outdir) -> None:
     """
     cfg = cfg.validate()
     outdir = Path(outdir)
-    _require_full_order(cfg, outdir)
+    _require_record(cfg, outdir, "full_order")
     (outdir / "operators").mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
 
@@ -492,7 +509,8 @@ def infer(cfg: ExperimentConfig, outdir) -> None:
 
     _record_stage(
         cfg, outdir, "infer", time.perf_counter() - started,
-        updates={"inference": diagnostics, "recovery": recovery, "agreement": agreement},
+        updates={"inference": diagnostics, "recovery": recovery, "agreement": agreement,
+                 "operators": _record(cfg, "operators")},
     )
 
 
@@ -514,11 +532,12 @@ def simulate_rom(cfg: ExperimentConfig, outdir) -> None:
     """
     cfg = cfg.validate()
     outdir = Path(outdir)
-    _require_full_order(cfg, outdir)
+    _require_record(cfg, outdir, "full_order")
     started = time.perf_counter()
 
     model = _build_model(cfg)
     basis_full = _load_basis(cfg, outdir, model)
+    _require_record(cfg, outdir, "operators")
     if cfg.problem == "heat1d":
         x0 = heat_initial_state(model)
     else:
@@ -606,13 +625,14 @@ def evaluate(cfg: ExperimentConfig, outdir) -> None:
     """
     cfg = cfg.validate()
     outdir = Path(outdir)
-    _require_full_order(cfg, outdir)
-    report_dir = outdir / "report"
-    report_dir.mkdir(parents=True, exist_ok=True)
+    _require_record(cfg, outdir, "full_order")
     started = time.perf_counter()
 
     model = _build_model(cfg)
     basis_full = _load_basis(cfg, outdir, model)
+    _require_record(cfg, outdir, "operators")
+    report_dir = outdir / "report"
+    report_dir.mkdir(parents=True, exist_ok=True)
     manifest = _load_manifest(outdir)
     diverged = {(d["label"], d["r"], d["split"], d["index"])
                 for d in manifest.get("divergences", [])}

@@ -20,16 +20,21 @@ model, whose quadratic form coincides with that of the original blocks.
 the pipeline reads each sample's energy ``E = J^T A`` off the stacked
 generators (:func:`block_operator`), and the tests check it against them.
 
-The integrators apply the Cayley map ``(M - dt/2 A)^{-1} (M + dt/2 A)``:
-one factorization builds this step map, which is then applied once per
-step as a matrix-vector product: :func:`crank_nicolson` for mass-form
-diffusion systems and :func:`implicit_midpoint` for standard-form
-canonical systems, where the same map conserves every quadratic invariant
-of the flow (for linear systems the two schemes coincide).
-:func:`cayley_sweep` runs the same map over a stack of operators, one per
-parameter sample: one batched solve builds every step map and one stacked
-product per step advances every sample, with the per-sample results of the
-single-operator entry points, bit for bit.
+The integrators apply the Cayley map ``Phi = (M - dt/2 A)^{-1} (M + dt/2 A)``:
+:func:`crank_nicolson` for mass-form diffusion systems and
+:func:`implicit_midpoint` for standard-form canonical systems, where the
+same map conserves every quadratic invariant of the flow (for linear
+systems the two schemes coincide).  One factorization builds ``Phi``;
+its powers ``Phi, Phi^2, ..., Phi^b``, with block size
+``b = isqrt(n_times - 1)``, are formed once by doubling, and one
+matrix-vector product with them advances the state by ``b`` steps.  A run
+that is not finite somewhere is stepped again one step at a time, so it
+diverges where its state leaves float range, not where a power of ``Phi``
+overflows.  :func:`cayley_sweep` runs the same map over a stack of
+operators, one per parameter sample: one batched solve builds every step
+map and one stacked product per block of ``b`` steps advances every
+sample, with the per-sample results of the single-operator entry points,
+bit for bit.
 :func:`tridiagonal_sweep` is the full-order counterpart, for steps that
 solve one symmetric positive definite tridiagonal system per sample: the
 systems of all samples are factored once, end to end, and one solve per
@@ -38,6 +43,7 @@ step advances every sample (``heat_sweep``, ``wave_sweep``).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -244,41 +250,60 @@ def _cayley_integrate(
     if m.shape != (n, n):
         raise ValueError(f"mass shape {m.shape} does not match state length {n}")
 
-    # One batched LU solve builds every step map; each step is one stacked
-    # matvec.  NumPy's LAPACK forms the maps: SciPy's threaded multi-column
-    # solve runs in a second BLAS thread pool and stalls next to NumPy's.
-    # Non-finite values propagate, so overflow is located after the loop.
-    count = a.shape[0]
+    # One batched LU solve builds every step map.  NumPy's LAPACK forms the
+    # maps: SciPy's threaded multi-column solve runs in a second BLAS thread
+    # pool and stalls next to NumPy's.  Non-finite values propagate, so
+    # overflow is located after stepping.
     with np.errstate(all="ignore"):
         half = 0.5 * dt * a
         phi = _step_maps(m - half, m + half)
-        rows = np.empty((n_times, count, n))
-        rows[0] = x0
-        if count == 1:  # a one-slice stacked product costs ~1 us more per step
-            phi1, rows1 = phi[0], rows[:, 0]
-            for k in range(1, n_times):
-                np.dot(phi1, rows1[k - 1], out=rows1[k])
-        else:
-            for k in range(1, n_times):
-                np.matmul(phi, rows[k - 1, :, :, None], out=rows[k, :, :, None])
-
-    return _trajectories(rows, dt, t0)
+        states = _cayley_states(phi, x0, n_times, max(1, math.isqrt(n_times - 1)))
+        bad = ~np.all(np.isfinite(states), axis=(1, 2))
+        if bad.any():  # a power of a map can overflow before its state does
+            states[bad] = _cayley_states(phi[bad], x0, n_times, 1)
+    return _trajectories(states, dt, t0)
 
 
-def _trajectories(rows: np.ndarray, dt: float, t0: float) -> list[Trajectory]:
-    """One :class:`Trajectory` per sample of the stepped states ``rows`` (n_times, S, n).
+def _cayley_states(phi: np.ndarray, x0: np.ndarray, n_times: int, block: int) -> np.ndarray:
+    """States (S, n_times, n) of ``x_{k+1} = phi_s x_k``, ``block`` steps per product.
+
+    The powers ``phi, phi^2, ..., phi^block`` of every map are formed once,
+    by doubling; one stacked matrix-vector product with them then advances
+    every sample by ``block`` steps.
+    """
+    count, n = phi.shape[:2]
+    powers = np.empty((count, block, n, n))
+    powers[:, 0] = phi
+    done = 1
+    while done < block:  # phi^(done+i+1) = phi^(i+1) phi^done
+        new = min(done, block - done)
+        np.matmul(powers[:, :new], powers[:, done - 1:done], out=powers[:, done:done + new])
+        done += new
+    powers = powers.reshape(count, block * n, n)
+    states = np.empty((count, n_times, n))
+    states[:, 0] = x0
+    flat = states.reshape(count, n_times * n, 1)
+    for k in range(0, n_times - 1, block):
+        steps = min(block, n_times - 1 - k)
+        np.matmul(powers[:, :steps * n], flat[:, k * n:(k + 1) * n],
+                  out=flat[:, (k + 1) * n:(k + 1 + steps) * n])
+    return states
+
+
+def _trajectories(states: np.ndarray, dt: float, t0: float) -> list[Trajectory]:
+    """One :class:`Trajectory` per sample of the stepped states (S, n_times, n).
 
     A sample's states are NaN from its first non-finite step on.
     """
-    finite = np.all(np.isfinite(rows), axis=2)
-    times = t0 + dt * np.arange(rows.shape[0])
+    finite = np.all(np.isfinite(states), axis=2)
+    times = t0 + dt * np.arange(states.shape[1])
     out = []
-    for s in range(rows.shape[1]):
-        states = np.ascontiguousarray(rows[:, s].T)
-        first_bad = None if finite[:, s].all() else int(np.argmin(finite[:, s]))
+    for s in range(states.shape[0]):
+        run = np.ascontiguousarray(states[s].T)
+        first_bad = None if finite[s].all() else int(np.argmin(finite[s]))
         if first_bad is not None:
-            states[:, first_bad:] = np.nan
-        out.append(Trajectory(states=states, times=times,
+            run[:, first_bad:] = np.nan
+        out.append(Trajectory(states=run, times=times,
                               diverged=first_bad is not None, first_bad_step=first_bad))
     return out
 
@@ -306,10 +331,14 @@ def cayley_sweep(
 ) -> list[Trajectory]:
     """Cayley-map integration of ``ydot = A_s y`` for every slice of ``ops`` (S, n, n).
 
-    Returns one :class:`Trajectory` per slice, bit-identical to
-    ``implicit_midpoint(ops[s], x0, dt, n_times, t0)``.  Divergence is
-    detected per sample: an exactly singular ``I - dt/2 A_s`` diverges at
-    step 1 without touching the other samples.
+    One batched solve builds every step map ``Phi_s``; one stacked product
+    with the powers ``Phi_s, ..., Phi_s^b``, ``b = isqrt(n_times - 1)``,
+    advances every sample by ``b`` steps.  Returns one :class:`Trajectory`
+    per slice, bit-identical to ``implicit_midpoint(ops[s], x0, dt,
+    n_times, t0)``.  Divergence is detected per sample: a sample that is
+    not finite somewhere is stepped again one step at a time and marked at
+    the first step where its state is not finite; an exactly singular
+    ``I - dt/2 A_s`` diverges at step 1 without touching the other samples.
     """
     return _cayley_integrate(ops, x0, dt, n_times, None, t0)
 
@@ -357,26 +386,26 @@ def tridiagonal_sweep(
     if any(len(a) != diag.shape[0] for a in per_sample):
         raise ValueError("every per-sample array needs one entry per sample")
 
-    runs = _trajectories(_tridiagonal_rows(step, diag, off, x0, n_times, per_sample), dt, t0)
+    runs = _trajectories(_tridiagonal_states(step, diag, off, x0, n_times, per_sample), dt, t0)
     if any(run.diverged for run in runs):
-        rows = np.concatenate([
-            _tridiagonal_rows(step, diag[s:s + 1], off[s:s + 1], x0, n_times,
-                              tuple(a[s:s + 1] for a in per_sample))
+        states = np.concatenate([
+            _tridiagonal_states(step, diag[s:s + 1], off[s:s + 1], x0, n_times,
+                                tuple(a[s:s + 1] for a in per_sample))
             for s in range(diag.shape[0])
-        ], axis=1)
-        runs = _trajectories(rows, dt, t0)
+        ])
+        runs = _trajectories(states, dt, t0)
     return runs
 
 
-def _tridiagonal_rows(step, diag, off, x0, n_times, per_sample) -> np.ndarray:
-    """The stepped states (n_times, S, m) of :func:`tridiagonal_sweep`."""
+def _tridiagonal_states(step, diag, off, x0, n_times, per_sample) -> np.ndarray:
+    """The stepped states (S, n_times, m) of :func:`tridiagonal_sweep`."""
     solve = factor_tridiagonals(diag, off).solve
     rows = np.empty((n_times, diag.shape[0], x0.shape[0]))
     rows[0] = x0
     with np.errstate(all="ignore"):  # overflow is located by the caller
         for k in range(1, n_times):
             step(solve, rows[k - 1], rows[k], *per_sample)
-    return rows
+    return rows.transpose(1, 0, 2)
 
 
 def crank_nicolson(
@@ -390,8 +419,11 @@ def crank_nicolson(
     """Trapezoidal (Crank-Nicolson) integration of ``M qdot = A q``.
 
     Steps ``(M - dt/2 A) q_{k+1} = (M + dt/2 A) q_k``: one LU factorization
-    builds the step map ``(M - dt/2 A)^{-1} (M + dt/2 A)``, which is then
-    applied once per step; second-order accurate and, for dissipative
+    builds the step map ``Phi = (M - dt/2 A)^{-1} (M + dt/2 A)``, and one
+    product with its powers ``Phi, ..., Phi^b``, ``b = isqrt(n_times - 1)``,
+    advances ``b`` steps; a run that is not finite somewhere is stepped
+    again one step at a time, so ``first_bad_step`` is where the state
+    itself leaves float range.  Second-order accurate and, for dissipative
     ``A``, non-expansive in the ``M`` norm.  ``mass=None`` means the
     identity.
     """
@@ -408,8 +440,12 @@ def implicit_midpoint(
     """Implicit-midpoint integration of the linear system ``ydot = A y``.
 
     For linear dynamics the midpoint rule is the Cayley map
-    ``(I - dt/2 A)^{-1} (I + dt/2 A)``; it is symplectic and conserves
+    ``Phi = (I - dt/2 A)^{-1} (I + dt/2 A)``; it is symplectic and conserves
     every quadratic invariant of the flow, in particular the energy
     ``1/2 y^T S y`` of a canonical system ``A = J S`` with symmetric ``S``.
+    As in :func:`crank_nicolson`, one product with the powers
+    ``Phi, ..., Phi^b``, ``b = isqrt(n_times - 1)``, advances ``b`` steps,
+    and a run that is not finite somewhere is stepped again one step at a
+    time.
     """
     return _cayley_integrate(np.asarray(a, dtype=float)[None], y0, dt, n_times, None, t0)[0]

@@ -162,3 +162,21 @@ def test_seed_override_changes_sampled_parameters(tmp_path, capsys):
     assert captured.err.startswith("topinf: error:")
     assert "seed 1 (configured 2)" in captured.err and "rerun simulate-fom" in captured.err
     assert not (tmp_path / "a" / "basis").exists()
+
+
+def test_simulate_rom_refuses_operators_of_another_derivative(tmp_path, capsys):
+    cfg_path = write_config(tmp_path)
+    outdir = tmp_path / "fd"
+    common = ["--config", str(cfg_path), "--out", str(outdir)]
+    for command in ("simulate-fom", "build-basis", "infer"):
+        assert main([command] + common) == 0
+    capsys.readouterr()
+    (tmp_path / "exact").mkdir()
+    exact = write_config(tmp_path / "exact", "derivative = exact\n")
+    code = main(["simulate-rom", "--config", str(exact), "--out", str(outdir)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("topinf: error:")
+    assert "derivative 'finite_difference' (configured 'exact')" in captured.err
+    assert "rerun infer" in captured.err
+    assert not (outdir / "rom").exists()

@@ -550,6 +550,45 @@ def test_stages_refuse_full_order_data_of_another_configuration(change, heat_run
     assert artifact_bytes(outdir, skip=()) == before
 
 
+@pytest.mark.parametrize("change", [{"derivative": "exact"}, {"methods": ("normal", "symmetric")},
+                                    None], ids=["derivative", "method", "missing"])
+def test_stages_refuse_operators_inferred_for_another_configuration(change, heat_run, tmp_path):
+    # infer fitted normal and lstsq from finite differences: simulate_rom and
+    # evaluate must not integrate or score those operators as exact-derivative
+    # fits, nor look for a method that was never fitted
+    cfg, source, _ = heat_run
+    assert (cfg.derivative, cfg.methods) == ("finite_difference", ("normal", "lstsq"))
+    outdir = tmp_path / "run"
+    shutil.copytree(source, outdir)
+    if change is None:
+        manifest = json.loads((outdir / "manifest.json").read_text())
+        del manifest["operators"]
+        (outdir / "manifest.json").write_text(json.dumps(manifest))
+        other, match = cfg, "records no operator configuration; rerun infer"
+    else:
+        other = dataclasses.replace(cfg, **change)
+        (name,) = change
+        match = rf"operators were inferred with {name} .*\(configured .*\); rerun infer"
+    before = artifact_bytes(outdir, skip=())
+    for stage in (simulate_rom, evaluate):
+        with pytest.raises(ValueError, match=match):
+            stage(other, outdir)
+    assert artifact_bytes(outdir, skip=()) == before
+
+
+def test_stages_accept_a_subset_of_the_inferred_methods(heat_run, tmp_path):
+    cfg, source, _ = heat_run
+    outdir = tmp_path / "run"
+    shutil.copytree(source, outdir)
+    assert json.loads((outdir / "manifest.json").read_text())["operators"] == {
+        "methods": ["normal", "lstsq"], "derivative": "finite_difference"}
+    fewer = dataclasses.replace(cfg, methods=("lstsq",))
+    simulate_rom(fewer, outdir)
+    evaluate(fewer, outdir)
+    assert sorted(p.name for p in (outdir / "rom").iterdir()) == [
+        f"{label}_r{r}" for label in ("intrusive", "lstsq") for r in cfg.reduced_dims]
+
+
 # ----------------------------------------------------------------------
 # manifest writes and the benchmark tracer's contract
 

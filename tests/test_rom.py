@@ -381,6 +381,100 @@ def test_sweep_validation():
 
 
 # ----------------------------------------------------------------------
+# blocked stepping: one product with Phi, ..., Phi^b advances b steps
+
+
+def _stepwise_states(a, x0, dt, n_times, mass=None):
+    """The oracle: the Cayley map applied once per step."""
+    m = np.eye(len(x0)) if mass is None else mass
+    phi = np.linalg.solve(m - 0.5 * dt * a, m + 0.5 * dt * a)
+    states = [x0]
+    for _ in range(1, n_times):
+        states.append(phi @ states[-1])
+    return np.stack(states, axis=1)
+
+
+def test_blocked_stepping_matches_stepwise_oracle_on_a_mass_form_heat_stack():
+    # Galerkin heat generators in mass form (a Euclidean-orthonormal basis,
+    # so the reduced mass U^T M U is not the identity), 251 steps: b = 15
+    model = build_heat_model(60)
+    rng = np.random.default_rng(718)
+    u = np.linalg.qr(rng.standard_normal((len(model.mass), 10)))[0]
+    mass = project_matrix(model.mass, u)
+    q0 = np.linalg.solve(mass, u.T @ (model.mass @ heat_initial_state(model)))
+    for mu in rng.uniform(0.1, 1.0, (6, 3)):
+        a = project_matrix(heat_operator(model, mu), u)
+        traj = crank_nicolson(a, q0, 0.008, 251, mass=mass)
+        expected = _stepwise_states(a, q0, 0.008, 251, mass)
+        np.testing.assert_allclose(traj.states, expected, rtol=0,
+                                   atol=1e-12 * np.abs(q0).max())
+
+
+def test_blocked_stepping_matches_stepwise_oracle_on_a_wave_block_stack():
+    # symmetric wave generators at r = 10 (2r = 20), 401 steps: b = 20
+    rng = np.random.default_rng(719)
+    r = 10
+    g = rng.standard_normal((3, r, r))
+    t1 = np.moveaxis(g @ g.transpose(0, 2, 1) + np.eye(r), 0, 2)  # SPD slices
+    h = rng.standard_normal((r, r))
+    a2 = np.eye(r) + 0.05 * (h + h.T)
+    mus = rng.uniform(0.8, 2.4, (3, 13))
+    ops = block_operator(t1, a2, mus)
+    y0 = rng.standard_normal(2 * r)
+    model = RomModel(t1=t1, a2=a2, t1_structure="symmetric", a2_structure="symmetric")
+    runs = cayley_sweep(ops, y0, np.pi / 100.0, 401)
+    for s, run in enumerate(runs):
+        expected = _stepwise_states(ops[s], y0, np.pi / 100.0, 401)
+        np.testing.assert_allclose(run.states, expected, rtol=0,
+                                   atol=1e-12 * np.abs(y0).max())
+        energy = reduced_hamiltonian(model, mus[:, s], run.states)
+        assert np.max(np.abs(energy - energy[0])) <= 1e-12 * energy[0]
+
+
+@pytest.mark.parametrize("n_times", [1, 2, 3, 5, 10, 11, 17, 27, 40])
+def test_blocked_stepping_covers_every_block_remainder(n_times):
+    # b = isqrt(n_times - 1); 10, 27 and 40 leave a partial last block
+    rng = np.random.default_rng(720)
+    a = rng.standard_normal((4, 4, 4))
+    ops = 0.5 * (a - a.transpose(0, 2, 1)) - 0.2 * np.eye(4)
+    y0 = rng.standard_normal(4)
+    runs = _assert_sweep_matches_single_runs(ops, y0, 0.1, n_times, implicit_midpoint)
+    for op, run in zip(ops, runs):
+        assert run.states.shape == (4, n_times)
+        np.testing.assert_array_equal(run.states[:, 0], y0)
+        np.testing.assert_allclose(run.states, _stepwise_states(op, y0, 0.1, n_times),
+                                   rtol=0, atol=1e-13)
+
+
+def test_overflow_inside_a_block_is_recorded_at_its_step():
+    # 122 times: b = 11, so the blocks start at steps 1, 12, ..., 67, 78 and
+    # the state (Cayley factor -51/49) overflows at step 73, inside a block
+    dt, x0 = 0.1, np.array([1e307, 1e306])
+    ops = np.stack([(100.0 / dt) * np.eye(2), -np.eye(2)])
+    overflow, finite = _assert_sweep_matches_single_runs(ops, x0, dt, 122, implicit_midpoint)
+    assert overflow.diverged and overflow.first_bad_step == 73
+    assert np.all(np.isfinite(overflow.states[:, :73]))
+    assert np.all(np.isnan(overflow.states[:, 73:]))
+    assert not finite.diverged and np.all(np.isfinite(finite.states))
+
+
+def test_divergence_is_the_step_where_the_state_overflows_not_a_power():
+    # The Cayley factor is about -4.5e15, so Phi^20 (b = 20 for 401 times)
+    # overflows at step 20 while the state, from 1e-300, overflows at step 39
+    dt = 0.1
+    a = np.array([[(2.0 / dt) * (1.0 + 4e-16)]])
+    traj = crank_nicolson(a, np.array([1e-300]), dt, 401)
+    assert traj.diverged and traj.first_bad_step == 39
+    assert np.all(np.isfinite(traj.states[:, :39]))
+    assert np.all(np.isnan(traj.states[:, 39:]))
+    np.testing.assert_array_equal(traj.states[:, :39],
+                                  _stepwise_states(a, np.array([1e-300]), dt, 39))
+    runs = _assert_sweep_matches_single_runs(np.stack([a, -np.eye(1)]), np.array([1e-300]),
+                                             dt, 401, crank_nicolson)
+    assert runs[0].first_bad_step == 39 and not runs[1].diverged
+
+
+# ----------------------------------------------------------------------
 # the stacked tridiagonal sweep core
 
 
