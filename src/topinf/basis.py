@@ -155,19 +155,34 @@ def _state_list(snapshots) -> list[np.ndarray]:
     return out
 
 
+def _pooled(snapshots) -> np.ndarray:
+    """The snapshot sets as one ``(N, K)`` matrix.
+
+    A matrix is the pooled matrix itself (not copied when it is float64); a
+    sequence of snapshot sets is pooled, in order, into a new one.
+    """
+    if isinstance(snapshots, np.ndarray) and snapshots.ndim == 2:
+        return np.asarray(snapshots, dtype=float)
+    return np.hstack(_state_list(snapshots))
+
+
 def _weighted_left_vectors(
-    stacks: list[np.ndarray], mass: np.ndarray, r: int
+    pooled: np.ndarray, mass: np.ndarray, r: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Leading r left singular vectors of R @ hstack(stacks), pulled back by R."""
+    """Leading r left singular vectors of R @ pooled, pulled back by R.
+
+    ``pooled`` is overwritten by ``R @ pooled``: no unweighted copy is
+    kept, so the data are held twice at most, here and in NumPy's QR
+    workspace.
+    """
     chol = cholesky_upper(mass)
-    pooled = np.hstack(stacks)
     if pooled.shape[0] != mass.shape[0]:
         raise ValueError(
             f"snapshots have dimension {pooled.shape[0]}, mass is {mass.shape[0]}"
         )
     if not np.all(np.isfinite(pooled)):
         raise ValueError("non-finite entries in the snapshot stack")
-    weighted = chol @ pooled
+    weighted = np.matmul(chol, pooled, out=pooled)
     # The QR factorization W^T = Q F gives W = F^T Q^T: the left singular
     # vectors and singular values of W are those of the small factor F^T,
     # and the right singular vectors (one entry per snapshot) are never
@@ -196,8 +211,12 @@ def weighted_pod(snapshots, mass: np.ndarray, r: int) -> ReducedBasis:
 
     Parameters
     ----------
-    snapshots : sequence
-        Snapshot matrices (``N x Nt`` each) or objects exposing ``.states``.
+    snapshots : sequence or ndarray
+        Snapshot matrices (``N x Nt`` each) or objects exposing ``.states``,
+        pooled in order into one ``(N, K)`` matrix.  Or that pooled matrix
+        itself: it is then overwritten by its weighted form ``R @ pooled``
+        (a float64 matrix is not copied), so the data are held only once
+        besides NumPy's QR workspace.
     mass : ndarray, shape (N, N)
         Symmetric positive definite weight matrix.
     r : int
@@ -205,8 +224,7 @@ def weighted_pod(snapshots, mass: np.ndarray, r: int) -> ReducedBasis:
     """
     if r < 1:
         raise ValueError(f"r must be positive, got {r}")
-    stacks = _state_list(snapshots)
-    u, svals = _weighted_left_vectors(stacks, mass, r)
+    u, svals = _weighted_left_vectors(_pooled(snapshots), mass, r)
     return ReducedBasis(u=u, weight=np.asarray(mass, dtype=float), kind="pod",
                         singular_values=svals)
 
@@ -217,8 +235,14 @@ def psd_cotangent_lift(q_snapshots, p_snapshots, mass: np.ndarray, r: int) -> Re
     The :func:`weighted_pod` basis ``Uw`` of rank ``r`` of the pooled
     position and momentum snapshot sets, acting on each state block: the
     returned basis is ``blockdiag(Uw, Uw)`` with ``u_half = Uw``.
+
+    The sets are pooled positions first.  A caller that holds that pooled
+    matrix ``[Q_1 ... Q_Ns  P_1 ... P_Ns]`` passes it as ``q_snapshots``
+    with no momentum sets (``p_snapshots=()``); it is overwritten as in
+    :func:`weighted_pod`.
     """
-    pooled = _state_list(q_snapshots) + _state_list(p_snapshots)
+    momenta = list(p_snapshots)
+    pooled = q_snapshots if not momenta else _state_list(q_snapshots) + _state_list(momenta)
     return _cotangent_lift(weighted_pod(pooled, mass, r))
 
 

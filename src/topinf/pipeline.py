@@ -13,14 +13,18 @@ can run in one process (:func:`run_pipeline`) or as separate invocations:
 Artifacts use the binary format of :mod:`topinf.storage`; tables are CSV
 with shortest round-trip float formatting.  Reruns with the same
 configuration and seed produce byte-identical numeric artifacts
-(``manifest.json`` records wall-clock timings and is exempt).
+(``manifest.json`` records wall-clock timings and peak memory and is
+exempt; its ``cond`` estimates may also differ in the last bit, see
+:func:`~topinf.linalg.solve_sym`).
 
 Provenance: ``simulate_fom`` records in ``manifest.json`` (``full_order``)
-the configuration fields that fix the parameters and trajectories, and
-``infer`` records the methods it fitted and the derivative data it used
-(``operators``); the later stages refuse to run when a record they rely
-on is missing or differs from their configuration (a configured method
-that was never inferred counts as a difference).
+the configuration fields that fix the parameters and trajectories,
+``build_basis`` records the full-order record its basis was built from
+(``basis``), and ``infer`` records the methods it fitted, the derivative
+data it used and the basis record it fitted in (``operators``); the later
+stages refuse to run when a record they rely on is missing or differs
+from their configuration (a configured method that was never inferred
+counts as a difference).
 
 Randomness: all sampling derives from the configured seed through the
 Philox 4x64 counter-based generator, keyed by ``(seed, stream)`` with
@@ -47,7 +51,9 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import resource
 import shutil
+import sys
 import time
 from pathlib import Path
 
@@ -57,7 +63,7 @@ import numpy as np
 # their names in this module.  Imported for it only: heat_operator,
 # wave_full_operator, crank_nicolson, implicit_midpoint, relative_l2,
 # projection_error, hamiltonian_drift, reduced_hamiltonian, symmetric_part,
-# mode3_product, exact_reduced_derivative, project_matrix,
+# mode3_product, exact_reduced_derivative, project_matrix, project_snapshots,
 # wave_mass_form_operator and wave_stiffness.
 from . import __version__
 from .basis import (
@@ -122,12 +128,17 @@ _TEST_STREAM = 1
 
 #: The provenance records in ``manifest.json``: for each, the configuration
 #: fields that fix its artifacts, their name, how they were made, and the
-#: stage that writes them.
+#: stage that writes them.  A field that names another record carries that
+#: record: the basis carries the full-order data it was built from, and the
+#: operators carry the basis they were fitted in.
+_FULL_ORDER_FIELDS = ("problem", "n_elements", "breakpoints", "param_lo", "param_hi",
+                      "sampling", "t0", "tf", "dt", "n_train", "n_test", "seed")
 _RECORDS = {
-    "full_order": (("problem", "n_elements", "breakpoints", "param_lo", "param_hi",
-                    "sampling", "t0", "tf", "dt", "n_train", "n_test", "seed"),
+    "full_order": (_FULL_ORDER_FIELDS,
                    "full-order", "the full-order data were simulated", "simulate-fom"),
-    "operators": (("methods", "derivative"),
+    "basis": (_FULL_ORDER_FIELDS,
+              "basis", "the basis was built from full-order data", "build-basis"),
+    "operators": (("methods", "derivative", "basis"),
                   "operator", "the operators were inferred", "infer"),
 }
 
@@ -178,13 +189,13 @@ def _load_params(outdir: Path, split: str) -> np.ndarray:
     return load_matrix(outdir / f"params_{split}.tpoi")
 
 
-def _load_fom(cfg: ExperimentConfig, outdir: Path, split: str) -> list[np.ndarray]:
-    count = cfg.n_train if split == "train" else cfg.n_test
-    return [load_matrix(_fom_path(outdir, split, i)) for i in range(count)]
-
-
 def _load_basis(cfg: ExperimentConfig, outdir: Path, model) -> ReducedBasis:
-    """The stored basis; refuses one with fewer modes than ``max(cfg.reduced_dims)``."""
+    """The stored basis; refuses a stale one, or one with fewer modes than ``max(cfg.reduced_dims)``.
+
+    A basis built from other full-order data than the configured ones is
+    stale.  A larger basis serves smaller sizes, since bases are nested.
+    """
+    _require_record(cfg, outdir, "basis")
     u = load_matrix(outdir / "basis" / "u.tpoi")
     svals = load_tensor(outdir / "basis" / "svals.tpoi")
     if cfg.problem == "wave1d":
@@ -315,14 +326,15 @@ def _config_record(cfg: ExperimentConfig) -> dict:
 def _record(cfg: ExperimentConfig, key: str) -> dict:
     """The provenance record ``key`` of :data:`_RECORDS` for this configuration."""
     record = _config_record(cfg)
-    return {k: record[k] for k in _RECORDS[key][0]}
+    return {k: _record(cfg, k) if k in _RECORDS else record[k] for k in _RECORDS[key][0]}
 
 
 def _require_record(cfg: ExperimentConfig, outdir: Path, key: str) -> None:
     """Refuse artifacts that an earlier stage recorded, as ``key``, for another configuration.
 
     Each recorded field must equal the configured one, except ``methods``:
-    a stage may use any of the methods that were inferred.
+    a stage may use any of the methods that were inferred.  A carried
+    record that differs names its differing fields.
     """
     _, name, made, stage = _RECORDS[key]
     stored = _load_manifest(outdir).get(key)
@@ -330,11 +342,23 @@ def _require_record(cfg: ExperimentConfig, outdir: Path, key: str) -> None:
         raise ValueError(f"{outdir} records no {name} configuration; rerun {stage}")
     changed = []
     for k, v in _record(cfg, key).items():
-        matches = set(v) <= set(stored.get(k, ())) if k == "methods" else stored.get(k) == v
-        if not matches:
-            changed.append(f"{k} {stored.get(k)!r} (configured {v!r})")
+        have = stored.get(k)
+        if isinstance(v, dict) and isinstance(have, dict):
+            changed.extend(f"{k} {f} {have.get(f)!r} (configured {w!r})"
+                           for f, w in v.items() if have.get(f) != w)
+        elif not (set(v) <= set(have or ()) if k == "methods" else have == v):
+            changed.append(f"{k} {have!r} (configured {v!r})")
     if changed:
         raise ValueError(f"{made} with " + ", ".join(changed) + f"; rerun {stage}")
+
+
+def _peak_rss_mib() -> float:
+    """Peak resident set size of this process so far, in MiB.
+
+    ``ru_maxrss`` is in KiB on Linux and in bytes on macOS.
+    """
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / (2**20 if sys.platform == "darwin" else 2**10)
 
 
 def _record_stage(cfg: ExperimentConfig, outdir: Path, name: str, seconds: float,
@@ -343,11 +367,16 @@ def _record_stage(cfg: ExperimentConfig, outdir: Path, name: str, seconds: float
 
     Replacing, not merging, keeps a rerun from inheriting entries (a cleared
     divergence, an ``r`` no longer swept) that only an earlier run produced.
+    ``peak_rss_mib`` records the process's peak resident set size when the
+    stage ends: the peak over the process's lifetime, so a stage run in its
+    own process (the command line) reports its own peak, and a stage run
+    after others in one process reports the largest peak so far.
     """
     manifest = _load_manifest(outdir)
     manifest["package_version"] = __version__
     manifest["config"] = _config_record(cfg)
     manifest["stages"][name] = seconds
+    manifest.setdefault("peak_rss_mib", {})[name] = _peak_rss_mib()
     manifest.update(updates or {})
     _save_manifest(outdir, manifest)
 
@@ -401,7 +430,14 @@ def simulate_fom(cfg: ExperimentConfig, outdir) -> None:
 
 
 def build_basis(cfg: ExperimentConfig, outdir) -> None:
-    """Build the reduced basis of the largest requested size from training data."""
+    """Build the reduced basis of the largest requested size from training data.
+
+    The training states are read file by file into one pooled ``(N, K)``
+    matrix, in sample order: heat's trajectories; for wave every position
+    block, then every momentum block.  The POD overwrites that matrix with
+    its weighted form, so the data are held twice at most (the matrix and
+    NumPy's QR workspace), never as a list of per-file arrays.
+    """
     cfg = cfg.validate()
     outdir = Path(outdir)
     _require_record(cfg, outdir, "full_order")
@@ -409,20 +445,25 @@ def build_basis(cfg: ExperimentConfig, outdir) -> None:
     started = time.perf_counter()
 
     model = _build_model(cfg)
-    train = _load_fom(cfg, outdir, "train")
+    heat = cfg.problem == "heat1d"
+    blocks, weight = (1, model.mass) if heat else (2, model.mass_w)
+    n = weight.shape[0]
+    pooled = np.empty((n, blocks, cfg.n_train, cfg.n_times))
+    for i in range(cfg.n_train):
+        pooled[:, :, i] = (load_matrix(_fom_path(outdir, "train", i))
+                           .reshape(blocks, n, cfg.n_times).transpose(1, 0, 2))
+    pooled = pooled.reshape(n, -1)
     r_max = max(cfg.reduced_dims)
-    if cfg.problem == "heat1d":
-        b = weighted_pod(train, model.mass, r_max)
+    if heat:
+        b = weighted_pod(pooled, weight, r_max)
     else:
-        n = model.n_w
-        b = psd_cotangent_lift(
-            [q[:n] for q in train], [q[n:] for q in train], model.mass_w, r_max
-        )
+        b = psd_cotangent_lift(pooled, (), weight, r_max)
         save_matrix(outdir / "basis" / "u_half.tpoi", b.u_half)
     save_matrix(outdir / "basis" / "u.tpoi", b.u)
     save_tensor(outdir / "basis" / "svals.tpoi", b.singular_values)
 
-    _record_stage(cfg, outdir, "build_basis", time.perf_counter() - started)
+    _record_stage(cfg, outdir, "build_basis", time.perf_counter() - started,
+                  updates={"basis": _record(cfg, "basis")})
 
 
 # ----------------------------------------------------------------------
@@ -440,10 +481,11 @@ def _fit(method: str, data: InferenceData):
 def infer(cfg: ExperimentConfig, outdir) -> None:
     """Fit reduced operators for every requested size and method.
 
-    The training snapshots are projected, and finite differences taken,
-    once with the largest basis; each size r keeps the leading rows.  Exact
-    derivatives apply the intrusive generators to the snapshots; they and
-    the recovery reference use the intrusive operators, formed once.
+    The training snapshots are projected file by file, and finite
+    differences taken, once with the largest basis; each size r keeps the
+    leading rows.  Exact derivatives apply the intrusive generators to the
+    snapshots; they and the recovery reference use the intrusive
+    operators, formed once.
     """
     cfg = cfg.validate()
     outdir = Path(outdir)
@@ -454,8 +496,8 @@ def infer(cfg: ExperimentConfig, outdir) -> None:
     model = _build_model(cfg)
     params = _load_params(outdir, "train")
     basis_full = _load_basis(cfg, outdir, model)
-    reduced = project_snapshots(basis_full, _load_fom(cfg, outdir, "train"))
-    ys_full = np.stack(reduced, axis=2)
+    ys_full = np.stack([basis_full.project(load_matrix(_fom_path(outdir, "train", i)))
+                        for i in range(cfg.n_train)], axis=2)
     wave = cfg.problem == "wave1d"
     exact = cfg.derivative == "exact"
     if exact:
@@ -467,7 +509,8 @@ def infer(cfg: ExperimentConfig, outdir) -> None:
             coeffs, _, _ = lstsq_min_norm((params**2).T, intrusive.reshape(params.shape[1], -1))
             reference = np.moveaxis(coeffs.reshape(params.shape[0], *intrusive.shape[1:]), 0, 2)
     else:
-        derivs_full = np.stack([estimate_time_derivative(red, cfg.dt) for red in reduced], axis=2)
+        derivs_full = np.stack([estimate_time_derivative(ys_full[:, :, s], cfg.dt)
+                                for s in range(cfg.n_train)], axis=2)
 
     diagnostics: dict[str, dict] = {}
     recovery: dict[str, float] = {}

@@ -173,6 +173,29 @@ def test_block_basis_pools_position_and_momentum_data():
     np.testing.assert_allclose(a.u_half, b.u_half, atol=1e-12)
 
 
+def test_pod_of_a_pooled_matrix_matches_the_pod_of_its_sets():
+    # a pooled matrix is weighted in place (no copy) and gives the same
+    # basis, bit for bit, as the list of sets it pools; for the cotangent
+    # lift it holds the positions, then the momenta
+    rng = np.random.default_rng(511)
+    n = 9
+    mass = random_spd(rng, n)
+    chol = cholesky_upper(mass)
+    qs = make_snapshots(rng, n, 2, 6)
+    ps = make_snapshots(rng, n, 2, 6)
+    for from_sets, pooled, fit in (
+            (weighted_pod(qs, mass, 3), np.hstack(qs),
+             lambda m: weighted_pod(m, mass, 3)),
+            (psd_cotangent_lift(qs, ps, mass, 3), np.hstack(qs + ps),
+             lambda m: psd_cotangent_lift(m, (), mass, 3))):
+        weighted = chol @ pooled
+        from_matrix = fit(pooled)
+        assert from_matrix.kind == from_sets.kind
+        np.testing.assert_array_equal(from_matrix.u, from_sets.u)
+        np.testing.assert_array_equal(from_matrix.singular_values, from_sets.singular_values)
+        np.testing.assert_array_equal(pooled, weighted)
+
+
 def test_project_and_lift_round_trip_in_span():
     rng = np.random.default_rng(509)
     mass = random_spd(rng, 12)

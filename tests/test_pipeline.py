@@ -580,13 +580,105 @@ def test_stages_accept_a_subset_of_the_inferred_methods(heat_run, tmp_path):
     cfg, source, _ = heat_run
     outdir = tmp_path / "run"
     shutil.copytree(source, outdir)
-    assert json.loads((outdir / "manifest.json").read_text())["operators"] == {
-        "methods": ["normal", "lstsq"], "derivative": "finite_difference"}
+    manifest = json.loads((outdir / "manifest.json").read_text())
+    assert manifest["operators"] == {"methods": ["normal", "lstsq"],
+                                     "derivative": "finite_difference",
+                                     "basis": manifest["basis"]}
     fewer = dataclasses.replace(cfg, methods=("lstsq",))
     simulate_rom(fewer, outdir)
     evaluate(fewer, outdir)
     assert sorted(p.name for p in (outdir / "rom").iterdir()) == [
         f"{label}_r{r}" for label in ("intrusive", "lstsq") for r in cfg.reduced_dims]
+
+
+def test_stages_refuse_a_basis_built_from_other_full_order_data(heat_run, tmp_path):
+    # simulate_fom rerun at another seed replaces the training data; the basis
+    # of the old data must not project or score the new ones
+    cfg, source, _ = heat_run
+    outdir = tmp_path / "run"
+    shutil.copytree(source, outdir)
+    other = dataclasses.replace(cfg, seed=cfg.seed + 1)
+    pipeline.simulate_fom(other, outdir)
+    before = artifact_bytes(outdir, skip=())
+    match = (rf"basis was built from full-order data with seed {cfg.seed} "
+             rf"\(configured {other.seed}\); rerun build-basis")
+    for stage in (pipeline.infer, simulate_rom, evaluate):
+        with pytest.raises(ValueError, match=match):
+            stage(other, outdir)
+    assert artifact_bytes(outdir, skip=()) == before
+
+
+def test_stages_refuse_a_missing_basis_record(heat_run, tmp_path):
+    cfg, source, _ = heat_run
+    outdir = tmp_path / "run"
+    shutil.copytree(source, outdir)
+    manifest = json.loads((outdir / "manifest.json").read_text())
+    del manifest["basis"]
+    (outdir / "manifest.json").write_text(json.dumps(manifest))
+    before = artifact_bytes(outdir, skip=())
+    for stage in (pipeline.infer, simulate_rom, evaluate):
+        with pytest.raises(ValueError, match="records no basis configuration; rerun build-basis"):
+            stage(cfg, outdir)
+    assert artifact_bytes(outdir, skip=()) == before
+
+
+def test_stages_refuse_operators_fitted_in_another_basis(heat_run, tmp_path):
+    # simulate_fom and build_basis rerun at another seed: the stored operators
+    # were fitted in the old basis and must not be integrated in the new one
+    cfg, source, _ = heat_run
+    outdir = tmp_path / "run"
+    shutil.copytree(source, outdir)
+    other = dataclasses.replace(cfg, seed=cfg.seed + 1)
+    pipeline.simulate_fom(other, outdir)
+    pipeline.build_basis(other, outdir)
+    before = artifact_bytes(outdir, skip=())
+    match = (rf"operators were inferred with basis seed {cfg.seed} "
+             rf"\(configured {other.seed}\); rerun infer")
+    for stage in (simulate_rom, evaluate):
+        with pytest.raises(ValueError, match=match):
+            stage(other, outdir)
+    assert artifact_bytes(outdir, skip=()) == before
+
+
+def test_a_larger_basis_serves_smaller_sizes(tmp_path):
+    cfg = small_heat_config()
+    pipeline.simulate_fom(cfg, tmp_path)
+    pipeline.build_basis(cfg, tmp_path)
+    smaller = dataclasses.replace(cfg, reduced_dims=(2,))
+    for _, stage in STAGES[2:]:
+        stage(smaller, tmp_path)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert sorted(manifest["errors"]) == sorted(
+        f"{label}_r2_{split}" for label in ("normal", "lstsq", "intrusive")
+        for split in ("train", "test"))
+
+
+@pytest.mark.parametrize("problem", ["heat1d", "wave1d"])
+def test_basis_build_holds_the_training_data_at_most_twice(problem, tmp_path):
+    # build_basis pools the training states into one matrix, file by file,
+    # and weights it in place: besides it, only NumPy's QR workspace holds a
+    # copy (no per-file list, no hstack copy, no unweighted copy)
+    import tracemalloc
+
+    cfg = dataclasses.replace(default_config(problem), n_test=0)
+    pipeline.simulate_fom(cfg, tmp_path)
+    pipeline.build_basis(cfg, tmp_path)  # first-call imports outside the trace
+    pooled_bytes = sum(load_matrix(tmp_path / "fom" / f"train_{i:03d}.tpoi").nbytes
+                       for i in range(cfg.n_train))
+    tracemalloc.start()
+    try:
+        pipeline.build_basis(cfg, tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * pooled_bytes
+
+
+def test_manifest_records_each_stage_peak_rss(heat_run):
+    _, _, manifest = heat_run
+    peaks = manifest["peak_rss_mib"]
+    assert set(peaks) == {name for name, _ in STAGES}
+    assert all(isinstance(v, float) and v > 0.0 for v in peaks.values())
 
 
 # ----------------------------------------------------------------------
