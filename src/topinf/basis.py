@@ -172,8 +172,10 @@ def _weighted_left_vectors(
     """Leading r left singular vectors of R @ pooled, pulled back by R.
 
     ``pooled`` is overwritten by ``R @ pooled``: no unweighted copy is
-    kept, so the data are held twice at most, here and in NumPy's QR
-    workspace.
+    kept.  NumPy's QR still holds the data twice more, in the copy
+    ``np.linalg.qr`` makes of its input and in the LAPACK buffer its
+    gufunc copies that into, so the resident peak is three times the
+    data; tracemalloc sees only the first copy, not the malloc'd buffer.
     """
     chol = cholesky_upper(mass)
     if pooled.shape[0] != mass.shape[0]:
@@ -215,8 +217,8 @@ def weighted_pod(snapshots, mass: np.ndarray, r: int) -> ReducedBasis:
         Snapshot matrices (``N x Nt`` each) or objects exposing ``.states``,
         pooled in order into one ``(N, K)`` matrix.  Or that pooled matrix
         itself: it is then overwritten by its weighted form ``R @ pooled``
-        (a float64 matrix is not copied), so the data are held only once
-        besides NumPy's QR workspace.
+        (a float64 matrix is not copied), so besides it only NumPy's QR
+        holds the data, twice (its input copy and its LAPACK buffer).
     mass : ndarray, shape (N, N)
         Symmetric positive definite weight matrix.
     r : int

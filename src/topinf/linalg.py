@@ -11,7 +11,8 @@ the rest of the package relies on:
   a condition estimate, raising :class:`~topinf.errors.SingularMatrixError`
   with a rank estimate when the matrix is singular to working precision
   and :class:`~topinf.errors.NotPositiveDefiniteError` when it is
-  indefinite;
+  indefinite.  The equilibrated system is held once, in a working copy
+  that a blocked Cholesky (:func:`_cholesky_in_place`) factors in place;
 * :func:`lstsq_min_norm` -- SVD-based minimum-norm least squares with a
   fixed relative singular-value cutoff;
 * :func:`thin_svd` -- economy-size SVD;
@@ -26,12 +27,17 @@ not change the solution being computed, only its floating-point accuracy.
 
 Every O(n^3) factorization runs in NumPy.  NumPy and SciPy link separate
 BLAS builds with separate thread pools, and a threaded SciPy factorization
-next to NumPy products stalls the latter; SciPy's LAPACK is called only
-for the O(n^2) Cholesky follow-ups (condition estimate, triangular solves)
-and, on the failure path, to locate the breakdown pivot.  The O(n)
-tridiagonal routines (``dpttrf``/``dpttrs``) call no BLAS at all.  SciPy
-is imported where its LAPACK is first called, so importing the package
-and building a model do not load it.
+next to NumPy products stalls the latter: on 2 CPUs, 20 NumPy products of
+a 1,395-unknown system with a vector took about 16 ms after one SciPy
+``dpotrf`` of it, against 7.5 ms after NumPy's Cholesky.  So SciPy's
+``dpotrf(overwrite_a=1)``, which would also factor in place, is not used:
+:func:`solve_sym` blocks its factorization over NumPy's Cholesky and
+products instead.  SciPy's LAPACK is called only for the O(n^2) Cholesky
+follow-ups (condition estimate, triangular solves) and, on the failure
+path, to locate the breakdown pivot.  The O(n) tridiagonal routines
+(``dpttrf``/``dpttrs``) call no BLAS at all.  SciPy is imported where its
+LAPACK is first called, so importing the package and building a model do
+not load it.
 """
 
 from __future__ import annotations
@@ -94,14 +100,6 @@ def _require_symmetric(a: np.ndarray, name: str, rtol: float = 1e-8) -> None:
         raise ValueError(f"{name} is not symmetric to relative tolerance {rtol}")
 
 
-def _upper_factor(m: np.ndarray) -> np.ndarray | None:
-    """Upper Cholesky factor of ``m`` from NumPy, or None on breakdown."""
-    try:
-        return np.linalg.cholesky(m).T
-    except np.linalg.LinAlgError:
-        return None
-
-
 def _breakdown_pivot(m: np.ndarray) -> int:
     """0-based index of the pivot at which LAPACK's Cholesky of ``m`` fails.
 
@@ -137,13 +135,14 @@ def cholesky_upper(m: np.ndarray) -> np.ndarray:
     m = np.asarray(m, dtype=float)
     _require_square(m, "m")
     _require_symmetric(m, "m")
-    r = _upper_factor(m)
-    if r is None:
+    try:
+        r = np.linalg.cholesky(m).T
+    except np.linalg.LinAlgError:
         pivot = _breakdown_pivot(m)
         raise NotPositiveDefiniteError(
             f"matrix is not positive definite (pivot {pivot} failed)",
             pivot_index=pivot,
-        )
+        ) from None
     pivots = np.diag(r) ** 2
     floor = CHOLESKY_PIVOT_RTOL * float(np.max(np.diag(m)))
     bad = np.nonzero(pivots <= floor)[0]
@@ -172,6 +171,74 @@ def _singular(eigvals: np.ndarray, rcond: float, rtol: float = 1e-12) -> Singula
     )
 
 
+#: Order of the diagonal blocks of :func:`solve_sym`'s in-place Cholesky.
+_CHOLESKY_BLOCK = 256
+
+
+def _equilibrated_rows(b: np.ndarray, scale: np.ndarray, i: int, out: np.ndarray) -> np.ndarray:
+    """Rows ``i : i + len(out)`` of ``b / outer(scale, scale)``, written into ``out``; returns it.
+
+    Strip by strip, these are the bits of the one full-size division,
+    computed with no temporary.
+    """
+    j = i + out.shape[0]
+    np.multiply.outer(scale[i:j], scale, out=out)
+    return np.divide(b[i:j], out, out=out)
+
+
+def _equilibrate(b: np.ndarray, scale: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write ``b / outer(scale, scale)`` into ``out``, a strip of rows at a time; return it."""
+    for i in range(0, b.shape[0], _CHOLESKY_BLOCK):
+        _equilibrated_rows(b, scale, i, out[i:i + _CHOLESKY_BLOCK])
+    return out
+
+
+def _cholesky_in_place(a: np.ndarray) -> np.ndarray:
+    """Overwrite the lower triangle of ``a`` with its Cholesky factor ``L``; return ``a``.
+
+    Right-looking and blocked: each diagonal block of order
+    :data:`_CHOLESKY_BLOCK` is factored by ``np.linalg.cholesky``, the panel
+    below it is solved through that block's factor, and the trailing lower
+    triangle is updated in row strips that each cover one later diagonal
+    block whole.  Only the lower triangle is read; the upper triangle off
+    the diagonal blocks keeps stale entries, the diagonal blocks' is
+    zeroed.  A matrix of at most one block makes exactly the one
+    ``np.linalg.cholesky`` call of an unblocked factorization.  No
+    temporary is larger than one row strip, so ``a`` is the only
+    full-size array.
+
+    Raises
+    ------
+    NotPositiveDefiniteError
+        If a diagonal block does not factor; the exception carries the
+        0-based index, in ``a``, of the pivot at which LAPACK's Cholesky of
+        that block fails.
+    """
+    n = a.shape[0]
+    for k in range(0, n, _CHOLESKY_BLOCK):
+        e = min(k + _CHOLESKY_BLOCK, n)
+        try:
+            a[k:e, k:e] = np.linalg.cholesky(a[k:e, k:e])
+        except np.linalg.LinAlgError:
+            # np.linalg.cholesky read the lower triangle: the upper of the transpose
+            pivot = k + _breakdown_pivot(a[k:e, k:e].T)
+            raise NotPositiveDefiniteError(
+                f"matrix is not positive definite (pivot {pivot} failed)",
+                pivot_index=pivot,
+            ) from None
+        if e == n:
+            break
+        # L21 = A21 L11^-T through the inverse: NumPy has no triangular
+        # solve, and SciPy's would run in its second BLAS pool.  A strip's
+        # update reads only the panel rows solved up to it.
+        inv_t = np.linalg.inv(a[k:e, k:e]).T
+        for i in range(e, n, _CHOLESKY_BLOCK):
+            j = min(i + _CHOLESKY_BLOCK, n)
+            a[i:j, k:e] = a[i:j, k:e] @ inv_t
+            a[i:j, e:j] -= a[i:j, k:e] @ a[e:j, k:e].T
+    return a
+
+
 def solve_sym(b: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, float]:
     """Solve ``b @ x = c`` for symmetric positive definite ``b``.
 
@@ -183,6 +250,13 @@ def solve_sym(b: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, float]:
     diagnostic, not an artifact: between reruns on the same input it may
     differ in the last bit (seen on a 1,395-unknown system), while the
     solution stays bit-identical.
+
+    Besides the caller's ``b`` and ``c``, which are not modified, one
+    full-size array is held: the equilibrated system, written row strip by
+    row strip and factored in place by :func:`_cholesky_in_place`.  The
+    refinement residual is read from ``b`` a strip of rows at a time.  A
+    system of at most :data:`_CHOLESKY_BLOCK` unknowns takes one LAPACK
+    factorization and one residual product, as an unblocked solve would.
 
     Raises
     ------
@@ -209,33 +283,43 @@ def solve_sym(b: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, float]:
     if not np.all(np.isfinite(b)) or not np.all(np.isfinite(c)):
         raise ValueError("non-finite entries in the linear system")
 
+    n = b.shape[0]
     row_max = _abs_rows(b, np.max)
     scale = np.sqrt(np.where(row_max > 0.0, row_max, 1.0))
-    # one division: dividing rows, then columns, in place rounds differently
-    bs = b / np.outer(scale, scale)
-    cs = c.reshape(b.shape[0], -1) / scale[:, None]
+    work = _equilibrate(b, scale, np.empty((n, n)))
+    cs = c.reshape(n, -1) / scale[:, None]
+    # the equilibrated system is symmetric, so its 1-norm is its largest
+    # absolute row sum
+    anorm = float(np.max(_abs_rows(work, np.sum)))
 
-    factor = _upper_factor(bs)
-    if factor is None:
-        eigvals = np.linalg.eigvalsh(bs)
+    try:
+        _cholesky_in_place(work)
+    except NotPositiveDefiniteError as exc:
+        eigvals = np.linalg.eigvalsh(_equilibrate(b, scale, work))
         if eigvals[0] < -SOLVE_RCOND_FLOOR * abs(eigvals[-1]):
-            pivot = _breakdown_pivot(bs)
             raise NotPositiveDefiniteError(
-                f"matrix is indefinite (Cholesky pivot {pivot} failed)",
-                pivot_index=pivot,
-            )
-        raise _singular(eigvals, 0.0)
+                f"matrix is indefinite (Cholesky pivot {exc.pivot_index} failed)",
+                pivot_index=exc.pivot_index,
+            ) from None
+        raise _singular(eigvals, 0.0) from None
     from scipy.linalg import lapack
-    # bs is symmetric, so its 1-norm is its largest absolute row sum
-    anorm = float(np.max(_abs_rows(bs, np.sum)))
+    # the transpose of the C-ordered lower factor is the Fortran-ordered
+    # upper factor LAPACK reads, with no copy
+    factor = work.T
     rcond, info = lapack.dpocon(factor, anorm)
     if info != 0:
         raise ValueError(f"illegal value in argument {-info} of dpocon")
     if not np.isfinite(rcond) or rcond <= SOLVE_RCOND_FLOOR:
-        raise _singular(np.linalg.eigvalsh(bs), rcond)
+        raise _singular(np.linalg.eigvalsh(_equilibrate(b, scale, work)), rcond)
 
     y, _ = lapack.dpotrs(factor, cs)
-    y += lapack.dpotrs(factor, cs - bs @ y)[0]
+    residual = np.empty_like(cs)
+    strip = np.empty((min(n, _CHOLESKY_BLOCK), n))
+    for i in range(0, n, _CHOLESKY_BLOCK):
+        rows = _equilibrated_rows(b, scale, i, strip[:n - i])
+        j = i + rows.shape[0]
+        residual[i:j] = cs[i:j] - rows @ y
+    y += lapack.dpotrs(factor, residual)[0]
     x = (y / scale[:, None]).reshape(c.shape)
     return x, 1.0 / float(rcond)
 

@@ -434,9 +434,10 @@ def build_basis(cfg: ExperimentConfig, outdir) -> None:
 
     The training states are read file by file into one pooled ``(N, K)``
     matrix, in sample order: heat's trajectories; for wave every position
-    block, then every momentum block.  The POD overwrites that matrix with
-    its weighted form, so the data are held twice at most (the matrix and
-    NumPy's QR workspace), never as a list of per-file arrays.
+    block, then every momentum block, never as a list of per-file arrays.
+    The POD overwrites that matrix with its weighted form.  At the peak the
+    data are resident three times: the matrix, the copy ``np.linalg.qr``
+    makes of it and the LAPACK buffer its gufunc fills.
     """
     cfg = cfg.validate()
     outdir = Path(outdir)

@@ -22,6 +22,7 @@ files.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from pathlib import Path
 
@@ -51,35 +52,47 @@ def save_tensor(path, t: np.ndarray) -> Path:
 
 
 def load_tensor(path) -> np.ndarray:
-    """Read an array written by :func:`save_tensor` or :func:`save_matrix`."""
-    raw = Path(path).read_bytes()
-    if len(raw) < 8:
-        raise StorageFormatError(f"{path}: file shorter than magic+version", reason="truncated")
-    magic, version = struct.unpack_from("<4sI", raw, 0)
-    if magic != MAGIC:
-        raise StorageFormatError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}",
-                                 reason="magic")
-    if version != VERSION:
-        raise StorageFormatError(f"{path}: unsupported version {version}, expected {VERSION}",
-                                 reason="version")
-    if len(raw) < _PREFIX.size:
-        raise StorageFormatError(f"{path}: incomplete header", reason="truncated")
-    _, _, ndim = _PREFIX.unpack_from(raw, 0)
-    if ndim == 0 or ndim > 32:
-        raise StorageFormatError(f"{path}: implausible axis count {ndim}", reason="header")
-    dims_end = _PREFIX.size + 8 * ndim
-    if len(raw) < dims_end:
-        raise StorageFormatError(f"{path}: incomplete dimension list", reason="truncated")
-    dims = struct.unpack_from(f"<{ndim}Q", raw, _PREFIX.size)
-    count = math.prod(dims)
-    expected = dims_end + 8 * count
-    if len(raw) != expected:
-        raise StorageFormatError(
-            f"{path}: payload is {len(raw) - dims_end} bytes, expected "
-            f"{8 * count} for shape {tuple(dims)}",
-            reason="truncated" if len(raw) < expected else "payload",
-        )
-    out = np.frombuffer(raw, dtype="<f8", offset=dims_end).reshape(dims).astype(float)
+    """Read an array written by :func:`save_tensor` or :func:`save_matrix`.
+
+    The header is read and checked first; the payload is then read straight
+    into the returned array, so a load holds its data once.
+    """
+    with open(path, "rb", buffering=0) as f:
+        size = os.fstat(f.fileno()).st_size
+        head = f.read(_PREFIX.size)
+        if len(head) < 8:
+            raise StorageFormatError(f"{path}: file shorter than magic+version",
+                                     reason="truncated")
+        magic, version = struct.unpack_from("<4sI", head, 0)
+        if magic != MAGIC:
+            raise StorageFormatError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}",
+                                     reason="magic")
+        if version != VERSION:
+            raise StorageFormatError(f"{path}: unsupported version {version}, expected {VERSION}",
+                                     reason="version")
+        if len(head) < _PREFIX.size:
+            raise StorageFormatError(f"{path}: incomplete header", reason="truncated")
+        _, _, ndim = _PREFIX.unpack(head)
+        if ndim == 0 or ndim > 32:
+            raise StorageFormatError(f"{path}: implausible axis count {ndim}", reason="header")
+        dims_end = _PREFIX.size + 8 * ndim
+        raw_dims = f.read(8 * ndim)
+        if len(raw_dims) < 8 * ndim:
+            raise StorageFormatError(f"{path}: incomplete dimension list", reason="truncated")
+        dims = struct.unpack(f"<{ndim}Q", raw_dims)
+        count = math.prod(dims)
+        expected = dims_end + 8 * count
+        if size != expected:
+            raise StorageFormatError(
+                f"{path}: payload is {size - dims_end} bytes, expected "
+                f"{8 * count} for shape {tuple(dims)}",
+                reason="truncated" if size < expected else "payload",
+            )
+        out = np.empty(dims, dtype="<f8")
+        if f.readinto(out) != out.nbytes:
+            raise StorageFormatError(f"{path}: file shrank while it was read",
+                                     reason="truncated")
+    out = out.astype(float, copy=False)
     if not np.all(np.isfinite(out)):
         raise StorageFormatError(f"{path}: non-finite entries in payload", reason="payload")
     return out

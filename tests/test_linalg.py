@@ -18,6 +18,7 @@ from topinf import (
     thin_svd,
 )
 import topinf
+from topinf import linalg
 
 
 def random_spd(rng, n, cond=10.0):
@@ -143,7 +144,7 @@ def test_solve_sym_peak_memory_stays_near_its_system():
     import tracemalloc
 
     rng = np.random.default_rng(131)
-    n = 600
+    n = 1395  # the r = 30, p = 3 symmetric fit: six diagonal blocks
     g = rng.standard_normal((n, n))
     b = g @ g.T / n + np.eye(n)
     c = rng.standard_normal(n)
@@ -154,8 +155,101 @@ def test_solve_sym_peak_memory_stays_near_its_system():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the equilibrated copy and its factor; no full-size |b| next to them
-    assert peak <= 2.5 * b.nbytes
+    # the working copy, factored in place, and strip-sized temporaries; no
+    # separate equilibrated copy, outer product or factor next to it
+    assert peak <= 1.5 * b.nbytes
+
+
+_RESIDENT_PEAK = """
+import sys
+import numpy as np
+sys.path.insert(0, sys.argv[1])
+from topinf import solve_sym
+
+def status(key):
+    with open("/proc/self/status") as f:
+        return next(int(line.split()[1]) * 1024 for line in f if line.startswith(key + ":"))
+
+n = 1395
+solve_sym(np.eye(300) + 0.5, np.ones(300))  # imports and every code path, two blocks
+# a Laplace-kernel matrix (positive definite), built a strip of rows at a
+# time so that building it leaves no high-water mark above the resident set
+x = np.linspace(0.0, 50.0, n)
+b = np.empty((n, n))
+for i in range(0, n, 64):
+    b[i:i + 64] = np.exp(-np.abs(x[i:i + 64, None] - x[None, :]))
+c = np.ones(n)
+before = status("VmRSS")
+solve_sym(b, c)
+print((status("VmHWM") - before) / b.nbytes)
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").is_file(), reason="reads VmHWM (Linux)")
+def test_solve_sym_resident_peak_stays_near_its_system():
+    # tracemalloc does not see the buffers NumPy's LAPACK wrappers take from
+    # malloc; the process's high-water mark does.  Growth above the resident
+    # set just before the call, in a fresh process: an overestimate if any
+    # earlier peak was higher.
+    src = str(Path(topinf.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", _RESIDENT_PEAK, src], capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert float(done.stdout) <= 1.5
+
+
+@pytest.mark.parametrize("n", [255, 256, 257, 600, 1395])
+def test_blocked_cholesky_matches_lapack(n):
+    rng = np.random.default_rng(208)
+    g = rng.standard_normal((n, n))
+    a = g @ g.T / n + np.eye(n)
+    expected = np.linalg.cholesky(a)
+    work = a.copy()
+    assert linalg._cholesky_in_place(work) is work
+    factor = np.tril(work)
+    if n <= linalg._CHOLESKY_BLOCK:
+        # one block: the single LAPACK call of an unblocked factorization
+        np.testing.assert_array_equal(factor, expected)
+    else:
+        assert np.max(np.abs(factor - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+
+def test_solve_sym_names_the_dpotrf_pivot_of_a_late_breakdown():
+    # L D L^T with a negative pivot D[550]: LAPACK's unblocked factorization
+    # fails at 550, in the third diagonal block of the blocked one
+    rng = np.random.default_rng(209)
+    n, bad = 600, 550
+    lower = np.eye(n) + np.tril(rng.standard_normal((n, n)), -1) / np.sqrt(n)
+    d = rng.uniform(1.0, 2.0, n)
+    d[bad] = -1.0
+    b = (lower * d) @ lower.T
+    b = 0.5 * (b + b.T)
+    assert 2 * linalg._CHOLESKY_BLOCK <= bad < 3 * linalg._CHOLESKY_BLOCK
+    assert la.lapack.dpotrf(b)[1] - 1 == bad
+    with pytest.raises(NotPositiveDefiniteError) as exc:
+        solve_sym(b, np.ones(n))
+    assert exc.value.pivot_index == bad
+
+
+def test_solve_sym_raises_on_a_large_singular_system_with_rank_estimate():
+    # rank 300 of 600: the factorization breaks down past its first block,
+    # and the rank is read from the rebuilt equilibrated system
+    rng = np.random.default_rng(210)
+    g = rng.standard_normal((600, 300))
+    with pytest.raises(SingularMatrixError) as exc:
+        solve_sym(g @ g.T, np.ones(600))
+    assert exc.value.rank_estimate == 300
+
+
+@pytest.mark.parametrize("n", [40, 600])
+def test_solve_sym_leaves_its_arguments_unchanged(n):
+    rng = np.random.default_rng(211)
+    b = random_spd(rng, n, cond=1e3)
+    c = rng.standard_normal((n, 2))
+    b_before, c_before = b.copy(), c.copy()
+    x, _ = solve_sym(b, c)
+    np.testing.assert_array_equal(b, b_before)
+    np.testing.assert_array_equal(c, c_before)
+    np.testing.assert_allclose(b @ x, c, rtol=0, atol=1e-10 * np.max(np.abs(c)))
 
 
 def test_symmetry_check_scans_every_strip():

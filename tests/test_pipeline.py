@@ -656,8 +656,11 @@ def test_a_larger_basis_serves_smaller_sizes(tmp_path):
 @pytest.mark.parametrize("problem", ["heat1d", "wave1d"])
 def test_basis_build_holds_the_training_data_at_most_twice(problem, tmp_path):
     # build_basis pools the training states into one matrix, file by file,
-    # and weights it in place: besides it, only NumPy's QR workspace holds a
-    # copy (no per-file list, no hstack copy, no unweighted copy)
+    # and weights it in place (no per-file list, no hstack copy, no
+    # unweighted copy).  Besides it NumPy's QR holds two copies, its
+    # astype copy and its gufunc's LAPACK buffer; the buffer comes from
+    # malloc, which tracemalloc does not see, so the traced peak counts two
+    # of the three resident copies.
     import tracemalloc
 
     cfg = dataclasses.replace(default_config(problem), n_test=0)

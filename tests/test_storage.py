@@ -185,3 +185,20 @@ def test_version_one_matrix_record_refused(tmp_path):
         with pytest.raises(StorageFormatError) as exc:
             load(path)
         assert exc.value.reason == "version"
+
+
+def test_loading_holds_the_payload_once(tmp_path):
+    # the payload is read straight into the returned array: no bytes object
+    # of the whole file next to it
+    import tracemalloc
+
+    path = save_tensor(tmp_path / "t.tpoi", np.random.default_rng(903).standard_normal((128, 1024)))
+    payload = 128 * 1024 * 8
+    load_tensor(path)
+    tracemalloc.start()
+    try:
+        load_tensor(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.2 * payload
