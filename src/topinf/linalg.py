@@ -1,7 +1,7 @@
 """Dense linear-algebra wrappers with explicit failure contracts.
 
-Thin layers over LAPACK (through NumPy/SciPy) that pin down the behaviors
-the rest of the package relies on:
+Thin layers over LAPACK (through NumPy, and SciPy for tridiagonals) that
+pin down the behaviors the rest of the package relies on:
 
 * :func:`cholesky_upper` -- upper-triangular factor with a relative pivot
   tolerance, raising :class:`~topinf.errors.NotPositiveDefiniteError` with
@@ -13,6 +13,9 @@ the rest of the package relies on:
   and :class:`~topinf.errors.NotPositiveDefiniteError` when it is
   indefinite.  The equilibrated system is held once, in a working copy
   that a blocked Cholesky (:func:`_cholesky_in_place`) factors in place;
+  the solves go through the inverses of the factor's diagonal blocks
+  (:func:`_cholesky_solve`), and the condition estimate is a port of
+  LAPACK's ``dpocon`` (:func:`_inverse_norm_estimate`);
 * :func:`lstsq_min_norm` -- SVD-based minimum-norm least squares with a
   fixed relative singular-value cutoff;
 * :func:`thin_svd` -- economy-size SVD;
@@ -25,19 +28,21 @@ the rest of the package relies on:
 Equilibration and refinement are exact algebraic reformulations; they do
 not change the solution being computed, only its floating-point accuracy.
 
-Every O(n^3) factorization runs in NumPy.  NumPy and SciPy link separate
-BLAS builds with separate thread pools, and a threaded SciPy factorization
-next to NumPy products stalls the latter: on 2 CPUs, 20 NumPy products of
-a 1,395-unknown system with a vector took about 16 ms after one SciPy
-``dpotrf`` of it, against 7.5 ms after NumPy's Cholesky.  So SciPy's
-``dpotrf(overwrite_a=1)``, which would also factor in place, is not used:
-:func:`solve_sym` blocks its factorization over NumPy's Cholesky and
-products instead.  SciPy's LAPACK is called only for the O(n^2) Cholesky
-follow-ups (condition estimate, triangular solves) and, on the failure
-path, to locate the breakdown pivot.  The O(n) tridiagonal routines
-(``dpttrf``/``dpttrs``) call no BLAS at all.  SciPy is imported where its
-LAPACK is first called, so importing the package and building a model do
-not load it.
+Every BLAS call of a dense solve or factorization runs in NumPy.  NumPy
+and SciPy link separate BLAS builds with separate thread pools, and a
+threaded SciPy call next to NumPy products stalls the latter: on 2 CPUs,
+20 NumPy products of a 1,395-unknown system with a vector took about
+16 ms after one SciPy ``dpotrf`` of it, against 7.5 ms after NumPy's
+Cholesky; and the ``infer`` stage of a 400-element heat1d study with
+r = 30 took 290-440 ms while SciPy's ``dpocon``/``dpotrs`` followed
+each factorization, against 190-245 ms without them.  So :func:`solve_sym`
+blocks its factorization over NumPy's Cholesky and products, solves
+through the diagonal blocks' inverses, estimates its condition number
+with NumPy, and locates a breakdown pivot by bisection over NumPy's
+Cholesky.  SciPy serves only the tridiagonal ``dpttrf``/``dpttrs``,
+which call no BLAS at all, and is imported where they are first called,
+so importing the package, building a model and every dense fit do not
+load it.
 """
 
 from __future__ import annotations
@@ -101,19 +106,22 @@ def _require_symmetric(a: np.ndarray, name: str, rtol: float = 1e-8) -> None:
 
 
 def _breakdown_pivot(m: np.ndarray) -> int:
-    """0-based index of the pivot at which LAPACK's Cholesky of ``m`` fails.
+    """0-based index of the pivot at which the Cholesky factorization of ``m`` fails.
 
-    Failure path only.  Should SciPy's factorization get through where
-    NumPy's broke down (the two BLAS builds round differently), the
-    smallest pivot of its factor is reported.
+    Failure path only: the order of the smallest leading principal block
+    that ``np.linalg.cholesky`` does not factor, less one, found by
+    bisection over the block order (about ``log2(n)`` factorizations).
+    Only the lower triangle of ``m`` is read.
     """
-    from scipy.linalg import lapack
-    c, info = lapack.dpotrf(m, lower=0, overwrite_a=0)
-    if info > 0:
-        return int(info - 1)
-    if info < 0:
-        raise ValueError(f"illegal value in argument {-info} of dpotrf")
-    return int(np.argmin(np.abs(np.diag(c))))
+    good, bad = 0, m.shape[0]  # orders known to factor and to fail
+    while bad - good > 1:
+        mid = (good + bad) // 2
+        try:
+            np.linalg.cholesky(m[:mid, :mid])
+            good = mid
+        except np.linalg.LinAlgError:
+            bad = mid
+    return bad - 1
 
 
 def cholesky_upper(m: np.ndarray) -> np.ndarray:
@@ -175,37 +183,33 @@ def _singular(eigvals: np.ndarray, rcond: float, rtol: float = 1e-12) -> Singula
 _CHOLESKY_BLOCK = 256
 
 
-def _equilibrated_rows(b: np.ndarray, scale: np.ndarray, i: int, out: np.ndarray) -> np.ndarray:
-    """Rows ``i : i + len(out)`` of ``b / outer(scale, scale)``, written into ``out``; returns it.
+def _equilibrate(b: np.ndarray, scale: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write ``b / outer(scale, scale)`` into ``out``, a strip of rows at a time; return it.
 
     Strip by strip, these are the bits of the one full-size division,
-    computed with no temporary.
+    computed with no temporary larger than a strip.
     """
-    j = i + out.shape[0]
-    np.multiply.outer(scale[i:j], scale, out=out)
-    return np.divide(b[i:j], out, out=out)
-
-
-def _equilibrate(b: np.ndarray, scale: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Write ``b / outer(scale, scale)`` into ``out``, a strip of rows at a time; return it."""
     for i in range(0, b.shape[0], _CHOLESKY_BLOCK):
-        _equilibrated_rows(b, scale, i, out[i:i + _CHOLESKY_BLOCK])
+        rows = out[i:i + _CHOLESKY_BLOCK]
+        np.multiply.outer(scale[i:i + _CHOLESKY_BLOCK], scale, out=rows)
+        np.divide(b[i:i + _CHOLESKY_BLOCK], rows, out=rows)
     return out
 
 
-def _cholesky_in_place(a: np.ndarray) -> np.ndarray:
-    """Overwrite the lower triangle of ``a`` with its Cholesky factor ``L``; return ``a``.
+def _cholesky_in_place(a: np.ndarray) -> list[np.ndarray]:
+    """Overwrite the lower triangle of ``a`` with its Cholesky factor ``L``.
 
-    Right-looking and blocked: each diagonal block of order
-    :data:`_CHOLESKY_BLOCK` is factored by ``np.linalg.cholesky``, the panel
-    below it is solved through that block's factor, and the trailing lower
-    triangle is updated in row strips that each cover one later diagonal
-    block whole.  Only the lower triangle is read; the upper triangle off
-    the diagonal blocks keeps stale entries, the diagonal blocks' is
-    zeroed.  A matrix of at most one block makes exactly the one
-    ``np.linalg.cholesky`` call of an unblocked factorization.  No
-    temporary is larger than one row strip, so ``a`` is the only
-    full-size array.
+    Returns the inverses of the diagonal blocks of ``L``, in order, which
+    :func:`_cholesky_solve` applies.  Right-looking and blocked: each
+    diagonal block of order :data:`_CHOLESKY_BLOCK` is factored by
+    ``np.linalg.cholesky`` and inverted, the panel below it is solved
+    through that inverse, and the trailing lower triangle is updated in
+    row strips that each cover one later diagonal block whole.  Only the
+    lower triangle is read; the upper triangle off the diagonal blocks
+    keeps stale entries, the diagonal blocks' is zeroed.  A matrix of at
+    most one block makes exactly the one ``np.linalg.cholesky`` call of an
+    unblocked factorization.  No temporary is larger than one row strip,
+    so ``a`` is the only full-size array.
 
     Raises
     ------
@@ -215,28 +219,93 @@ def _cholesky_in_place(a: np.ndarray) -> np.ndarray:
         that block fails.
     """
     n = a.shape[0]
+    inverses = []
     for k in range(0, n, _CHOLESKY_BLOCK):
         e = min(k + _CHOLESKY_BLOCK, n)
         try:
             a[k:e, k:e] = np.linalg.cholesky(a[k:e, k:e])
         except np.linalg.LinAlgError:
-            # np.linalg.cholesky read the lower triangle: the upper of the transpose
-            pivot = k + _breakdown_pivot(a[k:e, k:e].T)
+            pivot = k + _breakdown_pivot(a[k:e, k:e])
             raise NotPositiveDefiniteError(
                 f"matrix is not positive definite (pivot {pivot} failed)",
                 pivot_index=pivot,
             ) from None
-        if e == n:
-            break
-        # L21 = A21 L11^-T through the inverse: NumPy has no triangular
-        # solve, and SciPy's would run in its second BLAS pool.  A strip's
-        # update reads only the panel rows solved up to it.
-        inv_t = np.linalg.inv(a[k:e, k:e]).T
+        # NumPy has no triangular solve, and SciPy's would run in its second
+        # BLAS pool: every solve through this block goes through its inverse
+        inverses.append(np.linalg.inv(a[k:e, k:e]))
+        # L21 = A21 L11^-T; a strip's update reads only the panel rows
+        # solved up to it
+        inv_t = inverses[-1].T
         for i in range(e, n, _CHOLESKY_BLOCK):
             j = min(i + _CHOLESKY_BLOCK, n)
             a[i:j, k:e] = a[i:j, k:e] @ inv_t
             a[i:j, e:j] -= a[i:j, k:e] @ a[e:j, k:e].T
-    return a
+    return inverses
+
+
+def _cholesky_solve(factor: np.ndarray, inverses: list[np.ndarray], rhs: np.ndarray) -> np.ndarray:
+    """Solve ``L L^T x = rhs`` by blocked forward and back substitution.
+
+    ``factor`` holds ``L`` in its lower triangle and ``inverses`` the
+    inverses of its diagonal blocks, as :func:`_cholesky_in_place` leaves
+    them; ``rhs`` (n,) or (n, k) is not modified.  Each block row is one
+    product with the rows already solved and one with its block's inverse,
+    so only the lower triangle of ``factor`` is read.
+    """
+    x = np.array(rhs, dtype=float)
+    n = factor.shape[0]
+    starts = range(0, n, _CHOLESKY_BLOCK)
+    for k, inv in zip(starts, inverses):  # L y = rhs
+        e = min(k + _CHOLESKY_BLOCK, n)
+        if k:
+            x[k:e] -= factor[k:e, :k] @ x[:k]
+        x[k:e] = inv @ x[k:e]
+    for k, inv in zip(reversed(starts), reversed(inverses)):  # L^T x = y
+        e = min(k + _CHOLESKY_BLOCK, n)
+        if e < n:
+            x[k:e] -= factor[e:, k:e].T @ x[e:]
+        x[k:e] = inv.T @ x[k:e]
+    return x
+
+
+#: Iteration limit of the 1-norm estimator (``ITMAX`` of LAPACK's ``dlacn2``).
+_NORM_ESTIMATE_STEPS = 5
+
+
+def _inverse_norm_estimate(solve, n: int) -> float:
+    """Lower estimate of ``||A^-1||_1`` for symmetric ``A``; ``solve(v)`` returns ``A^-1 v``.
+
+    A port of LAPACK's ``dlacn2`` (Hager's method as refined by Higham,
+    ACM TOMS 14(4), 1988), the estimator behind ``dpocon``: at most
+    :data:`_NORM_ESTIMATE_STEPS` iterations over sign and unit vectors,
+    then one solve with the alternating-sign vector
+    ``(-1)^i (1 + i / (n - 1))``, whose scaled 1-norm is taken when it is
+    larger.  ``A`` is symmetric, so the solves with ``A^-T`` that
+    ``dlacn2`` asks for are solves with ``A``.
+    """
+    x = solve(np.full(n, 1.0 / n))
+    if n == 1:
+        return abs(float(x[0]))
+    est = float(np.sum(np.abs(x)))
+    signs = np.where(x >= 0.0, 1.0, -1.0)
+    x = solve(signs)
+    j = int(np.argmax(np.abs(x)))
+    for _ in range(2, _NORM_ESTIMATE_STEPS + 1):
+        unit = np.zeros(n)
+        unit[j] = 1.0
+        x = solve(unit)
+        est_old, est = est, float(np.sum(np.abs(x)))
+        new_signs = np.where(x >= 0.0, 1.0, -1.0)
+        if np.array_equal(new_signs, signs) or est <= est_old:
+            break  # converged, or cycling
+        signs = new_signs
+        x = solve(signs)
+        j_last, j = j, int(np.argmax(np.abs(x)))
+        if x[j_last] == abs(x[j]):
+            break
+    alternating = 1.0 + np.arange(n) / (n - 1)
+    alternating[1::2] *= -1.0
+    return max(est, 2.0 * (float(np.sum(np.abs(solve(alternating)))) / (3 * n)))
 
 
 def solve_sym(b: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, float]:
@@ -245,18 +314,17 @@ def solve_sym(b: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, float]:
     Returns ``(x, cond_estimate)``.  The system is symmetrically
     equilibrated by the square roots of its row infinity-norms, factorized
     once by Cholesky, and the solution is polished with a single
-    iterative-refinement step.  The reported condition number is a
-    reciprocal 1-norm LAPACK estimate of the equilibrated matrix.  It is a
-    diagnostic, not an artifact: between reruns on the same input it may
-    differ in the last bit (seen on a 1,395-unknown system), while the
-    solution stays bit-identical.
+    iterative-refinement step.  The reported condition number is the
+    reciprocal of LAPACK's ``dpocon`` estimate for the equilibrated matrix,
+    ``1 / (||A||_1 est(||A^-1||_1))``, computed by
+    :func:`_inverse_norm_estimate`.
 
     Besides the caller's ``b`` and ``c``, which are not modified, one
     full-size array is held: the equilibrated system, written row strip by
-    row strip and factored in place by :func:`_cholesky_in_place`.  The
-    refinement residual is read from ``b`` a strip of rows at a time.  A
-    system of at most :data:`_CHOLESKY_BLOCK` unknowns takes one LAPACK
-    factorization and one residual product, as an unblocked solve would.
+    row strip and factored in place by :func:`_cholesky_in_place`.  Every
+    solve with the factor, and every product, runs in NumPy.  The
+    refinement residual ``(c - b @ x0) / scale`` is formed from the
+    caller's ``b``.
 
     Raises
     ------
@@ -287,13 +355,12 @@ def solve_sym(b: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, float]:
     row_max = _abs_rows(b, np.max)
     scale = np.sqrt(np.where(row_max > 0.0, row_max, 1.0))
     work = _equilibrate(b, scale, np.empty((n, n)))
-    cs = c.reshape(n, -1) / scale[:, None]
     # the equilibrated system is symmetric, so its 1-norm is its largest
     # absolute row sum
     anorm = float(np.max(_abs_rows(work, np.sum)))
 
     try:
-        _cholesky_in_place(work)
+        inverses = _cholesky_in_place(work)
     except NotPositiveDefiniteError as exc:
         eigvals = np.linalg.eigvalsh(_equilibrate(b, scale, work))
         if eigvals[0] < -SOLVE_RCOND_FLOOR * abs(eigvals[-1]):
@@ -302,26 +369,21 @@ def solve_sym(b: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, float]:
                 pivot_index=exc.pivot_index,
             ) from None
         raise _singular(eigvals, 0.0) from None
-    from scipy.linalg import lapack
-    # the transpose of the C-ordered lower factor is the Fortran-ordered
-    # upper factor LAPACK reads, with no copy
-    factor = work.T
-    rcond, info = lapack.dpocon(factor, anorm)
-    if info != 0:
-        raise ValueError(f"illegal value in argument {-info} of dpocon")
+
+    def solve(v):
+        return _cholesky_solve(work, inverses, v)
+
+    ainvnm = _inverse_norm_estimate(solve, n)
+    rcond = (1.0 / ainvnm) / anorm if ainvnm != 0.0 else 0.0
     if not np.isfinite(rcond) or rcond <= SOLVE_RCOND_FLOOR:
         raise _singular(np.linalg.eigvalsh(_equilibrate(b, scale, work)), rcond)
 
-    y, _ = lapack.dpotrs(factor, cs)
-    residual = np.empty_like(cs)
-    strip = np.empty((min(n, _CHOLESKY_BLOCK), n))
-    for i in range(0, n, _CHOLESKY_BLOCK):
-        rows = _equilibrated_rows(b, scale, i, strip[:n - i])
-        j = i + rows.shape[0]
-        residual[i:j] = cs[i:j] - rows @ y
-    y += lapack.dpotrs(factor, residual)[0]
-    x = (y / scale[:, None]).reshape(c.shape)
-    return x, 1.0 / float(rcond)
+    # in the equilibrated unknowns y = scale * x, with b_s = b / outer(scale, scale)
+    # and c_s = c / scale, the residual c_s - b_s y is (c - b x) / scale
+    rhs, column = c.reshape(n, -1), scale[:, None]
+    y = solve(rhs / column)
+    y += solve((rhs - b @ (y / column)) / column)
+    return (y / column).reshape(c.shape), 1.0 / rcond
 
 
 def lstsq_min_norm(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, int, np.ndarray]:

@@ -293,13 +293,15 @@ def _cayley_states(phi: np.ndarray, x0: np.ndarray, n_times: int, block: int) ->
 def _trajectories(states: np.ndarray, dt: float, t0: float) -> list[Trajectory]:
     """One :class:`Trajectory` per sample of the stepped states (S, n_times, n).
 
-    A sample's states are NaN from its first non-finite step on.
+    Each trajectory's states are the view ``states[s].T`` of the stack, not
+    a copy, so a sweep holds its states once.  A sample's states are NaN
+    from its first non-finite step on.
     """
     finite = np.all(np.isfinite(states), axis=2)
     times = t0 + dt * np.arange(states.shape[1])
     out = []
     for s in range(states.shape[0]):
-        run = np.ascontiguousarray(states[s].T)
+        run = states[s].T
         first_bad = None if finite[s].all() else int(np.argmin(finite[s]))
         if first_bad is not None:
             run[:, first_bad:] = np.nan

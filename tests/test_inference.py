@@ -456,7 +456,7 @@ def test_symmetric_fit_peak_memory_stays_near_its_system():
 
     rng = np.random.default_rng(628)
     r, p = 30, 3
-    infer_symmetric(random_data(rng, r=2, p=1)[0])  # imports SciPy's LAPACK outside the trace
+    infer_symmetric(random_data(rng, r=2, p=1)[0])  # first-call set-up outside the trace
     data, _ = random_data(rng, r=r, p=p, nt=251, ns=8, noise=1.0)
     system_bytes = 8 * (p * r * (r + 1) // 2) ** 2
     tracemalloc.start()

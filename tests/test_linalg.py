@@ -148,7 +148,7 @@ def test_solve_sym_peak_memory_stays_near_its_system():
     g = rng.standard_normal((n, n))
     b = g @ g.T / n + np.eye(n)
     c = rng.standard_normal(n)
-    solve_sym(np.eye(3), np.ones(3))  # imports SciPy's LAPACK outside the trace
+    solve_sym(np.eye(3), np.ones(3))  # first-call set-up outside the trace
     tracemalloc.start()
     try:
         solve_sym(b, c)
@@ -204,13 +204,19 @@ def test_blocked_cholesky_matches_lapack(n):
     a = g @ g.T / n + np.eye(n)
     expected = np.linalg.cholesky(a)
     work = a.copy()
-    assert linalg._cholesky_in_place(work) is work
+    inverses = linalg._cholesky_in_place(work)
     factor = np.tril(work)
     if n <= linalg._CHOLESKY_BLOCK:
         # one block: the single LAPACK call of an unblocked factorization
         np.testing.assert_array_equal(factor, expected)
     else:
         assert np.max(np.abs(factor - expected)) <= 1e-13 * np.max(np.abs(expected))
+    # one inverse per diagonal block, of that block of the factor
+    starts = range(0, n, linalg._CHOLESKY_BLOCK)
+    assert len(inverses) == len(starts)
+    for k, inv in zip(starts, inverses):
+        block = factor[k:k + linalg._CHOLESKY_BLOCK, k:k + linalg._CHOLESKY_BLOCK]
+        np.testing.assert_allclose(inv @ block, np.eye(block.shape[0]), rtol=0, atol=1e-13)
 
 
 def test_solve_sym_names_the_dpotrf_pivot_of_a_late_breakdown():
@@ -250,6 +256,36 @@ def test_solve_sym_leaves_its_arguments_unchanged(n):
     np.testing.assert_array_equal(b, b_before)
     np.testing.assert_array_equal(c, c_before)
     np.testing.assert_allclose(b @ x, c, rtol=0, atol=1e-10 * np.max(np.abs(c)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 30, 255, 256, 257, 600, 1395])
+def test_solve_sym_condition_estimate_matches_lapack_dpocon(n):
+    # the NumPy port of dlacn2, through the blocked solves, against LAPACK's
+    # dpocon on the same equilibrated system; well conditioned, so the two
+    # factors' rounding cannot steer the estimators apart
+    rng = np.random.default_rng(212)
+    b = random_spd(rng, n)
+    _, cond = solve_sym(b, rng.standard_normal(n))
+    scale = np.sqrt(np.max(np.abs(b), axis=1))
+    equilibrated = b / np.outer(scale, scale)
+    factor, info = la.lapack.dpotrf(equilibrated, lower=0)
+    assert info == 0
+    rcond, info = la.lapack.dpocon(factor, np.max(np.sum(np.abs(equilibrated), axis=1)))
+    assert info == 0
+    assert abs(cond * rcond - 1.0) <= 1e-12
+
+
+def test_solve_sym_condition_estimate_is_rerun_stable():
+    rng = np.random.default_rng(213)
+    n = 1395
+    g = rng.standard_normal((n, n))
+    b = g @ g.T / n + np.eye(n)
+    c = rng.standard_normal(n)
+    x, cond = solve_sym(b, c)
+    for _ in range(4):
+        x_again, cond_again = solve_sym(b, c)
+        assert cond_again == cond
+        np.testing.assert_array_equal(x_again, x)
 
 
 def test_symmetry_check_scans_every_strip():
@@ -413,4 +449,33 @@ def test_importing_and_building_models_does_not_load_scipy():
     src = str(Path(topinf.__file__).resolve().parents[1])
     done = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True,
                           timeout=120, check=True)
+    assert done.stdout.strip() == "[]"
+
+
+_SOLVES_AND_FITS = """
+import sys
+import numpy as np
+sys.path.insert(0, sys.argv[1])
+import topinf
+from topinf import InferenceData, infer_symmetric, solve_sym
+
+rng = np.random.default_rng(214)
+g = rng.standard_normal((600, 600))
+solve_sym(g @ g.T / 600 + np.eye(600), np.ones(600))
+try:  # the failure path names the breakdown pivot
+    solve_sym(np.diag([1.0, -1.0]), np.ones(2))
+except topinf.NotPositiveDefiniteError:
+    pass
+ys = rng.standard_normal((4, 20, 3))
+infer_symmetric(InferenceData(nus=rng.standard_normal((2, 3)), ys=ys,
+                              zs=rng.standard_normal(ys.shape)))
+print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))
+"""
+
+
+def test_symmetric_solves_and_fits_do_not_load_scipy():
+    # every BLAS call of a fit runs in NumPy's thread pool, not SciPy's
+    src = str(Path(topinf.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", _SOLVES_AND_FITS, src], capture_output=True,
+                          text=True, timeout=120, check=True)
     assert done.stdout.strip() == "[]"

@@ -677,6 +677,26 @@ def test_basis_build_holds_the_training_data_at_most_twice(problem, tmp_path):
     assert peak <= 2.5 * pooled_bytes
 
 
+@pytest.mark.parametrize("problem", ["heat1d", "wave1d"])
+def test_fom_simulation_holds_each_split_once(problem, tmp_path):
+    # one split's trajectories are views of its stepped stack, and the
+    # writer serializes them one sample at a time: no second copy of the
+    # split next to the stack
+    import tracemalloc
+
+    cfg = dataclasses.replace(default_config(problem), n_test=0)
+    pipeline.simulate_fom(cfg, tmp_path)  # first-call imports outside the trace
+    split_bytes = sum(load_matrix(tmp_path / "fom" / f"train_{i:03d}.tpoi").nbytes
+                      for i in range(cfg.n_train))
+    tracemalloc.start()
+    try:
+        pipeline.simulate_fom(cfg, tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.4 * split_bytes
+
+
 def test_manifest_records_each_stage_peak_rss(heat_run):
     _, _, manifest = heat_run
     peaks = manifest["peak_rss_mib"]
