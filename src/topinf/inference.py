@@ -36,7 +36,7 @@ import numpy as np
 
 from . import tensors
 from .errors import NonUniqueSolutionError, ResourceLimitError
-from .linalg import lstsq_min_norm, solve_sym
+from .linalg import lstsq_min_norm, solve_sym, solve_sym_owned
 
 __all__ = [
     "InferenceData",
@@ -60,10 +60,12 @@ UNIQUENESS_RANK_RTOL = 1e-10
 SYMMETRIC_UNKNOWN_CAP = 20_000
 
 #: A symmetric fit's peak memory in multiples of its system's bytes: the
-#: assembled system plus the solver's working copy, factored in place, and
-#: strip-sized temporaries.  Measured at r = 30, p = 3 (1,395 unknowns):
-#: 2.49 in resident growth, 2.32 under tracemalloc.
-_SYMMETRIC_PEAK_SYSTEMS = 2.5
+#: assembled system, which the solver equilibrates and factors in place,
+#: copies of its diagonal blocks, the inverses of the factor's diagonal
+#: blocks and strip-sized temporaries.  Measured at r = 30, p = 3 (1,395 unknowns):
+#: 1.41 in resident growth (1.54 when the fit is the process's first
+#: blocked solve), 1.38 under tracemalloc.
+_SYMMETRIC_PEAK_SYSTEMS = 1.5
 
 
 @dataclass(frozen=True)
@@ -332,9 +334,12 @@ def infer_symmetric(
     index, so it is filled by four index-matched scatters of ``G``.  The
     right-hand side is ``w_ab (C_x[a, b] + sign C_x[b, a])``.  The system
     is symmetric positive definite whenever the constrained minimizer is
-    unique and is solved by Cholesky.  A resource guard refuses problems
-    with more than ``max_unknowns`` unknowns.  The solution is written back
-    with exact (skew-)symmetry.
+    unique and is solved by Cholesky, in place: the assembled system is
+    handed to :func:`~topinf.linalg.solve_sym_owned`, so the fit holds one
+    full-size array, and its peak is about 1.5 times the system's
+    ``8 * unknowns**2`` bytes.  A resource guard refuses problems with more
+    than ``max_unknowns`` unknowns, reporting that peak.  The solution is
+    written back with exact (skew-)symmetry.
     """
     r, p = data.r, data.p
     sign = -1.0 if skew else 1.0
@@ -345,7 +350,7 @@ def infer_symmetric(
         system_mib = unknowns * unknowns * 8 / 2**20
         raise ResourceLimitError(
             f"symmetric inference needs {unknowns} unknowns (dense system "
-            f"{system_mib:.1f} MiB, fit peak about "
+            f"{system_mib:.1f} MiB, factored in place: fit peak about "
             f"{_SYMMETRIC_PEAK_SYSTEMS * system_mib:.1f} MiB); cap is {max_unknowns}"
         )
     # B is G of the docstring as gram[x, i, y, j]; C holds C_x[i, j] at cross[i, x, j]
@@ -356,16 +361,15 @@ def infer_symmetric(
     # E_k is w_k times the sum of the unit matrices e_a e_b^T and sign e_b e_a^T;
     # e_u e_v^T and e_s e_t^T couple through delta_us gram[., v, ., t]
     bhat = np.zeros((p, a.size, p, a.size))
-    ww = w[:, None] * w[None, :]
     for ku, kv, ks in ((a, b, 1.0), (b, a, sign)):
         for lu, lv, ls in ((a, b, 1.0), (b, a, sign)):
             k, l = np.nonzero(ku[:, None] == lu[None, :])
-            bhat[:, k, :, l] += (ks * ls) * ww[k, l, None, None] * gram[:, kv[k], :, lv[l]]
+            bhat[:, k, :, l] += (ks * ls) * (w[k] * w[l])[:, None, None] * gram[:, kv[k], :, lv[l]]
     bhat = bhat.reshape(unknowns, unknowns)
     chat = (w[:, None] * (cross[a, :, b] + sign * cross[b, :, a])).T.ravel()
 
     # r == 1 with skew=True leaves no unknowns: the only admissible tensor is 0
-    theta, cond = solve_sym(bhat, chat) if unknowns else (chat, 1.0)
+    theta, cond = solve_sym_owned(bhat, chat) if unknowns else (chat, 1.0)
     half = np.zeros((r, r, p))
     half[a, b] = w[:, None] * theta.reshape(p, a.size).T
     tensor = half + sign * half.transpose(1, 0, 2)

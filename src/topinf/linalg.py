@@ -11,11 +11,16 @@ pin down the behaviors the rest of the package relies on:
   a condition estimate, raising :class:`~topinf.errors.SingularMatrixError`
   with a rank estimate when the matrix is singular to working precision
   and :class:`~topinf.errors.NotPositiveDefiniteError` when it is
-  indefinite.  The equilibrated system is held once, in a working copy
-  that a blocked Cholesky (:func:`_cholesky_in_place`) factors in place;
-  the solves go through the inverses of the factor's diagonal blocks
-  (:func:`_cholesky_solve`), and the condition estimate is a port of
-  LAPACK's ``dpocon`` (:func:`_inverse_norm_estimate`);
+  indefinite.  It leaves the caller's system unchanged and holds one
+  working copy next to it; :func:`solve_sym_owned` is the same solve on
+  the caller's array, which is then the one full-size array held.  The
+  system is equilibrated into the working array, a blocked Cholesky
+  (:func:`_cholesky_in_place`) writes its factor into the lower triangle
+  and the upper triangle keeps the equilibrated system for the refinement
+  residual and the failure paths.  The solves go through the inverses of
+  the factor's diagonal blocks (:func:`_cholesky_solve`), and the
+  condition estimate is a port of LAPACK's ``dpocon``
+  (:func:`_inverse_norm_estimate`);
 * :func:`lstsq_min_norm` -- SVD-based minimum-norm least squares with a
   fixed relative singular-value cutoff;
 * :func:`thin_svd` -- economy-size SVD;
@@ -56,6 +61,7 @@ from .errors import NotPositiveDefiniteError, SingularMatrixError
 __all__ = [
     "cholesky_upper",
     "solve_sym",
+    "solve_sym_owned",
     "lstsq_min_norm",
     "thin_svd",
     "TridiagonalFactor",
@@ -89,8 +95,12 @@ def _abs_rows(a: np.ndarray, reduce) -> np.ndarray:
     return out
 
 
-def _require_symmetric(a: np.ndarray, name: str, rtol: float = 1e-8) -> None:
-    scale = np.max(_abs_rows(a, np.max)) if a.size else 0.0
+def _require_symmetric(a: np.ndarray, name: str, rtol: float = 1e-8,
+                       row_max: np.ndarray | None = None) -> None:
+    # row_max: the rows' largest absolute entries, when the caller has them
+    if row_max is None:
+        row_max = _abs_rows(a, np.max)
+    scale = np.max(row_max) if a.size else 0.0
     if scale == 0.0:
         return
     # max |a - a^T| over strips a[i:j, i:] of the upper triangle: every pair
@@ -183,17 +193,20 @@ def _singular(eigvals: np.ndarray, rcond: float, rtol: float = 1e-12) -> Singula
 _CHOLESKY_BLOCK = 256
 
 
-def _equilibrate(b: np.ndarray, scale: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Write ``b / outer(scale, scale)`` into ``out``, a strip of rows at a time; return it.
+def _equilibrate(b: np.ndarray, scale: np.ndarray, out: np.ndarray) -> float:
+    """Write ``b / outer(scale, scale)`` into ``out`` a strip of rows at a time; return its 1-norm.
 
-    Strip by strip, these are the bits of the one full-size division,
-    computed with no temporary larger than a strip.
+    ``out`` may be ``b`` itself.  Strip by strip, these are the bits of the
+    one full-size division, computed with no temporary larger than a strip.
+    The result is symmetric, so its 1-norm is its largest absolute row
+    sum, taken from each strip as it is written.
     """
-    for i in range(0, b.shape[0], _CHOLESKY_BLOCK):
-        rows = out[i:i + _CHOLESKY_BLOCK]
-        np.multiply.outer(scale[i:i + _CHOLESKY_BLOCK], scale, out=rows)
-        np.divide(b[i:i + _CHOLESKY_BLOCK], rows, out=rows)
-    return out
+    norm = 0.0
+    for i in range(0, b.shape[0], _SYMMETRY_BLOCK):
+        rows = slice(i, i + _SYMMETRY_BLOCK)
+        np.divide(b[rows], np.multiply.outer(scale[rows], scale), out=out[rows])
+        norm = max(norm, float(np.max(np.sum(np.abs(out[rows]), axis=1))))
+    return norm
 
 
 def _cholesky_in_place(a: np.ndarray) -> list[np.ndarray]:
@@ -206,7 +219,7 @@ def _cholesky_in_place(a: np.ndarray) -> list[np.ndarray]:
     through that inverse, and the trailing lower triangle is updated in
     row strips that each cover one later diagonal block whole.  Only the
     lower triangle is read; the upper triangle off the diagonal blocks
-    keeps stale entries, the diagonal blocks' is zeroed.  A matrix of at
+    keeps its entries, the diagonal blocks' is zeroed.  A matrix of at
     most one block makes exactly the one ``np.linalg.cholesky`` call of an
     unblocked factorization.  No temporary is larger than one row strip,
     so ``a`` is the only full-size array.
@@ -268,6 +281,44 @@ def _cholesky_solve(factor: np.ndarray, inverses: list[np.ndarray], rhs: np.ndar
     return x
 
 
+def _cholesky_keeping_upper(a: np.ndarray) -> list[np.ndarray]:
+    """:func:`_cholesky_in_place`, with the diagonal blocks of ``a`` put back on return.
+
+    The factorization overwrites the diagonal blocks whole and, in the
+    upper triangle, nothing else.  Their copies, taken first, are written
+    back whether it succeeds or raises, so that the upper triangle of
+    ``a`` keeps the matrix (for :func:`_upper_product` and the failure
+    paths' eigenvalues) and its lower triangle off the diagonal blocks
+    holds the factor, whose diagonal blocks :func:`_cholesky_solve` reads
+    only through the returned inverses.
+    """
+    n = a.shape[0]
+    blocks = [slice(k, k + _CHOLESKY_BLOCK) for k in range(0, n, _CHOLESKY_BLOCK)]
+    saved = [a[block, block].copy() for block in blocks]
+    try:
+        return _cholesky_in_place(a)
+    finally:
+        for block, entries in zip(blocks, saved):
+            a[block, block] = entries
+
+
+def _upper_product(a: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``A @ y`` for the symmetric ``A`` whose upper triangle and diagonal blocks ``a`` holds.
+
+    ``y`` is (n, k).  Block row ``k`` of ``A`` is the transposed
+    column strip above its diagonal block, then the row strip from that
+    block on, so the lower triangle off the diagonal blocks, where
+    :func:`_cholesky_keeping_upper` leaves the factor, is not read.
+    """
+    out = np.empty(y.shape)
+    for k in range(0, a.shape[0], _CHOLESKY_BLOCK):
+        e = k + _CHOLESKY_BLOCK
+        out[k:e] = a[k:e, k:] @ y[k:]
+        if k:
+            out[k:e] += a[:k, k:e].T @ y[:k]
+    return out
+
+
 #: Iteration limit of the 1-norm estimator (``ITMAX`` of LAPACK's ``dlacn2``).
 _NORM_ESTIMATE_STEPS = 5
 
@@ -319,12 +370,15 @@ def solve_sym(b: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, float]:
     ``1 / (||A||_1 est(||A^-1||_1))``, computed by
     :func:`_inverse_norm_estimate`.
 
-    Besides the caller's ``b`` and ``c``, which are not modified, one
-    full-size array is held: the equilibrated system, written row strip by
-    row strip and factored in place by :func:`_cholesky_in_place`.  Every
-    solve with the factor, and every product, runs in NumPy.  The
-    refinement residual ``(c - b @ x0) / scale`` is formed from the
-    caller's ``b``.
+    ``b`` and ``c`` are not modified.  Besides them one full-size array is
+    held, the working copy: the equilibrated system, written row strip by
+    row strip, whose lower triangle the blocked Cholesky
+    (:func:`_cholesky_keeping_upper`) overwrites with the factor while the
+    upper triangle keeps the system.  The refinement residual
+    (:func:`_upper_product`) and the eigenvalues of the failure paths are
+    read from that upper triangle.  :func:`solve_sym_owned` is the same
+    solve with the caller's array as the working copy.  Every solve with
+    the factor, and every product, runs in NumPy.
 
     Raises
     ------
@@ -341,28 +395,44 @@ def solve_sym(b: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, float]:
         the index of the pivot at which the factorization broke down.
     """
     b = np.asarray(b, dtype=float)
+    return _solve_sym(b, c, np.empty(b.shape))
+
+
+def solve_sym_owned(b: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, float]:
+    """:func:`solve_sym`, overwriting ``b``: it is the only full-size array held.
+
+    ``b`` must be a writeable C-contiguous float64 array; it is
+    equilibrated and factored in place, and its contents are undefined on
+    return.  ``c`` is not modified.  Results and failures are those of
+    :func:`solve_sym`.
+    """
+    if not (isinstance(b, np.ndarray) and b.dtype == np.float64 and b.flags.c_contiguous
+            and b.flags.writeable):
+        raise ValueError("b must be a writeable C-contiguous float64 array")
+    return _solve_sym(b, c, b)
+
+
+def _solve_sym(b: np.ndarray, c: np.ndarray, work: np.ndarray) -> tuple[np.ndarray, float]:
+    """:func:`solve_sym` with ``work`` (n, n) as its working array, which may be ``b``."""
     c = np.asarray(c, dtype=float)
     _require_square(b, "b")
-    _require_symmetric(b, "b")
     if c.shape[0] != b.shape[0]:
         raise ValueError(
             f"right-hand side has leading dimension {c.shape[0]}, expected {b.shape[0]}"
         )
-    if not np.all(np.isfinite(b)) or not np.all(np.isfinite(c)):
+    # a row's largest absolute entry is finite exactly when the row is
+    row_max = _abs_rows(b, np.max)
+    if not np.all(np.isfinite(row_max)) or not np.all(np.isfinite(c)):
         raise ValueError("non-finite entries in the linear system")
+    _require_symmetric(b, "b", row_max=row_max)
 
     n = b.shape[0]
-    row_max = _abs_rows(b, np.max)
     scale = np.sqrt(np.where(row_max > 0.0, row_max, 1.0))
-    work = _equilibrate(b, scale, np.empty((n, n)))
-    # the equilibrated system is symmetric, so its 1-norm is its largest
-    # absolute row sum
-    anorm = float(np.max(_abs_rows(work, np.sum)))
-
+    anorm = _equilibrate(b, scale, work)
     try:
-        inverses = _cholesky_in_place(work)
+        inverses = _cholesky_keeping_upper(work)
     except NotPositiveDefiniteError as exc:
-        eigvals = np.linalg.eigvalsh(_equilibrate(b, scale, work))
+        eigvals = np.linalg.eigvalsh(work, UPLO="U")
         if eigvals[0] < -SOLVE_RCOND_FLOOR * abs(eigvals[-1]):
             raise NotPositiveDefiniteError(
                 f"matrix is indefinite (Cholesky pivot {exc.pivot_index} failed)",
@@ -376,13 +446,14 @@ def solve_sym(b: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, float]:
     ainvnm = _inverse_norm_estimate(solve, n)
     rcond = (1.0 / ainvnm) / anorm if ainvnm != 0.0 else 0.0
     if not np.isfinite(rcond) or rcond <= SOLVE_RCOND_FLOOR:
-        raise _singular(np.linalg.eigvalsh(_equilibrate(b, scale, work)), rcond)
+        raise _singular(np.linalg.eigvalsh(work, UPLO="U"), rcond)
 
-    # in the equilibrated unknowns y = scale * x, with b_s = b / outer(scale, scale)
-    # and c_s = c / scale, the residual c_s - b_s y is (c - b x) / scale
-    rhs, column = c.reshape(n, -1), scale[:, None]
-    y = solve(rhs / column)
-    y += solve((rhs - b @ (y / column)) / column)
+    # in the equilibrated unknowns y = scale * x the system is b_s y = c / scale,
+    # b_s = b / outer(scale, scale), which the upper triangle of work holds
+    column = scale[:, None]
+    rhs = c.reshape(n, -1) / column
+    y = solve(rhs)
+    y += solve(rhs - _upper_product(work, y))
     return (y / column).reshape(c.shape), 1.0 / rcond
 
 

@@ -39,15 +39,24 @@ _PREFIX = struct.Struct("<4sIQ")
 
 
 def save_tensor(path, t: np.ndarray) -> Path:
-    """Write an N-D float array (N >= 1); returns the path written."""
+    """Write an N-D float array (N >= 1); returns the path written.
+
+    The header is written first and then the array's own buffer, so a
+    C-ordered float64 array is written with no copy; any other array is
+    copied once, into C order.
+    """
     path = Path(path)
-    t = np.asarray(t, dtype="<f8")
+    t = np.asarray(t, dtype="<f8", order="C")
     if t.ndim < 1:
         raise ValueError("expected at least one axis")
-    if not np.all(np.isfinite(t)):
+    # the extremes are finite exactly when every entry is (NaN propagates),
+    # and reducing to them allocates nothing of the array's size
+    if t.size and not (np.isfinite(t.min()) and np.isfinite(t.max())):
         raise ValueError("refusing to persist non-finite entries")
     header = _PREFIX.pack(MAGIC, VERSION, t.ndim) + struct.pack(f"<{t.ndim}Q", *t.shape)
-    path.write_bytes(header + t.tobytes(order="C"))
+    with open(path, "wb") as f:
+        f.write(header)
+        f.write(t.data)
     return path
 
 

@@ -15,6 +15,7 @@ from topinf import (
     factor_tridiagonals,
     lstsq_min_norm,
     solve_sym,
+    solve_sym_owned,
     thin_svd,
 )
 import topinf
@@ -286,6 +287,90 @@ def test_solve_sym_condition_estimate_is_rerun_stable():
         x_again, cond_again = solve_sym(b, c)
         assert cond_again == cond
         np.testing.assert_array_equal(x_again, x)
+
+
+@pytest.mark.parametrize("n", [40, 600])
+def test_owned_solve_matches_solve_sym_on_a_copy(n):
+    rng = np.random.default_rng(215)
+    b = random_spd(rng, n, cond=1e3)
+    c = rng.standard_normal((n, 2))
+    x, cond = solve_sym(b, c)
+    c_before = c.copy()
+    x_owned, cond_owned = solve_sym_owned(b.copy(), c)
+    # one path: the working copy is written with the same bits either way
+    np.testing.assert_array_equal(x_owned, x)
+    assert cond_owned == cond
+    np.testing.assert_array_equal(c, c_before)
+
+
+def _late_breakdown(rng, n=600, bad=550):
+    # L D L^T with one negative pivot, past the first diagonal block
+    lower = np.eye(n) + np.tril(rng.standard_normal((n, n)), -1) / np.sqrt(n)
+    d = rng.uniform(1.0, 2.0, n)
+    d[bad] = -1.0
+    b = (lower * d) @ lower.T
+    return 0.5 * (b + b.T)
+
+
+@pytest.mark.parametrize("case", ["indefinite-small", "indefinite-late", "singular-small",
+                                  "singular-large"])
+def test_owned_solve_fails_as_solve_sym_on_a_copy(case):
+    rng = np.random.default_rng(216)
+    if case == "indefinite-small":
+        b = np.diag([1.0, -1.0])
+    elif case == "indefinite-late":
+        b = _late_breakdown(rng)
+    elif case == "singular-small":
+        b = np.ones((3, 3))
+    else:
+        g = rng.standard_normal((600, 300))
+        b = g @ g.T
+    c = np.ones(b.shape[0])
+    error = NotPositiveDefiniteError if case.startswith("indefinite") else SingularMatrixError
+    with pytest.raises(error) as public:
+        solve_sym(b, c)
+    with pytest.raises(error) as owned:
+        solve_sym_owned(b.copy(), c)
+    if error is NotPositiveDefiniteError:
+        assert owned.value.pivot_index == public.value.pivot_index
+        assert owned.value.pivot_index == (1 if case == "indefinite-small" else 550)
+    else:
+        assert owned.value.rank_estimate == public.value.rank_estimate
+        assert owned.value.rank_estimate == (1 if case == "singular-small" else 300)
+
+
+def test_owned_solve_refuses_an_array_it_cannot_overwrite():
+    b = np.eye(4) + 0.5
+    for bad in (np.asfortranarray(b), b.astype(np.float32), b.tolist(),
+                np.lib.stride_tricks.as_strided(b, writeable=False)):
+        with pytest.raises(ValueError, match="writeable C-contiguous float64"):
+            solve_sym_owned(bad, np.ones(4))
+    solve_sym_owned(b, np.ones(4))
+
+
+@pytest.mark.parametrize("n", [255, 256, 257, 600, 1395])
+def test_refinement_product_reads_the_system_from_the_upper_triangle(n):
+    # after the factorization the lower triangle holds the factor off the
+    # diagonal blocks; the product with the equilibrated system comes from
+    # the upper triangle, with the diagonal blocks put back
+    rng = np.random.default_rng(217)
+    g = rng.standard_normal((n, n))
+    b = g @ g.T / n + np.eye(n)
+    scale = np.sqrt(np.max(np.abs(b), axis=1))
+    equilibrated = b / np.outer(scale, scale)
+    work = np.empty((n, n))
+    linalg._equilibrate(b, scale, work)
+    np.testing.assert_array_equal(work, equilibrated)
+    linalg._cholesky_keeping_upper(work)
+    np.testing.assert_array_equal(np.triu(work), np.triu(equilibrated))
+    blocks = np.arange(n) // linalg._CHOLESKY_BLOCK
+    below = blocks[:, None] > blocks[None, :]  # below the diagonal blocks
+    factor = np.linalg.cholesky(equilibrated)
+    assert np.max(np.abs(work[below] - factor[below]), initial=0.0) <= 1e-13
+    y = rng.standard_normal((n, 2))
+    expected = equilibrated @ y
+    product = linalg._upper_product(work, y)
+    assert np.max(np.abs(product - expected)) <= 1e-14 * np.max(np.abs(expected))
 
 
 def test_symmetry_check_scans_every_strip():

@@ -202,3 +202,29 @@ def test_loading_holds_the_payload_once(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak <= 1.2 * payload
+
+
+@pytest.mark.parametrize("shape", [(5,), (4, 3), (2, 3, 4)])
+def test_writes_are_the_header_then_the_c_ordered_payload(tmp_path, shape):
+    # the array's buffer is written after the header, copied into C order
+    # only when it is not C-ordered already
+    rng = np.random.default_rng(904)
+    a = rng.standard_normal(shape)
+    for name, t in (("c", a), ("f", np.asfortranarray(a)), ("view", a.T)):
+        path = save_tensor(tmp_path / f"{name}.tpoi", t)
+        header = struct.pack(f"<4sIQ{t.ndim}Q", MAGIC, VERSION, t.ndim, *t.shape)
+        assert path.read_bytes() == header + t.tobytes(order="C"), name
+
+
+def test_saving_a_c_ordered_array_copies_no_payload(tmp_path):
+    import tracemalloc
+
+    a = np.random.default_rng(905).standard_normal(1 << 17)  # 1 MiB
+    save_tensor(tmp_path / "t.tpoi", a)
+    tracemalloc.start()
+    try:
+        save_tensor(tmp_path / "t.tpoi", a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.1 * a.nbytes
