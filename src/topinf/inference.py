@@ -30,7 +30,7 @@ full column rank; :func:`uniqueness_check` reports both ranks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -182,7 +182,6 @@ class InferredTensor:
     residual: float
     stationarity: float
     rank_deficient: bool = False
-    details: dict = field(default_factory=dict)
 
 
 def uniqueness_check(data: InferenceData) -> UniquenessReport:
@@ -299,7 +298,6 @@ def infer_lstsq(data: InferenceData) -> InferredTensor:
         residual=resid,
         stationarity=stat,
         rank_deficient=rank_deficient,
-        details={"rank": rank, "columns": d.shape[1]},
     )
 
 

@@ -14,8 +14,7 @@ Artifacts use the binary format of :mod:`topinf.storage`; tables are CSV
 with shortest round-trip float formatting.  Reruns with the same
 configuration and seed produce byte-identical numeric artifacts
 (``manifest.json`` records wall-clock timings and peak memory and is
-exempt; its ``cond`` estimates may also differ in the last bit, see
-:func:`~topinf.linalg.solve_sym`).
+exempt).
 
 Provenance: ``simulate_fom`` records in ``manifest.json`` (``full_order``)
 the configuration fields that fix the parameters and trajectories,
@@ -36,10 +35,12 @@ over its samples (:func:`~topinf.heat.heat_sweep`,
 one stacked integration over every sample of both splits.  The basis is
 nested, so each stage forms its Galerkin quantities (heat's projected
 tensor, wave's projected stiffness blocks) once with the largest basis
-and slices them per r.  One path, :func:`_rom_operators`, turns every
-reduced model into per-sample generators ``A``; ``infer``'s exact
-derivatives, ``simulate_rom``'s sweeps and ``evaluate``'s wave energies
-``E = J^T A`` derive from it.  BLAS keeps its own threads.  Each stage
+and slices them per r.  One class, :class:`Surrogate`, turns a study's
+artifacts into its reduced models and every model into per-sample
+generators ``A``; ``infer``'s exact derivatives, ``simulate_rom``'s sweeps
+and ``evaluate``'s wave energies ``E = J^T A`` derive from it, and
+``Surrogate.load(outdir).run(label, r, params)`` queries a finished study
+at new parameters.  BLAS keeps its own threads.  Each stage
 removes the per-sample files of an earlier, larger run that it did not
 write.  A reduced run that diverges is recorded in the manifest as a
 structured record ``{label, r, split, index, step}``, keeps no states
@@ -60,10 +61,10 @@ from pathlib import Path
 import numpy as np
 
 # Not every imported name is used here: benchmarks/tracing.py wraps layers at
-# their names in this module.  Imported for it only: heat_operator,
+# their names in this module.  Imported for it only, 14 names: heat_operator,
 # wave_full_operator, crank_nicolson, implicit_midpoint, relative_l2,
 # projection_error, hamiltonian_drift, reduced_hamiltonian, symmetric_part,
-# mode3_product, exact_reduced_derivative, project_matrix, project_snapshots,
+# exact_reduced_derivative, project_matrix, project_snapshots,
 # wave_mass_form_operator and wave_stiffness.
 from . import __version__
 from .basis import (
@@ -111,6 +112,7 @@ from .wave import (
 )
 
 __all__ = [
+    "Surrogate",
     "run_pipeline",
     "simulate_fom",
     "build_basis",
@@ -187,64 +189,6 @@ def _rom_dir(outdir: Path, label: str, r: int) -> Path:
 
 def _load_params(outdir: Path, split: str) -> np.ndarray:
     return load_matrix(outdir / f"params_{split}.tpoi")
-
-
-def _load_basis(cfg: ExperimentConfig, outdir: Path, model) -> ReducedBasis:
-    """The stored basis; refuses a stale one, or one with fewer modes than ``max(cfg.reduced_dims)``.
-
-    A basis built from other full-order data than the configured ones is
-    stale.  A larger basis serves smaller sizes, since bases are nested.
-    """
-    _require_record(cfg, outdir, "basis")
-    u = load_matrix(outdir / "basis" / "u.tpoi")
-    svals = load_tensor(outdir / "basis" / "svals.tpoi")
-    if cfg.problem == "wave1d":
-        half = load_matrix(outdir / "basis" / "u_half.tpoi")
-        basis = ReducedBasis(u=u, weight=model.mass_w, kind="psd", u_half=half,
-                             singular_values=svals)
-    else:
-        basis = ReducedBasis(u=u, weight=model.mass, kind="pod", singular_values=svals)
-    if basis.r < max(cfg.reduced_dims):
-        raise ValueError(
-            f"stored basis has {basis.r} modes but reduced_dims asks for "
-            f"r = {max(cfg.reduced_dims)}; rerun build-basis"
-        )
-    return basis
-
-
-def _intrusive(cfg: ExperimentConfig, model, basis_full: ReducedBasis, params) -> np.ndarray:
-    """Galerkin quantities of the largest basis; those of size r are their leading blocks.
-
-    Heat: the ``(r, r, p)`` projection of the (negated, dissipative)
-    stiffness tensor.  Wave: the ``(S, r, r)`` position blocks
-    ``Uw^T K(mu) Uw`` at every column of ``params``.  The basis is nested,
-    so each stage forms these once and slices ``[:r, :r]`` per size.
-    """
-    if cfg.problem == "heat1d":
-        return intrusive_project(-model.stiffness, basis_full)
-    return wave_projected_stiffness(model, params, basis_full.block)
-
-
-def _rom_operators(cfg, outdir, label: str, r: int, params, intrusive) -> np.ndarray:
-    """The reduced generators of one (label, r) at every sample, stacked ``(S, n, n)``.
-
-    Heat ``T nu``; wave ``[[0, A2], [-(T1 mu^2), 0]]``, intrusive ``A2 = I``.
-    ``params`` holds the samples as columns; ``intrusive`` is
-    :func:`_intrusive`'s result for them.
-    """
-    if cfg.problem == "heat1d":
-        tensor = (intrusive[:r, :r] if label == INTRUSIVE
-                  else load_tensor(outdir / "operators" / f"tensor_{label}_r{r}.tpoi"))
-        # the contraction of mode3_product, one generator per sample
-        return np.einsum("ijx,xs->sij", tensor, heat_features(params))
-    if label == INTRUSIVE:
-        ops = np.zeros((params.shape[1], 2 * r, 2 * r))
-        ops[:, :r, r:] = np.eye(r)
-        ops[:, r:, :r] = -intrusive[:, :r, :r]
-        return ops
-    t1 = load_tensor(outdir / "operators" / f"t1_{label}_r{r}.tpoi")
-    a2 = load_matrix(outdir / "operators" / f"a2_{label}_r{r}.tpoi")
-    return block_operator(t1, a2, params)
 
 
 def _prune(directory: Path, pattern: str, keep: set[Path]) -> None:
@@ -382,6 +326,125 @@ def _record_stage(cfg: ExperimentConfig, outdir: Path, name: str, seconds: float
 
 
 # ----------------------------------------------------------------------
+# the reduced models of a study
+
+
+class Surrogate:
+    """A study's reduced models, read from its artifact directory.
+
+    The constructor refuses full-order data or a basis recorded for another
+    configuration, and a basis with fewer modes than ``max(cfg.reduced_dims)``
+    (a larger one serves smaller sizes: bases are nested).  It builds the
+    full-order model, loads the basis and projects the initial state once.
+    :meth:`load` is the query entry point.  Each learned operator file is
+    read once per instance; ``basis.truncate(r).lift`` maps reduced states
+    of size r to full order.
+
+    Attributes
+    ----------
+    cfg : ExperimentConfig
+    model : HeatModel or WaveModel
+    basis : ReducedBasis
+        The stored basis, at its largest size.
+    initial_state : ndarray
+        The basis coordinates of the full-order initial state.
+    """
+
+    def __init__(self, cfg: ExperimentConfig, outdir):
+        self.cfg, self.outdir = cfg.validate(), Path(outdir)
+        _require_record(self.cfg, self.outdir, "full_order")
+        _require_record(self.cfg, self.outdir, "basis")
+        self.model = model = _build_model(self.cfg)
+        heat, path = self.cfg.problem == "heat1d", self.outdir / "basis"
+        self.basis = ReducedBasis(
+            u=load_matrix(path / "u.tpoi"), singular_values=load_tensor(path / "svals.tpoi"),
+            weight=model.mass if heat else model.mass_w, kind="pod" if heat else "psd",
+            u_half=None if heat else load_matrix(path / "u_half.tpoi"))
+        if self.basis.r < max(self.cfg.reduced_dims):
+            raise ValueError(f"stored basis has {self.basis.r} modes but reduced_dims asks for "
+                             f"r = {max(self.cfg.reduced_dims)}; rerun build-basis")
+        self.initial_state = self.basis.project(
+            heat_initial_state(model) if heat else wave_initial_state(model))
+        self._operators: dict[tuple[str, int], object] = {}
+        self._formed = None
+
+    @classmethod
+    def load(cls, outdir) -> "Surrogate":
+        """The reduced models of the study in ``outdir``, under the configuration it recorded.
+
+        Also refuses operators inferred for another configuration.
+        """
+        record = _load_manifest(Path(outdir))["config"]
+        if not record:
+            raise ValueError(f"{outdir} records no configuration; rerun simulate-fom")
+        surrogate = cls(ExperimentConfig(**{k: tuple(v) if isinstance(v, list) else v
+                                            for k, v in record.items()}), outdir)
+        _require_record(surrogate.cfg, surrogate.outdir, "operators")
+        return surrogate
+
+    def generators(self, label: str, r: int, params: np.ndarray) -> np.ndarray:
+        """The generators of model ``label`` of size r at every column of ``params``, ``(S, n, n)``.
+
+        ``label`` is an inferred method or ``"intrusive"``.  Heat ``T nu``;
+        wave ``[[0, A2], [-(T1 mu^2), 0]]``, intrusive ``A2 = I``.  The
+        intrusive models are the leading blocks of the Galerkin quantities
+        of the largest basis.
+        """
+        if not 1 <= r <= self.basis.r:
+            raise ValueError(f"r must be in [1, {self.basis.r}], got {r}")
+        if self.cfg.problem == "heat1d":
+            tensor = (self._galerkin(params)[:r, :r] if label == INTRUSIVE
+                      else self._learned(label, r))
+            return mode3_product(tensor, heat_features(params))
+        if label != INTRUSIVE:
+            return block_operator(*self._learned(label, r), params)
+        ops = np.zeros((params.shape[1], 2 * r, 2 * r))
+        ops[:, :r, r:] = np.eye(r)
+        ops[:, r:, :r] = -self._galerkin(params)[:, :r, :r]
+        return ops
+
+    def run(self, label: str, r: int, params: np.ndarray) -> list:
+        """The runs of model ``label`` of size r, one :class:`~topinf.rom.Trajectory` per column.
+
+        One stacked Cayley sweep from ``basis.leading(initial_state, r)``,
+        the start of the runs ``simulate_rom`` stores, which
+        ``basis.truncate(r).project`` matches only to rounding.
+        """
+        x0 = self.basis.leading(self.initial_state, r)
+        return cayley_sweep(self.generators(label, r, params), x0, self.cfg.dt,
+                            self.cfg.n_times, t0=self.cfg.t0)
+
+    def _learned(self, label: str, r: int):
+        """The stored operators of method ``label`` at size r: heat ``T``, wave ``(T1, A2)``."""
+        if (label, r) not in self._operators:
+            inferred = _load_manifest(self.outdir).get("operators", {}).get("methods", [])
+            if label not in inferred:
+                raise ValueError(f"no {label!r} operators were inferred (inferred: "
+                                 f"{', '.join(inferred) or 'none'}); rerun infer")
+            path = self.outdir / "operators"
+            self._operators[label, r] = (
+                load_tensor(path / f"tensor_{label}_r{r}.tpoi") if self.cfg.problem == "heat1d"
+                else (load_tensor(path / f"t1_{label}_r{r}.tpoi"),
+                      load_matrix(path / f"a2_{label}_r{r}.tpoi")))
+        return self._operators[label, r]
+
+    def _galerkin(self, params: np.ndarray) -> np.ndarray:
+        """Galerkin quantities of the largest basis; those of size r are their leading blocks.
+
+        Heat: the ``(r, r, p)`` projection of the (negated, dissipative)
+        stiffness tensor, formed once.  Wave: the ``(S, r, r)`` position
+        blocks ``Uw^T K(mu) Uw`` at every column of ``params``, kept for the
+        last ``params``.
+        """
+        heat = self.cfg.problem == "heat1d"
+        if self._formed is None or not (heat or np.array_equal(self._formed[0], params)):
+            self._formed = (np.array(params, dtype=float),
+                            intrusive_project(-self.model.stiffness, self.basis) if heat
+                            else wave_projected_stiffness(self.model, params, self.basis.block))
+        return self._formed[1]
+
+
+# ----------------------------------------------------------------------
 # stage 1: full-order simulation
 
 
@@ -418,6 +481,7 @@ def simulate_fom(cfg: ExperimentConfig, outdir) -> None:
             path = _fom_path(outdir, split, i)
             save_matrix(path, traj.states)
             written.add(path)
+        del traj  # a view of this split's stepped states, which the next split need not hold
     _prune(outdir, "params_*.tpoi", written)
     _prune(outdir / "fom", "*.tpoi", written)
 
@@ -490,25 +554,23 @@ def infer(cfg: ExperimentConfig, outdir) -> None:
     """
     cfg = cfg.validate()
     outdir = Path(outdir)
-    _require_record(cfg, outdir, "full_order")
-    (outdir / "operators").mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
+    surrogate = Surrogate(cfg, outdir)
+    (outdir / "operators").mkdir(exist_ok=True)
 
-    model = _build_model(cfg)
     params = _load_params(outdir, "train")
-    basis_full = _load_basis(cfg, outdir, model)
-    ys_full = np.stack([basis_full.project(load_matrix(_fom_path(outdir, "train", i)))
+    ys_full = np.stack([surrogate.basis.project(load_matrix(_fom_path(outdir, "train", i)))
                         for i in range(cfg.n_train)], axis=2)
     wave = cfg.problem == "wave1d"
     exact = cfg.derivative == "exact"
     if exact:
-        intrusive = reference = _intrusive(cfg, model, basis_full, params)
+        reference = surrogate._galerkin(params)
         if wave:
             # least-squares affine-in-mu^2 fit of the position blocks: the
             # reference for the learned position tensor, exact when K(mu) is
             # affine in mu^2 (one subdomain); column by column, so nested
-            coeffs, _, _ = lstsq_min_norm((params**2).T, intrusive.reshape(params.shape[1], -1))
-            reference = np.moveaxis(coeffs.reshape(params.shape[0], *intrusive.shape[1:]), 0, 2)
+            coeffs, _, _ = lstsq_min_norm((params**2).T, reference.reshape(params.shape[1], -1))
+            reference = np.moveaxis(coeffs.reshape(params.shape[0], *reference.shape[1:]), 0, 2)
     else:
         derivs_full = np.stack([estimate_time_derivative(ys_full[:, :, s], cfg.dt)
                                 for s in range(cfg.n_train)], axis=2)
@@ -517,12 +579,12 @@ def infer(cfg: ExperimentConfig, outdir) -> None:
     recovery: dict[str, float] = {}
     agreement: dict[str, float] = {}
     for r in cfg.reduced_dims:
-        ys = basis_full.leading(ys_full, r)
+        ys = surrogate.basis.leading(ys_full, r)
         if exact:  # Galerkin dynamics: heat (T nu) y; wave qdot = p, pdot = -(Uw^T K Uw) q
-            ops = _rom_operators(cfg, outdir, INTRUSIVE, r, params, intrusive)
+            ops = surrogate.generators(INTRUSIVE, r, params)
             zs = np.einsum("sij,jts->its", ops, ys, optimize=True)
         else:
-            zs = basis_full.leading(derivs_full, r)
+            zs = surrogate.basis.leading(derivs_full, r)
         if wave:  # T1 from -pdot = (T1 mu^2) q, A2 from qdot = A2 p
             problems = (("t1", InferenceData(nus=params**2, ys=ys[:r], zs=-zs[r:])),
                         ("a2", InferenceData(nus=np.ones((1, params.shape[1])),
@@ -576,31 +638,20 @@ def simulate_rom(cfg: ExperimentConfig, outdir) -> None:
     """
     cfg = cfg.validate()
     outdir = Path(outdir)
-    _require_record(cfg, outdir, "full_order")
     started = time.perf_counter()
-
-    model = _build_model(cfg)
-    basis_full = _load_basis(cfg, outdir, model)
+    surrogate = Surrogate(cfg, outdir)
     _require_record(cfg, outdir, "operators")
-    if cfg.problem == "heat1d":
-        x0 = heat_initial_state(model)
-    else:
-        x0 = wave_initial_state(model)
     samples = [(split, i) for split, count in _splits(cfg) for i in range(count)]
     params = np.hstack([_load_params(outdir, split) for split, _ in _splits(cfg)])
-    intrusive = _intrusive(cfg, model, basis_full, params)
-    red0_full = basis_full.project(x0)
 
     divergences: list[dict] = []
     swept: set[Path] = set()
     for r in cfg.reduced_dims:
-        red0 = basis_full.leading(red0_full, r)
         for label in _rom_labels(cfg):
             target = _rom_dir(outdir, label, r)
             target.mkdir(parents=True, exist_ok=True)
             swept.add(target)
-            ops = _rom_operators(cfg, outdir, label, r, params, intrusive)
-            runs = cayley_sweep(ops, red0, cfg.dt, cfg.n_times, t0=cfg.t0)
+            runs = surrogate.run(label, r, params)
             written: set[Path] = set()
             for (split, i), traj in zip(samples, runs):
                 if traj.diverged:
@@ -669,11 +720,8 @@ def evaluate(cfg: ExperimentConfig, outdir) -> None:
     """
     cfg = cfg.validate()
     outdir = Path(outdir)
-    _require_record(cfg, outdir, "full_order")
     started = time.perf_counter()
-
-    model = _build_model(cfg)
-    basis_full = _load_basis(cfg, outdir, model)
+    surrogate = Surrogate(cfg, outdir)
     _require_record(cfg, outdir, "operators")
     report_dir = outdir / "report"
     report_dir.mkdir(parents=True, exist_ok=True)
@@ -683,9 +731,8 @@ def evaluate(cfg: ExperimentConfig, outdir) -> None:
     wave = cfg.problem == "wave1d"
     if wave:
         params = np.hstack([_load_params(outdir, split) for split, _ in _splits(cfg)])
-        intrusive = _intrusive(cfg, model, basis_full, params)
         first = {"train": 0, "test": cfg.n_train}  # each split's first column of params
-    u, mass = basis_full.block, basis_full.weight
+    u, mass = surrogate.basis.block, surrogate.basis.weight
 
     runs = {split: [_scored_run(load_matrix(_fom_path(outdir, split, i)), u, mass)
                     for i in range(count)]
@@ -710,7 +757,7 @@ def evaluate(cfg: ExperimentConfig, outdir) -> None:
         drift_series: dict[str, np.ndarray] = {}
         for label in _rom_labels(cfg):
             if wave:
-                energies = _energies(_rom_operators(cfg, outdir, label, r, params, intrusive))
+                energies = _energies(surrogate.generators(label, r, params))
                 position = np.linalg.eigvalsh(energies[:, :r, :r])[:, 0]
                 momentum = np.linalg.eigvalsh(energies[:, r:, r:])[:, 0]
                 drift_peak = 0.0

@@ -151,12 +151,10 @@ def block_operator(t1: np.ndarray, a2: np.ndarray, mu: np.ndarray) -> np.ndarray
     """Block generator ``[[0, A2], [-(T1 mu^2), 0]]`` without structure gating.
 
     ``mu`` is one parameter vector ``(p,)``, or one per column ``(p, S)``
-    for the stack ``(S, 2r, 2r)`` of the generators at every sample.
+    for the stack ``(S, 2r, 2r)`` of the generators at every sample; each
+    sample's generator does not depend on S (:func:`~topinf.tensors.mode3_product`).
     """
-    t1 = np.asarray(t1, dtype=float)
-    a2 = np.asarray(a2, dtype=float)
-    mu = np.asarray(mu, dtype=float)
-    pos = np.einsum("ijx,x...->...ij", t1, mu**2)  # mode3_product, per column
+    pos = mode3_product(t1, np.asarray(mu, dtype=float) ** 2)
     r = pos.shape[-1]
     out = np.zeros(pos.shape[:-2] + (2 * r, 2 * r))
     out[..., :r, r:] = a2

@@ -112,19 +112,25 @@ def swap_axes(t: np.ndarray, i: int, j: int) -> np.ndarray:
 
 
 def mode3_product(t: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Contract the last axis of an order-3 tensor against a vector.
+    """Contract the last axis of an order-3 tensor against one vector or one per column.
 
-    Returns the matrix ``sum_x t[:, :, x] * v[x]``.
+    Returns the matrix ``sum_x t[:, :, x] * v[x]`` for ``v`` of shape
+    ``(p,)``, and the stack ``(S, n1, n2)`` of the matrices at every column
+    for ``v`` of shape ``(p, S)``.  Summed slice by slice, so each column's
+    matrix does not depend on S (a matrix product rounds differently for
+    different S).
     """
-    t = np.asarray(t)
-    v = np.asarray(v)
+    t, v = np.asarray(t), np.asarray(v)
     if t.ndim != 3:
         raise ValueError(f"expected an order-3 tensor, got ndim={t.ndim}")
-    if v.ndim != 1 or v.shape[0] != t.shape[2]:
+    if v.ndim not in (1, 2) or v.shape[0] != t.shape[2]:
         raise ValueError(
-            f"vector of length {t.shape[2]} required, got shape {v.shape}"
+            f"vector of length {t.shape[2]}, or one per column, required; got shape {v.shape}"
         )
-    return np.einsum("ijx,x->ij", t, v)
+    out = t[:, :, 0] * v[0, ..., None, None]
+    for x in range(1, t.shape[2]):
+        out += t[:, :, x] * v[x, ..., None, None]
+    return out
 
 
 def outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -14,6 +14,7 @@ import pytest
 from topinf import (
     ReducedBasis,
     RomModel,
+    Surrogate,
     build_heat_model,
     build_wave_model,
     default_config,
@@ -697,11 +698,120 @@ def test_fom_simulation_holds_each_split_once(problem, tmp_path):
     assert peak <= 1.4 * split_bytes
 
 
+def test_fom_simulation_releases_the_training_states_before_the_test_split(tmp_path):
+    # the training split's stepped states are released before the test
+    # split is integrated, so the stage holds one split's states at a time
+    import tracemalloc
+
+    cfg = default_config("wave1d")
+    pipeline.simulate_fom(cfg, tmp_path)  # first-call imports outside the trace
+    train_bytes = sum(load_matrix(tmp_path / "fom" / f"train_{i:03d}.tpoi").nbytes
+                      for i in range(cfg.n_train))
+    tracemalloc.start()
+    try:
+        pipeline.simulate_fom(cfg, tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.2 * train_bytes
+
+
 def test_manifest_records_each_stage_peak_rss(heat_run):
     _, _, manifest = heat_run
     peaks = manifest["peak_rss_mib"]
     assert set(peaks) == {name for name, _ in STAGES}
     assert all(isinstance(v, float) and v > 0.0 for v in peaks.values())
+
+
+# ----------------------------------------------------------------------
+# the reduced models of a finished study
+
+
+def surrogate_config(problem):
+    # every learned label, the intrusive one and r = 1; wave with three
+    # subdomains, so the parameter contraction has more than one slice
+    if problem == "heat1d":
+        return dataclasses.replace(small_heat_config(), reduced_dims=(1, 3),
+                                   methods=("normal", "symmetric"))
+    return dataclasses.replace(small_wave_config(), reduced_dims=(1, 2),
+                               breakpoints=default_config("wave1d").breakpoints)
+
+
+@pytest.fixture(scope="module", params=["heat1d", "wave1d"])
+def surrogate_run(request, tmp_path_factory):
+    outdir = tmp_path_factory.mktemp(f"surrogate_{request.param}")
+    cfg = surrogate_config(request.param)
+    run_pipeline(cfg, outdir)
+    return cfg, outdir
+
+
+def test_surrogate_reproduces_every_stored_run(surrogate_run):
+    cfg, outdir = surrogate_run
+    surrogate = Surrogate.load(outdir)
+    assert surrogate.cfg == cfg.validate()
+    mu = load_matrix(outdir / "params_test.tpoi")[:, :1]
+    for r in cfg.reduced_dims:
+        for label in list(cfg.methods) + ["intrusive"]:
+            (run,) = surrogate.run(label, r, mu)
+            stored = load_matrix(outdir / "rom" / f"{label}_r{r}" / "test_000.tpoi")
+            np.testing.assert_array_equal(run.states, stored, err_msg=f"{label}_r{r}")
+
+
+def test_surrogate_reads_each_file_once(surrogate_run, monkeypatch):
+    cfg, outdir = surrogate_run
+    surrogate = Surrogate.load(outdir)
+    mu = load_matrix(outdir / "params_test.tpoi")[:, :1]
+    reads = []
+    for name in ("load_matrix", "load_tensor"):
+        original = getattr(pipeline, name)
+        monkeypatch.setattr(pipeline, name,
+                            lambda path, original=original: reads.append(path) or original(path))
+    for label in list(cfg.methods) + ["intrusive"]:
+        surrogate.run(label, 1, mu)
+        reads.clear()
+        surrogate.run(label, 1, mu)
+        assert reads == [], label
+
+
+def test_surrogate_refuses_a_study_without_operators(surrogate_run, tmp_path):
+    cfg, outdir = surrogate_run
+    shutil.copytree(outdir, tmp_path, dirs_exist_ok=True)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    del manifest["operators"]
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(ValueError, match="records no operator configuration; rerun infer"):
+        Surrogate.load(tmp_path)
+
+
+def test_surrogate_refuses_a_label_that_was_never_inferred(heat_run):
+    cfg, outdir, _ = heat_run
+    surrogate = Surrogate.load(outdir)
+    mu = load_matrix(outdir / "params_test.tpoi")
+    with pytest.raises(ValueError, match=r"no 'symmetric' operators were inferred "
+                                         r"\(inferred: normal, lstsq\); rerun infer"):
+        surrogate.generators("symmetric", cfg.reduced_dims[0], mu)
+
+
+def test_surrogate_refuses_a_basis_with_too_few_modes(surrogate_run):
+    cfg, outdir = surrogate_run
+    larger = dataclasses.replace(cfg, reduced_dims=(2, 6))
+    with pytest.raises(ValueError, match=r"modes but reduced_dims asks for r = 6; "
+                                         r"rerun build-basis"):
+        Surrogate(larger, outdir)
+
+
+def test_surrogate_refuses_full_order_data_of_another_seed(heat_run, tmp_path):
+    cfg, outdir, _ = heat_run
+    other = dataclasses.replace(cfg, seed=cfg.seed + 1)
+    with pytest.raises(ValueError, match=rf"simulated with seed {cfg.seed} "
+                                         rf"\(configured {other.seed}\); rerun simulate-fom"):
+        Surrogate(other, outdir)
+    # a study whose full-order data were simulated again under another seed
+    shutil.copytree(outdir, tmp_path, dirs_exist_ok=True)
+    pipeline.simulate_fom(other, tmp_path)
+    with pytest.raises(ValueError, match=rf"seed {cfg.seed} \(configured {other.seed}\); "
+                                         r"rerun build-basis"):
+        Surrogate.load(tmp_path)
 
 
 # ----------------------------------------------------------------------

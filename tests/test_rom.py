@@ -330,6 +330,20 @@ def test_sweep_matches_single_runs_on_a_heat_stack():
     assert not any(run.diverged for run in runs)
 
 
+@pytest.mark.parametrize("count", [1, 2, 7, 25])
+def test_stacked_contractions_match_each_column_alone_bitwise(count):
+    # summed slice by slice: a column's matrix does not depend on how many
+    # columns are contracted with it
+    rng = np.random.default_rng(720 + count)
+    t, a2 = rng.standard_normal((6, 6, 4)), rng.standard_normal((6, 6))
+    v = rng.uniform(0.1, 2.0, (4, count))
+    stack, blocks = mode3_product(t, v), block_operator(t, a2, v)
+    assert stack.shape == (count, 6, 6) and blocks.shape == (count, 12, 12)
+    for s in range(count):
+        np.testing.assert_array_equal(stack[s], mode3_product(t, v[:, s]))
+        np.testing.assert_array_equal(blocks[s], block_operator(t, a2, v[:, s]))
+
+
 def test_sweep_matches_single_runs_on_a_wave_block_stack():
     rng = np.random.default_rng(717)
     r = 5

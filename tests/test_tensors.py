@@ -306,7 +306,9 @@ def test_mode3_product_validation():
     with pytest.raises(ValueError):
         mode3_product(np.zeros((2, 2, 3)), np.zeros(2))
     with pytest.raises(ValueError):
-        mode3_product(np.zeros((2, 2, 3)), np.zeros((3, 1)))
+        mode3_product(np.zeros((2, 2, 3)), np.zeros((2, 1)))
+    with pytest.raises(ValueError):
+        mode3_product(np.zeros((2, 2, 3)), np.zeros((3, 1, 1)))
 
 
 def test_double_contract_validation():
