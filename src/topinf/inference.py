@@ -384,8 +384,9 @@ def infer_symmetric(
 
 
 def _predictions(tensor: np.ndarray, data: InferenceData) -> np.ndarray:
-    ops = np.einsum("ijx,xs->ijs", tensor, data.nus)
-    return np.einsum("ijs,jas->ias", ops, data.ys, optimize=True)
+    """The predicted derivatives ``(T nu_s) Y_s``, shaped like ``data.zs`` (r, a, S)."""
+    ops = tensors.mode3_product(tensor, data.nus)
+    return (ops @ data.ys.transpose(2, 0, 1)).transpose(1, 2, 0)
 
 
 def objective(tensor: np.ndarray, data: InferenceData) -> float:

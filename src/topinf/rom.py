@@ -24,17 +24,16 @@ The integrators apply the Cayley map ``Phi = (M - dt/2 A)^{-1} (M + dt/2 A)``:
 :func:`crank_nicolson` for mass-form diffusion systems and
 :func:`implicit_midpoint` for standard-form canonical systems, where the
 same map conserves every quadratic invariant of the flow (for linear
-systems the two schemes coincide).  One factorization builds ``Phi``;
-its powers ``Phi, Phi^2, ..., Phi^b``, with block size
-``b = isqrt(n_times - 1)``, are formed once by doubling, and one
-matrix-vector product with them advances the state by ``b`` steps.  A run
-that is not finite somewhere is stepped again one step at a time, so it
-diverges where its state leaves float range, not where a power of ``Phi``
-overflows.  :func:`cayley_sweep` runs the same map over a stack of
+systems the two schemes coincide).  One factorization builds ``Phi``,
+and the trajectory is filled by repeated squaring: once the first ``h``
+states are known, one product with ``Phi^h`` writes the next ``h``, and
+``Phi^2h = Phi^h Phi^h``, about ``2 log2(n_times)`` products in all.  A
+run that is not finite somewhere is stepped again one step at a time, so
+it diverges where its state leaves float range, not where a power of
+``Phi`` overflows.  :func:`cayley_sweep` runs the same map over a stack of
 operators, one per parameter sample: one batched solve builds every step
-map and one stacked product per block of ``b`` steps advances every
-sample, with the per-sample results of the single-operator entry points,
-bit for bit.
+map and each stacked product advances every sample, with the per-sample
+results of the single-operator entry points, bit for bit.
 :func:`tridiagonal_sweep` is the full-order counterpart, for steps that
 solve one symmetric positive definite tridiagonal system per sample: the
 systems of all samples are factored once, end to end, and one solve per
@@ -43,7 +42,6 @@ step advances every sample (``heat_sweep``, ``wave_sweep``).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,9 +104,11 @@ class Trajectory:
     """Time-integration output.
 
     ``states`` has one column per stored time point (the first column is
-    the initial state).  If the state leaves floating-point range, every
-    column from the first bad step on is NaN, ``diverged`` is set, and
-    ``first_bad_step`` records the 1-based index of that step.
+    the initial state).  From the Cayley integrators it is the C-contiguous
+    row ``states[s]`` of the sweep's ``(S, n, n_times)`` stack, so it is
+    written to disk with no copy.  If the state leaves floating-point
+    range, every column from the first bad step on is NaN, ``diverged`` is
+    set, and ``first_bad_step`` records the 1-based index of that step.
     """
 
     states: np.ndarray
@@ -255,55 +255,53 @@ def _cayley_integrate(
     with np.errstate(all="ignore"):
         half = 0.5 * dt * a
         phi = _step_maps(m - half, m + half)
-        states = _cayley_states(phi, x0, n_times, max(1, math.isqrt(n_times - 1)))
-        bad = ~np.all(np.isfinite(states), axis=(1, 2))
-        if bad.any():  # a power of a map can overflow before its state does
-            states[bad] = _cayley_states(phi[bad], x0, n_times, 1)
-    return _trajectories(states, dt, t0)
+        states = _cayley_states(phi, x0, n_times)
+        finite = np.isfinite(states).all(axis=1)
+        if not finite.all():  # a power of a map can overflow before its state does
+            bad = ~finite.all(axis=1)
+            redo, maps = states[bad], phi[bad]
+            for k in range(1, n_times):
+                np.matmul(maps, redo[:, :, k - 1:k], out=redo[:, :, k:k + 1])
+            states[bad] = redo
+            finite[bad] = np.isfinite(redo).all(axis=1)
+    return _trajectories(states, finite, dt, t0)
 
 
-def _cayley_states(phi: np.ndarray, x0: np.ndarray, n_times: int, block: int) -> np.ndarray:
-    """States (S, n_times, n) of ``x_{k+1} = phi_s x_k``, ``block`` steps per product.
+def _cayley_states(phi: np.ndarray, x0: np.ndarray, n_times: int) -> np.ndarray:
+    """States (S, n, n_times) of ``x_{k+1} = phi_s x_k``, by repeated squaring.
 
-    The powers ``phi, phi^2, ..., phi^block`` of every map are formed once,
-    by doubling; one stacked matrix-vector product with them then advances
-    every sample by ``block`` steps.
+    Once the first ``h`` states are known, one stacked product writes the
+    next ones, ``x_{h+j} = phi^h x_j``, and ``phi^{2h} = phi^h phi^h``:
+    about ``2 log2(n_times)`` products in all.
     """
-    count, n = phi.shape[:2]
-    powers = np.empty((count, block, n, n))
-    powers[:, 0] = phi
-    done = 1
-    while done < block:  # phi^(done+i+1) = phi^(i+1) phi^done
-        new = min(done, block - done)
-        np.matmul(powers[:, :new], powers[:, done - 1:done], out=powers[:, done:done + new])
-        done += new
-    powers = powers.reshape(count, block * n, n)
-    states = np.empty((count, n_times, n))
-    states[:, 0] = x0
-    flat = states.reshape(count, n_times * n, 1)
-    for k in range(0, n_times - 1, block):
-        steps = min(block, n_times - 1 - k)
-        np.matmul(powers[:, :steps * n], flat[:, k * n:(k + 1) * n],
-                  out=flat[:, (k + 1) * n:(k + 1 + steps) * n])
+    states = np.empty(phi.shape[:2] + (n_times,))
+    states[:, :, 0] = x0
+    power, h = phi, 1
+    while h < n_times:
+        m = min(h, n_times - h)
+        np.matmul(power, states[:, :, :m], out=states[:, :, h:h + m])
+        h *= 2
+        if h < n_times:
+            power = power @ power
     return states
 
 
-def _trajectories(states: np.ndarray, dt: float, t0: float) -> list[Trajectory]:
-    """One :class:`Trajectory` per sample of the stepped states (S, n_times, n).
+def _trajectories(states: np.ndarray, finite: np.ndarray, dt: float,
+                  t0: float) -> list[Trajectory]:
+    """One :class:`Trajectory` per sample of the stepped states (S, n, n_times).
 
-    Each trajectory's states are the view ``states[s].T`` of the stack, not
-    a copy, so a sweep holds its states once.  A sample's states are NaN
-    from its first non-finite step on.
+    ``finite`` (S, n_times) marks the time points at which each sample's
+    state is finite.  Each trajectory's states are the row ``states[s]`` of
+    the stack, not a copy, so a sweep holds its states once.  A sample's
+    states are NaN from its first non-finite step on.
     """
-    finite = np.all(np.isfinite(states), axis=2)
-    times = t0 + dt * np.arange(states.shape[1])
+    times = t0 + dt * np.arange(states.shape[2])
     out = []
-    for s in range(states.shape[0]):
-        run = states[s].T
-        first_bad = None if finite[s].all() else int(np.argmin(finite[s]))
+    for s, ok in enumerate(finite):
+        first_bad = None if ok.all() else int(np.argmin(ok))
         if first_bad is not None:
-            run[:, first_bad:] = np.nan
-        out.append(Trajectory(states=run, times=times,
+            states[s, :, first_bad:] = np.nan
+        out.append(Trajectory(states=states[s], times=times,
                               diverged=first_bad is not None, first_bad_step=first_bad))
     return out
 
@@ -331,10 +329,11 @@ def cayley_sweep(
 ) -> list[Trajectory]:
     """Cayley-map integration of ``ydot = A_s y`` for every slice of ``ops`` (S, n, n).
 
-    One batched solve builds every step map ``Phi_s``; one stacked product
-    with the powers ``Phi_s, ..., Phi_s^b``, ``b = isqrt(n_times - 1)``,
-    advances every sample by ``b`` steps.  Returns one :class:`Trajectory`
-    per slice, bit-identical to ``implicit_midpoint(ops[s], x0, dt,
+    One batched solve builds every step map ``Phi_s``; the trajectories are
+    filled by repeated squaring, one stacked product with ``Phi_s^h`` writing
+    the next ``h`` states of every sample.  Returns one :class:`Trajectory`
+    per slice, each the C-contiguous row ``s`` of one ``(S, n, n_times)``
+    stack and bit-identical to ``implicit_midpoint(ops[s], x0, dt,
     n_times, t0)``.  Divergence is detected per sample: a sample that is
     not finite somewhere is stepped again one step at a time and marked at
     the first step where its state is not finite; an exactly singular
@@ -386,26 +385,27 @@ def tridiagonal_sweep(
     if any(len(a) != diag.shape[0] for a in per_sample):
         raise ValueError("every per-sample array needs one entry per sample")
 
-    runs = _trajectories(_tridiagonal_states(step, diag, off, x0, n_times, per_sample), dt, t0)
-    if any(run.diverged for run in runs):
+    states = _tridiagonal_states(step, diag, off, x0, n_times, per_sample)
+    finite = np.isfinite(states).all(axis=1)
+    if not finite.all():
         states = np.concatenate([
             _tridiagonal_states(step, diag[s:s + 1], off[s:s + 1], x0, n_times,
                                 tuple(a[s:s + 1] for a in per_sample))
             for s in range(diag.shape[0])
         ])
-        runs = _trajectories(states, dt, t0)
-    return runs
+        finite = np.isfinite(states).all(axis=1)
+    return _trajectories(states, finite, dt, t0)
 
 
 def _tridiagonal_states(step, diag, off, x0, n_times, per_sample) -> np.ndarray:
-    """The stepped states (S, n_times, m) of :func:`tridiagonal_sweep`."""
+    """The stepped states (S, m, n_times) of :func:`tridiagonal_sweep`, as a view."""
     solve = factor_tridiagonals(diag, off).solve
     rows = np.empty((n_times, diag.shape[0], x0.shape[0]))
     rows[0] = x0
     with np.errstate(all="ignore"):  # overflow is located by the caller
         for k in range(1, n_times):
             step(solve, rows[k - 1], rows[k], *per_sample)
-    return rows.transpose(1, 0, 2)
+    return rows.transpose(1, 2, 0)
 
 
 def crank_nicolson(
@@ -419,13 +419,13 @@ def crank_nicolson(
     """Trapezoidal (Crank-Nicolson) integration of ``M qdot = A q``.
 
     Steps ``(M - dt/2 A) q_{k+1} = (M + dt/2 A) q_k``: one LU factorization
-    builds the step map ``Phi = (M - dt/2 A)^{-1} (M + dt/2 A)``, and one
-    product with its powers ``Phi, ..., Phi^b``, ``b = isqrt(n_times - 1)``,
-    advances ``b`` steps; a run that is not finite somewhere is stepped
-    again one step at a time, so ``first_bad_step`` is where the state
-    itself leaves float range.  Second-order accurate and, for dissipative
-    ``A``, non-expansive in the ``M`` norm.  ``mass=None`` means the
-    identity.
+    builds the step map ``Phi = (M - dt/2 A)^{-1} (M + dt/2 A)``, and
+    repeated squaring fills the trajectory: once ``h`` states are known,
+    one product with ``Phi^h`` writes the next ``h``.  A run that is not
+    finite somewhere is stepped again one step at a time, so
+    ``first_bad_step`` is where the state itself leaves float range.
+    Second-order accurate and, for dissipative ``A``, non-expansive in the
+    ``M`` norm.  ``mass=None`` means the identity.
     """
     return _cayley_integrate(np.asarray(a, dtype=float)[None], q0, dt, n_times, mass, t0)[0]
 
@@ -443,9 +443,8 @@ def implicit_midpoint(
     ``Phi = (I - dt/2 A)^{-1} (I + dt/2 A)``; it is symplectic and conserves
     every quadratic invariant of the flow, in particular the energy
     ``1/2 y^T S y`` of a canonical system ``A = J S`` with symmetric ``S``.
-    As in :func:`crank_nicolson`, one product with the powers
-    ``Phi, ..., Phi^b``, ``b = isqrt(n_times - 1)``, advances ``b`` steps,
-    and a run that is not finite somewhere is stepped again one step at a
-    time.
+    As in :func:`crank_nicolson`, repeated squaring fills the trajectory,
+    one product with ``Phi^h`` writing the next ``h`` states, and a run
+    that is not finite somewhere is stepped again one step at a time.
     """
     return _cayley_integrate(np.asarray(a, dtype=float)[None], y0, dt, n_times, None, t0)[0]

@@ -48,6 +48,7 @@ import numpy as np
 from .heat import DOMAIN_LENGTH, dense_slices, p1_assembly, weighted_bands
 from .linalg import factor_tridiagonals
 from .rom import Trajectory, tridiagonal_sweep
+from .tensors import mode3_product
 
 __all__ = [
     "WaveModel",
@@ -156,7 +157,7 @@ def _check_speeds(model: WaveModel, mu: np.ndarray) -> np.ndarray:
 def wave_mass_v(model: WaveModel, mu: np.ndarray) -> np.ndarray:
     """Speed-weighted flux mass matrix ``sum_k mu_k^{-2} slice_k``."""
     mu = _check_speeds(model, mu)
-    return np.einsum("ijk,k->ij", model.mass_v_slices, mu ** (-2.0))
+    return mode3_product(model.mass_v_slices, mu ** (-2.0))
 
 
 def wave_projected_stiffness(model: WaveModel, params: np.ndarray, u: np.ndarray) -> np.ndarray:

@@ -306,6 +306,7 @@ def _assert_sweep_matches_single_runs(ops, x0, dt, n_times, single):
     assert len(runs) == len(ops)
     for op, run in zip(ops, runs):
         ref = single(op, x0, dt, n_times, t0=0.5)
+        assert run.states.flags.c_contiguous and ref.states.flags.c_contiguous
         np.testing.assert_array_equal(run.states, ref.states)
         np.testing.assert_array_equal(run.times, ref.times)
         assert (run.diverged, run.first_bad_step) == (ref.diverged, ref.first_bad_step)
@@ -395,7 +396,8 @@ def test_sweep_validation():
 
 
 # ----------------------------------------------------------------------
-# blocked stepping: one product with Phi, ..., Phi^b advances b steps
+# doubling: once h states are known, one product with Phi^h writes the
+# next h of them, x_{h+j} = Phi^h x_j, and Phi^2h = Phi^h Phi^h
 
 
 def _stepwise_states(a, x0, dt, n_times, mass=None):
@@ -410,7 +412,8 @@ def _stepwise_states(a, x0, dt, n_times, mass=None):
 
 def test_blocked_stepping_matches_stepwise_oracle_on_a_mass_form_heat_stack():
     # Galerkin heat generators in mass form (a Euclidean-orthonormal basis,
-    # so the reduced mass U^T M U is not the identity), 251 steps: b = 15
+    # so the reduced mass U^T M U is not the identity), 251 times: the
+    # largest power formed is Phi^128
     model = build_heat_model(60)
     rng = np.random.default_rng(718)
     u = np.linalg.qr(rng.standard_normal((len(model.mass), 10)))[0]
@@ -425,7 +428,8 @@ def test_blocked_stepping_matches_stepwise_oracle_on_a_mass_form_heat_stack():
 
 
 def test_blocked_stepping_matches_stepwise_oracle_on_a_wave_block_stack():
-    # symmetric wave generators at r = 10 (2r = 20), 401 steps: b = 20
+    # symmetric wave generators at r = 10 (2r = 20), 401 times: the largest
+    # power formed is Phi^256
     rng = np.random.default_rng(719)
     r = 10
     g = rng.standard_normal((3, r, r))
@@ -445,9 +449,12 @@ def test_blocked_stepping_matches_stepwise_oracle_on_a_wave_block_stack():
         assert np.max(np.abs(energy - energy[0])) <= 1e-12 * energy[0]
 
 
-@pytest.mark.parametrize("n_times", [1, 2, 3, 5, 10, 11, 17, 27, 40])
+@pytest.mark.parametrize("n_times", [1, 2, 3, 4, 5, 8, 9, 10, 11, 16, 17, 27, 33, 40, 64, 65,
+                                     257])
 def test_blocked_stepping_covers_every_block_remainder(n_times):
-    # b = isqrt(n_times - 1); 10, 27 and 40 leave a partial last block
+    # the products write blocks of 1, 2, 4, ... states: powers of two fill
+    # the last block, 9, 17, 33, 65 and 257 leave it one state, and the
+    # others leave it partly filled
     rng = np.random.default_rng(720)
     a = rng.standard_normal((4, 4, 4))
     ops = 0.5 * (a - a.transpose(0, 2, 1)) - 0.2 * np.eye(4)
@@ -461,8 +468,8 @@ def test_blocked_stepping_covers_every_block_remainder(n_times):
 
 
 def test_overflow_inside_a_block_is_recorded_at_its_step():
-    # 122 times: b = 11, so the blocks start at steps 1, 12, ..., 67, 78 and
-    # the state (Cayley factor -51/49) overflows at step 73, inside a block
+    # 122 times: the last product writes steps 64-121 as Phi^64 x_j, and the
+    # state (Cayley factor -51/49) overflows at step 73, inside that block
     dt, x0 = 0.1, np.array([1e307, 1e306])
     ops = np.stack([(100.0 / dt) * np.eye(2), -np.eye(2)])
     overflow, finite = _assert_sweep_matches_single_runs(ops, x0, dt, 122, implicit_midpoint)
@@ -473,8 +480,8 @@ def test_overflow_inside_a_block_is_recorded_at_its_step():
 
 
 def test_divergence_is_the_step_where_the_state_overflows_not_a_power():
-    # The Cayley factor is about -4.5e15, so Phi^20 (b = 20 for 401 times)
-    # overflows at step 20 while the state, from 1e-300, overflows at step 39
+    # The Cayley factor is about -4.5e15, so Phi^32, which writes the steps
+    # from 32 on, overflows while the state, from 1e-300, overflows at step 39
     dt = 0.1
     a = np.array([[(2.0 / dt) * (1.0 + 4e-16)]])
     traj = crank_nicolson(a, np.array([1e-300]), dt, 401)
@@ -486,6 +493,21 @@ def test_divergence_is_the_step_where_the_state_overflows_not_a_power():
     runs = _assert_sweep_matches_single_runs(np.stack([a, -np.eye(1)]), np.array([1e-300]),
                                              dt, 401, crank_nicolson)
     assert runs[0].first_bad_step == 39 and not runs[1].diverged
+
+
+def test_a_power_that_overflows_leaves_a_finite_state_finite():
+    # The first Cayley factor is about -5e15, so Phi^32 overflows and inf * 0
+    # = NaN reaches the stepped states, yet the state itself stays finite
+    dt, n_times = 0.1, 401
+    a = np.diag([(2.0 / dt) * (1.0 + 4e-16), -1.0])
+    traj = crank_nicolson(a, np.array([0.0, 1.0]), dt, n_times)
+    assert not traj.diverged and traj.first_bad_step is None
+    np.testing.assert_array_equal(traj.states[0], 0.0)
+    decay = ((1.0 - dt / 2.0) / (1.0 + dt / 2.0)) ** np.arange(n_times)
+    np.testing.assert_allclose(traj.states[1], decay, rtol=0, atol=1e-15)
+    runs = _assert_sweep_matches_single_runs(np.stack([a, -np.eye(2)]), np.array([0.0, 1.0]),
+                                             dt, n_times, crank_nicolson)
+    assert not any(run.diverged for run in runs)
 
 
 # ----------------------------------------------------------------------
