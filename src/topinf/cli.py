@@ -25,14 +25,6 @@ from .errors import NumericError, ResourceLimitError, StorageFormatError, Struct
 
 __all__ = ["main", "build_parser"]
 
-_STAGE_FUNCS = {
-    "simulate-fom": (pipeline.simulate_fom, "sample parameters and integrate the full-order model"),
-    "build-basis": (pipeline.build_basis, "build the reduced basis from training snapshots"),
-    "infer": (pipeline.infer, "fit reduced operators from projected trajectories"),
-    "simulate-rom": (pipeline.simulate_rom, "integrate the learned and intrusive reduced models"),
-    "evaluate": (pipeline.evaluate, "write error tables, drift series, and the summary"),
-}
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -51,8 +43,9 @@ def build_parser() -> argparse.ArgumentParser:
                         metavar="R", help="override the reduced dimensions (repeatable)")
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("pipeline", parents=[common], help="run all five stages in order")
-    for name, (_, blurb) in _STAGE_FUNCS.items():
-        sub.add_parser(name, parents=[common], help=blurb)
+    for name, stage in pipeline.STAGES:  # help: the docstring's first line, if not stripped (-OO)
+        sub.add_parser(name.replace("_", "-"), parents=[common],
+                       help=(stage.__doc__ or "").strip().split("\n")[0] or None)
     return parser
 
 
@@ -80,7 +73,7 @@ def main(argv=None) -> int:
         if args.command == "pipeline":
             pipeline.run_pipeline(cfg, outdir)
         else:
-            _STAGE_FUNCS[args.command][0](cfg, outdir)
+            dict(pipeline.STAGES)[args.command.replace("-", "_")](cfg, outdir)
     except (ValueError, OSError, NumericError, ResourceLimitError, StructureError,
             StorageFormatError) as exc:
         print(f"topinf: error: {exc}", file=sys.stderr)

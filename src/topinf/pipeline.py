@@ -19,11 +19,22 @@ exempt).
 Provenance: ``simulate_fom`` records in ``manifest.json`` (``full_order``)
 the configuration fields that fix the parameters and trajectories,
 ``build_basis`` records the full-order record its basis was built from
-(``basis``), and ``infer`` records the methods it fitted, the derivative
-data it used and the basis record it fitted in (``operators``); the later
-stages refuse to run when a record they rely on is missing or differs
-from their configuration (a configured method that was never inferred
-counts as a difference).
+(``basis``), ``infer`` records the methods it fitted, the derivative
+data it used and the basis record it fitted in (``operators``), and
+``simulate_rom`` records the same fields for the runs it integrated
+(``rom``); the later stages refuse to run when a record they rely on is
+missing or differs from their configuration (a configured method that
+was never inferred or simulated counts as a difference).
+
+Reruns: each stage owns a manifest record (``evaluate`` has none) and
+artifact paths: ``simulate_fom`` ``fom/`` and the ``params_*.tpoi``
+files, ``build_basis`` ``basis/``, ``infer`` ``operators/``,
+``simulate_rom`` ``rom/`` and ``evaluate`` ``report/``.  Once its inputs
+pass their checks, a stage withdraws its record and empties what it owns
+(:func:`_claim`), and it writes the record back when it finishes.  A stage
+that stops part-way thus leaves no record, so every later stage refuses
+and names the stage to rerun, and a finished stage leaves exactly the
+files its record describes.
 
 Randomness: all sampling derives from the configured seed through the
 Philox 4x64 counter-based generator, keyed by ``(seed, stream)`` with
@@ -40,11 +51,10 @@ artifacts into its reduced models and every model into per-sample
 generators ``A``; ``infer``'s exact derivatives, ``simulate_rom``'s sweeps
 and ``evaluate``'s wave energies ``E = J^T A`` derive from it, and
 ``Surrogate.load(outdir).run(label, r, params)`` queries a finished study
-at new parameters.  BLAS keeps its own threads.  Each stage
-removes the per-sample files of an earlier, larger run that it did not
-write.  A reduced run that diverges is recorded in the manifest as a
-structured record ``{label, r, split, index, step}``, keeps no states
-file, and is left out of the error pools.
+at new parameters.  BLAS keeps its own threads.  A reduced run that
+diverges is recorded in the manifest as a structured record ``{label, r,
+split, index, step}``, keeps no states file, and is left out of the error
+pools.
 """
 
 from __future__ import annotations
@@ -132,7 +142,7 @@ _TEST_STREAM = 1
 #: fields that fix its artifacts, their name, how they were made, and the
 #: stage that writes them.  A field that names another record carries that
 #: record: the basis carries the full-order data it was built from, and the
-#: operators carry the basis they were fitted in.
+#: operators and reduced runs carry the basis they were made in.
 _FULL_ORDER_FIELDS = ("problem", "n_elements", "breakpoints", "param_lo", "param_hi",
                       "sampling", "t0", "tf", "dt", "n_train", "n_test", "seed")
 _RECORDS = {
@@ -142,6 +152,8 @@ _RECORDS = {
               "basis", "the basis was built from full-order data", "build-basis"),
     "operators": (("methods", "derivative", "basis"),
                   "operator", "the operators were inferred", "infer"),
+    "rom": (("methods", "derivative", "basis"),
+            "reduced-order", "the reduced runs were simulated", "simulate-rom"),
 }
 
 
@@ -189,20 +201,6 @@ def _rom_dir(outdir: Path, label: str, r: int) -> Path:
 
 def _load_params(outdir: Path, split: str) -> np.ndarray:
     return load_matrix(outdir / f"params_{split}.tpoi")
-
-
-def _prune(directory: Path, pattern: str, keep: set[Path]) -> None:
-    """Remove the files and directories matching ``pattern`` that are not in ``keep``.
-
-    A rerun over fewer samples or sizes thereby leaves no artifact of the
-    earlier run that the manifest does not describe.
-    """
-    for path in directory.glob(pattern):
-        if path not in keep:
-            if path.is_dir():
-                shutil.rmtree(path)
-            else:
-                path.unlink()
 
 
 def _rel_dist(a: np.ndarray, ref: np.ndarray) -> float:
@@ -273,17 +271,17 @@ def _record(cfg: ExperimentConfig, key: str) -> dict:
     return {k: _record(cfg, k) if k in _RECORDS else record[k] for k in _RECORDS[key][0]}
 
 
-def _require_record(cfg: ExperimentConfig, outdir: Path, key: str) -> None:
-    """Refuse artifacts that an earlier stage recorded, as ``key``, for another configuration.
+def _require_record(cfg: ExperimentConfig, manifest: dict, key: str) -> None:
+    """Refuse artifacts that ``manifest`` records, as ``key``, for another configuration.
 
     Each recorded field must equal the configured one, except ``methods``:
-    a stage may use any of the methods that were inferred.  A carried
-    record that differs names its differing fields.
+    a stage may use any of the methods that were inferred or simulated.  A
+    carried record that differs names its differing fields.
     """
     _, name, made, stage = _RECORDS[key]
-    stored = _load_manifest(outdir).get(key)
+    stored = manifest.get(key)
     if stored is None:
-        raise ValueError(f"{outdir} records no {name} configuration; rerun {stage}")
+        raise ValueError(f"the manifest records no {name} configuration; rerun {stage}")
     changed = []
     for k, v in _record(cfg, key).items():
         have = stored.get(k)
@@ -294,6 +292,23 @@ def _require_record(cfg: ExperimentConfig, outdir: Path, key: str) -> None:
             changed.append(f"{k} {have!r} (configured {v!r})")
     if changed:
         raise ValueError(f"{made} with " + ", ".join(changed) + f"; rerun {stage}")
+
+
+def _claim(outdir: Path, key: str | None, *owned: str) -> None:
+    """Withdraw the manifest record ``key``, then remove the paths matching ``owned``.
+
+    A stage calls this once, after its input checks and before its first
+    write.  The manifest is written only when it holds the record.
+    """
+    manifest = _load_manifest(outdir)
+    if manifest.pop(key, None) is not None:
+        _save_manifest(outdir, manifest)
+    for pattern in owned:
+        for path in outdir.glob(pattern):
+            if path.is_dir():
+                shutil.rmtree(path)
+            else:
+                path.unlink()
 
 
 def _peak_rss_mib() -> float:
@@ -336,9 +351,9 @@ class Surrogate:
     configuration, and a basis with fewer modes than ``max(cfg.reduced_dims)``
     (a larger one serves smaller sizes: bases are nested).  It builds the
     full-order model, loads the basis and projects the initial state once.
-    :meth:`load` is the query entry point.  Each learned operator file is
-    read once per instance; ``basis.truncate(r).lift`` maps reduced states
-    of size r to full order.
+    :meth:`load` is the query entry point.  The manifest is read once per
+    instance, and each learned operator file once; ``basis.truncate(r).lift``
+    maps reduced states of size r to full order.
 
     Attributes
     ----------
@@ -352,8 +367,9 @@ class Surrogate:
 
     def __init__(self, cfg: ExperimentConfig, outdir):
         self.cfg, self.outdir = cfg.validate(), Path(outdir)
-        _require_record(self.cfg, self.outdir, "full_order")
-        _require_record(self.cfg, self.outdir, "basis")
+        self._manifest = _load_manifest(self.outdir)
+        _require_record(self.cfg, self._manifest, "full_order")
+        _require_record(self.cfg, self._manifest, "basis")
         self.model = model = _build_model(self.cfg)
         heat, path = self.cfg.problem == "heat1d", self.outdir / "basis"
         self.basis = ReducedBasis(
@@ -379,7 +395,7 @@ class Surrogate:
             raise ValueError(f"{outdir} records no configuration; rerun simulate-fom")
         surrogate = cls(ExperimentConfig(**{k: tuple(v) if isinstance(v, list) else v
                                             for k, v in record.items()}), outdir)
-        _require_record(surrogate.cfg, surrogate.outdir, "operators")
+        _require_record(surrogate.cfg, surrogate._manifest, "operators")
         return surrogate
 
     def generators(self, label: str, r: int, params: np.ndarray) -> np.ndarray:
@@ -417,7 +433,7 @@ class Surrogate:
     def _learned(self, label: str, r: int):
         """The stored operators of method ``label`` at size r: heat ``T``, wave ``(T1, A2)``."""
         if (label, r) not in self._operators:
-            inferred = _load_manifest(self.outdir).get("operators", {}).get("methods", [])
+            inferred = self._manifest.get("operators", {}).get("methods", [])
             if label not in inferred:
                 raise ValueError(f"no {label!r} operators were inferred (inferred: "
                                  f"{', '.join(inferred) or 'none'}); rerun infer")
@@ -451,15 +467,13 @@ class Surrogate:
 def simulate_fom(cfg: ExperimentConfig, outdir) -> None:
     """Sample parameters and integrate the full-order model for each.
 
-    Each split is one stacked sweep over its samples.  Parameter and
-    trajectory files of samples or splits outside the current counts are
-    removed.
+    Each split is one stacked sweep over its samples.
     """
     cfg = cfg.validate()
     outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    (outdir / "fom").mkdir(exist_ok=True)
     started = time.perf_counter()
+    _claim(outdir, "full_order", "fom", "params_*.tpoi")
+    (outdir / "fom").mkdir(parents=True)
 
     model = _build_model(cfg)
     if cfg.problem == "heat1d":
@@ -467,23 +481,16 @@ def simulate_fom(cfg: ExperimentConfig, outdir) -> None:
     else:
         x0, sweep = wave_initial_state(model), wave_sweep
 
-    written: set[Path] = set()
     for split, count in _splits(cfg):
         params = _draw_parameters(cfg, count, _TRAIN_STREAM if split == "train" else _TEST_STREAM)
-        path = outdir / f"params_{split}.tpoi"
-        save_matrix(path, params)
-        written.add(path)
+        save_matrix(outdir / f"params_{split}.tpoi", params)
         for i, traj in enumerate(sweep(model, params, x0, cfg.dt, cfg.n_times, t0=cfg.t0)):
             if traj.diverged:
                 raise NumericError(
                     f"full-order run {split}/{i} diverged at step {traj.first_bad_step}"
                 )
-            path = _fom_path(outdir, split, i)
-            save_matrix(path, traj.states)
-            written.add(path)
+            save_matrix(_fom_path(outdir, split, i), traj.states)
         del traj  # a view of this split's stepped states, which the next split need not hold
-    _prune(outdir, "params_*.tpoi", written)
-    _prune(outdir / "fom", "*.tpoi", written)
 
     _record_stage(cfg, outdir, "simulate_fom", time.perf_counter() - started,
                   updates={"full_order": _record(cfg, "full_order")})
@@ -505,9 +512,10 @@ def build_basis(cfg: ExperimentConfig, outdir) -> None:
     """
     cfg = cfg.validate()
     outdir = Path(outdir)
-    _require_record(cfg, outdir, "full_order")
-    (outdir / "basis").mkdir(parents=True, exist_ok=True)
+    _require_record(cfg, _load_manifest(outdir), "full_order")
     started = time.perf_counter()
+    _claim(outdir, "basis", "basis")
+    (outdir / "basis").mkdir()
 
     model = _build_model(cfg)
     heat = cfg.problem == "heat1d"
@@ -556,7 +564,8 @@ def infer(cfg: ExperimentConfig, outdir) -> None:
     outdir = Path(outdir)
     started = time.perf_counter()
     surrogate = Surrogate(cfg, outdir)
-    (outdir / "operators").mkdir(exist_ok=True)
+    _claim(outdir, "operators", "operators")
+    (outdir / "operators").mkdir()
 
     params = _load_params(outdir, "train")
     ys_full = np.stack([surrogate.basis.project(load_matrix(_fom_path(outdir, "train", i)))
@@ -632,40 +641,33 @@ def simulate_rom(cfg: ExperimentConfig, outdir) -> None:
     """Integrate every reduced model for every parameter sample.
 
     Each (label, r) integrates the generators of all samples of both splits
-    as one stack (:func:`~topinf.rom.cayley_sweep`).  Directories of a
-    (label, r) no longer swept, and the states files of samples outside the
-    current counts or of runs that diverged, are removed.
+    as one stack (:func:`~topinf.rom.cayley_sweep`).  A run that diverged
+    keeps no states file.
     """
     cfg = cfg.validate()
     outdir = Path(outdir)
     started = time.perf_counter()
     surrogate = Surrogate(cfg, outdir)
-    _require_record(cfg, outdir, "operators")
+    _require_record(cfg, surrogate._manifest, "operators")
+    _claim(outdir, "rom", "rom")
     samples = [(split, i) for split, count in _splits(cfg) for i in range(count)]
     params = np.hstack([_load_params(outdir, split) for split, _ in _splits(cfg)])
 
     divergences: list[dict] = []
-    swept: set[Path] = set()
     for r in cfg.reduced_dims:
         for label in _rom_labels(cfg):
             target = _rom_dir(outdir, label, r)
             target.mkdir(parents=True, exist_ok=True)
-            swept.add(target)
             runs = surrogate.run(label, r, params)
-            written: set[Path] = set()
             for (split, i), traj in zip(samples, runs):
                 if traj.diverged:
                     divergences.append({"label": label, "r": r, "split": split,
                                         "index": i, "step": traj.first_bad_step})
                     continue
-                path = target / f"{split}_{i:03d}.tpoi"
-                save_matrix(path, traj.states)
-                written.add(path)
-            _prune(target, "*.tpoi", written)
-    _prune(outdir / "rom", "*_r*", swept)
+                save_matrix(target / f"{split}_{i:03d}.tpoi", traj.states)
 
     _record_stage(cfg, outdir, "simulate_rom", time.perf_counter() - started,
-                  updates={"divergences": divergences})
+                  updates={"divergences": divergences, "rom": _record(cfg, "rom")})
 
 
 # ----------------------------------------------------------------------
@@ -715,17 +717,18 @@ def evaluate(cfg: ExperimentConfig, outdir) -> None:
     position and momentum, and the number of samples at which either block
     is indefinite, which are still scored.  The
     drift series of each r is that of sample 0 of the held-out split (the
-    training split without one); drift series of an r no longer evaluated
-    are removed.
+    training split without one).
     """
     cfg = cfg.validate()
     outdir = Path(outdir)
     started = time.perf_counter()
     surrogate = Surrogate(cfg, outdir)
-    _require_record(cfg, outdir, "operators")
+    manifest = surrogate._manifest
+    _require_record(cfg, manifest, "operators")
+    _require_record(cfg, manifest, "rom")
+    _claim(outdir, None, "report")
     report_dir = outdir / "report"
-    report_dir.mkdir(parents=True, exist_ok=True)
-    manifest = _load_manifest(outdir)
+    report_dir.mkdir()
     diverged = {(d["label"], d["r"], d["split"], d["index"])
                 for d in manifest.get("divergences", [])}
     wave = cfg.problem == "wave1d"
@@ -744,7 +747,6 @@ def evaluate(cfg: ExperimentConfig, outdir) -> None:
     projection_map: dict[str, float] = {}
     drift_max: dict[str, float] = {}
     energy: dict[str, dict] = {}
-    written: set[Path] = set()
 
     for r in cfg.reduced_dims:
         residual = {split: [tail + float(np.sum(c[r:] ** 2)) for c, tail, _ in scored]
@@ -792,10 +794,7 @@ def evaluate(cfg: ExperimentConfig, outdir) -> None:
             times = cfg.t0 + cfg.dt * np.arange(cfg.n_times)
             rows = [[float(t)] + [float(d[k]) for d in drift_series.values()]
                     for k, t in enumerate(times)]
-            path = report_dir / f"drift_r{r}.csv"
-            _write_csv(path, ["time", *drift_series], rows)
-            written.add(path)
-    _prune(report_dir, "drift_r*.csv", written)
+            _write_csv(report_dir / f"drift_r{r}.csv", ["time", *drift_series], rows)
 
     _write_csv(
         report_dir / "errors.csv",

@@ -585,11 +585,46 @@ def test_stages_accept_a_subset_of_the_inferred_methods(heat_run, tmp_path):
     assert manifest["operators"] == {"methods": ["normal", "lstsq"],
                                      "derivative": "finite_difference",
                                      "basis": manifest["basis"]}
+    assert manifest["rom"] == manifest["operators"]
     fewer = dataclasses.replace(cfg, methods=("lstsq",))
+    evaluate(fewer, outdir)  # over a subset of the simulated methods
+    manifest = json.loads((outdir / "manifest.json").read_text())
+    assert sorted(manifest["errors"]) == sorted(
+        f"{label}_r{r}_{split}" for label in ("lstsq", "intrusive") for r in cfg.reduced_dims
+        for split in ("train", "test"))
     simulate_rom(fewer, outdir)
     evaluate(fewer, outdir)
     assert sorted(p.name for p in (outdir / "rom").iterdir()) == [
         f"{label}_r{r}" for label in ("intrusive", "lstsq") for r in cfg.reduced_dims]
+
+
+@pytest.mark.parametrize("missing", [False, True], ids=["derivative", "missing"])
+def test_evaluate_refuses_reduced_runs_of_operators_inferred_since(missing, heat_run, tmp_path):
+    # infer rerun with exact derivatives replaces the operators; the reduced
+    # runs of the finite-difference operators must not be scored under the
+    # exact-derivative record, nor runs that record no configuration
+    cfg, source, _ = heat_run
+    outdir = tmp_path / "run"
+    shutil.copytree(source, outdir)
+    exact = dataclasses.replace(cfg, derivative="exact")
+    pipeline.infer(exact, outdir)
+    if missing:
+        manifest = json.loads((outdir / "manifest.json").read_text())
+        del manifest["rom"]
+        (outdir / "manifest.json").write_text(json.dumps(manifest))
+        match = "records no reduced-order configuration; rerun simulate-rom"
+    else:
+        match = (r"reduced runs were simulated with derivative 'finite_difference' "
+                 r"\(configured 'exact'\); rerun simulate-rom")
+    before = artifact_bytes(outdir, skip=())
+    with pytest.raises(ValueError, match=match):
+        evaluate(exact, outdir)
+    assert artifact_bytes(outdir, skip=()) == before
+    simulate_rom(exact, outdir)
+    evaluate(exact, outdir)
+    fresh = run_pipeline(exact, tmp_path / "fresh")
+    manifest = json.loads((outdir / "manifest.json").read_text())
+    assert manifest["errors"] == fresh["errors"]
 
 
 def test_stages_refuse_a_basis_built_from_other_full_order_data(heat_run, tmp_path):
@@ -639,6 +674,58 @@ def test_stages_refuse_operators_fitted_in_another_basis(heat_run, tmp_path):
         with pytest.raises(ValueError, match=match):
             stage(other, outdir)
     assert artifact_bytes(outdir, skip=()) == before
+
+
+def test_a_stage_that_stops_part_way_leaves_no_record(heat_run, tmp_path, monkeypatch):
+    # simulate_fom at another seed writes the training files, then fails on
+    # the test split: the seed-3 record must not vouch for the seed-4 files
+    cfg, source, _ = heat_run
+    outdir = tmp_path / "run"
+    shutil.copytree(source, outdir)
+    real_save = pipeline.save_matrix
+
+    def full_disk(path, array):
+        if "test" in Path(path).name:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        real_save(path, array)
+
+    monkeypatch.setattr(pipeline, "save_matrix", full_disk)
+    with pytest.raises(OSError):
+        pipeline.simulate_fom(dataclasses.replace(cfg, seed=cfg.seed + 1), outdir)
+    monkeypatch.undo()
+    assert "full_order" not in json.loads((outdir / "manifest.json").read_text())
+    with pytest.raises(ValueError, match="records no full-order configuration; "
+                                         "rerun simulate-fom"):
+        pipeline.build_basis(cfg, outdir)
+
+
+def test_infer_over_fewer_methods_and_sizes_removes_the_dropped_operators(heat_run, tmp_path):
+    cfg, source, _ = heat_run
+    assert (cfg.methods, cfg.reduced_dims) == (("normal", "lstsq"), (2, 3))
+    outdir = tmp_path / "run"
+    shutil.copytree(source, outdir)
+    pipeline.infer(dataclasses.replace(cfg, methods=("lstsq",), reduced_dims=(2,)), outdir)
+    assert sorted(p.name for p in (outdir / "operators").iterdir()) == ["tensor_lstsq_r2.tpoi"]
+
+
+@pytest.mark.parametrize("problem", ["heat1d", "wave1d"])
+def test_each_stage_empties_what_it_owns(problem, tmp_path):
+    # files placed where a stage writes are removed when it reruns, and the
+    # rerun's artifacts are those of a fresh run
+    cfg = small_heat_config() if problem == "heat1d" else small_wave_config()
+    run_pipeline(cfg, tmp_path / "fresh")
+    outdir = tmp_path / "run"
+    run_pipeline(cfg, outdir)
+    strays = [outdir / "params_extra.tpoi", outdir / "fom" / "extra",
+              outdir / "basis" / "extra", outdir / "operators" / "extra",
+              outdir / "rom" / "extra", outdir / "report" / "extra"]
+    for path in strays:
+        path.write_bytes(b"stray")
+    (outdir / "rom" / "normal_r9").mkdir()
+    for _, stage in STAGES:
+        stage(cfg, outdir)
+    assert artifact_bytes(outdir) == artifact_bytes(tmp_path / "fresh")
+    assert not (outdir / "rom" / "normal_r9").exists()
 
 
 def test_a_larger_basis_serves_smaller_sizes(tmp_path):
@@ -771,6 +858,20 @@ def test_surrogate_reads_each_file_once(surrogate_run, monkeypatch):
         reads.clear()
         surrogate.run(label, 1, mu)
         assert reads == [], label
+
+
+def test_surrogate_reads_the_manifest_once(surrogate_run, monkeypatch):
+    cfg, outdir = surrogate_run
+    loads = []
+    original = pipeline._load_manifest
+    monkeypatch.setattr(pipeline, "_load_manifest",
+                        lambda path: loads.append(path) or original(path))
+    surrogate = Surrogate(cfg, outdir)
+    mu = load_matrix(outdir / "params_test.tpoi")[:, :1]
+    for r in cfg.reduced_dims:
+        for label in list(cfg.methods) + ["intrusive"]:
+            surrogate.run(label, r, mu)
+    assert loads == [outdir]
 
 
 def test_surrogate_refuses_a_study_without_operators(surrogate_run, tmp_path):
