@@ -4,11 +4,13 @@
 orthonormal in a mass-matrix inner product: with ``R`` the upper Cholesky
 factor of ``M`` (``R^T R = M``), the basis is ``U = R^{-1} Utilde_r`` where
 ``Utilde_r`` holds the leading left singular vectors of the weighted
-snapshot stack ``R [Q_1 ... Q_Ns]``, so ``U^T M U = I``.
+snapshot stack ``R [Q_1 ... Q_Ns]``, so ``U^T M U = I``.  The stack is
+never formed: a tall-skinny QR reduces the snapshot sets group by group
+to one ``N x N`` triangular factor, and the weight is applied to that.
 
 :func:`psd_cotangent_lift` builds a symplectic block basis for canonical
-systems ``y = (q, p)``: one weighted POD basis ``Uw`` is fit to the pooled
-position and momentum snapshots and the full basis is
+systems ``y = (q, p)``: one weighted POD basis ``Uw`` is fit to the
+position and momentum snapshots together and the full basis is
 ``blockdiag(Uw, Uw)``, which commutes with the canonical symplectic matrix
 in the sense ``(U^T M) J = Jhat (U^T M)``.
 
@@ -20,6 +22,7 @@ or from applying the projected generator to the reduced snapshots exactly
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -37,6 +40,10 @@ __all__ = [
 
 #: Relative singular-value cutoff defining the numerical rank of a snapshot stack.
 POD_RANK_RTOL = 1e-12
+
+# A POD group gathers snapshot sets until it holds this many snapshots per
+# state dimension; each group costs one QR (see _snapshot_factor).
+_POD_GROUP_ROWS = 4
 
 
 @dataclass(frozen=True)
@@ -94,9 +101,9 @@ class ReducedBasis:
         return array.reshape(self.blocks, rows, array[0].size)
 
     def project(self, states: np.ndarray) -> np.ndarray:
-        """Reduced coordinates ``U^T M states``, one block product per state block."""
+        """Reduced coordinates ``U^T M states``: ``U^T M`` formed once, applied to each state block."""
         n = self.block.shape[0]
-        reduced = self.block.T @ (self.weight @ self._blockwise(states, n, "states"))
+        reduced = (self.block.T @ self.weight) @ self._blockwise(states, n, "states")
         return reduced.reshape((self.blocks * self.r,) + np.shape(states)[1:])
 
     def lift(self, reduced: np.ndarray) -> np.ndarray:
@@ -144,53 +151,80 @@ def _cotangent_lift(pod: ReducedBasis) -> ReducedBasis:
 
 def _state_list(snapshots) -> list[np.ndarray]:
     """Accept raw matrices or objects with a ``states`` attribute."""
-    out = []
-    for s in snapshots:
-        states = np.asarray(getattr(s, "states", s), dtype=float)
-        if states.ndim != 2:
-            raise ValueError(f"snapshot sets must be matrices, got ndim={states.ndim}")
-        out.append(states)
+    out = list(_snapshot_sets(snapshots))
     if not out:
         raise ValueError("no snapshot sets provided")
     return out
 
 
-def _pooled(snapshots) -> np.ndarray:
-    """The snapshot sets as one ``(N, K)`` matrix.
+def _as_set(snapshot) -> np.ndarray:
+    """One snapshot set as a float matrix: a matrix or an object exposing ``.states``."""
+    states = np.asarray(getattr(snapshot, "states", snapshot), dtype=float)
+    if states.ndim != 2:
+        raise ValueError(f"snapshot sets must be matrices, got ndim={states.ndim}")
+    return states
 
-    A matrix is the pooled matrix itself (not copied when it is float64); a
-    sequence of snapshot sets is pooled, in order, into a new one.
+
+def _snapshot_sets(snapshots):
+    """The snapshot sets of ``snapshots``, one at a time; a 2-D array is one set.
+
+    Holds no set it has handed out, so a set lives only as long as its reader keeps it.
     """
     if isinstance(snapshots, np.ndarray) and snapshots.ndim == 2:
-        return np.asarray(snapshots, dtype=float)
-    return np.hstack(_state_list(snapshots))
+        snapshots = (snapshots,)
+    return map(_as_set, snapshots)
 
 
-def _weighted_left_vectors(
-    pooled: np.ndarray, mass: np.ndarray, r: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Leading r left singular vectors of R @ pooled, pulled back by R.
+def _snapshot_factor(snapshots, n: int) -> np.ndarray:
+    """Upper-triangular ``R`` with ``R^T R = Q Q^T``, ``Q`` the sets side by side.
 
-    ``pooled`` is overwritten by ``R @ pooled``: no unweighted copy is
-    kept.  NumPy's QR still holds the data twice more, in the copy
-    ``np.linalg.qr`` makes of its input and in the LAPACK buffer its
-    gufunc copies that into, so the resident peak is three times the
-    data; tracemalloc sees only the first copy, not the malloc'd buffer.
+    A tall-skinny QR over groups of sets: sets are gathered until a group
+    holds at least ``_POD_GROUP_ROWS * n`` snapshots, and each group is
+    reduced by one QR of ``[R; Q_g^T]`` whose factor heads the next group,
+    so one group is held at a time.  The sets are neither pooled nor
+    written.
     """
+    group, rows = [], 0  # the carried factor, then the group's transposed sets
+    for states in _snapshot_sets(snapshots):
+        if states.shape[0] != n:
+            raise ValueError(f"snapshots have dimension {states.shape[0]}, mass is {n}")
+        if not np.all(np.isfinite(states)):
+            raise ValueError("non-finite entries in the snapshot stack")
+        group.append(states.T)
+        rows += states.shape[1]
+        del states  # the group holds the set until it is factored
+        if rows >= _POD_GROUP_ROWS * n:
+            group, rows = [_stacked_factor(group)], 0
+    if rows:
+        group = [_stacked_factor(group)]
+    if not group:
+        raise ValueError("no snapshot sets provided")
+    return group[0]
+
+
+def _stacked_factor(group: list[np.ndarray]) -> np.ndarray:
+    """The R factor of the rows of ``group`` stacked; empties ``group`` before the QR."""
+    stack = np.vstack(group)
+    group.clear()
+    return np.linalg.qr(stack, mode="r")
+
+
+def _weighted_left_vectors(snapshots, mass: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """Leading r left singular vectors of ``W = R_M [Q_1 ... Q_Ns]``, pulled back by ``R_M``.
+
+    ``R_M`` is the upper Cholesky factor of ``mass``.  With ``Q^T = O_1 R``
+    (``R`` the snapshot factor) and ``R R_M^T = O_2 F``, the weighted
+    stack has ``W^T = Q^T R_M^T = (O_1 O_2) F``: the R factor of ``W^T`` is
+    that of the small ``R R_M^T``, so the weight is applied once, at the
+    end, and ``W`` is never formed.
+    """
+    factor = _snapshot_factor(snapshots, np.shape(mass)[0])
     chol = cholesky_upper(mass)
-    if pooled.shape[0] != mass.shape[0]:
-        raise ValueError(
-            f"snapshots have dimension {pooled.shape[0]}, mass is {mass.shape[0]}"
-        )
-    if not np.all(np.isfinite(pooled)):
-        raise ValueError("non-finite entries in the snapshot stack")
-    weighted = np.matmul(chol, pooled, out=pooled)
-    # The QR factorization W^T = Q F gives W = F^T Q^T: the left singular
-    # vectors and singular values of W are those of the small factor F^T,
-    # and the right singular vectors (one entry per snapshot) are never
-    # formed.  The Gram matrix W W^T would square the condition number that
-    # the rank cut reads.
-    u_tilde, svals, _ = thin_svd(np.linalg.qr(weighted.T, mode="r").T)
+    # W = F^T (O_1 O_2)^T: the left singular vectors and singular values of
+    # W are those of the small factor F^T, and the right singular vectors
+    # (one entry per snapshot) are never formed.  The Gram matrix W W^T would
+    # square the condition number that the rank cut reads.
+    u_tilde, svals, _ = thin_svd(np.linalg.qr(factor @ chol.T, mode="r").T)
     numerical_rank = int(np.count_nonzero(svals > POD_RANK_RTOL * svals[0])) if svals.size else 0
     if r > numerical_rank:
         raise ValueError(
@@ -209,16 +243,17 @@ def _weighted_left_vectors(
 
 
 def weighted_pod(snapshots, mass: np.ndarray, r: int) -> ReducedBasis:
-    """Mass-weighted POD basis of rank ``r`` from pooled snapshot sets.
+    """Mass-weighted POD basis of rank ``r`` of snapshot sets taken side by side.
 
     Parameters
     ----------
-    snapshots : sequence or ndarray
+    snapshots : iterable or ndarray
         Snapshot matrices (``N x Nt`` each) or objects exposing ``.states``,
-        pooled in order into one ``(N, K)`` matrix.  Or that pooled matrix
-        itself: it is then overwritten by its weighted form ``R @ pooled``
-        (a float64 matrix is not copied), so besides it only NumPy's QR
-        holds the data, twice (its input copy and its LAPACK buffer).
+        from any iterable (a generator is read once, set by set); a 2-D
+        array is one set.  Sets are gathered into groups of at least
+        ``4 N`` snapshots, and each group is reduced to an ``N x N`` QR
+        factor before the next is read, so one group is held at a time.
+        The inputs are neither pooled nor modified.
     mass : ndarray, shape (N, N)
         Symmetric positive definite weight matrix.
     r : int
@@ -226,26 +261,25 @@ def weighted_pod(snapshots, mass: np.ndarray, r: int) -> ReducedBasis:
     """
     if r < 1:
         raise ValueError(f"r must be positive, got {r}")
-    u, svals = _weighted_left_vectors(_pooled(snapshots), mass, r)
+    u, svals = _weighted_left_vectors(snapshots, mass, r)
     return ReducedBasis(u=u, weight=np.asarray(mass, dtype=float), kind="pod",
                         singular_values=svals)
 
 
 def psd_cotangent_lift(q_snapshots, p_snapshots, mass: np.ndarray, r: int) -> ReducedBasis:
-    """Block-diagonal symplectic basis from pooled position/momentum data.
+    """Block-diagonal symplectic basis from position and momentum data.
 
-    The :func:`weighted_pod` basis ``Uw`` of rank ``r`` of the pooled
-    position and momentum snapshot sets, acting on each state block: the
-    returned basis is ``blockdiag(Uw, Uw)`` with ``u_half = Uw``.
+    The :func:`weighted_pod` basis ``Uw`` of rank ``r`` of the position
+    and momentum snapshot sets taken together, acting on each state block:
+    the returned basis is ``blockdiag(Uw, Uw)`` with ``u_half = Uw``.
 
-    The sets are pooled positions first.  A caller that holds that pooled
-    matrix ``[Q_1 ... Q_Ns  P_1 ... P_Ns]`` passes it as ``q_snapshots``
-    with no momentum sets (``p_snapshots=()``); it is overwritten as in
-    :func:`weighted_pod`.
+    Both arguments are read as in :func:`weighted_pod`, positions first.
+    The basis does not depend on the order of the sets (to rounding), so a
+    caller may pass every set, in any order, as ``q_snapshots`` with no
+    momentum sets (``p_snapshots=()``).
     """
-    momenta = list(p_snapshots)
-    pooled = q_snapshots if not momenta else _state_list(q_snapshots) + _state_list(momenta)
-    return _cotangent_lift(weighted_pod(pooled, mass, r))
+    sets = itertools.chain(_snapshot_sets(q_snapshots), _snapshot_sets(p_snapshots))
+    return _cotangent_lift(weighted_pod(sets, mass, r))
 
 
 def project_snapshots(basis: ReducedBasis, snapshots) -> list[np.ndarray]:

@@ -19,12 +19,13 @@ exempt).
 Provenance: ``simulate_fom`` records in ``manifest.json`` (``full_order``)
 the configuration fields that fix the parameters and trajectories,
 ``build_basis`` records the full-order record its basis was built from
-(``basis``), ``infer`` records the methods it fitted, the derivative
-data it used and the basis record it fitted in (``operators``), and
-``simulate_rom`` records the same fields for the runs it integrated
-(``rom``); the later stages refuse to run when a record they rely on is
-missing or differs from their configuration (a configured method that
-was never inferred or simulated counts as a difference).
+(``basis``), ``infer`` records the methods and sizes it fitted, the
+derivative data it used and the basis record it fitted in
+(``operators``), and ``simulate_rom`` records the same fields for the
+runs it integrated (``rom``); the later stages refuse to run when a
+record they rely on is missing or differs from their configuration (a
+configured method or size that was never inferred or simulated counts as
+a difference).
 
 Reruns: each stage owns a manifest record (``evaluate`` has none) and
 artifact paths: ``simulate_fom`` ``fom/`` and the ``params_*.tpoi``
@@ -97,7 +98,7 @@ from .heat import (
 )
 from .inference import InferenceData, infer_lstsq, infer_normal, infer_symmetric
 from .linalg import lstsq_min_norm
-from .metrics import hamiltonian_drift, projection_error, relative_l2, weighted_norm_sq
+from .metrics import hamiltonian_drift, projection_error, relative_l2
 from .rom import (
     block_operator,
     cayley_sweep,
@@ -111,6 +112,7 @@ from .rom import (
 from .storage import load_matrix, save_matrix, load_tensor, save_tensor
 from .tensors import mode3_product
 from .wave import (
+    WaveModel,
     build_wave_model,
     sample_wave_speeds,
     wave_full_operator,
@@ -150,9 +152,9 @@ _RECORDS = {
                    "full-order", "the full-order data were simulated", "simulate-fom"),
     "basis": (_FULL_ORDER_FIELDS,
               "basis", "the basis was built from full-order data", "build-basis"),
-    "operators": (("methods", "derivative", "basis"),
+    "operators": (("methods", "reduced_dims", "derivative", "basis"),
                   "operator", "the operators were inferred", "infer"),
-    "rom": (("methods", "derivative", "basis"),
+    "rom": (("methods", "reduced_dims", "derivative", "basis"),
             "reduced-order", "the reduced runs were simulated", "simulate-rom"),
 }
 
@@ -274,9 +276,10 @@ def _record(cfg: ExperimentConfig, key: str) -> dict:
 def _require_record(cfg: ExperimentConfig, manifest: dict, key: str) -> None:
     """Refuse artifacts that ``manifest`` records, as ``key``, for another configuration.
 
-    Each recorded field must equal the configured one, except ``methods``:
-    a stage may use any of the methods that were inferred or simulated.  A
-    carried record that differs names its differing fields.
+    Each recorded field must equal the configured one, except ``methods``
+    and ``reduced_dims``: a stage may use any of the methods and sizes
+    that were inferred or simulated.  A carried record that differs names
+    its differing fields.
     """
     _, name, made, stage = _RECORDS[key]
     stored = manifest.get(key)
@@ -288,7 +291,8 @@ def _require_record(cfg: ExperimentConfig, manifest: dict, key: str) -> None:
         if isinstance(v, dict) and isinstance(have, dict):
             changed.extend(f"{k} {f} {have.get(f)!r} (configured {w!r})"
                            for f, w in v.items() if have.get(f) != w)
-        elif not (set(v) <= set(have or ()) if k == "methods" else have == v):
+        elif not (set(v) <= set(have or ()) if k in ("methods", "reduced_dims")
+                  else have == v):
             changed.append(f"{k} {have!r} (configured {v!r})")
     if changed:
         raise ValueError(f"{made} with " + ", ".join(changed) + f"; rerun {stage}")
@@ -433,10 +437,14 @@ class Surrogate:
     def _learned(self, label: str, r: int):
         """The stored operators of method ``label`` at size r: heat ``T``, wave ``(T1, A2)``."""
         if (label, r) not in self._operators:
-            inferred = self._manifest.get("operators", {}).get("methods", [])
+            record = self._manifest.get("operators", {})
+            inferred, sizes = record.get("methods", []), record.get("reduced_dims", [])
             if label not in inferred:
                 raise ValueError(f"no {label!r} operators were inferred (inferred: "
                                  f"{', '.join(inferred) or 'none'}); rerun infer")
+            if r not in sizes:
+                raise ValueError(f"no operators of size {r} were inferred (inferred: "
+                                 f"{', '.join(map(str, sizes)) or 'none'}); rerun infer")
             path = self.outdir / "operators"
             self._operators[label, r] = (
                 load_tensor(path / f"tensor_{label}_r{r}.tpoi") if self.cfg.problem == "heat1d"
@@ -503,12 +511,13 @@ def simulate_fom(cfg: ExperimentConfig, outdir) -> None:
 def build_basis(cfg: ExperimentConfig, outdir) -> None:
     """Build the reduced basis of the largest requested size from training data.
 
-    The training states are read file by file into one pooled ``(N, K)``
-    matrix, in sample order: heat's trajectories; for wave every position
-    block, then every momentum block, never as a list of per-file arrays.
-    The POD overwrites that matrix with its weighted form.  At the peak the
-    data are resident three times: the matrix, the copy ``np.linalg.qr``
-    makes of it and the LAPACK buffer its gufunc fills.
+    The POD reads the training files through a generator, in sample
+    order: heat's trajectories; for wave each file's position block, then
+    its momentum block.  It gathers them into groups of at least ``4 N``
+    snapshots and reduces each group to an ``N x N`` QR factor before it
+    reads the next (:func:`~topinf.basis.weighted_pod`), so the stage holds
+    one group, never the whole training set; the files' arrays are not
+    modified.
     """
     cfg = cfg.validate()
     outdir = Path(outdir)
@@ -519,18 +528,15 @@ def build_basis(cfg: ExperimentConfig, outdir) -> None:
 
     model = _build_model(cfg)
     heat = cfg.problem == "heat1d"
-    blocks, weight = (1, model.mass) if heat else (2, model.mass_w)
+    weight = model.mass if heat else model.mass_w
     n = weight.shape[0]
-    pooled = np.empty((n, blocks, cfg.n_train, cfg.n_times))
-    for i in range(cfg.n_train):
-        pooled[:, :, i] = (load_matrix(_fom_path(outdir, "train", i))
-                           .reshape(blocks, n, cfg.n_times).transpose(1, 0, 2))
-    pooled = pooled.reshape(n, -1)
+    files = (load_matrix(_fom_path(outdir, "train", i)) for i in range(cfg.n_train))
     r_max = max(cfg.reduced_dims)
     if heat:
-        b = weighted_pod(pooled, weight, r_max)
-    else:
-        b = psd_cotangent_lift(pooled, (), weight, r_max)
+        b = weighted_pod(files, weight, r_max)
+    else:  # each file's position block, then its momentum block
+        b = psd_cotangent_lift((block for states in files for block in (states[:n], states[n:])),
+                               (), weight, r_max)
         save_matrix(outdir / "basis" / "u_half.tpoi", b.u_half)
     save_matrix(outdir / "basis" / "u.tpoi", b.u)
     save_tensor(outdir / "basis" / "svals.tpoi", b.singular_values)
@@ -685,16 +691,29 @@ def _energies(ops: np.ndarray) -> np.ndarray:
     return 0.5 * (e + e.transpose(0, 2, 1))
 
 
-def _scored_run(states: np.ndarray, u: np.ndarray, mass: np.ndarray):
+def _mass_product(model, x: np.ndarray) -> np.ndarray:
+    """``M x`` through the mass bands: heat's tridiagonal ``M``, wave's ``M_w = h I``."""
+    if isinstance(model, WaveModel):
+        return model.h * x
+    d, e = model.mass_diag[:, None], model.mass_off[:, None]
+    mx = d * x
+    mx[:-1] += e * x[1:]
+    mx[1:] += e * x[:-1]
+    return mx
+
+
+def _scored_run(states: np.ndarray, u: np.ndarray, model):
     """``(C, ||Q - U C||_M^2, ||Q||_M^2)`` of a full-order run's scored block ``Q``.
 
-    ``Q`` is the leading ``U.shape[0]`` rows of ``states``; ``C = U^T M Q``.  The
-    residual is lifted once and measured directly: ``||Q||_M^2 - ||C||^2`` cancels.
+    ``Q`` is the leading ``U.shape[0]`` rows of ``states``; ``C = U^T M Q``, and
+    every product with ``M`` goes through the model's mass bands.  The residual
+    is lifted once and measured directly: ``||Q||_M^2 - ||C||^2`` cancels.
     """
     q = states[: u.shape[0]]
-    mq = mass @ q
+    mq = _mass_product(model, q)
     c = u.T @ mq
-    return c, weighted_norm_sq(q - u @ c, mass), float(np.sum(q * mq))
+    residual = q - u @ c
+    return c, float(np.sum(residual * _mass_product(model, residual))), float(np.sum(q * mq))
 
 
 def evaluate(cfg: ExperimentConfig, outdir) -> None:
@@ -708,9 +727,11 @@ def evaluate(cfg: ExperimentConfig, outdir) -> None:
         ||Q - U_r y||_M^2 = ||Q - U C||_M^2 + ||C[r:]||^2 + ||C[:r] - y||^2.
 
     The first two terms are the projection residual at size r, shared by
-    every model; the last needs no lift and no mass product.  The basis
-    block and weight score the leading state block: heat's whole state,
-    wave's position.  Errors pool the runs that did not diverge.  A
+    every model; the last needs no lift and no mass product.  ``C`` and
+    the two M-norms per full-order run go through the mass bands (heat's
+    tridiagonal ``M``, wave's ``h I``), not a dense ``N x N`` product.  The
+    basis block and weight score the leading state block: heat's whole
+    state, wave's position.  Errors pool the runs that did not diverge.  A
     wave run's energy is ``h = 1/2 y . (E_s y)`` with ``E_s`` from the
     sample's generator (:func:`_energies`); ``energy`` records per
     (label, r, split) the smallest eigenvalue of each block of ``E_s``,
@@ -735,9 +756,9 @@ def evaluate(cfg: ExperimentConfig, outdir) -> None:
     if wave:
         params = np.hstack([_load_params(outdir, split) for split, _ in _splits(cfg)])
         first = {"train": 0, "test": cfg.n_train}  # each split's first column of params
-    u, mass = surrogate.basis.block, surrogate.basis.weight
+    u = surrogate.basis.block
 
-    runs = {split: [_scored_run(load_matrix(_fom_path(outdir, split, i)), u, mass)
+    runs = {split: [_scored_run(load_matrix(_fom_path(outdir, split, i)), u, surrogate.model)
                     for i in range(count)]
             for split, count in _splits(cfg)}
     showcase = "test" if cfg.n_test > 0 else "train"

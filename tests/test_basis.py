@@ -3,25 +3,33 @@
 The projection error of a weighted POD basis on its own training data has
 a closed form in the singular values of the weighted snapshot stack; that
 identity is the main oracle here.  The block basis is checked for
-equivariance with the canonical symplectic matrix.
+equivariance with the canonical symplectic matrix, and the streamed POD
+(sets reduced group by group) against the POD of the pooled sets.
 """
+
+import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from topinf import (
     build_heat_model,
+    build_wave_model,
     canonical_j,
     crank_nicolson,
+    default_config,
     estimate_time_derivative,
     exact_reduced_derivative,
     heat_initial_state,
     heat_operator,
+    load_matrix,
     projection_error,
     project_snapshots,
     psd_cotangent_lift,
     weighted_pod,
 )
+from topinf import pipeline
 from topinf.linalg import cholesky_upper
 
 
@@ -174,13 +182,12 @@ def test_block_basis_pools_position_and_momentum_data():
 
 
 def test_pod_of_a_pooled_matrix_matches_the_pod_of_its_sets():
-    # a pooled matrix is weighted in place (no copy) and gives the same
-    # basis, bit for bit, as the list of sets it pools; for the cotangent
-    # lift it holds the positions, then the momenta
+    # a pooled matrix is left unchanged and gives the same basis, bit for
+    # bit, as the list of sets it pools; for the cotangent lift it holds the
+    # positions, then the momenta
     rng = np.random.default_rng(511)
     n = 9
     mass = random_spd(rng, n)
-    chol = cholesky_upper(mass)
     qs = make_snapshots(rng, n, 2, 6)
     ps = make_snapshots(rng, n, 2, 6)
     for from_sets, pooled, fit in (
@@ -188,12 +195,128 @@ def test_pod_of_a_pooled_matrix_matches_the_pod_of_its_sets():
              lambda m: weighted_pod(m, mass, 3)),
             (psd_cotangent_lift(qs, ps, mass, 3), np.hstack(qs + ps),
              lambda m: psd_cotangent_lift(m, (), mass, 3))):
-        weighted = chol @ pooled
+        unchanged = pooled.copy()
         from_matrix = fit(pooled)
         assert from_matrix.kind == from_sets.kind
         np.testing.assert_array_equal(from_matrix.u, from_sets.u)
         np.testing.assert_array_equal(from_matrix.singular_values, from_sets.singular_values)
-        np.testing.assert_array_equal(pooled, weighted)
+        np.testing.assert_array_equal(pooled, unchanged)
+
+
+def _assert_same_basis(a, b, exact):
+    if exact:
+        np.testing.assert_array_equal(a.u, b.u)
+        np.testing.assert_array_equal(a.singular_values, b.singular_values)
+    else:
+        sv = b.singular_values
+        np.testing.assert_allclose(a.singular_values, sv, rtol=0, atol=1e-12 * sv[0])
+        np.testing.assert_allclose(a.u, b.u, rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("n_sets, exact", [(2, True), (9, False)], ids=["one-group", "groups"])
+def test_pod_of_a_generator_a_list_and_a_pooled_matrix_agree(n_sets, exact):
+    # the same sets as a generator, a list and one pooled matrix: bit for bit
+    # while they fit in one group (fewer than 4 N snapshots), to rounding once
+    # the list is factored group by group and the matrix in one QR; no input
+    # is modified
+    rng = np.random.default_rng(512)
+    n, r = 8, 4
+    mass = random_spd(rng, n)
+    qs = make_snapshots(rng, n, n_sets, 7)
+    ps = make_snapshots(rng, n, n_sets, 7)
+    kept = [s.copy() for s in qs + ps]
+    for fit, sets in ((lambda *a: weighted_pod(*a, mass, r), (qs,)),
+                      (lambda *a: psd_cotangent_lift(*a, mass, r), (qs, ps))):
+        from_list = fit(*sets)
+        from_generator = fit(*((s for s in group) for group in sets))
+        pooled = np.hstack([s for group in sets for s in group])
+        unchanged = pooled.copy()
+        from_matrix = fit(pooled, *([()] if len(sets) == 2 else []))
+        _assert_same_basis(from_generator, from_list, exact=True)
+        _assert_same_basis(from_matrix, from_list, exact=exact)
+        assert from_list.kind == from_generator.kind == from_matrix.kind
+        np.testing.assert_array_equal(pooled, unchanged)
+    for before, after in zip(kept, qs + ps):
+        np.testing.assert_array_equal(after, before)
+
+
+def test_pod_groups_sets_until_they_hold_four_n_snapshots(monkeypatch):
+    # n = 5: a group closes once it holds at least 20 snapshots.  Sets of 7
+    # and 9 snapshots, then one wider than 4 n (30), close the first group at
+    # 46; the next group stacks the carried 5 x 5 factor over the last two
+    # sets (4 + 3), a partial group; the last QR applies the weight.  The
+    # basis matches the full SVD of the weighted pooled stack.
+    rng = np.random.default_rng(513)
+    n, r = 5, 3
+    mass = random_spd(rng, n)
+    sets = [rng.standard_normal((n, k)) for k in (7, 9, 30, 4, 3)]
+    shapes = []
+    real_qr = np.linalg.qr
+
+    def spy(a, mode="reduced"):
+        shapes.append(np.shape(a))
+        return real_qr(a, mode=mode)
+
+    monkeypatch.setattr(np.linalg, "qr", spy)
+    basis = weighted_pod(iter(sets), mass, r)
+    monkeypatch.undo()
+    assert shapes == [(46, n), (n + 7, n), (n, n)]
+
+    chol = cholesky_upper(mass)
+    u_tilde, svals, _ = np.linalg.svd(chol @ np.hstack(sets), full_matrices=False)
+    u_r = u_tilde[:, :r] * np.sign(u_tilde[np.argmax(np.abs(u_tilde[:, :r]), axis=0),
+                                           np.arange(r)])
+    np.testing.assert_allclose(basis.singular_values, svals, rtol=0, atol=1e-12 * svals[0])
+    np.testing.assert_allclose(basis.u, np.linalg.solve(chol, u_r), rtol=0, atol=1e-10)
+    # one set wider than 4 n alone is one group
+    shapes.clear()
+    monkeypatch.setattr(np.linalg, "qr", spy)
+    weighted_pod(sets[2], mass, r)
+    assert shapes == [(30, n), (n, n)]
+
+
+@pytest.mark.parametrize("problem", ["heat1d", "wave1d"])
+def test_project_matches_the_dense_weight_product(problem):
+    # U^T M, formed once per call and applied to each state block, matches
+    # U^T (M Q) to 1e-13 relative
+    rng = np.random.default_rng(514)
+    if problem == "heat1d":
+        model = build_heat_model(40)
+        mass, n = model.mass, model.n_dof
+        basis = weighted_pod(make_snapshots(rng, n, 3, 20), mass, 6)
+    else:
+        model = build_wave_model(40)
+        mass, n = model.mass_w, model.n_w
+        basis = psd_cotangent_lift(make_snapshots(rng, n, 2, 20), make_snapshots(rng, n, 2, 20),
+                                   mass, 6)
+    states = rng.standard_normal((basis.blocks * n, 30))
+    expected = np.concatenate([basis.block.T @ (mass @ block)
+                               for block in states.reshape(basis.blocks, n, -1)])
+    got = basis.project(states)
+    np.testing.assert_allclose(got, expected, rtol=0, atol=1e-13 * np.max(np.abs(expected)))
+
+
+@pytest.mark.parametrize("problem", ["heat1d", "wave1d"])
+def test_basis_build_holds_one_group_of_training_data(problem, tmp_path):
+    # build_basis streams the training files through the POD: one group of
+    # at least 4 N snapshots and the carried N x N factor are held at a
+    # time, twice during the group's QR (the stack and NumPy's input copy),
+    # so the traced peak is a fraction of the training data.  Default heat1d
+    # (N = 200, 20 sets of 251) stacks 1,204 of 5,020 rows per group and
+    # peaks at about 0.57 times the data, wave1d at about 0.40; pooling all
+    # the data, as the pipeline once did, peaks at about 2.1 times.
+    cfg = dataclasses.replace(default_config(problem), n_test=0)
+    pipeline.simulate_fom(cfg, tmp_path)
+    pipeline.build_basis(cfg, tmp_path)  # first-call imports outside the trace
+    data_bytes = sum(load_matrix(tmp_path / "fom" / f"train_{i:03d}.tpoi").nbytes
+                     for i in range(cfg.n_train))
+    tracemalloc.start()
+    try:
+        pipeline.build_basis(cfg, tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.6 * data_bytes
 
 
 def test_project_and_lift_round_trip_in_span():

@@ -29,6 +29,7 @@ from topinf import (
     run_pipeline,
     save_tensor,
     symmetric_part,
+    weighted_norm_sq,
 )
 from topinf import pipeline, wave
 from topinf.pipeline import STAGES, evaluate, simulate_rom
@@ -255,6 +256,23 @@ def test_heat_error_table(heat_run):
 def test_scores_match_full_order_oracle(run, request):
     cfg, outdir, manifest = request.getfixturevalue(run)
     assert_scores_match_full_order_oracle(cfg, outdir, manifest)
+
+
+@pytest.mark.parametrize("run", ["heat_run", "wave_run"])
+def test_scored_runs_take_banded_mass_products(run, request):
+    # C = U^T M Q and both M-norms go through the mass bands; they match the
+    # dense-weight forms U^T (M Q) and weighted_norm_sq to 1e-13 relative
+    cfg, outdir, _ = request.getfixturevalue(run)
+    surrogate = Surrogate(cfg, outdir)
+    u, mass = surrogate.basis.block, surrogate.basis.weight
+    for i in range(cfg.n_train):
+        states = load_matrix(outdir / "fom" / f"train_{i:03d}.tpoi")
+        q = states[: u.shape[0]]
+        c, residual, norm = pipeline._scored_run(states, u, surrogate.model)
+        dense = u.T @ (mass @ q)
+        np.testing.assert_allclose(c, dense, rtol=0, atol=1e-13 * np.max(np.abs(dense)))
+        assert residual == pytest.approx(weighted_norm_sq(q - u @ c, mass), rel=1e-13)
+        assert norm == pytest.approx(weighted_norm_sq(q, mass), rel=1e-13)
 
 
 def test_heat_exact_derivative_recovery(tmp_path):
@@ -582,7 +600,7 @@ def test_stages_accept_a_subset_of_the_inferred_methods(heat_run, tmp_path):
     outdir = tmp_path / "run"
     shutil.copytree(source, outdir)
     manifest = json.loads((outdir / "manifest.json").read_text())
-    assert manifest["operators"] == {"methods": ["normal", "lstsq"],
+    assert manifest["operators"] == {"methods": ["normal", "lstsq"], "reduced_dims": [2, 3],
                                      "derivative": "finite_difference",
                                      "basis": manifest["basis"]}
     assert manifest["rom"] == manifest["operators"]
@@ -625,6 +643,39 @@ def test_evaluate_refuses_reduced_runs_of_operators_inferred_since(missing, heat
     fresh = run_pipeline(exact, tmp_path / "fresh")
     manifest = json.loads((outdir / "manifest.json").read_text())
     assert manifest["errors"] == fresh["errors"]
+
+
+def test_simulate_rom_refuses_a_size_that_infer_did_not_fit(heat_run, tmp_path):
+    # infer rerun at r = 2 only: simulate_rom at r = (2, 3) must name the
+    # stage to rerun before it empties rom/, not fail on a missing r = 3 file
+    cfg, source, _ = heat_run
+    assert cfg.reduced_dims == (2, 3)
+    outdir = tmp_path / "run"
+    shutil.copytree(source, outdir)
+    pipeline.infer(dataclasses.replace(cfg, reduced_dims=(2,)), outdir)
+    before = artifact_bytes(outdir, skip=())
+    with pytest.raises(ValueError, match=r"operators were inferred with reduced_dims \[2\] "
+                                         r"\(configured \[2, 3\]\); rerun infer"):
+        simulate_rom(cfg, outdir)
+    assert artifact_bytes(outdir, skip=()) == before
+    with pytest.raises(ValueError, match=r"no operators of size 3 were inferred "
+                                         r"\(inferred: 2\); rerun infer"):
+        Surrogate.load(outdir).run("normal", 3, load_matrix(outdir / "params_test.tpoi"))
+
+
+def test_evaluate_refuses_a_size_that_simulate_rom_did_not_run(heat_run, tmp_path):
+    # simulate_rom rerun at r = 2 only: evaluate at r = (2, 3) must name the
+    # stage to rerun before it empties report/, not fail on a missing r = 3 run
+    cfg, source, _ = heat_run
+    outdir = tmp_path / "run"
+    shutil.copytree(source, outdir)
+    simulate_rom(dataclasses.replace(cfg, reduced_dims=(2,)), outdir)
+    before = artifact_bytes(outdir, skip=())
+    with pytest.raises(ValueError, match=r"reduced runs were simulated with reduced_dims \[2\] "
+                                         r"\(configured \[2, 3\]\); rerun simulate-rom"):
+        evaluate(cfg, outdir)
+    assert artifact_bytes(outdir, skip=()) == before
+    evaluate(dataclasses.replace(cfg, reduced_dims=(2,)), outdir)  # a simulated subset is scored
 
 
 def test_stages_refuse_a_basis_built_from_other_full_order_data(heat_run, tmp_path):
