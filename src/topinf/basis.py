@@ -6,7 +6,8 @@ factor of ``M`` (``R^T R = M``), the basis is ``U = R^{-1} Utilde_r`` where
 ``Utilde_r`` holds the leading left singular vectors of the weighted
 snapshot stack ``R [Q_1 ... Q_Ns]``, so ``U^T M U = I``.  The stack is
 never formed: a tall-skinny QR reduces the snapshot sets group by group
-to one ``N x N`` triangular factor, and the weight is applied to that.
+to one ``N x N`` triangular factor ``F``, and one SVD of ``R F^T`` gives
+the modes.
 
 :func:`psd_cotangent_lift` builds a symplectic block basis for canonical
 systems ``y = (q, p)``: one weighted POD basis ``Uw`` is fit to the
@@ -212,31 +213,27 @@ def _stacked_factor(group: list[np.ndarray]) -> np.ndarray:
 def _weighted_left_vectors(snapshots, mass: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
     """Leading r left singular vectors of ``W = R_M [Q_1 ... Q_Ns]``, pulled back by ``R_M``.
 
-    ``R_M`` is the upper Cholesky factor of ``mass``.  With ``Q^T = O_1 R``
-    (``R`` the snapshot factor) and ``R R_M^T = O_2 F``, the weighted
-    stack has ``W^T = Q^T R_M^T = (O_1 O_2) F``: the R factor of ``W^T`` is
-    that of the small ``R R_M^T``, so the weight is applied once, at the
-    end, and ``W`` is never formed.
+    ``R_M`` is the upper Cholesky factor of ``mass``.  With ``Q^T = O_1 F``
+    (``F`` the ``N x N`` snapshot factor), the weighted stack has
+    ``W^T = Q^T R_M^T = O_1 (F R_M^T)``, so ``W`` has the left singular
+    vectors and singular values of the small ``R_M F^T``: the weight is
+    applied once, at the end, and ``W`` is never formed.
     """
     factor = _snapshot_factor(snapshots, np.shape(mass)[0])
     chol = cholesky_upper(mass)
-    # W = F^T (O_1 O_2)^T: the left singular vectors and singular values of
-    # W are those of the small factor F^T, and the right singular vectors
-    # (one entry per snapshot) are never formed.  The Gram matrix W W^T would
-    # square the condition number that the rank cut reads.
-    u_tilde, svals, _ = thin_svd(np.linalg.qr(factor @ chol.T, mode="r").T)
+    # the right singular vectors of W (one entry per snapshot) are never
+    # formed.  The Gram matrix W W^T would square the condition number that
+    # the rank cut reads.
+    u_tilde, svals, _ = thin_svd(chol @ factor.T)
     numerical_rank = int(np.count_nonzero(svals > POD_RANK_RTOL * svals[0])) if svals.size else 0
     if r > numerical_rank:
         raise ValueError(
             f"requested {r} modes but the snapshot stack has numerical rank "
             f"{numerical_rank}"
         )
-    u_r = u_tilde[:, :r].copy()
     # deterministic sign: largest-magnitude entry of each mode is positive
-    for col in range(r):
-        lead = np.argmax(np.abs(u_r[:, col]))
-        if u_r[lead, col] < 0.0:
-            u_r[:, col] = -u_r[:, col]
+    u_r = u_tilde[:, :r]
+    u_r = u_r * np.where(u_r[np.argmax(np.abs(u_r), axis=0), np.arange(r)] < 0.0, -1.0, 1.0)
     # NumPy's solve: SciPy's runs in a second BLAS thread pool that stalls NumPy's.
     basis = np.linalg.solve(chol, u_r)
     return basis, svals

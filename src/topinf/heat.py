@@ -20,7 +20,8 @@ from one vectorized assembly (:func:`p1_assembly`, which also gives the
 wave model its flux mass slices); the dense ``M`` and the stacked
 ``(N, N, p)`` tensor of the ``K_k`` are built on access.
 :func:`heat_sweep` steps a whole parameter sweep with Crank-Nicolson
-through one stacked tridiagonal factorization of the bands.
+through one stacked tridiagonal factorization of the bands, and
+:meth:`HeatModel.apply_mass` applies ``M`` through its bands.
 """
 
 from __future__ import annotations
@@ -151,6 +152,15 @@ class HeatModel:
         """Interior mass matrix ``(N, N)`` (symmetric positive definite)."""
         return dense_slices(self.mass_diag[None], self.mass_off[None])[:, :, 0]
 
+    def apply_mass(self, x: np.ndarray) -> np.ndarray:
+        """``M x`` through the mass bands, along the first axis of an array ``x`` (N,) or (N, k)."""
+        shape = (-1,) + (1,) * (x.ndim - 1)
+        d, e = self.mass_diag.reshape(shape), self.mass_off.reshape(shape)
+        mx = d * x
+        mx[:-1] += e * x[1:]
+        mx[1:] += e * x[:-1]
+        return mx
+
     @property
     def stiffness(self) -> np.ndarray:
         """Per-subdomain stiffness slices ``(N, N, p)``; each is symmetric
@@ -198,10 +208,17 @@ def heat_sweep(
 ) -> list[Trajectory]:
     """Crank-Nicolson trajectories of ``M qdot = A(mu) q`` for every column of ``params`` (p, S).
 
-    Each step solves ``(M + dt/2 K(mu)) q+ = (M - dt/2 K(mu)) q`` with
-    ``K(mu) = sum_k mu_k K_k``: the S tridiagonal systems are factored
-    once, end to end, and one tridiagonal solve per step advances every
-    sample (:func:`~topinf.rom.tridiagonal_sweep`).  The states agree with
+    With ``K(mu) = sum_k mu_k K_k``, each step is in midpoint form: the
+    midpoint ``z = (q + q+) / 2`` solves
+
+        (M + dt/2 K(mu)) z = M q,    q+ = 2 z - q,
+
+    the same map as ``(M + dt/2 K(mu)) q+ = (M - dt/2 K(mu)) q``.  ``M``
+    does not depend on ``mu``, so the parameter enters only through the
+    factored matrices: the S tridiagonals ``(M + dt/2 K(mu)) / 2``, whose
+    solves return ``2 z``, are factored once, end to end, and one
+    tridiagonal solve per step advances every sample
+    (:func:`~topinf.rom.tridiagonal_sweep`).  The states agree with
     ``crank_nicolson(heat_operator(model, mu), q0, dt, n_times, mass=M)``
     to rounding.
     """
@@ -214,24 +231,22 @@ def heat_sweep(
     if q0.shape != (model.n_dof,):
         raise ValueError(f"initial state must have length {model.n_dof}, got {q0.shape}")
 
-    # dt/2 K(mu) bands of every sample, (S, n) and (S, n - 1)
-    k_diag, k_off = weighted_bands(0.5 * dt * params, model.stiffness_diag, model.stiffness_off)
-    m_diag, m_off = model.mass_diag, model.mass_off
+    k_diag, k_off = weighted_bands(0.25 * dt * params, model.stiffness_diag, model.stiffness_off)
+    # M's off-diagonal tiled over the samples, each sample's ending in a zero
+    # coupling, so the coupling products run over the flattened rows; rows of
+    # fewer samples read a prefix, which is again M's off-diagonal tiled
+    m_off = np.tile(np.append(model.mass_off, 0.0), len(k_diag))
 
-    # (M - dt/2 K) bands; each sample's off-diagonal ends in a zero coupling,
-    # so the product runs over the flattened stack as one tridiagonal
-    r_off = np.zeros(k_diag.shape)
-    r_off[:, :-1] = m_off - k_off
-
-    def step(solve, q, out, r_diag, r_off):
-        q, flat, coupling = q.ravel(), out.ravel(), r_off.ravel()[:-1]
-        np.multiply(r_diag.ravel(), q, out=flat)
+    def step(solve, q, out):
+        np.multiply(model.mass_diag, q, out=out)
+        q, flat, coupling = q.ravel(), out.ravel(), m_off[:q.size - 1]
         flat[:-1] += coupling * q[1:]
         flat[1:] += coupling * q[:-1]
-        solve(out)
+        solve(out)  # 2 z
+        flat -= q
 
-    return tridiagonal_sweep(step, m_diag + k_diag, m_off + k_off, q0, dt, n_times, t0,
-                             per_sample=(m_diag - k_diag, r_off))
+    return tridiagonal_sweep(step, 0.5 * model.mass_diag + k_diag, 0.5 * model.mass_off + k_off,
+                             q0, dt, n_times, t0)
 
 
 def heat_initial_state(model: HeatModel) -> np.ndarray:

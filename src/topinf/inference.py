@@ -23,9 +23,15 @@ Three solvers are provided:
 
 The two unconstrained solvers minimize the same objective; their system
 matrices satisfy ``D^T D = B`` exactly, so they agree to solver precision
-whenever the problem has a unique minimizer.  Uniqueness is equivalent to
-the feature matrix (samples x p) and the merged snapshot stack both having
-full column rank; :func:`uniqueness_check` reports both ranks.
+whenever the problem has a unique minimizer.  Uniqueness needs the feature
+matrix (samples x p) and the merged snapshot stack both to have full column
+rank, and :func:`uniqueness_check` reports both ranks; the two conditions
+are necessary, not sufficient.  The minimizer is unique exactly when the
+normal-equations matrix ``sum_s (nu_s nu_s^T) (x) (Y_s Y_s^T)`` is
+nonsingular, which fails, for example, when each sample's snapshots span
+only the directions its own features weight.  Then :func:`infer_normal`
+raises :class:`~topinf.errors.SingularMatrixError` and :func:`infer_lstsq`
+flags ``rank_deficient``.
 """
 
 from __future__ import annotations
@@ -134,7 +140,11 @@ class InferenceData:
 
 @dataclass(frozen=True)
 class UniquenessReport:
-    """Rank diagnostics for the unconstrained inference problem."""
+    """Rank diagnostics for the unconstrained inference problem.
+
+    ``unique`` means that both necessary rank conditions hold; it does not
+    by itself guarantee a unique minimizer (see :func:`uniqueness_check`).
+    """
 
     unique: bool
     feature_rank: int
@@ -185,13 +195,15 @@ class InferredTensor:
 
 
 def uniqueness_check(data: InferenceData) -> UniquenessReport:
-    """Rank test for uniqueness of the unconstrained minimizer.
+    """Rank test of two necessary conditions for a unique unconstrained minimizer.
 
-    The fit has a unique solution exactly when the feature matrix
-    (one row per sample) has full column rank ``p`` and the merged
-    snapshot stack (time-sample rows by state columns) has full column
-    rank ``r``.  Ranks are counted from singular values above
-    ``UNIQUENESS_RANK_RTOL`` times the largest.
+    The fit can have a unique solution only when the feature matrix (one
+    row per sample) has full column rank ``p`` and the merged snapshot
+    stack (time-sample rows by state columns) has full column rank ``r``.
+    Together they are not sufficient: ``unique`` can be true for a fit
+    whose normal equations are singular (see the module docstring), and
+    the solvers report that case themselves.  Ranks are counted from
+    singular values above ``UNIQUENESS_RANK_RTOL`` times the largest.
     """
     theta = data.nus.T  # (Ns, p)
     ymat = tensors.cvec(data.ys, 1, 2).T  # (Nt * Ns, r)
@@ -259,6 +271,9 @@ def infer_normal(data: InferenceData) -> InferredTensor:
     NonUniqueSolutionError
         If the rank conditions for a unique minimizer fail; the exception
         carries the :class:`UniquenessReport`.
+    SingularMatrixError
+        If the rank conditions hold but the normal equations are singular
+        all the same (the conditions are necessary, not sufficient).
     """
     report = uniqueness_check(data)
     if not report.unique:

@@ -56,6 +56,12 @@ at new parameters.  BLAS keeps its own threads.  A reduced run that
 diverges is recorded in the manifest as a structured record ``{label, r,
 split, index, step}``, keeps no states file, and is left out of the error
 pools.
+
+``manifest.json`` is strict JSON: every float it records is finite or
+``null``.  ``error_pools`` gives each error its number of pooled runs and
+the reason for a ``null`` (``"unscored"`` or ``"out_of_range"``); a
+``null`` ``cond`` of a fit comes with ``rank_deficient``; any other
+``null`` is a value beyond the float range.
 """
 
 from __future__ import annotations
@@ -112,7 +118,6 @@ from .rom import (
 from .storage import load_matrix, save_matrix, load_tensor, save_tensor
 from .tensors import mode3_product
 from .wave import (
-    WaveModel,
     build_wave_model,
     sample_wave_speeds,
     wave_full_operator,
@@ -215,7 +220,12 @@ def _rel_dist(a: np.ndarray, ref: np.ndarray) -> float:
 def _fmt(value) -> str:
     if isinstance(value, (float, np.floating)):
         return repr(float(value))
-    return str(value)
+    return "null" if value is None else str(value)
+
+
+def _finite(value) -> float | None:
+    """``value`` as a float, or ``None`` (JSON ``null``) where it is not finite."""
+    return float(value) if np.isfinite(value) else None
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
@@ -255,7 +265,7 @@ def _save_manifest(outdir: Path, manifest: dict) -> None:
     path = _manifest_path(outdir)
     temporary = path.with_name(path.name + ".tmp")
     try:
-        temporary.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+        temporary.write_text(json.dumps(manifest, indent=2, sort_keys=True, allow_nan=False) + "\n")
         os.replace(temporary, path)
     except BaseException:
         temporary.unlink(missing_ok=True)
@@ -617,16 +627,15 @@ def infer(cfg: ExperimentConfig, outdir) -> None:
                     save_tensor(path, result.tensor)
                     fits[method] = result.tensor
                 diagnostics[f"{method}_r{r}" + (f"_{name}" if wave else "")] = {
-                    "cond": result.cond,
-                    "residual": result.residual,
-                    "stationarity": result.stationarity,
-                }
+                    "cond": _finite(result.cond), "rank_deficient": result.rank_deficient,
+                    "residual": _finite(result.residual),
+                    "stationarity": _finite(result.stationarity)}
         if exact:
             for method, tensor in fits.items():
-                recovery[f"{method}_r{r}"] = _rel_dist(tensor, reference[:r, :r])
+                recovery[f"{method}_r{r}"] = _finite(_rel_dist(tensor, reference[:r, :r]))
 
         if "normal" in fits and "lstsq" in fits:
-            agreement[f"r{r}"] = _rel_dist(fits["normal"], fits["lstsq"])
+            agreement[f"r{r}"] = _finite(_rel_dist(fits["normal"], fits["lstsq"]))
 
     _record_stage(
         cfg, outdir, "infer", time.perf_counter() - started,
@@ -691,29 +700,48 @@ def _energies(ops: np.ndarray) -> np.ndarray:
     return 0.5 * (e + e.transpose(0, 2, 1))
 
 
-def _mass_product(model, x: np.ndarray) -> np.ndarray:
-    """``M x`` through the mass bands: heat's tridiagonal ``M``, wave's ``M_w = h I``."""
-    if isinstance(model, WaveModel):
-        return model.h * x
-    d, e = model.mass_diag[:, None], model.mass_off[:, None]
-    mx = d * x
-    mx[:-1] += e * x[1:]
-    mx[1:] += e * x[:-1]
-    return mx
+def _unit(peak: float) -> float:
+    """The power of two by which entries of magnitude up to ``peak`` are divided before squaring.
+
+    ``2**k``, the least ``k >= 0`` that brings every entry below ``2**480``:
+    then no square overflows, nor a sum of up to ``2**63`` of them.  Scaling
+    by a power of two is exact, so a sum that is finite in unit 1 keeps its
+    bits.
+    """
+    return float(np.ldexp(1.0, max(0, int(np.frexp(peak)[1]) - 480)))
+
+
+def _pooled_error(pool: list, den: float) -> tuple[float | None, str | None]:
+    """``(sqrt(sum_i (a_i + ||d_i||^2) / den), None)`` over the scored runs ``pool = [(a_i, d_i)]``.
+
+    Summed in the unit of :func:`_unit`, so a reduced run whose states are
+    finite but whose squares would overflow is still scored.  Returns
+    ``(None, why)`` where there is no value: ``"unscored"`` for an empty
+    pool, ``"out_of_range"`` when the value exceeds the float range.
+    """
+    if not pool:
+        return None, "unscored"
+    unit = _unit(max(float(np.max(np.abs(d))) for _, d in pool))
+    num = 0.0
+    for a, d in pool:
+        num += a / unit / unit + float(np.sum((d / unit) ** 2))
+    root = float(np.sqrt(num / den)) if den > 0.0 else np.inf
+    return (root * unit, None) if root <= sys.float_info.max / unit else (None, "out_of_range")
 
 
 def _scored_run(states: np.ndarray, u: np.ndarray, model):
     """``(C, ||Q - U C||_M^2, ||Q||_M^2)`` of a full-order run's scored block ``Q``.
 
     ``Q`` is the leading ``U.shape[0]`` rows of ``states``; ``C = U^T M Q``, and
-    every product with ``M`` goes through the model's mass bands.  The residual
-    is lifted once and measured directly: ``||Q||_M^2 - ||C||^2`` cancels.
+    the model applies its own mass (``apply_mass``) to every product.  The
+    residual is lifted once and measured directly: ``||Q||_M^2 - ||C||^2``
+    cancels.
     """
     q = states[: u.shape[0]]
-    mq = _mass_product(model, q)
+    mq = model.apply_mass(q)
     c = u.T @ mq
     residual = q - u @ c
-    return c, float(np.sum(residual * _mass_product(model, residual))), float(np.sum(q * mq))
+    return c, float(np.sum(residual * model.apply_mass(residual))), float(np.sum(q * mq))
 
 
 def evaluate(cfg: ExperimentConfig, outdir) -> None:
@@ -728,17 +756,22 @@ def evaluate(cfg: ExperimentConfig, outdir) -> None:
 
     The first two terms are the projection residual at size r, shared by
     every model; the last needs no lift and no mass product.  ``C`` and
-    the two M-norms per full-order run go through the mass bands (heat's
-    tridiagonal ``M``, wave's ``h I``), not a dense ``N x N`` product.  The
+    the two M-norms per full-order run go through the model's own
+    ``apply_mass`` (heat's tridiagonal ``M``, wave's ``h I``), not a dense
+    ``N x N`` product.  The
     basis block and weight score the leading state block: heat's whole
-    state, wave's position.  Errors pool the runs that did not diverge.  A
+    state, wave's position.  Errors pool the runs that did not diverge,
+    summed by :func:`_pooled_error` so that finite runs whose squares
+    overflow are still scored; ``error_pools`` records each pool's run
+    count and why its error is ``null``, if it is.  A
     wave run's energy is ``h = 1/2 y . (E_s y)`` with ``E_s`` from the
     sample's generator (:func:`_energies`); ``energy`` records per
     (label, r, split) the smallest eigenvalue of each block of ``E_s``,
     position and momentum, and the number of samples at which either block
-    is indefinite, which are still scored.  The
-    drift series of each r is that of sample 0 of the held-out split (the
-    training split without one).
+    is indefinite, which are still scored.  Each run's energy is taken in
+    the unit of :func:`_unit` too, which leaves the relative drift as it is.
+    The drift series of each r is that of sample 0 of the held-out split
+    (the training split without one).
     """
     cfg = cfg.validate()
     outdir = Path(outdir)
@@ -764,7 +797,8 @@ def evaluate(cfg: ExperimentConfig, outdir) -> None:
     showcase = "test" if cfg.n_test > 0 else "train"
 
     error_rows: list[list] = []
-    error_map: dict[str, float] = {}
+    error_map: dict[str, float | None] = {}
+    error_pools: dict[str, dict] = {}
     projection_map: dict[str, float] = {}
     drift_max: dict[str, float] = {}
     energy: dict[str, dict] = {}
@@ -777,7 +811,7 @@ def evaluate(cfg: ExperimentConfig, outdir) -> None:
         for split, value in proj.items():
             projection_map[f"r{r}_{split}"] = value
 
-        drift_series: dict[str, np.ndarray] = {}
+        drift_series: dict[str, tuple[np.ndarray, float]] = {}  # absolute drift, its unit
         for label in _rom_labels(cfg):
             if wave:
                 energies = _energies(surrogate.generators(label, r, params))
@@ -785,35 +819,40 @@ def evaluate(cfg: ExperimentConfig, outdir) -> None:
                 momentum = np.linalg.eigvalsh(energies[:, r:, r:])[:, 0]
                 drift_peak = 0.0
             for split, count in _splits(cfg):
-                num = den = 0.0
+                pool, den = [], 0.0
                 for i in range(count):
                     if (label, r, split, i) in diverged:
                         continue
                     red = load_matrix(_rom_dir(outdir, label, r) / f"{split}_{i:03d}.tpoi")
                     c, _, norm = runs[split][i]
-                    num += residual[split][i] + float(np.sum((c[:r] - red[:r]) ** 2))
+                    pool.append((residual[split][i], c[:r] - red[:r]))
                     den += norm
-                    if wave:
+                    if wave:  # in units of unit**2, so no square overflows
+                        unit = _unit(float(np.max(np.abs(red))))
+                        red = red / unit
                         h = 0.5 * np.sum(red * (energies[first[split] + i] @ red), axis=0)
-                        drift = np.abs(h - h[0])
-                        drift_peak = max(drift_peak, float(np.max(drift)) / (abs(h[0]) or 1.0))
+                        drift, h0 = np.abs(h - h[0]), abs(float(h[0]))
+                        peak = float(np.max(drift))
+                        drift_peak = max(drift_peak, peak / h0 if h0 else peak * unit * unit)
                         if split == showcase and i == 0:
-                            drift_series[label] = drift
-                value = float(np.sqrt(num / den)) if den > 0.0 else float("inf")
+                            drift_series[label] = (drift, unit * unit)
+                key = f"{label}_r{r}_{split}"
+                value, why = _pooled_error(pool, den)
                 error_rows.append([split, r, label, value, proj[split]])
-                error_map[f"{label}_r{r}_{split}"] = value
+                error_map[key] = value
+                error_pools[key] = {"runs": len(pool), "null": why}
                 if wave:
                     pos, mom = (low[first[split]:first[split] + count]
                                 for low in (position, momentum))
-                    energy[f"{label}_r{r}_{split}"] = {
-                        "position_min_eig": float(pos.min()), "momentum_min_eig": float(mom.min()),
-                        "indefinite": int(np.sum((pos < 0.0) | (mom < 0.0)))}
+                    energy[key] = {"position_min_eig": _finite(pos.min()),
+                                   "momentum_min_eig": _finite(mom.min()),
+                                   "indefinite": int(np.sum((pos < 0.0) | (mom < 0.0)))}
             if wave:
-                drift_max[f"{label}_r{r}"] = drift_peak
+                drift_max[f"{label}_r{r}"] = _finite(drift_peak)
 
         if drift_series:
             times = cfg.t0 + cfg.dt * np.arange(cfg.n_times)
-            rows = [[float(t)] + [float(d[k]) for d in drift_series.values()]
+            rows = [[float(t)] + [float(d[k]) * area for d, area in drift_series.values()]
                     for k, t in enumerate(times)]
             _write_csv(report_dir / f"drift_r{r}.csv", ["time", *drift_series], rows)
 
@@ -822,32 +861,29 @@ def evaluate(cfg: ExperimentConfig, outdir) -> None:
         ["split", "r", "method", "relative_l2", "projection_error"],
         error_rows,
     )
-    _write_summary(cfg, report_dir, manifest, error_rows, drift_max, energy)
+    _write_summary(cfg, report_dir, manifest, error_rows, error_pools, drift_max, energy)
 
     _record_stage(
         cfg, outdir, "evaluate", time.perf_counter() - started,
-        updates={"errors": error_map, "projection": projection_map, "drift_max": drift_max,
-                 "energy": energy},
+        updates={"errors": error_map, "error_pools": error_pools, "projection": projection_map,
+                 "drift_max": drift_max, "energy": energy},
     )
 
 
-def _write_summary(cfg, report_dir, manifest, error_rows, drift_max, energy) -> None:
-    lines: list[str] = []
-    lines.append("experiment summary")
-    lines.append("==================")
-    lines.append("")
-    lines.append("configuration:")
-    for line in format_config(cfg).rstrip("\n").splitlines():
-        lines.append("  " + line)
-    lines.append("")
-    lines.append("relative L2 errors (pooled per split; mass-weighted):")
-    lines.append("  split,r,method,relative_l2,projection_error")
-    for row in error_rows:
-        lines.append("  " + ",".join(_fmt(v) for v in row))
+def _write_summary(cfg, report_dir, manifest, error_rows, error_pools, drift_max,
+                   energy) -> None:
+    lines = ["experiment summary", "==================", "", "configuration:"]
+    lines += ["  " + line for line in format_config(cfg).rstrip("\n").splitlines()]
+    lines += ["", "relative L2 errors (pooled per split; mass-weighted):",
+              "  split,r,method,relative_l2,projection_error"]
+    lines += ["  " + ",".join(_fmt(v) for v in row) for row in error_rows]
+    nulls = [f"  {key}: {pool['runs']}; {pool['null']}"
+             for key, pool in sorted(error_pools.items()) if pool["null"]]
+    if nulls:
+        lines += ["", "null errors (runs pooled; why):", *nulls]
     if drift_max:
-        lines.append("")
-        lines.append("max relative energy drift over all samples; per split, the smallest")
-        lines.append("position/momentum energy eigenvalues (number of indefinite samples):")
+        lines += ["", "max relative energy drift over all samples; per split, the smallest",
+                  "position/momentum energy eigenvalues (number of indefinite samples):"]
         for key in sorted(drift_max):
             splits = [(split, energy[f"{key}_{split}"]) for split, _ in _splits(cfg)]
             spectra = ", ".join(f"{split} {_fmt(e['position_min_eig'])}/"
@@ -855,25 +891,19 @@ def _write_summary(cfg, report_dir, manifest, error_rows, drift_max, energy) -> 
                                 for split, e in splits)
             flag = "  INDEFINITE" if any(e["indefinite"] for _, e in splits) else ""
             lines.append(f"  {key}: {_fmt(drift_max[key])}; {spectra}{flag}")
-        lines.append("  (unconstrained fits are scored with the symmetric part")
-        lines.append("   of their learned operators, which defines the same")
-        lines.append("   quadratic energy)")
-    if manifest.get("recovery"):
-        lines.append("")
-        lines.append("operator recovery vs. intrusive reference (exact derivatives):")
-        for key in sorted(manifest["recovery"]):
-            lines.append(f"  {key}: {_fmt(manifest['recovery'][key])}")
-    if manifest.get("agreement"):
-        lines.append("")
-        lines.append("normal-equations vs. least-squares tensor distance:")
-        for key in sorted(manifest["agreement"]):
-            lines.append(f"  {key}: {_fmt(manifest['agreement'][key])}")
+        lines += ["  (unconstrained fits are scored with the symmetric part",
+                  "   of their learned operators, which defines the same",
+                  "   quadratic energy)"]
+    for name, title in (
+            ("recovery", "operator recovery vs. intrusive reference (exact derivatives):"),
+            ("agreement", "normal-equations vs. least-squares tensor distance:")):
+        if manifest.get(name):
+            lines += ["", title]
+            lines += [f"  {key}: {_fmt(manifest[name][key])}" for key in sorted(manifest[name])]
     divs = manifest.get("divergences", [])
-    lines.append("")
-    lines.append(f"diverged reduced runs: {len(divs)}")
-    for d in divs:
-        run = f"{d['label']}_r{d['r']}/{d['split']}_{d['index']:03d}"
-        lines.append(f"  {run} at step {d['step']}")
+    lines += ["", f"diverged reduced runs: {len(divs)}"]
+    lines += [f"  {d['label']}_r{d['r']}/{d['split']}_{d['index']:03d} at step {d['step']}"
+              for d in divs]
     (report_dir / "summary.txt").write_text("\n".join(lines) + "\n")
 
 

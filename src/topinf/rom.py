@@ -37,7 +37,10 @@ results of the single-operator entry points, bit for bit.
 :func:`tridiagonal_sweep` is the full-order counterpart, for steps that
 solve one symmetric positive definite tridiagonal system per sample: the
 systems of all samples are factored once, end to end, and one solve per
-step advances every sample (``heat_sweep``, ``wave_sweep``).
+step advances every sample (``heat_sweep``, ``wave_sweep``).  Both
+full-order steps are in midpoint form, so the parameter enters only
+through the factored matrices and the rest of a step is the same for
+every sample.
 """
 
 from __future__ import annotations
@@ -350,17 +353,17 @@ def tridiagonal_sweep(
     dt: float,
     n_times: int,
     t0: float = 0.0,
-    per_sample: tuple[np.ndarray, ...] = (),
 ) -> list[Trajectory]:
     """Integrate S samples whose implicit step solves one SPD tridiagonal each.
 
     ``diag`` (S, n) and ``off`` (S, n-1) are the samples' step matrices,
     factored once as one stacked tridiagonal
-    (:func:`~topinf.linalg.factor_tridiagonals`).  ``step(solve, x, out,
-    *rows)`` writes into ``out`` the states that follow the states ``x``
-    (both ``(S, m)``, one row per sample); ``solve(b)`` overwrites ``b``
-    (S, n) with the solution of every sample's system, and ``rows`` are the
-    arrays of ``per_sample``, each with one leading entry per sample.
+    (:func:`~topinf.linalg.factor_tridiagonals`).  ``step(solve, x, out)``
+    writes into ``out`` the states that follow the states ``x`` (both
+    ``(S, m)``, one row per sample); ``solve(b)`` overwrites ``b`` (S, n)
+    with the solution of every sample's system.  The samples differ only in
+    their step matrices: ``step`` applies the same map to every row and is
+    also called with the one row of a single sample.
 
     Returns one :class:`Trajectory` per sample, starting from ``x0``, with
     the states of that sample swept alone, bit for bit.  A non-finite value
@@ -382,29 +385,24 @@ def tridiagonal_sweep(
         raise ValueError(f"dt must be positive, got {dt}")
     if n_times < 1:
         raise ValueError(f"n_times must be positive, got {n_times}")
-    if any(len(a) != diag.shape[0] for a in per_sample):
-        raise ValueError("every per-sample array needs one entry per sample")
 
-    states = _tridiagonal_states(step, diag, off, x0, n_times, per_sample)
+    states = _tridiagonal_states(step, diag, off, x0, n_times)
     finite = np.isfinite(states).all(axis=1)
     if not finite.all():
-        states = np.concatenate([
-            _tridiagonal_states(step, diag[s:s + 1], off[s:s + 1], x0, n_times,
-                                tuple(a[s:s + 1] for a in per_sample))
-            for s in range(diag.shape[0])
-        ])
+        states = np.concatenate([_tridiagonal_states(step, diag[s:s + 1], off[s:s + 1], x0, n_times)
+                                 for s in range(diag.shape[0])])
         finite = np.isfinite(states).all(axis=1)
     return _trajectories(states, finite, dt, t0)
 
 
-def _tridiagonal_states(step, diag, off, x0, n_times, per_sample) -> np.ndarray:
+def _tridiagonal_states(step, diag, off, x0, n_times) -> np.ndarray:
     """The stepped states (S, m, n_times) of :func:`tridiagonal_sweep`, as a view."""
     solve = factor_tridiagonals(diag, off).solve
     rows = np.empty((n_times, diag.shape[0], x0.shape[0]))
     rows[0] = x0
     with np.errstate(all="ignore"):  # overflow is located by the caller
         for k in range(1, n_times):
-            step(solve, rows[k - 1], rows[k], *per_sample)
+            step(solve, rows[k - 1], rows[k])
     return rows.transpose(1, 2, 0)
 
 

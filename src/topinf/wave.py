@@ -121,6 +121,10 @@ class WaveModel:
         """Diagonal element mass matrix ``(Nw, Nw)``, ``h`` on the diagonal."""
         return self.h * np.eye(self.n_w)
 
+    def apply_mass(self, x: np.ndarray) -> np.ndarray:
+        """``Mw x = h x``, the element mass applied to the positions ``x`` (Nw,) or (Nw, k)."""
+        return self.h * x
+
     @property
     def s_div(self) -> np.ndarray:
         """Divergence pairing ``(Nv, Nw)``: column ``e`` has ``+1`` at the row of the

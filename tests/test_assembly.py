@@ -48,3 +48,17 @@ def test_weighted_bands_do_not_depend_on_the_sample_count():
         np.testing.assert_array_equal(one[1], off[s])
         dense = dense_slices(one[0][None], one[1][None])[:, :, 0]
         np.testing.assert_allclose(dense, model.stiffness @ weights[:, s], rtol=1e-14)
+
+
+@pytest.mark.parametrize("build", [build_heat_model, build_wave_model])
+@pytest.mark.parametrize("shape", [(), (7,)])
+def test_each_model_applies_its_own_mass(build, shape):
+    # heat's M through its bands, wave's Mw = h I; both match the dense
+    # mass to 1e-15 relative, for one state and for a block of states
+    model = build(40)
+    mass = model.mass if build is build_heat_model else model.mass_w
+    x = np.random.default_rng(8).standard_normal((mass.shape[0],) + shape)
+    expected = mass @ x
+    got = model.apply_mass(x)
+    assert got.shape == x.shape
+    np.testing.assert_allclose(got, expected, rtol=0, atol=1e-15 * np.max(np.abs(expected)))

@@ -244,8 +244,9 @@ def test_pod_groups_sets_until_they_hold_four_n_snapshots(monkeypatch):
     # n = 5: a group closes once it holds at least 20 snapshots.  Sets of 7
     # and 9 snapshots, then one wider than 4 n (30), close the first group at
     # 46; the next group stacks the carried 5 x 5 factor over the last two
-    # sets (4 + 3), a partial group; the last QR applies the weight.  The
-    # basis matches the full SVD of the weighted pooled stack.
+    # sets (4 + 3), a partial group, and its QR is the last: the weight
+    # goes into the one SVD of the final factor.  The basis matches the full
+    # SVD of the weighted pooled stack.
     rng = np.random.default_rng(513)
     n, r = 5, 3
     mass = random_spd(rng, n)
@@ -260,7 +261,7 @@ def test_pod_groups_sets_until_they_hold_four_n_snapshots(monkeypatch):
     monkeypatch.setattr(np.linalg, "qr", spy)
     basis = weighted_pod(iter(sets), mass, r)
     monkeypatch.undo()
-    assert shapes == [(46, n), (n + 7, n), (n, n)]
+    assert shapes == [(46, n), (n + 7, n)]
 
     chol = cholesky_upper(mass)
     u_tilde, svals, _ = np.linalg.svd(chol @ np.hstack(sets), full_matrices=False)
@@ -272,7 +273,7 @@ def test_pod_groups_sets_until_they_hold_four_n_snapshots(monkeypatch):
     shapes.clear()
     monkeypatch.setattr(np.linalg, "qr", spy)
     weighted_pod(sets[2], mass, r)
-    assert shapes == [(30, n), (n, n)]
+    assert shapes == [(30, n)]
 
 
 @pytest.mark.parametrize("problem", ["heat1d", "wave1d"])

@@ -19,6 +19,7 @@ from topinf import (
     heat_sweep,
     sample_conductivities,
 )
+from topinf import heat, rom
 
 DOMAIN = 2.0 * np.pi
 
@@ -215,6 +216,27 @@ def test_sweep_matches_dense_crank_nicolson_at_study_size(n_elements):
         # one sample swept alone gives the same states, bit for bit
         alone = heat_sweep(model, params[:, s:s + 1], q0, 0.008, 251, t0=0.25)[0]
         np.testing.assert_array_equal(run.states, alone.states)
+
+
+def test_sweep_steps_one_sample_as_it_steps_the_stack(monkeypatch):
+    # the step carries no per-sample data: the per-sample fallback of
+    # tridiagonal_sweep calls it with the one row of each sample, and every
+    # sample's states equal those of the stacked sweep, bit for bit
+    model = build_heat_model(40)
+    params = sample_conductivities(np.random.default_rng(912), 3, 3, 0.1, 1.0)
+    q0 = heat_initial_state(model)
+    sweep = heat.tridiagonal_sweep
+
+    def each_sample_too(step, diag, off, x0, dt, n_times, t0):
+        runs = sweep(step, diag, off, x0, dt, n_times, t0)
+        for s, run in enumerate(runs):
+            alone = rom._tridiagonal_states(step, diag[s:s + 1], off[s:s + 1], x0, n_times)
+            np.testing.assert_array_equal(alone[0], run.states)
+        return runs
+
+    monkeypatch.setattr(heat, "tridiagonal_sweep", each_sample_too)
+    runs = heat_sweep(model, params, q0, 0.01, 40)
+    assert len(runs) == 3 and not any(run.diverged for run in runs)
 
 
 def test_sweep_validation():

@@ -18,6 +18,7 @@ from topinf import (
     InferenceData,
     NonUniqueSolutionError,
     ResourceLimitError,
+    SingularMatrixError,
     assemble_lstsq_system,
     assemble_normal_system,
     infer_lstsq,
@@ -313,6 +314,24 @@ def test_uniqueness_holds_on_generic_full_rank_data():
     report = uniqueness_check(data)
     assert report.unique
     assert report.feature_rank == 3 and report.snapshot_rank == 4
+
+
+def test_full_ranks_do_not_make_the_fit_unique():
+    # both rank conditions hold, yet each sample's snapshots span only the
+    # direction its feature selects: T_1 e_2 and T_2 e_1 are never observed,
+    # so the fit is not unique and both solvers say so in their typed way
+    nus = np.eye(2)
+    ys = np.zeros((2, 3, 2))
+    ys[0, :, 0] = [1.0, 2.0, 3.0]
+    ys[1, :, 1] = [1.0, -1.0, 2.0]
+    zs = np.stack([0.5 * ys[:, :, 0], -ys[:, :, 1]], axis=2)
+    data = InferenceData(nus=nus, ys=ys, zs=zs)
+    report = uniqueness_check(data)
+    assert report.unique and (report.feature_rank, report.snapshot_rank) == (2, 2)
+    with pytest.raises(SingularMatrixError) as exc:
+        infer_normal(data)
+    assert "rcond=0.000e+00" in str(exc.value)
+    assert infer_lstsq(data).rank_deficient
 
 
 def test_too_few_samples_break_feature_rank():

@@ -967,6 +967,101 @@ def test_surrogate_refuses_full_order_data_of_another_seed(heat_run, tmp_path):
 
 
 # ----------------------------------------------------------------------
+# strict JSON: every recorded float is finite or null
+
+
+def _strict_manifest(outdir):
+    """``manifest.json`` parsed as RFC 8259 JSON: a NaN or Infinity token raises."""
+    def refuse(token):
+        raise ValueError(f"manifest.json holds the non-finite token {token}")
+
+    return json.loads((outdir / "manifest.json").read_text(), parse_constant=refuse)
+
+
+def test_overflowing_reduced_runs_are_scored_in_strict_json(tmp_path):
+    # heat1d at 400 elements, r = 30 and finite differences: the learned
+    # runs grow to 1e30-1e303 without leaving float range, so their squared
+    # errors overflow float64; six runs diverge outright
+    cfg = dataclasses.replace(default_config("heat1d"), n_elements=400, n_train=8, n_test=2,
+                              reduced_dims=(30,), methods=("normal", "lstsq", "symmetric"),
+                              derivative="finite_difference", seed=13)
+    manifest = run_pipeline(cfg, tmp_path)
+    assert _strict_manifest(tmp_path) == manifest
+    diverged = {(d["label"], d["split"], d["index"]) for d in manifest["divergences"]}
+    assert len(diverged) == 6
+    model = build_heat_model(cfg.n_elements, cfg.breakpoints)
+    u = load_matrix(tmp_path / "basis" / "u.tpoi")
+    for split, count in (("train", 8), ("test", 2)):
+        fom = [load_matrix(tmp_path / "fom" / f"{split}_{i:03d}.tpoi") for i in range(count)]
+        for label in ("normal", "lstsq", "symmetric", "intrusive"):
+            key = f"{label}_r30_{split}"
+            kept = [i for i in range(count) if (label, split, i) not in diverged]
+            assert manifest["error_pools"][key] == {"runs": len(kept), "null": None}
+            # oracle: the lifted runs, scaled by their largest entry before squaring
+            red = [load_matrix(tmp_path / "rom" / f"{label}_r30" / f"{split}_{i:03d}.tpoi")
+                   for i in kept]
+            peak = max(float(np.max(np.abs(y))) for y in red)
+            num = sum(weighted_norm_sq(fom[i] / peak - u @ (y / peak), model.mass)
+                      for i, y in zip(kept, red))
+            den = sum(weighted_norm_sq(fom[i], model.mass) for i in kept)
+            assert manifest["errors"][key] == pytest.approx(peak * np.sqrt(num / den), rel=1e-10)
+        assert manifest["errors"][f"symmetric_r30_{split}"] > 1e290
+    summary = (tmp_path / "report" / "summary.txt").read_text()
+    assert "null" not in summary and "inf" not in summary
+    assert "inf" not in (tmp_path / "report" / "errors.csv").read_text()
+
+
+def test_an_error_with_no_scored_run_is_null_with_its_reason(heat_run, tmp_path):
+    # every train run of normal_r2 marked diverged: nothing is pooled
+    cfg, source, _ = heat_run
+    outdir = tmp_path / "run"
+    shutil.copytree(source, outdir)
+    manifest = _strict_manifest(outdir)
+    manifest["divergences"] = [{"label": "normal", "r": 2, "split": "train", "index": i,
+                                "step": 1} for i in range(cfg.n_train)]
+    (outdir / "manifest.json").write_text(json.dumps(manifest))
+    evaluate(cfg, outdir)
+    manifest = _strict_manifest(outdir)
+    assert manifest["errors"]["normal_r2_train"] is None
+    assert manifest["error_pools"]["normal_r2_train"] == {"runs": 0, "null": "unscored"}
+    assert manifest["error_pools"]["normal_r2_test"] == {"runs": cfg.n_test, "null": None}
+    summary = (outdir / "report" / "summary.txt").read_text()
+    assert "train,2,normal,null," in summary
+    assert "null errors (runs pooled; why):\n  normal_r2_train: 0; unscored\n" in summary
+    assert "train,2,normal,null," in (outdir / "report" / "errors.csv").read_text()
+
+
+def test_pooled_error_is_exact_in_range_and_null_beyond_it():
+    rng = np.random.default_rng(41)
+    pool = [(0.25, rng.standard_normal((3, 5))), (0.5, rng.standard_normal((3, 5)))]
+    num = 0.0
+    for a, d in pool:
+        num += a + float(np.sum(d**2))
+    assert pipeline._pooled_error(pool, 3.0) == (float(np.sqrt(num / 3.0)), None)
+    # entries of about 4e180 have squares that overflow, the error does not: summed in
+    # a power-of-two unit, it has the bits of the unscaled error times 2**600
+    num = 0.0
+    for _, d in pool:
+        num += float(np.sum(d**2))
+    value, why = pipeline._pooled_error([(0.0, d * 2.0**600) for _, d in pool], 3.0)
+    assert why is None and value == float(np.sqrt(num / 3.0)) * 2.0**600
+    assert pipeline._pooled_error([(0.0, np.full(4, 1e308))], 1e-3) == (None, "out_of_range")
+    assert pipeline._pooled_error([], 1.0) == (None, "unscored")
+
+
+def test_rank_deficient_fit_records_a_null_condition_number(tmp_path):
+    # two samples cannot span three conductivities: the minimum-norm fit
+    # has no finite condition number, and its diagnostics say why
+    cfg = dataclasses.replace(small_heat_config(), n_train=2, methods=("lstsq",))
+    for _, stage in STAGES[:3]:
+        stage(cfg, tmp_path)
+    for r in cfg.reduced_dims:
+        diag = _strict_manifest(tmp_path)["inference"][f"lstsq_r{r}"]
+        assert diag["cond"] is None and diag["rank_deficient"] is True
+        assert diag["residual"] >= 0.0
+
+
+# ----------------------------------------------------------------------
 # manifest writes and the benchmark tracer's contract
 
 

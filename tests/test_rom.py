@@ -514,20 +514,16 @@ def test_a_power_that_overflows_leaves_a_finite_state_finite():
 # the stacked tridiagonal sweep core
 
 
-def _tridiagonal_step(solve, x, out, r_diag, r_off):
-    """``out = L^{-1} R x`` with the per-sample tridiagonal ``R`` bands."""
-    np.multiply(r_diag, x, out=out)
-    out[:, :-1] += r_off * x[:, 1:]
-    out[:, 1:] += r_off * x[:, :-1]
+def _tridiagonal_step(solve, x, out):
+    """``out = L^{-1} x``: the per-sample step matrix ``L`` is the only per-sample data."""
+    out[...] = x
     solve(out)
 
 
 def _tridiagonal_samples(n, growth):
-    """Step matrices ``L = tridiag(-1, 4, -1)`` and ``R = tridiag(0.5, g, 0.5)`` per sample."""
-    count = len(growth)
-    diag, off = np.full((count, n), 4.0), np.full((count, n - 1), -1.0)
-    r_diag = np.array([np.full(n, g) for g in growth])
-    return diag, off, (r_diag, np.full((count, n - 1), 0.5))
+    """Step matrices ``L = tridiag(-1, 4, -1) / g`` per sample: ``L^{-1}`` grows by ``g/6..g/2``."""
+    g = np.asarray(growth, dtype=float)[:, None]
+    return np.full((len(growth), n), 4.0) / g, np.full((len(growth), n - 1), -1.0) / g
 
 
 def test_tridiagonal_sweep_isolates_an_overflowing_sample():
@@ -536,11 +532,11 @@ def test_tridiagonal_sweep_isolates_an_overflowing_sample():
     # (0 * inf = NaN), so the sweep re-integrates sample by sample
     n, dt, n_times = 6, 0.1, 160
     x0 = np.linspace(1.0, 2.0, n)
-    diag, off, per_sample = _tridiagonal_samples(n, (2.0, 2500.0, 1.0, 3.0))
-    runs = tridiagonal_sweep(_tridiagonal_step, diag, off, x0, dt, n_times, 0.5, per_sample)
+    diag, off = _tridiagonal_samples(n, (2.0, 2500.0, 1.0, 3.0))
+    runs = tridiagonal_sweep(_tridiagonal_step, diag, off, x0, dt, n_times, 0.5)
     for s, run in enumerate(runs):
         alone = tridiagonal_sweep(_tridiagonal_step, diag[s:s + 1], off[s:s + 1], x0, dt,
-                                  n_times, 0.5, tuple(a[s:s + 1] for a in per_sample))[0]
+                                  n_times, 0.5)[0]
         np.testing.assert_array_equal(run.states, alone.states)
         np.testing.assert_array_equal(run.times, 0.5 + dt * np.arange(n_times))
         assert (run.diverged, run.first_bad_step) == (alone.diverged, alone.first_bad_step)
@@ -553,24 +549,22 @@ def test_tridiagonal_sweep_isolates_an_overflowing_sample():
 
 
 def test_tridiagonal_sweep_names_an_indefinite_sample():
-    diag, off, per_sample = _tridiagonal_samples(5, (1.0, 1.0, 1.0))
+    diag, off = _tridiagonal_samples(5, (1.0, 1.0, 1.0))
     diag[2, 3] = -4.0
     with pytest.raises(NotPositiveDefiniteError) as exc:
-        tridiagonal_sweep(_tridiagonal_step, diag, off, np.ones(5), 0.1, 4,
-                          per_sample=per_sample)
+        tridiagonal_sweep(_tridiagonal_step, diag, off, np.ones(5), 0.1, 4)
     assert (exc.value.sample, exc.value.pivot_index) == (2, 3)
 
 
 def test_tridiagonal_sweep_validation():
-    diag, off, per_sample = _tridiagonal_samples(3, (1.0, 2.0))
+    diag, off = _tridiagonal_samples(3, (1.0, 2.0))
     x0 = np.ones(3)
     for bad in (
         dict(x0=x0 * np.inf),
         dict(x0=np.ones((3, 1))),
         dict(dt=0.0),
         dict(n_times=0),
-        dict(per_sample=tuple(a[:1] for a in per_sample)),
     ):
-        args = dict(x0=x0, dt=0.1, n_times=5, per_sample=per_sample) | bad
+        args = dict(x0=x0, dt=0.1, n_times=5) | bad
         with pytest.raises(ValueError):
             tridiagonal_sweep(_tridiagonal_step, diag, off, **args)
