@@ -234,7 +234,6 @@ def _weighted_left_vectors(snapshots, mass: np.ndarray, r: int) -> tuple[np.ndar
     # deterministic sign: largest-magnitude entry of each mode is positive
     u_r = u_tilde[:, :r]
     u_r = u_r * np.where(u_r[np.argmax(np.abs(u_r), axis=0), np.arange(r)] < 0.0, -1.0, 1.0)
-    # NumPy's solve: SciPy's runs in a second BLAS thread pool that stalls NumPy's.
     basis = np.linalg.solve(chol, u_r)
     return basis, svals
 

@@ -20,8 +20,9 @@ from one vectorized assembly (:func:`p1_assembly`, which also gives the
 wave model its flux mass slices); the dense ``M`` and the stacked
 ``(N, N, p)`` tensor of the ``K_k`` are built on access.
 :func:`heat_sweep` steps a whole parameter sweep with Crank-Nicolson
-through one stacked tridiagonal factorization of the bands, and
-:meth:`HeatModel.apply_mass` applies ``M`` through its bands.
+through one stacked tridiagonal factorization of the bands,
+:meth:`HeatModel.apply_mass` applies ``M`` through its bands, and
+:func:`heat_projected_stiffness` projects the ``K_k`` through theirs.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ __all__ = [
     "build_heat_model",
     "heat_operator",
     "heat_sweep",
+    "heat_projected_stiffness",
     "heat_initial_state",
     "heat_features",
     "sample_conductivities",
@@ -88,13 +90,28 @@ def weighted_bands(weights: np.ndarray, diag: np.ndarray, off: np.ndarray) -> tu
     """Bands ``(diag, off)`` of ``sum_k w_k slice_k`` for weights ``(p,)`` or ``(p, S)``.
 
     The slices have bands ``diag`` (p, N) and ``off`` (p, N - 1); with S
-    samples the result is ``(S, N)`` and ``(S, N - 1)``.  Summed slice by
-    slice, so each sample's bands do not depend on S (a matrix product
+    samples the result is positions first, ``(N, S)`` and ``(N - 1, S)``,
+    as :func:`~topinf.linalg.factor_tridiagonals` takes them.  Summed slice
+    by slice, so each sample's bands do not depend on S (a matrix product
     rounds differently for different S).
     """
-    weights = np.asarray(weights, dtype=float)[..., None]
-    return (sum(w * d for w, d in zip(weights, diag)),
-            sum(w * e for w, e in zip(weights, off)))
+    weights = np.asarray(weights, dtype=float)
+    cols = (1,) * (weights.ndim - 1)
+    return (sum(w * d.reshape(d.shape + cols) for w, d in zip(weights, diag)),
+            sum(w * e.reshape(e.shape + cols) for w, e in zip(weights, off)))
+
+
+def _band_product(diag: np.ndarray, off: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``A x`` for the symmetric tridiagonal ``A`` with bands ``diag`` (N,) and ``off`` (N - 1,).
+
+    Applied along the first axis of ``x`` (N,) or (N, k).
+    """
+    shape = (-1,) + (1,) * (x.ndim - 1)
+    d, e = diag.reshape(shape), off.reshape(shape)
+    ax = d * x
+    ax[:-1] += e * x[1:]
+    ax[1:] += e * x[:-1]
+    return ax
 
 
 def dense_slices(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
@@ -154,12 +171,7 @@ class HeatModel:
 
     def apply_mass(self, x: np.ndarray) -> np.ndarray:
         """``M x`` through the mass bands, along the first axis of an array ``x`` (N,) or (N, k)."""
-        shape = (-1,) + (1,) * (x.ndim - 1)
-        d, e = self.mass_diag.reshape(shape), self.mass_off.reshape(shape)
-        mx = d * x
-        mx[:-1] += e * x[1:]
-        mx[1:] += e * x[:-1]
-        return mx
+        return _band_product(self.mass_diag, self.mass_off, x)
 
     @property
     def stiffness(self) -> np.ndarray:
@@ -216,9 +228,10 @@ def heat_sweep(
     the same map as ``(M + dt/2 K(mu)) q+ = (M - dt/2 K(mu)) q``.  ``M``
     does not depend on ``mu``, so the parameter enters only through the
     factored matrices: the S tridiagonals ``(M + dt/2 K(mu)) / 2``, whose
-    solves return ``2 z``, are factored once, end to end, and one
-    tridiagonal solve per step advances every sample
-    (:func:`~topinf.rom.tridiagonal_sweep`).  The states agree with
+    solves return ``2 z``, are factored once, and one stacked tridiagonal
+    solve per step advances every sample
+    (:func:`~topinf.rom.tridiagonal_sweep`); ``M q`` is taken through the
+    mass bands for every sample at once.  The states agree with
     ``crank_nicolson(heat_operator(model, mu), q0, dt, n_times, mass=M)``
     to rounding.
     """
@@ -232,21 +245,30 @@ def heat_sweep(
         raise ValueError(f"initial state must have length {model.n_dof}, got {q0.shape}")
 
     k_diag, k_off = weighted_bands(0.25 * dt * params, model.stiffness_diag, model.stiffness_off)
-    # M's off-diagonal tiled over the samples, each sample's ending in a zero
-    # coupling, so the coupling products run over the flattened rows; rows of
-    # fewer samples read a prefix, which is again M's off-diagonal tiled
-    m_off = np.tile(np.append(model.mass_off, 0.0), len(k_diag))
 
     def step(solve, q, out):
-        np.multiply(model.mass_diag, q, out=out)
-        q, flat, coupling = q.ravel(), out.ravel(), m_off[:q.size - 1]
-        flat[:-1] += coupling * q[1:]
-        flat[1:] += coupling * q[:-1]
+        out[...] = model.apply_mass(q)
         solve(out)  # 2 z
-        flat -= q
+        out -= q
 
-    return tridiagonal_sweep(step, 0.5 * model.mass_diag + k_diag, 0.5 * model.mass_off + k_off,
-                             q0, dt, n_times, t0)
+    return tridiagonal_sweep(step, 0.5 * model.mass_diag[:, None] + k_diag,
+                             0.5 * model.mass_off[:, None] + k_off, q0, dt, n_times, t0)
+
+
+def heat_projected_stiffness(model: HeatModel, u: np.ndarray) -> np.ndarray:
+    """Galerkin slices ``U^T K_k U`` of the stiffness, stacked ``(r, r, p)``.
+
+    Each ``K_k U`` is taken through the slice's bands, so the cost is
+    ``O(N r^2)`` per slice and no ``(N, N)`` slice is formed.  The slices
+    agree with ``intrusive_project(model.stiffness, basis)`` to rounding.
+    """
+    u = np.asarray(u, dtype=float)
+    if u.ndim != 2 or u.shape[0] != model.n_dof:
+        raise ValueError(f"basis {u.shape} does not have {model.n_dof} rows")
+    out = np.empty((u.shape[1], u.shape[1], model.n_subdomains))
+    for k, (d, e) in enumerate(zip(model.stiffness_diag, model.stiffness_off)):
+        out[:, :, k] = u.T @ _band_product(d, e, u)
+    return out
 
 
 def heat_initial_state(model: HeatModel) -> np.ndarray:

@@ -1,7 +1,8 @@
-"""Dense linear-algebra wrappers with explicit failure contracts.
+"""Dense and tridiagonal linear algebra with explicit failure contracts.
 
-Thin layers over LAPACK (through NumPy, and SciPy for tridiagonals) that
-pin down the behaviors the rest of the package relies on:
+Layers over NumPy's LAPACK, and NumPy's elementwise arithmetic for
+tridiagonals, that pin down the behaviors the rest of the package relies
+on:
 
 * :func:`cholesky_upper` -- upper-triangular factor with a relative pivot
   tolerance, raising :class:`~topinf.errors.NotPositiveDefiniteError` with
@@ -28,26 +29,27 @@ pin down the behaviors the rest of the package relies on:
   symmetric positive definite tridiagonals, raising
   :class:`~topinf.errors.NotPositiveDefiniteError` with the sample and
   pivot index of a breakdown; its :meth:`TridiagonalFactor.solve` solves
-  every sample's system with one LAPACK call.
+  every sample's system at once.
 
 Equilibration and refinement are exact algebraic reformulations; they do
 not change the solution being computed, only its floating-point accuracy.
+NumPy has no triangular solve, so :func:`solve_sym` blocks its
+factorization over NumPy's Cholesky and products, solves through the
+diagonal blocks' inverses, estimates its condition number with NumPy, and
+locates a breakdown pivot by bisection over NumPy's Cholesky.
 
-Every BLAS call of a dense solve or factorization runs in NumPy.  NumPy
-and SciPy link separate BLAS builds with separate thread pools, and a
-threaded SciPy call next to NumPy products stalls the latter: on 2 CPUs,
-20 NumPy products of a 1,395-unknown system with a vector took about
-16 ms after one SciPy ``dpotrf`` of it, against 7.5 ms after NumPy's
-Cholesky; and the ``infer`` stage of a 400-element heat1d study with
-r = 30 took 290-440 ms while SciPy's ``dpocon``/``dpotrs`` followed
-each factorization, against 190-245 ms without them.  So :func:`solve_sym`
-blocks its factorization over NumPy's Cholesky and products, solves
-through the diagonal blocks' inverses, estimates its condition number
-with NumPy, and locates a breakdown pivot by bisection over NumPy's
-Cholesky.  SciPy serves only the tridiagonal ``dpttrf``/``dpttrs``,
-which call no BLAS at all, and is imported where they are first called,
-so importing the package, building a model and every dense fit do not
-load it.
+The tridiagonal stacks are held positions first, ``(n, ..., S)`` for S
+samples, so that each step of a factorization or solve is one contiguous
+elementwise pass over every sample and no sample's arithmetic reads
+another's: a sample solved in a stack gets the bits it gets alone.  The
+factorization is ``dpttrf``'s recurrence, one position at a time.  A solve
+is two recursive-doubling scans of ``ceil(log2 n)`` levels each, about
+``4 log2 n`` NumPy calls over every sample at once, and O(n log n) work
+per right-hand side against the O(n) of a sequential substitution.  The
+scan coefficients are products of consecutive multipliers, the entries of
+``L^-1``.  In a diagonally dominant tridiagonal every multiplier is below
+1 in magnitude, so no coefficient can overflow; every step matrix the
+package builds is of that kind.
 """
 
 from __future__ import annotations
@@ -243,8 +245,8 @@ def _cholesky_in_place(a: np.ndarray) -> list[np.ndarray]:
                 f"matrix is not positive definite (pivot {pivot} failed)",
                 pivot_index=pivot,
             ) from None
-        # NumPy has no triangular solve, and SciPy's would run in its second
-        # BLAS pool: every solve through this block goes through its inverse
+        # NumPy has no triangular solve: every solve through this block goes
+        # through its inverse
         inverses.append(np.linalg.inv(a[k:e, k:e]))
         # L21 = A21 L11^-T; a strip's update reads only the panel rows
         # solved up to it
@@ -489,74 +491,96 @@ def thin_svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class TridiagonalFactor:
-    """``LDL^T`` factor of ``S`` SPD tridiagonals of order ``n``, laid end to end.
+    """``LDL^T`` factor of ``S`` SPD tridiagonals of order ``n``, positions first.
 
-    The matrices form one tridiagonal of order ``S * n`` whose couplings
-    across the seams between samples are zero, so one LAPACK call factors
-    or solves all of them.  ``d`` holds the pivots of ``D`` and ``e`` the
-    subdiagonal of the unit bidiagonal ``L``, as ``dpttrf`` returns them.
-    Built by :func:`factor_tridiagonals`.
+    ``d`` (n, 1, S) holds the pivots of ``D``.  ``levels[k]`` (n - 2^k,
+    1, S) holds, at ``[j, 0, s]``, the product of the negated multipliers
+    ``-l_j ... -l_{j+2^k-1}`` of sample ``s`` (``l_i`` is the subdiagonal
+    entry ``(i + 1, i)`` of the unit bidiagonal ``L``): the coefficients of
+    level ``k`` of the recursive-doubling scan, which serve the forward and
+    the backward substitution alike.  Built by :func:`factor_tridiagonals`.
     """
 
     d: np.ndarray
-    e: np.ndarray
-    samples: int
-    n: int
+    levels: tuple[np.ndarray, ...]
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """Overwrite ``b`` with the solution of every sample's system; return it.
 
-        ``b`` is a C-contiguous float64 array of shape ``(..., S, n)``: entry
-        ``[..., s, :]`` is a right-hand side of sample ``s``, and the leading
-        axes index independent right-hand sides.  A non-finite entry of one
-        sample turns the next sample's solution to NaN (``0 * inf`` at the
-        seam); callers that need per-sample isolation re-solve that case.
+        ``b`` is a C-contiguous float64 array of shape ``(n, ..., S)``:
+        entry ``[:, ..., s]`` is a right-hand side of sample ``s``, and the
+        middle axes index independent right-hand sides.  The substitutions
+        ``y_i = b_i - l_{i-1} y_{i-1}`` and ``x_i = y_i / d_i - l_i x_{i+1}``
+        run as recursive-doubling scans (Kogge & Stone, 1973): level ``k``
+        adds to each position the partial result ``2^k`` positions back
+        (forward) or ahead (backward), times its coefficient.  Each level is
+        two elementwise passes over ``b``, and no sample's arithmetic reads
+        another sample's entries.
         """
-        if b.shape[-2:] != (self.samples, self.n):
-            raise ValueError(
-                f"right-hand side {b.shape} does not end in ({self.samples}, {self.n})"
-            )
+        n, samples = self.d.shape[0], self.d.shape[2]
+        if b.ndim < 2 or (b.shape[0], b.shape[-1]) != (n, samples):
+            raise ValueError(f"right-hand side {b.shape} is not ({n}, ..., {samples})")
         if b.dtype != np.float64 or not b.flags.c_contiguous:
             raise ValueError("right-hand side must be a C-contiguous float64 array")
-        from scipy.linalg import lapack
-        # rows of the C-ordered (k, S*n) view are the Fortran columns dpttrs
-        # solves in place
-        x, info = lapack.dpttrs(self.d, self.e, b.reshape(-1, self.samples * self.n).T,
-                                overwrite_b=1)
-        if info != 0:
-            raise ValueError(f"illegal value in argument {-info} of dpttrs")
-        if not np.may_share_memory(x, b):
-            b[...] = x.T.reshape(b.shape)
+        x = b.reshape(n, -1, samples)
+        work = np.empty((n - 1,) + x.shape[1:])
+        # each update is bound to a view first: ``x[s:] += ...`` would add a
+        # no-op self-assignment per level
+        for level in self.levels:  # L y = b
+            s = n - level.shape[0]
+            ahead = x[s:]
+            ahead += np.multiply(level, x[:-s], out=work[:n - s])
+        x /= self.d
+        for level in self.levels:  # L^T x = D^-1 y
+            s = n - level.shape[0]
+            behind = x[:-s]
+            behind += np.multiply(level, x[s:], out=work[:n - s])
         return b
 
 
 def factor_tridiagonals(diag: np.ndarray, off: np.ndarray) -> TridiagonalFactor:
-    """Factor the SPD tridiagonals with diagonals ``diag`` (S, n) and off-diagonals ``off`` (S, n-1).
+    """Factor the SPD tridiagonals with diagonals ``diag`` (n, S) and off-diagonals ``off`` (n-1, S).
+
+    Column ``s`` of each array holds the bands of sample ``s``.  The pivots
+    and multipliers follow LAPACK ``dpttrf``'s recurrence,
+    ``l_{i-1} = off_{i-1} / d_{i-1}``, ``d_i = diag_i - l_{i-1} off_{i-1}``,
+    one position at a time for every sample at once; the scan coefficients
+    of :class:`TridiagonalFactor` are then products of multipliers, with
+    no division.
 
     Raises
     ------
     NotPositiveDefiniteError
-        If a matrix is not positive definite; the exception carries the
-        0-based ``sample`` and the 0-based ``pivot_index`` within it.
+        If a matrix is not positive definite: a pivot is not positive or
+        not finite.  The exception names the first such sample, in sample
+        order, as its 0-based ``sample``, and the 0-based ``pivot_index``
+        of its first failing pivot.
     """
     diag = np.asarray(diag, dtype=float)
     off = np.asarray(off, dtype=float)
-    if diag.ndim != 2 or diag.shape[1] < 1 or off.shape != (diag.shape[0], diag.shape[1] - 1):
+    if diag.ndim != 2 or diag.shape[0] < 1 or off.shape != (diag.shape[0] - 1, diag.shape[1]):
         raise ValueError(f"diagonals {diag.shape} and off-diagonals {off.shape} do not conform")
     if not (np.all(np.isfinite(diag)) and np.all(np.isfinite(off))):
         raise ValueError("non-finite entries in the tridiagonals")
-    from scipy.linalg import lapack
-    samples, n = diag.shape
-    seams = np.zeros((samples, n))
-    seams[:, :-1] = off  # zero coupling between consecutive samples
-    d, e, info = lapack.dpttrf(diag.ravel(), seams.ravel()[:-1])
-    if info > 0:
-        sample, pivot = divmod(int(info) - 1, n)
+    n = diag.shape[0]
+    d, mult = diag.copy(), np.empty(off.shape)
+    with np.errstate(all="ignore"):  # a failing sample's later pivots are not used
+        for i in range(1, n):
+            np.divide(off[i - 1], d[i - 1], out=mult[i - 1])
+            d[i] -= mult[i - 1] * off[i - 1]
+    # a pivot never exceeds its diagonal entry, so a NaN or -inf is the only
+    # non-finite one, and it fails this test as a non-positive pivot does
+    failed = ~(d > 0.0)
+    if failed.any():
+        sample = int(np.argmax(failed.any(axis=0)))
+        pivot = int(np.argmax(failed[:, sample]))
         raise NotPositiveDefiniteError(
             f"tridiagonal {sample} is not positive definite (pivot {pivot} failed)",
             pivot_index=pivot,
             sample=sample,
         )
-    if info < 0:
-        raise ValueError(f"illegal value in argument {-info} of dpttrf")
-    return TridiagonalFactor(d=d, e=e, samples=samples, n=n)
+    levels = [-mult[:, None, :]] if n > 1 else []
+    while 2 ** len(levels) < n:  # level k + 1 from level k, whose windows are s long
+        s = 2 ** (len(levels) - 1)
+        levels.append(levels[-1][s:] * levels[-1][:-s])
+    return TridiagonalFactor(d=d[:, None, :], levels=tuple(levels))

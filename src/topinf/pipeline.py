@@ -41,13 +41,12 @@ Randomness: all sampling derives from the configured seed through the
 Philox 4x64 counter-based generator, keyed by ``(seed, stream)`` with
 stream 0 for training parameters and stream 1 for test parameters.
 
-The full-order sweep of each split is one stacked tridiagonal integration
-over its samples (:func:`~topinf.heat.heat_sweep`,
-:func:`~topinf.wave.wave_sweep`); the reduced sweep of each (label, r) is
-one stacked integration over every sample of both splits.  The basis is
-nested, so each stage forms its Galerkin quantities (heat's projected
-tensor, wave's projected stiffness blocks) once with the largest basis
-and slices them per r.  One class, :class:`Surrogate`, turns a study's
+The full-order sweep is one stacked tridiagonal integration over every
+sample of both splits (:func:`~topinf.heat.heat_sweep`,
+:func:`~topinf.wave.wave_sweep`), and so is the reduced sweep of each
+(label, r).  The basis is nested, so each stage forms its Galerkin
+quantities (heat's projected tensor, wave's projected stiffness blocks)
+once with the largest basis and slices them per r.  One class, :class:`Surrogate`, turns a study's
 artifacts into its reduced models and every model into per-sample
 generators ``A``; ``infer``'s exact derivatives, ``simulate_rom``'s sweeps
 and ``evaluate``'s wave energies ``E = J^T A`` derive from it, and
@@ -78,11 +77,11 @@ from pathlib import Path
 import numpy as np
 
 # Not every imported name is used here: benchmarks/tracing.py wraps layers at
-# their names in this module.  Imported for it only, 14 names: heat_operator,
+# their names in this module.  Imported for it only, 15 names: heat_operator,
 # wave_full_operator, crank_nicolson, implicit_midpoint, relative_l2,
 # projection_error, hamiltonian_drift, reduced_hamiltonian, symmetric_part,
-# exact_reduced_derivative, project_matrix, project_snapshots,
-# wave_mass_form_operator and wave_stiffness.
+# exact_reduced_derivative, intrusive_project, project_matrix,
+# project_snapshots, wave_mass_form_operator and wave_stiffness.
 from . import __version__
 from .basis import (
     ReducedBasis,
@@ -99,6 +98,7 @@ from .heat import (
     heat_features,
     heat_initial_state,
     heat_operator,
+    heat_projected_stiffness,
     heat_sweep,
     sample_conductivities,
 )
@@ -466,14 +466,14 @@ class Surrogate:
         """Galerkin quantities of the largest basis; those of size r are their leading blocks.
 
         Heat: the ``(r, r, p)`` projection of the (negated, dissipative)
-        stiffness tensor, formed once.  Wave: the ``(S, r, r)`` position
-        blocks ``Uw^T K(mu) Uw`` at every column of ``params``, kept for the
-        last ``params``.
+        stiffness tensor, formed once through the stiffness bands.  Wave:
+        the ``(S, r, r)`` position blocks ``Uw^T K(mu) Uw`` at every column
+        of ``params``, kept for the last ``params``.
         """
         heat = self.cfg.problem == "heat1d"
         if self._formed is None or not (heat or np.array_equal(self._formed[0], params)):
             self._formed = (np.array(params, dtype=float),
-                            intrusive_project(-self.model.stiffness, self.basis) if heat
+                            -heat_projected_stiffness(self.model, self.basis.u) if heat
                             else wave_projected_stiffness(self.model, params, self.basis.block))
         return self._formed[1]
 
@@ -485,7 +485,8 @@ class Surrogate:
 def simulate_fom(cfg: ExperimentConfig, outdir) -> None:
     """Sample parameters and integrate the full-order model for each.
 
-    Each split is one stacked sweep over its samples.
+    One stacked sweep integrates the samples of both splits; each sample's
+    states are those of the sample swept alone, bit for bit.
     """
     cfg = cfg.validate()
     outdir = Path(outdir)
@@ -499,16 +500,17 @@ def simulate_fom(cfg: ExperimentConfig, outdir) -> None:
     else:
         x0, sweep = wave_initial_state(model), wave_sweep
 
+    runs, params = [], []
     for split, count in _splits(cfg):
-        params = _draw_parameters(cfg, count, _TRAIN_STREAM if split == "train" else _TEST_STREAM)
-        save_matrix(outdir / f"params_{split}.tpoi", params)
-        for i, traj in enumerate(sweep(model, params, x0, cfg.dt, cfg.n_times, t0=cfg.t0)):
-            if traj.diverged:
-                raise NumericError(
-                    f"full-order run {split}/{i} diverged at step {traj.first_bad_step}"
-                )
-            save_matrix(_fom_path(outdir, split, i), traj.states)
-        del traj  # a view of this split's stepped states, which the next split need not hold
+        params.append(_draw_parameters(cfg, count,
+                                       _TRAIN_STREAM if split == "train" else _TEST_STREAM))
+        save_matrix(outdir / f"params_{split}.tpoi", params[-1])
+        runs += [(split, i) for i in range(count)]
+    trajectories = sweep(model, np.hstack(params), x0, cfg.dt, cfg.n_times, t0=cfg.t0)
+    for (split, i), traj in zip(runs, trajectories):
+        if traj.diverged:
+            raise NumericError(f"full-order run {split}/{i} diverged at step {traj.first_bad_step}")
+        save_matrix(_fom_path(outdir, split, i), traj.states)
 
     _record_stage(cfg, outdir, "simulate_fom", time.perf_counter() - started,
                   updates={"full_order": _record(cfg, "full_order")})

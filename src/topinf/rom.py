@@ -36,11 +36,11 @@ map and each stacked product advances every sample, with the per-sample
 results of the single-operator entry points, bit for bit.
 :func:`tridiagonal_sweep` is the full-order counterpart, for steps that
 solve one symmetric positive definite tridiagonal system per sample: the
-systems of all samples are factored once, end to end, and one solve per
-step advances every sample (``heat_sweep``, ``wave_sweep``).  Both
-full-order steps are in midpoint form, so the parameter enters only
-through the factored matrices and the rest of a step is the same for
-every sample.
+systems of all samples are factored once, as one stack held positions
+first, and one solve per step advances every sample (``heat_sweep``,
+``wave_sweep``).  Both full-order steps are in midpoint form, so the
+parameter enters only through the factored matrices and the rest of a
+step is the same for every sample.
 """
 
 from __future__ import annotations
@@ -251,10 +251,8 @@ def _cayley_integrate(
     if m.shape != (n, n):
         raise ValueError(f"mass shape {m.shape} does not match state length {n}")
 
-    # One batched LU solve builds every step map.  NumPy's LAPACK forms the
-    # maps: SciPy's threaded multi-column solve runs in a second BLAS thread
-    # pool and stalls next to NumPy's.  Non-finite values propagate, so
-    # overflow is located after stepping.
+    # One batched LU solve builds every step map.  Non-finite values
+    # propagate, so overflow is located after stepping.
     with np.errstate(all="ignore"):
         half = 0.5 * dt * a
         phi = _step_maps(m - half, m + half)
@@ -356,21 +354,21 @@ def tridiagonal_sweep(
 ) -> list[Trajectory]:
     """Integrate S samples whose implicit step solves one SPD tridiagonal each.
 
-    ``diag`` (S, n) and ``off`` (S, n-1) are the samples' step matrices,
-    factored once as one stacked tridiagonal
+    ``diag`` (n, S) and ``off`` (n-1, S) are the samples' step matrices, one
+    column per sample, factored once as one stack
     (:func:`~topinf.linalg.factor_tridiagonals`).  ``step(solve, x, out)``
     writes into ``out`` the states that follow the states ``x`` (both
-    ``(S, m)``, one row per sample); ``solve(b)`` overwrites ``b`` (S, n)
-    with the solution of every sample's system.  The samples differ only in
-    their step matrices: ``step`` applies the same map to every row and is
-    also called with the one row of a single sample.
+    ``(m, S)``, one column per sample); ``solve(b)`` overwrites ``b``
+    (n, S) with the solution of every sample's system.  The samples differ
+    only in their step matrices: ``step`` applies the same elementwise map
+    to every column.
 
     Returns one :class:`Trajectory` per sample, starting from ``x0``, with
-    the states of that sample swept alone, bit for bit.  A non-finite value
-    crosses the zero seams of the stacked solve (``0 * inf = NaN``), so a
-    sweep in which any sample diverges is integrated again sample by
-    sample: only the samples that diverge are marked, each at its own first
-    non-finite step.
+    the states of that sample swept alone, bit for bit: no step or solve
+    mixes the columns, so a sample that leaves float range is marked at its
+    own first non-finite step and the other samples are untouched.  Each
+    trajectory's states are a strided view of the sweep's
+    ``(n_times, m, S)`` array.
 
     Raises
     ------
@@ -387,23 +385,18 @@ def tridiagonal_sweep(
         raise ValueError(f"n_times must be positive, got {n_times}")
 
     states = _tridiagonal_states(step, diag, off, x0, n_times)
-    finite = np.isfinite(states).all(axis=1)
-    if not finite.all():
-        states = np.concatenate([_tridiagonal_states(step, diag[s:s + 1], off[s:s + 1], x0, n_times)
-                                 for s in range(diag.shape[0])])
-        finite = np.isfinite(states).all(axis=1)
-    return _trajectories(states, finite, dt, t0)
+    return _trajectories(states, np.isfinite(states).all(axis=1), dt, t0)
 
 
 def _tridiagonal_states(step, diag, off, x0, n_times) -> np.ndarray:
     """The stepped states (S, m, n_times) of :func:`tridiagonal_sweep`, as a view."""
     solve = factor_tridiagonals(diag, off).solve
-    rows = np.empty((n_times, diag.shape[0], x0.shape[0]))
-    rows[0] = x0
+    states = np.empty((n_times, x0.shape[0], diag.shape[1]))
+    states[0] = x0[:, None]
     with np.errstate(all="ignore"):  # overflow is located by the caller
         for k in range(1, n_times):
-            step(solve, rows[k - 1], rows[k])
-    return rows.transpose(1, 2, 0)
+            step(solve, states[k - 1], states[k])
+    return states.transpose(2, 1, 0)
 
 
 def crank_nicolson(

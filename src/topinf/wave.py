@@ -168,8 +168,8 @@ def wave_projected_stiffness(model: WaveModel, params: np.ndarray, u: np.ndarray
     """Galerkin blocks ``U^T K(mu) U`` for every column of ``params`` (p, S), stacked ``(S, r, r)``.
 
     ``U^T K(mu) U = (S U)^T Mv(mu)^{-1} (S U)``: the ``Mv(mu)`` of every
-    sample are factored as one stacked tridiagonal, one solve takes the r
-    columns of ``S U`` for all of them, and each block is symmetrized.  For
+    sample are factored as one stack, one solve takes the r columns of
+    ``S U`` for all of them, and each block is symmetrized.  For
     a nested basis the blocks of its leading columns are the leading blocks.
     """
     params = np.asarray(params, dtype=float)
@@ -182,10 +182,9 @@ def wave_projected_stiffness(model: WaveModel, params: np.ndarray, u: np.ndarray
         raise ValueError(f"basis {u.shape} does not have {model.n_w} rows")
     su = u[:-1] - u[1:]  # S U
     diag, off = weighted_bands(params ** (-2.0), model.mass_v_diag, model.mass_v_off)
-    # entry [a, s] of the (r, S, Nv) right-hand side is column a of S U
-    x = factor_tridiagonals(diag, off).solve(
-        np.repeat(su.T[:, None, :], params.shape[1], axis=1))
-    blocks = np.swapaxes(x, 0, 1) @ su
+    # entry [:, a, s] of the (Nv, r, S) right-hand side is column a of S U
+    x = factor_tridiagonals(diag, off).solve(np.repeat(su[:, :, None], params.shape[1], axis=2))
+    blocks = np.ascontiguousarray(x.T) @ su
     return 0.5 * (blocks + np.swapaxes(blocks, 1, 2))
 
 
@@ -232,7 +231,7 @@ def wave_sweep(
         (Mv(mu) + c S S^T) sigma = S v,    z = v - c S^T sigma,
         q+ = 2 z - q,                      p+ = (4 / dt) (z - q) - p.
 
-    The S tridiagonal systems are factored once, end to end, and one
+    The S tridiagonal systems are factored once, and one stacked
     tridiagonal solve per step advances every sample
     (:func:`~topinf.rom.tridiagonal_sweep`).  The states agree with
     ``implicit_midpoint(wave_full_operator(model, mu), y0, dt, n_times)``
@@ -255,15 +254,15 @@ def wave_sweep(
     off = off - c
 
     def step(solve, y, out):
-        q, p = y[:, :n], y[:, n:]
+        q, p = y[:n], y[n:]
         z = q + (0.5 * dt) * p  # v, turned into z in place
-        sigma = z[:, :-1] - z[:, 1:]  # S v
+        sigma = z[:-1] - z[1:]  # S v
         solve(sigma)
         sigma *= c
-        z[:, :-1] -= sigma  # z = v - c S^T sigma
-        z[:, 1:] += sigma
-        dz = np.subtract(z, q, out=out[:, n:])
-        np.add(z, dz, out=out[:, :n])  # q+ = 2 z - q
+        z[:-1] -= sigma  # z = v - c S^T sigma
+        z[1:] += sigma
+        dz = np.subtract(z, q, out=out[n:])
+        np.add(z, dz, out=out[:n])  # q+ = 2 z - q
         dz *= 4.0 / dt
         dz -= p  # p+ = (4/dt) (z - q) - p
 

@@ -44,8 +44,8 @@ def test_weighted_bands_do_not_depend_on_the_sample_count():
     diag, off = weighted_bands(weights, model.stiffness_diag, model.stiffness_off)
     for s in range(weights.shape[1]):
         one = weighted_bands(weights[:, s], model.stiffness_diag, model.stiffness_off)
-        np.testing.assert_array_equal(one[0], diag[s])
-        np.testing.assert_array_equal(one[1], off[s])
+        np.testing.assert_array_equal(one[0], diag[:, s])
+        np.testing.assert_array_equal(one[1], off[:, s])
         dense = dense_slices(one[0][None], one[1][None])[:, :, 0]
         np.testing.assert_allclose(dense, model.stiffness @ weights[:, s], rtol=1e-14)
 

@@ -11,12 +11,15 @@ import pytest
 import scipy.linalg as la
 
 from topinf import (
+    ReducedBasis,
     build_heat_model,
     crank_nicolson,
     heat_features,
     heat_initial_state,
     heat_operator,
+    heat_projected_stiffness,
     heat_sweep,
+    intrusive_project,
     sample_conductivities,
 )
 from topinf import heat, rom
@@ -219,9 +222,9 @@ def test_sweep_matches_dense_crank_nicolson_at_study_size(n_elements):
 
 
 def test_sweep_steps_one_sample_as_it_steps_the_stack(monkeypatch):
-    # the step carries no per-sample data: the per-sample fallback of
-    # tridiagonal_sweep calls it with the one row of each sample, and every
-    # sample's states equal those of the stacked sweep, bit for bit
+    # the step carries no per-sample data: called with the one column of
+    # each sample, it gives every sample the states of the stacked sweep,
+    # bit for bit
     model = build_heat_model(40)
     params = sample_conductivities(np.random.default_rng(912), 3, 3, 0.1, 1.0)
     q0 = heat_initial_state(model)
@@ -230,13 +233,27 @@ def test_sweep_steps_one_sample_as_it_steps_the_stack(monkeypatch):
     def each_sample_too(step, diag, off, x0, dt, n_times, t0):
         runs = sweep(step, diag, off, x0, dt, n_times, t0)
         for s, run in enumerate(runs):
-            alone = rom._tridiagonal_states(step, diag[s:s + 1], off[s:s + 1], x0, n_times)
+            alone = rom._tridiagonal_states(step, diag[:, s:s + 1], off[:, s:s + 1], x0, n_times)
             np.testing.assert_array_equal(alone[0], run.states)
         return runs
 
     monkeypatch.setattr(heat, "tridiagonal_sweep", each_sample_too)
     runs = heat_sweep(model, params, q0, 0.01, 40)
     assert len(runs) == 3 and not any(run.diverged for run in runs)
+
+
+@pytest.mark.parametrize("n_elements, r", [(201, 10), (400, 30)])
+def test_projected_stiffness_matches_the_dense_projection(n_elements, r):
+    # U^T K_k U through the bands against the dense (N, N, p) contraction
+    model = build_heat_model(n_elements)
+    u, _ = np.linalg.qr(np.random.default_rng(913).standard_normal((model.n_dof, r)))
+    basis = ReducedBasis(u=u, weight=np.eye(model.n_dof), kind="pod")
+    expected = intrusive_project(model.stiffness, basis)
+    got = heat_projected_stiffness(model, u)
+    assert got.shape == (r, r, model.n_subdomains)
+    np.testing.assert_allclose(got, expected, rtol=0, atol=1e-14 * np.max(np.abs(expected)))
+    with pytest.raises(ValueError):
+        heat_projected_stiffness(model, u[:-1])
 
 
 def test_sweep_validation():

@@ -11,12 +11,14 @@ import scipy.linalg as la
 from topinf import (
     NotPositiveDefiniteError,
     SingularMatrixError,
+    build_wave_model,
     cholesky_upper,
     factor_tridiagonals,
     lstsq_min_norm,
     solve_sym,
     solve_sym_owned,
     thin_svd,
+    weighted_bands,
 )
 import topinf
 from topinf import linalg
@@ -461,66 +463,183 @@ def test_thin_svd_validates_arguments():
 # stacked tridiagonals
 
 
+def dense_tridiagonals(diag, off):
+    """The dense matrices ``(S, n, n)`` of positions-first bands ``diag`` (n, S), ``off`` (n-1, S)."""
+    return np.array([np.diag(d) + np.diag(e, 1) + np.diag(e, -1) for d, e in zip(diag.T, off.T)])
+
+
 def random_tridiagonals(rng, samples, n):
-    """Diagonally dominant (hence SPD) tridiagonal bands and their dense matrices."""
-    off = rng.uniform(-1.0, 1.0, (samples, n - 1))
-    diag = 2.0 + rng.uniform(0.0, 1.0, (samples, n))
-    dense = np.array([np.diag(d) + np.diag(e, 1) + np.diag(e, -1) for d, e in zip(diag, off)])
-    return diag, off, dense
+    """Diagonally dominant (hence SPD) tridiagonal bands, positions first, and their dense matrices."""
+    off = rng.uniform(-1.0, 1.0, (samples, n - 1)).T
+    diag = 2.0 + rng.uniform(0.0, 1.0, (samples, n)).T
+    return diag, off, dense_tridiagonals(diag, off)
+
+
+def dense_solves(dense, b):
+    """Each sample's dense solve of the right-hand sides ``b`` (n, S)."""
+    return np.array([np.linalg.solve(a, rhs) for a, rhs in zip(dense, b.T)]).T
 
 
 def test_tridiagonal_factor_solves_every_sample_in_place():
     rng = np.random.default_rng(901)
     diag, off, dense = random_tridiagonals(rng, 4, 7)
     factor = factor_tridiagonals(diag, off)
-    b = rng.standard_normal((4, 7))
-    expected = np.array([np.linalg.solve(a, rhs) for a, rhs in zip(dense, b)])
+    b = np.ascontiguousarray(rng.standard_normal((4, 7)).T)
+    expected = dense_solves(dense, b)
     out = factor.solve(b)
     assert out is b
     np.testing.assert_allclose(b, expected, rtol=1e-13, atol=1e-14)
-    # leading axes are independent right-hand sides
+    # middle axes are independent right-hand sides
     many = rng.standard_normal((3, 4, 7))
     expected = np.einsum("sij,ksj->ksi", np.linalg.inv(dense), many)
-    np.testing.assert_allclose(factor.solve(many.copy()), expected, rtol=1e-12, atol=1e-14)
+    got = factor.solve(np.ascontiguousarray(many.transpose(2, 0, 1))).transpose(1, 2, 0)
+    np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-14)
     # a one-sample factor matches the dense solve of its matrix columns
-    single = factor_tridiagonals(diag[:1], off[:1])
+    single = factor_tridiagonals(diag[:, :1], off[:, :1])
     cols = rng.standard_normal((7, 5))
-    x = single.solve(np.ascontiguousarray(cols.T)[:, None, :])[:, 0].T
+    x = single.solve(cols[:, :, None].copy())[:, :, 0]
     np.testing.assert_allclose(x, np.linalg.solve(dense[0], cols), rtol=1e-13, atol=1e-14)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_tridiagonal_factor_solves_the_smallest_orders(n):
+    rng = np.random.default_rng(903 + n)
+    diag, off, dense = random_tridiagonals(rng, 3, n)
+    assert len(factor_tridiagonals(diag, off).levels) == int(np.ceil(np.log2(n)))
+    b = rng.standard_normal((n, 3))
+    x = factor_tridiagonals(diag, off).solve(b.copy())
+    np.testing.assert_allclose(x, dense_solves(dense, b), rtol=1e-13, atol=1e-14)
+
+
+def test_tridiagonal_factor_solves_zero_and_sign_changing_couplings():
+    rng = np.random.default_rng(906)
+    diag, off, _ = random_tridiagonals(rng, 3, 9)
+    off = off.copy()
+    off[4] = 0.0  # every matrix splits into two blocks here
+    off[:, 2] = 0.0  # a diagonal matrix
+    b = rng.standard_normal((9, 3))
+    x = factor_tridiagonals(diag, off).solve(b.copy())
+    expected = dense_solves(dense_tridiagonals(diag, off), b)
+    np.testing.assert_allclose(x, expected, rtol=1e-13, atol=1e-14)
+    np.testing.assert_array_equal(x[:, 2], b[:, 2] / diag[:, 2])
+    # wave's step matrix Mv(mu) + c S S^T: its off-diagonal h/(6 mu^2) - c is
+    # positive on subdomains slower than h/dt sqrt(2/3) and negative elsewhere
+    model = build_wave_model(200)
+    dt = np.pi / 100.0
+    c = dt * dt / (4.0 * model.h)
+    turn = model.h / dt * np.sqrt(2.0 / 3.0)
+    params = np.array([[0.7, 2.4], [turn, 1.1], [1.5, 0.8], [2.4, turn]])
+    mv_diag, mv_off = weighted_bands(params ** (-2.0), model.mass_v_diag, model.mass_v_off)
+    diag, off = mv_diag + 2.0 * c, mv_off - c
+    for s in range(2):
+        assert np.any(off[:, s] > 0.0) and np.any(off[:, s] < 0.0)
+    b = rng.standard_normal((model.n_v, 2))
+    x = factor_tridiagonals(diag, off).solve(b.copy())
+    expected = dense_solves(dense_tridiagonals(diag, off), b)
+    np.testing.assert_allclose(x, expected, rtol=0, atol=1e-13 * np.max(np.abs(expected)))
+
+
+def test_tridiagonal_factor_matches_banded_cholesky_at_large_order():
+    rng = np.random.default_rng(907)
+    n = 5000
+    diag = 2.0 + rng.uniform(0.0, 1.0, (n, 3))
+    off = rng.uniform(-1.0, 1.0, (n - 1, 3))
+    b = rng.standard_normal((n, 2, 3))
+    x = factor_tridiagonals(diag, off).solve(b.copy())
+    for s in range(3):
+        bands = np.vstack([np.append(0.0, off[:, s]), diag[:, s]])  # upper form
+        expected = la.solveh_banded(bands, b[:, :, s])
+        np.testing.assert_allclose(x[:, :, s], expected, rtol=0,
+                                   atol=1e-13 * np.max(np.abs(expected)))
+
+
+def test_tridiagonal_factor_solves_spd_matrices_that_are_not_diagonally_dominant():
+    # tridiag(1, 1.98, 1), whose inner rows' couplings sum to 2, and
+    # diag(1, 20, 1, 20, ...) with couplings 2, whose multipliers exceed 2.7
+    n = 12
+    diag = np.stack([np.full(n, 1.98), np.tile([1.0, 20.0], n // 2)], axis=1)
+    off = np.stack([np.full(n - 1, 1.0), np.full(n - 1, 2.0)], axis=1)
+    dense = dense_tridiagonals(diag, off)
+    assert all(np.linalg.eigvalsh(a)[0] > 0.0 for a in dense)
+    assert all(np.any(np.sum(np.abs(a), axis=1) > 2.0 * np.diag(a)) for a in dense)
+    factor = factor_tridiagonals(diag, off)
+    assert np.max(np.abs(factor.levels[0])) > 1.0
+    b = np.random.default_rng(908).standard_normal((n, 2))
+    x = factor.solve(b.copy())
+    expected = dense_solves(dense, b)
+    np.testing.assert_allclose(x, expected, rtol=0, atol=1e-12 * np.max(np.abs(expected)))
+
+
+def test_tridiagonal_solve_keeps_each_sample_to_itself():
+    # a sample solved in a stack gets the bits it gets alone, and a
+    # non-finite right-hand side of one sample reaches no other sample
+    rng = np.random.default_rng(909)
+    diag, off, _ = random_tridiagonals(rng, 5, 40)
+    b = rng.standard_normal((40, 3, 5))
+    b[17, 1, 2] = np.inf
+    with np.errstate(invalid="ignore"):
+        x = factor_tridiagonals(diag, off).solve(b.copy())
+        for s in range(5):
+            alone = factor_tridiagonals(diag[:, s:s + 1], off[:, s:s + 1]).solve(
+                np.ascontiguousarray(b[:, :, s:s + 1]))
+            np.testing.assert_array_equal(x[:, :, s:s + 1], alone)
+    assert not np.all(np.isfinite(x[:, 1, 2]))
+    assert np.all(np.isfinite(np.delete(x, 2, axis=2)))
 
 
 def test_tridiagonal_factor_names_the_sample_and_pivot_of_a_breakdown():
     rng = np.random.default_rng(902)
     diag, off, _ = random_tridiagonals(rng, 4, 6)
-    diag[2, 3] = -1.0
+    diag[3, 2] = -1.0
     with pytest.raises(NotPositiveDefiniteError) as exc:
         factor_tridiagonals(diag, off)
     assert (exc.value.sample, exc.value.pivot_index) == (2, 3)
     # the first pivot of a sample: no fill from the previous sample's last row
-    diag[2, 3] = 2.5
-    diag[1, 0] = 0.0
+    diag[3, 2] = 2.5
+    diag[0, 1] = 0.0
     with pytest.raises(NotPositiveDefiniteError) as exc:
         factor_tridiagonals(diag, off)
     assert (exc.value.sample, exc.value.pivot_index) == (1, 0)
 
 
+def test_tridiagonal_breakdowns_name_the_first_sample_as_dpttrf_does():
+    # sample 1 breaks at pivot 4, sample 3 at pivot 1: the first failing
+    # sample is named, not the earliest pivot, as LAPACK dpttrf reports the
+    # samples laid end to end with zero couplings between them
+    rng = np.random.default_rng(910)
+    diag, off, _ = random_tridiagonals(rng, 4, 6)
+    diag[4, 1] = -0.5
+    diag[1, 3] = -0.5
+    with pytest.raises(NotPositiveDefiniteError) as exc:
+        factor_tridiagonals(diag, off)
+    seams = np.vstack([off, np.zeros((1, 4))]).T.ravel()[:-1]
+    info = la.lapack.dpttrf(diag.T.ravel(), seams)[2]
+    assert divmod(info - 1, 6) == (1, 4)
+    assert (exc.value.sample, exc.value.pivot_index) == (1, 4)
+    # a pivot that overflows to -inf fails too
+    diag, off = np.array([[1e-200], [1.0]]), np.array([[1e200]])
+    with pytest.raises(NotPositiveDefiniteError) as exc:
+        factor_tridiagonals(diag, off)
+    assert (exc.value.sample, exc.value.pivot_index) == (0, 1)
+
+
 def test_tridiagonal_factor_validates_arguments():
-    diag, off = np.full((2, 3), 2.0), np.full((2, 2), -1.0)
+    diag, off = np.full((3, 2), 2.0), np.full((2, 2), -1.0)
     with pytest.raises(ValueError):
-        factor_tridiagonals(diag[0], off[0])  # not a stack
+        factor_tridiagonals(diag[:, 0], off[:, 0])  # not a stack
     with pytest.raises(ValueError):
-        factor_tridiagonals(diag, off[:, :1])
+        factor_tridiagonals(diag, off[:1])
     with pytest.raises(ValueError):
-        factor_tridiagonals(np.full((2, 0), 1.0), np.zeros((2, 0)))
+        factor_tridiagonals(np.full((0, 2), 1.0), np.zeros((0, 2)))
     with pytest.raises(ValueError):
         factor_tridiagonals(diag, off * np.nan)
     factor = factor_tridiagonals(diag, off)
     with pytest.raises(ValueError):
-        factor.solve(np.ones((3, 2)))
+        factor.solve(np.ones((2, 3)))
     with pytest.raises(ValueError):
-        factor.solve(np.ones((3, 2)).T)  # right shape, not C-contiguous
+        factor.solve(np.ones((2, 3)).T)  # right shape, not C-contiguous
     with pytest.raises(ValueError):
-        factor.solve(np.ones((2, 3), dtype=np.float32))
+        factor.solve(np.ones((3, 2), dtype=np.float32))
 
 
 # ----------------------------------------------------------------------
@@ -564,3 +683,30 @@ def test_symmetric_solves_and_fits_do_not_load_scipy():
     done = subprocess.run([sys.executable, "-c", _SOLVES_AND_FITS, src], capture_output=True,
                           text=True, timeout=120, check=True)
     assert done.stdout.strip() == "[]"
+
+
+_WHOLE_STUDY = """
+import dataclasses
+import sys
+import numpy as np
+sys.path.insert(0, sys.argv[1])
+from topinf import Surrogate, default_config, run_pipeline
+
+heat = dataclasses.replace(default_config("heat1d"), n_elements=24, tf=0.4, dt=0.05, n_train=5,
+                           n_test=2, reduced_dims=(2, 3), derivative="exact", seed=3)
+wave = dataclasses.replace(default_config("wave1d"), n_elements=16, tf=0.4 * np.pi,
+                           dt=np.pi / 50.0, n_train=4, n_test=2, reduced_dims=(2,), seed=11)
+for cfg in (heat, wave):
+    run_pipeline(cfg, f"{sys.argv[2]}/{cfg.problem}")
+Surrogate.load(f"{sys.argv[2]}/heat1d").run("intrusive", 3, np.full((3, 2), 0.5))
+print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))
+"""
+
+
+def test_a_whole_study_does_not_load_scipy(tmp_path):
+    # all five stages of a heat and a wave study and a query run on NumPy alone
+    src = str(Path(topinf.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", _WHOLE_STUDY, src, str(tmp_path)],
+                          capture_output=True, text=True, timeout=300, check=True)
+    assert done.stdout.strip().splitlines()[-1] == "[]"
+    assert (tmp_path / "wave1d" / "report" / "summary.txt").exists()

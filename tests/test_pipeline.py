@@ -381,7 +381,7 @@ def test_stages_form_galerkin_quantities_once(problem, tmp_path, monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    for name in ("intrusive_project", "wave_projected_stiffness"):
+    for name in ("heat_projected_stiffness", "wave_projected_stiffness"):
         monkeypatch.setattr(pipeline, name, counting("galerkin", getattr(pipeline, name)))
     stiffness = counting("wave_stiffness", wave.wave_stiffness)
     monkeypatch.setattr(wave, "wave_stiffness", stiffness)
@@ -834,24 +834,6 @@ def test_fom_simulation_holds_each_split_once(problem, tmp_path):
     finally:
         tracemalloc.stop()
     assert peak <= 1.4 * split_bytes
-
-
-def test_fom_simulation_releases_the_training_states_before_the_test_split(tmp_path):
-    # the training split's stepped states are released before the test
-    # split is integrated, so the stage holds one split's states at a time
-    import tracemalloc
-
-    cfg = default_config("wave1d")
-    pipeline.simulate_fom(cfg, tmp_path)  # first-call imports outside the trace
-    train_bytes = sum(load_matrix(tmp_path / "fom" / f"train_{i:03d}.tpoi").nbytes
-                      for i in range(cfg.n_train))
-    tracemalloc.start()
-    try:
-        pipeline.simulate_fom(cfg, tmp_path)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.2 * train_bytes
 
 
 def test_manifest_records_each_stage_peak_rss(heat_run):

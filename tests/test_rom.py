@@ -522,20 +522,20 @@ def _tridiagonal_step(solve, x, out):
 
 def _tridiagonal_samples(n, growth):
     """Step matrices ``L = tridiag(-1, 4, -1) / g`` per sample: ``L^{-1}`` grows by ``g/6..g/2``."""
-    g = np.asarray(growth, dtype=float)[:, None]
-    return np.full((len(growth), n), 4.0) / g, np.full((len(growth), n - 1), -1.0) / g
+    g = np.asarray(growth, dtype=float)
+    return np.full((n, len(growth)), 4.0) / g, np.full((n - 1, len(growth)), -1.0) / g
 
 
 def test_tridiagonal_sweep_isolates_an_overflowing_sample():
-    # sample 1 grows about 500-fold per step and overflows; in the stacked
-    # solve its inf reaches the other samples through the zero seams
-    # (0 * inf = NaN), so the sweep re-integrates sample by sample
+    # sample 1 grows about 500-fold per step and overflows; the stacked
+    # solve keeps each sample's arithmetic to its own column, so its inf and
+    # NaN reach no other sample
     n, dt, n_times = 6, 0.1, 160
     x0 = np.linspace(1.0, 2.0, n)
     diag, off = _tridiagonal_samples(n, (2.0, 2500.0, 1.0, 3.0))
     runs = tridiagonal_sweep(_tridiagonal_step, diag, off, x0, dt, n_times, 0.5)
     for s, run in enumerate(runs):
-        alone = tridiagonal_sweep(_tridiagonal_step, diag[s:s + 1], off[s:s + 1], x0, dt,
+        alone = tridiagonal_sweep(_tridiagonal_step, diag[:, s:s + 1], off[:, s:s + 1], x0, dt,
                                   n_times, 0.5)[0]
         np.testing.assert_array_equal(run.states, alone.states)
         np.testing.assert_array_equal(run.times, 0.5 + dt * np.arange(n_times))
@@ -550,7 +550,7 @@ def test_tridiagonal_sweep_isolates_an_overflowing_sample():
 
 def test_tridiagonal_sweep_names_an_indefinite_sample():
     diag, off = _tridiagonal_samples(5, (1.0, 1.0, 1.0))
-    diag[2, 3] = -4.0
+    diag[3, 2] = -4.0
     with pytest.raises(NotPositiveDefiniteError) as exc:
         tridiagonal_sweep(_tridiagonal_step, diag, off, np.ones(5), 0.1, 4)
     assert (exc.value.sample, exc.value.pivot_index) == (2, 3)
