@@ -204,8 +204,13 @@ def _snapshot_factor(snapshots, n: int) -> np.ndarray:
 
 
 def _stacked_factor(group: list[np.ndarray]) -> np.ndarray:
-    """The R factor of the rows of ``group`` stacked; empties ``group`` before the QR."""
-    stack = np.vstack(group)
+    """The R factor of the rows of ``group`` stacked; empties ``group`` before the QR.
+
+    The stack is built column-major, the layout LAPACK factors, so the QR's
+    own copy of it is a plain copy whatever the layout of the sets.
+    """
+    stack = np.empty((sum(len(rows) for rows in group), group[0].shape[1]), order="F")
+    np.concatenate(group, out=stack)
     group.clear()
     return np.linalg.qr(stack, mode="r")
 

@@ -20,8 +20,11 @@ from one vectorized assembly (:func:`p1_assembly`, which also gives the
 wave model its flux mass slices); the dense ``M`` and the stacked
 ``(N, N, p)`` tensor of the ``K_k`` are built on access.
 :func:`heat_sweep` steps a whole parameter sweep with Crank-Nicolson
-through one stacked tridiagonal factorization of the bands,
-:meth:`HeatModel.apply_mass` applies ``M`` through its bands, and
+through one stacked tridiagonal factorization of the bands, and
+:func:`heat_sweep_blocks` hands out the same states in time blocks, for a
+caller that streams them rather than holding the runs (both build their
+step and bands in one place); :meth:`HeatModel.apply_mass` applies ``M``
+through its bands, and
 :func:`heat_projected_stiffness` projects the ``K_k`` through theirs.
 """
 
@@ -31,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rom import Trajectory, tridiagonal_sweep
+from .rom import Trajectory, tridiagonal_blocks, tridiagonal_sweep
 from .tensors import mode3_product
 
 __all__ = [
@@ -42,6 +45,7 @@ __all__ = [
     "build_heat_model",
     "heat_operator",
     "heat_sweep",
+    "heat_sweep_blocks",
     "heat_projected_stiffness",
     "heat_initial_state",
     "heat_features",
@@ -210,6 +214,29 @@ def heat_operator(model: HeatModel, mu: np.ndarray) -> np.ndarray:
     return -mode3_product(model.stiffness, _check_conductivities(model, mu))
 
 
+def _crank_nicolson_steps(model: HeatModel, params: np.ndarray, q0: np.ndarray, dt: float):
+    """The step and step-matrix bands ``(step, diag, off)`` of :func:`heat_sweep`, checked."""
+    params = np.asarray(params, dtype=float)
+    if params.ndim != 2:
+        raise ValueError(f"expected one conductivity vector per column, got shape {params.shape}")
+    for mu in params.T:
+        _check_conductivities(model, mu)
+    if np.shape(q0) != (model.n_dof,):
+        raise ValueError(f"initial state must have length {model.n_dof}, got {np.shape(q0)}")
+    if not (dt > 0.0):
+        raise ValueError(f"dt must be positive, got {dt}")
+
+    k_diag, k_off = weighted_bands(0.25 * dt * params, model.stiffness_diag, model.stiffness_off)
+
+    def step(solve, q, out):
+        out[...] = model.apply_mass(q)
+        solve(out)  # 2 z
+        out -= q
+
+    return (step, 0.5 * model.mass_diag[:, None] + k_diag,
+            0.5 * model.mass_off[:, None] + k_off)
+
+
 def heat_sweep(
     model: HeatModel,
     params: np.ndarray,
@@ -235,24 +262,21 @@ def heat_sweep(
     ``crank_nicolson(heat_operator(model, mu), q0, dt, n_times, mass=M)``
     to rounding.
     """
-    params = np.asarray(params, dtype=float)
-    if params.ndim != 2:
-        raise ValueError(f"expected one conductivity vector per column, got shape {params.shape}")
-    for mu in params.T:
-        _check_conductivities(model, mu)
-    q0 = np.asarray(q0, dtype=float)
-    if q0.shape != (model.n_dof,):
-        raise ValueError(f"initial state must have length {model.n_dof}, got {q0.shape}")
+    step, diag, off = _crank_nicolson_steps(model, params, q0, dt)
+    return tridiagonal_sweep(step, diag, off, q0, dt, n_times, t0)
 
-    k_diag, k_off = weighted_bands(0.25 * dt * params, model.stiffness_diag, model.stiffness_off)
 
-    def step(solve, q, out):
-        out[...] = model.apply_mass(q)
-        solve(out)  # 2 z
-        out -= q
+def heat_sweep_blocks(model: HeatModel, params: np.ndarray, q0: np.ndarray, dt: float,
+                      n_times: int):
+    """The states of :func:`heat_sweep`, bit for bit, as time blocks ``(k, N, S)``.
 
-    return tridiagonal_sweep(step, 0.5 * model.mass_diag[:, None] + k_diag,
-                             0.5 * model.mass_off[:, None] + k_off, q0, dt, n_times, t0)
+    An iterator over views of one reused buffer
+    (:func:`~topinf.rom.tridiagonal_blocks`); sample ``s`` is column ``s``
+    of every block.  A sample that leaves float range turns non-finite:
+    the caller checks.
+    """
+    step, diag, off = _crank_nicolson_steps(model, params, q0, dt)
+    return tridiagonal_blocks(step, diag, off, q0, n_times)
 
 
 def heat_projected_stiffness(model: HeatModel, u: np.ndarray) -> np.ndarray:

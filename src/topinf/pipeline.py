@@ -42,19 +42,26 @@ Philox 4x64 counter-based generator, keyed by ``(seed, stream)`` with
 stream 0 for training parameters and stream 1 for test parameters.
 
 The full-order sweep is one stacked tridiagonal integration over every
-sample of both splits (:func:`~topinf.heat.heat_sweep`,
-:func:`~topinf.wave.wave_sweep`), and so is the reduced sweep of each
-(label, r).  The basis is nested, so each stage forms its Galerkin
-quantities (heat's projected tensor, wave's projected stiffness blocks)
-once with the largest basis and slices them per r.  One class, :class:`Surrogate`, turns a study's
-artifacts into its reduced models and every model into per-sample
-generators ``A``; ``infer``'s exact derivatives, ``simulate_rom``'s sweeps
-and ``evaluate``'s wave energies ``E = J^T A`` derive from it, and
-``Surrogate.load(outdir).run(label, r, params)`` queries a finished study
-at new parameters.  BLAS keeps its own threads.  A reduced run that
-diverges is recorded in the manifest as a structured record ``{label, r,
-split, index, step}``, keeps no states file, and is left out of the error
-pools.
+sample of both splits (:func:`~topinf.heat.heat_sweep_blocks`,
+:func:`~topinf.wave.wave_sweep_blocks`), streamed to the sample files in
+time blocks of ``isqrt(n_times)`` steps: each ``fom/{split}_{i:03d}.tpoi``
+is time-major, ``(n_times, n_state)`` with one snapshot per row, filled
+one block at a time by a :class:`~topinf.storage.RowWriter`, so the stage
+holds one block of the sweep, not its runs.  The later stages read these
+files through one helper (:func:`_load_fom`), which refuses any other
+shape, so a directory written state-major, as before, is refused.  The
+reduced sweep of each (label, r) is one stacked integration too.  The
+basis is nested, so each stage forms its Galerkin quantities (heat's
+projected tensor, wave's projected stiffness blocks) once with the
+largest basis and slices them per r.  One class, :class:`Surrogate`,
+turns a study's artifacts into its reduced models and every model into
+per-sample generators ``A``; ``infer``'s exact derivatives,
+``simulate_rom``'s sweeps and ``evaluate``'s wave energies ``E = J^T A``
+derive from it, and ``Surrogate.load(outdir).run(label, r, params)``
+queries a finished study at new parameters.  BLAS keeps its own threads.
+A reduced run that diverges is recorded in the manifest as a structured
+record ``{label, r, split, index, step}``, keeps no states file, and is
+left out of the error pools.
 
 ``manifest.json`` is strict JSON: every float it records is finite or
 ``null``.  ``error_pools`` gives each error its number of pooled runs and
@@ -65,6 +72,7 @@ the reason for a ``null`` (``"unscored"`` or ``"out_of_range"``); a
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import os
@@ -99,7 +107,7 @@ from .heat import (
     heat_initial_state,
     heat_operator,
     heat_projected_stiffness,
-    heat_sweep,
+    heat_sweep_blocks,
     sample_conductivities,
 )
 from .inference import InferenceData, infer_lstsq, infer_normal, infer_symmetric
@@ -115,7 +123,7 @@ from .rom import (
     reduced_hamiltonian,
     symmetric_part,
 )
-from .storage import load_matrix, save_matrix, load_tensor, save_tensor
+from .storage import RowWriter, load_matrix, save_matrix, load_tensor, save_tensor
 from .tensors import mode3_product
 from .wave import (
     build_wave_model,
@@ -125,7 +133,7 @@ from .wave import (
     wave_mass_form_operator,
     wave_projected_stiffness,
     wave_stiffness,
-    wave_sweep,
+    wave_sweep_blocks,
 )
 
 __all__ = [
@@ -200,6 +208,22 @@ def _splits(cfg: ExperimentConfig) -> list[tuple[str, int]]:
 
 def _fom_path(outdir: Path, split: str, i: int) -> Path:
     return outdir / "fom" / f"{split}_{i:03d}.tpoi"
+
+
+def _load_fom(cfg: ExperimentConfig, outdir: Path, split: str, i: int) -> np.ndarray:
+    """The full-order run ``split``/``i``, time-major ``(n_times, n_state)``: one snapshot per row.
+
+    Any other shape is refused, a state-major ``(n_state, n_times)`` file
+    written before the files turned time-major included (unless the two
+    sizes are equal).
+    """
+    path = _fom_path(outdir, split, i)
+    states = load_matrix(path)
+    n_state = cfg.n_elements - 1 if cfg.problem == "heat1d" else 2 * cfg.n_elements
+    if states.shape != (cfg.n_times, n_state):
+        raise ValueError(f"{path} holds a {states.shape[0]} x {states.shape[1]} record, not "
+                         f"{cfg.n_times} snapshots of {n_state} states; rerun simulate-fom")
+    return states
 
 
 def _rom_dir(outdir: Path, label: str, r: int) -> Path:
@@ -486,7 +510,13 @@ def simulate_fom(cfg: ExperimentConfig, outdir) -> None:
     """Sample parameters and integrate the full-order model for each.
 
     One stacked sweep integrates the samples of both splits; each sample's
-    states are those of the sample swept alone, bit for bit.
+    states are those of the sample swept alone, bit for bit.  The sweep
+    hands out time blocks of ``isqrt(n_times)`` steps, and each block is
+    appended to every sample's time-major file before the next is stepped,
+    so the stage holds one block, not the runs.  A block in which a run is
+    not finite stops the stage with a :class:`~topinf.errors.NumericError`
+    naming the run and the step where it first turned, the earliest in time
+    (the first in sample order among equals).
     """
     cfg = cfg.validate()
     outdir = Path(outdir)
@@ -496,9 +526,9 @@ def simulate_fom(cfg: ExperimentConfig, outdir) -> None:
 
     model = _build_model(cfg)
     if cfg.problem == "heat1d":
-        x0, sweep = heat_initial_state(model), heat_sweep
+        x0, sweep = heat_initial_state(model), heat_sweep_blocks
     else:
-        x0, sweep = wave_initial_state(model), wave_sweep
+        x0, sweep = wave_initial_state(model), wave_sweep_blocks
 
     runs, params = [], []
     for split, count in _splits(cfg):
@@ -506,11 +536,20 @@ def simulate_fom(cfg: ExperimentConfig, outdir) -> None:
                                        _TRAIN_STREAM if split == "train" else _TEST_STREAM))
         save_matrix(outdir / f"params_{split}.tpoi", params[-1])
         runs += [(split, i) for i in range(count)]
-    trajectories = sweep(model, np.hstack(params), x0, cfg.dt, cfg.n_times, t0=cfg.t0)
-    for (split, i), traj in zip(runs, trajectories):
-        if traj.diverged:
-            raise NumericError(f"full-order run {split}/{i} diverged at step {traj.first_bad_step}")
-        save_matrix(_fom_path(outdir, split, i), traj.states)
+    with contextlib.ExitStack() as opened:
+        files = [opened.enter_context(RowWriter(_fom_path(outdir, split, i),
+                                                (cfg.n_times, x0.shape[0])))
+                 for split, i in runs]
+        step = 0  # the time index of the block's first row
+        for block in sweep(model, np.hstack(params), x0, cfg.dt, cfg.n_times):
+            bad = np.argwhere(~np.isfinite(block).all(axis=1))  # (row, run), earliest row first
+            if bad.size:
+                row, s = bad[0]
+                split, i = runs[s]
+                raise NumericError(f"full-order run {split}/{i} diverged at step {step + row}")
+            for s, file in enumerate(files):
+                file.write(block[:, :, s])
+            step += len(block)
 
     _record_stage(cfg, outdir, "simulate_fom", time.perf_counter() - started,
                   updates={"full_order": _record(cfg, "full_order")})
@@ -525,11 +564,12 @@ def build_basis(cfg: ExperimentConfig, outdir) -> None:
 
     The POD reads the training files through a generator, in sample
     order: heat's trajectories; for wave each file's position block, then
-    its momentum block.  It gathers them into groups of at least ``4 N``
-    snapshots and reduces each group to an ``N x N`` QR factor before it
-    reads the next (:func:`~topinf.basis.weighted_pod`), so the stage holds
-    one group, never the whole training set; the files' arrays are not
-    modified.
+    its momentum block, each handed over as a transposed view, ``N x
+    n_times``, of the time-major file.  It gathers them into groups of at
+    least ``4 N`` snapshots and reduces each group to an ``N x N`` QR factor
+    before it reads the next (:func:`~topinf.basis.weighted_pod`), so the
+    stage holds one group, never the whole training set; the files' arrays
+    are not modified.
     """
     cfg = cfg.validate()
     outdir = Path(outdir)
@@ -542,13 +582,13 @@ def build_basis(cfg: ExperimentConfig, outdir) -> None:
     heat = cfg.problem == "heat1d"
     weight = model.mass if heat else model.mass_w
     n = weight.shape[0]
-    files = (load_matrix(_fom_path(outdir, "train", i)) for i in range(cfg.n_train))
+    files = (_load_fom(cfg, outdir, "train", i) for i in range(cfg.n_train))
     r_max = max(cfg.reduced_dims)
     if heat:
-        b = weighted_pod(files, weight, r_max)
+        b = weighted_pod(map(np.transpose, files), weight, r_max)  # holds no file it handed out
     else:  # each file's position block, then its momentum block
-        b = psd_cotangent_lift((block for states in files for block in (states[:n], states[n:])),
-                               (), weight, r_max)
+        b = psd_cotangent_lift((block.T for states in files
+                                for block in (states[:, :n], states[:, n:])), (), weight, r_max)
         save_matrix(outdir / "basis" / "u_half.tpoi", b.u_half)
     save_matrix(outdir / "basis" / "u.tpoi", b.u)
     save_tensor(outdir / "basis" / "svals.tpoi", b.singular_values)
@@ -586,8 +626,11 @@ def infer(cfg: ExperimentConfig, outdir) -> None:
     (outdir / "operators").mkdir()
 
     params = _load_params(outdir, "train")
-    ys_full = np.stack([surrogate.basis.project(load_matrix(_fom_path(outdir, "train", i)))
-                        for i in range(cfg.n_train)], axis=2)
+    # each run is projected as a state-major contiguous copy: the product
+    # of a transposed view can round differently
+    ys_full = np.stack([surrogate.basis.project(
+        np.ascontiguousarray(_load_fom(cfg, outdir, "train", i).T)) for i in range(cfg.n_train)],
+        axis=2)
     wave = cfg.problem == "wave1d"
     exact = cfg.derivative == "exact"
     if exact:
@@ -793,7 +836,8 @@ def evaluate(cfg: ExperimentConfig, outdir) -> None:
         first = {"train": 0, "test": cfg.n_train}  # each split's first column of params
     u = surrogate.basis.block
 
-    runs = {split: [_scored_run(load_matrix(_fom_path(outdir, split, i)), u, surrogate.model)
+    runs = {split: [_scored_run(np.ascontiguousarray(_load_fom(cfg, outdir, split, i).T), u,
+                                surrogate.model)
                     for i in range(count)]
             for split, count in _splits(cfg)}
     showcase = "test" if cfg.n_test > 0 else "train"

@@ -36,7 +36,9 @@ their tridiagonal bands; ``Mw = h I``, the constant upper bidiagonal
 stacked tridiagonal factor (:func:`wave_stiffness` is its identity-basis
 case), and :func:`wave_sweep` steps a whole parameter sweep with the
 implicit midpoint rule in a Schur form whose only solve is one stacked
-tridiagonal system on the flux space.
+tridiagonal system on the flux space; :func:`wave_sweep_blocks` hands out
+the same states in time blocks, for a caller that streams them rather
+than holding the runs (both build their step and bands in one place).
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ import numpy as np
 
 from .heat import DOMAIN_LENGTH, dense_slices, p1_assembly, weighted_bands
 from .linalg import factor_tridiagonals
-from .rom import Trajectory, tridiagonal_sweep
+from .rom import Trajectory, tridiagonal_blocks, tridiagonal_sweep
 from .tensors import mode3_product
 
 __all__ = [
@@ -59,6 +61,7 @@ __all__ = [
     "wave_operator_a1",
     "wave_full_operator",
     "wave_sweep",
+    "wave_sweep_blocks",
     "wave_mass_form_operator",
     "wave_rhs",
     "wave_hamiltonian",
@@ -214,6 +217,39 @@ def wave_full_operator(model: WaveModel, mu: np.ndarray) -> np.ndarray:
     return np.vstack([top, bottom])
 
 
+def _midpoint_steps(model: WaveModel, params: np.ndarray, y0: np.ndarray, dt: float):
+    """The step and step-matrix bands ``(step, diag, off)`` of :func:`wave_sweep`, checked."""
+    params = np.asarray(params, dtype=float)
+    if params.ndim != 2:
+        raise ValueError(f"expected one speed vector per column, got shape {params.shape}")
+    for mu in params.T:
+        _check_speeds(model, mu)
+    n = model.n_w
+    if np.shape(y0) != (2 * n,):
+        raise ValueError(f"initial state must have length {2 * n}, got {np.shape(y0)}")
+    if not (dt > 0.0):
+        raise ValueError(f"dt must be positive, got {dt}")
+
+    c = dt * dt / (4.0 * model.h)
+    # Mv(mu) + c S S^T, with S S^T = tridiag(-1, 2, -1)
+    diag, off = weighted_bands(params ** (-2.0), model.mass_v_diag, model.mass_v_off)
+
+    def step(solve, y, out):
+        q, p = y[:n], y[n:]
+        z = q + (0.5 * dt) * p  # v, turned into z in place
+        sigma = z[:-1] - z[1:]  # S v
+        solve(sigma)
+        sigma *= c
+        z[:-1] -= sigma  # z = v - c S^T sigma
+        z[1:] += sigma
+        dz = np.subtract(z, q, out=out[n:])
+        np.add(z, dz, out=out[:n])  # q+ = 2 z - q
+        dz *= 4.0 / dt
+        dz -= p  # p+ = (4/dt) (z - q) - p
+
+    return step, diag + 2.0 * c, off - c
+
+
 def wave_sweep(
     model: WaveModel,
     params: np.ndarray,
@@ -237,36 +273,21 @@ def wave_sweep(
     ``implicit_midpoint(wave_full_operator(model, mu), y0, dt, n_times)``
     to rounding, and the energy :func:`wave_hamiltonian` is conserved.
     """
-    params = np.asarray(params, dtype=float)
-    if params.ndim != 2:
-        raise ValueError(f"expected one speed vector per column, got shape {params.shape}")
-    for mu in params.T:
-        _check_speeds(model, mu)
-    y0 = np.asarray(y0, dtype=float)
-    n = model.n_w
-    if y0.shape != (2 * n,):
-        raise ValueError(f"initial state must have length {2 * n}, got {y0.shape}")
-
-    c = dt * dt / (4.0 * model.h)
-    # Mv(mu) + c S S^T, with S S^T = tridiag(-1, 2, -1)
-    diag, off = weighted_bands(params ** (-2.0), model.mass_v_diag, model.mass_v_off)
-    diag = diag + 2.0 * c
-    off = off - c
-
-    def step(solve, y, out):
-        q, p = y[:n], y[n:]
-        z = q + (0.5 * dt) * p  # v, turned into z in place
-        sigma = z[:-1] - z[1:]  # S v
-        solve(sigma)
-        sigma *= c
-        z[:-1] -= sigma  # z = v - c S^T sigma
-        z[1:] += sigma
-        dz = np.subtract(z, q, out=out[n:])
-        np.add(z, dz, out=out[:n])  # q+ = 2 z - q
-        dz *= 4.0 / dt
-        dz -= p  # p+ = (4/dt) (z - q) - p
-
+    step, diag, off = _midpoint_steps(model, params, y0, dt)
     return tridiagonal_sweep(step, diag, off, y0, dt, n_times, t0)
+
+
+def wave_sweep_blocks(model: WaveModel, params: np.ndarray, y0: np.ndarray, dt: float,
+                      n_times: int):
+    """The states of :func:`wave_sweep`, bit for bit, as time blocks ``(k, 2 Nw, S)``.
+
+    An iterator over views of one reused buffer
+    (:func:`~topinf.rom.tridiagonal_blocks`); sample ``s`` is column ``s``
+    of every block.  A sample that leaves float range turns non-finite:
+    the caller checks.
+    """
+    step, diag, off = _midpoint_steps(model, params, y0, dt)
+    return tridiagonal_blocks(step, diag, off, y0, n_times)
 
 
 def wave_mass_form_operator(model: WaveModel, mu: np.ndarray) -> np.ndarray:

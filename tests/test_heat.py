@@ -19,6 +19,7 @@ from topinf import (
     heat_operator,
     heat_projected_stiffness,
     heat_sweep,
+    heat_sweep_blocks,
     intrusive_project,
     sample_conductivities,
 )
@@ -219,6 +220,24 @@ def test_sweep_matches_dense_crank_nicolson_at_study_size(n_elements):
         # one sample swept alone gives the same states, bit for bit
         alone = heat_sweep(model, params[:, s:s + 1], q0, 0.008, 251, t0=0.25)[0]
         np.testing.assert_array_equal(run.states, alone.states)
+
+
+def test_sweep_blocks_are_the_sweep_in_time_order():
+    # the streamed form steps the same samples with the same step and
+    # bands: its blocks, stacked, are the runs of heat_sweep, bit for bit
+    model = build_heat_model(40)
+    params = sample_conductivities(np.random.default_rng(914), 3, 3, 0.1, 1.0)
+    q0 = heat_initial_state(model)
+    runs = heat_sweep(model, params, q0, 0.01, 30)
+    states = np.concatenate([block.copy() for block in heat_sweep_blocks(model, params, q0,
+                                                                         0.01, 30)])
+    assert states.shape == (30, model.n_dof, 3)
+    for s, run in enumerate(runs):
+        np.testing.assert_array_equal(states[:, :, s].T, run.states)
+    for bad in (dict(params=-params), dict(q0=q0[:-1]), dict(dt=0.0)):
+        args = dict(params=params, q0=q0, dt=0.01) | bad
+        with pytest.raises(ValueError):
+            heat_sweep_blocks(model, args["params"], args["q0"], args["dt"], 30)
 
 
 def test_sweep_steps_one_sample_as_it_steps_the_stack(monkeypatch):

@@ -1,5 +1,7 @@
 """Reduced models and Cayley-map integrators against step-by-step oracles."""
 
+from math import isqrt
+
 import numpy as np
 import pytest
 import scipy.linalg as la
@@ -24,7 +26,7 @@ from topinf import (
     symmetric_part,
     weighted_pod,
 )
-from topinf.rom import tridiagonal_sweep
+from topinf.rom import tridiagonal_blocks, tridiagonal_sweep
 
 
 def orthonormal_basis(rng, n, r):
@@ -546,6 +548,41 @@ def test_tridiagonal_sweep_isolates_an_overflowing_sample():
     assert np.all(np.isnan(overflow.states[:, overflow.first_bad_step:]))
     for s in (0, 2, 3):
         assert not runs[s].diverged and np.all(np.isfinite(runs[s].states))
+
+
+@pytest.mark.parametrize("n_times", [1, 2, 3, 4, 10, 17, 26])
+def test_tridiagonal_blocks_hand_out_the_sweep_in_time_blocks(n_times):
+    # the first block is x0 and isqrt(n_times) steps, each later block the
+    # next isqrt(n_times) steps, all in one buffer; stacked, they are the
+    # states of tridiagonal_sweep, bit for bit
+    x0 = np.linspace(1.0, 2.0, 6)
+    diag, off = _tridiagonal_samples(6, (2.0, 1.0, 3.0))
+    runs = tridiagonal_sweep(_tridiagonal_step, diag, off, x0, 0.1, n_times)
+    blocks = list(tridiagonal_blocks(_tridiagonal_step, diag, off, x0, n_times))
+    size = isqrt(n_times)
+    lengths = [len(block) for block in blocks]
+    assert sum(lengths) == n_times and lengths[0] == min(size + 1, n_times)
+    assert all(length == size for length in lengths[1:-1]) and 1 <= lengths[-1] <= size + 1
+    assert all(np.shares_memory(block, blocks[0]) for block in blocks)
+    states = np.empty((n_times, 6, 3))
+    k = 0
+    for block in tridiagonal_blocks(_tridiagonal_step, diag, off, x0, n_times):
+        states[k:k + len(block)] = block
+        k += len(block)
+    for s, run in enumerate(runs):
+        np.testing.assert_array_equal(states[:, :, s].T, run.states)
+
+
+def test_tridiagonal_blocks_factor_and_check_before_they_step():
+    diag, off = _tridiagonal_samples(5, (1.0, 1.0))
+    for bad in (dict(x0=np.full(5, np.nan)), dict(x0=np.ones((5, 1))), dict(n_times=0)):
+        args = dict(x0=np.ones(5), n_times=4) | bad
+        with pytest.raises(ValueError):
+            tridiagonal_blocks(_tridiagonal_step, diag, off, **args)
+    diag[2, 1] = -4.0
+    with pytest.raises(NotPositiveDefiniteError) as exc:
+        tridiagonal_blocks(_tridiagonal_step, diag, off, np.ones(5), 4)
+    assert (exc.value.sample, exc.value.pivot_index) == (1, 2)
 
 
 def test_tridiagonal_sweep_names_an_indefinite_sample():

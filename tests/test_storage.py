@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from topinf import (
+    RowWriter,
     StorageFormatError,
     load_matrix,
     load_tensor,
@@ -228,3 +229,47 @@ def test_saving_a_c_ordered_array_copies_no_payload(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak <= 0.1 * a.nbytes
+
+
+def test_a_record_written_in_row_blocks_is_the_record_written_at_once(tmp_path):
+    # the blocks append whole rows after the header, so any split of the
+    # rows gives save_tensor's bytes; a block may be a strided view
+    t = np.random.default_rng(906).standard_normal((7, 3, 2))
+    with RowWriter(tmp_path / "blocks.tpoi", t.shape) as writer:
+        for rows in (slice(0, 3), slice(3, 3), slice(3, 4), slice(4, 7)):
+            writer.write(np.asfortranarray(t[rows]))
+    assert writer.rows == 7
+    assert (tmp_path / "blocks.tpoi").read_bytes() == save_tensor(tmp_path / "t.tpoi", t).read_bytes()
+
+
+def test_row_writer_refuses_bad_blocks(tmp_path):
+    path = tmp_path / "r.tpoi"
+    with RowWriter(path, (4, 3)) as writer:
+        for bad in (np.ones((2, 2)), np.ones((2, 4)), np.ones(3), np.ones((1, 3, 1))):
+            with pytest.raises(ValueError, match="does not hold rows"):
+                writer.write(bad)  # the wrong row shape
+        assert not path.exists()  # a refused first block writes no file
+        writer.write(np.ones((3, 3)))
+        with pytest.raises(ValueError, match="non-finite"):
+            writer.write(np.array([[1.0, np.nan, 2.0]]))
+        with pytest.raises(ValueError, match="non-finite"):
+            writer.write(np.array([[1.0, 2.0, -np.inf]]))
+        with pytest.raises(ValueError, match="exceed"):
+            writer.write(np.ones((2, 3)))  # past the record's last row
+        writer.write(np.full((1, 3), 2.0))
+    assert writer.rows == 4
+    np.testing.assert_array_equal(load_matrix(path), [[1.0] * 3] * 3 + [[2.0] * 3])
+    with pytest.raises(ValueError):
+        RowWriter(path, ())
+
+
+def test_a_record_closed_short_reads_as_truncated(tmp_path):
+    # a writer stopped before its last row leaves the full header and part
+    # of the payload: the readers refuse it by length
+    path = tmp_path / "short.tpoi"
+    with RowWriter(path, (5, 2)) as writer:
+        writer.write(np.ones((3, 2)))
+    for load in (load_matrix, load_tensor):
+        with pytest.raises(StorageFormatError) as exc:
+            load(path)
+        assert exc.value.reason == "truncated"

@@ -26,6 +26,7 @@ from topinf import (
     wave_rhs,
     wave_stiffness,
     wave_sweep,
+    wave_sweep_blocks,
 )
 
 DOMAIN = 2.0 * np.pi
@@ -297,6 +298,24 @@ def test_sweep_matches_dense_midpoint_and_conserves_energy():
         # one sample swept alone gives the same states, bit for bit
         alone = wave_sweep(model, params[:, s:s + 1], y0, dt, n_times, t0=0.5)[0]
         np.testing.assert_array_equal(run.states, alone.states)
+
+
+def test_sweep_blocks_are_the_sweep_in_time_order():
+    # the streamed form steps the same samples with the same step and
+    # bands: its blocks, stacked, are the runs of wave_sweep, bit for bit
+    model = build_wave_model(30)
+    params = sample_wave_speeds(np.random.default_rng(923), 3, 4)
+    y0 = wave_initial_state(model)
+    runs = wave_sweep(model, params, y0, 0.05, 40)
+    states = np.concatenate([block.copy() for block in wave_sweep_blocks(model, params, y0,
+                                                                         0.05, 40)])
+    assert states.shape == (40, 2 * model.n_w, 3)
+    for s, run in enumerate(runs):
+        np.testing.assert_array_equal(states[:, :, s].T, run.states)
+    for bad in (dict(params=-params), dict(y0=y0[:-1]), dict(dt=0.0)):
+        args = dict(params=params, y0=y0, dt=0.05) | bad
+        with pytest.raises(ValueError):
+            wave_sweep_blocks(model, args["params"], args["y0"], args["dt"], 40)
 
 
 def test_sweep_validation():
