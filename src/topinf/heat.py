@@ -31,6 +31,7 @@ through its bands, and
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Protocol
 
 import numpy as np
 
@@ -306,8 +307,15 @@ def heat_features(mu: np.ndarray) -> np.ndarray:
     return np.asarray(mu, dtype=float).copy()
 
 
+class UniformSource(Protocol):
+    """What the parameter samplers draw from, as :func:`topinf.make_rng` returns."""
+
+    def uniform(self, low: float, high: float, size: tuple[int, ...]) -> np.ndarray:
+        """Uniform draws on ``[low, high)`` of shape ``size``."""
+
+
 def sample_conductivities(
-    rng: np.random.Generator,
+    rng: UniformSource,
     count: int,
     n_subdomains: int,
     lo: float = DEFAULT_RANGE[0],
@@ -315,8 +323,9 @@ def sample_conductivities(
 ) -> np.ndarray:
     """Draw ``count`` log-uniform conductivity vectors, one per column.
 
-    Each entry is ``exp(u)`` with ``u`` uniform on ``(log lo, log hi)``.
-    Returns an array of shape ``(n_subdomains, count)``.
+    ``rng`` is any generator with ``uniform(low, high, size)``.  Each entry
+    is ``exp(u)`` with ``u`` uniform on ``(log lo, log hi)``.  Returns an
+    array of shape ``(n_subdomains, count)``.
     """
     if count < 1 or n_subdomains < 1:
         raise ValueError("count and n_subdomains must be positive")

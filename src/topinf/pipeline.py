@@ -38,8 +38,11 @@ and names the stage to rerun, and a finished stage leaves exactly the
 files its record describes.
 
 Randomness: all sampling derives from the configured seed through the
-Philox 4x64 counter-based generator, keyed by ``(seed, stream)`` with
-stream 0 for training parameters and stream 1 for test parameters.
+package's own Philox 4x64-10 counter-based generator (:func:`make_rng`),
+keyed by ``(seed, stream)`` with stream 0 for training parameters and
+stream 1 for test parameters; it draws numpy's Philox bits without
+importing ``numpy.random``, so on NumPy 2, which loads that module on
+first use, no stage holds it.
 
 The full-order sweep is one stacked tridiagonal integration over every
 sample of both splits (:func:`~topinf.heat.heat_sweep_blocks`,
@@ -75,6 +78,7 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import json
+import math
 import os
 import resource
 import shutil
@@ -102,6 +106,7 @@ from .basis import (
 from .config import ExperimentConfig, format_config
 from .errors import NumericError
 from .heat import (
+    UniformSource,
     build_heat_model,
     heat_features,
     heat_initial_state,
@@ -176,10 +181,65 @@ _RECORDS = {
 # deterministic randomness
 
 
-def make_rng(seed: int, stream: int) -> np.random.Generator:
-    """Philox 4x64 generator keyed by ``(seed, stream)``."""
-    key = np.array([seed, stream], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+def make_rng(seed: int, stream: int) -> UniformSource:
+    """The package's Philox 4x64-10 generator keyed by ``(seed, stream)``.
+
+    It offers ``uniform(low, high, size)`` only, and draws the same bits as
+    ``numpy.random.Generator(numpy.random.Philox(key=[seed, stream]))``;
+    the package never imports ``numpy.random`` (NumPy 1.x loads it with
+    ``numpy`` all the same; NumPy 2 loads it on first use only).
+    """
+    return _Philox(np.array([seed, stream], dtype=np.uint64))
+
+
+_MASK32 = np.uint64(0xFFFFFFFF)
+_SHIFT32 = np.uint64(32)
+_PHILOX_MULTIPLIERS = (np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157))
+_PHILOX_BUMPS = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBB67AE8584CAA73B))
+
+
+def _mulhilo(a: np.uint64, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """High and low words of the 128-bit products ``a * b``, from 32-bit halves."""
+    a_lo, a_hi = a & _MASK32, a >> _SHIFT32
+    b_lo, b_hi = b & _MASK32, b >> _SHIFT32
+    lo_hi, hi_lo = a_lo * b_hi, a_hi * b_lo
+    carry = ((a_lo * b_lo) >> _SHIFT32) + (lo_hi & _MASK32) + (hi_lo & _MASK32)
+    high = a_hi * b_hi + (lo_hi >> _SHIFT32) + (hi_lo >> _SHIFT32) + (carry >> _SHIFT32)
+    return high, a * b
+
+
+class _Philox:
+    """Philox4x64-10 (Salmon et al., SC'11) as ``numpy.random.Philox`` runs it.
+
+    The 256-bit counter starts at 0 and is incremented before each block of
+    four words, used in the order v0..v3; the position carries over from
+    one call to the next.  Every product and sum that can wrap is on
+    ``uint64`` arrays, which wrap without the warning NumPy gives scalars.
+    """
+
+    def __init__(self, key: np.ndarray):
+        self._key = key
+        self._drawn = 0
+
+    def _words(self, count: int) -> np.ndarray:
+        first, skip = divmod(self._drawn, 4)
+        blocks = -(-(skip + count) // 4)
+        zero = np.zeros(blocks, dtype=np.uint64)
+        c0, c1, c2, c3 = np.arange(first + 1, first + blocks + 1, dtype=np.uint64), zero, zero, zero
+        k0, k1 = self._key[:1], self._key[1:]
+        for round_ in range(10):
+            if round_:
+                k0, k1 = k0 + _PHILOX_BUMPS[0], k1 + _PHILOX_BUMPS[1]
+            hi0, lo0 = _mulhilo(_PHILOX_MULTIPLIERS[0], c0)
+            hi1, lo1 = _mulhilo(_PHILOX_MULTIPLIERS[1], c2)
+            c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
+        self._drawn += count
+        return np.stack([c0, c1, c2, c3], axis=1).ravel()[skip:skip + count]
+
+    def uniform(self, low: float, high: float, size: tuple[int, ...]) -> np.ndarray:
+        """Uniform draws on ``[low, high)`` in C order, as ``Generator.uniform`` with scalar bounds."""
+        unit = (self._words(math.prod(size)) >> np.uint64(11)) * 2.0**-53
+        return (low + (high - low) * unit).reshape(size)
 
 
 # ----------------------------------------------------------------------

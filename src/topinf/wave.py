@@ -47,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .heat import DOMAIN_LENGTH, dense_slices, p1_assembly, weighted_bands
+from .heat import DOMAIN_LENGTH, UniformSource, dense_slices, p1_assembly, weighted_bands
 from .linalg import factor_tridiagonals
 from .rom import Trajectory, tridiagonal_blocks, tridiagonal_sweep
 from .tensors import mode3_product
@@ -356,13 +356,16 @@ def wave_initial_state(model: WaveModel) -> np.ndarray:
 
 
 def sample_wave_speeds(
-    rng: np.random.Generator,
+    rng: UniformSource,
     count: int,
     n_subdomains: int,
     lo: float = DEFAULT_RANGE[0],
     hi: float = DEFAULT_RANGE[1],
 ) -> np.ndarray:
-    """Draw ``count`` uniform wave-speed vectors, one per column."""
+    """Draw ``count`` uniform wave-speed vectors, one per column.
+
+    ``rng`` is any generator with ``uniform(low, high, size)``.
+    """
     if count < 1 or n_subdomains < 1:
         raise ValueError("count and n_subdomains must be positive")
     if not (0.0 < lo < hi):

@@ -5,6 +5,7 @@ import errno
 import importlib.util
 import json
 import shutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -19,6 +20,7 @@ from topinf import (
     build_heat_model,
     build_wave_model,
     default_config,
+    format_config,
     hamiltonian_drift,
     intrusive_project,
     load_matrix,
@@ -28,6 +30,8 @@ from topinf import (
     reduced_hamiltonian,
     relative_l2,
     run_pipeline,
+    sample_conductivities,
+    sample_wave_speeds,
     save_matrix,
     save_tensor,
     symmetric_part,
@@ -177,12 +181,67 @@ def wave_run(tmp_path_factory):
 
 
 def test_make_rng_is_keyed_by_seed_and_stream():
-    a = make_rng(5, 0).standard_normal(8)
-    b = make_rng(5, 0).standard_normal(8)
+    a = make_rng(5, 0).uniform(0.0, 1.0, (8,))
+    b = make_rng(5, 0).uniform(0.0, 1.0, (8,))
     np.testing.assert_array_equal(a, b)
-    assert not np.allclose(a, make_rng(5, 1).standard_normal(8))
-    assert not np.allclose(a, make_rng(6, 0).standard_normal(8))
-    assert type(make_rng(0, 0).bit_generator).__name__ == "Philox"
+    assert not np.allclose(a, make_rng(5, 1).uniform(0.0, 1.0, (8,)))
+    assert not np.allclose(a, make_rng(6, 0).uniform(0.0, 1.0, (8,)))
+
+
+def numpy_philox(seed, stream):
+    key = np.array([seed, stream], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
+
+
+@pytest.mark.parametrize("seed", [0, 5, 13, 2**63 + 1, 2**64 - 1])
+@pytest.mark.parametrize("stream", [0, 1, 2])
+def test_make_rng_draws_numpy_philox_bits(seed, stream):
+    # three calls in a row on one generator, none a multiple of four words,
+    # so each call starts part-way through a block
+    ours, oracle = make_rng(seed, stream), numpy_philox(seed, stream)
+    for lo, hi, size in ((0.0, 1.0, (7,)), (np.log(0.1), np.log(10.0), (3, 5)), (-2.5, 4.0, (2, 1))):
+        got, want = ours.uniform(lo, hi, size), oracle.uniform(lo, hi, size)
+        assert got.shape == want.shape
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+_WITHOUT_NUMPY_RANDOM = """
+import sys
+import typing
+sys.modules["numpy.random"] = None  # any import of it raises
+sys.path.insert(0, sys.argv[1])
+import numpy as np
+import topinf
+
+for name in sys.argv[2:]:
+    topinf.run_pipeline(topinf.load_config_file(f"{name}.cfg"), name)
+topinf.Surrogate.load(sys.argv[2]).run("intrusive", 2, np.full((3, 2), 0.5))
+typing.get_type_hints(topinf.sample_conductivities)
+typing.get_type_hints(topinf.sample_wave_speeds)
+typing.get_type_hints(topinf.make_rng)
+"""
+
+
+@pytest.mark.skipif(int(np.__version__.split(".")[0]) < 2,
+                    reason="NumPy 1.x imports numpy.random with numpy itself")
+def test_a_whole_study_runs_without_numpy_random(tmp_path):
+    # the stages and a query draw and run with numpy.random blocked; the
+    # parameter files hold numpy's Philox draws all the same
+    configs = {"heat": small_heat_config(), "wave": small_wave_config()}
+    for name, cfg in configs.items():
+        (tmp_path / f"{name}.cfg").write_text(format_config(cfg))
+    src = str(Path(pipeline.__file__).resolve().parents[1])
+    result = subprocess.run([sys.executable, "-c", _WITHOUT_NUMPY_RANDOM, src, *configs],
+                            cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
+    for name, cfg in configs.items():
+        sample = (sample_conductivities if cfg.sampling == "log_uniform" else sample_wave_speeds)
+        for split, stream, count in (("train", 0, cfg.n_train), ("test", 1, cfg.n_test)):
+            expected = tmp_path / f"{name}_{split}_expected.tpoi"
+            save_matrix(expected, sample(numpy_philox(cfg.seed, stream), count,
+                                         cfg.n_subdomains, cfg.param_lo, cfg.param_hi))
+            stored = tmp_path / name / f"params_{split}.tpoi"
+            assert stored.read_bytes() == expected.read_bytes(), f"{name} {split}"
 
 
 # ----------------------------------------------------------------------
