@@ -19,13 +19,14 @@ operator is affine in ``mu`` itself.
 from one vectorized assembly (:func:`p1_assembly`, which also gives the
 wave model its flux mass slices); the dense ``M`` and the stacked
 ``(N, N, p)`` tensor of the ``K_k`` are built on access.
-:func:`heat_sweep` steps a whole parameter sweep with Crank-Nicolson
-through one stacked tridiagonal factorization of the bands, and
-:func:`heat_sweep_blocks` hands out the same states in time blocks, for a
-caller that streams them rather than holding the runs (both build their
-step and bands in one place); :meth:`HeatModel.apply_mass` applies ``M``
+:func:`heat_sweep_blocks` steps a whole parameter sweep with
+Crank-Nicolson through one stacked tridiagonal factorization of the bands
+and hands out the states in time blocks, for a caller that streams them
+rather than holding the runs; :meth:`HeatModel.apply_mass` applies ``M``
 through its bands, and
 :func:`heat_projected_stiffness` projects the ``K_k`` through theirs.
+Every entry point that takes parameters checks them in one place: the
+right shape, every entry finite and positive.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from typing import Protocol
 
 import numpy as np
 
-from .rom import Trajectory, tridiagonal_blocks, tridiagonal_sweep
+from .rom import tridiagonal_blocks
 from .tensors import mode3_product
 
 __all__ = [
@@ -45,7 +46,6 @@ __all__ = [
     "dense_slices",
     "build_heat_model",
     "heat_operator",
-    "heat_sweep",
     "heat_sweep_blocks",
     "heat_projected_stiffness",
     "heat_initial_state",
@@ -199,29 +199,52 @@ def build_heat_model(
     )
 
 
-def _check_conductivities(model: HeatModel, mu: np.ndarray) -> np.ndarray:
-    mu = np.asarray(mu, dtype=float)
-    if mu.shape != (model.n_subdomains,):
-        raise ValueError(
-            f"expected {model.n_subdomains} conductivities, got shape {mu.shape}"
-        )
-    if np.any(mu <= 0.0):
-        raise ValueError("conductivities must be strictly positive")
-    return mu
+def _check_params(params, n_subdomains: int, name: str, ndim: int = 2) -> np.ndarray:
+    """``params`` as floats: one vector ``(p,)`` if ``ndim`` is 1, else one per column ``(p, S)``.
+
+    Raises ``ValueError``, naming the quantity ``name``, unless the shape
+    is right and every entry is finite and positive.
+    """
+    params = np.asarray(params, dtype=float)
+    if params.ndim != ndim or params.shape[0] != n_subdomains:
+        want = f"({n_subdomains},)" if ndim == 1 else f"({n_subdomains}, S)"
+        raise ValueError(f"expected {name} of shape {want}, got shape {params.shape}")
+    if not (np.all(params > 0.0) and np.all(np.isfinite(params))):
+        raise ValueError(f"{name} must be finite and strictly positive")
+    return params
 
 
 def heat_operator(model: HeatModel, mu: np.ndarray) -> np.ndarray:
     """Evaluate ``A(mu) = -sum_k mu_k * K_k`` for positive conductivities."""
-    return -mode3_product(model.stiffness, _check_conductivities(model, mu))
+    mu = _check_params(mu, model.n_subdomains, "conductivities", ndim=1)
+    return -mode3_product(model.stiffness, mu)
 
 
-def _crank_nicolson_steps(model: HeatModel, params: np.ndarray, q0: np.ndarray, dt: float):
-    """The step and step-matrix bands ``(step, diag, off)`` of :func:`heat_sweep`, checked."""
-    params = np.asarray(params, dtype=float)
-    if params.ndim != 2:
-        raise ValueError(f"expected one conductivity vector per column, got shape {params.shape}")
-    for mu in params.T:
-        _check_conductivities(model, mu)
+def heat_sweep_blocks(model: HeatModel, params: np.ndarray, q0: np.ndarray, dt: float,
+                      n_times: int):
+    """Crank-Nicolson states of ``M qdot = A(mu) q`` for every column of ``params`` (p, S).
+
+    With ``K(mu) = sum_k mu_k K_k``, each step is in midpoint form: the
+    midpoint ``z = (q + q+) / 2`` solves
+
+        (M + dt/2 K(mu)) z = M q,    q+ = 2 z - q,
+
+    the same map as ``(M + dt/2 K(mu)) q+ = (M - dt/2 K(mu)) q``.  ``M``
+    does not depend on ``mu``, so the parameter enters only through the
+    factored matrices: the S tridiagonals ``(M + dt/2 K(mu)) / 2``, whose
+    solves return ``2 z``, are factored once, and one stacked tridiagonal
+    solve per step advances every sample; ``M q`` is taken through the
+    mass bands for every sample at once.  The states agree with
+    ``crank_nicolson(heat_operator(model, mu), q0, dt, n_times, mass=M)``
+    to rounding.
+
+    Returns an iterator over time blocks ``(k, N, S)``, views of one
+    reused buffer (:func:`~topinf.rom.tridiagonal_blocks`); sample ``s``
+    is column ``s`` of every block, the states of the sample swept alone,
+    bit for bit.  A sample that leaves float range turns non-finite: the
+    caller checks.
+    """
+    params = _check_params(params, model.n_subdomains, "conductivities")
     if np.shape(q0) != (model.n_dof,):
         raise ValueError(f"initial state must have length {model.n_dof}, got {np.shape(q0)}")
     if not (dt > 0.0):
@@ -234,50 +257,8 @@ def _crank_nicolson_steps(model: HeatModel, params: np.ndarray, q0: np.ndarray, 
         solve(out)  # 2 z
         out -= q
 
-    return (step, 0.5 * model.mass_diag[:, None] + k_diag,
-            0.5 * model.mass_off[:, None] + k_off)
-
-
-def heat_sweep(
-    model: HeatModel,
-    params: np.ndarray,
-    q0: np.ndarray,
-    dt: float,
-    n_times: int,
-    t0: float = 0.0,
-) -> list[Trajectory]:
-    """Crank-Nicolson trajectories of ``M qdot = A(mu) q`` for every column of ``params`` (p, S).
-
-    With ``K(mu) = sum_k mu_k K_k``, each step is in midpoint form: the
-    midpoint ``z = (q + q+) / 2`` solves
-
-        (M + dt/2 K(mu)) z = M q,    q+ = 2 z - q,
-
-    the same map as ``(M + dt/2 K(mu)) q+ = (M - dt/2 K(mu)) q``.  ``M``
-    does not depend on ``mu``, so the parameter enters only through the
-    factored matrices: the S tridiagonals ``(M + dt/2 K(mu)) / 2``, whose
-    solves return ``2 z``, are factored once, and one stacked tridiagonal
-    solve per step advances every sample
-    (:func:`~topinf.rom.tridiagonal_sweep`); ``M q`` is taken through the
-    mass bands for every sample at once.  The states agree with
-    ``crank_nicolson(heat_operator(model, mu), q0, dt, n_times, mass=M)``
-    to rounding.
-    """
-    step, diag, off = _crank_nicolson_steps(model, params, q0, dt)
-    return tridiagonal_sweep(step, diag, off, q0, dt, n_times, t0)
-
-
-def heat_sweep_blocks(model: HeatModel, params: np.ndarray, q0: np.ndarray, dt: float,
-                      n_times: int):
-    """The states of :func:`heat_sweep`, bit for bit, as time blocks ``(k, N, S)``.
-
-    An iterator over views of one reused buffer
-    (:func:`~topinf.rom.tridiagonal_blocks`); sample ``s`` is column ``s``
-    of every block.  A sample that leaves float range turns non-finite:
-    the caller checks.
-    """
-    step, diag, off = _crank_nicolson_steps(model, params, q0, dt)
-    return tridiagonal_blocks(step, diag, off, q0, n_times)
+    return tridiagonal_blocks(step, 0.5 * model.mass_diag[:, None] + k_diag,
+                              0.5 * model.mass_off[:, None] + k_off, q0, n_times)
 
 
 def heat_projected_stiffness(model: HeatModel, u: np.ndarray) -> np.ndarray:

@@ -107,6 +107,7 @@ from .config import ExperimentConfig, format_config
 from .errors import NumericError
 from .heat import (
     UniformSource,
+    _check_params,
     build_heat_model,
     heat_features,
     heat_initial_state,
@@ -499,14 +500,19 @@ class Surrogate:
     def generators(self, label: str, r: int, params: np.ndarray) -> np.ndarray:
         """The generators of model ``label`` of size r at every column of ``params``, ``(S, n, n)``.
 
-        ``label`` is an inferred method or ``"intrusive"``.  Heat ``T nu``;
-        wave ``[[0, A2], [-(T1 mu^2), 0]]``, intrusive ``A2 = I``.  The
+        ``params`` is ``(p, S)``, one parameter vector per column, every
+        entry finite and positive (``ValueError`` otherwise).  ``label`` is
+        an inferred method or ``"intrusive"``.  Heat ``T nu``; wave
+        ``[[0, A2], [-(T1 mu^2), 0]]``, intrusive ``A2 = I``.  The
         intrusive models are the leading blocks of the Galerkin quantities
         of the largest basis.
         """
+        heat = self.cfg.problem == "heat1d"
+        params = _check_params(params, self.model.n_subdomains,
+                               "conductivities" if heat else "wave speeds")
         if not 1 <= r <= self.basis.r:
             raise ValueError(f"r must be in [1, {self.basis.r}], got {r}")
-        if self.cfg.problem == "heat1d":
+        if heat:
             tensor = (self._galerkin(params)[:r, :r] if label == INTRUSIVE
                       else self._learned(label, r))
             return mode3_product(tensor, heat_features(params))
@@ -520,6 +526,7 @@ class Surrogate:
     def run(self, label: str, r: int, params: np.ndarray) -> list:
         """The runs of model ``label`` of size r, one :class:`~topinf.rom.Trajectory` per column.
 
+        ``params`` is ``(p, S)``, checked as :meth:`generators` checks it.
         One stacked Cayley sweep from ``basis.leading(initial_state, r)``,
         the start of the runs ``simulate_rom`` stores, which
         ``basis.truncate(r).project`` matches only to rounding.

@@ -37,13 +37,13 @@ results of the single-operator entry points, bit for bit.
 :func:`tridiagonal_blocks` is the full-order counterpart, for steps that
 solve one symmetric positive definite tridiagonal system per sample: the
 systems of all samples are factored once, as one stack held positions
-first, and one solve per step advances every sample (``heat_sweep``,
-``wave_sweep``).  Its one stepping loop hands out the states in time
-blocks of ``isqrt(n_times)`` steps, time-major, all in one reused
-buffer, so a caller that streams them (the pipeline's full-order stage)
-holds one block, not the run; :func:`tridiagonal_sweep` collects the
-blocks into :class:`Trajectory` runs.  Both full-order steps are in
-midpoint form, so the parameter enters only through the factored
+first, and one solve per step advances every sample
+(:func:`~topinf.heat.heat_sweep_blocks`,
+:func:`~topinf.wave.wave_sweep_blocks`).  Its one stepping loop hands out
+the states in time blocks of ``isqrt(n_times)`` steps, time-major, all in
+one reused buffer, so a caller that streams them (the pipeline's
+full-order stage) holds one block, not the run.  Both full-order steps
+are in midpoint form, so the parameter enters only through the factored
 matrices and the rest of a step is the same for every sample.
 """
 
@@ -72,7 +72,6 @@ __all__ = [
     "implicit_midpoint",
     "cayley_sweep",
     "tridiagonal_blocks",
-    "tridiagonal_sweep",
 ]
 
 
@@ -246,7 +245,8 @@ def _cayley_integrate(
     x0 = np.asarray(x0, dtype=float)
     n = x0.shape[0]
     if a.ndim != 3 or a.shape[1:] != (n, n):
-        raise ValueError(f"operator stack {a.shape} does not match state length {n}")
+        raise ValueError(f"expected an (S, n, n) operator stack with n = len(x0) = {n}, "
+                         f"got shape {a.shape}")
     if not (dt > 0.0):
         raise ValueError(f"dt must be positive, got {dt}")
     if n_times < 1:
@@ -405,44 +405,6 @@ def _stepped_blocks(step, solve, block: np.ndarray, steps: int):
             return
         block[0] = block[count]
         first = 1
-
-
-def tridiagonal_sweep(
-    step,
-    diag: np.ndarray,
-    off: np.ndarray,
-    x0: np.ndarray,
-    dt: float,
-    n_times: int,
-    t0: float = 0.0,
-) -> list[Trajectory]:
-    """The runs of :func:`tridiagonal_blocks` as :class:`Trajectory` objects, one per sample.
-
-    Collects the blocks, starting from ``x0``, into one ``(n_times, m, S)``
-    array; each trajectory's states are a strided view of it, those of the
-    sample swept alone, bit for bit, and a sample that leaves float range
-    is marked at its own first non-finite step.
-
-    Raises
-    ------
-    NotPositiveDefiniteError
-        If a step matrix is not positive definite; ``sample`` names it.
-    """
-    if not (dt > 0.0):
-        raise ValueError(f"dt must be positive, got {dt}")
-    states = _tridiagonal_states(step, diag, off, x0, n_times)
-    return _trajectories(states, np.isfinite(states).all(axis=1), dt, t0)
-
-
-def _tridiagonal_states(step, diag, off, x0, n_times) -> np.ndarray:
-    """The stepped states (S, m, n_times) of :func:`tridiagonal_sweep`, as a view."""
-    blocks = tridiagonal_blocks(step, diag, off, x0, n_times)
-    states = np.empty((n_times, np.shape(x0)[0], np.shape(diag)[1]))
-    k = 0
-    for block in blocks:
-        states[k:k + len(block)] = block
-        k += len(block)
-    return states.transpose(2, 1, 0)
 
 
 def crank_nicolson(

@@ -34,11 +34,12 @@ their tridiagonal bands; ``Mw = h I``, the constant upper bidiagonal
 :func:`wave_projected_stiffness` forms the Galerkin blocks
 ``(S U)^T Mv(mu)^{-1} (S U)`` of a whole parameter sweep through one
 stacked tridiagonal factor (:func:`wave_stiffness` is its identity-basis
-case), and :func:`wave_sweep` steps a whole parameter sweep with the
-implicit midpoint rule in a Schur form whose only solve is one stacked
-tridiagonal system on the flux space; :func:`wave_sweep_blocks` hands out
-the same states in time blocks, for a caller that streams them rather
-than holding the runs (both build their step and bands in one place).
+case), and :func:`wave_sweep_blocks` steps a whole parameter sweep with
+the implicit midpoint rule in a Schur form whose only solve is one stacked
+tridiagonal system on the flux space, and hands out the states in time
+blocks, for a caller that streams them rather than holding the runs.
+Every entry point that takes speeds checks them as heat checks its
+conductivities: the right shape, every entry finite and positive.
 """
 
 from __future__ import annotations
@@ -47,9 +48,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .heat import DOMAIN_LENGTH, UniformSource, dense_slices, p1_assembly, weighted_bands
+from .heat import (DOMAIN_LENGTH, UniformSource, _check_params, dense_slices, p1_assembly,
+                   weighted_bands)
 from .linalg import factor_tridiagonals
-from .rom import Trajectory, tridiagonal_blocks, tridiagonal_sweep
+from .rom import tridiagonal_blocks
 from .tensors import mode3_product
 
 __all__ = [
@@ -60,7 +62,6 @@ __all__ = [
     "wave_projected_stiffness",
     "wave_operator_a1",
     "wave_full_operator",
-    "wave_sweep",
     "wave_sweep_blocks",
     "wave_mass_form_operator",
     "wave_rhs",
@@ -150,20 +151,9 @@ def build_wave_model(
                      mass_v_diag=diag, mass_v_off=off)
 
 
-def _check_speeds(model: WaveModel, mu: np.ndarray) -> np.ndarray:
-    mu = np.asarray(mu, dtype=float)
-    if mu.shape != (model.n_subdomains,):
-        raise ValueError(
-            f"expected {model.n_subdomains} wave speeds, got shape {mu.shape}"
-        )
-    if np.any(mu <= 0.0):
-        raise ValueError("wave speeds must be strictly positive")
-    return mu
-
-
 def wave_mass_v(model: WaveModel, mu: np.ndarray) -> np.ndarray:
     """Speed-weighted flux mass matrix ``sum_k mu_k^{-2} slice_k``."""
-    mu = _check_speeds(model, mu)
+    mu = _check_params(mu, model.n_subdomains, "wave speeds", ndim=1)
     return mode3_product(model.mass_v_slices, mu ** (-2.0))
 
 
@@ -175,11 +165,7 @@ def wave_projected_stiffness(model: WaveModel, params: np.ndarray, u: np.ndarray
     ``S U`` for all of them, and each block is symmetrized.  For
     a nested basis the blocks of its leading columns are the leading blocks.
     """
-    params = np.asarray(params, dtype=float)
-    if params.ndim != 2:
-        raise ValueError(f"expected one speed vector per column, got shape {params.shape}")
-    for mu in params.T:
-        _check_speeds(model, mu)
+    params = _check_params(params, model.n_subdomains, "wave speeds")
     u = np.asarray(u, dtype=float)
     if u.ndim != 2 or u.shape[0] != model.n_w:
         raise ValueError(f"basis {u.shape} does not have {model.n_w} rows")
@@ -198,7 +184,7 @@ def wave_stiffness(model: WaveModel, mu: np.ndarray) -> np.ndarray:
     ``Mw pdot = -K(mu) q``: :func:`wave_projected_stiffness` with the
     identity basis.
     """
-    mu = _check_speeds(model, mu)
+    mu = _check_params(mu, model.n_subdomains, "wave speeds", ndim=1)
     return wave_projected_stiffness(model, mu[:, None], np.eye(model.n_w))[0]
 
 
@@ -217,13 +203,30 @@ def wave_full_operator(model: WaveModel, mu: np.ndarray) -> np.ndarray:
     return np.vstack([top, bottom])
 
 
-def _midpoint_steps(model: WaveModel, params: np.ndarray, y0: np.ndarray, dt: float):
-    """The step and step-matrix bands ``(step, diag, off)`` of :func:`wave_sweep`, checked."""
-    params = np.asarray(params, dtype=float)
-    if params.ndim != 2:
-        raise ValueError(f"expected one speed vector per column, got shape {params.shape}")
-    for mu in params.T:
-        _check_speeds(model, mu)
+def wave_sweep_blocks(model: WaveModel, params: np.ndarray, y0: np.ndarray, dt: float,
+                      n_times: int):
+    """Implicit-midpoint states of ``ydot = J A(mu) y`` for every column of ``params`` (p, S).
+
+    With ``v = q + dt/2 p`` and ``c = dt^2 / (4 h)``, the midpoint
+    ``z = (q + q+) / 2`` solves ``(I + dt^2/4 A1(mu)) z = v``; through the
+    Schur complement on the flux space,
+
+        (Mv(mu) + c S S^T) sigma = S v,    z = v - c S^T sigma,
+        q+ = 2 z - q,                      p+ = (4 / dt) (z - q) - p.
+
+    The S tridiagonal systems are factored once, and one stacked
+    tridiagonal solve per step advances every sample.  The states agree
+    with ``implicit_midpoint(wave_full_operator(model, mu), y0, dt,
+    n_times)`` to rounding, and the energy :func:`wave_hamiltonian` is
+    conserved.
+
+    Returns an iterator over time blocks ``(k, 2 Nw, S)``, views of one
+    reused buffer (:func:`~topinf.rom.tridiagonal_blocks`); sample ``s``
+    is column ``s`` of every block, the states of the sample swept alone,
+    bit for bit.  A sample that leaves float range turns non-finite: the
+    caller checks.
+    """
+    params = _check_params(params, model.n_subdomains, "wave speeds")
     n = model.n_w
     if np.shape(y0) != (2 * n,):
         raise ValueError(f"initial state must have length {2 * n}, got {np.shape(y0)}")
@@ -247,47 +250,7 @@ def _midpoint_steps(model: WaveModel, params: np.ndarray, y0: np.ndarray, dt: fl
         dz *= 4.0 / dt
         dz -= p  # p+ = (4/dt) (z - q) - p
 
-    return step, diag + 2.0 * c, off - c
-
-
-def wave_sweep(
-    model: WaveModel,
-    params: np.ndarray,
-    y0: np.ndarray,
-    dt: float,
-    n_times: int,
-    t0: float = 0.0,
-) -> list[Trajectory]:
-    """Implicit-midpoint trajectories of ``ydot = J A(mu) y`` for every column of ``params`` (p, S).
-
-    With ``v = q + dt/2 p`` and ``c = dt^2 / (4 h)``, the midpoint
-    ``z = (q + q+) / 2`` solves ``(I + dt^2/4 A1(mu)) z = v``; through the
-    Schur complement on the flux space,
-
-        (Mv(mu) + c S S^T) sigma = S v,    z = v - c S^T sigma,
-        q+ = 2 z - q,                      p+ = (4 / dt) (z - q) - p.
-
-    The S tridiagonal systems are factored once, and one stacked
-    tridiagonal solve per step advances every sample
-    (:func:`~topinf.rom.tridiagonal_sweep`).  The states agree with
-    ``implicit_midpoint(wave_full_operator(model, mu), y0, dt, n_times)``
-    to rounding, and the energy :func:`wave_hamiltonian` is conserved.
-    """
-    step, diag, off = _midpoint_steps(model, params, y0, dt)
-    return tridiagonal_sweep(step, diag, off, y0, dt, n_times, t0)
-
-
-def wave_sweep_blocks(model: WaveModel, params: np.ndarray, y0: np.ndarray, dt: float,
-                      n_times: int):
-    """The states of :func:`wave_sweep`, bit for bit, as time blocks ``(k, 2 Nw, S)``.
-
-    An iterator over views of one reused buffer
-    (:func:`~topinf.rom.tridiagonal_blocks`); sample ``s`` is column ``s``
-    of every block.  A sample that leaves float range turns non-finite:
-    the caller checks.
-    """
-    step, diag, off = _midpoint_steps(model, params, y0, dt)
-    return tridiagonal_blocks(step, diag, off, y0, n_times)
+    return tridiagonal_blocks(step, diag + 2.0 * c, off - c, y0, n_times)
 
 
 def wave_mass_form_operator(model: WaveModel, mu: np.ndarray) -> np.ndarray:
@@ -305,7 +268,6 @@ def wave_mass_form_operator(model: WaveModel, mu: np.ndarray) -> np.ndarray:
 
 def wave_rhs(model: WaveModel, mu: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Evaluate ``J A(mu) y`` with solves only (no operator assembly)."""
-    mu = _check_speeds(model, mu)
     y = np.asarray(y, dtype=float)
     n = model.n_w
     if y.shape[0] != 2 * n:
@@ -319,7 +281,6 @@ def wave_rhs(model: WaveModel, mu: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def wave_hamiltonian(model: WaveModel, mu: np.ndarray, states: np.ndarray) -> np.ndarray:
     """Discrete energy ``1/2 p^T Mw p + 1/2 (S q)^T Mv^{-1} (S q)`` per column."""
-    mu = _check_speeds(model, mu)
     states = np.asarray(states, dtype=float)
     squeeze = states.ndim == 1
     if squeeze:

@@ -18,12 +18,11 @@ from topinf import (
     heat_initial_state,
     heat_operator,
     heat_projected_stiffness,
-    heat_sweep,
     heat_sweep_blocks,
     intrusive_project,
     sample_conductivities,
 )
-from topinf import heat, rom
+from topinf import heat
 
 DOMAIN = 2.0 * np.pi
 
@@ -203,37 +202,44 @@ def test_sampler_validation():
 # the stacked full-order sweep
 
 
+def swept(blocks):
+    """The time blocks ``(k, N, S)`` of a full-order sweep stacked into its states (S, N, n_times)."""
+    return np.concatenate([block.copy() for block in blocks]).transpose(2, 1, 0)
+
+
 @pytest.mark.parametrize("n_elements", [201, 400])
 def test_sweep_matches_dense_crank_nicolson_at_study_size(n_elements):
     # the default heat1d horizon: dt = 0.008 over [0, 2]
     model = build_heat_model(n_elements)
     params = sample_conductivities(np.random.default_rng(911), 4, 3, 0.1, 1.0)
     q0 = heat_initial_state(model)
-    runs = heat_sweep(model, params, q0, 0.008, 251, t0=0.25)
-    assert len(runs) == params.shape[1]
-    for s, (mu, run) in enumerate(zip(params.T, runs)):
-        ref = crank_nicolson(heat_operator(model, mu), q0, 0.008, 251, mass=model.mass, t0=0.25)
-        assert not run.diverged
-        np.testing.assert_array_equal(run.times, ref.times)
-        err = np.linalg.norm(run.states - ref.states) / np.linalg.norm(ref.states)
+    states = swept(heat_sweep_blocks(model, params, q0, 0.008, 251))
+    assert states.shape == (params.shape[1], model.n_dof, 251)
+    for s, mu in enumerate(params.T):
+        ref = crank_nicolson(heat_operator(model, mu), q0, 0.008, 251, mass=model.mass)
+        assert np.all(np.isfinite(states[s]))
+        err = np.linalg.norm(states[s] - ref.states) / np.linalg.norm(ref.states)
         assert err <= 1e-10
         # one sample swept alone gives the same states, bit for bit
-        alone = heat_sweep(model, params[:, s:s + 1], q0, 0.008, 251, t0=0.25)[0]
-        np.testing.assert_array_equal(run.states, alone.states)
+        alone = swept(heat_sweep_blocks(model, params[:, s:s + 1], q0, 0.008, 251))[0]
+        np.testing.assert_array_equal(states[s], alone)
 
 
 def test_sweep_blocks_are_the_sweep_in_time_order():
-    # the streamed form steps the same samples with the same step and
-    # bands: its blocks, stacked, are the runs of heat_sweep, bit for bit
+    # the first block holds q0 and isqrt(30) = 5 steps, each later block the
+    # next 5 steps (the last the 4 left); stacked, they are the
+    # Crank-Nicolson states in time order
     model = build_heat_model(40)
     params = sample_conductivities(np.random.default_rng(914), 3, 3, 0.1, 1.0)
     q0 = heat_initial_state(model)
-    runs = heat_sweep(model, params, q0, 0.01, 30)
-    states = np.concatenate([block.copy() for block in heat_sweep_blocks(model, params, q0,
-                                                                         0.01, 30)])
-    assert states.shape == (30, model.n_dof, 3)
-    for s, run in enumerate(runs):
-        np.testing.assert_array_equal(states[:, :, s].T, run.states)
+    blocks = [block.copy() for block in heat_sweep_blocks(model, params, q0, 0.01, 30)]
+    assert [len(block) for block in blocks] == [6, 5, 5, 5, 5, 4]
+    states = swept(blocks)
+    assert states.shape == (3, model.n_dof, 30)
+    for s, mu in enumerate(params.T):
+        ref = crank_nicolson(heat_operator(model, mu), q0, 0.01, 30, mass=model.mass)
+        np.testing.assert_allclose(states[s], ref.states, rtol=0,
+                                   atol=1e-10 * np.max(np.abs(ref.states)))
     for bad in (dict(params=-params), dict(q0=q0[:-1]), dict(dt=0.0)):
         args = dict(params=params, q0=q0, dt=0.01) | bad
         with pytest.raises(ValueError):
@@ -247,18 +253,20 @@ def test_sweep_steps_one_sample_as_it_steps_the_stack(monkeypatch):
     model = build_heat_model(40)
     params = sample_conductivities(np.random.default_rng(912), 3, 3, 0.1, 1.0)
     q0 = heat_initial_state(model)
-    sweep = heat.tridiagonal_sweep
+    blocks, checked = heat.tridiagonal_blocks, []
 
-    def each_sample_too(step, diag, off, x0, dt, n_times, t0):
-        runs = sweep(step, diag, off, x0, dt, n_times, t0)
-        for s, run in enumerate(runs):
-            alone = rom._tridiagonal_states(step, diag[:, s:s + 1], off[:, s:s + 1], x0, n_times)
-            np.testing.assert_array_equal(alone[0], run.states)
-        return runs
+    def each_sample_too(step, diag, off, x0, n_times):
+        states = swept(blocks(step, diag, off, x0, n_times))
+        for s in range(diag.shape[1]):
+            alone = swept(blocks(step, diag[:, s:s + 1], off[:, s:s + 1], x0, n_times))
+            np.testing.assert_array_equal(alone[0], states[s])
+            checked.append(s)
+        return blocks(step, diag, off, x0, n_times)
 
-    monkeypatch.setattr(heat, "tridiagonal_sweep", each_sample_too)
-    runs = heat_sweep(model, params, q0, 0.01, 40)
-    assert len(runs) == 3 and not any(run.diverged for run in runs)
+    monkeypatch.setattr(heat, "tridiagonal_blocks", each_sample_too)
+    states = swept(heat_sweep_blocks(model, params, q0, 0.01, 40))
+    assert checked == [0, 1, 2] and states.shape == (3, model.n_dof, 40)
+    assert np.all(np.isfinite(states))
 
 
 @pytest.mark.parametrize("n_elements, r", [(201, 10), (400, 30)])
@@ -280,12 +288,12 @@ def test_sweep_validation():
     q0 = heat_initial_state(model)
     params = np.full((3, 2), 0.5)
     with pytest.raises(ValueError):
-        heat_sweep(model, params[:, 0], q0, 0.01, 5)  # a vector, not one per column
+        heat_sweep_blocks(model, params[:, 0], q0, 0.01, 5)  # a vector, not one per column
     with pytest.raises(ValueError):
-        heat_sweep(model, params[:2], q0, 0.01, 5)
+        heat_sweep_blocks(model, params[:2], q0, 0.01, 5)
     with pytest.raises(ValueError):
-        heat_sweep(model, -params, q0, 0.01, 5)
+        heat_sweep_blocks(model, -params, q0, 0.01, 5)
     with pytest.raises(ValueError):
-        heat_sweep(model, params, q0[:-1], 0.01, 5)
+        heat_sweep_blocks(model, params, q0[:-1], 0.01, 5)
     with pytest.raises(ValueError):
-        heat_sweep(model, params, q0, 0.0, 5)
+        heat_sweep_blocks(model, params, q0, 0.0, 5)

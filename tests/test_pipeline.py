@@ -7,6 +7,7 @@ import json
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +23,9 @@ from topinf import (
     default_config,
     format_config,
     hamiltonian_drift,
+    heat_initial_state,
+    heat_operator,
+    heat_sweep_blocks,
     intrusive_project,
     load_matrix,
     load_tensor,
@@ -35,6 +39,10 @@ from topinf import (
     save_matrix,
     save_tensor,
     symmetric_part,
+    wave_initial_state,
+    wave_projected_stiffness,
+    wave_stiffness,
+    wave_sweep_blocks,
     weighted_norm_sq,
 )
 from topinf import pipeline, wave
@@ -1050,6 +1058,63 @@ def test_surrogate_refuses_full_order_data_of_another_seed(heat_run, tmp_path):
     with pytest.raises(ValueError, match=rf"seed {cfg.seed} \(configured {other.seed}\); "
                                          r"rerun build-basis"):
         Surrogate.load(tmp_path)
+
+
+def test_surrogate_refuses_parameters_that_are_not_positive_columns(surrogate_run):
+    # every label of both problems, before any generator is built: heat's
+    # learned and intrusive models and wave's learned ones took non-positive
+    # parameters, and a (p,) vector failed on an operator shape
+    cfg, outdir = surrogate_run
+    surrogate = Surrogate.load(outdir)
+    mu = load_matrix(outdir / "params_test.tpoi")
+    name = "conductivities" if cfg.problem == "heat1d" else "wave speeds"
+    for bad in (mu[:, 0], -mu, 0.0 * mu):
+        for label in list(cfg.methods) + ["intrusive"]:
+            for entry in (surrogate.generators, surrogate.run):
+                with pytest.raises(ValueError, match=name):
+                    entry(label, 1, bad)
+
+
+def _parameter_entry_points(heat_outdir):
+    """Each entry point that takes parameters, as ``(call, good parameters)``."""
+    heat, wave = build_heat_model(12), build_wave_model(12)
+    return {
+        "heat_operator": (lambda mu: heat_operator(heat, mu), np.full(3, 0.5)),
+        "heat_sweep_blocks": (lambda mu: heat_sweep_blocks(heat, mu, heat_initial_state(heat),
+                                                           0.01, 5), np.full((3, 2), 0.5)),
+        "wave_stiffness": (lambda mu: wave_stiffness(wave, mu), np.full(4, 1.5)),
+        "wave_projected_stiffness": (lambda mu: wave_projected_stiffness(wave, mu, np.eye(12)),
+                                     np.full((4, 2), 1.5)),
+        "wave_sweep_blocks": (lambda mu: wave_sweep_blocks(wave, mu, wave_initial_state(wave),
+                                                           0.1, 5), np.full((4, 2), 1.5)),
+        "Surrogate.run": (lambda mu: Surrogate.load(heat_outdir).run("normal", 2, mu),
+                          np.full((3, 2), 0.5)),
+    }
+
+
+def _with_entry(good, value):
+    bad = good.copy()
+    bad.flat[-1] = value
+    return bad
+
+
+@pytest.mark.parametrize("bad", ["wrong_p", "wrong_ndim", "zero", "negative", "nan", "inf"])
+@pytest.mark.parametrize("entry", ["heat_operator", "heat_sweep_blocks", "wave_stiffness",
+                                   "wave_projected_stiffness", "wave_sweep_blocks",
+                                   "Surrogate.run"])
+def test_parameter_entry_points_refuse_bad_parameters_without_a_warning(entry, bad, heat_run):
+    # a NaN passed a "mu <= 0" test, and an infinite wave speed made a
+    # finite, positive definite step (mu^-2 = 0)
+    call, good = _parameter_entry_points(heat_run[1])[entry]
+    call(good)
+    bad = {"wrong_p": good[:-1],
+           "wrong_ndim": good[:, 0] if good.ndim == 2 else good[:, None],
+           "zero": _with_entry(good, 0.0), "negative": _with_entry(good, -0.5),
+           "nan": _with_entry(good, np.nan), "inf": _with_entry(good, np.inf)}[bad]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="conductivities|wave speeds"):
+            call(bad)
 
 
 # ----------------------------------------------------------------------

@@ -26,7 +26,8 @@ from topinf import (
     symmetric_part,
     weighted_pod,
 )
-from topinf.rom import tridiagonal_blocks, tridiagonal_sweep
+from topinf.linalg import factor_tridiagonals
+from topinf.rom import tridiagonal_blocks
 
 
 def orthonormal_basis(rng, n, r):
@@ -395,6 +396,9 @@ def test_sweep_validation():
         cayley_sweep(np.zeros((3, 3, 3)), y0, 0.1, 5)
     with pytest.raises(ValueError):
         cayley_sweep(np.full((2, 2, 2), np.nan), y0, 0.1, 5)
+    with pytest.raises(ValueError, match=r"expected an \(S, n, n\) operator stack with "
+                                         r"n = len\(x0\) = 3, got shape \(3, 3\)"):
+        cayley_sweep(np.eye(3), np.ones(3), 0.1, 5)
 
 
 # ----------------------------------------------------------------------
@@ -528,80 +532,62 @@ def _tridiagonal_samples(n, growth):
     return np.full((n, len(growth)), 4.0) / g, np.full((n - 1, len(growth)), -1.0) / g
 
 
-def test_tridiagonal_sweep_isolates_an_overflowing_sample():
+def _stacked_blocks(diag, off, x0, n_times):
+    """The blocks of :func:`tridiagonal_blocks` stacked into the states (n_times, n, S)."""
+    blocks = tridiagonal_blocks(_tridiagonal_step, diag, off, x0, n_times)
+    return np.concatenate([block.copy() for block in blocks])
+
+
+def test_tridiagonal_blocks_isolate_an_overflowing_sample():
     # sample 1 grows about 500-fold per step and overflows; the stacked
     # solve keeps each sample's arithmetic to its own column, so its inf and
     # NaN reach no other sample
-    n, dt, n_times = 6, 0.1, 160
+    n, n_times = 6, 160
     x0 = np.linspace(1.0, 2.0, n)
     diag, off = _tridiagonal_samples(n, (2.0, 2500.0, 1.0, 3.0))
-    runs = tridiagonal_sweep(_tridiagonal_step, diag, off, x0, dt, n_times, 0.5)
-    for s, run in enumerate(runs):
-        alone = tridiagonal_sweep(_tridiagonal_step, diag[:, s:s + 1], off[:, s:s + 1], x0, dt,
-                                  n_times, 0.5)[0]
-        np.testing.assert_array_equal(run.states, alone.states)
-        np.testing.assert_array_equal(run.times, 0.5 + dt * np.arange(n_times))
-        assert (run.diverged, run.first_bad_step) == (alone.diverged, alone.first_bad_step)
-    overflow = runs[1]
-    assert overflow.diverged and 1 < overflow.first_bad_step < n_times
-    assert np.all(np.isfinite(overflow.states[:, :overflow.first_bad_step]))
-    assert np.all(np.isnan(overflow.states[:, overflow.first_bad_step:]))
-    for s in (0, 2, 3):
-        assert not runs[s].diverged and np.all(np.isfinite(runs[s].states))
+    states = _stacked_blocks(diag, off, x0, n_times)
+    for s in range(4):
+        alone = _stacked_blocks(diag[:, s:s + 1], off[:, s:s + 1], x0, n_times)
+        np.testing.assert_array_equal(states[:, :, s:s + 1], alone)
+    finite = np.isfinite(states).all(axis=1)
+    first_bad = int(np.argmin(finite[:, 1]))
+    assert 1 < first_bad < n_times
+    assert finite[:first_bad, 1].all() and not finite[first_bad:, 1].any()
+    assert finite[:, [0, 2, 3]].all()
 
 
 @pytest.mark.parametrize("n_times", [1, 2, 3, 4, 10, 17, 26])
 def test_tridiagonal_blocks_hand_out_the_sweep_in_time_blocks(n_times):
     # the first block is x0 and isqrt(n_times) steps, each later block the
     # next isqrt(n_times) steps, all in one buffer; stacked, they are the
-    # states of tridiagonal_sweep, bit for bit
+    # states stepped one at a time from one factor, bit for bit
     x0 = np.linspace(1.0, 2.0, 6)
     diag, off = _tridiagonal_samples(6, (2.0, 1.0, 3.0))
-    runs = tridiagonal_sweep(_tridiagonal_step, diag, off, x0, 0.1, n_times)
     blocks = list(tridiagonal_blocks(_tridiagonal_step, diag, off, x0, n_times))
     size = isqrt(n_times)
     lengths = [len(block) for block in blocks]
     assert sum(lengths) == n_times and lengths[0] == min(size + 1, n_times)
     assert all(length == size for length in lengths[1:-1]) and 1 <= lengths[-1] <= size + 1
     assert all(np.shares_memory(block, blocks[0]) for block in blocks)
-    states = np.empty((n_times, 6, 3))
-    k = 0
-    for block in tridiagonal_blocks(_tridiagonal_step, diag, off, x0, n_times):
-        states[k:k + len(block)] = block
-        k += len(block)
-    for s, run in enumerate(runs):
-        np.testing.assert_array_equal(states[:, :, s].T, run.states)
+    solve = factor_tridiagonals(diag, off).solve
+    stepped = np.empty((n_times, 6, 3))
+    stepped[0] = x0[:, None]
+    for k in range(1, n_times):
+        _tridiagonal_step(solve, stepped[k - 1], stepped[k])
+    np.testing.assert_array_equal(_stacked_blocks(diag, off, x0, n_times), stepped)
 
 
 def test_tridiagonal_blocks_factor_and_check_before_they_step():
     diag, off = _tridiagonal_samples(5, (1.0, 1.0))
-    for bad in (dict(x0=np.full(5, np.nan)), dict(x0=np.ones((5, 1))), dict(n_times=0)):
+    for bad in (dict(x0=np.full(5, np.nan)), dict(x0=np.full(5, np.inf)),
+                dict(x0=np.ones((5, 1))), dict(n_times=0)):
         args = dict(x0=np.ones(5), n_times=4) | bad
         with pytest.raises(ValueError):
             tridiagonal_blocks(_tridiagonal_step, diag, off, **args)
-    diag[2, 1] = -4.0
-    with pytest.raises(NotPositiveDefiniteError) as exc:
-        tridiagonal_blocks(_tridiagonal_step, diag, off, np.ones(5), 4)
-    assert (exc.value.sample, exc.value.pivot_index) == (1, 2)
-
-
-def test_tridiagonal_sweep_names_an_indefinite_sample():
-    diag, off = _tridiagonal_samples(5, (1.0, 1.0, 1.0))
-    diag[3, 2] = -4.0
-    with pytest.raises(NotPositiveDefiniteError) as exc:
-        tridiagonal_sweep(_tridiagonal_step, diag, off, np.ones(5), 0.1, 4)
-    assert (exc.value.sample, exc.value.pivot_index) == (2, 3)
-
-
-def test_tridiagonal_sweep_validation():
-    diag, off = _tridiagonal_samples(3, (1.0, 2.0))
-    x0 = np.ones(3)
-    for bad in (
-        dict(x0=x0 * np.inf),
-        dict(x0=np.ones((3, 1))),
-        dict(dt=0.0),
-        dict(n_times=0),
-    ):
-        args = dict(x0=x0, dt=0.1, n_times=5) | bad
-        with pytest.raises(ValueError):
-            tridiagonal_sweep(_tridiagonal_step, diag, off, **args)
+    # an indefinite step matrix is named as (sample, pivot_index)
+    for growth, sample, pivot in (((1.0, 1.0), 1, 2), ((1.0, 1.0, 1.0), 2, 3)):
+        diag, off = _tridiagonal_samples(5, growth)
+        diag[pivot, sample] = -4.0
+        with pytest.raises(NotPositiveDefiniteError) as exc:
+            tridiagonal_blocks(_tridiagonal_step, diag, off, np.ones(5), 4)
+        assert (exc.value.sample, exc.value.pivot_index) == (sample, pivot)

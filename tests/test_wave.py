@@ -25,7 +25,6 @@ from topinf import (
     wave_projected_stiffness,
     wave_rhs,
     wave_stiffness,
-    wave_sweep,
     wave_sweep_blocks,
 )
 
@@ -279,39 +278,46 @@ def test_projected_stiffness_matches_projected_dense_stiffness_at_study_size():
         wave_projected_stiffness(model, bad, u)
 
 
+def swept(blocks):
+    """The time blocks ``(k, 2 Nw, S)`` of a full-order sweep stacked into its states."""
+    return np.concatenate([block.copy() for block in blocks]).transpose(2, 1, 0)
+
+
 def test_sweep_matches_dense_midpoint_and_conserves_energy():
     # the default wave1d horizon: dt = pi/100 over [0, 4 pi]
     model = build_wave_model(200)
     params = sample_wave_speeds(np.random.default_rng(922), 3, 4)
     y0 = wave_initial_state(model)
     dt, n_times = np.pi / 100.0, 401
-    runs = wave_sweep(model, params, y0, dt, n_times, t0=0.5)
-    assert len(runs) == params.shape[1]
-    for s, (mu, run) in enumerate(zip(params.T, runs)):
-        ref = implicit_midpoint(wave_full_operator(model, mu), y0, dt, n_times, t0=0.5)
-        assert not run.diverged
-        np.testing.assert_array_equal(run.times, ref.times)
-        err = np.linalg.norm(run.states - ref.states) / np.linalg.norm(ref.states)
+    states = swept(wave_sweep_blocks(model, params, y0, dt, n_times))
+    assert states.shape == (params.shape[1], 2 * model.n_w, n_times)
+    for s, mu in enumerate(params.T):
+        ref = implicit_midpoint(wave_full_operator(model, mu), y0, dt, n_times)
+        assert np.all(np.isfinite(states[s]))
+        err = np.linalg.norm(states[s] - ref.states) / np.linalg.norm(ref.states)
         assert err <= 1e-10
-        energy = wave_hamiltonian(model, mu, run.states)
+        energy = wave_hamiltonian(model, mu, states[s])
         assert np.max(np.abs(energy - energy[0])) <= 1e-12 * abs(energy[0])
         # one sample swept alone gives the same states, bit for bit
-        alone = wave_sweep(model, params[:, s:s + 1], y0, dt, n_times, t0=0.5)[0]
-        np.testing.assert_array_equal(run.states, alone.states)
+        alone = swept(wave_sweep_blocks(model, params[:, s:s + 1], y0, dt, n_times))[0]
+        np.testing.assert_array_equal(states[s], alone)
 
 
 def test_sweep_blocks_are_the_sweep_in_time_order():
-    # the streamed form steps the same samples with the same step and
-    # bands: its blocks, stacked, are the runs of wave_sweep, bit for bit
+    # the first block holds y0 and isqrt(40) = 6 steps, each later block the
+    # next 6 steps (the last the 3 left); stacked, they are the midpoint
+    # states in time order
     model = build_wave_model(30)
     params = sample_wave_speeds(np.random.default_rng(923), 3, 4)
     y0 = wave_initial_state(model)
-    runs = wave_sweep(model, params, y0, 0.05, 40)
-    states = np.concatenate([block.copy() for block in wave_sweep_blocks(model, params, y0,
-                                                                         0.05, 40)])
-    assert states.shape == (40, 2 * model.n_w, 3)
-    for s, run in enumerate(runs):
-        np.testing.assert_array_equal(states[:, :, s].T, run.states)
+    blocks = [block.copy() for block in wave_sweep_blocks(model, params, y0, 0.05, 40)]
+    assert [len(block) for block in blocks] == [7, 6, 6, 6, 6, 6, 3]
+    states = swept(blocks)
+    assert states.shape == (3, 2 * model.n_w, 40)
+    for s, mu in enumerate(params.T):
+        ref = implicit_midpoint(wave_full_operator(model, mu), y0, 0.05, 40)
+        np.testing.assert_allclose(states[s], ref.states, rtol=0,
+                                   atol=1e-10 * np.max(np.abs(ref.states)))
     for bad in (dict(params=-params), dict(y0=y0[:-1]), dict(dt=0.0)):
         args = dict(params=params, y0=y0, dt=0.05) | bad
         with pytest.raises(ValueError):
@@ -323,12 +329,12 @@ def test_sweep_validation():
     y0 = wave_initial_state(model)
     params = np.full((4, 2), 1.5)
     with pytest.raises(ValueError):
-        wave_sweep(model, params[:, 0], y0, 0.1, 5)  # a vector, not one per column
+        wave_sweep_blocks(model, params[:, 0], y0, 0.1, 5)  # a vector, not one per column
     with pytest.raises(ValueError):
-        wave_sweep(model, params[:3], y0, 0.1, 5)
+        wave_sweep_blocks(model, params[:3], y0, 0.1, 5)
     with pytest.raises(ValueError):
-        wave_sweep(model, -params, y0, 0.1, 5)
+        wave_sweep_blocks(model, -params, y0, 0.1, 5)
     with pytest.raises(ValueError):
-        wave_sweep(model, params, y0[:-1], 0.1, 5)
+        wave_sweep_blocks(model, params, y0[:-1], 0.1, 5)
     with pytest.raises(ValueError):
-        wave_sweep(model, params, y0, -0.1, 5)
+        wave_sweep_blocks(model, params, y0, -0.1, 5)
