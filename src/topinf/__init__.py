@@ -7,11 +7,11 @@ The package learns the operator tensor of a linear parametric system
 from reduced trajectory snapshots and their time derivatives, by solving
 the regression problem over all parameter samples at once.  Three solvers
 are provided (explicit normal equations, stacked least squares, and an
-equality-constrained variant that returns exactly symmetric or skew
-operator slices), together with the surrounding machinery to run full
-studies: finite-element benchmark models (a diffusion problem and a
-canonical wave problem), mass-weighted and symplectic block bases, energy-
-preserving time integrators, error and energy-drift metrics, a binary
+equality-constrained variant that returns exactly symmetric operator
+slices), together with the surrounding machinery to run full studies:
+finite-element benchmark models (a diffusion problem and a canonical wave
+problem), mass-weighted and symplectic block bases, an energy-preserving
+Cayley-map time integrator, error and energy-drift metrics, a binary
 artifact format, and a five-stage experiment pipeline with a CLI.
 """
 

@@ -60,7 +60,7 @@ class ExperimentConfig:
     derivative : str
         ``"finite_difference"`` or ``"exact"``.
     seed : int
-        Root seed for all sampling.
+        Root seed for all sampling, in ``[0, 2**64)``.
     output_dir : str
         Artifact directory (CLI ``--out`` overrides).
     """
@@ -123,8 +123,9 @@ class ExperimentConfig:
                 raise ValueError(f"unknown method {m!r}; choose from {METHODS}")
         if self.derivative not in DERIVATIVES:
             raise ValueError(f"derivative must be one of {DERIVATIVES}")
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
+        # the seed is the first 64-bit word of the Philox key (make_rng)
+        if not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
         return self
 
 

@@ -203,11 +203,12 @@ def _check_params(params, n_subdomains: int, name: str, ndim: int = 2) -> np.nda
     """``params`` as floats: one vector ``(p,)`` if ``ndim`` is 1, else one per column ``(p, S)``.
 
     Raises ``ValueError``, naming the quantity ``name``, unless the shape
-    is right and every entry is finite and positive.
+    is right, with at least one column, and every entry is finite and
+    positive.
     """
     params = np.asarray(params, dtype=float)
-    if params.ndim != ndim or params.shape[0] != n_subdomains:
-        want = f"({n_subdomains},)" if ndim == 1 else f"({n_subdomains}, S)"
+    if params.ndim != ndim or params.shape[0] != n_subdomains or params.size == 0:
+        want = f"({n_subdomains},)" if ndim == 1 else f"({n_subdomains}, S), S >= 1,"
         raise ValueError(f"expected {name} of shape {want}, got shape {params.shape}")
     if not (np.all(params > 0.0) and np.all(np.isfinite(params))):
         raise ValueError(f"{name} must be finite and strictly positive")
@@ -235,8 +236,8 @@ def heat_sweep_blocks(model: HeatModel, params: np.ndarray, q0: np.ndarray, dt: 
     solves return ``2 z``, are factored once, and one stacked tridiagonal
     solve per step advances every sample; ``M q`` is taken through the
     mass bands for every sample at once.  The states agree with
-    ``crank_nicolson(heat_operator(model, mu), q0, dt, n_times, mass=M)``
-    to rounding.
+    ``crank_nicolson(np.linalg.solve(M, heat_operator(model, mu)), q0, dt,
+    n_times)``, the same Cayley map in standard form, to rounding.
 
     Returns an iterator over time blocks ``(k, N, S)``, views of one
     reused buffer (:func:`~topinf.rom.tridiagonal_blocks`); sample ``s``

@@ -12,14 +12,17 @@ Three solvers are provided:
   partially vectorized unknown and solves it symmetrically;
 * :func:`infer_lstsq` solves the equivalent tall least-squares problem
   row-block by row-block via the SVD (minimum-norm on rank deficiency);
-* :func:`infer_symmetric` imposes the constraint ``(T nu)^T = +/- (T nu)``
-  exactly by fitting each slice in an orthonormal basis of the
-  (skew-)symmetric matrices: ``p*r*(r+1)/2`` unknowns (``p*r*(r-1)/2`` when
-  skew).  Its system is :func:`infer_normal`'s normal equations restricted
-  to that subspace, read off the same ``(B, C)``; it is sparse (only basis
-  pairs sharing an index couple) but stored dense, symmetric positive
-  definite, and solved by Cholesky.  The pipeline fits each block of the
-  canonical Hamiltonian form with it.
+* :func:`infer_symmetric` imposes the constraint ``(T nu)^T = T nu``
+  exactly by fitting each slice in an orthonormal basis of the symmetric
+  matrices: ``p*r*(r+1)/2`` unknowns.  Its system is :func:`infer_normal`'s
+  normal equations restricted to that subspace, read off the same
+  ``(B, C)``; it is sparse (only basis pairs sharing an index couple) but
+  stored dense, symmetric positive definite, and solved by Cholesky.  The
+  pipeline fits each block of the canonical Hamiltonian form with it.
+
+Both normal-equations solvers hand their freshly assembled system to
+:func:`~topinf.linalg.solve_sym`, which equilibrates and factors it in
+place, so a fit holds one full-size system array.
 
 The two unconstrained solvers minimize the same objective; their system
 matrices satisfy ``D^T D = B`` exactly, so they agree to solver precision
@@ -42,7 +45,7 @@ import numpy as np
 
 from . import tensors
 from .errors import NonUniqueSolutionError, ResourceLimitError
-from .linalg import lstsq_min_norm, solve_sym, solve_sym_owned
+from .linalg import lstsq_min_norm, solve_sym
 
 __all__ = [
     "InferenceData",
@@ -61,8 +64,8 @@ __all__ = [
 #: Relative singular-value cutoff for the uniqueness rank checks.
 UNIQUENESS_RANK_RTOL = 1e-10
 
-#: Default cap on the unknowns ``p*r*(r+1)/2`` (``p*r*(r-1)/2`` when skew) of
-#: the symmetric solver; its dense system takes ``8 * unknowns**2`` bytes.
+#: Cap on the unknowns ``p*r*(r+1)/2`` of the symmetric solver, read at each
+#: call; its dense system takes ``8 * unknowns**2`` bytes.
 SYMMETRIC_UNKNOWN_CAP = 20_000
 
 #: A symmetric fit's peak memory in multiples of its system's bytes: the
@@ -171,7 +174,7 @@ class InferredTensor:
     method : str
         ``"normal"``, ``"lstsq"``, or ``"symmetric"``.
     structure : str
-        ``"generic"``, ``"symmetric"``, or ``"skew"``.
+        ``"generic"`` or ``"symmetric"``.
     cond : float
         Condition estimate of the solved system (squared-data scale for
         the normal and symmetric routes; singular-value ratio for lstsq).
@@ -258,8 +261,6 @@ def _diagnostics(tensor: np.ndarray, data: InferenceData, structure: str) -> tup
     grad = objective_gradient(tensor, data)
     if structure == "symmetric":
         grad = 0.5 * (grad + grad.transpose(1, 0, 2))
-    elif structure == "skew":
-        grad = 0.5 * (grad - grad.transpose(1, 0, 2))
     return resid, float(np.sqrt(np.sum(grad**2)))
 
 
@@ -281,7 +282,10 @@ def infer_normal(data: InferenceData) -> InferredTensor:
             f"inference problem has no unique solution: {report}", report=report
         )
     bhat, chat = assemble_normal_system(data)
-    sol, cond = solve_sym(bhat, chat.T)
+    # the solve overwrites bhat, which nothing else holds; it is copied only
+    # in the degenerate shapes (p = 1 with one sample, r = 1 with one time)
+    # where the assembly returns a strided view
+    sol, cond = solve_sym(np.ascontiguousarray(bhat), chat.T)
     tensor = tensors.cmat(sol.T, 1, 2, (data.r, data.p))
     resid, stat = _diagnostics(tensor, data, "generic")
     return InferredTensor(
@@ -316,24 +320,18 @@ def infer_lstsq(data: InferenceData) -> InferredTensor:
     )
 
 
-def infer_symmetric(
-    data: InferenceData,
-    skew: bool = False,
-    max_unknowns: int = SYMMETRIC_UNKNOWN_CAP,
-) -> InferredTensor:
-    """Structure-constrained fit: every slice of ``T`` is (skew-)symmetric.
+def infer_symmetric(data: InferenceData) -> InferredTensor:
+    """Structure-constrained fit: every slice of ``T`` is symmetric.
 
     Solves the constrained least squares
 
-        minimize L(T)  subject to  T[:, :, x].T == sign * T[:, :, x],
+        minimize L(T)  subject to  T[:, :, x].T == T[:, :, x],
 
-    with ``sign = -1`` for ``skew=True`` and ``+1`` otherwise, in the
-    coordinates of the constraint: each slice is expanded in the orthonormal
-    basis ``E_ab = w_ab (e_a e_b^T + sign e_b e_a^T)`` of the
-    (skew-)symmetric matrices, ``a <= b`` (``a < b`` when skew), with
-    ``w_ab = 1/sqrt(2)`` off the diagonal and ``w_aa = 1/2`` (so
-    ``E_aa = e_a e_a^T``).  That leaves ``p*r*(r+1)/2`` unknowns
-    (``p*r*(r-1)/2`` when skew).  The system is the unconstrained normal
+    in the coordinates of the constraint: each slice is expanded in the
+    orthonormal basis ``E_ab = w_ab (e_a e_b^T + e_b e_a^T)`` of the
+    symmetric matrices, ``a <= b``, with ``w_ab = 1/sqrt(2)`` off the
+    diagonal and ``w_aa = 1/2`` (so ``E_aa = e_a e_a^T``).  That leaves
+    ``p*r*(r+1)/2`` unknowns.  The system is the unconstrained normal
     equations ``(B, C)`` of :func:`assemble_normal_system` restricted to the
     constraint subspace.  With ``G[x, i, y, j] = sum_s nu_xs nu_ys H_s[i, j]``
     read from ``B`` (``H_s = Y_s Y_s^T``), the entry for the pairs
@@ -341,57 +339,54 @@ def infer_symmetric(
     ``sum_s nu_xs nu_ys tr(E_ab^T E_cd H_s)``, that is
 
         w_ab w_cd [d_ac G[x, b, y, d] + d_bd G[x, a, y, c]
-                   + sign (d_ad G[x, b, y, c] + d_bc G[x, a, y, d])],
+                   + d_ad G[x, b, y, c] + d_bc G[x, a, y, d]],
 
     with ``d`` the Kronecker delta: zero unless the two pairs share an
     index, so it is filled by four index-matched scatters of ``G``.  The
-    right-hand side is ``w_ab (C_x[a, b] + sign C_x[b, a])``.  The system
-    is symmetric positive definite whenever the constrained minimizer is
+    right-hand side is ``w_ab (C_x[a, b] + C_x[b, a])``.  The system is
+    symmetric positive definite whenever the constrained minimizer is
     unique and is solved by Cholesky, in place: the assembled system is
-    handed to :func:`~topinf.linalg.solve_sym_owned`, so the fit holds one
+    handed to :func:`~topinf.linalg.solve_sym`, so the fit holds one
     full-size array, and its peak is about 1.5 times the system's
     ``8 * unknowns**2`` bytes.  A resource guard refuses problems with more
-    than ``max_unknowns`` unknowns, reporting that peak.  The solution is
-    written back with exact (skew-)symmetry.
+    than :data:`SYMMETRIC_UNKNOWN_CAP` unknowns, reporting that peak.  The
+    solution is written back with exact symmetry.
     """
     r, p = data.r, data.p
-    sign = -1.0 if skew else 1.0
-    a, b = np.triu_indices(r, 1 if skew else 0)
+    a, b = np.triu_indices(r)
     w = np.where(a == b, 0.5, np.sqrt(0.5))
     unknowns = a.size * p
-    if unknowns > max_unknowns:
+    if unknowns > SYMMETRIC_UNKNOWN_CAP:
         system_mib = unknowns * unknowns * 8 / 2**20
         raise ResourceLimitError(
             f"symmetric inference needs {unknowns} unknowns (dense system "
             f"{system_mib:.1f} MiB, factored in place: fit peak about "
-            f"{_SYMMETRIC_PEAK_SYSTEMS * system_mib:.1f} MiB); cap is {max_unknowns}"
+            f"{_SYMMETRIC_PEAK_SYSTEMS * system_mib:.1f} MiB); cap is {SYMMETRIC_UNKNOWN_CAP}"
         )
     # B is G of the docstring as gram[x, i, y, j]; C holds C_x[i, j] at cross[i, x, j]
     bfull, cfull = assemble_normal_system(data)
     gram = bfull.reshape(p, r, p, r)
     cross = cfull.reshape(r, p, r)
 
-    # E_k is w_k times the sum of the unit matrices e_a e_b^T and sign e_b e_a^T;
+    # E_k is w_k times the sum of the unit matrices e_a e_b^T and e_b e_a^T;
     # e_u e_v^T and e_s e_t^T couple through delta_us gram[., v, ., t]
     bhat = np.zeros((p, a.size, p, a.size))
-    for ku, kv, ks in ((a, b, 1.0), (b, a, sign)):
-        for lu, lv, ls in ((a, b, 1.0), (b, a, sign)):
+    for ku, kv in ((a, b), (b, a)):
+        for lu, lv in ((a, b), (b, a)):
             k, l = np.nonzero(ku[:, None] == lu[None, :])
-            bhat[:, k, :, l] += (ks * ls) * (w[k] * w[l])[:, None, None] * gram[:, kv[k], :, lv[l]]
+            bhat[:, k, :, l] += (w[k] * w[l])[:, None, None] * gram[:, kv[k], :, lv[l]]
     bhat = bhat.reshape(unknowns, unknowns)
-    chat = (w[:, None] * (cross[a, :, b] + sign * cross[b, :, a])).T.ravel()
+    chat = (w[:, None] * (cross[a, :, b] + cross[b, :, a])).T.ravel()
 
-    # r == 1 with skew=True leaves no unknowns: the only admissible tensor is 0
-    theta, cond = solve_sym_owned(bhat, chat) if unknowns else (chat, 1.0)
+    theta, cond = solve_sym(bhat, chat)
     half = np.zeros((r, r, p))
     half[a, b] = w[:, None] * theta.reshape(p, a.size).T
-    tensor = half + sign * half.transpose(1, 0, 2)
-    structure = "skew" if skew else "symmetric"
-    resid, stat = _diagnostics(tensor, data, structure)
+    tensor = half + half.transpose(1, 0, 2)
+    resid, stat = _diagnostics(tensor, data, "symmetric")
     return InferredTensor(
         tensor=tensor,
         method="symmetric",
-        structure=structure,
+        structure="symmetric",
         cond=cond,
         residual=resid,
         stationarity=stat,

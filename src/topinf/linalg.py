@@ -12,15 +12,13 @@ on:
   a condition estimate, raising :class:`~topinf.errors.SingularMatrixError`
   with a rank estimate when the matrix is singular to working precision
   and :class:`~topinf.errors.NotPositiveDefiniteError` when it is
-  indefinite.  It leaves the caller's system unchanged and holds one
-  working copy next to it; :func:`solve_sym_owned` is the same solve on
-  the caller's array, which is then the one full-size array held.  The
-  system is equilibrated into the working array, a blocked Cholesky
-  (:func:`_cholesky_in_place`) writes its factor into the lower triangle
-  and the upper triangle keeps the equilibrated system for the refinement
-  residual and the failure paths.  The solves go through the inverses of
-  the factor's diagonal blocks (:func:`_cholesky_solve`), and the
-  condition estimate is a port of LAPACK's ``dpocon``
+  indefinite.  It works in the caller's array, which is then the one
+  full-size array held: the system is equilibrated in place, a blocked
+  Cholesky (:func:`_cholesky_in_place`) writes its factor into the lower
+  triangle and the upper triangle keeps the equilibrated system for the
+  refinement residual and the failure paths.  The solves go through the
+  inverses of the factor's diagonal blocks (:func:`_cholesky_solve`), and
+  the condition estimate is a port of LAPACK's ``dpocon``
   (:func:`_inverse_norm_estimate`);
 * :func:`lstsq_min_norm` -- SVD-based minimum-norm least squares with a
   fixed relative singular-value cutoff;
@@ -63,7 +61,6 @@ from .errors import NotPositiveDefiniteError, SingularMatrixError
 __all__ = [
     "cholesky_upper",
     "solve_sym",
-    "solve_sym_owned",
     "lstsq_min_norm",
     "thin_svd",
     "TridiagonalFactor",
@@ -195,19 +192,19 @@ def _singular(eigvals: np.ndarray, rcond: float, rtol: float = 1e-12) -> Singula
 _CHOLESKY_BLOCK = 256
 
 
-def _equilibrate(b: np.ndarray, scale: np.ndarray, out: np.ndarray) -> float:
-    """Write ``b / outer(scale, scale)`` into ``out`` a strip of rows at a time; return its 1-norm.
+def _equilibrate(b: np.ndarray, scale: np.ndarray) -> float:
+    """Overwrite ``b`` with ``b / outer(scale, scale)`` a strip of rows at a time; return its 1-norm.
 
-    ``out`` may be ``b`` itself.  Strip by strip, these are the bits of the
-    one full-size division, computed with no temporary larger than a strip.
-    The result is symmetric, so its 1-norm is its largest absolute row
-    sum, taken from each strip as it is written.
+    Strip by strip, these are the bits of the one full-size division,
+    computed with no temporary larger than a strip.  The result is
+    symmetric, so its 1-norm is its largest absolute row sum, taken from
+    each strip as it is written.
     """
     norm = 0.0
     for i in range(0, b.shape[0], _SYMMETRY_BLOCK):
-        rows = slice(i, i + _SYMMETRY_BLOCK)
-        np.divide(b[rows], np.multiply.outer(scale[rows], scale), out=out[rows])
-        norm = max(norm, float(np.max(np.sum(np.abs(out[rows]), axis=1))))
+        rows = b[i:i + _SYMMETRY_BLOCK]
+        rows /= np.multiply.outer(scale[i:i + _SYMMETRY_BLOCK], scale)
+        norm = max(norm, float(np.max(np.sum(np.abs(rows), axis=1))))
     return norm
 
 
@@ -362,7 +359,7 @@ def _inverse_norm_estimate(solve, n: int) -> float:
 
 
 def solve_sym(b: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, float]:
-    """Solve ``b @ x = c`` for symmetric positive definite ``b``.
+    """Solve ``b @ x = c`` for symmetric positive definite ``b``, overwriting ``b``.
 
     Returns ``(x, cond_estimate)``.  The system is symmetrically
     equilibrated by the square roots of its row infinity-norms, factorized
@@ -372,18 +369,22 @@ def solve_sym(b: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, float]:
     ``1 / (||A||_1 est(||A^-1||_1))``, computed by
     :func:`_inverse_norm_estimate`.
 
-    ``b`` and ``c`` are not modified.  Besides them one full-size array is
-    held, the working copy: the equilibrated system, written row strip by
-    row strip, whose lower triangle the blocked Cholesky
-    (:func:`_cholesky_keeping_upper`) overwrites with the factor while the
-    upper triangle keeps the system.  The refinement residual
+    ``b`` must be a writeable C-contiguous float64 array, and it is the
+    one full-size array held: it is equilibrated in place, row strip by
+    row strip, and the blocked Cholesky (:func:`_cholesky_keeping_upper`)
+    overwrites its lower triangle with the factor while the upper triangle
+    keeps the equilibrated system.  The refinement residual
     (:func:`_upper_product`) and the eigenvalues of the failure paths are
-    read from that upper triangle.  :func:`solve_sym_owned` is the same
-    solve with the caller's array as the working copy.  Every solve with
-    the factor, and every product, runs in NumPy.
+    read from that upper triangle.  The contents of ``b`` are undefined on
+    return; ``c`` is not modified.  Every solve with the factor, and every
+    product, runs in NumPy.
 
     Raises
     ------
+    ValueError
+        If ``b`` is not a writeable C-contiguous float64 square matrix,
+        the shapes do not conform, an entry is not finite, or ``b`` is not
+        symmetric.
     SingularMatrixError
         If the equilibrated matrix has an estimated reciprocal condition
         number at or below :data:`SOLVE_RCOND_FLOOR`, or is positive
@@ -396,26 +397,9 @@ def solve_sym(b: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, float]:
         ``-SOLVE_RCOND_FLOOR`` times its largest one; the exception carries
         the index of the pivot at which the factorization broke down.
     """
-    b = np.asarray(b, dtype=float)
-    return _solve_sym(b, c, np.empty(b.shape))
-
-
-def solve_sym_owned(b: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, float]:
-    """:func:`solve_sym`, overwriting ``b``: it is the only full-size array held.
-
-    ``b`` must be a writeable C-contiguous float64 array; it is
-    equilibrated and factored in place, and its contents are undefined on
-    return.  ``c`` is not modified.  Results and failures are those of
-    :func:`solve_sym`.
-    """
     if not (isinstance(b, np.ndarray) and b.dtype == np.float64 and b.flags.c_contiguous
             and b.flags.writeable):
         raise ValueError("b must be a writeable C-contiguous float64 array")
-    return _solve_sym(b, c, b)
-
-
-def _solve_sym(b: np.ndarray, c: np.ndarray, work: np.ndarray) -> tuple[np.ndarray, float]:
-    """:func:`solve_sym` with ``work`` (n, n) as its working array, which may be ``b``."""
     c = np.asarray(c, dtype=float)
     _require_square(b, "b")
     if c.shape[0] != b.shape[0]:
@@ -430,11 +414,11 @@ def _solve_sym(b: np.ndarray, c: np.ndarray, work: np.ndarray) -> tuple[np.ndarr
 
     n = b.shape[0]
     scale = np.sqrt(np.where(row_max > 0.0, row_max, 1.0))
-    anorm = _equilibrate(b, scale, work)
+    anorm = _equilibrate(b, scale)
     try:
-        inverses = _cholesky_keeping_upper(work)
+        inverses = _cholesky_keeping_upper(b)
     except NotPositiveDefiniteError as exc:
-        eigvals = np.linalg.eigvalsh(work, UPLO="U")
+        eigvals = np.linalg.eigvalsh(b, UPLO="U")
         if eigvals[0] < -SOLVE_RCOND_FLOOR * abs(eigvals[-1]):
             raise NotPositiveDefiniteError(
                 f"matrix is indefinite (Cholesky pivot {exc.pivot_index} failed)",
@@ -443,19 +427,19 @@ def _solve_sym(b: np.ndarray, c: np.ndarray, work: np.ndarray) -> tuple[np.ndarr
         raise _singular(eigvals, 0.0) from None
 
     def solve(v):
-        return _cholesky_solve(work, inverses, v)
+        return _cholesky_solve(b, inverses, v)
 
     ainvnm = _inverse_norm_estimate(solve, n)
     rcond = (1.0 / ainvnm) / anorm if ainvnm != 0.0 else 0.0
     if not np.isfinite(rcond) or rcond <= SOLVE_RCOND_FLOOR:
-        raise _singular(np.linalg.eigvalsh(work, UPLO="U"), rcond)
+        raise _singular(np.linalg.eigvalsh(b, UPLO="U"), rcond)
 
     # in the equilibrated unknowns y = scale * x the system is b_s y = c / scale,
-    # b_s = b / outer(scale, scale), which the upper triangle of work holds
+    # b_s = b / outer(scale, scale), which the upper triangle of b now holds
     column = scale[:, None]
     rhs = c.reshape(n, -1) / column
     y = solve(rhs)
-    y += solve(rhs - _upper_product(work, y))
+    y += solve(rhs - _upper_product(b, y))
     return (y / column).reshape(c.shape), 1.0 / rcond
 
 

@@ -20,20 +20,22 @@ model, whose quadratic form coincides with that of the original blocks.
 the pipeline reads each sample's energy ``E = J^T A`` off the stacked
 generators (:func:`block_operator`), and the tests check it against them.
 
-The integrators apply the Cayley map ``Phi = (M - dt/2 A)^{-1} (M + dt/2 A)``:
-:func:`crank_nicolson` for mass-form diffusion systems and
-:func:`implicit_midpoint` for standard-form canonical systems, where the
-same map conserves every quadratic invariant of the flow (for linear
-systems the two schemes coincide).  One factorization builds ``Phi``,
-and the trajectory is filled by repeated squaring: once the first ``h``
-states are known, one product with ``Phi^h`` writes the next ``h``, and
+The integrator applies the Cayley map ``Phi = (I - dt/2 A)^{-1} (I + dt/2 A)``
+to standard-form systems ``ydot = A y``: it is the implicit midpoint rule
+(:func:`implicit_midpoint`), which conserves every quadratic invariant of
+the flow, and for linear systems also the trapezoidal rule, under the name
+:func:`crank_nicolson`.  A mass-form system ``M qdot = A q`` is integrated
+as ``ydot = M^{-1} A y``, which has the same Cayley map.
+:func:`cayley_sweep` runs the map over a stack of operators, one per
+parameter sample: one batched solve builds every step map, and the
+trajectories are filled by repeated squaring: once the first ``h`` states
+are known, one stacked product with ``Phi^h`` writes the next ``h``, and
 ``Phi^2h = Phi^h Phi^h``, about ``2 log2(n_times)`` products in all.  A
 run that is not finite somewhere is stepped again one step at a time, so
 it diverges where its state leaves float range, not where a power of
-``Phi`` overflows.  :func:`cayley_sweep` runs the same map over a stack of
-operators, one per parameter sample: one batched solve builds every step
-map and each stacked product advances every sample, with the per-sample
-results of the single-operator entry points, bit for bit.
+``Phi`` overflows.  The single-operator entry point is the sweep of a
+one-slice stack, so a sample's results in a sweep are its results alone,
+bit for bit.
 :func:`tridiagonal_blocks` is the full-order counterpart, for steps that
 solve one symmetric positive definite tridiagonal system per sample: the
 systems of all samples are factored once, as one stack held positions
@@ -232,48 +234,6 @@ def symmetric_part(model: RomModel) -> RomModel:
     )
 
 
-def _cayley_integrate(
-    a: np.ndarray,
-    x0: np.ndarray,
-    dt: float,
-    n_times: int,
-    mass: np.ndarray | None,
-    t0: float,
-) -> list[Trajectory]:
-    """Cayley-map trajectories of an operator stack ``a`` (S, n, n) from ``x0``."""
-    a = np.asarray(a, dtype=float)
-    x0 = np.asarray(x0, dtype=float)
-    n = x0.shape[0]
-    if a.ndim != 3 or a.shape[1:] != (n, n):
-        raise ValueError(f"expected an (S, n, n) operator stack with n = len(x0) = {n}, "
-                         f"got shape {a.shape}")
-    if not (dt > 0.0):
-        raise ValueError(f"dt must be positive, got {dt}")
-    if n_times < 1:
-        raise ValueError(f"n_times must be positive, got {n_times}")
-    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(x0))):
-        raise ValueError("non-finite operator or initial state")
-    m = np.eye(n) if mass is None else np.asarray(mass, dtype=float)
-    if m.shape != (n, n):
-        raise ValueError(f"mass shape {m.shape} does not match state length {n}")
-
-    # One batched LU solve builds every step map.  Non-finite values
-    # propagate, so overflow is located after stepping.
-    with np.errstate(all="ignore"):
-        half = 0.5 * dt * a
-        phi = _step_maps(m - half, m + half)
-        states = _cayley_states(phi, x0, n_times)
-        finite = np.isfinite(states).all(axis=1)
-        if not finite.all():  # a power of a map can overflow before its state does
-            bad = ~finite.all(axis=1)
-            redo, maps = states[bad], phi[bad]
-            for k in range(1, n_times):
-                np.matmul(maps, redo[:, :, k - 1:k], out=redo[:, :, k:k + 1])
-            states[bad] = redo
-            finite[bad] = np.isfinite(redo).all(axis=1)
-    return _trajectories(states, finite, dt, t0)
-
-
 def _cayley_states(phi: np.ndarray, x0: np.ndarray, n_times: int) -> np.ndarray:
     """States (S, n, n_times) of ``x_{k+1} = phi_s x_k``, by repeated squaring.
 
@@ -346,7 +306,34 @@ def cayley_sweep(
     the first step where its state is not finite; an exactly singular
     ``I - dt/2 A_s`` diverges at step 1 without touching the other samples.
     """
-    return _cayley_integrate(ops, x0, dt, n_times, None, t0)
+    ops = np.asarray(ops, dtype=float)
+    x0 = np.asarray(x0, dtype=float)
+    n = x0.shape[0]
+    if ops.ndim != 3 or ops.shape[1:] != (n, n):
+        raise ValueError(f"expected an (S, n, n) operator stack with n = len(x0) = {n}, "
+                         f"got shape {ops.shape}")
+    if not (dt > 0.0):
+        raise ValueError(f"dt must be positive, got {dt}")
+    if n_times < 1:
+        raise ValueError(f"n_times must be positive, got {n_times}")
+    if not (np.all(np.isfinite(ops)) and np.all(np.isfinite(x0))):
+        raise ValueError("non-finite operator or initial state")
+
+    # One batched LU solve builds every step map.  Non-finite values
+    # propagate, so overflow is located after stepping.
+    with np.errstate(all="ignore"):
+        eye, half = np.eye(n), 0.5 * dt * ops
+        phi = _step_maps(eye - half, eye + half)
+        states = _cayley_states(phi, x0, n_times)
+        finite = np.isfinite(states).all(axis=1)
+        if not finite.all():  # a power of a map can overflow before its state does
+            bad = ~finite.all(axis=1)
+            redo, maps = states[bad], phi[bad]
+            for k in range(1, n_times):
+                np.matmul(maps, redo[:, :, k - 1:k], out=redo[:, :, k:k + 1])
+            states[bad] = redo
+            finite[bad] = np.isfinite(redo).all(axis=1)
+    return _trajectories(states, finite, dt, t0)
 
 
 def tridiagonal_blocks(step, diag: np.ndarray, off: np.ndarray, x0: np.ndarray, n_times: int):
@@ -407,28 +394,6 @@ def _stepped_blocks(step, solve, block: np.ndarray, steps: int):
         first = 1
 
 
-def crank_nicolson(
-    a: np.ndarray,
-    q0: np.ndarray,
-    dt: float,
-    n_times: int,
-    mass: np.ndarray | None = None,
-    t0: float = 0.0,
-) -> Trajectory:
-    """Trapezoidal (Crank-Nicolson) integration of ``M qdot = A q``.
-
-    Steps ``(M - dt/2 A) q_{k+1} = (M + dt/2 A) q_k``: one LU factorization
-    builds the step map ``Phi = (M - dt/2 A)^{-1} (M + dt/2 A)``, and
-    repeated squaring fills the trajectory: once ``h`` states are known,
-    one product with ``Phi^h`` writes the next ``h``.  A run that is not
-    finite somewhere is stepped again one step at a time, so
-    ``first_bad_step`` is where the state itself leaves float range.
-    Second-order accurate and, for dissipative ``A``, non-expansive in the
-    ``M`` norm.  ``mass=None`` means the identity.
-    """
-    return _cayley_integrate(np.asarray(a, dtype=float)[None], q0, dt, n_times, mass, t0)[0]
-
-
 def implicit_midpoint(
     a: np.ndarray,
     y0: np.ndarray,
@@ -442,8 +407,17 @@ def implicit_midpoint(
     ``Phi = (I - dt/2 A)^{-1} (I + dt/2 A)``; it is symplectic and conserves
     every quadratic invariant of the flow, in particular the energy
     ``1/2 y^T S y`` of a canonical system ``A = J S`` with symmetric ``S``.
-    As in :func:`crank_nicolson`, repeated squaring fills the trajectory,
-    one product with ``Phi^h`` writing the next ``h`` states, and a run
-    that is not finite somewhere is stepped again one step at a time.
+    It is also the trapezoidal rule: second-order accurate, and
+    non-expansive in any inner-product norm in which ``A`` is dissipative.
+    It is :func:`cayley_sweep` on the one-slice stack ``A[None]``: repeated
+    squaring fills the trajectory, and a run that is not finite somewhere
+    is stepped again one step at a time, so ``first_bad_step`` is where the
+    state itself leaves float range.
     """
-    return _cayley_integrate(np.asarray(a, dtype=float)[None], y0, dt, n_times, None, t0)[0]
+    return cayley_sweep(np.asarray(a, dtype=float)[None], y0, dt, n_times, t0)[0]
+
+
+#: Crank-Nicolson (trapezoidal) integration of ``ydot = A y``: for linear
+#: dynamics the same Cayley map as :func:`implicit_midpoint`.  A mass-form
+#: system ``M qdot = A q`` is integrated as ``ydot = M^{-1} A y``.
+crank_nicolson = implicit_midpoint

@@ -164,6 +164,22 @@ def test_seed_override_changes_sampled_parameters(tmp_path, capsys):
     assert not (tmp_path / "a" / "basis").exists()
 
 
+def test_seed_past_the_philox_key_fails_cleanly(tmp_path, capsys):
+    # the configuration is refused before the stage empties its directory
+    cfg_path = write_config(tmp_path)
+    outdir = tmp_path / "kept"
+    common = ["--config", str(cfg_path), "--out", str(outdir)]
+    assert main(["simulate-fom"] + common) == 0
+    capsys.readouterr()
+    before = {path: path.read_bytes() for path in outdir.rglob("*") if path.is_file()}
+    code = main(["simulate-fom"] + common + ["--seed", str(2**64)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("topinf: error:") and "seed" in captured.err
+    after = {path: path.read_bytes() for path in outdir.rglob("*") if path.is_file()}
+    assert after == before
+
+
 def test_simulate_rom_refuses_operators_of_another_derivative(tmp_path, capsys):
     cfg_path = write_config(tmp_path)
     outdir = tmp_path / "fd"

@@ -97,11 +97,13 @@ def test_validation_rules():
         replace(base, methods=("ridge",)),
         replace(base, derivative="spectral"),
         replace(base, seed=-1),
+        replace(base, seed=2**64),  # past the 64-bit word of the Philox key
     ]
     for cfg in bad:
         with pytest.raises(ValueError):
             cfg.validate()
     assert replace(base, n_test=0).validate().n_test == 0
+    assert replace(base, seed=2**64 - 1).validate().seed == 2**64 - 1
 
 
 def test_nearly_dividing_dt_is_accepted():

@@ -216,7 +216,8 @@ def test_sweep_matches_dense_crank_nicolson_at_study_size(n_elements):
     states = swept(heat_sweep_blocks(model, params, q0, 0.008, 251))
     assert states.shape == (params.shape[1], model.n_dof, 251)
     for s, mu in enumerate(params.T):
-        ref = crank_nicolson(heat_operator(model, mu), q0, 0.008, 251, mass=model.mass)
+        ref = crank_nicolson(np.linalg.solve(model.mass, heat_operator(model, mu)), q0, 0.008,
+                             251)
         assert np.all(np.isfinite(states[s]))
         err = np.linalg.norm(states[s] - ref.states) / np.linalg.norm(ref.states)
         assert err <= 1e-10
@@ -237,7 +238,7 @@ def test_sweep_blocks_are_the_sweep_in_time_order():
     states = swept(blocks)
     assert states.shape == (3, model.n_dof, 30)
     for s, mu in enumerate(params.T):
-        ref = crank_nicolson(heat_operator(model, mu), q0, 0.01, 30, mass=model.mass)
+        ref = crank_nicolson(np.linalg.solve(model.mass, heat_operator(model, mu)), q0, 0.01, 30)
         np.testing.assert_allclose(states[s], ref.states, rtol=0,
                                    atol=1e-10 * np.max(np.abs(ref.states)))
     for bad in (dict(params=-params), dict(q0=q0[:-1]), dict(dt=0.0)):

@@ -155,8 +155,10 @@ def test_gram_of_tall_system_equals_normal_matrix():
 
 def test_unconstrained_solvers_recover_planted_tensor():
     rng = np.random.default_rng(609)
-    for _ in range(5):
-        data, truth = random_data(rng, r=4, p=3, nt=6, ns=6)
+    # the last case, p = 1 and one sample, is assembled as a strided view
+    # of its normal system, which the in-place solve cannot overwrite
+    for r, p, ns in [(4, 3, 6)] * 5 + [(3, 1, 1)]:
+        data, truth = random_data(rng, r=r, p=p, nt=6, ns=ns)
         for solver in (infer_normal, infer_lstsq):
             result = solver(data)
             assert rel_err(result.tensor, truth) < 1e-10
@@ -177,15 +179,40 @@ def test_symmetric_solver_recovers_planted_symmetric_tensor():
     np.testing.assert_array_equal(result.tensor, result.tensor.transpose(1, 0, 2))
 
 
-def test_skew_solver_recovers_planted_skew_tensor():
-    rng = np.random.default_rng(611)
-    base = rng.standard_normal((3, 3, 2))
-    truth = 0.5 * (base - base.transpose(1, 0, 2))
-    data, _ = random_data(rng, r=3, p=2, nt=5, ns=5, tensor=truth)
-    result = infer_symmetric(data, skew=True)
+@pytest.mark.parametrize(
+    "r, p, nt, ns",
+    [
+        (4, 3, 6, 6),
+        (3, 1, 6, 1),  # assembled as a strided view of the normal system
+        (1, 2, 1, 6),  # likewise
+    ],
+)
+def test_normal_solver_hands_the_in_place_solve_an_array_it_may_overwrite(
+        monkeypatch, r, p, nt, ns):
+    from topinf import inference
+
+    rng = np.random.default_rng(612)
+    data, truth = random_data(rng, r=r, p=p, nt=nt, ns=ns)
+    seen = {}
+    assemble, solve = inference.assemble_normal_system, inference.solve_sym
+
+    def assemble_spy(d):
+        seen["bhat"], chat = assemble(d)
+        return seen["bhat"], chat
+
+    def solve_spy(b, c):
+        seen["b"] = b
+        return solve(b, c)
+
+    monkeypatch.setattr(inference, "assemble_normal_system", assemble_spy)
+    monkeypatch.setattr(inference, "solve_sym", solve_spy)
+    result = infer_normal(data)
+    b, bhat = seen["b"], seen["bhat"]
+    assert b.dtype == np.float64 and b.flags.c_contiguous and b.flags.writeable
+    assert not np.shares_memory(b, data.ys) and not np.shares_memory(b, data.zs)
+    # a C-contiguous assembly is handed over as it is, not copied
+    assert (b is bhat) == bhat.flags.c_contiguous
     assert rel_err(result.tensor, truth) < 1e-10
-    assert result.structure == "skew"
-    np.testing.assert_array_equal(result.tensor, -result.tensor.transpose(1, 0, 2))
 
 
 def test_unconstrained_methods_agree_on_noisy_data():
@@ -209,11 +236,11 @@ def test_solutions_match_direct_solve_of_oracle_system():
     assert rel_err(infer_lstsq(data).tensor, expected) < 1e-9
 
 
-def kronecker_stationarity_solution(data, sign):
+def kronecker_stationarity_solution(data):
     """Solve the full ``(r*r*p)^2`` constrained stationarity system directly.
 
-    The (skew-)symmetrized gradient condition reads, for every slice x,
-    ``sum_s nu_xs sum_y nu_ys (T_y H_s + H_s T_y) = C_x + sign C_x^T``
+    The symmetrized gradient condition reads, for every slice x,
+    ``sum_s nu_xs sum_y nu_ys (T_y H_s + H_s T_y) = C_x + C_x^T``
     with ``H_s = Y_s Y_s^T`` and ``C_x = sum_s nu_xs Z_s Y_s^T``.  With
     column-major ``vec``, ``vec(A T B) = (B^T kron A) vec(T)``.
     """
@@ -226,7 +253,7 @@ def kronecker_stationarity_solution(data, sign):
         h = data.ys[:, :, s] @ data.ys[:, :, s].T
         b += np.kron(np.outer(nu, nu), np.kron(h, eye) + np.kron(eye, h))
         c += (data.zs[:, :, s] @ data.ys[:, :, s].T)[:, :, None] * nu
-    c = c + sign * c.transpose(1, 0, 2)
+    c = c + c.transpose(1, 0, 2)
     rhs = np.concatenate([c[:, :, x].ravel(order="F") for x in range(p)])
     t = np.linalg.solve(b, rhs)
     return np.stack([t[x * r * r:(x + 1) * r * r].reshape(r, r, order="F")
@@ -234,18 +261,18 @@ def kronecker_stationarity_solution(data, sign):
 
 
 @pytest.mark.parametrize(
-    "r, p, nt, ns, skew",
+    "r, p, nt, ns",
     [
-        (3, 2, 6, 6, False),
-        (4, 2, 6, 6, True),
-        (8, 3, 251, 8, False),  # study-sized
+        (3, 2, 6, 6),
+        (4, 2, 6, 6),
+        (8, 3, 251, 8),  # study-sized
     ],
 )
-def test_symmetric_solver_matches_kronecker_stationarity_oracle(r, p, nt, ns, skew):
+def test_symmetric_solver_matches_kronecker_stationarity_oracle(r, p, nt, ns):
     rng = np.random.default_rng(625)
     data, _ = random_data(rng, r=r, p=p, nt=nt, ns=ns, noise=1.0)
-    expected = kronecker_stationarity_solution(data, -1.0 if skew else 1.0)
-    assert rel_err(infer_symmetric(data, skew=skew).tensor, expected) < 1e-9
+    expected = kronecker_stationarity_solution(data)
+    assert rel_err(infer_symmetric(data).tensor, expected) < 1e-9
 
 
 # ----------------------------------------------------------------------
@@ -281,27 +308,24 @@ def test_constraint_costs_objective_value():
     assert constrained >= free - 1e-12 * max(1.0, free)
 
 
-def test_symmetric_solver_resource_cap():
+def test_symmetric_solver_resource_cap(monkeypatch):
+    from topinf import inference
+
     rng = np.random.default_rng(617)
     data, _ = random_data(rng, r=2, p=2)
+    # the cap is read when the fit is called
+    monkeypatch.setattr(inference, "SYMMETRIC_UNKNOWN_CAP", 5)
     with pytest.raises(ResourceLimitError):
-        infer_symmetric(data, max_unknowns=5)  # needs p * r * (r + 1) / 2 = 6
-    infer_symmetric(data, max_unknowns=6)
+        infer_symmetric(data)  # needs p * r * (r + 1) / 2 = 6
+    monkeypatch.setattr(inference, "SYMMETRIC_UNKNOWN_CAP", 6)
+    infer_symmetric(data)
     # the refusal reports the system's size and the fit's expected peak
     large, _ = random_data(rng, r=30, p=3)
+    monkeypatch.setattr(inference, "SYMMETRIC_UNKNOWN_CAP", 1394)
     with pytest.raises(ResourceLimitError,
                        match=r"1395 unknowns \(dense system 14\.8 MiB, factored in place: "
-                             r"fit peak about 22\.3 MiB\)"):
-        infer_symmetric(large, max_unknowns=1394)
-
-
-def test_skew_solver_at_one_mode_returns_zero_tensor():
-    # a 1 x 1 skew slice is zero: the fit has no unknowns and must not solve
-    rng = np.random.default_rng(624)
-    data, _ = random_data(rng, r=1, p=2, noise=1.0)
-    result = infer_symmetric(data, skew=True)
-    np.testing.assert_array_equal(result.tensor, np.zeros((1, 1, 2)))
-    assert result.residual == objective(result.tensor, data)
+                             r"fit peak about 22\.3 MiB\); cap is 1394"):
+        infer_symmetric(large)
 
 
 # ----------------------------------------------------------------------
@@ -410,46 +434,45 @@ def test_inference_data_validation():
 # symmetric system: restriction of the normal equations
 
 
-def capture_symmetric_system(monkeypatch, data, skew):
-    """The ``(b, c)`` that :func:`infer_symmetric` hands to ``solve_sym_owned``.
+def capture_symmetric_system(monkeypatch, data):
+    """The ``(b, c)`` that :func:`infer_symmetric` hands to ``solve_sym``.
 
     The solve overwrites ``b``, so the spy records copies taken before the call.
     """
     from topinf import inference
 
     seen = {}
-    solve = inference.solve_sym_owned
+    solve = inference.solve_sym
 
     def spy(b, c):
         seen["b"], seen["c"] = b.copy(), np.array(c)
         return solve(b, c)
 
-    monkeypatch.setattr(inference, "solve_sym_owned", spy)
-    infer_symmetric(data, skew=skew)
+    monkeypatch.setattr(inference, "solve_sym", spy)
+    infer_symmetric(data)
     return seen["b"], seen["c"]
 
 
-def slice_basis(r, p, skew):
-    """``P``: column ``(x, k)`` is ``vec_F`` of ``w_k (e_a e_b^T + sign e_b e_a^T)`` in slice x."""
-    sign = -1.0 if skew else 1.0
-    a, b = np.triu_indices(r, 1 if skew else 0)
+def slice_basis(r, p):
+    """``P``: column ``(x, k)`` is ``vec_F`` of ``w_k (e_a e_b^T + e_b e_a^T)`` in slice x."""
+    a, b = np.triu_indices(r)
     m = a.size
     basis = np.zeros((r * r * p, m * p))
     for x in range(p):
         for k in range(m):
             e = np.zeros((r, r))
             e[a[k], b[k]] += 1.0
-            e[b[k], a[k]] += sign
+            e[b[k], a[k]] += 1.0
             e *= 0.5 if a[k] == b[k] else np.sqrt(0.5)
             basis[x * r * r:(x + 1) * r * r, x * m + k] = e.ravel(order="F")
     return basis
 
 
-@pytest.mark.parametrize("r, p, skew", [(3, 2, False), (4, 2, True), (5, 1, False), (2, 3, True)])
-def test_symmetric_system_is_the_kronecker_system_restricted_to_slices(monkeypatch, r, p, skew):
+@pytest.mark.parametrize("r, p", [(3, 2), (4, 2), (5, 1), (2, 3)])
+def test_symmetric_system_is_the_kronecker_system_restricted_to_slices(monkeypatch, r, p):
     rng = np.random.default_rng(626)
     data, _ = random_data(rng, r=r, p=p, nt=7, ns=6, noise=1.0)
-    b, c = capture_symmetric_system(monkeypatch, data, skew)
+    b, c = capture_symmetric_system(monkeypatch, data)
     eye = np.eye(r)
     k_full = np.zeros((r * r * p, r * r * p))
     c_full = np.zeros((r, r, p))
@@ -458,19 +481,18 @@ def test_symmetric_system_is_the_kronecker_system_restricted_to_slices(monkeypat
         h = data.ys[:, :, s] @ data.ys[:, :, s].T
         k_full += np.kron(np.outer(nu, nu), np.kron(h, eye) + np.kron(eye, h))
         c_full += (data.zs[:, :, s] @ data.ys[:, :, s].T)[:, :, None] * nu
-    basis = slice_basis(r, p, skew)
+    basis = slice_basis(r, p)
     vec_c = np.concatenate([c_full[:, :, x].ravel(order="F") for x in range(p)])
     assert rel_err(b, 0.5 * basis.T @ k_full @ basis) < 1e-14
     assert rel_err(c, basis.T @ vec_c) < 1e-14
 
 
-@pytest.mark.parametrize("skew", [False, True])
-def test_symmetric_system_couples_only_pairs_that_share_an_index(monkeypatch, skew):
+def test_symmetric_system_couples_only_pairs_that_share_an_index(monkeypatch):
     rng = np.random.default_rng(627)
     r, p = 6, 2
     data, _ = random_data(rng, r=r, p=p, nt=7, ns=6, noise=1.0)
-    b, _ = capture_symmetric_system(monkeypatch, data, skew)
-    a, bb = np.triu_indices(r, 1 if skew else 0)
+    b, _ = capture_symmetric_system(monkeypatch, data)
+    a, bb = np.triu_indices(r)
     share = ((a[:, None] == a[None, :]) | (a[:, None] == bb[None, :])
              | (bb[:, None] == a[None, :]) | (bb[:, None] == bb[None, :]))
     block = np.broadcast_to(share[None, :, None, :], (p, a.size, p, a.size))

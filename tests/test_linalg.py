@@ -16,7 +16,6 @@ from topinf import (
     factor_tridiagonals,
     lstsq_min_norm,
     solve_sym,
-    solve_sym_owned,
     thin_svd,
     weighted_bands,
 )
@@ -95,7 +94,7 @@ def test_solve_sym_matches_reference_solver():
 def test_solve_sym_accepts_vector_right_hand_side():
     b = np.array([[2.0, 1.0], [1.0, 3.0]])
     c = np.array([1.0, 2.0])
-    x, _ = solve_sym(b, c)
+    x, _ = solve_sym(b.copy(), c)
     assert x.shape == (2,)
     np.testing.assert_allclose(b @ x, c, atol=1e-14)
 
@@ -111,7 +110,7 @@ def test_solve_sym_equilibration_tames_row_scaling():
     x_true = rng.standard_normal(6)
     c = b @ x_true
     assert np.linalg.cond(b) > 1e15
-    x, cond = solve_sym(b, c)
+    x, cond = solve_sym(b.copy(), c)
     assert np.max(np.abs(x - x_true)) <= 1e-6 * np.max(np.abs(x_true))
     assert cond < 1e-6 * np.linalg.cond(b)
 
@@ -143,6 +142,25 @@ def test_solve_sym_validates_arguments():
         solve_sym(np.eye(2), np.array([np.inf, 0.0]))
 
 
+@pytest.mark.parametrize("kind", ["fortran", "float32", "list", "read-only"])
+def test_solve_sym_refuses_an_array_it_cannot_overwrite(kind):
+    # the solve overwrites b, so it refuses any array it cannot work in,
+    # before it writes anything
+    b = np.eye(4) + 0.5
+    bad = {
+        "fortran": lambda: np.asfortranarray(b),
+        "float32": lambda: b.astype(np.float32),
+        "list": b.tolist,
+        "read-only": lambda: np.lib.stride_tricks.as_strided(b, writeable=False),
+    }[kind]()
+    before = np.array(bad)
+    with pytest.raises(ValueError, match="writeable C-contiguous float64"):
+        solve_sym(bad, np.ones(4))
+    np.testing.assert_array_equal(np.array(bad), before)
+    x, _ = solve_sym(b.copy(), np.ones(4))
+    np.testing.assert_allclose((np.eye(4) + 0.5) @ x, np.ones(4), atol=1e-14)
+
+
 def test_solve_sym_peak_memory_stays_near_its_system():
     import tracemalloc
 
@@ -158,9 +176,9 @@ def test_solve_sym_peak_memory_stays_near_its_system():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the working copy, factored in place, and strip-sized temporaries; no
-    # separate equilibrated copy, outer product or factor next to it
-    assert peak <= 1.5 * b.nbytes
+    # b is equilibrated and factored in place: copies and inverses of its
+    # diagonal blocks and strip-sized temporaries, no full-size array
+    assert peak <= 0.5 * b.nbytes
 
 
 _RESIDENT_PEAK = """
@@ -197,7 +215,7 @@ def test_solve_sym_resident_peak_stays_near_its_system():
     src = str(Path(topinf.__file__).resolve().parents[1])
     done = subprocess.run([sys.executable, "-c", _RESIDENT_PEAK, src], capture_output=True,
                           text=True, timeout=120, check=True)
-    assert float(done.stdout) <= 1.5
+    assert float(done.stdout) <= 0.5
 
 
 @pytest.mark.parametrize("n", [255, 256, 257, 600, 1395])
@@ -250,13 +268,12 @@ def test_solve_sym_raises_on_a_large_singular_system_with_rank_estimate():
 
 
 @pytest.mark.parametrize("n", [40, 600])
-def test_solve_sym_leaves_its_arguments_unchanged(n):
+def test_solve_sym_leaves_its_right_hand_side_unchanged(n):
     rng = np.random.default_rng(211)
     b = random_spd(rng, n, cond=1e3)
     c = rng.standard_normal((n, 2))
-    b_before, c_before = b.copy(), c.copy()
-    x, _ = solve_sym(b, c)
-    np.testing.assert_array_equal(b, b_before)
+    c_before = c.copy()
+    x, _ = solve_sym(b.copy(), c)
     np.testing.assert_array_equal(c, c_before)
     np.testing.assert_allclose(b @ x, c, rtol=0, atol=1e-10 * np.max(np.abs(c)))
 
@@ -268,7 +285,7 @@ def test_solve_sym_condition_estimate_matches_lapack_dpocon(n):
     # factors' rounding cannot steer the estimators apart
     rng = np.random.default_rng(212)
     b = random_spd(rng, n)
-    _, cond = solve_sym(b, rng.standard_normal(n))
+    _, cond = solve_sym(b.copy(), rng.standard_normal(n))
     scale = np.sqrt(np.max(np.abs(b), axis=1))
     equilibrated = b / np.outer(scale, scale)
     factor, info = la.lapack.dpotrf(equilibrated, lower=0)
@@ -284,70 +301,11 @@ def test_solve_sym_condition_estimate_is_rerun_stable():
     g = rng.standard_normal((n, n))
     b = g @ g.T / n + np.eye(n)
     c = rng.standard_normal(n)
-    x, cond = solve_sym(b, c)
+    x, cond = solve_sym(b.copy(), c)
     for _ in range(4):
-        x_again, cond_again = solve_sym(b, c)
+        x_again, cond_again = solve_sym(b.copy(), c)
         assert cond_again == cond
         np.testing.assert_array_equal(x_again, x)
-
-
-@pytest.mark.parametrize("n", [40, 600])
-def test_owned_solve_matches_solve_sym_on_a_copy(n):
-    rng = np.random.default_rng(215)
-    b = random_spd(rng, n, cond=1e3)
-    c = rng.standard_normal((n, 2))
-    x, cond = solve_sym(b, c)
-    c_before = c.copy()
-    x_owned, cond_owned = solve_sym_owned(b.copy(), c)
-    # one path: the working copy is written with the same bits either way
-    np.testing.assert_array_equal(x_owned, x)
-    assert cond_owned == cond
-    np.testing.assert_array_equal(c, c_before)
-
-
-def _late_breakdown(rng, n=600, bad=550):
-    # L D L^T with one negative pivot, past the first diagonal block
-    lower = np.eye(n) + np.tril(rng.standard_normal((n, n)), -1) / np.sqrt(n)
-    d = rng.uniform(1.0, 2.0, n)
-    d[bad] = -1.0
-    b = (lower * d) @ lower.T
-    return 0.5 * (b + b.T)
-
-
-@pytest.mark.parametrize("case", ["indefinite-small", "indefinite-late", "singular-small",
-                                  "singular-large"])
-def test_owned_solve_fails_as_solve_sym_on_a_copy(case):
-    rng = np.random.default_rng(216)
-    if case == "indefinite-small":
-        b = np.diag([1.0, -1.0])
-    elif case == "indefinite-late":
-        b = _late_breakdown(rng)
-    elif case == "singular-small":
-        b = np.ones((3, 3))
-    else:
-        g = rng.standard_normal((600, 300))
-        b = g @ g.T
-    c = np.ones(b.shape[0])
-    error = NotPositiveDefiniteError if case.startswith("indefinite") else SingularMatrixError
-    with pytest.raises(error) as public:
-        solve_sym(b, c)
-    with pytest.raises(error) as owned:
-        solve_sym_owned(b.copy(), c)
-    if error is NotPositiveDefiniteError:
-        assert owned.value.pivot_index == public.value.pivot_index
-        assert owned.value.pivot_index == (1 if case == "indefinite-small" else 550)
-    else:
-        assert owned.value.rank_estimate == public.value.rank_estimate
-        assert owned.value.rank_estimate == (1 if case == "singular-small" else 300)
-
-
-def test_owned_solve_refuses_an_array_it_cannot_overwrite():
-    b = np.eye(4) + 0.5
-    for bad in (np.asfortranarray(b), b.astype(np.float32), b.tolist(),
-                np.lib.stride_tricks.as_strided(b, writeable=False)):
-        with pytest.raises(ValueError, match="writeable C-contiguous float64"):
-            solve_sym_owned(bad, np.ones(4))
-    solve_sym_owned(b, np.ones(4))
 
 
 @pytest.mark.parametrize("n", [255, 256, 257, 600, 1395])
@@ -360,8 +318,8 @@ def test_refinement_product_reads_the_system_from_the_upper_triangle(n):
     b = g @ g.T / n + np.eye(n)
     scale = np.sqrt(np.max(np.abs(b), axis=1))
     equilibrated = b / np.outer(scale, scale)
-    work = np.empty((n, n))
-    linalg._equilibrate(b, scale, work)
+    work = b.copy()
+    linalg._equilibrate(work, scale)
     np.testing.assert_array_equal(work, equilibrated)
     linalg._cholesky_keeping_upper(work)
     np.testing.assert_array_equal(np.triu(work), np.triu(equilibrated))

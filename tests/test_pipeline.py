@@ -1098,7 +1098,8 @@ def _with_entry(good, value):
     return bad
 
 
-@pytest.mark.parametrize("bad", ["wrong_p", "wrong_ndim", "zero", "negative", "nan", "inf"])
+@pytest.mark.parametrize("bad", ["wrong_p", "wrong_ndim", "empty", "zero", "negative", "nan",
+                                 "inf"])
 @pytest.mark.parametrize("entry", ["heat_operator", "heat_sweep_blocks", "wave_stiffness",
                                    "wave_projected_stiffness", "wave_sweep_blocks",
                                    "Surrogate.run"])
@@ -1109,6 +1110,8 @@ def test_parameter_entry_points_refuse_bad_parameters_without_a_warning(entry, b
     call(good)
     bad = {"wrong_p": good[:-1],
            "wrong_ndim": good[:, 0] if good.ndim == 2 else good[:, None],
+           # no samples: a (p, 0) stack, or no entries at all for one vector
+           "empty": good[:, :0] if good.ndim == 2 else good[:0],
            "zero": _with_entry(good, 0.0), "negative": _with_entry(good, -0.5),
            "nan": _with_entry(good, np.nan), "inf": _with_entry(good, np.inf)}[bad]
     with warnings.catch_warnings():

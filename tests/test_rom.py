@@ -166,12 +166,12 @@ def test_symmetric_part_preserves_quadratic_energy():
 # integrators
 
 
-def _assert_matches_stepwise_solve(a, m, q0, dt, n_times):
-    traj = crank_nicolson(a, q0, dt, n_times, mass=m, t0=0.25)
+def _assert_matches_stepwise_solve(a, q0, dt, n_times):
+    traj = crank_nicolson(a, q0, dt, n_times, t0=0.25)
     np.testing.assert_array_equal(traj.states[:, 0], q0)
-    x = q0.copy()
+    eye, x = np.eye(len(q0)), q0.copy()
     for k in range(1, n_times):
-        x = np.linalg.solve(m - 0.5 * dt * a, (m + 0.5 * dt * a) @ x)
+        x = np.linalg.solve(eye - 0.5 * dt * a, (eye + 0.5 * dt * a) @ x)
         np.testing.assert_allclose(traj.states[:, k], x, atol=1e-12)
     return traj
 
@@ -184,27 +184,19 @@ def test_crank_nicolson_matches_stepwise_solve():
     m = rng.standard_normal((n, n))
     m = m @ m.T + n * np.eye(n)
     q0 = rng.standard_normal(n)
-    traj = _assert_matches_stepwise_solve(a, m, q0, dt, n_times)
+    # M qdot = A q in standard form: the same Cayley map
+    traj = _assert_matches_stepwise_solve(np.linalg.solve(m, a), q0, dt, n_times)
     np.testing.assert_allclose(traj.times, 0.25 + dt * np.arange(n_times), atol=1e-15)
     assert not traj.diverged and traj.first_bad_step is None
 
 
 def test_crank_nicolson_matches_stepwise_solve_on_stiff_fem():
-    # Mass-form P1 heat operator; dt times its largest generalized eigenvalue is ~77.
+    # P1 heat operator M^-1 A; dt times its largest eigenvalue is ~77.
     model = build_heat_model(51)
-    a = heat_operator(model, np.array([1.0, 0.5, 2.0]))
+    a = np.linalg.solve(model.mass, heat_operator(model, np.array([1.0, 0.5, 2.0])))
     q0 = heat_initial_state(model) + 0.1 * np.sin(7.0 * model.nodes)
-    traj = _assert_matches_stepwise_solve(a, model.mass, q0, 0.05, 41)
+    traj = _assert_matches_stepwise_solve(a, q0, 0.05, 41)
     assert not traj.diverged and traj.first_bad_step is None
-
-
-def test_identity_mass_is_the_default():
-    rng = np.random.default_rng(712)
-    a = -np.eye(3) + 0.1 * rng.standard_normal((3, 3))
-    q0 = rng.standard_normal(3)
-    with_mass = crank_nicolson(a, q0, 0.1, 6, mass=np.eye(3))
-    without = crank_nicolson(a, q0, 0.1, 6)
-    np.testing.assert_allclose(with_mass.states, without.states, atol=1e-14)
 
 
 def test_implicit_midpoint_is_a_cayley_power():
@@ -218,6 +210,11 @@ def test_implicit_midpoint_is_a_cayley_power():
     for k in range(n_times):
         expected = np.linalg.matrix_power(cayley, k) @ y0
         np.testing.assert_allclose(traj.states[:, k], expected, atol=1e-11)
+
+
+def test_crank_nicolson_is_implicit_midpoint():
+    # one integrator: on a linear system both schemes are the same Cayley map
+    assert crank_nicolson is implicit_midpoint
 
 
 def test_midpoint_conserves_oscillator_energy():
@@ -252,7 +249,7 @@ def test_dissipative_system_is_nonexpansive_in_mass_norm():
     m = rng.standard_normal((n, n))
     m = m @ m.T + n * np.eye(n)
     q0 = rng.standard_normal(n)
-    traj = crank_nicolson(a, q0, 0.05, 50, mass=m)
+    traj = crank_nicolson(np.linalg.solve(m, a), q0, 0.05, 50)
     norms = np.sqrt(np.sum(traj.states * (m @ traj.states), axis=0))
     assert np.all(np.diff(norms) <= 1e-12 * norms[0])
 
@@ -296,8 +293,6 @@ def test_integrator_validation():
         crank_nicolson(a * np.nan, y0, 0.1, 5)
     with pytest.raises(ValueError):
         crank_nicolson(a, y0 * np.inf, 0.1, 5)
-    with pytest.raises(ValueError):
-        crank_nicolson(a, y0, 0.1, 5, mass=np.eye(3))
 
 
 # ----------------------------------------------------------------------
@@ -321,8 +316,8 @@ def test_sweep_matches_single_runs_on_a_heat_stack():
     model = build_heat_model(60)
     x0 = heat_initial_state(model)
     rng = np.random.default_rng(716)
-    snaps = [crank_nicolson(heat_operator(model, mu), x0, 0.02, 30, mass=model.mass).states
-             for mu in rng.uniform(0.1, 1.0, (4, 3))]
+    snaps = [crank_nicolson(np.linalg.solve(model.mass, heat_operator(model, mu)), x0, 0.02,
+                            30).states for mu in rng.uniform(0.1, 1.0, (4, 3))]
     basis = weighted_pod(snaps, model.mass, 6)
     tensor = intrusive_project(-model.stiffness, basis)
     features = rng.uniform(0.1, 1.0, (3, 25))
@@ -406,10 +401,10 @@ def test_sweep_validation():
 # next h of them, x_{h+j} = Phi^h x_j, and Phi^2h = Phi^h Phi^h
 
 
-def _stepwise_states(a, x0, dt, n_times, mass=None):
+def _stepwise_states(a, x0, dt, n_times):
     """The oracle: the Cayley map applied once per step."""
-    m = np.eye(len(x0)) if mass is None else mass
-    phi = np.linalg.solve(m - 0.5 * dt * a, m + 0.5 * dt * a)
+    eye = np.eye(len(x0))
+    phi = np.linalg.solve(eye - 0.5 * dt * a, eye + 0.5 * dt * a)
     states = [x0]
     for _ in range(1, n_times):
         states.append(phi @ states[-1])
@@ -426,9 +421,10 @@ def test_blocked_stepping_matches_stepwise_oracle_on_a_mass_form_heat_stack():
     mass = project_matrix(model.mass, u)
     q0 = np.linalg.solve(mass, u.T @ (model.mass @ heat_initial_state(model)))
     for mu in rng.uniform(0.1, 1.0, (6, 3)):
-        a = project_matrix(heat_operator(model, mu), u)
-        traj = crank_nicolson(a, q0, 0.008, 251, mass=mass)
-        expected = _stepwise_states(a, q0, 0.008, 251, mass)
+        # M qdot = A q integrated in standard form: the same Cayley map
+        a = np.linalg.solve(mass, project_matrix(heat_operator(model, mu), u))
+        traj = crank_nicolson(a, q0, 0.008, 251)
+        expected = _stepwise_states(a, q0, 0.008, 251)
         np.testing.assert_allclose(traj.states, expected, rtol=0,
                                    atol=1e-12 * np.abs(q0).max())
 
