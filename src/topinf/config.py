@@ -50,7 +50,8 @@ class ExperimentConfig:
     sampling : str
         ``"log_uniform"`` or ``"uniform"``.
     t0, tf, dt : float
-        Time grid; ``dt`` must divide ``tf - t0``.
+        Time grid; ``dt`` must divide ``tf - t0`` into at least one step,
+        two for finite-difference derivatives.
     n_train, n_test : int
         Parameter sample counts for the two splits.
     reduced_dims : tuple of int
@@ -103,9 +104,12 @@ class ExperimentConfig:
             raise ValueError("need 0 < param_lo < param_hi")
         if self.sampling not in SAMPLINGS:
             raise ValueError(f"sampling must be one of {SAMPLINGS}")
-        if not (self.dt > 0.0 and self.tf > self.t0):
-            raise ValueError("need dt > 0 and tf > t0")
+        if not (0.0 < self.dt < np.inf and self.tf > self.t0):
+            raise ValueError("need a finite dt > 0 and tf > t0")
         steps = (self.tf - self.t0) / self.dt
+        if not steps < np.inf:
+            raise ValueError(f"tf - t0 = {self.tf - self.t0} is not a finite number of steps "
+                             f"of dt = {self.dt}")
         if abs(steps - round(steps)) > 1e-8 * max(steps, 1.0):
             raise ValueError(f"dt={self.dt} does not divide tf - t0 = {self.tf - self.t0}")
         if self.n_train < 1 or self.n_test < 0:
@@ -123,6 +127,11 @@ class ExperimentConfig:
                 raise ValueError(f"unknown method {m!r}; choose from {METHODS}")
         if self.derivative not in DERIVATIVES:
             raise ValueError(f"derivative must be one of {DERIVATIVES}")
+        # the second-order difference stencils read three time points
+        least = 3 if self.derivative == "finite_difference" else 2
+        if self.n_times < least:
+            raise ValueError(f"{self.derivative} derivatives need at least {least} time points, "
+                             f"got n_times = {self.n_times}")
         # the seed is the first 64-bit word of the Philox key (make_rng)
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")

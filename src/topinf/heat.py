@@ -19,11 +19,10 @@ operator is affine in ``mu`` itself.
 from one vectorized assembly (:func:`p1_assembly`, which also gives the
 wave model its flux mass slices); the dense ``M`` and the stacked
 ``(N, N, p)`` tensor of the ``K_k`` are built on access.
-:func:`heat_sweep_blocks` steps a whole parameter sweep with
-Crank-Nicolson through one stacked tridiagonal factorization of the bands
-and hands out the states in time blocks, for a caller that streams them
-rather than holding the runs; :meth:`HeatModel.apply_mass` applies ``M``
-through its bands, and
+:func:`heat_step` is one Crank-Nicolson step of a whole parameter sweep
+through one stacked tridiagonal factorization of the bands, over any
+stack of states; :meth:`HeatModel.apply_mass` applies ``M`` through its
+bands, and
 :func:`heat_projected_stiffness` projects the ``K_k`` through theirs.
 Every entry point that takes parameters checks them in one place: the
 right shape, every entry finite and positive.
@@ -36,7 +35,7 @@ from typing import Protocol
 
 import numpy as np
 
-from .rom import tridiagonal_blocks
+from .linalg import factor_tridiagonals
 from .tensors import mode3_product
 
 __all__ = [
@@ -46,7 +45,7 @@ __all__ = [
     "dense_slices",
     "build_heat_model",
     "heat_operator",
-    "heat_sweep_blocks",
+    "heat_step",
     "heat_projected_stiffness",
     "heat_initial_state",
     "heat_features",
@@ -221,9 +220,8 @@ def heat_operator(model: HeatModel, mu: np.ndarray) -> np.ndarray:
     return -mode3_product(model.stiffness, mu)
 
 
-def heat_sweep_blocks(model: HeatModel, params: np.ndarray, q0: np.ndarray, dt: float,
-                      n_times: int):
-    """Crank-Nicolson states of ``M qdot = A(mu) q`` for every column of ``params`` (p, S).
+def heat_step(model: HeatModel, params: np.ndarray, dt: float):
+    """Crank-Nicolson step of ``M qdot = A(mu) q`` for every column of ``params`` (p, S).
 
     With ``K(mu) = sum_k mu_k K_k``, each step is in midpoint form: the
     midpoint ``z = (q + q+) / 2`` solves
@@ -233,33 +231,33 @@ def heat_sweep_blocks(model: HeatModel, params: np.ndarray, q0: np.ndarray, dt: 
     the same map as ``(M + dt/2 K(mu)) q+ = (M - dt/2 K(mu)) q``.  ``M``
     does not depend on ``mu``, so the parameter enters only through the
     factored matrices: the S tridiagonals ``(M + dt/2 K(mu)) / 2``, whose
-    solves return ``2 z``, are factored once, and one stacked tridiagonal
-    solve per step advances every sample; ``M q`` is taken through the
-    mass bands for every sample at once.  The states agree with
-    ``crank_nicolson(np.linalg.solve(M, heat_operator(model, mu)), q0, dt,
-    n_times)``, the same Cayley map in standard form, to rounding.
+    solves return ``2 z``, are factored once, before this returns, and
+    ``M q`` is taken through the mass bands for every sample at once.
+    Stepped from ``q0``, the states agree with ``crank_nicolson(
+    np.linalg.solve(M, heat_operator(model, mu)), q0, dt, n_times)``, the
+    same Cayley map in standard form, to rounding.
 
-    Returns an iterator over time blocks ``(k, N, S)``, views of one
-    reused buffer (:func:`~topinf.rom.tridiagonal_blocks`); sample ``s``
-    is column ``s`` of every block, the states of the sample swept alone,
-    bit for bit.  A sample that leaves float range turns non-finite: the
-    caller checks.
+    Returns ``step(q, out)``, which writes into ``out``, an array apart
+    from ``q``, the states that follow the states ``q``; both are
+    C-contiguous stacks ``(N, ..., S)`` whose last axis is the sample, so
+    one call advances any number of states of every sample.  No step mixes
+    the samples: a sample's states are those of the sample stepped alone,
+    bit for bit, and a sample that leaves float range turns non-finite
+    without touching the others.
     """
     params = _check_params(params, model.n_subdomains, "conductivities")
-    if np.shape(q0) != (model.n_dof,):
-        raise ValueError(f"initial state must have length {model.n_dof}, got {np.shape(q0)}")
-    if not (dt > 0.0):
-        raise ValueError(f"dt must be positive, got {dt}")
-
+    if not 0.0 < dt < np.inf:
+        raise ValueError(f"dt must be finite and positive, got {dt}")
     k_diag, k_off = weighted_bands(0.25 * dt * params, model.stiffness_diag, model.stiffness_off)
+    solve = factor_tridiagonals(0.5 * model.mass_diag[:, None] + k_diag,
+                                0.5 * model.mass_off[:, None] + k_off).solve
 
-    def step(solve, q, out):
+    def step(q, out):
         out[...] = model.apply_mass(q)
         solve(out)  # 2 z
         out -= q
 
-    return tridiagonal_blocks(step, 0.5 * model.mass_diag[:, None] + k_diag,
-                              0.5 * model.mass_off[:, None] + k_off, q0, n_times)
+    return step
 
 
 def heat_projected_stiffness(model: HeatModel, u: np.ndarray) -> np.ndarray:

@@ -44,15 +44,16 @@ stream 1 for test parameters; it draws numpy's Philox bits without
 importing ``numpy.random``, so on NumPy 2, which loads that module on
 first use, no stage holds it.
 
-The full-order sweep is one stacked tridiagonal integration over every
-sample of both splits (:func:`~topinf.heat.heat_sweep_blocks`,
-:func:`~topinf.wave.wave_sweep_blocks`), streamed to the sample files in
-time blocks of ``isqrt(n_times)`` steps: each ``fom/{split}_{i:03d}.tpoi``
-is time-major, ``(n_times, n_state)`` with one snapshot per row, filled
-one block at a time by a :class:`~topinf.storage.RowWriter`, so the stage
-holds one block of the sweep, not its runs.  The later stages read these
-files through one helper (:func:`_load_fom`), which refuses any other
-shape, so a directory written state-major, as before, is refused.  The
+The full-order sweep is one stacked tridiagonal step over every sample of
+both splits (:func:`~topinf.heat.heat_step`,
+:func:`~topinf.wave.wave_step`), which :func:`simulate_fom` runs and
+streams to the sample files in time blocks of ``isqrt(n_times)`` steps:
+each ``fom/{split}_{i:03d}.tpoi`` is time-major, ``(n_times, n_state)``
+with one snapshot per row, filled one block at a time by a
+:class:`~topinf.storage.RowWriter`, so the stage holds one block of the
+sweep, not its runs.  The later stages read these files through one
+helper (:func:`_load_fom`), which refuses any other shape, so a
+directory written state-major, as before, is refused.  The
 reduced sweep of each (label, r) is one stacked integration too.  The
 basis is nested, so each stage forms its Galerkin quantities (heat's
 projected tensor, wave's projected stiffness blocks) once with the
@@ -113,7 +114,7 @@ from .heat import (
     heat_initial_state,
     heat_operator,
     heat_projected_stiffness,
-    heat_sweep_blocks,
+    heat_step,
     sample_conductivities,
 )
 from .inference import InferenceData, infer_lstsq, infer_normal, infer_symmetric
@@ -139,7 +140,7 @@ from .wave import (
     wave_mass_form_operator,
     wave_projected_stiffness,
     wave_stiffness,
-    wave_sweep_blocks,
+    wave_step,
 )
 
 __all__ = [
@@ -576,14 +577,16 @@ class Surrogate:
 def simulate_fom(cfg: ExperimentConfig, outdir) -> None:
     """Sample parameters and integrate the full-order model for each.
 
-    One stacked sweep integrates the samples of both splits; each sample's
-    states are those of the sample swept alone, bit for bit.  The sweep
-    hands out time blocks of ``isqrt(n_times)`` steps, and each block is
-    appended to every sample's time-major file before the next is stepped,
-    so the stage holds one block, not the runs.  A block in which a run is
-    not finite stops the stage with a :class:`~topinf.errors.NumericError`
-    naming the run and the step where it first turned, the earliest in time
-    (the first in sample order among equals).
+    One stacked step (:func:`~topinf.heat.heat_step`,
+    :func:`~topinf.wave.wave_step`) advances the samples of both splits;
+    each sample's states are those of the sample stepped alone, bit for
+    bit.  The states are stepped in time blocks of ``isqrt(n_times)`` steps
+    into one reused buffer, and each block is appended to every sample's
+    time-major file before the next is stepped, so the stage holds one
+    block, not the runs.  A block in which a run is not finite stops the
+    stage with a :class:`~topinf.errors.NumericError` naming the run and
+    the step where it first turned, the earliest in time (the first in
+    sample order among equals).
     """
     cfg = cfg.validate()
     outdir = Path(outdir)
@@ -593,9 +596,9 @@ def simulate_fom(cfg: ExperimentConfig, outdir) -> None:
 
     model = _build_model(cfg)
     if cfg.problem == "heat1d":
-        x0, sweep = heat_initial_state(model), heat_sweep_blocks
+        x0, make_step = heat_initial_state(model), heat_step
     else:
-        x0, sweep = wave_initial_state(model), wave_sweep_blocks
+        x0, make_step = wave_initial_state(model), wave_step
 
     runs, params = [], []
     for split, count in _splits(cfg):
@@ -603,20 +606,30 @@ def simulate_fom(cfg: ExperimentConfig, outdir) -> None:
                                        _TRAIN_STREAM if split == "train" else _TEST_STREAM))
         save_matrix(outdir / f"params_{split}.tpoi", params[-1])
         runs += [(split, i) for i in range(count)]
+    step = make_step(model, np.hstack(params), cfg.dt)
+    size = math.isqrt(cfg.n_times)
+    block = np.empty((size + 1, x0.shape[0], len(runs)))
+    block[0] = x0[:, None]
     with contextlib.ExitStack() as opened:
         files = [opened.enter_context(RowWriter(_fom_path(outdir, split, i),
                                                 (cfg.n_times, x0.shape[0])))
                  for split, i in runs]
-        step = 0  # the time index of the block's first row
-        for block in sweep(model, np.hstack(params), x0, cfg.dt, cfg.n_times):
-            bad = np.argwhere(~np.isfinite(block).all(axis=1))  # (row, run), earliest row first
+        # row 0 holds the states at time index start; after the first block
+        # it is the last row of the previous block, checked and written
+        for start in range(0, cfg.n_times - 1, size):
+            count = min(size, cfg.n_times - 1 - start)
+            with np.errstate(all="ignore"):  # a run that overflows is named below
+                for j in range(count):
+                    step(block[j], block[j + 1])
+            bad = np.argwhere(~np.isfinite(block[:count + 1]).all(axis=1))  # earliest row first
             if bad.size:
                 row, s = bad[0]
                 split, i = runs[s]
-                raise NumericError(f"full-order run {split}/{i} diverged at step {step + row}")
+                raise NumericError(f"full-order run {split}/{i} diverged at step {start + row}")
+            first = 1 if start else 0
             for s, file in enumerate(files):
-                file.write(block[:, :, s])
-            step += len(block)
+                file.write(block[first:count + 1, :, s])
+            block[0] = block[count]
 
     _record_stage(cfg, outdir, "simulate_fom", time.perf_counter() - started,
                   updates={"full_order": _record(cfg, "full_order")})

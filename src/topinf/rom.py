@@ -36,29 +36,16 @@ it diverges where its state leaves float range, not where a power of
 ``Phi`` overflows.  The single-operator entry point is the sweep of a
 one-slice stack, so a sample's results in a sweep are its results alone,
 bit for bit.
-:func:`tridiagonal_blocks` is the full-order counterpart, for steps that
-solve one symmetric positive definite tridiagonal system per sample: the
-systems of all samples are factored once, as one stack held positions
-first, and one solve per step advances every sample
-(:func:`~topinf.heat.heat_sweep_blocks`,
-:func:`~topinf.wave.wave_sweep_blocks`).  Its one stepping loop hands out
-the states in time blocks of ``isqrt(n_times)`` steps, time-major, all in
-one reused buffer, so a caller that streams them (the pipeline's
-full-order stage) holds one block, not the run.  Both full-order steps
-are in midpoint form, so the parameter enters only through the factored
-matrices and the rest of a step is the same for every sample.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isqrt
 
 import numpy as np
 
 from .basis import ReducedBasis
 from .errors import StructureError
-from .linalg import factor_tridiagonals
 from .tensors import mode3_product
 
 __all__ = [
@@ -73,7 +60,6 @@ __all__ = [
     "crank_nicolson",
     "implicit_midpoint",
     "cayley_sweep",
-    "tridiagonal_blocks",
 ]
 
 
@@ -334,64 +320,6 @@ def cayley_sweep(
             states[bad] = redo
             finite[bad] = np.isfinite(redo).all(axis=1)
     return _trajectories(states, finite, dt, t0)
-
-
-def tridiagonal_blocks(step, diag: np.ndarray, off: np.ndarray, x0: np.ndarray, n_times: int):
-    """Step S samples whose implicit step solves one SPD tridiagonal each, in time blocks.
-
-    ``diag`` (n, S) and ``off`` (n-1, S) are the samples' step matrices, one
-    column per sample, factored once as one stack
-    (:func:`~topinf.linalg.factor_tridiagonals`) before this returns.
-    ``step(solve, x, out)`` writes into ``out`` the states that follow the
-    states ``x`` (both ``(m, S)``, one column per sample); ``solve(b)``
-    overwrites ``b`` (n, S) with the solution of every sample's system.
-    The samples differ only in their step matrices: ``step`` applies the
-    same elementwise map to every column.
-
-    Returns an iterator over the ``n_times`` states from ``x0`` in time
-    order, as blocks ``(k, m, S)``: the first holds ``x0`` and the states
-    of the first ``isqrt(n_times)`` steps, each later one the states of the
-    next ``isqrt(n_times)`` steps (the last block may be shorter).  Every
-    block is a view of one buffer that the next block overwrites, so a
-    caller keeps what it needs of a block before it asks for the next.  No
-    step or solve mixes the columns: a sample's states are those of the
-    sample stepped alone, bit for bit, and a sample that leaves float range
-    turns non-finite without touching the others.
-
-    Raises
-    ------
-    NotPositiveDefiniteError
-        If a step matrix is not positive definite; ``sample`` names it.
-    """
-    x0 = np.asarray(x0, dtype=float)
-    if x0.ndim != 1 or not np.all(np.isfinite(x0)):
-        raise ValueError("initial state must be a finite vector")
-    if n_times < 1:
-        raise ValueError(f"n_times must be positive, got {n_times}")
-    solve = factor_tridiagonals(diag, off).solve
-    block = np.empty((isqrt(n_times) + 1, x0.shape[0], np.shape(diag)[1]))
-    block[0] = x0[:, None]
-    return _stepped_blocks(step, solve, block, n_times - 1)
-
-
-def _stepped_blocks(step, solve, block: np.ndarray, steps: int):
-    """The blocks of :func:`tridiagonal_blocks`; ``block[0]`` holds the initial states.
-
-    Row 0 of the buffer carries the last state of the previous block, so
-    each block is stepped from it into rows ``1..k``.
-    """
-    first = 0  # the first row handed out: the initial states, in the first block only
-    while True:
-        count = min(steps, len(block) - 1)
-        with np.errstate(all="ignore"):  # overflow is located by the caller
-            for j in range(count):
-                step(solve, block[j], block[j + 1])
-        yield block[first:count + 1]
-        steps -= count
-        if not steps:
-            return
-        block[0] = block[count]
-        first = 1
 
 
 def implicit_midpoint(

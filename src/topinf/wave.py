@@ -34,10 +34,9 @@ their tridiagonal bands; ``Mw = h I``, the constant upper bidiagonal
 :func:`wave_projected_stiffness` forms the Galerkin blocks
 ``(S U)^T Mv(mu)^{-1} (S U)`` of a whole parameter sweep through one
 stacked tridiagonal factor (:func:`wave_stiffness` is its identity-basis
-case), and :func:`wave_sweep_blocks` steps a whole parameter sweep with
-the implicit midpoint rule in a Schur form whose only solve is one stacked
-tridiagonal system on the flux space, and hands out the states in time
-blocks, for a caller that streams them rather than holding the runs.
+case), and :func:`wave_step` is one implicit-midpoint step of a whole
+parameter sweep, over any stack of states, in a Schur form whose only
+solve is one stacked tridiagonal system on the flux space.
 Every entry point that takes speeds checks them as heat checks its
 conductivities: the right shape, every entry finite and positive.
 """
@@ -51,7 +50,6 @@ import numpy as np
 from .heat import (DOMAIN_LENGTH, UniformSource, _check_params, dense_slices, p1_assembly,
                    weighted_bands)
 from .linalg import factor_tridiagonals
-from .rom import tridiagonal_blocks
 from .tensors import mode3_product
 
 __all__ = [
@@ -62,7 +60,7 @@ __all__ = [
     "wave_projected_stiffness",
     "wave_operator_a1",
     "wave_full_operator",
-    "wave_sweep_blocks",
+    "wave_step",
     "wave_mass_form_operator",
     "wave_rhs",
     "wave_hamiltonian",
@@ -203,9 +201,8 @@ def wave_full_operator(model: WaveModel, mu: np.ndarray) -> np.ndarray:
     return np.vstack([top, bottom])
 
 
-def wave_sweep_blocks(model: WaveModel, params: np.ndarray, y0: np.ndarray, dt: float,
-                      n_times: int):
-    """Implicit-midpoint states of ``ydot = J A(mu) y`` for every column of ``params`` (p, S).
+def wave_step(model: WaveModel, params: np.ndarray, dt: float):
+    """Implicit-midpoint step of ``ydot = J A(mu) y`` for every column of ``params`` (p, S).
 
     With ``v = q + dt/2 p`` and ``c = dt^2 / (4 h)``, the midpoint
     ``z = (q + q+) / 2`` solves ``(I + dt^2/4 A1(mu)) z = v``; through the
@@ -214,30 +211,29 @@ def wave_sweep_blocks(model: WaveModel, params: np.ndarray, y0: np.ndarray, dt: 
         (Mv(mu) + c S S^T) sigma = S v,    z = v - c S^T sigma,
         q+ = 2 z - q,                      p+ = (4 / dt) (z - q) - p.
 
-    The S tridiagonal systems are factored once, and one stacked
-    tridiagonal solve per step advances every sample.  The states agree
-    with ``implicit_midpoint(wave_full_operator(model, mu), y0, dt,
-    n_times)`` to rounding, and the energy :func:`wave_hamiltonian` is
-    conserved.
+    The S tridiagonal systems are factored once, before this returns.
+    Stepped from ``y0``, the states agree with ``implicit_midpoint(
+    wave_full_operator(model, mu), y0, dt, n_times)`` to rounding, and the
+    energy :func:`wave_hamiltonian` is conserved.
 
-    Returns an iterator over time blocks ``(k, 2 Nw, S)``, views of one
-    reused buffer (:func:`~topinf.rom.tridiagonal_blocks`); sample ``s``
-    is column ``s`` of every block, the states of the sample swept alone,
-    bit for bit.  A sample that leaves float range turns non-finite: the
-    caller checks.
+    Returns ``step(y, out)``, which writes into ``out``, an array apart
+    from ``y``, the states that follow the states ``y``; both are
+    C-contiguous stacks ``(2 Nw, ..., S)`` whose last axis is the sample,
+    so one call advances any number of states of every sample.  No step
+    mixes the samples: a sample's states are those of the sample stepped
+    alone, bit for bit, and a sample that leaves float range turns
+    non-finite without touching the others.
     """
     params = _check_params(params, model.n_subdomains, "wave speeds")
+    if not 0.0 < dt < np.inf:
+        raise ValueError(f"dt must be finite and positive, got {dt}")
     n = model.n_w
-    if np.shape(y0) != (2 * n,):
-        raise ValueError(f"initial state must have length {2 * n}, got {np.shape(y0)}")
-    if not (dt > 0.0):
-        raise ValueError(f"dt must be positive, got {dt}")
-
     c = dt * dt / (4.0 * model.h)
     # Mv(mu) + c S S^T, with S S^T = tridiag(-1, 2, -1)
     diag, off = weighted_bands(params ** (-2.0), model.mass_v_diag, model.mass_v_off)
+    solve = factor_tridiagonals(diag + 2.0 * c, off - c).solve
 
-    def step(solve, y, out):
+    def step(y, out):
         q, p = y[:n], y[n:]
         z = q + (0.5 * dt) * p  # v, turned into z in place
         sigma = z[:-1] - z[1:]  # S v
@@ -250,7 +246,7 @@ def wave_sweep_blocks(model: WaveModel, params: np.ndarray, y0: np.ndarray, dt: 
         dz *= 4.0 / dt
         dz -= p  # p+ = (4/dt) (z - q) - p
 
-    return tridiagonal_blocks(step, diag + 2.0 * c, off - c, y0, n_times)
+    return step
 
 
 def wave_mass_form_operator(model: WaveModel, mu: np.ndarray) -> np.ndarray:

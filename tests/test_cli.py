@@ -103,6 +103,27 @@ def test_nondividing_dt_fails_cleanly(tmp_path, capsys):
     assert "does not divide" in captured.err
 
 
+@pytest.mark.parametrize("grid", ["tf = inf\n", "t0 = -inf\n", "dt = inf\n",
+                                  "tf = 0.1\n"],  # one step, finite differences
+                         ids=["tf_inf", "t0_minus_inf", "dt_inf", "one_step"])
+def test_a_time_grid_no_stage_can_run_fails_before_the_full_order_files(grid, tmp_path, capsys):
+    # the bad grid is refused before simulate-fom empties fom/: the files of
+    # the last good run stay as they were
+    cfg_path = write_config(tmp_path)
+    outdir = tmp_path / "run"
+    assert main(["simulate-fom", "--config", str(cfg_path), "--out", str(outdir)]) == 0
+    capsys.readouterr()
+    before = {path.name: path.read_bytes() for path in (outdir / "fom").iterdir()}
+    lines = [line for line in cfg_path.read_text().splitlines(keepends=True)
+             if line.split("=")[0].strip() != grid.split("=")[0].strip()]
+    cfg_path.write_text("".join(lines) + grid)
+    code = main(["simulate-fom", "--config", str(cfg_path), "--out", str(outdir)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("topinf: error:")
+    assert {path.name: path.read_bytes() for path in (outdir / "fom").iterdir()} == before
+
+
 def test_stage_with_missing_inputs_fails_cleanly(tmp_path, capsys):
     cfg_path = write_config(tmp_path)
     code = main(["infer", "--config", str(cfg_path), "--out", str(tmp_path / "empty")])

@@ -106,6 +106,31 @@ def test_validation_rules():
     assert replace(base, seed=2**64 - 1).validate().seed == 2**64 - 1
 
 
+@pytest.mark.parametrize("update, message", [
+    # round() raised an uncaught OverflowError on these two
+    (dict(tf=np.inf), "not a finite number of steps"),
+    (dict(t0=-np.inf), "not a finite number of steps"),
+    (dict(t0=-1e308, tf=1e308), "not a finite number of steps"),
+    # passed with n_times = 1, and simulate-fom failed on non-finite bands
+    (dict(dt=np.inf), "finite dt"),
+    (dict(dt=np.nan), "finite dt"),
+    (dict(t0=np.nan), "tf > t0"),
+    # one step: infer failed on the three-point stencils after two stages ran
+    (dict(tf=0.008), "finite_difference derivatives need at least 3 time points"),
+    # no step at all, within the divisibility tolerance
+    (dict(dt=1e9, derivative="exact"), "exact derivatives need at least 2 time points"),
+], ids=["tf_inf", "t0_minus_inf", "span_overflows", "dt_inf", "dt_nan", "t0_nan",
+        "one_step_finite_difference", "no_step_exact"])
+def test_time_grids_that_no_stage_can_run_are_refused(update, message):
+    with pytest.raises(ValueError, match=message):
+        replace(default_config("heat1d"), **update).validate()
+
+
+def test_one_step_is_enough_for_exact_derivatives():
+    base = default_config("heat1d")
+    assert replace(base, tf=base.dt, derivative="exact").validate().n_times == 2
+
+
 def test_nearly_dividing_dt_is_accepted():
     base = default_config("heat1d")
     # 0.4 divides 2.0 only up to binary representation error

@@ -18,11 +18,10 @@ from topinf import (
     heat_initial_state,
     heat_operator,
     heat_projected_stiffness,
-    heat_sweep_blocks,
+    heat_step,
     intrusive_project,
     sample_conductivities,
 )
-from topinf import heat
 
 DOMAIN = 2.0 * np.pi
 
@@ -199,75 +198,51 @@ def test_sampler_validation():
 
 
 # ----------------------------------------------------------------------
-# the stacked full-order sweep
+# the stacked full-order step
 
 
-def swept(blocks):
-    """The time blocks ``(k, N, S)`` of a full-order sweep stacked into its states (S, N, n_times)."""
-    return np.concatenate([block.copy() for block in blocks]).transpose(2, 1, 0)
+def stepped(step, x0, n_times, samples):
+    """The states ``(S, N, n_times)`` of ``step`` from ``x0``, one call per time step."""
+    states = np.empty((n_times, x0.shape[0], samples))
+    states[0] = x0[:, None]
+    for k in range(1, n_times):
+        step(states[k - 1], states[k])
+    return states.transpose(2, 1, 0)
 
 
 @pytest.mark.parametrize("n_elements", [201, 400])
-def test_sweep_matches_dense_crank_nicolson_at_study_size(n_elements):
+def test_step_matches_dense_crank_nicolson_at_study_size(n_elements):
     # the default heat1d horizon: dt = 0.008 over [0, 2]
     model = build_heat_model(n_elements)
     params = sample_conductivities(np.random.default_rng(911), 4, 3, 0.1, 1.0)
     q0 = heat_initial_state(model)
-    states = swept(heat_sweep_blocks(model, params, q0, 0.008, 251))
-    assert states.shape == (params.shape[1], model.n_dof, 251)
+    states = stepped(heat_step(model, params, 0.008), q0, 251, params.shape[1])
     for s, mu in enumerate(params.T):
         ref = crank_nicolson(np.linalg.solve(model.mass, heat_operator(model, mu)), q0, 0.008,
                              251)
         assert np.all(np.isfinite(states[s]))
         err = np.linalg.norm(states[s] - ref.states) / np.linalg.norm(ref.states)
         assert err <= 1e-10
-        # one sample swept alone gives the same states, bit for bit
-        alone = swept(heat_sweep_blocks(model, params[:, s:s + 1], q0, 0.008, 251))[0]
-        np.testing.assert_array_equal(states[s], alone)
 
 
-def test_sweep_blocks_are_the_sweep_in_time_order():
-    # the first block holds q0 and isqrt(30) = 5 steps, each later block the
-    # next 5 steps (the last the 4 left); stacked, they are the
-    # Crank-Nicolson states in time order
+def test_step_advances_a_stack_of_states_as_one_state_at_a_time():
+    # one call on a (N, T, S) stack gives the bits of T calls on (N, S)
+    # states, and a one-column params the bits of its column in the stack
     model = build_heat_model(40)
-    params = sample_conductivities(np.random.default_rng(914), 3, 3, 0.1, 1.0)
-    q0 = heat_initial_state(model)
-    blocks = [block.copy() for block in heat_sweep_blocks(model, params, q0, 0.01, 30)]
-    assert [len(block) for block in blocks] == [6, 5, 5, 5, 5, 4]
-    states = swept(blocks)
-    assert states.shape == (3, model.n_dof, 30)
-    for s, mu in enumerate(params.T):
-        ref = crank_nicolson(np.linalg.solve(model.mass, heat_operator(model, mu)), q0, 0.01, 30)
-        np.testing.assert_allclose(states[s], ref.states, rtol=0,
-                                   atol=1e-10 * np.max(np.abs(ref.states)))
-    for bad in (dict(params=-params), dict(q0=q0[:-1]), dict(dt=0.0)):
-        args = dict(params=params, q0=q0, dt=0.01) | bad
-        with pytest.raises(ValueError):
-            heat_sweep_blocks(model, args["params"], args["q0"], args["dt"], 30)
-
-
-def test_sweep_steps_one_sample_as_it_steps_the_stack(monkeypatch):
-    # the step carries no per-sample data: called with the one column of
-    # each sample, it gives every sample the states of the stacked sweep,
-    # bit for bit
-    model = build_heat_model(40)
-    params = sample_conductivities(np.random.default_rng(912), 3, 3, 0.1, 1.0)
-    q0 = heat_initial_state(model)
-    blocks, checked = heat.tridiagonal_blocks, []
-
-    def each_sample_too(step, diag, off, x0, n_times):
-        states = swept(blocks(step, diag, off, x0, n_times))
-        for s in range(diag.shape[1]):
-            alone = swept(blocks(step, diag[:, s:s + 1], off[:, s:s + 1], x0, n_times))
-            np.testing.assert_array_equal(alone[0], states[s])
-            checked.append(s)
-        return blocks(step, diag, off, x0, n_times)
-
-    monkeypatch.setattr(heat, "tridiagonal_blocks", each_sample_too)
-    states = swept(heat_sweep_blocks(model, params, q0, 0.01, 40))
-    assert checked == [0, 1, 2] and states.shape == (3, model.n_dof, 40)
-    assert np.all(np.isfinite(states))
+    rng = np.random.default_rng(912)
+    params = sample_conductivities(rng, 3, 3, 0.1, 1.0)
+    x = rng.standard_normal((model.n_dof, 7, 3))
+    step = heat_step(model, params, 0.01)
+    stacked = np.empty_like(x)
+    step(x, stacked)
+    for t in range(7):
+        one = np.empty((model.n_dof, 3))
+        step(np.ascontiguousarray(x[:, t]), one)
+        np.testing.assert_array_equal(stacked[:, t], one)
+    for s in range(3):
+        alone = np.empty((model.n_dof, 7, 1))
+        heat_step(model, params[:, s:s + 1], 0.01)(np.ascontiguousarray(x[:, :, s:s + 1]), alone)
+        np.testing.assert_array_equal(stacked[:, :, s:s + 1], alone)
 
 
 @pytest.mark.parametrize("n_elements, r", [(201, 10), (400, 30)])
@@ -284,17 +259,15 @@ def test_projected_stiffness_matches_the_dense_projection(n_elements, r):
         heat_projected_stiffness(model, u[:-1])
 
 
-def test_sweep_validation():
+def test_step_validation():
     model = build_heat_model(10)
-    q0 = heat_initial_state(model)
     params = np.full((3, 2), 0.5)
     with pytest.raises(ValueError):
-        heat_sweep_blocks(model, params[:, 0], q0, 0.01, 5)  # a vector, not one per column
+        heat_step(model, params[:, 0], 0.01)  # a vector, not one per column
     with pytest.raises(ValueError):
-        heat_sweep_blocks(model, params[:2], q0, 0.01, 5)
+        heat_step(model, params[:2], 0.01)
     with pytest.raises(ValueError):
-        heat_sweep_blocks(model, -params, q0, 0.01, 5)
-    with pytest.raises(ValueError):
-        heat_sweep_blocks(model, params, q0[:-1], 0.01, 5)
-    with pytest.raises(ValueError):
-        heat_sweep_blocks(model, params, q0, 0.0, 5)
+        heat_step(model, -params, 0.01)
+    for dt in (0.0, -0.01, np.inf, np.nan):
+        with pytest.raises(ValueError, match="dt"):
+            heat_step(model, params, dt)

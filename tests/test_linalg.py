@@ -545,6 +545,42 @@ def test_tridiagonal_solve_keeps_each_sample_to_itself():
     assert np.all(np.isfinite(np.delete(x, 2, axis=2)))
 
 
+def test_repeated_tridiagonal_solves_isolate_a_sample_that_overflows():
+    # the solve of L = tridiag(-1, 4, -1) / g grows a state by g/6..g/2:
+    # sample 1 grows about 500-fold per solve and overflows, and its inf and
+    # NaN reach no other sample, which gets the bits it gets solved alone
+    n, steps = 6, 160
+    growth = np.array([2.0, 2500.0, 1.0, 3.0])
+    diag, off = np.full((n, 4), 4.0) / growth, np.full((n - 1, 4), -1.0) / growth
+    factor = factor_tridiagonals(diag, off)
+    alone = [factor_tridiagonals(diag[:, s:s + 1], off[:, s:s + 1]) for s in range(4)]
+    x = np.repeat(np.linspace(1.0, 2.0, n)[:, None], 4, axis=1)
+    xs = [x[:, s:s + 1].copy() for s in range(4)]
+    finite = np.empty((steps, 4), dtype=bool)
+    with np.errstate(all="ignore"):
+        for k in range(steps):
+            factor.solve(x)
+            for s in range(4):
+                alone[s].solve(xs[s])
+                np.testing.assert_array_equal(x[:, s:s + 1], xs[s])
+            finite[k] = np.isfinite(x).all(axis=0)
+    first_bad = int(np.argmin(finite[:, 1]))
+    assert 0 < first_bad < steps
+    assert finite[:first_bad, 1].all() and not finite[first_bad:, 1].any()
+    assert finite[:, [0, 2, 3]].all()
+
+
+@pytest.mark.parametrize("samples, sample, pivot", [(2, 1, 2), (3, 2, 3)])
+def test_tridiagonal_factor_names_the_indefinite_sample_of_a_stack(samples, sample, pivot):
+    # the other samples are positive definite; the stack's failure is named
+    # as (sample, pivot_index) in the bands' own indices
+    diag, off = np.full((5, samples), 4.0), np.full((4, samples), -1.0)
+    diag[pivot, sample] = -4.0
+    with pytest.raises(NotPositiveDefiniteError) as exc:
+        factor_tridiagonals(diag, off)
+    assert (exc.value.sample, exc.value.pivot_index) == (sample, pivot)
+
+
 def test_tridiagonal_factor_names_the_sample_and_pivot_of_a_breakdown():
     rng = np.random.default_rng(902)
     diag, off, _ = random_tridiagonals(rng, 4, 6)

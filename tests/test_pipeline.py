@@ -25,7 +25,7 @@ from topinf import (
     hamiltonian_drift,
     heat_initial_state,
     heat_operator,
-    heat_sweep_blocks,
+    heat_step,
     intrusive_project,
     load_matrix,
     load_tensor,
@@ -39,10 +39,9 @@ from topinf import (
     save_matrix,
     save_tensor,
     symmetric_part,
-    wave_initial_state,
     wave_projected_stiffness,
     wave_stiffness,
-    wave_sweep_blocks,
+    wave_step,
     weighted_norm_sq,
 )
 from topinf import pipeline, wave
@@ -834,24 +833,73 @@ def test_stages_refuse_a_state_major_full_order_file(stage, heat_run, tmp_path):
         getattr(pipeline, stage)(cfg, outdir)
 
 
-def test_a_full_order_run_that_turns_non_finite_stops_the_stage(heat_run, tmp_path, monkeypatch):
-    # runs train/1, train/4 and test/1 (columns 1, 4 and 6) turn NaN in the
-    # second time block, train/1 a step after the others: the stage names
-    # the earliest, first in sample order among equals, and records nothing
+@pytest.mark.parametrize("n_times, lengths", [(2, [2]), (3, [2, 1]), (4, [3, 1]),
+                                              (10, [4, 3, 3]), (17, [5, 4, 4, 4]),
+                                              (26, [6, 5, 5, 5, 5])])
+def test_fom_files_are_the_states_stepped_one_at_a_time(n_times, lengths, tmp_path, monkeypatch):
+    # the stage steps in time blocks of isqrt(n_times) steps, all in one
+    # buffer: the first block holds x0 and isqrt(n_times) steps, each later
+    # one the next isqrt(n_times) (the last may be shorter), and each block
+    # is one write to every file; the files hold the states stepped one at
+    # a time by the same step, bit for bit
+    base = small_heat_config()
+    cfg = dataclasses.replace(base, tf=base.t0 + (n_times - 1) * base.dt,
+                              derivative="exact" if n_times < 3 else base.derivative)
+    assert cfg.n_times == n_times
+    steps, writes = [], []
+    make_step, writer = pipeline.heat_step, pipeline.RowWriter
+
+    def recorded(*args):
+        steps.append(make_step(*args))
+        return steps[-1]
+
+    class Recorded(writer):
+        def write(self, block):
+            writes.append(len(block))
+            super().write(block)
+
+    monkeypatch.setattr(pipeline, "heat_step", recorded)
+    monkeypatch.setattr(pipeline, "RowWriter", Recorded)
+    pipeline.simulate_fom(cfg, tmp_path)
+    runs = [("train", i) for i in range(cfg.n_train)] + [("test", i) for i in range(cfg.n_test)]
+    assert len(steps) == 1 and writes == [k for k in lengths for _ in runs]
+    x0 = heat_initial_state(build_heat_model(cfg.n_elements, cfg.breakpoints))
+    states = np.empty((n_times, x0.shape[0], len(runs)))
+    states[0] = x0[:, None]
+    for k in range(1, n_times):
+        steps[0](states[k - 1], states[k])
+    for s, (split, i) in enumerate(runs):
+        np.testing.assert_array_equal(load_matrix(tmp_path / "fom" / f"{split}_{i:03d}.tpoi"),
+                                      states[:, :, s])
+
+
+# the time blocks of n_times = 9 hold steps 0-3, 4-6 and 7-8
+@pytest.mark.parametrize("first", [2, 3, 4, 7])
+def test_a_full_order_run_that_turns_non_finite_stops_the_stage(first, heat_run, tmp_path,
+                                                                monkeypatch):
+    # runs train/4 and test/1 (columns 4 and 6) turn NaN at step ``first``,
+    # train/1 (column 1) a step later: the stage names the earliest, first
+    # in sample order among equals, and records nothing
     cfg, source, _ = heat_run
     outdir = tmp_path / "run"
     shutil.copytree(source, outdir)
-    sweep = pipeline.heat_sweep_blocks
+    make_step = pipeline.heat_step
 
     def diverging(*args):
-        for k, block in enumerate(sweep(*args)):
-            if k == 1:  # steps 4-6 of n_times = 9
-                block[0, 3, [4, 6]] = np.nan
-                block[1, 0, 1] = np.inf
-            yield block
+        step, times = make_step(*args), iter(range(1, cfg.n_times))
 
-    monkeypatch.setattr(pipeline, "heat_sweep_blocks", diverging)
-    with pytest.raises(NumericError, match=r"^full-order run train/4 diverged at step 4$"):
+        def bad_step(x, out):
+            step(x, out)
+            t = next(times)  # the time index of ``out``
+            if t == first:
+                out[3, [4, 6]] = np.nan
+            if t == first + 1:
+                out[0, 1] = np.inf
+
+        return bad_step
+
+    monkeypatch.setattr(pipeline, "heat_step", diverging)
+    with pytest.raises(NumericError, match=rf"^full-order run train/4 diverged at step {first}$"):
         pipeline.simulate_fom(cfg, outdir)
     monkeypatch.undo()
     assert "full_order" not in json.loads((outdir / "manifest.json").read_text())
@@ -1080,13 +1128,11 @@ def _parameter_entry_points(heat_outdir):
     heat, wave = build_heat_model(12), build_wave_model(12)
     return {
         "heat_operator": (lambda mu: heat_operator(heat, mu), np.full(3, 0.5)),
-        "heat_sweep_blocks": (lambda mu: heat_sweep_blocks(heat, mu, heat_initial_state(heat),
-                                                           0.01, 5), np.full((3, 2), 0.5)),
+        "heat_step": (lambda mu: heat_step(heat, mu, 0.01), np.full((3, 2), 0.5)),
         "wave_stiffness": (lambda mu: wave_stiffness(wave, mu), np.full(4, 1.5)),
         "wave_projected_stiffness": (lambda mu: wave_projected_stiffness(wave, mu, np.eye(12)),
                                      np.full((4, 2), 1.5)),
-        "wave_sweep_blocks": (lambda mu: wave_sweep_blocks(wave, mu, wave_initial_state(wave),
-                                                           0.1, 5), np.full((4, 2), 1.5)),
+        "wave_step": (lambda mu: wave_step(wave, mu, 0.1), np.full((4, 2), 1.5)),
         "Surrogate.run": (lambda mu: Surrogate.load(heat_outdir).run("normal", 2, mu),
                           np.full((3, 2), 0.5)),
     }
@@ -1100,9 +1146,8 @@ def _with_entry(good, value):
 
 @pytest.mark.parametrize("bad", ["wrong_p", "wrong_ndim", "empty", "zero", "negative", "nan",
                                  "inf"])
-@pytest.mark.parametrize("entry", ["heat_operator", "heat_sweep_blocks", "wave_stiffness",
-                                   "wave_projected_stiffness", "wave_sweep_blocks",
-                                   "Surrogate.run"])
+@pytest.mark.parametrize("entry", ["heat_operator", "heat_step", "wave_stiffness",
+                                   "wave_projected_stiffness", "wave_step", "Surrogate.run"])
 def test_parameter_entry_points_refuse_bad_parameters_without_a_warning(entry, bad, heat_run):
     # a NaN passed a "mu <= 0" test, and an infinite wave speed made a
     # finite, positive definite step (mu^-2 = 0)
@@ -1118,6 +1163,20 @@ def test_parameter_entry_points_refuse_bad_parameters_without_a_warning(entry, b
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="conductivities|wave speeds"):
             call(bad)
+
+
+@pytest.mark.parametrize("dt", [np.inf, -np.inf, np.nan, 0.0])
+@pytest.mark.parametrize("problem", ["heat1d", "wave1d"])
+def test_full_order_steps_refuse_a_bad_dt_without_a_warning(problem, dt):
+    # an infinite dt passed a "dt > 0" test: its bands warned twice in
+    # weighted_bands and then failed as non-finite tridiagonals
+    model = build_heat_model(12) if problem == "heat1d" else build_wave_model(12)
+    make_step = heat_step if problem == "heat1d" else wave_step
+    params = np.full((model.n_subdomains, 2), 0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^dt must be finite and positive"):
+            make_step(model, params, dt)
 
 
 # ----------------------------------------------------------------------

@@ -1,13 +1,10 @@
 """Reduced models and Cayley-map integrators against step-by-step oracles."""
 
-from math import isqrt
-
 import numpy as np
 import pytest
 import scipy.linalg as la
 
 from topinf import (
-    NotPositiveDefiniteError,
     ReducedBasis,
     RomModel,
     StructureError,
@@ -26,8 +23,6 @@ from topinf import (
     symmetric_part,
     weighted_pod,
 )
-from topinf.linalg import factor_tridiagonals
-from topinf.rom import tridiagonal_blocks
 
 
 def orthonormal_basis(rng, n, r):
@@ -510,80 +505,3 @@ def test_a_power_that_overflows_leaves_a_finite_state_finite():
     runs = _assert_sweep_matches_single_runs(np.stack([a, -np.eye(2)]), np.array([0.0, 1.0]),
                                              dt, n_times, crank_nicolson)
     assert not any(run.diverged for run in runs)
-
-
-# ----------------------------------------------------------------------
-# the stacked tridiagonal sweep core
-
-
-def _tridiagonal_step(solve, x, out):
-    """``out = L^{-1} x``: the per-sample step matrix ``L`` is the only per-sample data."""
-    out[...] = x
-    solve(out)
-
-
-def _tridiagonal_samples(n, growth):
-    """Step matrices ``L = tridiag(-1, 4, -1) / g`` per sample: ``L^{-1}`` grows by ``g/6..g/2``."""
-    g = np.asarray(growth, dtype=float)
-    return np.full((n, len(growth)), 4.0) / g, np.full((n - 1, len(growth)), -1.0) / g
-
-
-def _stacked_blocks(diag, off, x0, n_times):
-    """The blocks of :func:`tridiagonal_blocks` stacked into the states (n_times, n, S)."""
-    blocks = tridiagonal_blocks(_tridiagonal_step, diag, off, x0, n_times)
-    return np.concatenate([block.copy() for block in blocks])
-
-
-def test_tridiagonal_blocks_isolate_an_overflowing_sample():
-    # sample 1 grows about 500-fold per step and overflows; the stacked
-    # solve keeps each sample's arithmetic to its own column, so its inf and
-    # NaN reach no other sample
-    n, n_times = 6, 160
-    x0 = np.linspace(1.0, 2.0, n)
-    diag, off = _tridiagonal_samples(n, (2.0, 2500.0, 1.0, 3.0))
-    states = _stacked_blocks(diag, off, x0, n_times)
-    for s in range(4):
-        alone = _stacked_blocks(diag[:, s:s + 1], off[:, s:s + 1], x0, n_times)
-        np.testing.assert_array_equal(states[:, :, s:s + 1], alone)
-    finite = np.isfinite(states).all(axis=1)
-    first_bad = int(np.argmin(finite[:, 1]))
-    assert 1 < first_bad < n_times
-    assert finite[:first_bad, 1].all() and not finite[first_bad:, 1].any()
-    assert finite[:, [0, 2, 3]].all()
-
-
-@pytest.mark.parametrize("n_times", [1, 2, 3, 4, 10, 17, 26])
-def test_tridiagonal_blocks_hand_out_the_sweep_in_time_blocks(n_times):
-    # the first block is x0 and isqrt(n_times) steps, each later block the
-    # next isqrt(n_times) steps, all in one buffer; stacked, they are the
-    # states stepped one at a time from one factor, bit for bit
-    x0 = np.linspace(1.0, 2.0, 6)
-    diag, off = _tridiagonal_samples(6, (2.0, 1.0, 3.0))
-    blocks = list(tridiagonal_blocks(_tridiagonal_step, diag, off, x0, n_times))
-    size = isqrt(n_times)
-    lengths = [len(block) for block in blocks]
-    assert sum(lengths) == n_times and lengths[0] == min(size + 1, n_times)
-    assert all(length == size for length in lengths[1:-1]) and 1 <= lengths[-1] <= size + 1
-    assert all(np.shares_memory(block, blocks[0]) for block in blocks)
-    solve = factor_tridiagonals(diag, off).solve
-    stepped = np.empty((n_times, 6, 3))
-    stepped[0] = x0[:, None]
-    for k in range(1, n_times):
-        _tridiagonal_step(solve, stepped[k - 1], stepped[k])
-    np.testing.assert_array_equal(_stacked_blocks(diag, off, x0, n_times), stepped)
-
-
-def test_tridiagonal_blocks_factor_and_check_before_they_step():
-    diag, off = _tridiagonal_samples(5, (1.0, 1.0))
-    for bad in (dict(x0=np.full(5, np.nan)), dict(x0=np.full(5, np.inf)),
-                dict(x0=np.ones((5, 1))), dict(n_times=0)):
-        args = dict(x0=np.ones(5), n_times=4) | bad
-        with pytest.raises(ValueError):
-            tridiagonal_blocks(_tridiagonal_step, diag, off, **args)
-    # an indefinite step matrix is named as (sample, pivot_index)
-    for growth, sample, pivot in (((1.0, 1.0), 1, 2), ((1.0, 1.0, 1.0), 2, 3)):
-        diag, off = _tridiagonal_samples(5, growth)
-        diag[pivot, sample] = -4.0
-        with pytest.raises(NotPositiveDefiniteError) as exc:
-            tridiagonal_blocks(_tridiagonal_step, diag, off, np.ones(5), 4)
-        assert (exc.value.sample, exc.value.pivot_index) == (sample, pivot)

@@ -25,7 +25,7 @@ from topinf import (
     wave_projected_stiffness,
     wave_rhs,
     wave_stiffness,
-    wave_sweep_blocks,
+    wave_step,
 )
 
 DOMAIN = 2.0 * np.pi
@@ -278,19 +278,22 @@ def test_projected_stiffness_matches_projected_dense_stiffness_at_study_size():
         wave_projected_stiffness(model, bad, u)
 
 
-def swept(blocks):
-    """The time blocks ``(k, 2 Nw, S)`` of a full-order sweep stacked into its states."""
-    return np.concatenate([block.copy() for block in blocks]).transpose(2, 1, 0)
+def stepped(step, x0, n_times, samples):
+    """The states ``(S, 2 Nw, n_times)`` of ``step`` from ``x0``, one call per time step."""
+    states = np.empty((n_times, x0.shape[0], samples))
+    states[0] = x0[:, None]
+    for k in range(1, n_times):
+        step(states[k - 1], states[k])
+    return states.transpose(2, 1, 0)
 
 
-def test_sweep_matches_dense_midpoint_and_conserves_energy():
+def test_step_matches_dense_midpoint_and_conserves_energy():
     # the default wave1d horizon: dt = pi/100 over [0, 4 pi]
     model = build_wave_model(200)
     params = sample_wave_speeds(np.random.default_rng(922), 3, 4)
     y0 = wave_initial_state(model)
     dt, n_times = np.pi / 100.0, 401
-    states = swept(wave_sweep_blocks(model, params, y0, dt, n_times))
-    assert states.shape == (params.shape[1], 2 * model.n_w, n_times)
+    states = stepped(wave_step(model, params, dt), y0, n_times, params.shape[1])
     for s, mu in enumerate(params.T):
         ref = implicit_midpoint(wave_full_operator(model, mu), y0, dt, n_times)
         assert np.all(np.isfinite(states[s]))
@@ -298,43 +301,38 @@ def test_sweep_matches_dense_midpoint_and_conserves_energy():
         assert err <= 1e-10
         energy = wave_hamiltonian(model, mu, states[s])
         assert np.max(np.abs(energy - energy[0])) <= 1e-12 * abs(energy[0])
-        # one sample swept alone gives the same states, bit for bit
-        alone = swept(wave_sweep_blocks(model, params[:, s:s + 1], y0, dt, n_times))[0]
-        np.testing.assert_array_equal(states[s], alone)
 
 
-def test_sweep_blocks_are_the_sweep_in_time_order():
-    # the first block holds y0 and isqrt(40) = 6 steps, each later block the
-    # next 6 steps (the last the 3 left); stacked, they are the midpoint
-    # states in time order
+def test_step_advances_a_stack_of_states_as_one_state_at_a_time():
+    # one call on a (2 Nw, T, S) stack gives the bits of T calls on
+    # (2 Nw, S) states, and a one-column params the bits of its column in
+    # the stack
     model = build_wave_model(30)
-    params = sample_wave_speeds(np.random.default_rng(923), 3, 4)
-    y0 = wave_initial_state(model)
-    blocks = [block.copy() for block in wave_sweep_blocks(model, params, y0, 0.05, 40)]
-    assert [len(block) for block in blocks] == [7, 6, 6, 6, 6, 6, 3]
-    states = swept(blocks)
-    assert states.shape == (3, 2 * model.n_w, 40)
-    for s, mu in enumerate(params.T):
-        ref = implicit_midpoint(wave_full_operator(model, mu), y0, 0.05, 40)
-        np.testing.assert_allclose(states[s], ref.states, rtol=0,
-                                   atol=1e-10 * np.max(np.abs(ref.states)))
-    for bad in (dict(params=-params), dict(y0=y0[:-1]), dict(dt=0.0)):
-        args = dict(params=params, y0=y0, dt=0.05) | bad
-        with pytest.raises(ValueError):
-            wave_sweep_blocks(model, args["params"], args["y0"], args["dt"], 40)
+    rng = np.random.default_rng(923)
+    params = sample_wave_speeds(rng, 3, 4)
+    x = rng.standard_normal((2 * model.n_w, 7, 3))
+    step = wave_step(model, params, 0.05)
+    stacked = np.empty_like(x)
+    step(x, stacked)
+    for t in range(7):
+        one = np.empty((2 * model.n_w, 3))
+        step(np.ascontiguousarray(x[:, t]), one)
+        np.testing.assert_array_equal(stacked[:, t], one)
+    for s in range(3):
+        alone = np.empty((2 * model.n_w, 7, 1))
+        wave_step(model, params[:, s:s + 1], 0.05)(np.ascontiguousarray(x[:, :, s:s + 1]), alone)
+        np.testing.assert_array_equal(stacked[:, :, s:s + 1], alone)
 
 
-def test_sweep_validation():
+def test_step_validation():
     model = build_wave_model(8)
-    y0 = wave_initial_state(model)
     params = np.full((4, 2), 1.5)
     with pytest.raises(ValueError):
-        wave_sweep_blocks(model, params[:, 0], y0, 0.1, 5)  # a vector, not one per column
+        wave_step(model, params[:, 0], 0.1)  # a vector, not one per column
     with pytest.raises(ValueError):
-        wave_sweep_blocks(model, params[:3], y0, 0.1, 5)
+        wave_step(model, params[:3], 0.1)
     with pytest.raises(ValueError):
-        wave_sweep_blocks(model, -params, y0, 0.1, 5)
-    with pytest.raises(ValueError):
-        wave_sweep_blocks(model, params, y0[:-1], 0.1, 5)
-    with pytest.raises(ValueError):
-        wave_sweep_blocks(model, params, y0, -0.1, 5)
+        wave_step(model, -params, 0.1)
+    for dt in (0.0, -0.1, np.inf, np.nan):
+        with pytest.raises(ValueError, match="dt"):
+            wave_step(model, params, dt)
