@@ -69,12 +69,12 @@ UNIQUENESS_RANK_RTOL = 1e-10
 SYMMETRIC_UNKNOWN_CAP = 20_000
 
 #: A symmetric fit's peak memory in multiples of its system's bytes: the
-#: assembled system, which the solver equilibrates and factors in place,
-#: copies of its diagonal blocks, the inverses of the factor's diagonal
-#: blocks and strip-sized temporaries.  Measured at r = 30, p = 3 (1,395 unknowns):
-#: 1.41 in resident growth (1.54 when the fit is the process's first
-#: blocked solve), 1.38 under tracemalloc.
-_SYMMETRIC_PEAK_SYSTEMS = 1.5
+#: assembled system, which the solver checks, equilibrates and factors in
+#: place, and at most one tile of scratch and one diagonal block's factor
+#: beside it.  Measured at r = 30, p = 3 (1,395 unknowns): 1.11 in resident
+#: growth (1.17 when the fit is the process's first blocked solve), 1.08
+#: under tracemalloc.
+_SYMMETRIC_PEAK_SYSTEMS = 1.2
 
 
 @dataclass(frozen=True)
@@ -345,11 +345,12 @@ def infer_symmetric(data: InferenceData) -> InferredTensor:
     index, so it is filled by four index-matched scatters of ``G``.  The
     right-hand side is ``w_ab (C_x[a, b] + C_x[b, a])``.  The system is
     symmetric positive definite whenever the constrained minimizer is
-    unique and is solved by Cholesky, in place: the assembled system is
-    handed to :func:`~topinf.linalg.solve_sym`, so the fit holds one
-    full-size array, and its peak is about 1.5 times the system's
-    ``8 * unknowns**2`` bytes.  A resource guard refuses problems with more
-    than :data:`SYMMETRIC_UNKNOWN_CAP` unknowns, reporting that peak.  The
+    unique and is solved by Cholesky, in place: the system is assembled one
+    feature block at a time (:func:`_symmetric_system`) and handed to
+    :func:`~topinf.linalg.solve_sym`, so the fit holds one full-size array,
+    and its peak is about 1.2 times the system's ``8 * unknowns**2`` bytes.
+    A resource guard refuses problems with more than
+    :data:`SYMMETRIC_UNKNOWN_CAP` unknowns, reporting that peak.  The
     solution is written back with exact symmetry.
     """
     r, p = data.r, data.p
@@ -363,22 +364,9 @@ def infer_symmetric(data: InferenceData) -> InferredTensor:
             f"{system_mib:.1f} MiB, factored in place: fit peak about "
             f"{_SYMMETRIC_PEAK_SYSTEMS * system_mib:.1f} MiB); cap is {SYMMETRIC_UNKNOWN_CAP}"
         )
-    # B is G of the docstring as gram[x, i, y, j]; C holds C_x[i, j] at cross[i, x, j]
-    bfull, cfull = assemble_normal_system(data)
-    gram = bfull.reshape(p, r, p, r)
-    cross = cfull.reshape(r, p, r)
-
-    # E_k is w_k times the sum of the unit matrices e_a e_b^T and e_b e_a^T;
-    # e_u e_v^T and e_s e_t^T couple through delta_us gram[., v, ., t]
-    bhat = np.zeros((p, a.size, p, a.size))
-    for ku, kv in ((a, b), (b, a)):
-        for lu, lv in ((a, b), (b, a)):
-            k, l = np.nonzero(ku[:, None] == lu[None, :])
-            bhat[:, k, :, l] += (w[k] * w[l])[:, None, None] * gram[:, kv[k], :, lv[l]]
-    bhat = bhat.reshape(unknowns, unknowns)
-    chat = (w[:, None] * (cross[a, :, b] + cross[b, :, a])).T.ravel()
-
+    bhat, chat = _symmetric_system(data, a, b, w)
     theta, cond = solve_sym(bhat, chat)
+    del bhat  # the solve left it undefined; the diagnostics need the room
     half = np.zeros((r, r, p))
     half[a, b] = w[:, None] * theta.reshape(p, a.size).T
     tensor = half + half.transpose(1, 0, 2)
@@ -391,6 +379,33 @@ def infer_symmetric(data: InferenceData) -> InferredTensor:
         residual=resid,
         stationarity=stat,
     )
+
+
+def _symmetric_system(data: InferenceData, a: np.ndarray, b: np.ndarray,
+                      w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The dense system and right-hand side of :func:`infer_symmetric`, read off ``(B, C)``.
+
+    ``E_k`` is ``w_k`` times the sum of the unit matrices ``e_a e_b^T`` and
+    ``e_b e_a^T``; ``e_u e_v^T`` and ``e_s e_t^T`` couple through
+    ``delta_us gram[., v, ., t]``.  Each of the four terms is scattered one
+    feature block ``(x, y)`` at a time, so that no temporary outgrows one
+    term of one block and the system is the one large array.
+    """
+    r, p, m = data.r, data.p, a.size
+    # B is G of the docstring as gram[x, i, y, j]; C holds C_x[i, j] at cross[i, x, j]
+    bfull, cfull = assemble_normal_system(data)
+    gram = bfull.reshape(p, r, p, r)
+    cross = cfull.reshape(r, p, r)
+    system = np.zeros((p, m, p, m))
+    for ku, kv in ((a, b), (b, a)):
+        for lu, lv in ((a, b), (b, a)):
+            k, l = np.nonzero(ku[:, None] == lu[None, :])
+            weight, rows, cols = w[k] * w[l], kv[k], lv[l]
+            for x in range(p):
+                for y in range(p):
+                    system[x, :, y][k, l] += weight * gram[x, :, y][rows, cols]
+    rhs = (w[:, None] * (cross[a, :, b] + cross[b, :, a])).T.ravel()
+    return system.reshape(p * m, p * m), rhs
 
 
 def _predictions(tensor: np.ndarray, data: InferenceData) -> np.ndarray:

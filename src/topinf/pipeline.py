@@ -586,27 +586,29 @@ def simulate_fom(cfg: ExperimentConfig, outdir) -> None:
     block, not the runs.  A block in which a run is not finite stops the
     stage with a :class:`~topinf.errors.NumericError` naming the run and
     the step where it first turned, the earliest in time (the first in
-    sample order among equals).
+    sample order among equals).  The step, which checks the parameters and
+    ``dt``, is built before the stage empties ``fom/``, so a refused ``dt``
+    leaves the last good run's files as they were.
     """
     cfg = cfg.validate()
     outdir = Path(outdir)
     started = time.perf_counter()
-    _claim(outdir, "full_order", "fom", "params_*.tpoi")
-    (outdir / "fom").mkdir(parents=True)
-
     model = _build_model(cfg)
     if cfg.problem == "heat1d":
         x0, make_step = heat_initial_state(model), heat_step
     else:
         x0, make_step = wave_initial_state(model), wave_step
+    params = {split: _draw_parameters(cfg, count,
+                                      _TRAIN_STREAM if split == "train" else _TEST_STREAM)
+              for split, count in _splits(cfg)}
+    step = make_step(model, np.hstack(list(params.values())), cfg.dt)
 
-    runs, params = [], []
-    for split, count in _splits(cfg):
-        params.append(_draw_parameters(cfg, count,
-                                       _TRAIN_STREAM if split == "train" else _TEST_STREAM))
-        save_matrix(outdir / f"params_{split}.tpoi", params[-1])
-        runs += [(split, i) for i in range(count)]
-    step = make_step(model, np.hstack(params), cfg.dt)
+    _claim(outdir, "full_order", "fom", "params_*.tpoi")
+    (outdir / "fom").mkdir(parents=True)
+    runs = []
+    for split, drawn in params.items():
+        save_matrix(outdir / f"params_{split}.tpoi", drawn)
+        runs += [(split, i) for i in range(drawn.shape[1])]
     size = math.isqrt(cfg.n_times)
     block = np.empty((size + 1, x0.shape[0], len(runs)))
     block[0] = x0[:, None]

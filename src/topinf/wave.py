@@ -43,6 +43,7 @@ conductivities: the right shape, every entry finite and positive.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -222,13 +223,18 @@ def wave_step(model: WaveModel, params: np.ndarray, dt: float):
     so one call advances any number of states of every sample.  No step
     mixes the samples: a sample's states are those of the sample stepped
     alone, bit for bit, and a sample that leaves float range turns
-    non-finite without touching the others.
+    non-finite without touching the others.  A ``dt`` that is not finite
+    and positive, or so large that ``dt^2 / (4 h)`` overflows, is refused
+    with a ``ValueError``.
     """
     params = _check_params(params, model.n_subdomains, "wave speeds")
     if not 0.0 < dt < np.inf:
         raise ValueError(f"dt must be finite and positive, got {dt}")
+    dt = float(dt)  # so that an overflow below is an inf, not a warning
     n = model.n_w
     c = dt * dt / (4.0 * model.h)
+    if not math.isfinite(2.0 * c):
+        raise ValueError(f"dt is too large: dt^2 / (4 h) of the step overflows, got {dt}")
     # Mv(mu) + c S S^T, with S S^T = tridiag(-1, 2, -1)
     diag, off = weighted_bands(params ** (-2.0), model.mass_v_diag, model.mass_v_off)
     solve = factor_tridiagonals(diag + 2.0 * c, off - c).solve

@@ -124,6 +124,33 @@ def test_a_time_grid_no_stage_can_run_fails_before_the_full_order_files(grid, tm
     assert {path.name: path.read_bytes() for path in (outdir / "fom").iterdir()} == before
 
 
+def test_a_time_step_too_large_for_the_wave_step_fails_before_the_full_order_files(
+        tmp_path, capsys):
+    # t0 = 0, tf = dt = 1e300 is a grid exact derivatives can run, but the
+    # wave step's dt^2 / (4 h) overflows: the step refuses dt by name before
+    # simulate-fom empties fom/ or rewrites the parameter files
+    cfg_path = tmp_path / "wave.cfg"
+    cfg_path.write_text("problem = wave1d\nn_elements = 20\nt0 = 0\ntf = 0.4\ndt = 0.1\n"
+                        "n_train = 2\nn_test = 1\nreduced_dims = 2\nderivative = exact\n")
+    outdir = tmp_path / "run"
+    assert main(["simulate-fom", "--config", str(cfg_path), "--out", str(outdir)]) == 0
+    capsys.readouterr()
+
+    def files():
+        return {str(path.relative_to(outdir)): path.read_bytes()
+                for path in sorted(outdir.rglob("*.tpoi"))}
+
+    before = files()
+    assert any(name.startswith("fom") for name in before) and "params_train.tpoi" in before
+    cfg_path.write_text(cfg_path.read_text().replace("tf = 0.4", "tf = 1e300")
+                        .replace("dt = 0.1", "dt = 1e300"))
+    code = main(["simulate-fom", "--config", str(cfg_path), "--out", str(outdir)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("topinf: error: dt is too large")
+    assert files() == before
+
+
 def test_stage_with_missing_inputs_fails_cleanly(tmp_path, capsys):
     cfg_path = write_config(tmp_path)
     code = main(["infer", "--config", str(cfg_path), "--out", str(tmp_path / "empty")])

@@ -1165,9 +1165,15 @@ def test_parameter_entry_points_refuse_bad_parameters_without_a_warning(entry, b
             call(bad)
 
 
-@pytest.mark.parametrize("dt", [np.inf, -np.inf, np.nan, 0.0])
-@pytest.mark.parametrize("problem", ["heat1d", "wave1d"])
-def test_full_order_steps_refuse_a_bad_dt_without_a_warning(problem, dt):
+@pytest.mark.parametrize("problem, dt, message", [
+    pytest.param(problem, dt, "^dt must be finite and positive", id=f"{problem}-{dt}")
+    for problem in ("heat1d", "wave1d") for dt in (np.inf, -np.inf, np.nan, 0.0)
+] + [
+    # finite, but dt^2 / (4 h) overflows: it failed as non-finite tridiagonals,
+    # a message that did not name dt
+    pytest.param("wave1d", 1e300, "^dt is too large", id="wave1d-1e300"),
+])
+def test_full_order_steps_refuse_a_bad_dt_without_a_warning(problem, dt, message):
     # an infinite dt passed a "dt > 0" test: its bands warned twice in
     # weighted_bands and then failed as non-finite tridiagonals
     model = build_heat_model(12) if problem == "heat1d" else build_wave_model(12)
@@ -1175,7 +1181,7 @@ def test_full_order_steps_refuse_a_bad_dt_without_a_warning(problem, dt):
     params = np.full((model.n_subdomains, 2), 0.5)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match="^dt must be finite and positive"):
+        with pytest.raises(ValueError, match=message):
             make_step(model, params, dt)
 
 
