@@ -24,17 +24,30 @@ Both normal-equations solvers hand their freshly assembled system to
 :func:`~topinf.linalg.solve_sym`, which equilibrates and factors it in
 place, so a fit holds one full-size system array.
 
+The data enter the fit only through ``Y_s Y_s^T`` and ``Z_s Y_s^T`` and the
+residual norm, so :func:`compress` replaces each sample by ``min(Nt, r) + 1``
+columns from one thin QR ``Y_s^T = O_s R_s``: ``R_s^T`` against
+``Z_s O_s``, plus one column that carries the part of ``Z_s`` no operator
+can reach, ``||Z_s - Z_s O_s O_s^T||_F``, against zero snapshots.  Every
+solver, diagnostic and check reads the compressed data as it reads the
+original, and returns the same results to rounding, at a cost independent
+of ``Nt``; the pipeline compresses each problem once and fits every method
+to it.
+
 The two unconstrained solvers minimize the same objective; their system
 matrices satisfy ``D^T D = B`` exactly, so they agree to solver precision
-whenever the problem has a unique minimizer.  Uniqueness needs the feature
-matrix (samples x p) and the merged snapshot stack both to have full column
-rank, and :func:`uniqueness_check` reports both ranks; the two conditions
-are necessary, not sufficient.  The minimizer is unique exactly when the
-normal-equations matrix ``sum_s (nu_s nu_s^T) (x) (Y_s Y_s^T)`` is
-nonsingular, which fails, for example, when each sample's snapshots span
-only the directions its own features weight.  Then :func:`infer_normal`
-raises :class:`~topinf.errors.SingularMatrixError` and :func:`infer_lstsq`
-flags ``rank_deficient``.
+whenever the problem has a unique minimizer.  That is exactly when the
+design ``D`` has full column rank ``r*p``, which :func:`uniqueness_check`
+tests, together with the two necessary conditions it implies (feature
+matrix of rank ``p``, merged snapshot stack of rank ``r``), so that a
+report names the factor at fault.  Full ranks of both factors are not
+enough: the design is deficient, for example, when each sample's
+snapshots span only the directions its own features weight.
+:func:`infer_normal` raises :class:`~topinf.errors.NonUniqueSolutionError`
+whenever the design is deficient, and
+:class:`~topinf.errors.SingularMatrixError` only when a full-rank design's
+normal equations are too ill-conditioned to solve; :func:`infer_lstsq`
+returns the minimum-norm solution and flags ``rank_deficient``.
 """
 
 from __future__ import annotations
@@ -49,6 +62,7 @@ from .linalg import lstsq_min_norm, solve_sym
 
 __all__ = [
     "InferenceData",
+    "compress",
     "InferredTensor",
     "UniquenessReport",
     "uniqueness_check",
@@ -145,8 +159,9 @@ class InferenceData:
 class UniquenessReport:
     """Rank diagnostics for the unconstrained inference problem.
 
-    ``unique`` means that both necessary rank conditions hold; it does not
-    by itself guarantee a unique minimizer (see :func:`uniqueness_check`).
+    ``unique`` means that the design has full column rank, so the
+    unconstrained minimizer is unique; the feature and snapshot ranks say
+    which factor is at fault when it is not (see :func:`uniqueness_check`).
     """
 
     unique: bool
@@ -154,12 +169,15 @@ class UniquenessReport:
     feature_required: int
     snapshot_rank: int
     snapshot_required: int
+    design_rank: int
+    design_required: int
 
     def __str__(self) -> str:
         return (
             f"unique={self.unique} "
             f"(features {self.feature_rank}/{self.feature_required}, "
-            f"snapshots {self.snapshot_rank}/{self.snapshot_required})"
+            f"snapshots {self.snapshot_rank}/{self.snapshot_required}, "
+            f"design {self.design_rank}/{self.design_required})"
         )
 
 
@@ -198,18 +216,18 @@ class InferredTensor:
 
 
 def uniqueness_check(data: InferenceData) -> UniquenessReport:
-    """Rank test of two necessary conditions for a unique unconstrained minimizer.
+    """Rank test that the unconstrained minimizer is unique.
 
-    The fit can have a unique solution only when the feature matrix (one
-    row per sample) has full column rank ``p`` and the merged snapshot
-    stack (time-sample rows by state columns) has full column rank ``r``.
-    Together they are not sufficient: ``unique`` can be true for a fit
-    whose normal equations are singular (see the module docstring), and
-    the solvers report that case themselves.  Ranks are counted from
-    singular values above ``UNIQUENESS_RANK_RTOL`` times the largest.
+    The minimizer is unique exactly when the design ``D`` of
+    :func:`assemble_lstsq_system` has full column rank ``r*p``, and only
+    then is ``unique`` true.  That needs the feature matrix (one row per
+    sample) to have full column rank ``p`` and the merged snapshot stack
+    (time-sample rows by state columns) full column rank ``r``; both ranks
+    are reported too, so a deficient fit names its deficient factor.
+    Ranks are counted from singular values above ``UNIQUENESS_RANK_RTOL``
+    times the largest.  On :func:`compress`-ed data the check costs the same
+    whatever ``Nt`` is.
     """
-    theta = data.nus.T  # (Ns, p)
-    ymat = tensors.cvec(data.ys, 1, 2).T  # (Nt * Ns, r)
 
     def _rank(a: np.ndarray) -> int:
         sv = np.linalg.svd(a, compute_uv=False)
@@ -217,15 +235,51 @@ def uniqueness_check(data: InferenceData) -> UniquenessReport:
             return 0
         return int(np.count_nonzero(sv > UNIQUENESS_RANK_RTOL * sv[0]))
 
-    feature_rank = _rank(theta)
-    snapshot_rank = _rank(ymat)
+    feature_rank = _rank(data.nus.T)  # (Ns, p)
+    snapshot_rank = _rank(tensors.cvec(data.ys, 1, 2).T)  # (Nt * Ns, r)
+    design_rank = _rank(assemble_lstsq_system(data)[0])
     return UniquenessReport(
-        unique=(feature_rank == data.p and snapshot_rank == data.r),
+        unique=design_rank == data.r * data.p,
         feature_rank=feature_rank,
         feature_required=data.p,
         snapshot_rank=snapshot_rank,
         snapshot_required=data.r,
+        design_rank=design_rank,
+        design_required=data.r * data.p,
     )
+
+
+def compress(data: InferenceData) -> InferenceData:
+    """Data with ``min(Nt, r) + 1`` columns per sample that every fit reads as it reads ``data``.
+
+    One thin Householder QR per sample, ``Y_s^T = O_s R_s`` (``O_s`` is
+    ``Nt x k`` with orthonormal columns, ``k = min(Nt, r)``), gives
+    ``Y_s Y_s^T = R_s^T R_s`` and ``Z_s Y_s^T = (Z_s O_s) R_s``, and splits
+    each residual into orthogonal parts:
+
+        ||Z_s - A Y_s||_F^2 = ||Z_s O_s - A R_s^T||_F^2 + ||Z_s - Z_s O_s O_s^T||_F^2.
+
+    Sample ``s`` of the result has snapshots ``[R_s^T, 0]`` and derivatives
+    ``[Z_s O_s, t_s e_1]``, with ``t_s`` the last norm above, measured from
+    the difference itself so that the residual of exact data stays at
+    roundoff.  The normal equations, the design's singular values, the
+    objective and its gradient, the uniqueness report and each solver's
+    results then equal those of ``data`` to rounding; no QR squares a
+    condition number.  Compressing compressed data changes nothing beyond
+    rounding.
+    """
+    r, nt, ns = data.ys.shape
+    k = min(nt, r)
+    ys = np.zeros((r, k + 1, ns))
+    zs = np.zeros((r, k + 1, ns))
+    # sample by sample: the only temporaries are one sample's O_s and tail
+    for s in range(ns):
+        o, rfac = np.linalg.qr(data.ys[:, :, s].T)
+        zo = data.zs[:, :, s] @ o
+        ys[:, :k, s] = rfac.T
+        zs[:, :k, s] = zo
+        zs[0, k, s] = np.linalg.norm(data.zs[:, :, s] - zo @ o.T)
+    return InferenceData(nus=data.nus, ys=ys, zs=zs)
 
 
 def assemble_normal_system(data: InferenceData) -> tuple[np.ndarray, np.ndarray]:
@@ -235,11 +289,14 @@ def assemble_normal_system(data: InferenceData) -> tuple[np.ndarray, np.ndarray]
     ``(r, r*p)``; the merged unknown ``cvec(T, 1, 2)`` solves
     ``cvec(T, 1, 2) @ B = C``.
     """
-    nus, ys, zs = data.nus, data.ys, data.zs
-    gram = np.einsum("xs,ias,jas,ys->xijy", nus, ys, ys, nus, optimize=True)
-    bhat = tensors.cvec(tensors.rvec(gram, 0, 1), 1, 2)
-    cross = np.einsum("ias,jas,xs->ijx", zs, ys, nus, optimize=True)
-    chat = tensors.cvec(cross, 1, 2)
+    r, p, nus = data.r, data.p, data.nus
+    yts = data.ys.transpose(2, 1, 0)  # Y_s^T, (S, Nt, r)
+    grams = (data.ys.transpose(2, 0, 1) @ yts).reshape(-1, r * r)  # Y_s Y_s^T
+    crosses = (data.zs.transpose(2, 0, 1) @ yts).reshape(-1, r * r)  # Z_s Y_s^T
+    weights = (nus[:, None] * nus[None]).reshape(p * p, -1)  # nu_xs nu_ys
+    # B[(x, i), (y, j)] = sum_s nu_xs nu_ys H_s[i, j]; C[i, (x, j)] = sum_s nu_xs (Z_s Y_s^T)[i, j]
+    bhat = (weights @ grams).reshape(p, p, r, r).transpose(0, 2, 1, 3).reshape(p * r, p * r)
+    chat = (nus @ crosses).reshape(p, r, r).transpose(1, 0, 2).reshape(r, p * r)
     return bhat, chat
 
 
@@ -270,11 +327,11 @@ def infer_normal(data: InferenceData) -> InferredTensor:
     Raises
     ------
     NonUniqueSolutionError
-        If the rank conditions for a unique minimizer fail; the exception
-        carries the :class:`UniquenessReport`.
+        If the minimizer is not unique (the design is rank deficient); the
+        exception carries the :class:`UniquenessReport`.
     SingularMatrixError
-        If the rank conditions hold but the normal equations are singular
-        all the same (the conditions are necessary, not sufficient).
+        If the design has full rank but its normal equations are too
+        ill-conditioned to solve in floating point.
     """
     report = uniqueness_check(data)
     if not report.unique:
@@ -282,10 +339,8 @@ def infer_normal(data: InferenceData) -> InferredTensor:
             f"inference problem has no unique solution: {report}", report=report
         )
     bhat, chat = assemble_normal_system(data)
-    # the solve overwrites bhat, which nothing else holds; it is copied only
-    # in the degenerate shapes (p = 1 with one sample, r = 1 with one time)
-    # where the assembly returns a strided view
-    sol, cond = solve_sym(np.ascontiguousarray(bhat), chat.T)
+    # the solve overwrites bhat, a fresh C-contiguous array nothing else holds
+    sol, cond = solve_sym(bhat, chat.T)
     tensor = tensors.cmat(sol.T, 1, 2, (data.r, data.p))
     resid, stat = _diagnostics(tensor, data, "generic")
     return InferredTensor(
@@ -408,21 +463,20 @@ def _symmetric_system(data: InferenceData, a: np.ndarray, b: np.ndarray,
     return system.reshape(p * m, p * m), rhs
 
 
-def _predictions(tensor: np.ndarray, data: InferenceData) -> np.ndarray:
-    """The predicted derivatives ``(T nu_s) Y_s``, shaped like ``data.zs`` (r, a, S)."""
-    ops = tensors.mode3_product(tensor, data.nus)
-    return (ops @ data.ys.transpose(2, 0, 1)).transpose(1, 2, 0)
-
-
-def objective(tensor: np.ndarray, data: InferenceData) -> float:
-    """Objective value ``1/2 sum_s ||Z_s - (T nu_s) Y_s||_F^2``."""
+def _residuals(tensor: np.ndarray, data: InferenceData) -> np.ndarray:
+    """The residuals ``(T nu_s) Y_s - Z_s`` of every sample, ``(S, r, Nt)``."""
     tensor = np.asarray(tensor, dtype=float)
     if tensor.shape != (data.r, data.r, data.p):
         raise ValueError(
             f"tensor must have shape {(data.r, data.r, data.p)}, got {tensor.shape}"
         )
-    diff = _predictions(tensor, data) - data.zs
-    return 0.5 * float(np.sum(diff**2))
+    ops = tensors.mode3_product(tensor, data.nus)
+    return ops @ data.ys.transpose(2, 0, 1) - data.zs.transpose(2, 0, 1)
+
+
+def objective(tensor: np.ndarray, data: InferenceData) -> float:
+    """Objective value ``1/2 sum_s ||Z_s - (T nu_s) Y_s||_F^2``."""
+    return 0.5 * float(np.sum(_residuals(tensor, data) ** 2))
 
 
 def objective_gradient(tensor: np.ndarray, data: InferenceData) -> np.ndarray:
@@ -431,10 +485,6 @@ def objective_gradient(tensor: np.ndarray, data: InferenceData) -> np.ndarray:
     Equals ``sum_s [(T nu_s) Y_s - Z_s] Y_s^T (x) nu_s`` where ``(x)``
     appends the feature axis.
     """
-    tensor = np.asarray(tensor, dtype=float)
-    if tensor.shape != (data.r, data.r, data.p):
-        raise ValueError(
-            f"tensor must have shape {(data.r, data.r, data.p)}, got {tensor.shape}"
-        )
-    diff = _predictions(tensor, data) - data.zs
-    return np.einsum("ias,jas,xs->ijx", diff, data.ys, data.nus, optimize=True)
+    r = data.r
+    products = _residuals(tensor, data) @ data.ys.transpose(2, 1, 0)  # (S, r, r)
+    return (products.reshape(-1, r * r).T @ data.nus.T).reshape(r, r, data.p)

@@ -117,7 +117,7 @@ from .heat import (
     heat_step,
     sample_conductivities,
 )
-from .inference import InferenceData, infer_lstsq, infer_normal, infer_symmetric
+from .inference import InferenceData, compress, infer_lstsq, infer_normal, infer_symmetric
 from .linalg import lstsq_min_norm
 from .metrics import hamiltonian_drift, projection_error, relative_l2
 from .rom import (
@@ -698,7 +698,11 @@ def infer(cfg: ExperimentConfig, outdir) -> None:
     differences taken, once with the largest basis; each size r keeps the
     leading rows.  Exact derivatives apply the intrusive generators to the
     snapshots; they and the recovery reference use the intrusive
-    operators, formed once.
+    operators, formed once.  Each fitting problem of each size is
+    compressed once (:func:`~topinf.inference.compress`: one thin QR per
+    sample, ``min(n_times, r) + 1`` columns) and every method is fitted
+    to, and diagnosed on, the compressed data, so no fit reads an
+    ``n_times``-long array.
     """
     cfg = cfg.validate()
     outdir = Path(outdir)
@@ -743,6 +747,7 @@ def infer(cfg: ExperimentConfig, outdir) -> None:
                                              ys=ys[r:], zs=zs[:r])))
         else:
             problems = (("tensor", InferenceData(nus=heat_features(params), ys=ys, zs=zs)),)
+        problems = [(name, compress(data)) for name, data in problems]
         fits: dict[str, np.ndarray] = {}
         for method in cfg.methods:
             for name, data in problems:

@@ -21,6 +21,7 @@ from topinf import (
     SingularMatrixError,
     assemble_lstsq_system,
     assemble_normal_system,
+    compress,
     infer_lstsq,
     infer_normal,
     infer_symmetric,
@@ -341,9 +342,10 @@ def test_uniqueness_holds_on_generic_full_rank_data():
 
 
 def test_full_ranks_do_not_make_the_fit_unique():
-    # both rank conditions hold, yet each sample's snapshots span only the
+    # both factors have full rank, yet each sample's snapshots span only the
     # direction its feature selects: T_1 e_2 and T_2 e_1 are never observed,
-    # so the fit is not unique and both solvers say so in their typed way
+    # so the design is deficient, the check says so, and infer_normal raises
+    # the non-uniqueness error rather than failing in its solve
     nus = np.eye(2)
     ys = np.zeros((2, 3, 2))
     ys[0, :, 0] = [1.0, 2.0, 3.0]
@@ -351,10 +353,13 @@ def test_full_ranks_do_not_make_the_fit_unique():
     zs = np.stack([0.5 * ys[:, :, 0], -ys[:, :, 1]], axis=2)
     data = InferenceData(nus=nus, ys=ys, zs=zs)
     report = uniqueness_check(data)
-    assert report.unique and (report.feature_rank, report.snapshot_rank) == (2, 2)
-    with pytest.raises(SingularMatrixError) as exc:
+    assert not report.unique
+    assert (report.feature_rank, report.snapshot_rank) == (2, 2)
+    assert (report.design_rank, report.design_required) == (2, 4)
+    with pytest.raises(NonUniqueSolutionError) as exc:
         infer_normal(data)
-    assert "rcond=0.000e+00" in str(exc.value)
+    assert exc.value.report == report
+    assert "design 2/4" in str(exc.value)
     assert infer_lstsq(data).rank_deficient
 
 
@@ -401,6 +406,128 @@ def test_subspace_confined_snapshots_break_snapshot_rank():
         [pinv_solution.T[:, x * r : (x + 1) * r] for x in range(p)], axis=2
     )
     assert rel_err(result.tensor, expected) < 1e-8
+
+
+def test_full_rank_design_too_ill_conditioned_for_the_normal_equations():
+    # the design's singular values are 1 and 1e-9: full rank, so the fit is
+    # unique, but the normal matrix squares them to a condition of 1e18 that
+    # no equilibration removes (equal diagonal), so only the solve refuses
+    rot = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+    times = np.linalg.qr(np.random.default_rng(631).standard_normal((4, 2)))[0]
+    ys = (rot @ np.diag([1.0, 1e-9]) @ times.T)[:, :, None]
+    data = InferenceData(nus=np.ones((1, 1)), ys=ys, zs=-ys)
+    report = uniqueness_check(data)
+    assert report.unique and report.design_rank == 2
+    with pytest.raises(SingularMatrixError):
+        infer_normal(data)
+    result = infer_lstsq(data)
+    assert not result.rank_deficient
+    assert rel_err(result.tensor[:, :, 0], -np.eye(2)) < 1e-6
+
+
+# ----------------------------------------------------------------------
+# compression: per-sample QR factors in place of the trajectories
+
+
+def compression_cases():
+    """``(name, data)`` pairs covering the shapes the compression must keep."""
+    rng = np.random.default_rng(640)
+    cases = [("random", random_data(rng, r=4, p=3, nt=12, ns=5, noise=0.5)[0]),
+             ("exact", random_data(rng, r=4, p=2, nt=9, ns=4)[0]),
+             ("times_below_r", random_data(rng, r=5, p=2, nt=3, ns=6, noise=0.5)[0]),
+             ("times_equal_r", random_data(rng, r=4, p=2, nt=4, ns=5, noise=0.5)[0]),
+             ("p1", random_data(rng, r=4, p=1, nt=10, ns=3, noise=0.5)[0]),
+             ("one_sample", random_data(rng, r=3, p=1, nt=8, ns=1, noise=0.5)[0])]
+    # rank-deficient snapshots: each sample's states confined to a plane of R^4
+    r, nt, ns = 4, 10, 5
+    plane = np.linalg.qr(rng.standard_normal((r, 2)))[0]
+    ys = np.einsum("ik,kas->ias", plane, rng.standard_normal((2, nt, ns)))
+    cases.append(("rank_deficient", InferenceData(
+        nus=rng.standard_normal((2, ns)), ys=ys, zs=rng.standard_normal((r, nt, ns)))))
+    # the wave a2 shape: one feature, equal to one for every sample
+    data, _ = random_data(rng, r=4, p=1, nt=15, ns=6, noise=0.5)
+    cases.append(("wave_a2", InferenceData(nus=np.ones((1, 6)), ys=data.ys, zs=data.zs)))
+    return cases
+
+
+CASES = compression_cases()
+
+
+def fit_or_error(fit, data):
+    try:
+        return fit(data)
+    except (NonUniqueSolutionError, SingularMatrixError) as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("name, data", CASES, ids=[name for name, _ in CASES])
+def test_compressed_data_give_the_same_systems_objective_and_checks(name, data):
+    small = compress(data)
+    k = min(data.n_times, data.r)
+    assert small.ys.shape == (data.r, k + 1, data.n_samples)
+    assert np.all(small.ys[:, k] == 0.0) and np.all(small.zs[1:, k] == 0.0)
+    assert np.array_equal(small.nus, data.nus)
+    for got, want in zip(assemble_normal_system(small), assemble_normal_system(data)):
+        assert rel_err(got, want) < 1e-13
+    # the designs' singular values, zero-padded to one length (either may have fewer rows)
+    sv, small_sv = (np.linalg.svd(assemble_lstsq_system(d)[0], compute_uv=False)
+                    for d in (data, small))
+    n = max(sv.size, small_sv.size)
+    padded = [np.pad(v, (0, n - v.size)) for v in (sv, small_sv)]
+    assert np.max(np.abs(padded[1] - padded[0])) <= 1e-13 * sv[0]
+    assert uniqueness_check(small) == uniqueness_check(data)
+    rng = np.random.default_rng(641)
+    for _ in range(3):
+        t = rng.standard_normal((data.r, data.r, data.p))
+        want = objective(t, data)
+        assert abs(objective(t, small) - want) <= 1e-13 * want
+        assert rel_err(objective_gradient(t, small), objective_gradient(t, data)) < 1e-13
+
+
+@pytest.mark.parametrize("name, data", CASES, ids=[name for name, _ in CASES])
+def test_every_solver_fits_compressed_data_as_it_fits_the_data(name, data):
+    small = compress(data)
+    zero = np.zeros((data.r, data.r, data.p))
+    scale = objective(zero, data)
+    gradient_scale = float(np.linalg.norm(objective_gradient(zero, data)))
+    for fit in (infer_normal, infer_lstsq, infer_symmetric):
+        want, got = fit_or_error(fit, data), fit_or_error(fit, small)
+        if isinstance(want, type):
+            assert got is want, (fit.__name__, got)
+            continue
+        assert rel_err(got.tensor, want.tensor) < 1e-12, fit.__name__
+        assert got.rank_deficient == want.rank_deficient
+        if np.isfinite(want.cond):
+            assert abs(got.cond - want.cond) <= 1e-10 * want.cond, fit.__name__
+        else:
+            assert not np.isfinite(got.cond)
+        assert abs(got.residual - want.residual) <= 1e-12 * scale, fit.__name__
+        assert abs(got.stationarity - want.stationarity) <= 1e-12 * gradient_scale, fit.__name__
+
+
+def test_compressed_exact_data_leave_a_roundoff_residual():
+    rng = np.random.default_rng(642)
+    for r, p, nt, ns in ((4, 2, 9, 4), (6, 3, 40, 5), (5, 1, 30, 2)):
+        data, truth = random_data(rng, r=r, p=p, nt=nt, ns=ns)
+        small = compress(data)
+        scale = objective(np.zeros((r, r, p)), data)
+        assert objective(truth, small) <= 1e-18 * scale
+        for fit in (infer_normal, infer_lstsq):
+            assert fit(small).residual <= 1e-18 * scale
+
+
+@pytest.mark.parametrize("name, data", CASES, ids=[name for name, _ in CASES])
+def test_compressing_compressed_data_changes_nothing_beyond_rounding(name, data):
+    once = compress(data)
+    twice = compress(once)
+    if data.n_times >= data.r:
+        assert twice.ys.shape == once.ys.shape
+    for got, want in zip(assemble_normal_system(twice), assemble_normal_system(once)):
+        assert rel_err(got, want) < 1e-13
+    t = np.random.default_rng(643).standard_normal((data.r, data.r, data.p))
+    want = objective(t, once)
+    assert abs(objective(t, twice) - want) <= 1e-13 * want
+    assert rel_err(objective_gradient(t, twice), objective_gradient(t, once)) < 1e-13
 
 
 # ----------------------------------------------------------------------
