@@ -7,7 +7,8 @@ factor of ``M`` (``R^T R = M``), the basis is ``U = R^{-1} Utilde_r`` where
 snapshot stack ``R [Q_1 ... Q_Ns]``, so ``U^T M U = I``.  The stack is
 never formed: a tall-skinny QR reduces the snapshot sets group by group
 to one ``N x N`` triangular factor ``F``, and one SVD of ``R F^T`` gives
-the modes.
+the modes.  When the number of sets is known, the groups' stacks, the
+carried factor included, are as equal as whole sets allow.
 
 :func:`psd_cotangent_lift` builds a symplectic block basis for canonical
 systems ``y = (q, p)``: one weighted POD basis ``Uw`` is fit to the
@@ -24,6 +25,7 @@ or from applying the projected generator to the reduced snapshots exactly
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -43,7 +45,8 @@ __all__ = [
 POD_RANK_RTOL = 1e-12
 
 # A POD group gathers snapshot sets until it holds this many snapshots per
-# state dimension; each group costs one QR (see _snapshot_factor).
+# state dimension, or sets of that many, evenly split, when their number is
+# known; each group costs one QR (see _snapshot_factor).
 _POD_GROUP_ROWS = 4
 
 
@@ -152,7 +155,7 @@ def _cotangent_lift(pod: ReducedBasis) -> ReducedBasis:
 
 def _state_list(snapshots) -> list[np.ndarray]:
     """Accept raw matrices or objects with a ``states`` attribute."""
-    out = list(_snapshot_sets(snapshots))
+    out = list(_snapshot_sets(snapshots)[0])
     if not out:
         raise ValueError("no snapshot sets provided")
     return out
@@ -167,34 +170,67 @@ def _as_set(snapshot) -> np.ndarray:
 
 
 def _snapshot_sets(snapshots):
-    """The snapshot sets of ``snapshots``, one at a time; a 2-D array is one set.
+    """The snapshot sets of ``snapshots``, one at a time, and their number, or None if unknown.
 
-    Holds no set it has handed out, so a set lives only as long as its reader keeps it.
+    A 2-D array is one set.  The number is what ``operator.length_hint``
+    reports: a sequence's length, or an iterator's ``__length_hint__``.
+    Holds no set it has handed out, so a set lives only as long as its
+    reader keeps it.
     """
     if isinstance(snapshots, np.ndarray) and snapshots.ndim == 2:
         snapshots = (snapshots,)
-    return map(_as_set, snapshots)
+    count = operator.length_hint(snapshots, -1)
+    return map(_as_set, snapshots), (count if count >= 0 else None)
 
 
-def _snapshot_factor(snapshots, n: int) -> np.ndarray:
+def _group_ends(count: int, width: int, n: int) -> set[int]:
+    """How many of ``count`` sets, ``width`` snapshots wide, are read when each group closes.
+
+    As many groups as gathering sets until each holds ``_POD_GROUP_ROWS *
+    n`` snapshots makes.  Every group after the first stacks the carried
+    ``n x n`` factor over its sets, so the first holds the number of sets
+    that makes the tallest stack, and so the QR's three copies of it, the
+    least, and the later groups share the rest equally (the last takes
+    what is left): 8 sets of 251 snapshots at ``n = 399`` go 5 + 3, stacks
+    of 1,255 and 1,152 rows, where 4 + 4 would stack 1,004 and 1,403.
+    """
+    groups = -(-count // -(-_POD_GROUP_ROWS * n // max(width, 1)))
+    if groups == 1:
+        return {count}
+
+    def later(first):  # sets in each later group
+        return -(-(count - first) // (groups - 1))
+
+    first = min(range(1, count - groups + 2),
+                key=lambda k: max(k * width, n + later(k) * width))
+    return {min(first + j * later(first), count) for j in range(groups)}
+
+
+def _snapshot_factor(sets, count: int | None, n: int) -> np.ndarray:
     """Upper-triangular ``R`` with ``R^T R = Q Q^T``, ``Q`` the sets side by side.
 
-    A tall-skinny QR over groups of sets: sets are gathered until a group
-    holds at least ``_POD_GROUP_ROWS * n`` snapshots, and each group is
-    reduced by one QR of ``[R; Q_g^T]`` whose factor heads the next group,
-    so one group is held at a time.  The sets are neither pooled nor
-    written.
+    A tall-skinny QR over groups of sets, each reduced by one QR of ``[R;
+    Q_g^T]`` whose factor heads the next group, so one group is held at a
+    time.  When the number of sets ``count`` is known, the sets are split
+    into groups whose stacks are as equal as whole sets allow
+    (:func:`_group_ends`, from the first set's width); otherwise sets are
+    gathered until a group holds at least ``_POD_GROUP_ROWS * n``
+    snapshots.  The sets are neither pooled nor written.
     """
-    group, rows = [], 0  # the carried factor, then the group's transposed sets
-    for states in _snapshot_sets(snapshots):
+    group, rows, ends = [], 0, set()  # the carried factor, then the group's transposed sets
+    read = 0  # counted by hand: enumerate's reused result tuple would hold the last set
+    for states in sets:
         if states.shape[0] != n:
             raise ValueError(f"snapshots have dimension {states.shape[0]}, mass is {n}")
         if not np.all(np.isfinite(states)):
             raise ValueError("non-finite entries in the snapshot stack")
+        read += 1
+        if read == 1 and count:
+            ends = _group_ends(count, states.shape[1], n)
         group.append(states.T)
         rows += states.shape[1]
         del states  # the group holds the set until it is factored
-        if rows >= _POD_GROUP_ROWS * n:
+        if read in ends if count else rows >= _POD_GROUP_ROWS * n:
             group, rows = [_stacked_factor(group)], 0
     if rows:
         group = [_stacked_factor(group)]
@@ -215,7 +251,8 @@ def _stacked_factor(group: list[np.ndarray]) -> np.ndarray:
     return np.linalg.qr(stack, mode="r")
 
 
-def _weighted_left_vectors(snapshots, mass: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
+def _weighted_left_vectors(sets, count: int | None, mass: np.ndarray,
+                           r: int) -> tuple[np.ndarray, np.ndarray]:
     """Leading r left singular vectors of ``W = R_M [Q_1 ... Q_Ns]``, pulled back by ``R_M``.
 
     ``R_M`` is the upper Cholesky factor of ``mass``.  With ``Q^T = O_1 F``
@@ -224,7 +261,7 @@ def _weighted_left_vectors(snapshots, mass: np.ndarray, r: int) -> tuple[np.ndar
     vectors and singular values of the small ``R_M F^T``: the weight is
     applied once, at the end, and ``W`` is never formed.
     """
-    factor = _snapshot_factor(snapshots, np.shape(mass)[0])
+    factor = _snapshot_factor(sets, count, np.shape(mass)[0])
     chol = cholesky_upper(mass)
     # the right singular vectors of W (one entry per snapshot) are never
     # formed.  The Gram matrix W W^T would square the condition number that
@@ -252,17 +289,26 @@ def weighted_pod(snapshots, mass: np.ndarray, r: int) -> ReducedBasis:
         Snapshot matrices (``N x Nt`` each) or objects exposing ``.states``,
         from any iterable (a generator is read once, set by set); a 2-D
         array is one set.  Sets are gathered into groups of at least
-        ``4 N`` snapshots, and each group is reduced to an ``N x N`` QR
-        factor before the next is read, so one group is held at a time.
-        The inputs are neither pooled nor modified.
+        ``4 N`` snapshots, or, when the iterable knows its length (a
+        sequence, or an iterator with ``__length_hint__``), split into as
+        many groups as that makes for sets as wide as the first, whose
+        stacks, the carried factor included, are as equal as whole sets
+        allow.  Each group is reduced to an ``N x N`` QR factor before the
+        next is read, so one group is held at a time.  The inputs are
+        neither pooled nor modified.
     mass : ndarray, shape (N, N)
         Symmetric positive definite weight matrix.
     r : int
         Number of modes; must not exceed the numerical rank of the stack.
     """
+    return _pod(*_snapshot_sets(snapshots), mass, r)
+
+
+def _pod(sets, count: int | None, mass: np.ndarray, r: int) -> ReducedBasis:
+    """:func:`weighted_pod` of the sets of :func:`_snapshot_sets`."""
     if r < 1:
         raise ValueError(f"r must be positive, got {r}")
-    u, svals = _weighted_left_vectors(snapshots, mass, r)
+    u, svals = _weighted_left_vectors(sets, count, mass, r)
     return ReducedBasis(u=u, weight=np.asarray(mass, dtype=float), kind="pod",
                         singular_values=svals)
 
@@ -279,8 +325,9 @@ def psd_cotangent_lift(q_snapshots, p_snapshots, mass: np.ndarray, r: int) -> Re
     caller may pass every set, in any order, as ``q_snapshots`` with no
     momentum sets (``p_snapshots=()``).
     """
-    sets = itertools.chain(_snapshot_sets(q_snapshots), _snapshot_sets(p_snapshots))
-    return _cotangent_lift(weighted_pod(sets, mass, r))
+    (q, q_count), (p, p_count) = _snapshot_sets(q_snapshots), _snapshot_sets(p_snapshots)
+    count = None if q_count is None or p_count is None else q_count + p_count
+    return _cotangent_lift(_pod(itertools.chain(q, p), count, mass, r))
 
 
 def project_snapshots(basis: ReducedBasis, snapshots) -> list[np.ndarray]:

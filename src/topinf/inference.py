@@ -17,12 +17,16 @@ Three solvers are provided:
   matrices: ``p*r*(r+1)/2`` unknowns.  Its system is :func:`infer_normal`'s
   normal equations restricted to that subspace, read off the same
   ``(B, C)``; it is sparse (only basis pairs sharing an index couple) but
-  stored dense, symmetric positive definite, and solved by Cholesky.  The
-  pipeline fits each block of the canonical Hamiltonian form with it.
+  its lower triangle is stored dense; it is symmetric positive definite
+  and solved by Cholesky.  The pipeline fits each block of the canonical
+  Hamiltonian form with it.
 
-Both normal-equations solvers hand their freshly assembled system to
-:func:`~topinf.linalg.solve_sym`, which equilibrates and factors it in
-place, so a fit holds one full-size system array.
+Both normal-equations solvers hand the lower triangle of their freshly
+assembled system to :func:`~topinf.linalg.solve_sym`, which equilibrates
+and factors it in place, so a fit holds one system array, and refines the
+solution once through the negated gradient of the objective on the data
+(:func:`objective_gradient`), the system's residual ``c - A x`` computed
+without the system.
 
 The data enter the fit only through ``Y_s Y_s^T`` and ``Z_s Y_s^T`` and the
 residual norm, so :func:`compress` replaces each sample by ``min(Nt, r) + 1``
@@ -58,7 +62,7 @@ import numpy as np
 
 from . import tensors
 from .errors import NonUniqueSolutionError, ResourceLimitError
-from .linalg import lstsq_min_norm, solve_sym
+from .linalg import lower_index, lower_size, lstsq_min_norm, pack_lower, solve_sym
 
 __all__ = [
     "InferenceData",
@@ -79,15 +83,17 @@ __all__ = [
 UNIQUENESS_RANK_RTOL = 1e-10
 
 #: Cap on the unknowns ``p*r*(r+1)/2`` of the symmetric solver, read at each
-#: call; its dense system takes ``8 * unknowns**2`` bytes.
+#: call; its system, the lower triangle in row strips
+#: (:func:`~topinf.linalg.lower_size`), takes a little over
+#: ``4 * unknowns**2`` bytes.
 SYMMETRIC_UNKNOWN_CAP = 20_000
 
 #: A symmetric fit's peak memory in multiples of its system's bytes: the
-#: assembled system, which the solver checks, equilibrates and factors in
+#: assembled lower triangle, which the solver equilibrates and factors in
 #: place, and at most one tile of scratch and one diagonal block's factor
-#: beside it.  Measured at r = 30, p = 3 (1,395 unknowns): 1.11 in resident
-#: growth (1.17 when the fit is the process's first blocked solve), 1.08
-#: under tracemalloc.
+#: beside it.  Measured at r = 30, p = 3 (1,395 unknowns, 8.72 MiB of
+#: strips): 1.20 in resident growth, 1.13 under tracemalloc; 0.70 and
+#: 0.66 of the dense square's ``8 * unknowns**2`` bytes.
 _SYMMETRIC_PEAK_SYSTEMS = 1.2
 
 
@@ -201,6 +207,13 @@ class InferredTensor:
     stationarity : float
         Frobenius norm of the (structure-projected) objective gradient at
         the solution; near zero for an exact stationary point.
+    unknowns : int
+        Entries of the tensor the fit solves for: ``r*r*p``, or
+        ``p*r*(r+1)/2`` for the symmetric fit.
+    system_bytes : int
+        Bytes of the system the fit solved: for the normal-equations
+        routes the lower strips handed to :func:`~topinf.linalg.solve_sym`
+        (the square up to order 256), for the least-squares one the design.
     rank_deficient : bool
         True when the least-squares route detected column-rank deficiency
         and returned the minimum-norm solution.
@@ -212,6 +225,8 @@ class InferredTensor:
     cond: float
     residual: float
     stationarity: float
+    unknowns: int
+    system_bytes: int
     rank_deficient: bool = False
 
 
@@ -339,9 +354,17 @@ def infer_normal(data: InferenceData) -> InferredTensor:
             f"inference problem has no unique solution: {report}", report=report
         )
     bhat, chat = assemble_normal_system(data)
-    # the solve overwrites bhat, a fresh C-contiguous array nothing else holds
-    sol, cond = solve_sym(bhat, chat.T)
-    tensor = tensors.cmat(sol.T, 1, 2, (data.r, data.p))
+    shape = (data.r, data.p)
+
+    def residual(sol):  # C^T - B sol: column i is row i of the negated gradient
+        return -tensors.cvec(objective_gradient(tensors.cmat(sol.T, 1, 2, shape), data), 1, 2).T
+
+    # the solve overwrites the storage, bhat itself up to order 256: a fresh
+    # C-contiguous array nothing else holds
+    system = pack_lower(bhat)
+    del bhat
+    sol, cond = solve_sym(system, chat.T, residual)
+    tensor = tensors.cmat(sol.T, 1, 2, shape)
     resid, stat = _diagnostics(tensor, data, "generic")
     return InferredTensor(
         tensor=tensor,
@@ -350,6 +373,8 @@ def infer_normal(data: InferenceData) -> InferredTensor:
         cond=cond,
         residual=resid,
         stationarity=stat,
+        unknowns=tensor.size,
+        system_bytes=system.nbytes,
     )
 
 
@@ -371,6 +396,8 @@ def infer_lstsq(data: InferenceData) -> InferredTensor:
         cond=cond,
         residual=resid,
         stationarity=stat,
+        unknowns=tensor.size,
+        system_bytes=d.nbytes,
         rank_deficient=rank_deficient,
     )
 
@@ -400,31 +427,43 @@ def infer_symmetric(data: InferenceData) -> InferredTensor:
     index, so it is filled by four index-matched scatters of ``G``.  The
     right-hand side is ``w_ab (C_x[a, b] + C_x[b, a])``.  The system is
     symmetric positive definite whenever the constrained minimizer is
-    unique and is solved by Cholesky, in place: the system is assembled one
-    feature block at a time (:func:`_symmetric_system`) and handed to
-    :func:`~topinf.linalg.solve_sym`, so the fit holds one full-size array,
-    and its peak is about 1.2 times the system's ``8 * unknowns**2`` bytes.
-    A resource guard refuses problems with more than
-    :data:`SYMMETRIC_UNKNOWN_CAP` unknowns, reporting that peak.  The
-    solution is written back with exact symmetry.
+    unique and is solved by Cholesky, in place: its lower triangle is
+    assembled one feature block at a time straight into the row strips
+    :func:`~topinf.linalg.solve_sym` takes (:func:`_symmetric_system`), so
+    the fit holds one system array of a little over ``4 * unknowns**2``
+    bytes, and its peak is about 1.2 times that.  The refinement
+    residual is the objective's gradient projected onto the basis,
+    ``-w_ab (g_ab + g_ba)``, as the right-hand side is built.  A resource
+    guard refuses problems with more than :data:`SYMMETRIC_UNKNOWN_CAP`
+    unknowns, reporting that peak.  The solution is written back with exact
+    symmetry.
     """
     r, p = data.r, data.p
     a, b = np.triu_indices(r)
     w = np.where(a == b, 0.5, np.sqrt(0.5))
     unknowns = a.size * p
     if unknowns > SYMMETRIC_UNKNOWN_CAP:
-        system_mib = unknowns * unknowns * 8 / 2**20
+        system_mib = lower_size(unknowns) * 8 / 2**20
         raise ResourceLimitError(
-            f"symmetric inference needs {unknowns} unknowns (dense system "
+            f"symmetric inference needs {unknowns} unknowns (lower-triangle system "
             f"{system_mib:.1f} MiB, factored in place: fit peak about "
             f"{_SYMMETRIC_PEAK_SYSTEMS * system_mib:.1f} MiB); cap is {SYMMETRIC_UNKNOWN_CAP}"
         )
-    bhat, chat = _symmetric_system(data, a, b, w)
-    theta, cond = solve_sym(bhat, chat)
-    del bhat  # the solve left it undefined; the diagnostics need the room
-    half = np.zeros((r, r, p))
-    half[a, b] = w[:, None] * theta.reshape(p, a.size).T
-    tensor = half + half.transpose(1, 0, 2)
+
+    def symmetric(theta):  # the tensor of coordinates theta, (p * m,) in feature blocks
+        half = np.zeros((r, r, p))
+        half[a, b] = w[:, None] * theta.reshape(p, a.size).T
+        return half + half.transpose(1, 0, 2)
+
+    def residual(theta):  # c - A theta: the negated gradient in the basis E_ab
+        grad = objective_gradient(symmetric(theta), data)
+        return -(w[:, None] * (grad[a, b] + grad[b, a])).T.ravel()
+
+    system, rhs = _symmetric_system(data, a, b, w)
+    theta, cond = solve_sym(system, rhs, residual)
+    system_bytes = system.nbytes
+    del system  # the solve left it undefined; the diagnostics need the room
+    tensor = symmetric(theta)
     resid, stat = _diagnostics(tensor, data, "symmetric")
     return InferredTensor(
         tensor=tensor,
@@ -433,34 +472,41 @@ def infer_symmetric(data: InferenceData) -> InferredTensor:
         cond=cond,
         residual=resid,
         stationarity=stat,
+        unknowns=unknowns,
+        system_bytes=system_bytes,
     )
 
 
 def _symmetric_system(data: InferenceData, a: np.ndarray, b: np.ndarray,
                       w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The dense system and right-hand side of :func:`infer_symmetric`, read off ``(B, C)``.
+    """The lower triangle and right-hand side of :func:`infer_symmetric`'s system, read off ``(B, C)``.
 
     ``E_k`` is ``w_k`` times the sum of the unit matrices ``e_a e_b^T`` and
     ``e_b e_a^T``; ``e_u e_v^T`` and ``e_s e_t^T`` couple through
     ``delta_us gram[., v, ., t]``.  Each of the four terms is scattered one
-    feature block ``(x, y)`` at a time, so that no temporary outgrows one
-    term of one block and the system is the one large array.
+    feature block ``(x, y)``, ``x >= y``, at a time, into the lower-strip
+    storage of :func:`~topinf.linalg.solve_sym` (in a diagonal block, the
+    pairs ``k >= l``), so that no temporary outgrows one term of one block
+    and the storage is the one large array.
     """
     r, p, m = data.r, data.p, a.size
     # B is G of the docstring as gram[x, i, y, j]; C holds C_x[i, j] at cross[i, x, j]
     bfull, cfull = assemble_normal_system(data)
     gram = bfull.reshape(p, r, p, r)
     cross = cfull.reshape(r, p, r)
-    system = np.zeros((p, m, p, m))
+    system = np.zeros(lower_size(p * m))
     for ku, kv in ((a, b), (b, a)):
         for lu, lv in ((a, b), (b, a)):
             k, l = np.nonzero(ku[:, None] == lu[None, :])
-            weight, rows, cols = w[k] * w[l], kv[k], lv[l]
+            on = k >= l
             for x in range(p):
-                for y in range(p):
-                    system[x, :, y][k, l] += weight * gram[x, :, y][rows, cols]
+                for y in range(x + 1):
+                    pick = on if x == y else slice(None)
+                    kk, ll = k[pick], l[pick]
+                    system[lower_index(x * m + kk, y * m + ll, p * m)] += (
+                        w[kk] * w[ll] * gram[x, :, y][kv[kk], lv[ll]])
     rhs = (w[:, None] * (cross[a, :, b] + cross[b, :, a])).T.ravel()
-    return system.reshape(p * m, p * m), rhs
+    return system, rhs
 
 
 def _residuals(tensor: np.ndarray, data: InferenceData) -> np.ndarray:

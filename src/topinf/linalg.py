@@ -8,22 +8,22 @@ on:
   tolerance, raising :class:`~topinf.errors.NotPositiveDefiniteError` with
   the offending pivot index;
 * :func:`solve_sym` -- symmetric positive definite solve by Cholesky with
-  symmetric diagonal equilibration, one step of iterative refinement, and
-  a condition estimate, raising :class:`~topinf.errors.SingularMatrixError`
-  with a rank estimate when the matrix is singular to working precision
-  and :class:`~topinf.errors.NotPositiveDefiniteError` when it is
-  indefinite.  It works in the caller's array, which is then the one
-  array of its size held; every other temporary that grows with the order
-  is a view of one scratch tile.  One read checks the system
-  (:func:`_symmetric_row_max`) and one write equilibrates it
-  (:func:`_equilibrate`).  A blocked Cholesky
-  (:func:`_cholesky_in_place`) writes the factor below the diagonal, with
-  each diagonal block's inverse in place of that block of the factor; the
-  strict upper triangle and a copy of the diagonal keep the equilibrated
-  system for the refinement residual (:func:`_upper_product`) and the
-  failure paths.  The solves (:func:`_cholesky_solve`) go through the
-  diagonal blocks' inverses, and the condition estimate is a port of
-  LAPACK's ``dpocon`` (:func:`_inverse_norm_estimate`);
+  symmetric diagonal equilibration, one step of iterative refinement on
+  the caller's residual, and a condition estimate, raising
+  :class:`~topinf.errors.SingularMatrixError` with a rank estimate when
+  the matrix is singular to working precision and
+  :class:`~topinf.errors.NotPositiveDefiniteError` when it is indefinite.
+  It takes the lower triangle only, as row strips of 256 rows in one
+  array (:func:`lower_size`, :func:`lower_index`, :func:`pack_lower`),
+  and works in it, so the caller's array is the one array of its size
+  held: 0.59 of the square's bytes at 1,395 unknowns.  One read finds the
+  row maxima (:func:`_row_max`) and one write equilibrates
+  (:func:`_equilibrate`), a tile at a time.  A blocked Cholesky
+  (:func:`_cholesky_in_place`) writes the factor over the strips, with
+  each diagonal block's inverse in place of that block; the solves
+  (:func:`_cholesky_solve`) apply the strips as they are, two products per
+  strip and sweep, and the condition estimate is a port of LAPACK's
+  ``dpocon`` (:func:`_inverse_norm_estimate`);
 * :func:`lstsq_min_norm` -- SVD-based minimum-norm least squares with a
   fixed relative singular-value cutoff;
 * :func:`thin_svd` -- economy-size SVD;
@@ -40,8 +40,8 @@ factorization over NumPy's Cholesky and products, inverts the diagonal
 blocks of the factor by halves (:func:`_invert_lower`), solves through
 those inverses, estimates its condition number with NumPy, and locates a
 breakdown pivot by bisection over NumPy's Cholesky.  At 1,395 unknowns
-(a 14.8 MiB system, six diagonal blocks) the solve adds 0.07 of its
-system's bytes under ``tracemalloc`` and 0.04 in resident growth.
+(8.7 MiB of strips against a 14.8 MiB square, six diagonal blocks) the
+solve adds one 0.5 MiB tile of scratch and one diagonal block's factor.
 
 The tridiagonal stacks are held positions first, ``(n, ..., S)`` for S
 samples, so that each step of a factorization or solve is one contiguous
@@ -59,7 +59,6 @@ package builds is of that kind.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,6 +68,9 @@ from .errors import NotPositiveDefiniteError, SingularMatrixError
 __all__ = [
     "cholesky_upper",
     "solve_sym",
+    "lower_size",
+    "lower_index",
+    "pack_lower",
     "lstsq_min_norm",
     "thin_svd",
     "TridiagonalFactor",
@@ -91,7 +93,7 @@ def _require_square(a: np.ndarray, name: str) -> None:
 
 
 #: Order of the diagonal blocks of :func:`solve_sym`'s in-place Cholesky,
-#: and of the tiles of its trailing update.
+#: of the tiles of its trailing update, and rows per strip of its storage.
 _CHOLESKY_BLOCK = 256
 
 #: ``_LOWER[:m, :m]`` marks the lower triangle, diagonal included, of an
@@ -99,63 +101,98 @@ _CHOLESKY_BLOCK = 256
 _LOWER = np.tri(_CHOLESKY_BLOCK, dtype=bool)
 _LOWER.flags.writeable = False
 
-#: Rows per strip of :func:`_upper_product`, and of the applies of the
-#: diagonal blocks' inverses in :func:`_cholesky_solve`.
-_STRIP = 64
-
 #: Order at and below which :func:`_invert_lower` calls ``np.linalg.inv``.
 _INVERSE_LEAF = 32
 
 
-def _work_buffer(n: int) -> np.ndarray:
-    """The one scratch array of :func:`solve_sym` at order ``n``: a tile of order ``min(n, nb)``.
+def lower_size(n: int) -> int:
+    """Entries of the lower-strip storage of an order-``n`` symmetric matrix.
 
-    Every temporary of the solve that grows with ``n`` is a view of it.  It
-    grows past :data:`_CHOLESKY_BLOCK` only for an ``n`` above ``nb**2``
-    (65,536), so that it still holds one row.
+    Strip ``s`` holds rows ``s*nb`` to ``min((s+1)*nb, n)`` and the columns
+    left of its end, ``nb = 256``, so every strip but the last is ``nb``
+    rows; a matrix of order ``nb`` or less is one strip, its square.
     """
-    side = max(min(n, _CHOLESKY_BLOCK), math.ceil(math.sqrt(n)))
-    return np.empty((side, side))
+    full, last = divmod(n, _CHOLESKY_BLOCK)
+    return _CHOLESKY_BLOCK * _CHOLESKY_BLOCK * full * (full + 1) // 2 + last * n
 
 
-def _strips(n: int, work: np.ndarray):
-    """``(i, j)`` bounds of the row strips of an order-``n`` matrix that ``work`` holds whole."""
-    step = max(1, work.size // max(n, 1))
-    return ((i, min(i + step, n)) for i in range(0, n, step))
+def lower_index(rows, cols, n: int):
+    """Positions of the entries ``(rows, cols)`` in the lower-strip storage of order ``n``.
 
-
-def _symmetric_row_max(a: np.ndarray, name: str, rtol: float = 1e-8,
-                       work: np.ndarray | None = None) -> np.ndarray:
-    """The largest absolute entry of each row of ``a``, which must be symmetric.
-
-    One read of ``a``, a strip of rows at a time: each strip gives its rows'
-    maxima of ``|a|`` and ``max |a - a^T|`` over its part ``a[i:j, i:]`` of
-    the upper triangle, so every pair (row <= col) is compared once, and each
-    transposed strip is a short-strided read where a full ``a - a.T`` walks
-    the transpose a column at a time.  The differences are formed in
-    ``work``.  A matrix with a non-finite entry is not refused here: its
-    maxima are not all finite, which the caller checks.
-
-    Raises
-    ------
-    ValueError
-        If ``max |a - a^T|`` exceeds ``rtol`` times the largest ``|a|``.
+    An entry is stored when its column is left of the end of its row's
+    strip, ``cols < min((rows // 256 + 1) * 256, n)``: every entry on and
+    below the diagonal, and those above it inside a diagonal block.
     """
+    strip = np.asarray(rows) // _CHOLESKY_BLOCK
+    start = strip * _CHOLESKY_BLOCK
+    return (_CHOLESKY_BLOCK * start * (strip + 1) // 2
+            + (rows - start) * np.minimum(start + _CHOLESKY_BLOCK, n) + cols)
+
+
+def pack_lower(a: np.ndarray) -> np.ndarray:
+    """The lower-strip storage of the square ``a``, read from its lower triangle, for :func:`solve_sym`.
+
+    A matrix of order at most 256 is its own storage: a writeable
+    C-contiguous float64 ``a`` of that order is returned as it is, not
+    copied.  Otherwise a new flat array is filled one strip at a time.
+    """
+    a = np.asarray(a)
+    _require_square(a, "a")
     n = a.shape[0]
-    if work is None:
-        work = _work_buffer(n)
-    row_max, flat = np.empty(n), work.reshape(-1)
-    worst = 0.0
-    with np.errstate(invalid="ignore"):  # inf - inf in a system refused as non-finite
-        for i, j in _strips(n, work):
-            rows = a[i:j]
-            np.maximum(np.max(rows, axis=1), -np.min(rows, axis=1), out=row_max[i:j])
-            diff = np.subtract(a[i:j, i:], a[i:, i:j].T,
-                               out=flat[:(j - i) * (n - i)].reshape(j - i, n - i))
-            worst = max(worst, float(np.max(diff)), -float(np.min(diff)))
-    scale = float(np.max(row_max)) if n else 0.0
-    if scale != 0.0 and worst > rtol * scale:
-        raise ValueError(f"{name} is not symmetric to relative tolerance {rtol}")
+    if n <= _CHOLESKY_BLOCK:
+        return np.require(a, np.float64, ["C", "W"])
+    b = np.empty(lower_size(n))
+    for s, strip in enumerate(_strips(b, n)):
+        strip[...] = a[s * _CHOLESKY_BLOCK:(s + 1) * _CHOLESKY_BLOCK, :strip.shape[1]]
+    return b
+
+
+def _strips(b: np.ndarray, n: int) -> list[np.ndarray]:
+    """The row strips of the lower-strip storage ``b`` of order ``n``, views of ``b``."""
+    flat, strips, offset = b.reshape(-1), [], 0
+    for k in range(0, n, _CHOLESKY_BLOCK):
+        e = min(k + _CHOLESKY_BLOCK, n)
+        strips.append(flat[offset:offset + (e - k) * e].reshape(e - k, e))
+        offset += (e - k) * e
+    return strips
+
+
+def _tiles(strips: list[np.ndarray]):
+    """``(rows, cols, tile)`` for every tile of the strips, row strip by row strip.
+
+    A tile is a view of its strip, at most ``nb x nb``; ``rows`` and
+    ``cols`` are its slices of the matrix, and ``rows == cols`` for the
+    diagonal tiles, of which only the lower triangle is the matrix's.
+    """
+    for s, strip in enumerate(strips):
+        rows = slice(s * _CHOLESKY_BLOCK, s * _CHOLESKY_BLOCK + strip.shape[0])
+        for t in range(0, strip.shape[1], _CHOLESKY_BLOCK):
+            cols = slice(t, min(t + _CHOLESKY_BLOCK, strip.shape[1]))
+            yield rows, cols, strip[:, cols]
+
+
+def _abs(tile: np.ndarray, diagonal: bool, work: np.ndarray) -> np.ndarray:
+    """``|tile|`` in ``work``; zeros above the diagonal of a diagonal tile, whose upper triangle is not read."""
+    out = work[:tile.shape[0], :tile.shape[1]]
+    if not diagonal:
+        return np.abs(tile, out=out)
+    out.fill(0.0)
+    return np.abs(tile, out=out, where=_LOWER[:tile.shape[0], :tile.shape[1]])
+
+
+def _row_max(strips: list[np.ndarray], work: np.ndarray) -> np.ndarray:
+    """The largest absolute entry of each row of the symmetric matrix in ``strips``.
+
+    One read of the lower triangle, a tile at a time: a tile's row maxima
+    are its rows', and its column maxima those of the rows of the upper
+    triangle that mirror it.  A non-finite entry makes its row's maximum
+    non-finite, which the caller checks.
+    """
+    row_max = np.zeros(strips[-1].shape[1])
+    for rows, cols, tile in _tiles(strips):
+        a = _abs(tile, rows == cols, work)
+        np.maximum(row_max[rows], np.max(a, axis=1), out=row_max[rows])
+        np.maximum(row_max[cols], np.max(a, axis=0), out=row_max[cols])
     return row_max
 
 
@@ -196,7 +233,8 @@ def cholesky_upper(m: np.ndarray) -> np.ndarray:
     """
     m = np.asarray(m, dtype=float)
     _require_square(m, "m")
-    _symmetric_row_max(m, "m")
+    if np.max(np.abs(m - m.T), initial=0.0) > 1e-8 * np.max(np.abs(m), initial=0.0):
+        raise ValueError("m is not symmetric to relative tolerance 1e-08")
     try:
         r = np.linalg.cholesky(m).T
     except np.linalg.LinAlgError:
@@ -233,22 +271,27 @@ def _singular(eigvals: np.ndarray, rcond: float, rtol: float = 1e-12) -> Singula
     )
 
 
-def _equilibrate(b: np.ndarray, scale: np.ndarray, work: np.ndarray) -> float:
-    """Overwrite ``b`` with ``b / outer(scale, scale)`` a strip of rows at a time; return its 1-norm.
+def _equilibrate(strips: list[np.ndarray], scale: np.ndarray, work: np.ndarray) -> float:
+    """Divide the symmetric matrix in ``strips`` by ``outer(scale, scale)``; return its 1-norm.
 
-    Strip by strip, these are the bits of the one full-size division; each
-    strip's divisors and absolute values are formed in ``work``.  The
-    result is symmetric, so its 1-norm is its largest absolute row sum,
-    taken from each strip as it is written.
+    A tile at a time, the bits of one full-size division; each tile's
+    divisors and absolute values are formed in ``work``.  The result is
+    symmetric, so its 1-norm is its largest absolute row sum: each tile
+    adds its row sums to its rows and its column sums to the rows that
+    mirror it (a diagonal tile's diagonal once).
     """
-    n, flat = b.shape[0], work.reshape(-1)
-    norm = 0.0
-    for i, j in _strips(n, work):
-        rows = b[i:j]
-        strip = flat[:(j - i) * n].reshape(j - i, n)
-        rows /= np.multiply.outer(scale[i:j], scale, out=strip)
-        norm = max(norm, float(np.max(np.sum(np.abs(rows, out=strip), axis=1))))
-    return norm
+    sums = np.zeros(scale.size)
+    for rows, cols, tile in _tiles(strips):
+        m, k = tile.shape
+        diagonal = rows == cols
+        divisors = np.multiply.outer(scale[rows], scale[cols], out=work[:m, :k])
+        np.divide(tile, divisors, out=tile, where=_LOWER[:m, :k] if diagonal else True)
+        a = _abs(tile, diagonal, work)
+        sums[rows] += np.sum(a, axis=1)
+        sums[cols] += np.sum(a, axis=0)
+        if diagonal:
+            sums[rows] -= a.diagonal()
+    return float(np.max(sums))
 
 
 def _invert_lower(l: np.ndarray, work: np.ndarray) -> None:
@@ -274,37 +317,36 @@ def _invert_lower(l: np.ndarray, work: np.ndarray) -> None:
                 out=l[h:, :h])
 
 
-def _cholesky_in_place(a: np.ndarray, work: np.ndarray) -> None:
-    """Overwrite ``a`` on and below its diagonal with ``L``, ``L L^T = a``, diagonal blocks inverted.
+def _cholesky_in_place(strips: list[np.ndarray], work: np.ndarray) -> None:
+    """Overwrite the lower-strip storage ``strips`` with ``L``, ``L L^T = A``, diagonal blocks inverted.
 
-    Right-looking and blocked over diagonal blocks of order
-    :data:`_CHOLESKY_BLOCK`.  Each is factored by ``np.linalg.cholesky``,
-    which reads only its lower triangle, and inverted
-    (:func:`_invert_lower`): the block's lower triangle then holds
-    ``L_kk^-1``, all that the panel solve and :func:`_cholesky_solve` need
-    of it.  The panel below is solved through it, ``L_ik = A_ik L_kk^-T``,
-    and the trailing matrix updated, ``A_it -= L_ik L_tk^T``, one tile at a
-    time through the tile ``work``; in a diagonal tile only the lower
-    triangle is written.  Nothing above the diagonal is read or written, so
-    the strict upper triangle keeps the matrix.  A matrix of at most one
-    block makes exactly the one ``np.linalg.cholesky`` call of an unblocked
-    factorization.
+    Right-looking and blocked over the diagonal blocks, one per strip.
+    Each is factored by ``np.linalg.cholesky``, which reads only its lower
+    triangle, inverted (:func:`_invert_lower`), and that inverse, zeros
+    above its diagonal, written over the whole block: all that the panel
+    solve and :func:`_cholesky_solve` need of it.  The panel below is
+    solved through it, ``L_ik = A_ik L_kk^-T``, and the trailing matrix
+    updated, ``A_it -= L_ik L_tk^T``, one tile at a time through the tile
+    ``work``; in a diagonal tile only the lower triangle is written, so
+    nothing above the diagonal of a block is read before its factor is
+    written there.  A matrix of at most one block makes exactly the one
+    ``np.linalg.cholesky`` call of an unblocked factorization.
 
     Raises
     ------
     NotPositiveDefiniteError
         If a diagonal block does not factor; the exception carries the
-        0-based index, in ``a``, of the pivot at which LAPACK's Cholesky of
-        that block fails.
+        0-based index, in the matrix, of the pivot at which LAPACK's
+        Cholesky of that block fails.
     """
-    n = a.shape[0]
-    for k in range(0, n, _CHOLESKY_BLOCK):
-        e = min(k + _CHOLESKY_BLOCK, n)
-        block = a[k:e, k:e]
+    nb = _CHOLESKY_BLOCK
+    for k, strip in enumerate(strips):
+        kb, ke = k * nb, k * nb + strip.shape[0]
+        block = strip[:, kb:ke]
         try:
             inverse = np.linalg.cholesky(block)
         except np.linalg.LinAlgError:
-            pivot = k + _breakdown_pivot(block)
+            pivot = kb + _breakdown_pivot(block)
             raise NotPositiveDefiniteError(
                 f"matrix is not positive definite (pivot {pivot} failed)",
                 pivot_index=pivot,
@@ -312,107 +354,70 @@ def _cholesky_in_place(a: np.ndarray, work: np.ndarray) -> None:
         # NumPy has no triangular solve: every solve through this block goes
         # through its inverse
         _invert_lower(inverse, work)
-        np.copyto(block, inverse, where=_LOWER[:e - k, :e - k])
-        for i in range(e, n, _CHOLESKY_BLOCK):  # the panel, L_ik = A_ik L_kk^-T
-            panel = a[i:i + _CHOLESKY_BLOCK, k:e]
-            panel[...] = np.matmul(panel, inverse.T, out=work[:panel.shape[0], :e - k])
+        block[...] = inverse
+        for rows in strips[k + 1:]:  # the panel, L_ik = A_ik L_kk^-T
+            panel = rows[:, kb:ke]
+            panel[...] = np.matmul(panel, inverse.T, out=work[:panel.shape[0], :ke - kb])
         del inverse  # so that neither the next block's factor nor the updates' buffers meet it
-        for i in range(e, n, _CHOLESKY_BLOCK):  # the trailing matrix, A_it -= L_ik L_tk^T
-            j = min(i + _CHOLESKY_BLOCK, n)
-            panel = a[i:j, k:e]
-            for t in range(e, i, _CHOLESKY_BLOCK):  # the tiles of row i left of its diagonal one
-                tile = a[i:j, t:t + _CHOLESKY_BLOCK]
-                tile -= np.matmul(panel, a[t:t + _CHOLESKY_BLOCK, k:e].T,
-                                  out=work[:j - i, :_CHOLESKY_BLOCK])
+        for i in range(k + 1, len(strips)):  # the trailing matrix, A_it -= L_ik L_tk^T
+            rows = strips[i]
+            m, panel = rows.shape[0], rows[:, kb:ke]
+            for t in range(k + 1, i):  # the tiles of strip i left of its diagonal one
+                tile = rows[:, t * nb:(t + 1) * nb]
+                tile -= np.matmul(panel, strips[t][:, kb:ke].T, out=work[:m, :nb])
             # the diagonal tile's lower triangle, from the products of its upper
             # half-rows with themselves and of its lower half-rows with all
-            h = (j - i) // 2
+            h = m // 2
             np.matmul(panel[:h], panel[:h].T, out=work[:h, :h])
-            np.matmul(panel[h:], panel.T, out=work[h:j - i, :j - i])
-            tile = a[i:j, i:j]
-            np.subtract(tile, work[:j - i, :j - i], out=tile, where=_LOWER[:j - i, :j - i])
+            np.matmul(panel[h:], panel.T, out=work[h:m, :m])
+            tile = rows[:, i * nb:i * nb + m]
+            np.subtract(tile, work[:m, :m], out=tile, where=_LOWER[:m, :m])
 
 
-def _cholesky_solve(a: np.ndarray, rhs: np.ndarray, work: np.ndarray) -> np.ndarray:
+def _cholesky_solve(strips: list[np.ndarray], rhs: np.ndarray) -> np.ndarray:
     """Solve ``L L^T x = rhs`` by blocked forward and back substitution.
 
-    ``a`` holds ``L`` as :func:`_cholesky_in_place` leaves it: the factor
-    below the diagonal blocks, the inverses of its diagonal blocks in
-    their lower triangles.  ``rhs`` (n,) or (n, k) is not modified.  Each
-    block row is one product with the rows already solved, then one with
-    its block's inverse, :data:`_STRIP` rows at a time: the part of a strip
-    left of its diagonal tile (right of it, transposed, for ``L^T``) is read
-    in place, and the tile's lower triangle is copied into ``work`` over
-    zeros, so nothing above the diagonal of ``a`` is read.
+    ``strips`` holds ``L`` as :func:`_cholesky_in_place` leaves it: the
+    factor left of each strip's diagonal block, the inverse of that block
+    of the factor in the block itself.  ``rhs`` (n,) or (n, k) is not
+    modified.  Each sweep makes two products per strip, each with a view of
+    the strips as they are: forward, with the rows already solved and then
+    the block's inverse; backward, with the transposed inverse and then, to
+    remove the block's solved rows from those above, the transposed part of
+    the strip left of its block.
     """
     x = np.array(rhs, dtype=float)
-    n = a.shape[0]
-    tile = work[:_STRIP, :_STRIP]
-    tile.fill(0.0)
-
-    def lower(block, p, q):  # the lower triangle of block[p:q, p:q], zeros above
-        np.copyto(tile[:q - p, :q - p], block[p:q, p:q], where=_LOWER[:q - p, :q - p])
-        return tile[:q - p, :q - p]
-
-    starts = range(0, n, _CHOLESKY_BLOCK)
-    for k in starts:  # L y = rhs; each strip reads the rows above it, so the last goes first
-        e = min(k + _CHOLESKY_BLOCK, n)
+    bounds = [(k * _CHOLESKY_BLOCK, k * _CHOLESKY_BLOCK + strip.shape[0])
+              for k, strip in enumerate(strips)]
+    for strip, (k, e) in zip(strips, bounds):  # L y = rhs
         if k:
-            x[k:e] -= a[k:e, :k] @ x[:k]
-        block, xk = a[k:e, k:e], x[k:e]
-        for p in reversed(range(0, e - k, _STRIP)):
-            q = min(p + _STRIP, e - k)
-            y = lower(block, p, q) @ xk[p:q]
-            if p:
-                y += block[p:q, :p] @ xk[:p]
-            xk[p:q] = y
-    for k in reversed(starts):  # L^T x = y; each strip reads the rows below it
-        e = min(k + _CHOLESKY_BLOCK, n)
-        if e < n:
-            x[k:e] -= a[e:, k:e].T @ x[e:]
-        block, xk = a[k:e, k:e], x[k:e]
-        for p in range(0, e - k, _STRIP):
-            q = min(p + _STRIP, e - k)
-            y = lower(block, p, q).T @ xk[p:q]
-            if q < e - k:
-                y += block[q:, p:q].T @ xk[q:]
-            xk[p:q] = y
+            x[k:e] -= strip[:, :k] @ x[:k]
+        x[k:e] = strip[:, k:e] @ x[k:e]
+    for strip, (k, e) in zip(reversed(strips), reversed(bounds)):  # L^T x = y
+        x[k:e] = strip[:, k:e].T @ x[k:e]
+        if k:
+            x[:k] -= strip[:, :k].T @ x[k:e]
     return x
 
 
-def _upper_product(a: np.ndarray, diag: np.ndarray, y: np.ndarray,
-                   work: np.ndarray) -> np.ndarray:
-    """``A @ y`` for the symmetric ``A`` with strict upper triangle that of ``a`` and diagonal ``diag``.
+def _eigvalsh(residual, c: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """Eigenvalues of the equilibrated system, its columns rebuilt from the caller's residual.
 
-    ``y`` is (n, k).  Row strip ``i:j`` of ``A``, :data:`_STRIP` rows, is
-    the transposed column strip above its diagonal tile, the diagonal
-    tile, rebuilt in ``work`` from its strict upper triangle and ``diag``,
-    and the row strip right of it.  Nothing on or below the diagonal of
-    ``a``, where :func:`_cholesky_in_place` leaves the factor, is read.
+    Failure paths only.  ``residual(x)`` returns ``c - A x`` column by
+    column, so ``c - residual(x)`` with unit columns in ``x`` gives as many
+    columns of ``A`` as ``c`` has.
     """
-    n = a.shape[0]
-    out = np.empty(y.shape)
-    for i in range(0, n, _STRIP):
-        j = min(i + _STRIP, n)
-        tile = work[:j - i, :j - i]
-        np.copyto(tile, a[i:j, i:j].T)
-        np.copyto(tile, a[i:j, i:j], where=_LOWER[:j - i, :j - i].T)
-        np.fill_diagonal(tile, diag[i:j])
-        out[i:j] = tile @ y[i:j]
-        if j < n:
-            out[i:j] += a[i:j, j:] @ y[j:]
-        if i:
-            out[i:j] += a[:i, i:j].T @ y[:i]
-    return out
-
-
-def _eigvalsh(a: np.ndarray, diag: np.ndarray) -> np.ndarray:
-    """Eigenvalues of the symmetric matrix with strict upper triangle that of ``a`` and diagonal ``diag``.
-
-    Failure paths only: ``diag`` is written onto the diagonal of ``a``.
-    """
-    np.fill_diagonal(a, diag)
-    return np.linalg.eigvalsh(a, UPLO="U")
+    n = scale.size
+    columns = c.reshape(n, -1)
+    k = columns.shape[1]
+    a = np.empty((n, n))
+    for j in range(0, n, k):
+        q = min(j + k, n)
+        units = np.zeros((n, k))
+        units[np.arange(j, q), np.arange(q - j)] = 1.0
+        a[:, j:q] = (columns - residual(units.reshape(c.shape)).reshape(n, k))[:, :q - j]
+    a /= np.multiply.outer(scale, scale)
+    return np.linalg.eigvalsh(a, UPLO="L")
 
 
 #: Iteration limit of the 1-norm estimator (``ITMAX`` of LAPACK's ``dlacn2``).
@@ -458,39 +463,44 @@ def _inverse_norm_estimate(solve, x: np.ndarray) -> float:
     return max(est, 2.0 * (float(np.sum(np.abs(solve(alternating)))) / (3 * n)))
 
 
-def solve_sym(b: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, float]:
-    """Solve ``b @ x = c`` for symmetric positive definite ``b``, overwriting ``b``.
+def solve_sym(b: np.ndarray, c: np.ndarray, residual) -> tuple[np.ndarray, float]:
+    """Solve ``A x = c`` for symmetric positive definite ``A`` held as its lower triangle in ``b``, overwriting ``b``.
 
-    Returns ``(x, cond_estimate)``.  The system is symmetrically
-    equilibrated by the square roots of its row infinity-norms, factorized
-    once by Cholesky, and the solution is polished with a single
-    iterative-refinement step.  The reported condition number is the
-    reciprocal of LAPACK's ``dpocon`` estimate for the equilibrated matrix,
+    Returns ``(x, cond_estimate)``.  ``b`` is the lower-strip storage of
+    ``A`` (see :func:`lower_size`; :func:`pack_lower` makes it from a
+    square): row strips of 256 rows, each up to the end of its diagonal
+    block, in one writeable C-contiguous float64 array of any shape.  A
+    matrix of order at most 256 is one strip, its square.  Only the lower
+    triangle is read.  ``residual(x)``, for an ``x`` shaped as ``c``,
+    returns ``c - A x``, column by column.
+
+    The system is symmetrically equilibrated by the square roots of its
+    row infinity-norms, factorized once by Cholesky, and the solution is
+    polished with a single iterative-refinement step on ``residual``, which
+    a caller can compute more accurately from its data than a product with
+    the stored matrix.  The reported condition number is the reciprocal of
+    LAPACK's ``dpocon`` estimate for the equilibrated matrix,
     ``1 / (||A||_1 est(||A^-1||_1))``, computed by
     :func:`_inverse_norm_estimate`.
 
-    ``b`` must be a writeable C-contiguous float64 array, and it is the
-    one full-size array held: one strip-wise read finds its row maxima and
-    checks its symmetry, one strip-wise write equilibrates it, and the
-    blocked Cholesky (:func:`_cholesky_in_place`) overwrites it on and
-    below the diagonal while the strict upper triangle keeps the
-    equilibrated system, whose diagonal is kept in one n-vector.  The
-    refinement residual (:func:`_upper_product`) and the eigenvalues of the
-    failure paths are read from those two.  Beside ``b`` the solve holds
-    one ``nb x nb`` scratch tile (:func:`_work_buffer`), one diagonal
-    block's factor while it is inverted and its panel solved, and vectors:
-    0.07 of ``b``'s bytes at 1,395 unknowns.  The solve for ``x`` and its
-    refinement's go as second columns of the condition estimate's first two
-    solves.  The contents of ``b`` are undefined on return; ``c`` is not
-    modified.  Every solve with the factor, and every product, runs in
-    NumPy.
+    ``b`` is the one array of its size held: one tile-wise read finds its
+    row maxima (:func:`_row_max`), one tile-wise write equilibrates it
+    (:func:`_equilibrate`), and the blocked Cholesky
+    (:func:`_cholesky_in_place`) overwrites it with the factor.  Beside
+    ``b`` the solve holds one ``nb x nb`` scratch tile, one diagonal block's
+    factor while it is inverted and its panel solved, and vectors.  The
+    solve for ``x`` and its refinement's go as second columns of the
+    condition estimate's first two solves.  The failure paths rebuild the
+    equilibrated matrix from ``residual`` for its eigenvalues.  The
+    contents of ``b`` are undefined on return; ``c`` is not modified.
+    Every solve with the factor, and every product, runs in NumPy.
 
     Raises
     ------
     ValueError
-        If ``b`` is not a writeable C-contiguous float64 square matrix,
-        the shapes do not conform, an entry is not finite, or ``b`` is not
-        symmetric.
+        If ``b`` is not a writeable C-contiguous float64 array, its size is
+        not that of the lower strips of order ``len(c)``, or an entry of
+        the system is not finite.
     SingularMatrixError
         If the equilibrated matrix has an estimated reciprocal condition
         number at or below :data:`SOLVE_RCOND_FLOOR`, or is positive
@@ -507,25 +517,23 @@ def solve_sym(b: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, float]:
             and b.flags.writeable):
         raise ValueError("b must be a writeable C-contiguous float64 array")
     c = np.asarray(c, dtype=float)
-    _require_square(b, "b")
-    if c.shape[0] != b.shape[0]:
-        raise ValueError(
-            f"right-hand side has leading dimension {c.shape[0]}, expected {b.shape[0]}"
-        )
-    n = b.shape[0]
-    work = _work_buffer(n)
+    n = c.shape[0] if c.ndim else 0
+    if c.ndim not in (1, 2) or n == 0 or b.size != lower_size(n):
+        raise ValueError(f"b holds {b.size} entries and c has shape {c.shape}: the lower "
+                         f"strips of an order-{n} system hold {lower_size(n)}")
+    strips = _strips(b, n)
+    work = np.empty((min(n, _CHOLESKY_BLOCK),) * 2)
     # a row's largest absolute entry is finite exactly when the row is
-    row_max = _symmetric_row_max(b, "b", work=work)
+    row_max = _row_max(strips, work)
     if not np.all(np.isfinite(row_max)) or not np.all(np.isfinite(c)):
         raise ValueError("non-finite entries in the linear system")
 
     scale = np.sqrt(np.where(row_max > 0.0, row_max, 1.0))
-    anorm = _equilibrate(b, scale, work)
-    diag = b.diagonal().copy()
+    anorm = _equilibrate(strips, scale, work)
     try:
-        _cholesky_in_place(b, work)
+        _cholesky_in_place(strips, work)
     except NotPositiveDefiniteError as exc:
-        eigvals = _eigvalsh(b, diag)
+        eigvals = _eigvalsh(residual, c, scale)
         if eigvals[0] < -SOLVE_RCOND_FLOOR * abs(eigvals[-1]):
             raise NotPositiveDefiniteError(
                 f"matrix is indefinite (Cholesky pivot {exc.pivot_index} failed)",
@@ -534,28 +542,28 @@ def solve_sym(b: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, float]:
         raise _singular(eigvals, 0.0) from None
 
     # in the equilibrated unknowns y = scale * x the system is b_s y = c / scale,
-    # b_s = b / outer(scale, scale), whose strict upper triangle b still holds.
+    # b_s = b / outer(scale, scale), and its residual is residual(x) / scale.
     # Its solve and its refinement's ride along with the condition estimate's
     # first two solves
     column = scale[:, None]
     rhs = c.reshape(n, -1) / column
-    first = _cholesky_solve(b, np.column_stack((np.full(n, 1.0 / n), rhs)), work)
+    first = _cholesky_solve(strips, np.column_stack((np.full(n, 1.0 / n), rhs)))
     y = first[:, 1:]
-    residual = [rhs - _upper_product(b, diag, y, work)]
+    pending = [residual((y / column).reshape(c.shape)).reshape(n, -1) / column]
 
     def solve(v):
-        if not residual:
-            return _cholesky_solve(b, v, work)
-        both = _cholesky_solve(b, np.column_stack((v, residual.pop())), work)
+        if not pending:
+            return _cholesky_solve(strips, v)
+        both = _cholesky_solve(strips, np.column_stack((v, pending.pop())))
         y[...] += both[:, 1:]
         return both[:, 0]
 
     ainvnm = _inverse_norm_estimate(solve, first[:, 0])
     rcond = (1.0 / ainvnm) / anorm if ainvnm != 0.0 else 0.0
     if not np.isfinite(rcond) or rcond <= SOLVE_RCOND_FLOOR:
-        raise _singular(_eigvalsh(b, diag), rcond)
-    if residual:  # the estimate of order 1 makes no second solve
-        y += _cholesky_solve(b, residual.pop(), work)
+        raise _singular(_eigvalsh(residual, c, scale), rcond)
+    if pending:  # the estimate of order 1 makes no second solve
+        y += _cholesky_solve(strips, pending.pop())
     return (y / column).reshape(c.shape), 1.0 / rcond
 
 

@@ -641,17 +641,48 @@ def simulate_fom(cfg: ExperimentConfig, outdir) -> None:
 # stage 2: reduced basis
 
 
+class _TrainingSets:
+    """The training snapshot sets, read file by file in sample order: an iterator that knows its length.
+
+    Each file gives ``blocks`` sets, ``N x n_times`` transposed views of the
+    time-major file: heat's trajectory, or wave's position block, then its
+    momentum block.  It keeps only the sets of the last file not yet handed
+    out, so a file is freed as soon as its reader lets go of its sets, and
+    its ``__length_hint__`` lets the POD balance its groups.
+    """
+
+    def __init__(self, cfg: ExperimentConfig, outdir: Path, blocks: int):
+        self._read = (_load_fom(cfg, outdir, "train", i) for i in range(cfg.n_train))
+        self._left, self._blocks, self._pending = cfg.n_train * blocks, blocks, []
+
+    def __iter__(self):
+        return self
+
+    def __length_hint__(self) -> int:
+        return self._left
+
+    def __next__(self) -> np.ndarray:
+        if not self._pending:
+            states = next(self._read)
+            n = states.shape[1] // self._blocks
+            self._pending = [states[:, k * n:(k + 1) * n].T for k in range(self._blocks)]
+        self._left -= 1
+        return self._pending.pop(0)
+
+
 def build_basis(cfg: ExperimentConfig, outdir) -> None:
     """Build the reduced basis of the largest requested size from training data.
 
-    The POD reads the training files through a generator, in sample
-    order: heat's trajectories; for wave each file's position block, then
-    its momentum block, each handed over as a transposed view, ``N x
-    n_times``, of the time-major file.  It gathers them into groups of at
-    least ``4 N`` snapshots and reduces each group to an ``N x N`` QR factor
-    before it reads the next (:func:`~topinf.basis.weighted_pod`), so the
-    stage holds one group, never the whole training set; the files' arrays
-    are not modified.
+    The POD reads the training files one at a time (:class:`_TrainingSets`),
+    in sample order: heat's trajectories; for wave each file's position
+    block, then its momentum block, each handed over as a transposed view,
+    ``N x n_times``, of the time-major file.  It splits them into as many
+    groups as groups of at least ``4 N`` snapshots make, with stacks as
+    equal as whole sets allow, and reduces each group to an ``N x N`` QR
+    factor before it reads the next (:func:`~topinf.basis.weighted_pod`),
+    so the stage holds one group,
+    never the whole training set; no file outlives the copy of its sets
+    into their group's stack, and the files' arrays are not modified.
     """
     cfg = cfg.validate()
     outdir = Path(outdir)
@@ -663,14 +694,12 @@ def build_basis(cfg: ExperimentConfig, outdir) -> None:
     model = _build_model(cfg)
     heat = cfg.problem == "heat1d"
     weight = model.mass if heat else model.mass_w
-    n = weight.shape[0]
-    files = (_load_fom(cfg, outdir, "train", i) for i in range(cfg.n_train))
+    sets = _TrainingSets(cfg, outdir, 1 if heat else 2)
     r_max = max(cfg.reduced_dims)
     if heat:
-        b = weighted_pod(map(np.transpose, files), weight, r_max)  # holds no file it handed out
+        b = weighted_pod(sets, weight, r_max)
     else:  # each file's position block, then its momentum block
-        b = psd_cotangent_lift((block.T for states in files
-                                for block in (states[:, :n], states[:, n:])), (), weight, r_max)
+        b = psd_cotangent_lift(sets, (), weight, r_max)
         save_matrix(outdir / "basis" / "u_half.tpoi", b.u_half)
     save_matrix(outdir / "basis" / "u.tpoi", b.u)
     save_tensor(outdir / "basis" / "svals.tpoi", b.singular_values)
@@ -761,7 +790,8 @@ def infer(cfg: ExperimentConfig, outdir) -> None:
                 diagnostics[f"{method}_r{r}" + (f"_{name}" if wave else "")] = {
                     "cond": _finite(result.cond), "rank_deficient": result.rank_deficient,
                     "residual": _finite(result.residual),
-                    "stationarity": _finite(result.stationarity)}
+                    "stationarity": _finite(result.stationarity),
+                    "unknowns": result.unknowns, "system_bytes": result.system_bytes}
         if exact:
             for method, tensor in fits.items():
                 recovery[f"{method}_r{r}"] = _finite(_rel_dist(tensor, reference[:r, :r]))

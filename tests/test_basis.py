@@ -216,10 +216,13 @@ def _assert_same_basis(a, b, exact):
 
 @pytest.mark.parametrize("n_sets, exact", [(2, True), (9, False)], ids=["one-group", "groups"])
 def test_pod_of_a_generator_a_list_and_a_pooled_matrix_agree(n_sets, exact):
-    # the same sets as a generator, a list and one pooled matrix: bit for bit
-    # while they fit in one group (fewer than 4 N snapshots), to rounding once
-    # the list is factored group by group and the matrix in one QR; no input
-    # is modified
+    # the same sets as a generator, a list, an iterator over the list and
+    # one pooled matrix: bit for bit while they fit in one group (fewer than
+    # 4 N snapshots); once the sets are factored group by group, the
+    # iterator, which knows its length, splits them as the list does, bit
+    # for bit, while the generator groups them greedily and the matrix is
+    # one QR, both to rounding (the cotangent lift's 18 sets go 6 + 4 + 4 + 4
+    # against 5 + 5 + 5 + 3); no input is modified
     rng = np.random.default_rng(512)
     n, r = 8, 4
     mass = random_spd(rng, n)
@@ -229,11 +232,13 @@ def test_pod_of_a_generator_a_list_and_a_pooled_matrix_agree(n_sets, exact):
     for fit, sets in ((lambda *a: weighted_pod(*a, mass, r), (qs,)),
                       (lambda *a: psd_cotangent_lift(*a, mass, r), (qs, ps))):
         from_list = fit(*sets)
+        from_iterator = fit(*(iter(group) for group in sets))
         from_generator = fit(*((s for s in group) for group in sets))
         pooled = np.hstack([s for group in sets for s in group])
         unchanged = pooled.copy()
         from_matrix = fit(pooled, *([()] if len(sets) == 2 else []))
-        _assert_same_basis(from_generator, from_list, exact=True)
+        _assert_same_basis(from_iterator, from_list, exact=True)
+        _assert_same_basis(from_generator, from_list, exact=exact or len(sets) == 1)
         _assert_same_basis(from_matrix, from_list, exact=exact)
         assert from_list.kind == from_generator.kind == from_matrix.kind
         np.testing.assert_array_equal(pooled, unchanged)
@@ -246,8 +251,9 @@ def test_pod_groups_sets_until_they_hold_four_n_snapshots(monkeypatch):
     # and 9 snapshots, then one wider than 4 n (30), close the first group at
     # 46; the next group stacks the carried 5 x 5 factor over the last two
     # sets (4 + 3), a partial group, and its QR is the last: the weight
-    # goes into the one SVD of the final factor.  The basis matches the full
-    # SVD of the weighted pooled stack.
+    # goes into the one SVD of the final factor.  The sets come from a
+    # generator, whose length is unknown.  The basis matches the full SVD
+    # of the weighted pooled stack.
     rng = np.random.default_rng(513)
     n, r = 5, 3
     mass = random_spd(rng, n)
@@ -260,7 +266,7 @@ def test_pod_groups_sets_until_they_hold_four_n_snapshots(monkeypatch):
         return real_qr(a, mode=mode)
 
     monkeypatch.setattr(np.linalg, "qr", spy)
-    basis = weighted_pod(iter(sets), mass, r)
+    basis = weighted_pod((s for s in sets), mass, r)
     monkeypatch.undo()
     assert shapes == [(46, n), (n + 7, n)]
 
@@ -275,6 +281,47 @@ def test_pod_groups_sets_until_they_hold_four_n_snapshots(monkeypatch):
     monkeypatch.setattr(np.linalg, "qr", spy)
     weighted_pod(sets[2], mass, r)
     assert shapes == [(30, n)]
+
+
+def qr_rows(groups, n, width):
+    """Rows of each QR of a POD over groups of ``groups`` sets ``width`` wide, the carried factor on top."""
+    return [width * groups[0]] + [n + width * size for size in groups[1:]]
+
+
+@pytest.mark.parametrize("count, groups", [(8, [5, 3]), (9, [5, 4]), (14, [8, 6]),
+                                           (15, [5, 5, 5]), (7, [7])])
+def test_pod_balances_the_stacks_of_a_known_number_of_sets(monkeypatch, count, groups):
+    # n = 5, sets of 3 snapshots: gathering until a group holds 4 n = 20
+    # snapshots closes a group every 7 sets.  A list, or an iterator that
+    # knows its length, is split into as many groups; each group after the
+    # first stacks the carried 5 x 5 factor over its sets, so the first
+    # takes the sets that make the tallest stack least (8 sets: 15 and 14
+    # rows, where 4 + 4 would stack 12 and 17) and the later groups share
+    # the rest.  A generator is still grouped greedily, and every grouping
+    # gives the basis of the pooled stack.
+    rng = np.random.default_rng(515)
+    n, r = 5, 3
+    mass = random_spd(rng, n)
+    sets = [rng.standard_normal((n, 3)) for _ in range(count)]
+    shapes = []
+    real_qr = np.linalg.qr
+
+    def spy(a, mode="reduced"):
+        shapes.append(np.shape(a)[0])
+        return real_qr(a, mode=mode)
+
+    monkeypatch.setattr(np.linalg, "qr", spy)
+    equal = weighted_pod(sets, mass, r)
+    assert shapes == qr_rows(groups, n, 3)
+    shapes.clear()
+    assert weighted_pod(iter(sets), mass, r).u.tobytes() == equal.u.tobytes()
+    assert shapes == qr_rows(groups, n, 3)
+    shapes.clear()
+    greedy = weighted_pod((s for s in sets), mass, r)
+    assert shapes == qr_rows([7] * (count // 7) + ([count % 7] if count % 7 else []), n, 3)
+    monkeypatch.undo()
+    _assert_same_basis(greedy, equal, exact=False)
+    _assert_same_basis(weighted_pod(np.hstack(sets), mass, r), equal, exact=False)
 
 
 @pytest.mark.parametrize("problem", ["heat1d", "wave1d"])
@@ -298,15 +345,18 @@ def test_project_matches_the_dense_weight_product(problem):
     np.testing.assert_allclose(got, expected, rtol=0, atol=1e-13 * np.max(np.abs(expected)))
 
 
-@pytest.mark.parametrize("problem", ["heat1d", "wave1d"])
-def test_basis_build_holds_one_group_of_training_data(problem, tmp_path):
+@pytest.mark.parametrize("problem, bound", [("heat1d", 0.6), ("wave1d", 0.35)],
+                         ids=["heat1d", "wave1d"])
+def test_basis_build_holds_one_group_of_training_data(problem, bound, tmp_path):
     # build_basis streams the training files through the POD: one group of
     # at least 4 N snapshots and the carried N x N factor are held at a
     # time, twice during the group's QR (the stack and NumPy's input copy),
-    # so the traced peak is a fraction of the training data.  Default heat1d
+    # and no file outlives the copy of its sets into the stack, so the
+    # traced peak is a fraction of the training data.  Default heat1d
     # (N = 200, 20 sets of 251) stacks 1,204 of 5,020 rows per group and
-    # peaks at about 0.57 times the data, wave1d at about 0.40; pooling all
-    # the data, as the pipeline once did, peaks at about 2.1 times.
+    # peaks at about 0.575 times the data, wave1d at about 0.310 (0.410
+    # when the last file read outlived its group's copy); pooling all the
+    # data, as the pipeline once did, peaks at about 2.1 times.
     cfg = dataclasses.replace(default_config(problem), n_test=0)
     pipeline.simulate_fom(cfg, tmp_path)
     pipeline.build_basis(cfg, tmp_path)  # first-call imports outside the trace
@@ -318,7 +368,7 @@ def test_basis_build_holds_one_group_of_training_data(problem, tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 0.6 * data_bytes
+    assert peak <= bound * data_bytes
 
 
 def test_project_and_lift_round_trip_in_span():

@@ -16,6 +16,7 @@ import pytest
 import topinf
 from topinf import (
     InferenceData,
+    lower_size,
     NonUniqueSolutionError,
     ResourceLimitError,
     SingularMatrixError,
@@ -201,9 +202,9 @@ def test_normal_solver_hands_the_in_place_solve_an_array_it_may_overwrite(
         seen["bhat"], chat = assemble(d)
         return seen["bhat"], chat
 
-    def solve_spy(b, c):
+    def solve_spy(b, c, residual):
         seen["b"] = b
-        return solve(b, c)
+        return solve(b, c, residual)
 
     monkeypatch.setattr(inference, "assemble_normal_system", assemble_spy)
     monkeypatch.setattr(inference, "solve_sym", solve_spy)
@@ -211,7 +212,8 @@ def test_normal_solver_hands_the_in_place_solve_an_array_it_may_overwrite(
     b, bhat = seen["b"], seen["bhat"]
     assert b.dtype == np.float64 and b.flags.c_contiguous and b.flags.writeable
     assert not np.shares_memory(b, data.ys) and not np.shares_memory(b, data.zs)
-    # a C-contiguous assembly is handed over as it is, not copied
+    # a C-contiguous assembly of order at most 256 is its own lower-strip
+    # storage, handed over as it is, not copied
     assert (b is bhat) == bhat.flags.c_contiguous
     assert rel_err(result.tensor, truth) < 1e-10
 
@@ -320,12 +322,13 @@ def test_symmetric_solver_resource_cap(monkeypatch):
         infer_symmetric(data)  # needs p * r * (r + 1) / 2 = 6
     monkeypatch.setattr(inference, "SYMMETRIC_UNKNOWN_CAP", 6)
     infer_symmetric(data)
-    # the refusal reports the system's size and the fit's expected peak
+    # the refusal reports the size of the system's lower strips, 8.72 MiB
+    # where the square took 14.8, and the fit's expected peak
     large, _ = random_data(rng, r=30, p=3)
     monkeypatch.setattr(inference, "SYMMETRIC_UNKNOWN_CAP", 1394)
     with pytest.raises(ResourceLimitError,
-                       match=r"1395 unknowns \(dense system 14\.8 MiB, factored in place: "
-                             r"fit peak about 17\.8 MiB\); cap is 1394"):
+                       match=r"1395 unknowns \(lower-triangle system 8\.7 MiB, factored in "
+                             r"place: fit peak about 10\.5 MiB\); cap is 1394"):
         infer_symmetric(large)
 
 
@@ -561,8 +564,18 @@ def test_inference_data_validation():
 # symmetric system: restriction of the normal equations
 
 
+def dense_of(b, n):
+    """The symmetric matrix whose lower triangle the lower-strip storage ``b`` holds."""
+    from topinf.linalg import lower_index
+
+    rows, cols = np.tril_indices(n)
+    out = np.zeros((n, n))
+    out[rows, cols] = b.reshape(-1)[lower_index(rows, cols, n)]
+    return out + np.tril(out, -1).T
+
+
 def capture_symmetric_system(monkeypatch, data):
-    """The ``(b, c)`` that :func:`infer_symmetric` hands to ``solve_sym``.
+    """The system, as a dense symmetric matrix, and ``c`` that :func:`infer_symmetric` hands to ``solve_sym``.
 
     The solve overwrites ``b``, so the spy records copies taken before the call.
     """
@@ -571,9 +584,9 @@ def capture_symmetric_system(monkeypatch, data):
     seen = {}
     solve = inference.solve_sym
 
-    def spy(b, c):
-        seen["b"], seen["c"] = b.copy(), np.array(c)
-        return solve(b, c)
+    def spy(b, c, residual):
+        seen["b"], seen["c"] = dense_of(b, len(c)), np.array(c)
+        return solve(b, c, residual)
 
     monkeypatch.setattr(inference, "solve_sym", spy)
     infer_symmetric(data)
@@ -628,6 +641,77 @@ def test_symmetric_system_couples_only_pairs_that_share_an_index(monkeypatch):
     assert np.all(system[block] != 0.0)
 
 
+def test_symmetric_system_is_assembled_in_its_lower_triangle(monkeypatch):
+    # p * m = 2 * 276 = 552 unknowns: three strips, the last partial.  Only
+    # feature blocks on and below the diagonal are written, and in a diagonal
+    # block only the pairs on and below its diagonal: the strips' entries
+    # above the diagonal stay zero
+    from topinf import inference
+    from topinf.linalg import lower_index
+
+    rng = np.random.default_rng(631)
+    r, p = 23, 2
+    n = p * r * (r + 1) // 2
+    data, _ = random_data(rng, r=r, p=p, nt=30, ns=6, noise=1.0)
+
+    class Handed(Exception):
+        pass
+
+    def handed(b, c, residual):
+        raise Handed(b)
+
+    monkeypatch.setattr(inference, "solve_sym", handed)
+    with pytest.raises(Handed) as exc:
+        infer_symmetric(data)
+    b = exc.value.args[0]
+    assert b.shape == (lower_size(n),)
+    rows, cols = np.triu_indices(n, 1)
+    inside = cols < np.minimum((rows // 256 + 1) * 256, n)
+    assert np.count_nonzero(inside) > 0
+    np.testing.assert_array_equal(b[lower_index(rows[inside], cols[inside], n)], 0.0)
+
+
+def capture_refinement(monkeypatch, fit, data):
+    """The system, as a dense symmetric matrix, ``c`` and the residual that ``fit`` hands to ``solve_sym``."""
+    from topinf import inference
+
+    seen = {}
+    solve = inference.solve_sym
+
+    def spy(b, c, residual):
+        seen.update(a=dense_of(b, len(c)), c=np.array(c), residual=residual)
+        return solve(b, c, residual)
+
+    monkeypatch.setattr(inference, "solve_sym", spy)
+    fit(data)
+    return seen["a"], seen["c"], seen["residual"]
+
+
+@pytest.mark.parametrize("fit", [infer_normal, infer_symmetric], ids=["normal", "symmetric"])
+@pytest.mark.parametrize("compressed", [False, True], ids=["data", "compressed"])
+def test_refinement_residual_is_the_assembled_systems_residual(monkeypatch, fit, compressed):
+    # the residual each fit hands the solve, the objective's negated
+    # gradient on the data (projected onto the symmetric basis for the
+    # constrained fit), is c - A x of the assembled system to rounding, for
+    # any x, and one column at a time
+    rng = np.random.default_rng(632)
+    data, _ = random_data(rng, r=8, p=3, nt=40, ns=7, noise=0.5)
+    data = compress(data) if compressed else data
+    a, c, residual = capture_refinement(monkeypatch, fit, data)
+    for _ in range(3):
+        x = rng.standard_normal(c.shape)
+        got = residual(x)
+        expected = c - a @ x
+        assert got.shape == c.shape
+        scale = np.max(np.abs(c)) + np.max(np.abs(a)) * np.max(np.abs(x))
+        assert np.max(np.abs(got - expected)) <= 1e-13 * scale
+    if c.ndim == 2:  # column i of the residual reads column i of x alone
+        x = rng.standard_normal(c.shape)
+        x_other = x.copy()
+        x_other[:, 1:] = rng.standard_normal((c.shape[0], c.shape[1] - 1))
+        np.testing.assert_array_equal(residual(x)[:, 0], residual(x_other)[:, 0])
+
+
 def test_symmetric_fit_peak_memory_stays_near_its_system():
     import tracemalloc
 
@@ -642,15 +726,18 @@ def test_symmetric_fit_peak_memory_stays_near_its_system():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the assembled system, equilibrated and factored in place by the solver,
-    # and at most a tile and a diagonal block of scratch (1.076 at NumPy 2.4)
-    assert peak <= 1.1 * system_bytes
+    # the lower strips of the system, 0.587 of its square, equilibrated and
+    # factored in place by the solver, and at most a tile and a diagonal
+    # block of scratch (0.663 at NumPy 2.4; 1.076 when the solver took the
+    # square)
+    assert peak <= 0.7 * system_bytes
 
 
 def test_symmetric_system_assembly_holds_only_its_system(monkeypatch):
-    # the scatters run one feature block at a time: when the solver is
-    # handed the system, the assembly's peak is the system and one block's
-    # index arrays (1.053 at NumPy 2.4; 1.156 with whole-system scatters)
+    # the scatters run one feature block at a time, straight into the lower
+    # strips: when the solver is handed the system, the assembly's peak is
+    # the strips and one block's index arrays (1.095 of the strips at NumPy
+    # 2.4, 0.643 of the square)
     import tracemalloc
 
     from topinf import inference
@@ -658,7 +745,7 @@ def test_symmetric_system_assembly_holds_only_its_system(monkeypatch):
     class Handed(Exception):
         pass
 
-    def handed(b, c):
+    def handed(b, c, residual):
         peaks.append(tracemalloc.get_traced_memory()[1])
         raise Handed
 
@@ -673,7 +760,7 @@ def test_symmetric_system_assembly_holds_only_its_system(monkeypatch):
             infer_symmetric(data)
     finally:
         tracemalloc.stop()
-    assert peaks[0] <= 1.06 * 8 * (p * r * (r + 1) // 2) ** 2
+    assert peaks[0] <= 1.12 * 8 * lower_size(p * r * (r + 1) // 2)
 
 
 _RESIDENT_FIT_PEAK = """
@@ -709,4 +796,4 @@ def test_symmetric_fit_resident_peak_stays_near_its_system():
     src = str(Path(topinf.__file__).resolve().parents[1])
     done = subprocess.run([sys.executable, "-c", _RESIDENT_FIT_PEAK, src], capture_output=True,
                           text=True, timeout=120, check=True)
-    assert float(done.stdout) <= 1.25  # 1.109 at NumPy 2.4
+    assert float(done.stdout) <= 0.8  # 0.70 at NumPy 2.4; 1.109 when the solver took the square

@@ -14,7 +14,10 @@ from topinf import (
     build_wave_model,
     cholesky_upper,
     factor_tridiagonals,
+    lower_index,
+    lower_size,
     lstsq_min_norm,
+    pack_lower,
     solve_sym,
     thin_svd,
     weighted_bands,
@@ -78,6 +81,20 @@ def test_cholesky_validates_arguments():
 # symmetric solve
 
 
+def solve_dense(a, c):
+    """:func:`solve_sym` on the lower strips of a copy of ``a``, refined through ``c - a @ x``."""
+    a = np.asarray(a, dtype=float)
+    return solve_sym(pack_lower(a.copy()), c, lambda x: c - a @ x)
+
+
+def dense_of(b, n):
+    """The symmetric matrix whose lower triangle the lower-strip storage ``b`` holds."""
+    rows, cols = np.tril_indices(n)
+    out = np.zeros((n, n))
+    out[rows, cols] = b.reshape(-1)[lower_index(rows, cols, n)]
+    return out + np.tril(out, -1).T
+
+
 def test_solve_sym_matches_reference_solver():
     rng = np.random.default_rng(202)
     for _ in range(20):
@@ -86,15 +103,65 @@ def test_solve_sym_matches_reference_solver():
         b += b.T  # stays symmetric
         x_true = rng.standard_normal((n, 3))
         c = b @ x_true
-        x, cond = solve_sym(b, c)
+        x, cond = solve_dense(b, c)
         assert cond >= 1.0
         np.testing.assert_allclose(x, x_true, rtol=0, atol=1e-11 * np.max(np.abs(x_true)))
+
+
+@pytest.mark.parametrize("n", [1, 255, 256, 257, 513, 600])
+def test_solve_sym_on_lower_strips_matches_numpy(n):
+    # strips of 256 rows up to the end of each diagonal block: one strip, its
+    # square, up to order 256, then a partial last strip or none
+    rng = np.random.default_rng(219)
+    a = random_spd(rng, n, cond=1e3)
+    c = rng.standard_normal((n, 2))
+    square = a.copy()
+    b = pack_lower(square)
+    assert b.size == lower_size(n) == sum(
+        (min(k + 256, n) - k) * min(k + 256, n) for k in range(0, n, 256))
+    assert (b is square) == (n <= 256)
+    x, _ = solve_sym(b, c, lambda x: c - a @ x)
+    expected = np.linalg.solve(a, c)
+    np.testing.assert_allclose(x, expected, rtol=0, atol=1e-12 * np.max(np.abs(expected)))
+
+
+@pytest.mark.parametrize("n", [1, 63, 255, 256, 257, 600])
+def test_solve_sym_reads_only_the_lower_triangle(n):
+    # the entries above the diagonal of each strip's diagonal block are never
+    # read: NaN there changes nothing, bit for bit
+    rng = np.random.default_rng(217)
+    a = random_spd(rng, n, cond=1e3)
+    c = rng.standard_normal(n)
+    x, cond = solve_dense(a, c)
+    b = pack_lower(a.copy())
+    rows, cols = np.triu_indices(n, 1)
+    inside = cols < np.minimum((rows // 256 + 1) * 256, n)
+    b.reshape(-1)[lower_index(rows[inside], cols[inside], n)] = np.nan
+    x_poisoned, cond_poisoned = solve_sym(b, c, lambda x: c - a @ x)
+    np.testing.assert_array_equal(x_poisoned, x)
+    assert cond_poisoned == cond
+
+
+def test_lower_strip_storage_is_packed_from_the_lower_triangle():
+    rng = np.random.default_rng(220)
+    n = 600
+    a = rng.standard_normal((n, n))
+    b = pack_lower(a)
+    assert b.shape == (lower_size(n),) and not np.shares_memory(b, a)
+    np.testing.assert_array_equal(np.tril(dense_of(b, n)), np.tril(a))
+    # up to order 256 a writeable C-contiguous float64 square is its own storage
+    small = rng.standard_normal((40, 40))
+    assert pack_lower(small) is small
+    for other in (np.asfortranarray(small), small.astype(np.float32), small[:, :40:1].T):
+        packed = pack_lower(other)
+        assert packed is not other and packed.flags.c_contiguous and packed.dtype == np.float64
+        np.testing.assert_array_equal(packed, np.asarray(other, dtype=float))
 
 
 def test_solve_sym_accepts_vector_right_hand_side():
     b = np.array([[2.0, 1.0], [1.0, 3.0]])
     c = np.array([1.0, 2.0])
-    x, _ = solve_sym(b.copy(), c)
+    x, _ = solve_dense(b, c)
     assert x.shape == (2,)
     np.testing.assert_allclose(b @ x, c, atol=1e-14)
 
@@ -110,36 +177,38 @@ def test_solve_sym_equilibration_tames_row_scaling():
     x_true = rng.standard_normal(6)
     c = b @ x_true
     assert np.linalg.cond(b) > 1e15
-    x, cond = solve_sym(b.copy(), c)
+    x, cond = solve_dense(b, c)
     assert np.max(np.abs(x - x_true)) <= 1e-6 * np.max(np.abs(x_true))
     assert cond < 1e-6 * np.linalg.cond(b)
 
 
 def test_solve_sym_raises_on_singular_with_rank_estimate():
-    b = np.ones((3, 3))
     with pytest.raises(SingularMatrixError) as exc:
-        solve_sym(b, np.ones(3))
+        solve_dense(np.ones((3, 3)), np.ones(3))
     assert exc.value.rank_estimate == 1
     assert exc.value.cond_estimate > 1e12
 
 
 def test_solve_sym_rejects_indefinite_with_pivot_index():
     with pytest.raises(NotPositiveDefiniteError) as exc:
-        solve_sym(np.diag([1.0, -1.0]), np.ones(2))
+        solve_dense(np.diag([1.0, -1.0]), np.ones(2))
     assert exc.value.pivot_index == 1
 
 
 def test_solve_sym_validates_arguments():
-    with pytest.raises(ValueError):
-        solve_sym(np.zeros((2, 3)), np.zeros(2))
-    with pytest.raises(ValueError):
-        solve_sym(np.array([[1.0, 2.0], [0.5, 1.0]]), np.zeros(2))  # not symmetric
-    with pytest.raises(ValueError):
-        solve_sym(np.eye(2), np.zeros(3))
-    with pytest.raises(ValueError):
-        solve_sym(np.array([[np.nan, 0.0], [0.0, 1.0]]), np.zeros(2))
-    with pytest.raises(ValueError):
-        solve_sym(np.eye(2), np.array([np.inf, 0.0]))
+    def unused(x):
+        raise AssertionError("no residual is taken of a refused system")
+
+    with pytest.raises(ValueError, match="lower strips"):
+        solve_sym(np.zeros((2, 3)), np.zeros(2), unused)
+    with pytest.raises(ValueError, match="lower strips"):
+        solve_sym(np.eye(2), np.zeros(3), unused)
+    with pytest.raises(ValueError, match="lower strips"):
+        solve_sym(np.eye(300), np.ones(300), unused)  # a square is the storage only up to 256
+    with pytest.raises(ValueError, match="non-finite"):
+        solve_sym(np.array([[np.nan, 0.0], [0.0, 1.0]]), np.zeros(2), unused)
+    with pytest.raises(ValueError, match="non-finite"):
+        solve_sym(np.eye(2), np.array([np.inf, 0.0]), unused)
 
 
 @pytest.mark.parametrize("kind", ["fortran", "float32", "list", "read-only"])
@@ -155,9 +224,9 @@ def test_solve_sym_refuses_an_array_it_cannot_overwrite(kind):
     }[kind]()
     before = np.array(bad)
     with pytest.raises(ValueError, match="writeable C-contiguous float64"):
-        solve_sym(bad, np.ones(4))
+        solve_sym(bad, np.ones(4), lambda x: np.ones(4) - b @ x)
     np.testing.assert_array_equal(np.array(bad), before)
-    x, _ = solve_sym(b.copy(), np.ones(4))
+    x, _ = solve_dense(b, np.ones(4))
     np.testing.assert_allclose((np.eye(4) + 0.5) @ x, np.ones(4), atol=1e-14)
 
 
@@ -167,42 +236,49 @@ def test_solve_sym_peak_memory_stays_near_its_system():
     rng = np.random.default_rng(131)
     n = 1395  # the r = 30, p = 3 symmetric fit: six diagonal blocks
     g = rng.standard_normal((n, n))
-    b = g @ g.T / n + np.eye(n)
+    a = g @ g.T / n + np.eye(n)
+    b = pack_lower(a)
     c = rng.standard_normal(n)
-    solve_sym(np.eye(3), np.ones(3))  # first-call set-up outside the trace
+    solve_dense(np.eye(3), np.ones(3))  # first-call set-up outside the trace
     tracemalloc.start()
     try:
-        solve_sym(b, c)
+        solve_sym(b, c, lambda x: c - a @ x)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # b is checked, equilibrated and factored in place: one tile of scratch
-    # and one diagonal block's factor at a time (0.074 at NumPy 2.4), no
-    # copies of the diagonal blocks, no stored inverses, no strip products
-    assert peak <= 0.1 * b.nbytes
+    # the strips, 0.59 of the square, are read, equilibrated and factored in
+    # place: one tile of scratch and one diagonal block's factor at a time
+    # (0.115 of the strips' bytes, 0.068 of the square's, at NumPy 2.4)
+    assert b.nbytes == 8 * 1_143_465
+    assert peak <= 0.13 * b.nbytes
 
 
 _RESIDENT_PEAK = """
 import sys
 import numpy as np
 sys.path.insert(0, sys.argv[1])
-from topinf import solve_sym
+from topinf import linalg, solve_sym
 
 def status(key):
     with open("/proc/self/status") as f:
         return next(int(line.split()[1]) * 1024 for line in f if line.startswith(key + ":"))
 
 n = 1395
-solve_sym(np.eye(300) + 0.5, np.ones(300))  # imports and every code path, two blocks
-# a Laplace-kernel matrix (positive definite), built a strip of rows at a
-# time so that building it leaves no high-water mark above the resident set
+a = np.eye(300) + 0.5
+solve_sym(linalg.pack_lower(a.copy()), np.ones(300), lambda x: 1.0 - a @ x)  # every code path, two blocks
+# a Laplace-kernel matrix (positive definite), built straight into its lower
+# strips 32 rows at a time, so that building it leaves no high-water mark
+# above the resident set; the residual is taken 32 rows at a time too
 x = np.linspace(0.0, 50.0, n)
-b = np.empty((n, n))
-for i in range(0, n, 64):
-    b[i:i + 64] = np.exp(-np.abs(x[i:i + 64, None] - x[None, :]))
+b = np.empty(linalg.lower_size(n))
+for k, strip in enumerate(linalg._strips(b, n)):
+    for i in range(0, strip.shape[0], 32):
+        rows = x[256 * k + i:256 * k + i + 32, None]
+        strip[i:i + 32] = np.exp(-np.abs(rows - x[None, :strip.shape[1]]))
 c = np.ones(n)
 before = status("VmRSS")
-solve_sym(b, c)
+solve_sym(b, c, lambda y: c - np.concatenate([np.exp(-np.abs(x[i:i + 32, None] - x)) @ y
+                                              for i in range(0, n, 32)]))
 print((status("VmHWM") - before) / b.nbytes)
 """
 
@@ -216,7 +292,7 @@ def test_solve_sym_resident_peak_stays_near_its_system():
     src = str(Path(topinf.__file__).resolve().parents[1])
     done = subprocess.run([sys.executable, "-c", _RESIDENT_PEAK, src], capture_output=True,
                           text=True, timeout=120, check=True)
-    assert float(done.stdout) <= 0.15  # 0.040-0.043 at NumPy 2.4
+    assert float(done.stdout) <= 0.2  # 0.12-0.13 of the strips' bytes at NumPy 2.4
 
 
 @pytest.mark.parametrize("n", [1, 31, 33, 255, 256, 257, 600, 1395])
@@ -225,21 +301,42 @@ def test_blocked_cholesky_matches_lapack(n):
     g = rng.standard_normal((n, n))
     a = g @ g.T / n + np.eye(n)
     expected = np.linalg.cholesky(a)
-    work = a.copy()
-    linalg._cholesky_in_place(work, linalg._work_buffer(n))
-    # the strict upper triangle keeps the matrix, bit for bit
-    upper = np.triu(np.ones((n, n), dtype=bool), 1)
-    np.testing.assert_array_equal(work[upper], a[upper])
-    # below the diagonal blocks, the factor
-    blocks = np.arange(n) // linalg._CHOLESKY_BLOCK
-    below = blocks[:, None] > blocks[None, :]
-    assert np.max(np.abs(work[below] - expected[below]), initial=0.0) <= 1e-13
-    # in each diagonal block's lower triangle, the inverse of that block of the factor
-    for k in range(0, n, linalg._CHOLESKY_BLOCK):
-        block = slice(k, k + linalg._CHOLESKY_BLOCK)
-        inverse = np.tril(work[block, block])
-        np.testing.assert_allclose(inverse @ expected[block, block], np.eye(inverse.shape[0]),
+    strips = linalg._strips(pack_lower(a.copy()), n)
+    linalg._cholesky_in_place(strips, np.empty((256, 256)))
+    for k, strip in enumerate(strips):
+        rows = slice(256 * k, 256 * k + strip.shape[0])
+        # left of the diagonal block, the factor
+        left = strip[:, :rows.start]
+        assert np.max(np.abs(left - expected[rows, :rows.start]), initial=0.0) <= 1e-13
+        # in the diagonal block, the inverse of that block of the factor, zeros above
+        inverse = strip[:, rows]
+        np.testing.assert_array_equal(np.triu(inverse, 1), 0.0)
+        np.testing.assert_allclose(inverse @ expected[rows, rows], np.eye(inverse.shape[0]),
                                    rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("n", [1, 255, 256, 257, 600, 1395])
+def test_factored_solve_copies_nothing(n):
+    # forward and back substitution apply the strips as the factorization
+    # leaves them, two products per strip and sweep: a solve allocates its
+    # solution and the products' vectors, no copy of any tile
+    import tracemalloc
+
+    rng = np.random.default_rng(221)
+    g = rng.standard_normal((n, n))
+    a = g @ g.T / n + np.eye(n)
+    strips = linalg._strips(pack_lower(a.copy()), n)
+    linalg._cholesky_in_place(strips, np.empty((256, 256)))
+    v = rng.standard_normal(n)
+    linalg._cholesky_solve(strips, v)
+    tracemalloc.start()
+    try:
+        x = linalg._cholesky_solve(strips, v)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_allclose(a @ x, v, rtol=0, atol=1e-12 * np.max(np.abs(v)))
+    assert peak <= 4 * v.nbytes + 4096
 
 
 @pytest.mark.parametrize("m", [1, 2, 31, 32, 33, 64, 100, 128, 255, 256])
@@ -249,14 +346,15 @@ def test_lower_triangular_inverse_matches_numpy(m):
     g = rng.standard_normal((m, m))
     factor = np.linalg.cholesky(g @ g.T / m + np.eye(m))
     inverse = factor.copy()
-    linalg._invert_lower(inverse, linalg._work_buffer(m))
+    linalg._invert_lower(inverse, np.empty((m, m)))
     np.testing.assert_array_equal(np.triu(inverse, 1), 0.0)
     np.testing.assert_allclose(inverse, np.linalg.inv(factor), rtol=0, atol=1e-13)
 
 
 def test_solve_sym_names_the_dpotrf_pivot_of_a_late_breakdown():
     # L D L^T with a negative pivot D[550]: LAPACK's unblocked factorization
-    # fails at 550, in the third diagonal block of the blocked one
+    # fails at 550, in the third diagonal block of the blocked one, and the
+    # eigenvalues rebuilt from the residual tell indefinite from singular
     rng = np.random.default_rng(209)
     n, bad = 600, 550
     lower = np.eye(n) + np.tril(rng.standard_normal((n, n)), -1) / np.sqrt(n)
@@ -267,17 +365,18 @@ def test_solve_sym_names_the_dpotrf_pivot_of_a_late_breakdown():
     assert 2 * linalg._CHOLESKY_BLOCK <= bad < 3 * linalg._CHOLESKY_BLOCK
     assert la.lapack.dpotrf(b)[1] - 1 == bad
     with pytest.raises(NotPositiveDefiniteError) as exc:
-        solve_sym(b, np.ones(n))
+        solve_dense(b, np.ones(n))
     assert exc.value.pivot_index == bad
 
 
 def test_solve_sym_raises_on_a_large_singular_system_with_rank_estimate():
     # rank 300 of 600: the factorization breaks down past its first block,
-    # and the rank is read from the rebuilt equilibrated system
+    # and the rank is read from the equilibrated system rebuilt from the
+    # residual, 600 columns of one
     rng = np.random.default_rng(210)
     g = rng.standard_normal((600, 300))
     with pytest.raises(SingularMatrixError) as exc:
-        solve_sym(g @ g.T, np.ones(600))
+        solve_dense(g @ g.T, np.ones(600))
     assert exc.value.rank_estimate == 300
 
 
@@ -287,7 +386,7 @@ def test_solve_sym_leaves_its_right_hand_side_unchanged(n):
     b = random_spd(rng, n, cond=1e3)
     c = rng.standard_normal((n, 2))
     c_before = c.copy()
-    x, _ = solve_sym(b.copy(), c)
+    x, _ = solve_dense(b, c)
     np.testing.assert_array_equal(c, c_before)
     np.testing.assert_allclose(b @ x, c, rtol=0, atol=1e-10 * np.max(np.abs(c)))
 
@@ -299,7 +398,7 @@ def test_solve_sym_condition_estimate_matches_lapack_dpocon(n):
     # factors' rounding cannot steer the estimators apart
     rng = np.random.default_rng(212)
     b = random_spd(rng, n)
-    _, cond = solve_sym(b.copy(), rng.standard_normal(n))
+    _, cond = solve_dense(b, rng.standard_normal(n))
     scale = np.sqrt(np.max(np.abs(b), axis=1))
     equilibrated = b / np.outer(scale, scale)
     factor, info = la.lapack.dpotrf(equilibrated, lower=0)
@@ -315,60 +414,32 @@ def test_solve_sym_condition_estimate_is_rerun_stable():
     g = rng.standard_normal((n, n))
     b = g @ g.T / n + np.eye(n)
     c = rng.standard_normal(n)
-    x, cond = solve_sym(b.copy(), c)
+    x, cond = solve_dense(b, c)
     for _ in range(4):
-        x_again, cond_again = solve_sym(b.copy(), c)
+        x_again, cond_again = solve_dense(b, c)
         assert cond_again == cond
         np.testing.assert_array_equal(x_again, x)
 
 
-@pytest.mark.parametrize("n", [1, 63, 64, 65, 255, 256, 257, 600, 1395])
-def test_refinement_product_reads_the_system_from_the_upper_triangle(n):
-    # after the factorization the strict upper triangle holds the equilibrated
-    # system and the diagonal is kept aside: the product with the system reads
-    # nothing on or below the diagonal, and the solves nothing above it
-    rng = np.random.default_rng(217)
-    g = rng.standard_normal((n, n))
-    b = g @ g.T / n + np.eye(n)
-    scale = np.sqrt(np.max(np.abs(b), axis=1))
-    equilibrated = b / np.outer(scale, scale)
-    work, buffer = b.copy(), linalg._work_buffer(n)
-    linalg._equilibrate(work, scale, buffer)
-    np.testing.assert_array_equal(work, equilibrated)
-    diag = work.diagonal().copy()
-    linalg._cholesky_in_place(work, buffer)
-    upper = np.triu(np.ones((n, n), dtype=bool), 1)
-    y = rng.standard_normal((n, 2))
-    expected = equilibrated @ y
-    poisoned = np.where(upper, work, np.nan)
-    product = linalg._upper_product(poisoned, diag, y, buffer)
-    assert np.max(np.abs(product - expected)) <= 1e-14 * np.max(np.abs(expected))
-    poisoned = np.where(upper, np.nan, work)
-    x = linalg._cholesky_solve(poisoned, expected, buffer)
-    np.testing.assert_allclose(x, y, rtol=0, atol=1e-12 * np.max(np.abs(y)))
+@pytest.mark.parametrize("n", [1, 255, 256, 257, 600])
+def test_solve_sym_refines_once_through_the_callers_residual(n):
+    # one refinement step: the residual is asked for once, at the first
+    # solution, and its correction is added; a residual that returns zero
+    # leaves the first solution, one that is exact makes it exact to rounding
+    rng = np.random.default_rng(222)
+    a = random_spd(rng, n, cond=1e3)
+    c = rng.standard_normal(n)
+    asked = []
 
+    def exact(x):
+        asked.append(x.copy())
+        return c - a @ x
 
-def test_symmetry_check_scans_every_strip():
-    # the check runs in row strips of the upper triangle; a system larger
-    # than one strip, with a partial last strip, must still be rejected for
-    # one asymmetric entry far off the diagonal in the last strip's rows or
-    # columns, and accepted when that entry is within the tolerance
-    rng = np.random.default_rng(207)
-    n = 600
-    strips = list(linalg._strips(n, linalg._work_buffer(n)))
-    assert len(strips) > 2 and strips[-1][1] - strips[-1][0] < strips[0][1] - strips[0][0]
-    b = random_spd(rng, n, cond=10.0)
-    scale = np.max(np.abs(b))
-    for row, col in ((n - 1, 0), (0, n - 1), (n - 2, 1)):
-        bad = b.copy()
-        bad[row, col] += 1e-6 * scale
-        with pytest.raises(ValueError, match="not symmetric"):
-            solve_sym(bad, np.ones(n))
-        with pytest.raises(ValueError, match="not symmetric"):
-            cholesky_upper(bad)
-        near = b.copy()
-        near[row, col] += 1e-10 * scale
-        solve_sym(near, np.ones(n))
+    x, _ = solve_sym(pack_lower(a.copy()), c, exact)
+    assert len(asked) == 1 and asked[0].shape == c.shape
+    first, _ = solve_sym(pack_lower(a.copy()), c, np.zeros_like)
+    np.testing.assert_array_equal(first, asked[0])
+    np.testing.assert_allclose(x, np.linalg.solve(a, c), rtol=0, atol=1e-13 * np.max(np.abs(x)))
 
 
 # ----------------------------------------------------------------------
@@ -676,9 +747,10 @@ from topinf import InferenceData, infer_symmetric, solve_sym
 
 rng = np.random.default_rng(214)
 g = rng.standard_normal((600, 600))
-solve_sym(g @ g.T / 600 + np.eye(600), np.ones(600))
+a = g @ g.T / 600 + np.eye(600)
+solve_sym(topinf.pack_lower(a), np.ones(600), lambda x: 1.0 - a @ x)
 try:  # the failure path names the breakdown pivot
-    solve_sym(np.diag([1.0, -1.0]), np.ones(2))
+    solve_sym(np.diag([1.0, -1.0]), np.ones(2), lambda x: 1.0 - np.diag([1.0, -1.0]) @ x)
 except topinf.NotPositiveDefiniteError:
     pass
 ys = rng.standard_normal((4, 20, 3))

@@ -957,7 +957,7 @@ def test_basis_build_holds_the_training_data_at_most_twice(problem, tmp_path):
     # during the group's QR (the stack and NumPy's input copy; the gufunc's
     # LAPACK buffer comes from malloc, which tracemalloc does not see).
     # The traced peak is about 0.58 times the training data on default
-    # heat1d and 0.41 on default wave1d.
+    # heat1d and 0.31 on default wave1d.
     import tracemalloc
 
     cfg = dataclasses.replace(default_config(problem), n_test=0)
@@ -972,6 +972,38 @@ def test_basis_build_holds_the_training_data_at_most_twice(problem, tmp_path):
     finally:
         tracemalloc.stop()
     assert peak <= 0.75 * pooled_bytes
+
+
+@pytest.mark.parametrize("problem", ["heat1d", "wave1d"])
+def test_basis_build_frees_each_file_before_its_groups_qr(problem, tmp_path, monkeypatch):
+    # the POD copies each group's sets into its stack and lets go of them
+    # before the QR; no frame of the stage may still hold a file whose sets
+    # are all in the stack.  On default wave1d each group is one file's
+    # position and momentum blocks, so at every QR no file is alive.
+    import weakref
+
+    cfg = dataclasses.replace(default_config(problem), n_test=0)
+    pipeline.simulate_fom(cfg, tmp_path)
+    loaded = []
+    load, real_qr = pipeline._load_fom, np.linalg.qr
+
+    def tracked(*args):
+        states = load(*args)
+        loaded.append(weakref.ref(states))
+        return states
+
+    alive = []
+
+    def spy(a, mode="reduced"):
+        alive.append(sum(ref() is not None for ref in loaded))
+        return real_qr(a, mode=mode)
+
+    monkeypatch.setattr(pipeline, "_load_fom", tracked)
+    monkeypatch.setattr(np.linalg, "qr", spy)
+    pipeline.build_basis(cfg, tmp_path)
+    monkeypatch.undo()
+    assert len(loaded) == cfg.n_train and len(alive) > 1
+    assert alive == [0] * len(alive)
 
 
 @pytest.mark.parametrize("problem", ["heat1d", "wave1d"])
