@@ -45,8 +45,9 @@ __all__ = [
 POD_RANK_RTOL = 1e-12
 
 # A POD group gathers snapshot sets until it holds this many snapshots per
-# state dimension, or sets of that many, evenly split, when their number is
-# known; each group costs one QR (see _snapshot_factor).
+# state dimension; when their number is known, the sets are split into as
+# many groups, their stacks balanced.  Each group costs one QR (see
+# _snapshot_factor).
 _POD_GROUP_ROWS = 4
 
 
@@ -230,7 +231,7 @@ def _snapshot_factor(sets, count: int | None, n: int) -> np.ndarray:
         group.append(states.T)
         rows += states.shape[1]
         del states  # the group holds the set until it is factored
-        if read in ends if count else rows >= _POD_GROUP_ROWS * n:
+        if (read in ends) if count else (rows >= _POD_GROUP_ROWS * n):
             group, rows = [_stacked_factor(group)], 0
     if rows:
         group = [_stacked_factor(group)]
