@@ -7,8 +7,11 @@ factor of ``M`` (``R^T R = M``), the basis is ``U = R^{-1} Utilde_r`` where
 snapshot stack ``R [Q_1 ... Q_Ns]``, so ``U^T M U = I``.  The stack is
 never formed: a tall-skinny QR reduces the snapshot sets group by group
 to one ``N x N`` triangular factor ``F``, and one SVD of ``R F^T`` gives
-the modes.  When the number of sets is known, the groups' stacks, the
-carried factor included, are as equal as whole sets allow.
+the modes.  The snapshots are a sized sequence of ``N x Nt`` matrices,
+whose length fixes the groups before any set is read: the groups'
+stacks, the carried factor included, are as equal as whole sets allow.
+An unsized iterable (a generator) is refused with ``TypeError``, and a
+bare 2-D array, whose items are rows, with ``ValueError``.
 
 :func:`psd_cotangent_lift` builds a symplectic block basis for canonical
 systems ``y = (q, p)``: one weighted POD basis ``Uw`` is fit to the
@@ -25,12 +28,11 @@ or from applying the projected generator to the reduced snapshots exactly
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .linalg import cholesky_upper, thin_svd
+from .linalg import cholesky_upper
 
 __all__ = [
     "ReducedBasis",
@@ -44,10 +46,9 @@ __all__ = [
 #: Relative singular-value cutoff defining the numerical rank of a snapshot stack.
 POD_RANK_RTOL = 1e-12
 
-# A POD group gathers snapshot sets until it holds this many snapshots per
-# state dimension; when their number is known, the sets are split into as
-# many groups, their stacks balanced.  Each group costs one QR (see
-# _snapshot_factor).
+# The sets are split into as many POD groups as gathering them until each
+# holds this many snapshots per state dimension makes, their stacks balanced
+# (see _group_ends).  Each group costs one QR (see _snapshot_factor).
 _POD_GROUP_ROWS = 4
 
 
@@ -154,34 +155,12 @@ def _cotangent_lift(pod: ReducedBasis) -> ReducedBasis:
     return replace(pod, u=u, kind="psd", u_half=pod.u)
 
 
-def _state_list(snapshots) -> list[np.ndarray]:
-    """Accept raw matrices or objects with a ``states`` attribute."""
-    out = list(_snapshot_sets(snapshots)[0])
-    if not out:
-        raise ValueError("no snapshot sets provided")
-    return out
-
-
 def _as_set(snapshot) -> np.ndarray:
-    """One snapshot set as a float matrix: a matrix or an object exposing ``.states``."""
-    states = np.asarray(getattr(snapshot, "states", snapshot), dtype=float)
+    """One snapshot set as a float matrix."""
+    states = np.asarray(snapshot, dtype=float)
     if states.ndim != 2:
         raise ValueError(f"snapshot sets must be matrices, got ndim={states.ndim}")
     return states
-
-
-def _snapshot_sets(snapshots):
-    """The snapshot sets of ``snapshots``, one at a time, and their number, or None if unknown.
-
-    A 2-D array is one set.  The number is what ``operator.length_hint``
-    reports: a sequence's length, or an iterator's ``__length_hint__``.
-    Holds no set it has handed out, so a set lives only as long as its
-    reader keeps it.
-    """
-    if isinstance(snapshots, np.ndarray) and snapshots.ndim == 2:
-        snapshots = (snapshots,)
-    count = operator.length_hint(snapshots, -1)
-    return map(_as_set, snapshots), (count if count >= 0 else None)
 
 
 def _group_ends(count: int, width: int, n: int) -> set[int]:
@@ -207,36 +186,33 @@ def _group_ends(count: int, width: int, n: int) -> set[int]:
     return {min(first + j * later(first), count) for j in range(groups)}
 
 
-def _snapshot_factor(sets, count: int | None, n: int) -> np.ndarray:
-    """Upper-triangular ``R`` with ``R^T R = Q Q^T``, ``Q`` the sets side by side.
+def _snapshot_factor(sets, count: int, n: int) -> np.ndarray:
+    """Upper-triangular ``R`` with ``R^T R = Q Q^T``, ``Q`` the ``count`` sets side by side.
 
     A tall-skinny QR over groups of sets, each reduced by one QR of ``[R;
     Q_g^T]`` whose factor heads the next group, so one group is held at a
-    time.  When the number of sets ``count`` is known, the sets are split
-    into groups whose stacks are as equal as whole sets allow
-    (:func:`_group_ends`, from the first set's width); otherwise sets are
-    gathered until a group holds at least ``_POD_GROUP_ROWS * n``
-    snapshots.  The sets are neither pooled nor written.
+    time.  The sets are split into groups whose stacks are as equal as
+    whole sets allow (:func:`_group_ends`, from the first set's width).
+    The sets are neither pooled nor written.
     """
-    group, rows, ends = [], 0, set()  # the carried factor, then the group's transposed sets
+    group, ends = [], set()  # the carried factor, then the group's transposed sets
     read = 0  # counted by hand: enumerate's reused result tuple would hold the last set
-    for states in sets:
+    for states in map(_as_set, sets):
         if states.shape[0] != n:
             raise ValueError(f"snapshots have dimension {states.shape[0]}, mass is {n}")
         if not np.all(np.isfinite(states)):
             raise ValueError("non-finite entries in the snapshot stack")
         read += 1
-        if read == 1 and count:
+        if read == 1:
             ends = _group_ends(count, states.shape[1], n)
         group.append(states.T)
-        rows += states.shape[1]
         del states  # the group holds the set until it is factored
-        if (read in ends) if count else (rows >= _POD_GROUP_ROWS * n):
-            group, rows = [_stacked_factor(group)], 0
-    if rows:
-        group = [_stacked_factor(group)]
-    if not group:
+        if read in ends:
+            group = [_stacked_factor(group)]
+    if not read:
         raise ValueError("no snapshot sets provided")
+    if read != count:
+        raise ValueError(f"read {read} snapshot sets from a sequence of length {count}")
     return group[0]
 
 
@@ -252,7 +228,7 @@ def _stacked_factor(group: list[np.ndarray]) -> np.ndarray:
     return np.linalg.qr(stack, mode="r")
 
 
-def _weighted_left_vectors(sets, count: int | None, mass: np.ndarray,
+def _weighted_left_vectors(sets, count: int, mass: np.ndarray,
                            r: int) -> tuple[np.ndarray, np.ndarray]:
     """Leading r left singular vectors of ``W = R_M [Q_1 ... Q_Ns]``, pulled back by ``R_M``.
 
@@ -267,7 +243,7 @@ def _weighted_left_vectors(sets, count: int | None, mass: np.ndarray,
     # the right singular vectors of W (one entry per snapshot) are never
     # formed.  The Gram matrix W W^T would square the condition number that
     # the rank cut reads.
-    u_tilde, svals, _ = thin_svd(chol @ factor.T)
+    u_tilde, svals, _ = np.linalg.svd(chol @ factor.T, full_matrices=False)
     numerical_rank = int(np.count_nonzero(svals > POD_RANK_RTOL * svals[0])) if svals.size else 0
     if r > numerical_rank:
         raise ValueError(
@@ -286,27 +262,29 @@ def weighted_pod(snapshots, mass: np.ndarray, r: int) -> ReducedBasis:
 
     Parameters
     ----------
-    snapshots : iterable or ndarray
-        Snapshot matrices (``N x Nt`` each) or objects exposing ``.states``,
-        from any iterable (a generator is read once, set by set); a 2-D
-        array is one set.  Sets are gathered into groups of at least
-        ``4 N`` snapshots, or, when the iterable knows its length (a
-        sequence, or an iterator with ``__length_hint__``), split into as
-        many groups as that makes for sets as wide as the first, whose
-        stacks, the carried factor included, are as equal as whole sets
-        allow.  Each group is reduced to an ``N x N`` QR factor before the
-        next is read, so one group is held at a time.  The inputs are
-        neither pooled nor modified.
+    snapshots : sized iterable
+        Snapshot matrices, ``N x Nt`` each, read once, set by set: a
+        sequence, or an iterator with ``__len__``.  Its length, read
+        before any set, splits the sets into as many groups as gathering
+        sets as wide as the first until each holds ``4 N`` snapshots
+        makes, whose stacks, the carried factor included, are as equal as
+        whole sets allow.  Each group is reduced to an ``N x N`` QR factor
+        before the next is read, so one group is held at a time.  The
+        inputs are neither pooled nor modified.  An input without a length
+        (a generator) raises ``TypeError`` before any set is read; an item
+        that is not a matrix, such as a row of a bare 2-D array, raises
+        ``ValueError``, as does a sequence that yields other than its
+        length of sets.
     mass : ndarray, shape (N, N)
         Symmetric positive definite weight matrix.
     r : int
         Number of modes; must not exceed the numerical rank of the stack.
     """
-    return _pod(*_snapshot_sets(snapshots), mass, r)
+    return _pod(snapshots, len(snapshots), mass, r)
 
 
-def _pod(sets, count: int | None, mass: np.ndarray, r: int) -> ReducedBasis:
-    """:func:`weighted_pod` of the sets of :func:`_snapshot_sets`."""
+def _pod(sets, count: int, mass: np.ndarray, r: int) -> ReducedBasis:
+    """:func:`weighted_pod` of the ``count`` sets of the iterable ``sets``."""
     if r < 1:
         raise ValueError(f"r must be positive, got {r}")
     u, svals = _weighted_left_vectors(sets, count, mass, r)
@@ -321,19 +299,20 @@ def psd_cotangent_lift(q_snapshots, p_snapshots, mass: np.ndarray, r: int) -> Re
     and momentum snapshot sets taken together, acting on each state block:
     the returned basis is ``blockdiag(Uw, Uw)`` with ``u_half = Uw``.
 
-    Both arguments are read as in :func:`weighted_pod`, positions first.
-    The basis does not depend on the order of the sets (to rounding), so a
-    caller may pass every set, in any order, as ``q_snapshots`` with no
-    momentum sets (``p_snapshots=()``).
+    Both arguments are sized iterables of ``N x Nt`` matrices, read as in
+    :func:`weighted_pod`, positions first; their lengths are read before
+    any set, and an argument without one (a generator) raises
+    ``TypeError``.  The basis does not depend on the order of the sets (to
+    rounding), so a caller may pass every set, in any order, as
+    ``q_snapshots`` with no momentum sets (``p_snapshots=()``).
     """
-    (q, q_count), (p, p_count) = _snapshot_sets(q_snapshots), _snapshot_sets(p_snapshots)
-    count = None if q_count is None or p_count is None else q_count + p_count
-    return _cotangent_lift(_pod(itertools.chain(q, p), count, mass, r))
+    count = len(q_snapshots) + len(p_snapshots)
+    return _cotangent_lift(_pod(itertools.chain(q_snapshots, p_snapshots), count, mass, r))
 
 
 def project_snapshots(basis: ReducedBasis, snapshots) -> list[np.ndarray]:
-    """Reduced coordinates of each snapshot set: ``U^T M Q_s``."""
-    return [basis.project(states) for states in _state_list(snapshots)]
+    """Reduced coordinates ``U^T M Q_s`` of each snapshot matrix ``Q_s`` of the iterable ``snapshots``."""
+    return [basis.project(_as_set(states)) for states in snapshots]
 
 
 def estimate_time_derivative(reduced: np.ndarray, dt: float) -> np.ndarray:

@@ -26,7 +26,6 @@ on:
   ``dpocon`` (:func:`_inverse_norm_estimate`);
 * :func:`lstsq_min_norm` -- SVD-based minimum-norm least squares with a
   fixed relative singular-value cutoff;
-* :func:`thin_svd` -- economy-size SVD;
 * :func:`factor_tridiagonals` -- one ``LDL^T`` factorization of a stack of
   symmetric positive definite tridiagonals, raising
   :class:`~topinf.errors.NotPositiveDefiniteError` with the sample and
@@ -72,7 +71,6 @@ __all__ = [
     "lower_index",
     "pack_lower",
     "lstsq_min_norm",
-    "thin_svd",
     "TridiagonalFactor",
     "factor_tridiagonals",
 ]
@@ -585,16 +583,6 @@ def lstsq_min_norm(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, int, np.nd
         raise ValueError("non-finite entries in the least-squares system")
     x, _, rank, sv = np.linalg.lstsq(a, b, rcond=LSTSQ_RCOND)
     return x, int(rank), sv
-
-
-def thin_svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Economy-size SVD ``a = u @ diag(s) @ vt`` with descending ``s``."""
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2:
-        raise ValueError(f"expected a matrix, got ndim={a.ndim}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("non-finite entries in the matrix")
-    return np.linalg.svd(a, full_matrices=False)
 
 
 @dataclass(frozen=True)

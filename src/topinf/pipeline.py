@@ -642,31 +642,32 @@ def simulate_fom(cfg: ExperimentConfig, outdir) -> None:
 
 
 class _TrainingSets:
-    """The training snapshot sets, read file by file in sample order: an iterator that knows its length.
+    """The training snapshot sets, read file by file in sample order: a sized, one-pass iterator.
 
     Each file gives ``blocks`` sets, ``N x n_times`` transposed views of the
     time-major file: heat's trajectory, or wave's position block, then its
-    momentum block.  It keeps only the sets of the last file not yet handed
-    out, so a file is freed as soon as its reader lets go of its sets, and
-    its ``__length_hint__`` lets the POD balance its groups.
+    momentum block.  Its length, ``n_train * blocks``, lets the POD balance
+    its groups before it reads a set.  It keeps only the sets of the last
+    file not yet handed out, so a file is freed as soon as its reader lets
+    go of its sets.  It is read once: a second pass yields nothing and
+    loads no file.
     """
 
     def __init__(self, cfg: ExperimentConfig, outdir: Path, blocks: int):
         self._read = (_load_fom(cfg, outdir, "train", i) for i in range(cfg.n_train))
-        self._left, self._blocks, self._pending = cfg.n_train * blocks, blocks, []
+        self._len, self._blocks, self._pending = cfg.n_train * blocks, blocks, []
 
     def __iter__(self):
         return self
 
-    def __length_hint__(self) -> int:
-        return self._left
+    def __len__(self) -> int:
+        return self._len
 
     def __next__(self) -> np.ndarray:
         if not self._pending:
             states = next(self._read)
             n = states.shape[1] // self._blocks
             self._pending = [states[:, k * n:(k + 1) * n].T for k in range(self._blocks)]
-        self._left -= 1
         return self._pending.pop(0)
 
 

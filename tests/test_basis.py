@@ -183,9 +183,9 @@ def test_block_basis_pools_position_and_momentum_data():
 
 
 def test_pod_of_a_pooled_matrix_matches_the_pod_of_its_sets():
-    # a pooled matrix is left unchanged and gives the same basis, bit for
-    # bit, as the list of sets it pools; for the cotangent lift it holds the
-    # positions, then the momenta
+    # a pooled matrix, passed as the one set of a list, is left unchanged and
+    # gives the same basis, bit for bit, as the list of sets it pools; for
+    # the cotangent lift it holds the positions, then the momenta
     rng = np.random.default_rng(511)
     n = 9
     mass = random_spd(rng, n)
@@ -193,9 +193,9 @@ def test_pod_of_a_pooled_matrix_matches_the_pod_of_its_sets():
     ps = make_snapshots(rng, n, 2, 6)
     for from_sets, pooled, fit in (
             (weighted_pod(qs, mass, 3), np.hstack(qs),
-             lambda m: weighted_pod(m, mass, 3)),
+             lambda m: weighted_pod([m], mass, 3)),
             (psd_cotangent_lift(qs, ps, mass, 3), np.hstack(qs + ps),
-             lambda m: psd_cotangent_lift(m, (), mass, 3))):
+             lambda m: psd_cotangent_lift([m], (), mass, 3))):
         unchanged = pooled.copy()
         from_matrix = fit(pooled)
         assert from_matrix.kind == from_sets.kind
@@ -214,15 +214,33 @@ def _assert_same_basis(a, b, exact):
         np.testing.assert_allclose(a.u, b.u, rtol=0, atol=1e-10)
 
 
+class OnePass:
+    """A sized iterator that hands out each of ``sets`` once, as the pipeline's training reader does.
+
+    Its length is ``len(sets)`` unless ``length`` says otherwise.
+    """
+
+    def __init__(self, sets, length=None):
+        self._sets, self._len = iter(sets), len(sets) if length is None else length
+
+    def __len__(self):
+        return self._len
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        return next(self._sets)
+
+
 @pytest.mark.parametrize("n_sets, exact", [(2, True), (9, False)], ids=["one-group", "groups"])
-def test_pod_of_a_generator_a_list_and_a_pooled_matrix_agree(n_sets, exact):
-    # the same sets as a generator, a list, an iterator over the list and
-    # one pooled matrix: bit for bit while they fit in one group (fewer than
-    # 4 N snapshots); once the sets are factored group by group, the
-    # iterator, which knows its length, splits them as the list does, bit
-    # for bit, while the generator groups them greedily and the matrix is
-    # one QR, both to rounding (the cotangent lift's 18 sets go 6 + 4 + 4 + 4
-    # against 5 + 5 + 5 + 3); no input is modified
+def test_pod_of_sized_sets_and_of_their_pooled_matrix_agree(n_sets, exact):
+    # the same sets as a list, a tuple, a one-pass sized iterator and one
+    # pooled matrix: the sequences and the iterator bit for bit, as their
+    # lengths split them alike; the matrix, one set, bit for bit while the
+    # sets fit in one group (fewer than 4 N snapshots) and to rounding once
+    # they are factored group by group (the cotangent lift's 18 sets go
+    # 5 + 5 + 5 + 3 against one QR); no input is modified
     rng = np.random.default_rng(512)
     n, r = 8, 4
     mass = random_spd(rng, n)
@@ -232,28 +250,65 @@ def test_pod_of_a_generator_a_list_and_a_pooled_matrix_agree(n_sets, exact):
     for fit, sets in ((lambda *a: weighted_pod(*a, mass, r), (qs,)),
                       (lambda *a: psd_cotangent_lift(*a, mass, r), (qs, ps))):
         from_list = fit(*sets)
-        from_iterator = fit(*(iter(group) for group in sets))
-        from_generator = fit(*((s for s in group) for group in sets))
+        from_tuple = fit(*(tuple(group) for group in sets))
+        from_iterator = fit(*(OnePass(group) for group in sets))
         pooled = np.hstack([s for group in sets for s in group])
         unchanged = pooled.copy()
-        from_matrix = fit(pooled, *([()] if len(sets) == 2 else []))
+        from_matrix = fit([pooled], *([()] if len(sets) == 2 else []))
+        _assert_same_basis(from_tuple, from_list, exact=True)
         _assert_same_basis(from_iterator, from_list, exact=True)
-        _assert_same_basis(from_generator, from_list, exact=exact or len(sets) == 1)
         _assert_same_basis(from_matrix, from_list, exact=exact)
-        assert from_list.kind == from_generator.kind == from_matrix.kind
+        assert from_list.kind == from_iterator.kind == from_matrix.kind
         np.testing.assert_array_equal(pooled, unchanged)
     for before, after in zip(kept, qs + ps):
         np.testing.assert_array_equal(after, before)
 
 
-def test_pod_groups_sets_until_they_hold_four_n_snapshots(monkeypatch):
-    # n = 5: a group closes once it holds at least 20 snapshots.  Sets of 7
-    # and 9 snapshots, then one wider than 4 n (30), close the first group at
-    # 46; the next group stacks the carried 5 x 5 factor over the last two
-    # sets (4 + 3), a partial group, and its QR is the last: the weight
-    # goes into the one SVD of the final factor.  The sets come from a
-    # generator, whose length is unknown.  The basis matches the full SVD
-    # of the weighted pooled stack.
+def test_pod_refuses_unsized_inputs_before_reading_a_set():
+    # the number of sets fixes the groups before any set is read, so an
+    # input without a length is refused at once
+    rng = np.random.default_rng(516)
+    n = 6
+    sets = make_snapshots(rng, n)
+    read = []
+
+    def generator():
+        for states in sets:
+            read.append(states)
+            yield states
+
+    for fit in (lambda: weighted_pod(generator(), np.eye(n), 2),
+                lambda: psd_cotangent_lift(generator(), (), np.eye(n), 2),
+                lambda: psd_cotangent_lift(sets, generator(), np.eye(n), 2)):
+        with pytest.raises(TypeError):
+            fit()
+    assert read == []
+
+
+def test_pod_refuses_a_bare_matrix_and_a_length_it_does_not_read():
+    # a bare 2-D array is a sequence of rows, none of them a matrix; a sized
+    # input that yields fewer or more sets than its length is refused, not
+    # fit from the sets it happens to yield
+    rng = np.random.default_rng(517)
+    n = 6
+    sets = make_snapshots(rng, n)
+    for fit in (lambda m: weighted_pod(m, np.eye(n), 2),
+                lambda m: psd_cotangent_lift(m, (), np.eye(n), 2)):
+        with pytest.raises(ValueError, match="snapshot sets must be matrices"):
+            fit(np.hstack(sets))
+        for length in (2, 4):
+            with pytest.raises(ValueError, match="length"):
+                fit(OnePass(sets, length))
+
+
+def test_pod_groups_sets_of_mixed_widths_by_the_first_sets_width(monkeypatch):
+    # n = 5: gathering sets as wide as the first (7) until a group holds 4 n
+    # = 20 snapshots takes 3 sets, so 5 sets make 2 groups.  The first takes
+    # 3 sets, those of 7 and 9 snapshots and one wider than 4 n (30), a
+    # stack of 46; the next stacks the carried 5 x 5 factor over the last
+    # two sets (4 + 3), and its QR is the last: the weight goes into the one
+    # SVD of the final factor.  The basis matches the full SVD of the
+    # weighted pooled stack.
     rng = np.random.default_rng(513)
     n, r = 5, 3
     mass = random_spd(rng, n)
@@ -266,7 +321,7 @@ def test_pod_groups_sets_until_they_hold_four_n_snapshots(monkeypatch):
         return real_qr(a, mode=mode)
 
     monkeypatch.setattr(np.linalg, "qr", spy)
-    basis = weighted_pod((s for s in sets), mass, r)
+    basis = weighted_pod(sets, mass, r)
     monkeypatch.undo()
     assert shapes == [(46, n), (n + 7, n)]
 
@@ -279,7 +334,7 @@ def test_pod_groups_sets_until_they_hold_four_n_snapshots(monkeypatch):
     # one set wider than 4 n alone is one group
     shapes.clear()
     monkeypatch.setattr(np.linalg, "qr", spy)
-    weighted_pod(sets[2], mass, r)
+    weighted_pod(sets[2:3], mass, r)
     assert shapes == [(30, n)]
 
 
@@ -292,13 +347,13 @@ def qr_rows(groups, n, width):
                                            (15, [5, 5, 5]), (7, [7])])
 def test_pod_balances_the_stacks_of_a_known_number_of_sets(monkeypatch, count, groups):
     # n = 5, sets of 3 snapshots: gathering until a group holds 4 n = 20
-    # snapshots closes a group every 7 sets.  A list, or an iterator that
-    # knows its length, is split into as many groups; each group after the
-    # first stacks the carried 5 x 5 factor over its sets, so the first
-    # takes the sets that make the tallest stack least (8 sets: 15 and 14
-    # rows, where 4 + 4 would stack 12 and 17) and the later groups share
-    # the rest.  A generator is still grouped greedily, and every grouping
-    # gives the basis of the pooled stack.
+    # snapshots would close a group every 7 sets.  A list, or a one-pass
+    # iterator that knows its length, is split into as many groups; each
+    # group after the first stacks the carried 5 x 5 factor over its sets,
+    # so the first takes the sets that make the tallest stack least (8
+    # sets: 15 and 14 rows, where 4 + 4 would stack 12 and 17) and the
+    # later groups share the rest.  The grouping gives the basis of the
+    # pooled stack.
     rng = np.random.default_rng(515)
     n, r = 5, 3
     mass = random_spd(rng, n)
@@ -314,14 +369,10 @@ def test_pod_balances_the_stacks_of_a_known_number_of_sets(monkeypatch, count, g
     equal = weighted_pod(sets, mass, r)
     assert shapes == qr_rows(groups, n, 3)
     shapes.clear()
-    assert weighted_pod(iter(sets), mass, r).u.tobytes() == equal.u.tobytes()
+    assert weighted_pod(OnePass(sets), mass, r).u.tobytes() == equal.u.tobytes()
     assert shapes == qr_rows(groups, n, 3)
-    shapes.clear()
-    greedy = weighted_pod((s for s in sets), mass, r)
-    assert shapes == qr_rows([7] * (count // 7) + ([count % 7] if count % 7 else []), n, 3)
     monkeypatch.undo()
-    _assert_same_basis(greedy, equal, exact=False)
-    _assert_same_basis(weighted_pod(np.hstack(sets), mass, r), equal, exact=False)
+    _assert_same_basis(weighted_pod([np.hstack(sets)], mass, r), equal, exact=False)
 
 
 @pytest.mark.parametrize("problem", ["heat1d", "wave1d"])
@@ -421,19 +472,19 @@ def test_block_project_and_lift_round_trip_in_span():
         basis.leading(rng.standard_normal((4, 2)), 2)
 
 
-def test_project_snapshots_accepts_state_carrying_objects():
-    class Holder:
-        def __init__(self, states):
-            self.states = states
-
+def test_project_snapshots_projects_each_matrix():
+    # one reduced matrix per snapshot matrix, as the basis projects it; an
+    # item that is not a matrix, such as a row of a bare 2-D array, is refused
     rng = np.random.default_rng(511)
     mass = random_spd(rng, 6)
     snaps = make_snapshots(rng, 6, 2, 4)
     basis = weighted_pod(snaps, mass, 2)
-    from_arrays = project_snapshots(basis, snaps)
-    from_objects = project_snapshots(basis, [Holder(s) for s in snaps])
-    for a, b in zip(from_arrays, from_objects):
-        np.testing.assert_array_equal(a, b)
+    reduced = project_snapshots(basis, snaps)
+    assert len(reduced) == len(snaps)
+    for got, states in zip(reduced, snaps):
+        np.testing.assert_array_equal(got, basis.project(states))
+    with pytest.raises(ValueError, match="snapshot sets must be matrices"):
+        project_snapshots(basis, np.hstack(snaps))
 
 
 def test_derivative_stencils_are_exact_on_quadratics():

@@ -19,7 +19,6 @@ from topinf import (
     lstsq_min_norm,
     pack_lower,
     solve_sym,
-    thin_svd,
     weighted_bands,
 )
 import topinf
@@ -479,30 +478,6 @@ def test_lstsq_validates_arguments():
         lstsq_min_norm(np.zeros((3, 2)), np.zeros(4))
     with pytest.raises(ValueError):
         lstsq_min_norm(np.full((3, 2), np.nan), np.zeros(3))
-
-
-# ----------------------------------------------------------------------
-# SVD
-
-
-def test_thin_svd_reconstructs_and_orders():
-    rng = np.random.default_rng(206)
-    for shape in [(6, 3), (3, 6), (4, 4), (1, 5)]:
-        a = rng.standard_normal(shape)
-        u, s, vt = thin_svd(a)
-        k = min(shape)
-        assert u.shape == (shape[0], k) and vt.shape == (k, shape[1])
-        assert np.all(np.diff(s) <= 0.0) and np.all(s >= 0.0)
-        np.testing.assert_allclose(u @ np.diag(s) @ vt, a, atol=1e-12)
-        np.testing.assert_allclose(u.T @ u, np.eye(k), atol=1e-12)
-        np.testing.assert_allclose(vt @ vt.T, np.eye(k), atol=1e-12)
-
-
-def test_thin_svd_validates_arguments():
-    with pytest.raises(ValueError):
-        thin_svd(np.zeros(3))
-    with pytest.raises(ValueError):
-        thin_svd(np.array([[np.inf, 0.0]]))
 
 
 # ----------------------------------------------------------------------
