@@ -7,11 +7,12 @@ factor of ``M`` (``R^T R = M``), the basis is ``U = R^{-1} Utilde_r`` where
 snapshot stack ``R [Q_1 ... Q_Ns]``, so ``U^T M U = I``.  The stack is
 never formed: a tall-skinny QR reduces the snapshot sets group by group
 to one ``N x N`` triangular factor ``F``, and one SVD of ``R F^T`` gives
-the modes.  The snapshots are a sized sequence of ``N x Nt`` matrices,
-whose length fixes the groups before any set is read: the groups'
-stacks, the carried factor included, are as equal as whole sets allow.
-An unsized iterable (a generator) is refused with ``TypeError``, and a
-bare 2-D array, whose items are rows, with ``ValueError``.
+the modes.  The snapshots are a sized iterable of ``N x Nt`` matrices (a
+sequence, or an iterator with a length), whose length fixes the groups
+before any set is read: the groups' stacks, the carried factor included,
+are as equal as whole sets allow.  An unsized iterable (a generator) is
+refused with ``TypeError``, and a bare 2-D array, whose items are rows,
+with ``ValueError``.
 
 :func:`psd_cotangent_lift` builds a symplectic block basis for canonical
 systems ``y = (q, p)``: one weighted POD basis ``Uw`` is fit to the
