@@ -28,17 +28,19 @@ or from applying the projected generator to the reduced snapshots exactly
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .linalg import cholesky_upper
+from .linalg import blas_threads, cholesky_upper, one_blas_thread
 
 __all__ = [
     "ReducedBasis",
     "weighted_pod",
     "psd_cotangent_lift",
+    "pod_threads",
     "project_snapshots",
     "estimate_time_derivative",
     "exact_reduced_derivative",
@@ -51,6 +53,17 @@ POD_RANK_RTOL = 1e-12
 # holds this many snapshots per state dimension makes, their stacks balanced
 # (see _group_ends).  Each group costs one QR (see _snapshot_factor).
 _POD_GROUP_ROWS = 4
+
+# Up to this state dimension N the POD's dense kernels (the groups' QRs, the
+# Cholesky of the mass, the SVD and the closing solve) run on one OpenBLAS
+# thread (see _pod), which also makes the basis the same bits at any thread
+# count.  Below it OpenBLAS's threads cost more than they give.  A whole
+# weighted_pod of 10 N snapshots in sets of 251, one thread against two
+# (2 CPUs, medians of 5): N = 200: 29 vs 42 ms; 400: 134 vs 165; 600: 368 vs
+# 405; 700: 552 vs 574; 800: 824 vs 796.  Larger sizes favour the threads
+# more and more (QR of a 4N x N stack, best of 3: N = 1,600: 1.13 vs
+# 0.85 s; 3,200: 8.8 vs 5.8 s), so the pin stops here.
+_POD_ONE_THREAD_MAX_N = 700
 
 
 @dataclass(frozen=True)
@@ -280,15 +293,32 @@ def weighted_pod(snapshots, mass: np.ndarray, r: int) -> ReducedBasis:
         Symmetric positive definite weight matrix.
     r : int
         Number of modes; must not exceed the numerical rank of the stack.
+
+    Up to ``N = _POD_ONE_THREAD_MAX_N`` the QRs, the SVD and the solves
+    run on one OpenBLAS thread (:func:`~topinf.linalg.one_blas_thread`),
+    where that is faster than the library's threads, so there the basis
+    is the same bits at any thread count (:func:`pod_threads`).
     """
     return _pod(snapshots, len(snapshots), mass, r)
+
+
+def pod_threads(n: int) -> int | None:
+    """BLAS threads the POD of an ``n``-dimensional state runs on; ``None`` without OpenBLAS.
+
+    One up to ``n = _POD_ONE_THREAD_MAX_N``, where :func:`weighted_pod`
+    pins them, and the process's count above it.
+    """
+    threads = blas_threads()[1]
+    return 1 if threads is not None and n <= _POD_ONE_THREAD_MAX_N else threads
 
 
 def _pod(sets, count: int, mass: np.ndarray, r: int) -> ReducedBasis:
     """:func:`weighted_pod` of the ``count`` sets of the iterable ``sets``."""
     if r < 1:
         raise ValueError(f"r must be positive, got {r}")
-    u, svals = _weighted_left_vectors(sets, count, mass, r)
+    small = np.shape(mass)[0] <= _POD_ONE_THREAD_MAX_N
+    with one_blas_thread() if small else contextlib.nullcontext():
+        u, svals = _weighted_left_vectors(sets, count, mass, r)
     return ReducedBasis(u=u, weight=np.asarray(mass, dtype=float), kind="pod",
                         singular_values=svals)
 

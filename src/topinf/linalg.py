@@ -30,7 +30,10 @@ on:
   symmetric positive definite tridiagonals, raising
   :class:`~topinf.errors.NotPositiveDefiniteError` with the sample and
   pivot index of a breakdown; its :meth:`TridiagonalFactor.solve` solves
-  every sample's system at once.
+  every sample's system at once;
+* :func:`one_blas_thread` -- runs a block on one thread of the OpenBLAS
+  that NumPy loaded, and :func:`blas_threads` reads that library's name
+  and thread count; both do nothing where NumPy loaded another BLAS.
 
 Equilibration and refinement are exact algebraic reformulations; they do
 not change the solution being computed, only its floating-point accuracy.
@@ -58,8 +61,11 @@ package builds is of that kind.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import functools
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -74,6 +80,8 @@ __all__ = [
     "lstsq_min_norm",
     "TridiagonalFactor",
     "factor_tridiagonals",
+    "blas_threads",
+    "one_blas_thread",
 ]
 
 #: Relative pivot tolerance for Cholesky (pivot^2 vs. largest diagonal entry).
@@ -87,6 +95,56 @@ SINGULAR_RANK_RTOL = 1e-12
 
 #: Relative singular-value cutoff for minimum-norm least squares.
 LSTSQ_RCOND = 1e-12
+
+
+@functools.cache
+def _openblas():
+    """``(file name, get, set)`` of the OpenBLAS that NumPy loaded, or ``None``.
+
+    Looked up on first use, not at import, among the libraries of NumPy's
+    wheel (``numpy.libs``), under the thread-count symbols of NumPy 2's
+    ``scipy_openblas``, NumPy 1's 64-bit-integer OpenBLAS and a plain one.
+    Opening a library NumPy already loaded hands back the loaded one.
+    """
+    libs = Path(np.__file__).resolve().parent.with_name("numpy.libs")
+    for path in sorted(libs.glob("*openblas*")):
+        lib = ctypes.CDLL(str(path))
+        for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"), ("openblas", "")):
+            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                return path.name, get, put
+    return None
+
+
+def blas_threads() -> tuple[str | None, int | None]:
+    """File name and thread count of the OpenBLAS NumPy loaded; ``(None, None)`` without one."""
+    found = _openblas()
+    return (None, None) if found is None else (found[0], found[1]())
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run the block on one OpenBLAS thread, then restore the previous count.
+
+    The setting is process-wide while the block runs: BLAS calls that other
+    threads of the process make meanwhile run on one thread too.  The
+    previous count is restored however the block exits.  Where NumPy loaded
+    no OpenBLAS (MKL, Accelerate, a system BLAS), it does nothing.
+    """
+    found = _openblas()
+    if found is None:
+        yield
+        return
+    _, get, put = found
+    previous = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(previous)
 
 
 def _require_square(a: np.ndarray, name: str) -> None:

@@ -62,7 +62,10 @@ turns a study's artifacts into its reduced models and every model into
 per-sample generators ``A``; ``infer``'s exact derivatives,
 ``simulate_rom``'s sweeps and ``evaluate``'s wave energies ``E = J^T A``
 derive from it, and ``Surrogate.load(outdir).run(label, r, params)``
-queries a finished study at new parameters.  BLAS keeps its own threads.
+queries a finished study at new parameters.  BLAS keeps its own threads,
+except that the POD runs on one up to a state dimension where that is
+faster (:func:`~topinf.basis.weighted_pod`); the manifest's ``blas``
+record gives the library and the thread counts.
 A reduced run that diverges is recorded in the manifest as a structured
 record ``{label, r, split, index, step}``, keeps no states file, and is
 left out of the error pools.
@@ -100,6 +103,7 @@ from .basis import (
     ReducedBasis,
     estimate_time_derivative,
     exact_reduced_derivative,
+    pod_threads,
     project_snapshots,
     psd_cotangent_lift,
     weighted_pod,
@@ -118,7 +122,7 @@ from .heat import (
     sample_conductivities,
 )
 from .inference import InferenceData, compress, infer_lstsq, infer_normal, infer_symmetric
-from .linalg import lstsq_min_norm
+from .linalg import blas_threads, lstsq_min_norm
 from .metrics import hamiltonian_drift, projection_error, relative_l2
 from .rom import (
     block_operator,
@@ -314,9 +318,10 @@ def _finite(value) -> float | None:
     return float(value) if np.isfinite(value) else None
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
+def _write_csv(path: Path, header: list[str], rows, fmt=_fmt) -> None:
+    """Write ``rows`` under ``header``; ``fmt=repr`` for rows of Python floats only."""
     lines = [",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+    lines.extend(",".join(map(fmt, row)) for row in rows)
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -421,7 +426,7 @@ def _peak_rss_mib() -> float:
 
 
 def _record_stage(cfg: ExperimentConfig, outdir: Path, name: str, seconds: float,
-                  updates: dict | None = None) -> None:
+                  updates: dict | None = None, blas: dict | None = None) -> None:
     """Record a finished stage; ``updates`` replaces the fields the stage owns.
 
     Replacing, not merging, keeps a rerun from inheriting entries (a cleared
@@ -429,13 +434,23 @@ def _record_stage(cfg: ExperimentConfig, outdir: Path, name: str, seconds: float
     ``peak_rss_mib`` records the process's peak resident set size when the
     stage ends: the peak over the process's lifetime, so a stage run in its
     own process (the command line) reports its own peak, and a stage run
-    after others in one process reports the largest peak so far.
+    after others in one process reports the largest peak so far.  The
+    ``blas`` record gives the file name of the OpenBLAS NumPy loaded
+    (``library``) and, under ``threads``, its thread count when the stage
+    ran; ``blas`` adds fields the stage owns (``build_basis``'s
+    ``pod_threads``).  Without OpenBLAS, ``library`` and the counts are
+    ``null``.
     """
     manifest = _load_manifest(outdir)
     manifest["package_version"] = __version__
     manifest["config"] = _config_record(cfg)
     manifest["stages"][name] = seconds
     manifest.setdefault("peak_rss_mib", {})[name] = _peak_rss_mib()
+    library, threads = blas_threads()
+    record = manifest.setdefault("blas", {"threads": {}})
+    record["library"] = library
+    record["threads"][name] = threads
+    record.update(blas or {})
     manifest.update(updates or {})
     _save_manifest(outdir, manifest)
 
@@ -706,7 +721,8 @@ def build_basis(cfg: ExperimentConfig, outdir) -> None:
     save_tensor(outdir / "basis" / "svals.tpoi", b.singular_values)
 
     _record_stage(cfg, outdir, "build_basis", time.perf_counter() - started,
-                  updates={"basis": _record(cfg, "basis")})
+                  updates={"basis": _record(cfg, "basis")},
+                  blas={"pod_threads": pod_threads(len(weight))})
 
 
 # ----------------------------------------------------------------------
@@ -1016,9 +1032,9 @@ def evaluate(cfg: ExperimentConfig, outdir) -> None:
 
         if drift_series:
             times = cfg.t0 + cfg.dt * np.arange(cfg.n_times)
-            rows = [[float(t)] + [float(d[k]) * area for d, area in drift_series.values()]
-                    for k, t in enumerate(times)]
-            _write_csv(report_dir / f"drift_r{r}.csv", ["time", *drift_series], rows)
+            table = np.column_stack([times, *(d * area for d, area in drift_series.values())])
+            _write_csv(report_dir / f"drift_r{r}.csv", ["time", *drift_series], table.tolist(),
+                       fmt=repr)
 
     _write_csv(
         report_dir / "errors.csv",

@@ -29,8 +29,8 @@ from topinf import (
     psd_cotangent_lift,
     weighted_pod,
 )
-from topinf import pipeline
-from topinf.linalg import cholesky_upper
+from topinf import basis as basis_module, pipeline
+from topinf.linalg import blas_threads, cholesky_upper
 
 
 def random_spd(rng, n, cond=10.0):
@@ -373,6 +373,36 @@ def test_pod_balances_the_stacks_of_a_known_number_of_sets(monkeypatch, count, g
     assert shapes == qr_rows(groups, n, 3)
     monkeypatch.undo()
     _assert_same_basis(weighted_pod([np.hstack(sets)], mass, r), equal, exact=False)
+
+
+def test_pod_runs_on_one_blas_thread_up_to_its_threshold(monkeypatch, two_blas_threads):
+    # every QR of the POD sees one OpenBLAS thread while N is at most
+    # _POD_ONE_THREAD_MAX_N, and the process's count once the constant is
+    # below N; the count is restored after either, and pod_threads reports
+    # the count the QRs saw.  The basis is the same to rounding.
+    rng = np.random.default_rng(516)
+    n, r = 6, 3
+    mass = random_spd(rng, n)
+    sets = [rng.standard_normal((n, 7)) for _ in range(5)]
+    seen = []
+    real_qr = np.linalg.qr
+
+    def spy(a, mode="reduced"):
+        seen.append(blas_threads()[1])
+        return real_qr(a, mode=mode)
+
+    monkeypatch.setattr(np.linalg, "qr", spy)
+    pinned = weighted_pod(sets, mass, r)
+    assert seen == [1, 1] and basis_module.pod_threads(n) == 1
+    assert blas_threads()[1] == two_blas_threads
+    seen.clear()
+    monkeypatch.setattr(basis_module, "_POD_ONE_THREAD_MAX_N", n - 1)
+    threaded = weighted_pod(sets, mass, r)
+    assert seen == [two_blas_threads] * 2
+    assert basis_module.pod_threads(n) == two_blas_threads
+    assert blas_threads()[1] == two_blas_threads
+    monkeypatch.undo()
+    _assert_same_basis(threaded, pinned, exact=False)
 
 
 @pytest.mark.parametrize("problem", ["heat1d", "wave1d"])

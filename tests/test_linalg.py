@@ -768,3 +768,31 @@ def test_a_whole_study_does_not_load_scipy(tmp_path):
                           capture_output=True, text=True, timeout=300, check=True)
     assert done.stdout.strip().splitlines()[-1] == "[]"
     assert (tmp_path / "wave1d" / "report" / "summary.txt").exists()
+
+
+# ----------------------------------------------------------------------
+# BLAS threads
+
+
+def test_one_blas_thread_restores_the_count_after_a_normal_exit_and_an_exception(
+        two_blas_threads):
+    library, threads = linalg.blas_threads()
+    assert "openblas" in library and threads == two_blas_threads
+    with linalg.one_blas_thread():
+        assert linalg.blas_threads() == (library, 1)
+    assert linalg.blas_threads() == (library, two_blas_threads)
+    with pytest.raises(RuntimeError, match="inside the block"):
+        with linalg.one_blas_thread():
+            assert linalg.blas_threads() == (library, 1)
+            raise RuntimeError("inside the block")
+    assert linalg.blas_threads() == (library, two_blas_threads)
+
+
+def test_one_blas_thread_does_nothing_without_openblas(monkeypatch):
+    # MKL, Accelerate or a system BLAS: no library, no count, and the block
+    # runs as it is
+    monkeypatch.setattr(linalg, "_openblas", lambda: None)
+    assert linalg.blas_threads() == (None, None)
+    with linalg.one_blas_thread():
+        factor = np.linalg.qr(np.eye(3), mode="r")
+    np.testing.assert_array_equal(np.abs(factor), np.eye(3))

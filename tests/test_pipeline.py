@@ -44,7 +44,8 @@ from topinf import (
     wave_step,
     weighted_norm_sq,
 )
-from topinf import pipeline, wave
+from topinf import linalg, pipeline, wave
+from topinf.linalg import blas_threads
 from topinf.pipeline import STAGES, evaluate, simulate_rom
 
 
@@ -1034,6 +1035,24 @@ def test_manifest_records_each_stage_peak_rss(heat_run):
     peaks = manifest["peak_rss_mib"]
     assert set(peaks) == {name for name, _ in STAGES}
     assert all(isinstance(v, float) and v > 0.0 for v in peaks.values())
+
+
+def test_manifest_records_the_blas_and_its_threads(heat_run, monkeypatch, tmp_path):
+    # the OpenBLAS NumPy loaded and its thread count when each stage ran;
+    # the small heat study's POD (N = 23) runs on one thread
+    _, _, manifest = heat_run
+    library, threads = blas_threads()
+    assert manifest["blas"] == {"library": library,
+                                "threads": {name: threads for name, _ in STAGES},
+                                "pod_threads": None if library is None else 1}
+    # without OpenBLAS every field is null, the library's null saying why
+    monkeypatch.setattr(linalg, "_openblas", lambda: None)
+    cfg = small_heat_config()
+    pipeline.simulate_fom(cfg, tmp_path)
+    pipeline.build_basis(cfg, tmp_path)
+    record = json.loads((tmp_path / "manifest.json").read_text())["blas"]
+    assert record == {"library": None, "threads": {"simulate_fom": None, "build_basis": None},
+                      "pod_threads": None}
 
 
 # ----------------------------------------------------------------------
